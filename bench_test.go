@@ -53,14 +53,13 @@ func BenchmarkE10Demand(b *testing.B)           { runExperiment(b, experiments.E
 // Design-choice ablations (DESIGN.md §4, "Ablations").
 
 func BenchmarkA1Ordering(b *testing.B)     { runExperiment(b, experiments.A1Ordering) }
-func BenchmarkA2TreeIndex(b *testing.B)    { runExperiment(b, experiments.A2TreeIndex) }
 func BenchmarkA3LocalSearch(b *testing.B)  { runExperiment(b, experiments.A3LocalSearch) }
 func BenchmarkA4Online(b *testing.B)       { runExperiment(b, experiments.A4Online) }
 func BenchmarkA5Laminar(b *testing.B)      { runExperiment(b, experiments.A5Laminar) }
 func BenchmarkA6MachineIndex(b *testing.B) { runExperiment(b, experiments.A6MachineIndex) }
 
-// Scaling micro-benchmarks of the core algorithm at increasing sizes, with
-// the machine-selection index (default) and without (the PR 1 scan path).
+// Scaling micro-benchmarks of the core algorithm at increasing sizes, against
+// the linear reference that uses none of the kernel's structures.
 
 func benchFirstFitN(b *testing.B, n int, run func(*core.Instance) *core.Schedule) {
 	in := generator.General(7, n, 4, float64(n), 30)
@@ -76,16 +75,12 @@ func BenchmarkFirstFitN1e3(b *testing.B) { benchFirstFitN(b, 1000, firstfit.Sche
 func BenchmarkFirstFitN1e4(b *testing.B) { benchFirstFitN(b, 10000, firstfit.Schedule) }
 func BenchmarkFirstFitN1e5(b *testing.B) { benchFirstFitN(b, 100000, firstfit.Schedule) }
 
-func BenchmarkFirstFitScanN1e4(b *testing.B) { benchFirstFitN(b, 10000, firstfit.ScheduleScan) }
-func BenchmarkFirstFitScanN1e5(b *testing.B) { benchFirstFitN(b, 100000, firstfit.ScheduleScan) }
+func BenchmarkFirstFitLinearN1e4(b *testing.B) { benchFirstFitN(b, 10000, firstfit.ScheduleLinear) }
 
-// Kernel BestFit at scale (the indexed argmin over span deltas) against the
-// pre-kernel per-machine probe loop it replaced ("bestfit-scan").
+// Kernel BestFit at scale (the indexed argmin over span deltas).
 
-func BenchmarkBestFitN1e4(b *testing.B)     { benchFirstFitN(b, 10000, baselines.BestFit) }
-func BenchmarkBestFitN1e5(b *testing.B)     { benchFirstFitN(b, 100000, baselines.BestFit) }
-func BenchmarkBestFitScanN1e4(b *testing.B) { benchFirstFitN(b, 10000, baselines.BestFitScan) }
-func BenchmarkBestFitScanN1e5(b *testing.B) { benchFirstFitN(b, 100000, baselines.BestFitScan) }
+func BenchmarkBestFitN1e4(b *testing.B) { benchFirstFitN(b, 10000, baselines.BestFit) }
+func BenchmarkBestFitN1e5(b *testing.B) { benchFirstFitN(b, 100000, baselines.BestFit) }
 
 // Online replays at scale: the arrival-order FirstFit policy through the
 // kernel, fresh and through a recycled arena (the competitive-ratio sweep's

@@ -142,15 +142,11 @@ const (
 )
 
 // ComponentLowestFit is the shared RunComponent of the LowestFit-driven
-// family (firstfit, firstfit-scan, firstfit-start, randomfit,
-// online-firstfit): the component's jobs through the indexed kernel
-// LowestFit on a schedule drawn from sc. The index prunings are sound, so
-// indexed component runs merge byte-identical even to the sequential
-// no-index scans. out (aligned with order) receives each job's
-// component-local machine.
+// family (firstfit, firstfit-start, randomfit, online-firstfit): the
+// component's jobs through the kernel LowestFit on a schedule drawn from sc.
+// out (aligned with order) receives each job's component-local machine.
 func ComponentLowestFit(_ context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
 	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
 	k := s.Placer()
 	for i, j := range order {
 		out[i] = int32(k.LowestFit(int(j)))
@@ -159,11 +155,10 @@ func ComponentLowestFit(_ context.Context, in *core.Instance, order []int32, sc 
 }
 
 // ComponentBestFit is the shared RunComponent of the BestFit-driven family
-// (bestfit, bestfit-scan, online-bestfit): the kernel's pruned span-delta
-// argmin over the component's jobs.
+// (bestfit, online-bestfit): the kernel's pruned span-delta argmin over the
+// component's jobs.
 func ComponentBestFit(_ context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
 	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
 	k := s.Placer()
 	for i, j := range order {
 		out[i] = int32(k.BestFit(int(j)))

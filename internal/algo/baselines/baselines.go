@@ -13,9 +13,7 @@
 // Every baseline is a thin policy over the shared placement kernel
 // (core.Placer): FirstFit variants drive LowestFit, BestFit drives the
 // kernel's pruned argmin over span deltas, NextFit drives the kernel
-// cursor. BestFitScan keeps the pre-kernel per-machine probe loop,
-// registered as "bestfit-scan" for the ablation benchmarks; kernel and scan
-// produce byte-identical schedules.
+// cursor.
 package baselines
 
 import (
@@ -54,15 +52,6 @@ func init() {
 		Run:         BestFit,
 		RunScratch:  BestFitScratch,
 		Decompose:   bestFitDecomposer(),
-	})
-	algo.Register(algo.Algorithm{
-		Name:        "bestfit-scan",
-		Description: "BestFit with the plain per-machine probe loop (no selection index; ablation)",
-		Run:         BestFitScan,
-		RunScratch:  BestFitScanScratch,
-		// The kernel argmin is byte-identical to the plain probe loop, so
-		// component runs route through the kernel here too.
-		Decompose: bestFitDecomposer(),
 	})
 	// MachineMin colors the whole interval graph at once; a component's
 	// color classes shift globally, so it is not decomposable as registered.
@@ -108,16 +97,12 @@ func bestFitDecomposer() *algo.Decomposer {
 
 // FirstFitByStart runs FirstFit scanning jobs by (start, end, ID).
 func FirstFitByStart(in *core.Instance) *core.Schedule {
-	s := core.NewSchedule(in)
-	s.EnableMachineIndex()
-	return lowestFitByStart(in, s)
+	return lowestFitByStart(in, core.NewSchedule(in))
 }
 
 // FirstFitByStartScratch is FirstFitByStart drawing schedule state from sc.
 func FirstFitByStartScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
-	return lowestFitByStart(in, s)
+	return lowestFitByStart(in, sc.NewSchedule(in))
 }
 
 func lowestFitByStart(in *core.Instance, s *core.Schedule) *core.Schedule {
@@ -153,62 +138,23 @@ func nextFitByStart(in *core.Instance, s *core.Schedule) *core.Schedule {
 // BestFit scans jobs longest-first and assigns each to the machine whose
 // busy time grows the least (ties to the lowest index), opening a new
 // machine only when no machine fits. The argmin runs in the placement
-// kernel with the machine-selection index enabled: the saturation bitmap
-// skips provably rejecting machines word-wide and hull-disjoint machines
-// are dropped as soon as any candidate is held, so the scan touches only
-// machines that can actually win.
+// kernel: the saturation bitmap skips provably rejecting machines word-wide
+// and hull-disjoint machines are dropped as soon as any candidate is held,
+// so the scan touches only machines that can actually win.
 func BestFit(in *core.Instance) *core.Schedule {
-	s := core.NewSchedule(in)
-	s.EnableMachineIndex()
-	return bestFitByLength(in, s)
+	return bestFitByLength(in, core.NewSchedule(in))
 }
 
 // BestFitScratch is BestFit drawing schedule state from sc; warm runs
 // perform zero allocations (the alloc-budget gate in CI pins this).
 func BestFitScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
-	return bestFitByLength(in, s)
+	return bestFitByLength(in, sc.NewSchedule(in))
 }
 
 func bestFitByLength(in *core.Instance, s *core.Schedule) *core.Schedule {
 	k := s.Placer()
 	for _, j := range in.LengthOrder() {
 		k.BestFit(int(j))
-	}
-	return s
-}
-
-// BestFitScan is the pre-kernel BestFit: the same longest-first argmin, but
-// probing every machine in index order with no selection index. It is the
-// ablation baseline for the kernel BestFit and produces byte-identical
-// schedules.
-func BestFitScan(in *core.Instance) *core.Schedule {
-	return bestFitScanInto(in, core.NewSchedule(in))
-}
-
-// BestFitScanScratch is BestFitScan drawing schedule state from sc.
-func BestFitScanScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	return bestFitScanInto(in, sc.NewSchedule(in))
-}
-
-func bestFitScanInto(in *core.Instance, s *core.Schedule) *core.Schedule {
-	for _, jj := range in.LengthOrder() {
-		j := int(jj)
-		bestM, bestDelta := -1, 0.0
-		for m := 0; m < s.NumMachines(); m++ {
-			if !s.CanAssign(j, m) {
-				continue
-			}
-			if delta := s.SpanDelta(m, in.Jobs[j].Iv); bestM < 0 || delta < bestDelta {
-				bestM, bestDelta = m, delta
-			}
-		}
-		if bestM < 0 {
-			s.AssignNew(j)
-			continue
-		}
-		s.Assign(j, bestM)
 	}
 	return s
 }

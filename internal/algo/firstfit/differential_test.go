@@ -52,10 +52,10 @@ func assertIdentical(t *testing.T, label string, a, b *core.Schedule) {
 	}
 }
 
-// TestIndexedMatchesScan is the differential contract of the
-// machine-selection index: across every generator family and a fuzz-style
-// seed sweep, indexed FirstFit must produce byte-identical schedules to the
-// plain machine scan and to the fully linear ablation variant.
+// TestIndexedMatchesScan is the differential contract of the placement
+// kernel: across every generator family and a fuzz-style seed sweep, indexed
+// FirstFit must produce byte-identical schedules to ScheduleLinear, the
+// independent reference that probes every machine and sweeps every job.
 func TestIndexedMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		for fi, in := range diffFamilies(seed) {
@@ -63,8 +63,6 @@ func TestIndexedMatchesScan(t *testing.T) {
 			if err := indexed.Verify(); err != nil {
 				t.Fatalf("seed %d family %d: indexed schedule infeasible: %v", seed, fi, err)
 			}
-			scan := ScheduleScan(in)
-			assertIdentical(t, labelFor(seed, fi, "scan"), indexed, scan)
 			linear := ScheduleLinear(in)
 			assertIdentical(t, labelFor(seed, fi, "linear"), indexed, linear)
 		}
@@ -108,7 +106,7 @@ func TestIndexedScratchMatchesFresh(t *testing.T) {
 // instance sizes through one Scratch — small, large, small again — so every
 // backing array is exercised both growing and shrunken-in-place; each
 // recycled schedule must be byte-identical to a fresh indexed run and to the
-// plain scan.
+// linear reference.
 func TestScratchReuseAcrossSizes(t *testing.T) {
 	sc := new(core.Scratch)
 	sizes := []int{30, 2500, 100, 1200, 7, 2500, 600}
@@ -120,22 +118,22 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		}
 		fresh := Schedule(in)
 		assertIdentical(t, "size-ladder round "+itoa(round)+" vs fresh", recycled, fresh)
-		scan := ScheduleScan(in)
-		assertIdentical(t, "size-ladder round "+itoa(round)+" vs scan", recycled, scan)
+		linear := ScheduleLinear(in)
+		assertIdentical(t, "size-ladder round "+itoa(round)+" vs linear", recycled, linear)
 	}
 }
 
 // TestScratchReuseAcrossFamilies runs every generator family back to back
-// through one Scratch and pins each recycled schedule against the plain
-// scan, so no family-specific axis shape (degenerate hulls, few distinct
+// through one Scratch and pins each recycled schedule against the linear
+// reference, so no family-specific axis shape (degenerate hulls, few distinct
 // times, demand weights) can leak state through the recycled arena.
 func TestScratchReuseAcrossFamilies(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(50); seed < 54; seed++ {
 		for fi, in := range diffFamilies(seed) {
 			recycled := ScheduleScratch(in, sc)
-			scan := ScheduleScan(in)
-			assertIdentical(t, labelFor(seed, fi, "scratch-vs-scan"), recycled, scan)
+			linear := ScheduleLinear(in)
+			assertIdentical(t, labelFor(seed, fi, "scratch-vs-linear"), recycled, linear)
 		}
 	}
 }
@@ -148,8 +146,8 @@ func FuzzIndexedMatchesScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
 		indexed := Schedule(in)
-		scan := ScheduleScan(in)
-		assertIdentical(t, "fuzz", indexed, scan)
+		linear := ScheduleLinear(in)
+		assertIdentical(t, "fuzz", indexed, linear)
 		if err := indexed.Verify(); err != nil {
 			t.Fatalf("infeasible: %v", err)
 		}
@@ -158,6 +156,6 @@ func FuzzIndexedMatchesScan(f *testing.F) {
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
 		_ = ScheduleScratch(warm, sc)
-		assertIdentical(t, "fuzz-scratch", ScheduleScratch(in, sc), scan)
+		assertIdentical(t, "fuzz-scratch", ScheduleScratch(in, sc), linear)
 	})
 }

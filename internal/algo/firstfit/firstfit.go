@@ -8,10 +8,10 @@
 // the algorithm's approximation ratio lies in [3, 4].
 //
 // Placement goes through the shared kernel (core.Placer): FirstFit is the
-// LowestFit primitive driven in the paper's length order, with the machine
-// selection index enabled so the scan is sublinear. ScheduleScan is the
-// plain per-machine probe loop, kept for ablation A6 and registered as
-// "firstfit-scan"; both paths produce byte-identical schedules.
+// LowestFit primitive driven in the paper's length order, whose machine
+// selection index makes the scan sublinear. ScheduleLinear is an independent
+// reference without any of the kernel's structures, kept for ablation A6 and
+// the differential tests; both produce byte-identical schedules.
 package firstfit
 
 import (
@@ -26,16 +26,6 @@ func init() {
 		Run:         Schedule,
 		RunScratch:  ScheduleScratch,
 		Decompose:   Decomposer(),
-	})
-	algo.Register(algo.Algorithm{
-		Name:        "firstfit-scan",
-		Description: "FirstFit with the linear machine scan (no selection index; ablation A6)",
-		Run:         ScheduleScan,
-		RunScratch:  ScheduleScanScratch,
-		// The scan body is the kernel LowestFit too (the index prunings are
-		// sound, so indexed component runs merge byte-identical to the
-		// sequential scan), hence one shared Decomposer.
-		Decompose: Decomposer(),
 	})
 }
 
@@ -58,7 +48,6 @@ func Decomposer() *algo.Decomposer {
 // feasible schedule of the original instance (job order preserved).
 func Schedule(in *core.Instance) *core.Schedule {
 	s := core.NewSchedule(in)
-	s.EnableMachineIndex()
 	assignAllByLength(in, s.Placer())
 	return s
 }
@@ -69,7 +58,6 @@ func Schedule(in *core.Instance) *core.Schedule {
 // valid until sc's next use.
 func ScheduleScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
 	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
 	assignAllByLength(in, s.Placer())
 	return s
 }
@@ -89,7 +77,6 @@ func assignAllByLength(in *core.Instance, k core.Placer) {
 // with other orders.
 func ScheduleOrder(in *core.Instance, order []int) *core.Schedule {
 	s := core.NewSchedule(in)
-	s.EnableMachineIndex()
 	k := s.Placer()
 	for _, j := range order {
 		k.LowestFit(j)
@@ -100,28 +87,9 @@ func ScheduleOrder(in *core.Instance, order []int) *core.Schedule {
 // ScheduleOrderScratch is ScheduleOrder drawing schedule state from sc.
 func ScheduleOrderScratch(in *core.Instance, order []int, sc *core.Scratch) *core.Schedule {
 	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
 	k := s.Placer()
 	for _, j := range order {
 		k.LowestFit(j)
 	}
-	return s
-}
-
-// ScheduleScan is FirstFit without the machine-selection index: every job
-// probes machines 0..M−1 in order through the residual-capacity hints and
-// interval trees (the PR 1 fast path). It exists as the ablation baseline
-// for the index and produces schedules byte-identical to Schedule.
-func ScheduleScan(in *core.Instance) *core.Schedule {
-	s := core.NewSchedule(in)
-	assignAllByLength(in, s.Placer())
-	return s
-}
-
-// ScheduleScanScratch is ScheduleScan drawing schedule state from sc (the
-// kernel recycles the per-machine interval trees instead of the index).
-func ScheduleScanScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	s := sc.NewSchedule(in)
-	assignAllByLength(in, s.Placer())
 	return s
 }

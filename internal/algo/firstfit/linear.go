@@ -6,12 +6,12 @@ import (
 	"busytime/internal/core"
 )
 
-// ScheduleLinear is FirstFit with linear-scan capacity checks instead of the
-// interval-tree index used by core.Schedule: each machine keeps a plain job
-// list and a feasibility test sweeps every job on the machine. The produced
+// ScheduleLinear is FirstFit with none of the kernel's capacity structures:
+// each machine keeps a plain job list, machines are probed in index order,
+// and a feasibility test sweeps every job on the machine. The produced
 // assignment is identical to Schedule (same order, same first-fit rule); the
-// function exists for ablation A2, which measures what the tree index buys
-// at scale.
+// function is the independent reference of the differential tests and the
+// baseline of ablation A6, which measures what the kernel buys at scale.
 func ScheduleLinear(in *core.Instance) *core.Schedule {
 	order := in.LengthOrder()
 	type machine struct {

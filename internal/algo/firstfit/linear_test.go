@@ -39,7 +39,7 @@ func TestLinearWithDemands(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Cost() != b.Cost() {
-		t.Errorf("costs differ: tree %v vs linear %v", a.Cost(), b.Cost())
+		t.Errorf("costs differ: kernel %v vs linear %v", a.Cost(), b.Cost())
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // decided every job's machine and only the global bookkeeping remains. It
 // replays placements through the same incremental accounting as the live
 // kernel (per-machine job list, busy hull, span union feeding totalBusy) but
-// skips every capacity structure: no interval trees, shards, profiles or
-// index, because feasibility was established by the runs being merged. The
+// skips every capacity structure: no time axis, shards or index, because
+// feasibility was established by the runs being merged. The
 // result is sealed — mutating kernel entry points panic on it, since its
 // machines carry no oracle to answer them — while every read path (Cost,
 // Verify, Summary, Assignment, Detach-style re-derivation) stays valid.
@@ -28,7 +28,8 @@ type Assembly struct {
 // BeginAssembly starts assembling a schedule for inst with the given number
 // of pre-opened machines, drawn from sc (or fresh memory when sc is nil).
 func BeginAssembly(inst *Instance, sc *Scratch, machines int) Assembly {
-	s := NewScheduleFrom(inst, sc)
+	s := blankSchedule(inst, sc)
+	s.sealed = true
 	for m := 0; m < machines; m++ {
 		s.OpenMachine()
 	}
@@ -116,8 +117,5 @@ func (a Assembly) PutPlaced(j, m int) {
 	s.assign[j] = m
 }
 
-// Finish seals the assembled schedule and returns it.
-func (a Assembly) Finish() *Schedule {
-	a.s.sealed = true
-	return a.s
-}
+// Finish returns the assembled schedule, sealed since BeginAssembly.
+func (a Assembly) Finish() *Schedule { return a.s }

@@ -8,7 +8,7 @@ import (
 )
 
 // Geometry caps of the per-instance index structures. The bucket cap bounds
-// bitmap and profile memory (see machindex); the shard caps bound the
+// bitmap memory (see machindex); the shard caps bound the
 // per-machine shard directories and the duplication of jobs across shards.
 const (
 	// maxTimeBuckets caps the compressed time axis; workloads with more
@@ -21,7 +21,7 @@ const (
 )
 
 // instanceAxis bundles the compressed time axis of an instance with the
-// shard geometry every indexed schedule of the instance shares: the number
+// shard geometry every schedule of the instance shares: the number
 // of buckets, and how many consecutive buckets one time shard spans. It is
 // computed once per instance (an O(n log n) endpoint sort) and cached, so
 // schedules — fresh or recycled — configure their index structures without
@@ -29,7 +29,7 @@ const (
 type instanceAxis struct {
 	ax interval.Axis
 	// nb caches ax.NB(); 0 means a degenerate axis (no or point-only hull):
-	// bitmap and profiles are disabled and shards run in single-shard mode.
+	// the bitmap is disabled and shards run in single-shard mode.
 	nb int
 	// shardShift maps bucket indices to shard indices (bucket >> shardShift),
 	// chosen so that a job overlaps few shards (bounded duplication) while

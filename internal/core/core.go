@@ -50,7 +50,7 @@ type Instance struct {
 	Jobs []Job
 
 	// axis lazily caches the compressed time axis (*instanceAxis) shared by
-	// every indexed schedule of this instance; accessed atomically via
+	// every schedule of this instance; accessed atomically via
 	// timeAxis. lenOrder lazily caches LengthOrder, startOrder caches
 	// StartOrder (both *[]int32), and bounds caches CachedBounds (*Bounds).
 	// All are derived data: the job-reordering methods drop them, and

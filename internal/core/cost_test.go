@@ -26,11 +26,8 @@ func denseTestInstance(n, g int, horizon, maxLen float64) *Instance {
 	return NewInstance(g, ivs...)
 }
 
-func firstFitAll(in *Instance, indexed bool) *Schedule {
+func firstFitAll(in *Instance) *Schedule {
 	s := NewSchedule(in)
-	if indexed {
-		s.EnableMachineIndex()
-	}
 	for j := range in.Jobs {
 		s.FirstFitAssign(j)
 	}
@@ -40,20 +37,18 @@ func firstFitAll(in *Instance, indexed bool) *Schedule {
 // TestCostMatchesMachineSets cross-checks the incremental busy-time totals
 // against the from-scratch interval-set derivation.
 func TestCostMatchesMachineSets(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		in := denseTestInstance(500, 3, 300, 12)
-		s := firstFitAll(in, indexed)
-		var want float64
-		for m := 0; m < s.NumMachines(); m++ {
-			span := s.MachineSet(m).Span()
-			want += span
-			if got := s.MachineBusy(m); math.Abs(got-span) > 1e-9 {
-				t.Fatalf("indexed=%v machine %d busy %v, set says %v", indexed, m, got, span)
-			}
+	in := denseTestInstance(500, 3, 300, 12)
+	s := firstFitAll(in)
+	var want float64
+	for m := 0; m < s.NumMachines(); m++ {
+		span := s.MachineSet(m).Span()
+		want += span
+		if got := s.MachineBusy(m); math.Abs(got-span) > 1e-9 {
+			t.Fatalf("machine %d busy %v, set says %v", m, got, span)
 		}
-		if got := s.Cost(); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("indexed=%v Cost %v, machine sets say %v", indexed, got, want)
-		}
+	}
+	if got := s.Cost(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("Cost %v, machine sets say %v", got, want)
 	}
 }
 
@@ -61,7 +56,7 @@ func TestCostMatchesMachineSets(t *testing.T) {
 // union it used to re-derive per machine.
 func TestSummaryUsesIncrementalSpans(t *testing.T) {
 	in := denseTestInstance(300, 4, 150, 10)
-	s := firstFitAll(in, true)
+	s := firstFitAll(in)
 	for _, ms := range s.Summary() {
 		union := s.MachineSet(ms.Machine).Union()
 		if len(ms.Busy) != len(union) {
@@ -83,7 +78,7 @@ func TestSummaryUsesIncrementalSpans(t *testing.T) {
 // are reads that never rebuild interval sets (zero allocations).
 func TestCostIsAllocationFree(t *testing.T) {
 	in := denseTestInstance(2000, 4, 1000, 25)
-	s := firstFitAll(in, true)
+	s := firstFitAll(in)
 	var sink float64
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink += s.Cost()
@@ -100,7 +95,7 @@ func TestCostIsAllocationFree(t *testing.T) {
 // interval set is ever rebuilt.
 func BenchmarkScheduleCost(b *testing.B) {
 	in := denseTestInstance(10000, 4, 5000, 25)
-	s := firstFitAll(in, true)
+	s := firstFitAll(in)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64

@@ -6,8 +6,8 @@ import (
 	"busytime/internal/interval"
 )
 
-// The sharded capacity oracle of an indexed machine stores the machine's
-// jobs bucketed by time over the instance's compressed axis: shard k spans
+// The capacity oracle of a machine stores the machine's jobs bucketed by
+// time over the instance's compressed axis: shard k spans
 // the buckets [k<<shardShift, (k+1)<<shardShift) of the instance axis, so a
 // capacity probe — maximum demand-weighted closed depth within a window —
 // only sweeps the shards its window overlaps, each a short list.
@@ -97,17 +97,12 @@ func (p *shardPool) take(prev int32) int32 {
 // chunk chain in the schedule's shardPool.
 type loadShards struct {
 	heads []int32
-	on    bool
 }
-
-// enabled reports whether init configured the shards for this schedule.
-func (ls *loadShards) enabled() bool { return ls.on }
 
 // init sizes the shard directory from the instance axis — shard count and
 // width are fixed per instance, so the insert path never redistributes. It
 // reports whether the directory's backing array had to grow.
 func (ls *loadShards) init(ia *instanceAxis) (grew bool) {
-	ls.on = true
 	n := ia.nshards
 	if cap(ls.heads) < n {
 		ls.heads = make([]int32, n)
@@ -117,10 +112,6 @@ func (ls *loadShards) init(ia *instanceAxis) (grew bool) {
 	clear(ls.heads)
 	return false
 }
-
-// reset disables the shards until the next init; chunk chains die with the
-// pool's own reset.
-func (ls *loadShards) reset() { ls.on = false }
 
 // add stores one copy of the job in every shard of [slo, shi] (the job's
 // axis bucket range shifted to shard space).
@@ -139,8 +130,9 @@ func (ls *loadShards) add(p *shardPool, iv interval.Interval, demand int, slo, s
 }
 
 // maxDepthRun returns the maximum demand-weighted closed depth within w, a
-// witness point attaining it, and (when the depth reaches thresh) a maximal
-// saturated run around the witness, mirroring itree.MaxDepthRunWithinAt.
+// witness point attaining it, and (when the depth reaches thresh) a
+// saturated run around the witness: the maximal sub-interval of the
+// witness's clipped shard window on which the depth stays ≥ thresh.
 // [slo, shi] is w's shard range; the window is processed shard by shard on
 // clipped sub-windows. Each shard holds every job overlapping its closed
 // tile, so per-shard depths are exact and the overall maximum is their
@@ -242,7 +234,7 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 		return 0
 	})
 	// Two-pointer sweep, starts first at equal coordinates for closed
-	// semantics; run tracking mirrors itree.MaxDepthRunWithinAt.
+	// semantics, tracking the run of depth ≥ thresh that holds the maximum.
 	cur, best := 0, 0
 	inRun, runStart, bestRunStart := false, 0.0, 0.0
 	i, j := 0, 0

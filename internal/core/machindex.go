@@ -27,8 +27,8 @@ import (
 //     saturated machines are skipped with word-wide bit operations.
 //
 // Buckets are the elementary segments of the instance axis (distinct job
-// endpoints, decimated past maxTimeBuckets), so bitmap and profile memory
-// scale with distinct event times rather than the raw horizon. All bucket
+// endpoints, decimated past maxTimeBuckets), so bitmap memory scales with
+// distinct event times rather than the raw horizon. All bucket
 // geometry lives in interval.Axis; the index only consumes precomputed
 // bucket ranges.
 //
@@ -61,18 +61,14 @@ type machindex struct {
 // always sound.
 const maxQueryBuckets = 1024
 
-// Bitmap and profile memory is O(buckets × machines), so both structures
-// cover only a prefix of the machine range: machines beyond the caps are
-// still indexed by the segment tree (O(1) per machine) and probed through
-// hints and shards — they just can't be skipped by the bitmap or settled by
-// a profile, which only costs time, never correctness. FirstFit concentrates
-// its probes on low machine indices, so the prefix is where the structures
-// pay off. With the maximum 2¹⁶ buckets this bounds the bitmap at 4 MiB and
-// the profiles at 16 MiB per schedule.
-const (
-	maxBitmapMachines  = 512
-	maxProfileMachines = 128
-)
+// Bitmap memory is O(buckets × machines), so the bitmap covers only a prefix
+// of the machine range: machines beyond the cap are still indexed by the
+// segment tree (O(1) per machine) and probed through hints and shards — they
+// just can't be skipped by the bitmap, which only costs time, never
+// correctness. FirstFit concentrates its probes on low machine indices, so
+// the prefix is where the bitmap pays off. With the maximum 2¹⁶ buckets this
+// bounds the bitmap at 4 MiB per schedule.
+const maxBitmapMachines = 512
 
 const unopenedPeak = math.MaxInt32
 
@@ -275,15 +271,6 @@ func (ix *machindex) growWords() {
 	} else {
 		ix.blocked = ix.blocked[:ix.words]
 	}
-}
-
-// profileBuckets returns the bucketed-profile size for machine m: the full
-// axis grid inside the profile prefix, zero (no profile) beyond it.
-func (ix *machindex) profileBuckets(m int) int {
-	if m >= maxProfileMachines {
-		return 0
-	}
-	return ix.nb
 }
 
 // markBucket records that machine m is loaded to ≥ g at every point of

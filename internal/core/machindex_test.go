@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"busytime/internal/interval"
-	"busytime/internal/itree"
 )
 
 // TestFirstTrivialFindsLowestGuaranteedMachine drives the segment tree
@@ -156,156 +155,113 @@ func (h *shardHarness) maxDepthRun(w interval.Interval, thresh int) (int, float6
 }
 
 // TestLoadShardsMatchesBrute compares the sharded capacity oracle against a
-// brute-force depth computation. The insertion count runs far past the old
-// doubling-growth threshold (shardJobTarget items per shard) to pin the
-// regression the up-front sizing replaced: the fixed directory must stay
-// exact at any occupancy, with no redistribution path left to get wrong.
+// brute-force depth computation, on demand-weighted jobs at threshold 3 and
+// on unit-demand jobs at thresholds 2 and 4. The first case's insertion count
+// runs far past the old doubling-growth threshold (shardJobTarget items per
+// shard) to pin the regression the up-front sizing replaced: the fixed
+// directory must stay exact at any occupancy, with no redistribution path
+// left to get wrong.
 func TestLoadShardsMatchesBrute(t *testing.T) {
-	state := uint64(3)
-	next := func() float64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return float64((z^(z>>31))>>11) / (1 << 53)
+	cases := []struct {
+		seed            uint64
+		n               int
+		horizon, maxLen float64
+		maxDemand       int
+		thresholds      []int
+	}{
+		{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, thresholds: []int{3}},
+		{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, thresholds: []int{2, 4}},
 	}
-	type wjob struct {
-		iv interval.Interval
-		d  int
+	if old := shardJobTarget; cases[0].n <= old {
+		t.Fatalf("workload %d does not exceed the old growth threshold %d", cases[0].n, old)
 	}
-	// Pre-generate the workload so the instance axis exists up front, the
-	// way EnableMachineIndex sees a complete instance.
-	jobs := make([]wjob, 1200)
-	ivs := make([]interval.Interval, len(jobs))
-	for i := range jobs {
-		s := next() * 100
-		iv := interval.Interval{Start: s, End: s + next()*12}
-		jobs[i] = wjob{iv, 1 + int(next()*3)}
-		ivs[i] = iv
-	}
-	h := newShardHarness(NewInstance(4, ivs...))
-	if h.ia.nshards < 2 {
-		t.Fatalf("only %d shard(s); multi-shard sweeps untested", h.ia.nshards)
-	}
-	if old := shardJobTarget; len(jobs) <= old {
-		t.Fatalf("workload %d does not exceed the old growth threshold %d", len(jobs), old)
-	}
-	var added []wjob
-	brute := func(w interval.Interval) int {
-		// Max closed depth within w: evaluate at every clipped endpoint.
-		best := 0
-		for _, cand := range added {
-			for _, p := range []float64{cand.iv.Start, cand.iv.End, w.Start, w.End} {
-				if p < w.Start || p > w.End {
+	for _, tc := range cases {
+		state := tc.seed
+		next := func() float64 {
+			state += 0x9e3779b97f4a7c15
+			z := state
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			return float64((z^(z>>31))>>11) / (1 << 53)
+		}
+		type wjob struct {
+			iv interval.Interval
+			d  int
+		}
+		// Pre-generate the workload so the instance axis exists up front, the
+		// way a schedule sees a complete instance.
+		jobs := make([]wjob, tc.n)
+		ivs := make([]interval.Interval, len(jobs))
+		for i := range jobs {
+			s := next() * tc.horizon
+			iv := interval.Interval{Start: s, End: s + next()*tc.maxLen}
+			jobs[i] = wjob{iv, 1 + int(next()*float64(tc.maxDemand))}
+			ivs[i] = iv
+		}
+		h := newShardHarness(NewInstance(4, ivs...))
+		if h.ia.nshards < 2 {
+			t.Fatalf("seed %d: only %d shard(s); multi-shard sweeps untested", tc.seed, h.ia.nshards)
+		}
+		var added []wjob
+		depthAt := func(p float64) int {
+			depth := 0
+			for _, o := range added {
+				if o.iv.Contains(p) {
+					depth += o.d
+				}
+			}
+			return depth
+		}
+		brute := func(w interval.Interval) int {
+			// Max closed depth within w: evaluate at every clipped endpoint.
+			best := 0
+			for _, cand := range added {
+				for _, p := range []float64{cand.iv.Start, cand.iv.End, w.Start, w.End} {
+					if p >= w.Start && p <= w.End {
+						best = max(best, depthAt(p))
+					}
+				}
+			}
+			return best
+		}
+		for step, j := range jobs {
+			h.add(j.iv, j.d)
+			added = append(added, j)
+			qs := next() * tc.horizon
+			w := interval.Interval{Start: qs, End: qs + next()*tc.maxLen}
+			want := brute(w)
+			for _, thresh := range tc.thresholds {
+				got, at, run, ok := h.maxDepthRun(w, thresh)
+				if got != want {
+					t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d)", tc.seed, step, got, want, w, h.ia.nshards)
+				}
+				if ok != (want >= thresh) {
+					t.Fatalf("seed %d step %d: ok=%v with depth %d, thresh %d", tc.seed, step, ok, want, thresh)
+				}
+				if want > 0 && !w.Contains(at) {
+					t.Fatalf("seed %d step %d: witness %v outside %v", tc.seed, step, at, w)
+				}
+				if !ok {
 					continue
 				}
-				depth := 0
-				for _, o := range added {
-					if o.iv.Contains(p) {
-						depth += o.d
+				if !w.ContainsInterval(run) {
+					t.Fatalf("seed %d step %d: run %v outside %v", tc.seed, step, run, w)
+				}
+				for i := 0; i <= 8; i++ {
+					p := run.Start + (run.End-run.Start)*float64(i)/8
+					if depth := depthAt(p); depth < thresh {
+						t.Fatalf("seed %d step %d: run %v has depth %d < %d at %v", tc.seed, step, run, depth, thresh, p)
 					}
 				}
-				if depth > best {
-					best = depth
-				}
-			}
-		}
-		return best
-	}
-	for step, j := range jobs {
-		h.add(j.iv, j.d)
-		added = append(added, j)
-		qs := next() * 100
-		w := interval.Interval{Start: qs, End: qs + next()*12}
-		want := brute(w)
-		got, at, run, ok := h.maxDepthRun(w, 3)
-		if got != want {
-			t.Fatalf("step %d: depth %d, brute %d (w=%v, shards=%d)", step, got, want, w, h.ia.nshards)
-		}
-		if ok != (want >= 3) {
-			t.Fatalf("step %d: ok=%v with depth %d", step, ok, want)
-		}
-		if want > 0 && !w.Contains(at) {
-			t.Fatalf("step %d: witness %v outside %v", step, at, w)
-		}
-		if ok {
-			if !w.ContainsInterval(run) {
-				t.Fatalf("step %d: run %v outside %v", step, run, w)
-			}
-			for i := 0; i <= 8; i++ {
-				p := run.Start + (run.End-run.Start)*float64(i)/8
-				depth := 0
-				for _, o := range added {
-					if o.iv.Contains(p) {
-						depth += o.d
-					}
-				}
-				if depth < 3 {
-					t.Fatalf("step %d: run %v has depth %d < 3 at %v", step, run, depth, p)
-				}
-			}
-		}
-	}
-}
-
-// TestLoadShardsMatchesTreeOracle pins the two exact capacity oracles — the
-// sharded sweep used under the index and the interval tree used without it —
-// to each other on identical unit-demand content: depths must agree
-// everywhere and reported runs must satisfy the same saturation contract.
-// This is the tripwire for the duplicated run-extraction logic.
-func TestLoadShardsMatchesTreeOracle(t *testing.T) {
-	state := uint64(21)
-	next := func() float64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return float64((z^(z>>31))>>11) / (1 << 53)
-	}
-	ivs := make([]interval.Interval, 800)
-	for i := range ivs {
-		s := next() * 60
-		ivs[i] = interval.Interval{Start: s, End: s + next()*9}
-	}
-	h := newShardHarness(NewInstance(4, ivs...))
-	if h.ia.nshards < 2 {
-		t.Fatalf("only %d shard(s); multi-shard sweeps untested", h.ia.nshards)
-	}
-	tree := itree.New(5)
-	for step, iv := range ivs {
-		h.add(iv, 1)
-		tree.Insert(itree.Item{Iv: iv, ID: step})
-		qs := next() * 60
-		w := interval.Interval{Start: qs, End: qs + next()*9}
-		for _, thresh := range []int{2, 4} {
-			sd, sa, srun, sok := h.maxDepthRun(w, thresh)
-			td, ta, trun, tok := tree.MaxDepthRunWithinAt(w, thresh)
-			if sd != td {
-				t.Fatalf("step %d: shard depth %d != tree depth %d (w=%v)", step, sd, td, w)
-			}
-			if sok != tok {
-				t.Fatalf("step %d: shard ok=%v != tree ok=%v at depth %d thresh %d", step, sok, tok, sd, thresh)
-			}
-			// Witnesses and runs may legitimately differ (the shard sweep
-			// clips at tile boundaries), but both must be valid: witness in
-			// window, run saturated at both ends.
-			if sd > 0 && (!w.Contains(sa) || !w.Contains(ta)) {
-				t.Fatalf("step %d: witness outside window: shard %v tree %v (w=%v)", step, sa, ta, w)
-			}
-			if sok && !w.ContainsInterval(srun) {
-				t.Fatalf("step %d: shard run %v outside %v", step, srun, w)
-			}
-			if tok && !w.ContainsInterval(trun) {
-				t.Fatalf("step %d: tree run %v outside %v", step, trun, w)
 			}
 		}
 	}
 }
 
 // TestIndexManyMachinesPastPrefixCaps drives FirstFitAssign on a clique
-// instance that opens far more machines than the bitmap (512) and profile
-// (128) prefixes cover, checking the indexed scan still matches the plain
-// scan machine for machine.
+// instance that opens far more machines than the bitmap prefix (512) covers,
+// checking the indexed scan still matches a brute-force FirstFit machine for
+// machine.
 func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
 	// 1500 unit jobs through a common point with g=2 → 750 machines.
 	ivs := make([]interval.Interval, 1500)
@@ -323,14 +279,13 @@ func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
 	}
 	in := NewInstance(2, ivs...)
 	indexed := NewSchedule(in)
-	indexed.EnableMachineIndex()
 	plain := NewSchedule(in)
 	for j := range in.Jobs {
 		indexed.FirstFitAssign(j)
-		plain.FirstFitAssign(j)
+		bruteFirstFit(plain, j)
 	}
 	if indexed.NumMachines() <= maxBitmapMachines {
-		t.Fatalf("instance opened only %d machines; prefix caps untested", indexed.NumMachines())
+		t.Fatalf("instance opened only %d machines; prefix cap untested", indexed.NumMachines())
 	}
 	if indexed.NumMachines() != plain.NumMachines() {
 		t.Fatalf("indexed %d machines, plain %d", indexed.NumMachines(), plain.NumMachines())

@@ -9,8 +9,8 @@ import (
 // Placer is the shared placement kernel: a stateless view over a Schedule
 // exposing the order-parameterized placement primitives every scheduler of
 // the library composes. The kernel owns the fast substrate — the machine
-// selection index, the saturation bitmap, the bucketed load profiles, the
-// time-sharded capacity oracle and the recyclable arena — so an algorithm is
+// selection index, the saturation bitmap, the time-sharded capacity oracle
+// and the recyclable arena — so an algorithm is
 // just a policy choosing which primitive to call for each job:
 //
 //   - LowestFit: the FirstFit rule — lowest-indexed machine that fits, a
@@ -73,8 +73,7 @@ func (p Placer) SpanDelta(m int, iv interval.Interval) float64 { return p.s.Span
 
 // LowestFit places job index j by the FirstFit rule — the lowest-indexed
 // machine that can process it, a fresh machine when none can — and returns
-// the machine. With the machine-selection index enabled the scan is
-// sublinear (see Schedule.FirstFitAssign).
+// the machine. The scan is sublinear (see Schedule.FirstFitAssign).
 func (p Placer) LowestFit(j int) int { return p.s.FirstFitAssign(j) }
 
 // NextFit places job index j on the kernel's single open machine, opening a
@@ -128,11 +127,7 @@ func (p Placer) BestFitProbe(j int) int {
 	if nm == 0 {
 		return Unassigned
 	}
-	lo, hi := s.jobBuckets(j)
-	var bl []uint64
-	if s.index != nil {
-		bl = s.index.blockedMask(lo, hi)
-	}
+	bl := s.index.blockedMask(s.jobBuckets(j))
 	for wi := 0; wi*64 < nm; wi++ {
 		free := ^uint64(0)
 		if wi < len(bl) {

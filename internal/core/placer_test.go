@@ -2,17 +2,38 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
+// bruteFits decides whether job j fits machine m of s by brute force,
+// independently of every capacity structure of the schedule: the machine's
+// jobs plus j must stay within g everywhere.
+func bruteFits(s *Schedule, j, m int) bool {
+	jobs := append(slices.Clone(s.MachineJobs(m)), j)
+	return maxWeightedDepth(s.inst, jobs) <= s.inst.G
+}
+
+// bruteFirstFit places job j on the lowest-indexed machine that fits by
+// bruteFits, opening a fresh machine when none does, and returns it.
+func bruteFirstFit(s *Schedule, j int) int {
+	for m := 0; m < s.NumMachines(); m++ {
+		if bruteFits(s, j, m) {
+			s.Assign(j, m)
+			return m
+		}
+	}
+	return s.AssignNew(j)
+}
+
 // naiveBestFit replicates the un-pruned BestFit argmin on a parallel
-// schedule: probe every machine in index order, rank feasible ones by span
-// delta, ties to the lowest index.
+// schedule: check every machine in index order by brute force, rank feasible
+// ones by span delta, ties to the lowest index.
 func naiveBestFit(s *Schedule, j int) int {
 	iv := s.inst.Jobs[j].Iv
 	bestM, bestDelta := -1, 0.0
 	for m := 0; m < s.NumMachines(); m++ {
-		if !s.CanAssign(j, m) {
+		if !bruteFits(s, j, m) {
 			continue
 		}
 		if delta := s.SpanDelta(m, iv); bestM < 0 || delta < bestDelta {
@@ -26,34 +47,28 @@ func naiveBestFit(s *Schedule, j int) int {
 	return bestM
 }
 
-// TestPlacerBestFitMatchesNaive drives the kernel BestFit (indexed and
-// unindexed) against the naive scan on random demand-weighted instances and
-// requires identical machine choices throughout.
+// TestPlacerBestFitMatchesNaive drives the kernel BestFit against the naive
+// scan on random demand-weighted instances and requires identical machine
+// choices throughout.
 func TestPlacerBestFitMatchesNaive(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		for seed := int64(0); seed < 25; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			in := randInstance(r, 140, 1+r.Intn(5))
-			a := NewSchedule(in)
-			if indexed {
-				a.EnableMachineIndex()
+	for seed := int64(0); seed < 25; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		in := randInstance(r, 140, 1+r.Intn(5))
+		a := NewSchedule(in)
+		b := NewSchedule(in)
+		k := a.Placer()
+		for j := range in.Jobs {
+			got := k.BestFit(j)
+			want := naiveBestFit(b, j)
+			if got != want {
+				t.Fatalf("seed %d: job %d kernel chose machine %d, naive %d", seed, j, got, want)
 			}
-			b := NewSchedule(in)
-			k := a.Placer()
-			for j := range in.Jobs {
-				got := k.BestFit(j)
-				want := naiveBestFit(b, j)
-				if got != want {
-					t.Fatalf("indexed=%v seed %d: job %d kernel chose machine %d, naive %d",
-						indexed, seed, j, got, want)
-				}
-			}
-			if err := a.Verify(); err != nil {
-				t.Fatalf("indexed=%v seed %d: %v", indexed, seed, err)
-			}
-			if a.Cost() != b.Cost() {
-				t.Fatalf("indexed=%v seed %d: cost %v vs %v", indexed, seed, a.Cost(), b.Cost())
-			}
+		}
+		if err := a.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if a.Cost() != b.Cost() {
+			t.Fatalf("seed %d: cost %v vs %v", seed, a.Cost(), b.Cost())
 		}
 	}
 }
@@ -94,7 +109,6 @@ func TestPlacerBestFitProbeDoesNotPlace(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	in := randInstance(r, 60, 3)
 	s := NewSchedule(in)
-	s.EnableMachineIndex()
 	k := s.Placer()
 	for j := range in.Jobs {
 		probe := k.BestFitProbe(j)

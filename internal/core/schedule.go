@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"busytime/internal/interval"
-	"busytime/internal/itree"
 )
 
 // Unassigned marks a job that has not been placed on any machine.
@@ -18,14 +17,14 @@ const Unassigned = -1
 //
 // Machine state is stored as a flat value slice — one contiguous record per
 // machine instead of a pointer per machine — and every capacity structure a
-// machine needs (interval tree or time shards, load profile, span union) is
-// drawn from recyclable backing arrays, so schedules built from a Scratch
-// reach a zero-allocation steady state (see Scratch).
+// machine needs (shard directory, span union) is drawn from recyclable
+// backing arrays, so schedules built from a Scratch reach a zero-allocation
+// steady state (see Scratch).
 //
 // Each machine answers feasibility checks through cheap residual-capacity
 // hints — its busy hull, its peak load, and a few saturation witness points
-// — backed by an exact capacity oracle: time-sharded job lists under the
-// machine-selection index, an interval tree otherwise (see CanAssign).
+// — backed by one exact capacity oracle, the machine's time-sharded job
+// lists (see CanAssign and loadShards).
 type Schedule struct {
 	inst     *Instance
 	assign   []int
@@ -34,9 +33,10 @@ type Schedule struct {
 	// totalBusy is Σ_m span(J_m), maintained incrementally by insert so
 	// Cost is an O(1) read.
 	totalBusy float64
-	// index is the optional machine-selection index behind FirstFitAssign
-	// (see machindex and EnableMachineIndex); ia is the instance's compressed
-	// time axis and pool the shard arena, both set alongside index.
+	// index is the machine-selection index behind FirstFitAssign (see
+	// machindex); ia is the instance's compressed time axis and pool the
+	// shard arena. Every schedule built by NewSchedule or Scratch.NewSchedule
+	// carries all three; only sealed assemblies go without.
 	index *machindex
 	ia    *instanceAxis
 	pool  *shardPool
@@ -46,10 +46,11 @@ type Schedule struct {
 	// free and the kernel view stays a stateless handle.
 	cursor int
 	// sealed marks a schedule assembled from precomputed placements (see
-	// Assembly): its machines carry no capacity oracle, so the mutating
-	// kernel entry points refuse to run rather than answer unsoundly. All
-	// read paths (Cost, Verify, Summary, Assignment, …) remain valid —
-	// Verify in particular re-derives loads independently of the oracles.
+	// Assembly): it carries no index and its machines no capacity oracle, so
+	// the mutating kernel entry points refuse to run rather than answer
+	// unsoundly. All read paths (Cost, Verify, Summary, Assignment, …)
+	// remain valid — Verify in particular re-derives loads independently of
+	// the oracles.
 	sealed bool
 	// spanLog, when armed via Scratch.ArmSpanLog, records every placement's
 	// span-union delta in placement order. The decomposition layer's stitch
@@ -73,10 +74,6 @@ type hotspot struct {
 const maxHotspots = 8
 
 type machineState struct {
-	// tree is the exact capacity oracle of non-indexed machines, created
-	// lazily on the machine's first insertion (indexed machines never need
-	// one) and recycled with the machine state.
-	tree *itree.Tree
 	jobs []int
 	// hull is the smallest interval containing every job on the machine
 	// (meaningless while jobs is empty). A candidate job outside the hull
@@ -84,9 +81,9 @@ type machineState struct {
 	hull interval.Interval
 	// peak is an upper bound on the machine's maximum demand-weighted load
 	// over all time — exact while placements go through TryAssign's oracle
-	// query, which learns the true in-window load; the bucketed-profile and
-	// plain-Assign paths widen it conservatively instead of paying a query.
-	// A candidate with Demand ≤ g − peak trivially fits.
+	// query, which learns the true in-window load; plain Assign widens it
+	// conservatively instead of paying a query. A candidate with
+	// Demand ≤ g − peak trivially fits.
 	peak int
 	// hot are saturation witnesses recorded by rejected probes, stored
 	// inline so recording one never allocates.
@@ -95,66 +92,69 @@ type machineState struct {
 	// spans is the running union of the machine's job intervals, so the
 	// machine's busy time is an O(1) read and never re-derived.
 	spans interval.Spans
-	// shards holds the machine's jobs bucketed by time under the
-	// machine-selection index, replacing the interval tree as the exact
-	// capacity oracle (see loadShards).
+	// shards holds the machine's jobs bucketed by time: the exact capacity
+	// oracle (see loadShards).
 	shards loadShards
-	// prof backs the bucketed load profile, allocated only under the
-	// machine-selection index; floor and ceil are its two halves.
-	// floor[b] is a lower bound on the load at EVERY point of axis bucket b,
-	// so floor[b]+d > g rejects any job window touching the bucket; ceil[b]
-	// is an upper bound on the maximum load anywhere in bucket b (255 means
-	// unknown), so max ceil over a window's buckets within g−d accepts
-	// without an oracle query. Both are maintained by insert and stay sound
-	// in their respective directions, which keeps indexed scans
-	// byte-identical to linear ones.
-	prof  []uint8
-	floor []uint8
-	ceil  []uint8
 }
 
-// ceilUnknown marks a ceiling byte whose upper bound has overflowed; it can
-// never justify an acceptance.
-const ceilUnknown = 255
-
-// recycle clears the state for a fresh machine with index seed−1, retaining
-// every backing allocation. The load profile is dropped, not cleared:
-// OpenMachine re-sizes it only when the schedule's index needs one.
-func (st *machineState) recycle(seed uint64) {
-	if st.tree != nil {
-		st.tree.ResetSeed(seed)
-	}
+// recycle clears the state for a fresh machine, retaining every backing
+// allocation; OpenMachine re-sizes the shard directory.
+func (st *machineState) recycle() {
 	st.jobs = st.jobs[:0]
 	st.hull = interval.Interval{}
 	st.peak = 0
 	st.nhot = 0
 	st.spans.Reset()
-	st.floor, st.ceil = nil, nil
-	st.shards.reset()
 }
 
-// maxDepthRun answers the exact capacity query — maximum demand-weighted
-// closed depth within w, with witness and saturated run — from whichever
-// structure is authoritative: the time-sharded job lists under the
-// machine-selection index (slo/shi is w's shard range), the interval tree
-// otherwise.
-func (s *Schedule) maxDepthRun(st *machineState, w interval.Interval, thresh, slo, shi int) (depth int, at float64, run interval.Interval, ok bool) {
-	if st.shards.enabled() {
-		return st.shards.maxDepthRun(s.pool, s.ia, w, thresh, slo, shi)
-	}
-	if st.tree == nil {
-		return 0, 0, interval.Interval{}, false
-	}
-	return st.tree.MaxDepthRunWithinAt(w, thresh)
-}
-
-// NewSchedule returns an empty schedule (all jobs unassigned) for inst.
+// NewSchedule returns an empty schedule (all jobs unassigned) for inst, with
+// the machine-selection index and the shard arena attached. The instance's
+// compressed time axis is computed on first use and cached on the instance.
 func NewSchedule(inst *Instance) *Schedule {
-	assign := make([]int, inst.N())
+	s := blankSchedule(inst, nil)
+	s.attachIndex(new(machindex), new(shardPool))
+	return s
+}
+
+// blankSchedule returns an empty schedule record for inst without any
+// capacity structure attached, recycled from sc when sc is non-nil (see
+// Scratch.NewSchedule for the reuse contract).
+func blankSchedule(inst *Instance, sc *Scratch) *Schedule {
+	n := inst.N()
+	if sc == nil {
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = Unassigned
+		}
+		return &Schedule{inst: inst, assign: assign, cursor: Unassigned}
+	}
+	s := &sc.sched
+	machines := s.machines[:0]
+	if cap(sc.assign) < n {
+		sc.allocs++
+		sc.assign = make([]int, n)
+	}
+	assign := sc.assign[:n]
 	for i := range assign {
 		assign[i] = Unassigned
 	}
-	return &Schedule{inst: inst, assign: assign, cursor: Unassigned}
+	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned}
+	if sc.armed {
+		s.spanLog, s.logSpans = sc.pendingLog, true
+		sc.pendingLog, sc.armed = nil, false
+	}
+	sc.schedules++
+	return s
+}
+
+// attachIndex wires the instance's time axis, the shard arena pool and the
+// machine-selection index ix into a schedule that has no machines yet,
+// resetting both arenas for the instance.
+func (s *Schedule) attachIndex(ix *machindex, pool *shardPool) {
+	s.ia = s.inst.timeAxis()
+	s.index, s.pool = ix, pool
+	pool.reset()
+	ix.reset(s.ia)
 }
 
 // Instance returns the instance this schedule belongs to.
@@ -190,12 +190,9 @@ func (s *Schedule) OpenMachine() int {
 		s.machines = append(s.machines, machineState{})
 	}
 	st := &s.machines[m]
-	st.recycle(uint64(m + 1))
-	if s.index != nil {
+	st.recycle()
+	if !s.sealed {
 		s.index.addMachine()
-		if st.sizeProfile(s.index.profileBuckets(m)) {
-			s.noteAlloc()
-		}
 		if st.shards.init(s.ia) {
 			s.noteAlloc()
 		}
@@ -203,105 +200,19 @@ func (s *Schedule) OpenMachine() int {
 	return m
 }
 
-// sizeProfile (re)initializes the bucketed load profile for nb buckets,
-// retaining allocations; nb == 0 disables the profile. It reports whether
-// the backing array had to grow.
-func (st *machineState) sizeProfile(nb int) (grew bool) {
-	if nb == 0 {
-		st.floor, st.ceil = nil, nil
-		return false
-	}
-	if cap(st.prof) < 2*nb {
-		st.prof = make([]uint8, 2*nb)
-		grew = true
-	} else {
-		st.prof = st.prof[:2*nb]
-		clear(st.prof)
-	}
-	st.floor = st.prof[:nb:nb]
-	st.ceil = st.prof[nb:]
-	return grew
-}
-
-// EnableMachineIndex attaches the machine-selection index that powers
-// FirstFitAssign. Call it once, right after creating the schedule; machines
-// opened before the call are indexed retroactively. Schedules drawn from a
-// Scratch recycle the index arena across instances; the instance's
-// compressed time axis is computed once and cached on the instance.
-func (s *Schedule) EnableMachineIndex() {
-	if s.index != nil {
-		return
-	}
-	s.ia = s.inst.timeAxis()
-	if s.scratch != nil {
-		s.pool = &s.scratch.pool
-		s.index = &s.scratch.index
-	} else {
-		s.pool = new(shardPool)
-		s.index = new(machindex)
-	}
-	s.pool.reset()
-	s.index.reset(s.ia)
-	for m := range s.machines {
-		st := &s.machines[m]
-		s.index.addMachine()
-		st.sizeProfile(s.index.profileBuckets(m))
-		st.shards.init(s.ia)
-		if len(st.jobs) > 0 {
-			s.index.update(m, st.hull, st.peak)
-			// The profile was not maintained while these jobs arrived:
-			// floors of 0 stay sound, ceilings must be marked unknown, and
-			// the shards must absorb the machine's existing jobs.
-			for b := range st.ceil {
-				st.ceil[b] = ceilUnknown
-			}
-			for _, j := range st.jobs {
-				job := s.inst.Jobs[j]
-				slo, shi := s.ia.shardRange(s.jobBuckets(j))
-				st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
-			}
-		}
-	}
-}
-
 // jobBuckets returns the axis bucket overlap range of job j's window, or an
-// empty range when no index (or a degenerate axis) is attached. The range is
-// precomputed per job with the axis, so the hot path never searches.
+// empty range on a degenerate axis. The range is precomputed per job with
+// the axis, so the hot path never searches. Every capacity probe and
+// placement starts here, so this is also where sealed schedules, which have
+// no axis attached, refuse them.
 func (s *Schedule) jobBuckets(j int) (lo, hi int) {
-	if s.ia == nil || s.ia.nb == 0 {
+	if s.sealed {
+		panic("core: capacity probe or placement on a sealed schedule")
+	}
+	if s.ia.nb == 0 {
 		return 0, -1
 	}
 	return int(s.ia.jobLo[j]), int(s.ia.jobHi[j])
-}
-
-// probeProfile consults machine state st's bucketed load profile for a job
-// with window w spanning axis buckets [lo, hi] and demand d against capacity
-// g. It returns verdict +1 with a sound upper bound on the in-window load
-// when the profile proves the job fits, −1 when it proves the job cannot
-// fit, and 0 when the profile cannot decide and the caller must query the
-// exact oracle.
-func (s *Schedule) probeProfile(st *machineState, w interval.Interval, d, g, lo, hi int) (verdict, usedUB int) {
-	if lo > hi {
-		return 0, 0
-	}
-	maxCeil := 0
-	for b := lo; b <= hi; b++ {
-		if int(st.floor[b])+d > g {
-			return -1, 0
-		}
-		if c := int(st.ceil[b]); c > maxCeil {
-			maxCeil = c
-		}
-	}
-	// Accepting on the ceilings requires the buckets to cover the whole
-	// window (rejects only need an overlap); the axis guarantees coverage
-	// for job windows, but verify against the boundaries so no caller can
-	// ever sneak an unsound accept.
-	if maxCeil < ceilUnknown && maxCeil+d <= g &&
-		s.ia.ax.Boundary(lo) <= w.Start && s.ia.ax.Boundary(hi+1) >= w.End {
-		return 1, maxCeil
-	}
-	return 0, 0
 }
 
 // CanAssign reports whether job index j fits on machine m without violating
@@ -314,10 +225,12 @@ func (s *Schedule) probeProfile(st *machineState, w interval.Interval, d, g, lo,
 // to the oracle and get rejected record the rejection's witness point, so
 // repeated probing of a saturated machine converges to O(1).
 func (s *Schedule) CanAssign(j, m int) bool {
-	if s.sealed {
-		panic("core: capacity probe on a sealed schedule")
-	}
 	lo, hi := s.jobBuckets(j)
+	return s.canAssign(j, m, lo, hi)
+}
+
+// canAssign is CanAssign with job j's axis bucket range precomputed.
+func (s *Schedule) canAssign(j, m, lo, hi int) bool {
 	job := s.inst.Jobs[j]
 	st := &s.machines[m]
 	g := s.inst.G
@@ -327,47 +240,48 @@ func (s *Schedule) CanAssign(j, m int) bool {
 	if st.peak+job.Demand <= g {
 		return true
 	}
-	for _, h := range st.hot[:st.nhot] {
-		if h.depth+job.Demand > g && job.Iv.Contains(h.at) {
-			return false
-		}
-	}
-	if len(st.floor) > 0 {
-		if verdict, _ := s.probeProfile(st, job.Iv, job.Demand, g, lo, hi); verdict != 0 {
-			return verdict > 0
-		}
-	}
-	slo, shi := 0, 0
-	if s.ia != nil {
-		slo, shi = s.ia.shardRange(lo, hi)
-	}
-	used, at, run, sat := s.maxDepthRun(st, job.Iv, g, slo, shi)
-	if used+job.Demand > g {
-		st.noteHot(at, used)
-		if sat && s.index != nil {
-			s.markSaturatedRun(st, m, run)
-		}
+	if st.hotRejects(job, g) {
 		return false
 	}
-	return true
+	_, ok := s.query(st, m, job, lo, hi)
+	return ok
+}
+
+// hotRejects reports whether a recorded saturation witness inside job's
+// window proves the job cannot fit.
+func (st *machineState) hotRejects(job Job, g int) bool {
+	for _, h := range st.hot[:st.nhot] {
+		if h.depth+job.Demand > g && job.Iv.Contains(h.at) {
+			return true
+		}
+	}
+	return false
+}
+
+// query asks machine m's exact oracle for the maximum load within job's
+// window (bucket range [lo, hi]) and reports whether the job fits on top of
+// it. A rejection records its witness point and, when the oracle extracted
+// one, marks the saturated run in the index's bitmap, so repeated probing
+// of a saturated machine converges to O(1).
+func (s *Schedule) query(st *machineState, m int, job Job, lo, hi int) (used int, ok bool) {
+	g := s.inst.G
+	slo, shi := s.ia.shardRange(lo, hi)
+	used, at, run, sat := st.shards.maxDepthRun(s.pool, s.ia, job.Iv, g, slo, shi)
+	if used+job.Demand > g {
+		st.noteHot(at, used)
+		if sat {
+			s.markSaturatedRun(m, run)
+		}
+		return used, false
+	}
+	return used, true
 }
 
 // markSaturatedRun records a saturated run (load ≥ g at every point of run)
-// in the machine-selection index: bitmap bits for the scan and floor bumps
-// for subsequent per-machine probes.
-func (s *Schedule) markSaturatedRun(st *machineState, m int, run interval.Interval) {
+// of machine m in the index's saturation bitmap.
+func (s *Schedule) markSaturatedRun(m int, run interval.Interval) {
 	lo, hi := s.ia.ax.WithinRange(run)
-	if lo > hi {
-		return
-	}
-	f := s.inst.G
-	if f > 254 {
-		f = 254
-	}
 	for b := lo; b <= hi; b++ {
-		if len(st.floor) > 0 && int(st.floor[b]) < f {
-			st.floor[b] = uint8(f)
-		}
 		s.index.markBucket(m, b)
 	}
 }
@@ -440,60 +354,48 @@ func (s *Schedule) tryAssign(j, m, lo, hi int) bool {
 		s.insert(st, j, m, 0, lo, hi)
 		return true
 	}
-	if st.peak+job.Demand > g {
-		for _, h := range st.hot[:st.nhot] {
-			if h.depth+job.Demand > g && job.Iv.Contains(h.at) {
-				return false
-			}
-		}
-	}
-	if len(st.floor) > 0 {
-		if verdict, usedUB := s.probeProfile(st, job.Iv, job.Demand, g, lo, hi); verdict < 0 {
-			return false
-		} else if verdict > 0 {
-			s.insert(st, j, m, usedUB, lo, hi)
-			return true
-		}
-	}
-	slo, shi := 0, 0
-	if s.ia != nil {
-		slo, shi = s.ia.shardRange(lo, hi)
-	}
-	used, at, run, sat := s.maxDepthRun(st, job.Iv, g, slo, shi)
-	if used+job.Demand > g {
-		st.noteHot(at, used)
-		if sat && s.index != nil {
-			s.markSaturatedRun(st, m, run)
-		}
+	if st.peak+job.Demand > g && st.hotRejects(job, g) {
 		return false
 	}
-	s.insert(st, j, m, used, lo, hi)
-	return true
+	used, ok := s.query(st, m, job, lo, hi)
+	if ok {
+		s.insert(st, j, m, used, lo, hi)
+	}
+	return ok
 }
 
 // FirstFitAssign places job index j by the FirstFit rule — the lowest-indexed
 // machine that can process it, a fresh machine when none can — and returns
-// the machine. With the machine-selection index enabled (EnableMachineIndex)
-// the scan is sublinear: the segment tree bounds it at the first machine
-// guaranteed to accept, and the saturation bitmap skips whole runs of
-// machines provably unable to take the job's window. Both prunings are
-// sound, so the produced schedule is byte-identical to probing every machine
-// in order.
+// the machine. The scan is sublinear: the segment tree bounds it at the
+// first machine guaranteed to accept, and the saturation bitmap skips whole
+// runs of machines provably unable to take the job's window. Both prunings
+// are sound, so the produced schedule is byte-identical to probing every
+// machine in order.
 func (s *Schedule) FirstFitAssign(j int) int {
-	ix := s.index
-	if ix == nil {
-		for m := range s.machines {
-			if s.TryAssign(j, m) {
-				return m
-			}
-		}
-		return s.AssignNew(j)
+	if m := s.lowestFit(j, true); m != Unassigned {
+		return m
 	}
+	return s.AssignNew(j)
+}
+
+// FirstFitProbe returns the machine FirstFitAssign would choose among the
+// already-open machines — the lowest-indexed one that fits — or Unassigned
+// when none fits, without placing the job or opening a machine. It shares
+// FirstFitAssign's prunings, so the probe is as sublinear as the placement
+// path; the reconciliation pass of the time-sharding layer drives it against
+// live shard schedules.
+func (s *Schedule) FirstFitProbe(j int) int { return s.lowestFit(j, false) }
+
+// lowestFit scans the open machines for the lowest-indexed one that fits job
+// j, placing the job there when place is set, and returns it (Unassigned
+// when none fits).
+func (s *Schedule) lowestFit(j int, place bool) int {
+	ix := s.index
 	job := s.inst.Jobs[j]
 	lo, hi := s.jobBuckets(j)
 	g := s.inst.G
 	stop := len(s.machines)
-	trivial := -1
+	trivial := Unassigned
 	if job.Demand <= g {
 		if t := ix.firstTrivial(job.Iv, int32(g-job.Demand)); t >= 0 {
 			trivial, stop = t, t
@@ -508,7 +410,7 @@ func (s *Schedule) FirstFitAssign(j int) int {
 				if m >= stop {
 					break
 				}
-				if s.tryAssign(j, m, lo, hi) {
+				if s.fitsAt(j, m, lo, hi, place) {
 					return m
 				}
 				free &= free - 1
@@ -516,68 +418,24 @@ func (s *Schedule) FirstFitAssign(j int) int {
 		}
 		// Machines past the bitmap prefix are probed unskipped.
 		for m := 64 * len(bl); m < stop; m++ {
-			if s.tryAssign(j, m, lo, hi) {
+			if s.fitsAt(j, m, lo, hi, place) {
 				return m
 			}
 		}
 	}
-	if trivial >= 0 {
-		if !s.tryAssign(j, trivial, lo, hi) {
-			panic("core: machine index reported a trivially fitting machine that rejected its job")
-		}
-		return trivial
-	}
-	return s.AssignNew(j)
-}
-
-// FirstFitProbe returns the machine FirstFitAssign would choose among the
-// already-open machines — the lowest-indexed one that fits — or Unassigned
-// when none fits, without placing the job or opening a machine. It reuses the
-// machine-selection index prunings (trivial-fit bound, saturation bitmap), so
-// the probe is as sublinear as the placement path; the reconciliation pass of
-// the time-sharding layer drives it against live shard schedules.
-func (s *Schedule) FirstFitProbe(j int) int {
-	ix := s.index
-	if ix == nil {
-		for m := range s.machines {
-			if s.CanAssign(j, m) {
-				return m
-			}
-		}
-		return Unassigned
-	}
-	job := s.inst.Jobs[j]
-	lo, hi := s.jobBuckets(j)
-	g := s.inst.G
-	stop := len(s.machines)
-	trivial := -1
-	if job.Demand <= g {
-		if t := ix.firstTrivial(job.Iv, int32(g-job.Demand)); t >= 0 {
-			trivial, stop = t, t
-		}
-	}
-	if stop > 0 {
-		bl := ix.blockedMask(lo, hi)
-		for wi := 0; wi*64 < stop && wi < len(bl); wi++ {
-			free := ^bl[wi]
-			for free != 0 {
-				m := wi*64 + bits.TrailingZeros64(free)
-				if m >= stop {
-					break
-				}
-				if s.CanAssign(j, m) {
-					return m
-				}
-				free &= free - 1
-			}
-		}
-		for m := 64 * len(bl); m < stop; m++ {
-			if s.CanAssign(j, m) {
-				return m
-			}
-		}
+	if place && trivial != Unassigned && !s.tryAssign(j, trivial, lo, hi) {
+		panic("core: machine index reported a trivially fitting machine that rejected its job")
 	}
 	return trivial
+}
+
+// fitsAt probes job j on machine m, placing it there on success when place
+// is set.
+func (s *Schedule) fitsAt(j, m, lo, hi int, place bool) bool {
+	if place {
+		return s.tryAssign(j, m, lo, hi)
+	}
+	return s.canAssign(j, m, lo, hi)
 }
 
 // SpanLog returns the per-placement span deltas recorded since the schedule
@@ -596,29 +454,17 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 }
 
 // insert performs the bookkeeping of placing job index j on machine state st
-// (machine index m): capacity-oracle copies, assignment map, and the hint
-// update. used must be at least the machine's maximum load within the job's
-// window before insertion (exact keeps peak exact; an upper bound keeps it
-// sound). lo/hi is the job's axis bucket range (empty without an index).
+// (machine index m): shard copies, assignment map, and the hint and index
+// updates. used must be at least the machine's maximum load within the
+// job's window before insertion (exact keeps peak exact; an upper bound
+// keeps it sound). lo/hi is the job's axis bucket range.
 func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
-	if s.sealed {
-		panic("core: placement on a sealed schedule")
-	}
 	if s.assign[j] != Unassigned {
 		panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, s.assign[j]))
 	}
 	job := s.inst.Jobs[j]
-	if st.shards.enabled() {
-		slo, shi := s.ia.shardRange(lo, hi)
-		st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
-	} else {
-		if st.tree == nil {
-			st.tree = itree.New(uint64(m + 1))
-		}
-		for d := 0; d < job.Demand; d++ {
-			st.tree.Insert(itree.Item{Iv: job.Iv, ID: j})
-		}
-	}
+	slo, shi := s.ia.shardRange(lo, hi)
+	st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
 	if len(st.jobs) == 0 {
 		st.hull = job.Iv
 	} else {
@@ -638,44 +484,8 @@ func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 	if s.logSpans {
 		s.spanLog = append(s.spanLog, d)
 	}
-	if s.index != nil {
-		s.index.update(m, st.hull, st.peak)
-		if len(st.floor) > 0 && lo <= hi {
-			s.insertProfile(st, m, job, lo, hi)
-		}
-	}
+	s.index.update(m, st.hull, st.peak)
 	s.assign[j] = m
-}
-
-// insertProfile folds a newly placed job spanning axis buckets [lo, hi] into
-// the machine's bucketed load profile: every bucket the job touches may see
-// its maximum rise by the demand (ceilings), and every bucket the job fully
-// covers has its minimum load rise by the demand (floors). A floor reaching
-// g makes the bucket fully saturated and lights its bitmap bit for the scan
-// skip.
-func (s *Schedule) insertProfile(st *machineState, m int, job Job, lo, hi int) {
-	for b := lo; b <= hi; b++ {
-		if c := int(st.ceil[b]) + job.Demand; c >= ceilUnknown {
-			st.ceil[b] = ceilUnknown
-		} else {
-			st.ceil[b] = uint8(c)
-		}
-	}
-	flo, fhi := s.ia.ax.InnerRange(lo, hi, job.Iv)
-	if flo > fhi {
-		return
-	}
-	g := s.inst.G
-	for b := flo; b <= fhi; b++ {
-		f := int(st.floor[b]) + job.Demand
-		if f > 254 {
-			f = 254
-		}
-		st.floor[b] = uint8(f)
-		if f >= g {
-			s.index.markBucket(m, b)
-		}
-	}
 }
 
 // AssignNew opens a fresh machine for job index j and returns the machine.

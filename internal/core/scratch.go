@@ -2,10 +2,10 @@ package core
 
 // Scratch is the schedule-state arena: it owns and recycles everything a
 // schedule allocates — the schedule record itself, the assignment slice, the
-// flat machine-state array (with each machine's interval tree, span union,
-// load profile and shard directory), the machine-selection index (segment
-// tree and saturation bitmap), and the chunked shard pool every machine's
-// time-sharded job lists draw from. A worker that schedules a stream of
+// flat machine-state array (with each machine's span union and shard
+// directory), the machine-selection index (segment tree and saturation
+// bitmap), and the chunked shard pool every machine's time-sharded job lists
+// draw from. A worker that schedules a stream of
 // instances through one Scratch stops allocating once warm: every reset is a
 // truncation or a clear of retained backing arrays, sized on first use from
 // the instance's compressed time axis.
@@ -19,12 +19,12 @@ package core
 type Scratch struct {
 	sched  Schedule // the single live schedule, recycled in place
 	assign []int
-	// index and pool are the recycled machine-selection arena handed to
-	// schedules that call EnableMachineIndex; reconfigured per instance.
+	// index and pool are the recycled machine-selection index and shard
+	// arena of the live schedule; reconfigured per instance.
 	index machindex
 	pool  shardPool
 	// allocs counts backing-array growth performed on behalf of schedules
-	// (machine records, assignment slice, profiles, shard directories);
+	// (machine records, assignment slice, shard directories);
 	// index and pool keep their own counters. See Stats.
 	allocs    int
 	schedules int
@@ -41,8 +41,8 @@ type ScratchStats struct {
 	Schedules int
 	// SetupAllocs counts the backing-array allocations the arena performed
 	// while setting up schedule state: machine records, the assignment
-	// slice, segment-tree and bitmap arrays, load-profile slabs, shard
-	// directories and shard-pool chunks. A warm scratch re-serving an
+	// slice, segment-tree and bitmap arrays, shard directories and
+	// shard-pool chunks. A warm scratch re-serving an
 	// instance shape it has seen performs none.
 	SetupAllocs int
 }
@@ -71,23 +71,8 @@ func NewScheduleFrom(inst *Instance, sc *Scratch) *Schedule {
 // invalidating (and recycling in place) the schedule returned by the
 // previous call.
 func (sc *Scratch) NewSchedule(inst *Instance) *Schedule {
-	s := &sc.sched
-	machines := s.machines[:0]
-	n := inst.N()
-	if cap(sc.assign) < n {
-		sc.allocs++
-		sc.assign = make([]int, n)
-	}
-	assign := sc.assign[:n]
-	for i := range assign {
-		assign[i] = Unassigned
-	}
-	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned}
-	if sc.armed {
-		s.spanLog, s.logSpans = sc.pendingLog, true
-		sc.pendingLog, sc.armed = nil, false
-	}
-	sc.schedules++
+	s := blankSchedule(inst, sc)
+	s.attachIndex(&sc.index, &sc.pool)
 	return s
 }
 

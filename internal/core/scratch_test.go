@@ -154,16 +154,15 @@ func TestScratchReuse(t *testing.T) {
 
 // TestFirstFitAssignZeroAllocSteadyState is the arena acceptance gate: after
 // one warm-up pass, re-scheduling an instance through a recycled Scratch —
-// NewSchedule, EnableMachineIndex, and every FirstFitAssign — performs zero
-// allocations. This covers the whole indexed pipeline: assignment slice,
-// machine records, segment tree, saturation bitmap, load profiles, shard
-// directories, shard-pool chunks, sweep scratch and span unions.
+// NewSchedule and every FirstFitAssign — performs zero allocations. This
+// covers the whole indexed pipeline: assignment slice, machine records,
+// segment tree, saturation bitmap, shard directories, shard-pool chunks,
+// sweep scratch and span unions.
 func TestFirstFitAssignZeroAllocSteadyState(t *testing.T) {
 	in := denseTestInstance(3000, 4, 1500, 25)
 	sc := new(Scratch)
 	run := func() {
 		s := sc.NewSchedule(in)
-		s.EnableMachineIndex()
 		for j := range in.Jobs {
 			s.FirstFitAssign(j)
 		}
@@ -191,7 +190,6 @@ func TestScratchZeroAllocAcrossShrinkingInstances(t *testing.T) {
 	sc := new(Scratch)
 	run := func(in *Instance) {
 		s := sc.NewSchedule(in)
-		s.EnableMachineIndex()
 		for j := range in.Jobs {
 			s.FirstFitAssign(j)
 		}
@@ -218,7 +216,6 @@ func TestScratchStatsCounts(t *testing.T) {
 	}
 	run := func() {
 		s := sc.NewSchedule(in)
-		s.EnableMachineIndex()
 		for j := range in.Jobs {
 			s.FirstFitAssign(j)
 		}

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"testing"
-
-	"busytime/internal/generator"
 )
 
 // TestIndexedEngineDeterministicUnderParallelism re-runs the same batch
@@ -28,35 +26,6 @@ func TestIndexedEngineDeterministicUnderParallelism(t *testing.T) {
 			if stripPoolTelemetry(got[i]) != stripPoolTelemetry(want[i]) {
 				t.Fatalf("workers=%d instance %d: %+v != %+v", workers, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestIndexedMatchesScanThroughEngine runs the index ablation through the
-// engine: "firstfit" (indexed machine selection) and "firstfit-scan" (plain
-// probe loop) must report identical machine counts and bitwise-identical
-// costs on every instance.
-func TestIndexedMatchesScanThroughEngine(t *testing.T) {
-	batch := mixedBatch(6)
-	batch = append(batch,
-		generator.WithDemands(generator.General(77, 300, 6, 200, 25), 78, 4),
-		generator.Clique(79, 100, 5, 20, 12),
-	)
-	indexed, err := Run(context.Background(), batch, Options{Algorithm: "firstfit", Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := Run(context.Background(), batch, Options{Algorithm: "firstfit-scan", Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range indexed {
-		if indexed[i].Err != "" || scan[i].Err != "" {
-			t.Fatalf("instance %d errored: %q / %q", i, indexed[i].Err, scan[i].Err)
-		}
-		if indexed[i].Machines != scan[i].Machines || indexed[i].Cost != scan[i].Cost {
-			t.Fatalf("instance %d (%s): indexed (%d machines, cost %v) != scan (%d machines, cost %v)",
-				i, indexed[i].Name, indexed[i].Machines, indexed[i].Cost, scan[i].Machines, scan[i].Cost)
 		}
 	}
 }

@@ -21,11 +21,10 @@ import (
 func Ablations() []Experiment {
 	return []Experiment{
 		{"A1", "ablation: job ordering in FirstFit", A1Ordering},
-		{"A2", "ablation: interval-tree index vs linear scans", A2TreeIndex},
 		{"A3", "ablation: local-search post-pass on FirstFit", A3LocalSearch},
 		{"A4", "extension: online policies vs offline FirstFit", A4Online},
 		{"A5", "extension: exact level-grouping on laminar instances", A5Laminar},
-		{"A6", "ablation: machine-selection index vs linear machine scan", A6MachineIndex},
+		{"A6", "ablation: placement kernel vs linear FirstFit", A6MachineIndex},
 	}
 }
 
@@ -183,51 +182,18 @@ func A1Ordering(cfg Config) (*Result, error) {
 	return &Result{ID: "A1", Name: "ordering ablation", Table: tb, Metrics: metrics}, nil
 }
 
-// A2TreeIndex times the interval-tree capacity checks (ScheduleScan, the
-// plain machine scan over tree-backed machines) against the fully linear
-// variant at increasing instance sizes; the assignments are identical
-// (asserted), only the capacity-check data structure differs. The machine
-// selection index is ablated separately in A6.
-func A2TreeIndex(cfg Config) (*Result, error) {
-	cfg = cfg.fill()
-	tb := stats.NewTable("A2 — capacity-check index ablation",
-		"n", "variant", "time/run", "cost")
-	metrics := map[string]float64{}
-	for _, n := range []int{100, 1000, 4000} {
-		in := generator.General(cfg.Seed, n, 4, float64(n)/2, 30)
-		reps := 3
-		var treeCost, linCost float64
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			treeCost = firstfit.ScheduleScan(in).Cost()
-		}
-		treeTime := time.Since(start) / time.Duration(reps)
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			linCost = firstfit.ScheduleLinear(in).Cost()
-		}
-		linTime := time.Since(start) / time.Duration(reps)
-		if treeCost != linCost {
-			return nil, fmt.Errorf("A2: variants disagree at n=%d: %v vs %v", n, treeCost, linCost)
-		}
-		tb.AddRow(n, "itree", treeTime.Round(time.Microsecond).String(), treeCost)
-		tb.AddRow(n, "linear", linTime.Round(time.Microsecond).String(), linCost)
-		metrics[fmt.Sprintf("n%d/speedup", n)] = float64(linTime) / float64(treeTime)
-	}
-	return &Result{ID: "A2", Name: "index ablation", Table: tb, Metrics: metrics}, nil
-}
-
-// A6MachineIndex ablates the machine-selection index (segment tree over
-// machine slots + time-bucketed saturation bitmap + sharded capacity
-// oracle) against the linear machine scan it replaces. Both paths are exact
-// and the schedules must agree bitwise — machine counts and incremental
-// costs included — so the table isolates pure selection speed.
+// A6MachineIndex ablates the placement kernel (segment tree over machine
+// slots, time-bucketed saturation bitmap, sharded capacity oracle and its
+// hints) against ScheduleLinear, which probes every machine in order and
+// sweeps every job on it. Both paths are exact and the schedules must agree
+// bitwise — machine counts and incremental costs included — so the table
+// isolates pure placement speed.
 func A6MachineIndex(cfg Config) (*Result, error) {
 	cfg = cfg.fill()
-	tb := stats.NewTable("A6 — machine-selection index ablation",
+	tb := stats.NewTable("A6 — placement kernel ablation",
 		"n", "variant", "time/run", "machines", "cost")
 	metrics := map[string]float64{}
-	for _, n := range []int{1000, 10000, 40000} {
+	for _, n := range []int{1000, 4000, 10000} {
 		in := generator.General(cfg.Seed, n, 4, float64(n), 30)
 		reps := 3
 		var idx, scan *core.Schedule
@@ -238,18 +204,18 @@ func A6MachineIndex(cfg Config) (*Result, error) {
 		idxTime := time.Since(start) / time.Duration(reps)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			scan = firstfit.ScheduleScan(in)
+			scan = firstfit.ScheduleLinear(in)
 		}
 		scanTime := time.Since(start) / time.Duration(reps)
 		if idx.Cost() != scan.Cost() || idx.NumMachines() != scan.NumMachines() {
 			return nil, fmt.Errorf("A6: variants disagree at n=%d: cost %v/%v machines %d/%d",
 				n, idx.Cost(), scan.Cost(), idx.NumMachines(), scan.NumMachines())
 		}
-		tb.AddRow(n, "indexed", idxTime.Round(time.Microsecond).String(), idx.NumMachines(), idx.Cost())
-		tb.AddRow(n, "scan", scanTime.Round(time.Microsecond).String(), scan.NumMachines(), scan.Cost())
+		tb.AddRow(n, "kernel", idxTime.Round(time.Microsecond).String(), idx.NumMachines(), idx.Cost())
+		tb.AddRow(n, "linear", scanTime.Round(time.Microsecond).String(), scan.NumMachines(), scan.Cost())
 		metrics[fmt.Sprintf("n%d/speedup", n)] = float64(scanTime) / float64(idxTime)
 	}
-	return &Result{ID: "A6", Name: "machine-selection ablation", Table: tb, Metrics: metrics}, nil
+	return &Result{ID: "A6", Name: "placement kernel ablation", Table: tb, Metrics: metrics}, nil
 }
 
 // A3LocalSearch measures the cost reduction of the move/merge local search

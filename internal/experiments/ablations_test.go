@@ -35,13 +35,6 @@ func TestA1LengthOrderCompetitive(t *testing.T) {
 	}
 }
 
-func TestA2VariantsAgree(t *testing.T) {
-	// A2 errors internally if the variants ever disagree on cost.
-	if _, err := A2TreeIndex(Config{Trials: 2, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestA3NeverNegativeGain(t *testing.T) {
 	res, err := A3LocalSearch(Config{Trials: 8, Seed: 2})
 	if err != nil {

@@ -7,10 +7,10 @@ import (
 
 // Axis is a compressed time axis: a strictly increasing sequence of bucket
 // boundaries derived from the distinct event times of a workload. Index
-// structures keyed on Axis buckets (saturation bitmaps, load profiles, time
-// shards) scale with the number of distinct endpoints instead of the raw
-// time horizon, and on integral or wave-shaped workloads with few distinct
-// times they collapse to a handful of buckets.
+// structures keyed on Axis buckets (saturation bitmaps, time shards) scale
+// with the number of distinct endpoints instead of the raw time horizon, and
+// on integral or wave-shaped workloads with few distinct times they collapse
+// to a handful of buckets.
 //
 // Bucket b is the closed range [Boundary(b), Boundary(b+1)]. Consecutive
 // buckets share their boundary point, mirroring the closed-interval
@@ -217,18 +217,4 @@ func (ax Axis) WithinRange(iv Interval) (lo, hi int) {
 		return 0, -1
 	}
 	return lo, hi
-}
-
-// InnerRange narrows a non-empty OverlapRange(iv) result to the buckets
-// entirely contained in iv, in O(1) instead of WithinRange's searches.
-// lo > hi means no bucket is fully covered.
-func (ax Axis) InnerRange(lo, hi int, iv Interval) (ilo, ihi int) {
-	ilo, ihi = lo, hi
-	if ax.bounds[lo] < iv.Start {
-		ilo = lo + 1
-	}
-	if ax.bounds[hi+1] > iv.End {
-		ihi = hi - 1
-	}
-	return ilo, ihi
 }

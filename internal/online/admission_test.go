@@ -216,9 +216,10 @@ func TestPoolChurnRaced(t *testing.T) {
 				start := float64(w*1000 + i) // per-goroutine clocks collide across tenants; errors are expected
 				_, job, err := p.Place(tenant, iv(start, start+10), 1)
 				if err == nil && i%3 == 0 {
-					if _, err := p.Release(tenant, job); err != nil {
-						t.Errorf("Release: %v", err)
-					}
+					// A sibling goroutine sharing the tenant may Drop it
+					// between the Place and this Release, so a Release error
+					// is expected here too.
+					_, _ = p.Release(tenant, job)
 				}
 				switch i % 97 {
 				case 13:

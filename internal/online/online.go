@@ -92,7 +92,6 @@ type Policy interface {
 // overloading a machine — is reported as a wrapped error, never a panic.
 func Run(in *core.Instance, p Policy) (*core.Schedule, error) {
 	s := core.NewSchedule(in)
-	s.EnableMachineIndex()
 	if err := replay(in, s, p); err != nil {
 		return nil, err
 	}
@@ -110,7 +109,6 @@ func Run(in *core.Instance, p Policy) (*core.Schedule, error) {
 // identical to Run. The returned schedule is only valid until sc's next use.
 func RunScratch(in *core.Instance, sc *core.Scratch, p Policy) (*core.Schedule, error) {
 	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
 	if err := replay(in, s, p); err != nil {
 		return nil, err
 	}
@@ -209,7 +207,6 @@ func RunLookahead(in *core.Instance, k int, p Policy) (*core.Schedule, error) {
 	}
 	arrivals := in.StartOrder()
 	s := core.NewSchedule(in)
-	s.EnableMachineIndex()
 	if err := lookaheadReplay(in, s, arrivals, k, p); err != nil {
 		return nil, err
 	}
@@ -228,7 +225,6 @@ func RunLookaheadScratch(in *core.Instance, sc *core.Scratch, k int, p Policy) (
 		return nil, fmt.Errorf("online: lookahead %d, want ≥ 1", k)
 	}
 	s := sc.NewSchedule(in)
-	s.EnableMachineIndex()
 	if err := lookaheadReplay(in, s, in.StartOrder(), k, p); err != nil {
 		return nil, err
 	}

@@ -40,8 +40,8 @@ func tinyUniversal() *busytime.Instance {
 // through the public Solver, with a verified feasible schedule.
 func TestSolverEveryRegisteredAlgorithm(t *testing.T) {
 	algos := busytime.Algorithms()
-	if len(algos) < 17 {
-		t.Fatalf("registry lists %d algorithms, want ≥ 17", len(algos))
+	if len(algos) < 15 {
+		t.Fatalf("registry lists %d algorithms, want ≥ 15", len(algos))
 	}
 	for _, a := range algos {
 		a := a
