@@ -154,104 +154,123 @@ func (h *shardHarness) maxDepthRun(w interval.Interval, thresh int) (int, float6
 	return h.ls.maxDepthRun(&h.pool, h.ia, w, thresh, slo, shi)
 }
 
+// shardOracleCase is one seeded workload for checkShardsAgainstBrute.
+type shardOracleCase struct {
+	seed            uint64
+	n               int
+	horizon, maxLen float64
+	maxDemand       int
+	thresholds      []int
+}
+
 // TestLoadShardsMatchesBrute compares the sharded capacity oracle against a
-// brute-force depth computation, on demand-weighted jobs at threshold 3 and
-// on unit-demand jobs at thresholds 2 and 4. The first case's insertion count
-// runs far past the old doubling-growth threshold (shardJobTarget items per
-// shard) to pin the regression the up-front sizing replaced: the fixed
-// directory must stay exact at any occupancy, with no redistribution path
-// left to get wrong.
+// brute-force depth computation on demand-weighted jobs at threshold 3. The
+// insertion count runs far past the old doubling-growth threshold
+// (shardJobTarget items per shard) to pin the regression the up-front sizing
+// replaced: the fixed directory must stay exact at any occupancy, with no
+// redistribution path left to get wrong.
 func TestLoadShardsMatchesBrute(t *testing.T) {
-	cases := []struct {
-		seed            uint64
-		n               int
-		horizon, maxLen float64
-		maxDemand       int
-		thresholds      []int
-	}{
-		{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, thresholds: []int{3}},
-		{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, thresholds: []int{2, 4}},
+	tc := shardOracleCase{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, thresholds: []int{3}}
+	if old := shardJobTarget; tc.n <= old {
+		t.Fatalf("workload %d does not exceed the old growth threshold %d", tc.n, old)
 	}
-	if old := shardJobTarget; cases[0].n <= old {
-		t.Fatalf("workload %d does not exceed the old growth threshold %d", cases[0].n, old)
+	checkShardsAgainstBrute(t, tc)
+}
+
+// TestLoadShardsMatchesTreeOracle checks the sharded capacity oracle on
+// unit-demand content at thresholds 2 and 4. It once compared the shards with
+// the per-machine interval tree; with the tree gone, the references are the
+// brute-force depth and, for unit demands, the endpoint sweep of
+// interval.Set.MaxDepthWithin, both independent of the shard code.
+func TestLoadShardsMatchesTreeOracle(t *testing.T) {
+	checkShardsAgainstBrute(t, shardOracleCase{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, thresholds: []int{2, 4}})
+}
+
+// checkShardsAgainstBrute inserts tc's jobs one at a time and, after each,
+// checks a random window's depth, witness and saturated run against brute
+// force at every threshold of tc.
+func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
+	t.Helper()
+	state := tc.seed
+	next := func() float64 {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return float64((z^(z>>31))>>11) / (1 << 53)
 	}
-	for _, tc := range cases {
-		state := tc.seed
-		next := func() float64 {
-			state += 0x9e3779b97f4a7c15
-			z := state
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			return float64((z^(z>>31))>>11) / (1 << 53)
+	type wjob struct {
+		iv interval.Interval
+		d  int
+	}
+	// Pre-generate the workload so the instance axis exists up front, the
+	// way a schedule sees a complete instance.
+	jobs := make([]wjob, tc.n)
+	ivs := make([]interval.Interval, len(jobs))
+	for i := range jobs {
+		s := next() * tc.horizon
+		iv := interval.Interval{Start: s, End: s + next()*tc.maxLen}
+		jobs[i] = wjob{iv, 1 + int(next()*float64(tc.maxDemand))}
+		ivs[i] = iv
+	}
+	h := newShardHarness(NewInstance(4, ivs...))
+	if h.ia.nshards < 2 {
+		t.Fatalf("seed %d: only %d shard(s); multi-shard sweeps untested", tc.seed, h.ia.nshards)
+	}
+	var added []wjob
+	depthAt := func(p float64) int {
+		depth := 0
+		for _, o := range added {
+			if o.iv.Contains(p) {
+				depth += o.d
+			}
 		}
-		type wjob struct {
-			iv interval.Interval
-			d  int
-		}
-		// Pre-generate the workload so the instance axis exists up front, the
-		// way a schedule sees a complete instance.
-		jobs := make([]wjob, tc.n)
-		ivs := make([]interval.Interval, len(jobs))
-		for i := range jobs {
-			s := next() * tc.horizon
-			iv := interval.Interval{Start: s, End: s + next()*tc.maxLen}
-			jobs[i] = wjob{iv, 1 + int(next()*float64(tc.maxDemand))}
-			ivs[i] = iv
-		}
-		h := newShardHarness(NewInstance(4, ivs...))
-		if h.ia.nshards < 2 {
-			t.Fatalf("seed %d: only %d shard(s); multi-shard sweeps untested", tc.seed, h.ia.nshards)
-		}
-		var added []wjob
-		depthAt := func(p float64) int {
-			depth := 0
-			for _, o := range added {
-				if o.iv.Contains(p) {
-					depth += o.d
+		return depth
+	}
+	brute := func(w interval.Interval) int {
+		// Max closed depth within w: evaluate at every clipped endpoint.
+		best := 0
+		for _, cand := range added {
+			for _, p := range []float64{cand.iv.Start, cand.iv.End, w.Start, w.End} {
+				if p >= w.Start && p <= w.End {
+					best = max(best, depthAt(p))
 				}
 			}
-			return depth
 		}
-		brute := func(w interval.Interval) int {
-			// Max closed depth within w: evaluate at every clipped endpoint.
-			best := 0
-			for _, cand := range added {
-				for _, p := range []float64{cand.iv.Start, cand.iv.End, w.Start, w.End} {
-					if p >= w.Start && p <= w.End {
-						best = max(best, depthAt(p))
-					}
-				}
+		return best
+	}
+	for step, j := range jobs {
+		h.add(j.iv, j.d)
+		added = append(added, j)
+		qs := next() * tc.horizon
+		w := interval.Interval{Start: qs, End: qs + next()*tc.maxLen}
+		want := brute(w)
+		if tc.maxDemand == 1 {
+			if sweep := interval.Set(ivs[:step+1]).MaxDepthWithin(w); sweep != want {
+				t.Fatalf("seed %d step %d: brute %d, sweep %d (w=%v)", tc.seed, step, want, sweep, w)
 			}
-			return best
 		}
-		for step, j := range jobs {
-			h.add(j.iv, j.d)
-			added = append(added, j)
-			qs := next() * tc.horizon
-			w := interval.Interval{Start: qs, End: qs + next()*tc.maxLen}
-			want := brute(w)
-			for _, thresh := range tc.thresholds {
-				got, at, run, ok := h.maxDepthRun(w, thresh)
-				if got != want {
-					t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d)", tc.seed, step, got, want, w, h.ia.nshards)
-				}
-				if ok != (want >= thresh) {
-					t.Fatalf("seed %d step %d: ok=%v with depth %d, thresh %d", tc.seed, step, ok, want, thresh)
-				}
-				if want > 0 && !w.Contains(at) {
-					t.Fatalf("seed %d step %d: witness %v outside %v", tc.seed, step, at, w)
-				}
-				if !ok {
-					continue
-				}
-				if !w.ContainsInterval(run) {
-					t.Fatalf("seed %d step %d: run %v outside %v", tc.seed, step, run, w)
-				}
-				for i := 0; i <= 8; i++ {
-					p := run.Start + (run.End-run.Start)*float64(i)/8
-					if depth := depthAt(p); depth < thresh {
-						t.Fatalf("seed %d step %d: run %v has depth %d < %d at %v", tc.seed, step, run, depth, thresh, p)
-					}
+		for _, thresh := range tc.thresholds {
+			got, at, run, ok := h.maxDepthRun(w, thresh)
+			if got != want {
+				t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d)", tc.seed, step, got, want, w, h.ia.nshards)
+			}
+			if ok != (want >= thresh) {
+				t.Fatalf("seed %d step %d: ok=%v with depth %d, thresh %d", tc.seed, step, ok, want, thresh)
+			}
+			if want > 0 && !w.Contains(at) {
+				t.Fatalf("seed %d step %d: witness %v outside %v", tc.seed, step, at, w)
+			}
+			if !ok {
+				continue
+			}
+			if !w.ContainsInterval(run) {
+				t.Fatalf("seed %d step %d: run %v outside %v", tc.seed, step, run, w)
+			}
+			for i := 0; i <= 8; i++ {
+				p := run.Start + (run.End-run.Start)*float64(i)/8
+				if depth := depthAt(p); depth < thresh {
+					t.Fatalf("seed %d step %d: run %v has depth %d < %d at %v", tc.seed, step, run, depth, thresh, p)
 				}
 			}
 		}
