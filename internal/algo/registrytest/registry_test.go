@@ -27,6 +27,7 @@ import (
 	"busytime/internal/core"
 	"busytime/internal/decomp"
 	"busytime/internal/generator"
+	"busytime/internal/interval"
 	_ "busytime/internal/online"
 	"busytime/internal/sim"
 )
@@ -100,38 +101,74 @@ func TestEveryAlgorithmHasRunScratch(t *testing.T) {
 	}
 }
 
+// degenerateInputs are the two smallest time axes a schedule can be built
+// on: every job at one instant, which leaves the axis without buckets (the
+// saturation bitmap is off and each machine keeps a single time shard), and
+// a single job, whose axis has exactly one bucket.
+func degenerateInputs() []*core.Instance {
+	point := make([]interval.Interval, 5)
+	for i := range point {
+		point[i] = interval.New(4, 4)
+	}
+	pointOnly := core.NewInstance(2, point...)
+	pointOnly.Name = "point-only"
+	oneJob := core.NewInstance(2, interval.New(1, 3))
+	oneJob.Name = "one-job"
+	return []*core.Instance{pointOnly, oneJob}
+}
+
 // TestRegistryRunScratchParity sweeps every registered algorithm over every
-// generator family, comparing Run against RunScratch through one shared,
-// warm Scratch. The Run schedule is independently allocated, and each
-// recycled schedule is compared before the scratch's next use, so the two
-// never alias.
+// generator family and then the degenerate inputs, comparing Run against
+// RunScratch through one shared, warm Scratch. The Run schedule is
+// independently allocated, and each recycled schedule is compared before the
+// scratch's next use, so the two never alias. No algorithm rejects a
+// degenerate input, so those must succeed on both paths.
 func TestRegistryRunScratchParity(t *testing.T) {
-	sc := new(core.Scratch)
+	type input struct {
+		label string
+		in    *core.Instance
+	}
+	var inputs []input
 	for seed := int64(0); seed < 4; seed++ {
 		for fi, in := range families(seed) {
-			for _, a := range all(t) {
-				a := a
-				label := fmt.Sprintf("%s seed=%d family=%d", a.Name, seed, fi)
-				fresh, errRun := runSafely(func() *core.Schedule { return a.Run(in) })
-				recycled, errScratch := runSafely(func() *core.Schedule { return a.RunScratch(in, sc) })
-				if (errRun == nil) != (errScratch == nil) {
-					t.Fatalf("%s: Run err=%v but RunScratch err=%v", label, errRun, errScratch)
-				}
-				if errRun != nil {
-					continue // class precondition failed on both paths
-				}
-				if err := fresh.Verify(); err != nil {
-					t.Fatalf("%s: Run schedule infeasible: %v", label, err)
-				}
-				assertIdentical(t, label, fresh, recycled)
+			inputs = append(inputs, input{fmt.Sprintf("seed=%d family=%d", seed, fi), in})
+		}
+	}
+	degenerate := degenerateInputs()
+	if nb := degenerate[0].TimeAxis().NB(); nb != 0 {
+		t.Fatalf("point-only instance has %d axis buckets, want 0", nb)
+	}
+	for _, in := range degenerate {
+		inputs = append(inputs, input{in.Name, in})
+	}
+	sc := new(core.Scratch)
+	for ii, c := range inputs {
+		mustRun := ii >= len(inputs)-len(degenerate)
+		for _, a := range all(t) {
+			a, in := a, c.in
+			label := a.Name + " " + c.label
+			fresh, errRun := runSafely(func() *core.Schedule { return a.Run(in) })
+			recycled, errScratch := runSafely(func() *core.Schedule { return a.RunScratch(in, sc) })
+			if mustRun && (errRun != nil || errScratch != nil) {
+				t.Fatalf("%s: Run err=%v, RunScratch err=%v", label, errRun, errScratch)
 			}
+			if (errRun == nil) != (errScratch == nil) {
+				t.Fatalf("%s: Run err=%v but RunScratch err=%v", label, errRun, errScratch)
+			}
+			if errRun != nil {
+				continue // class precondition failed on both paths
+			}
+			if err := fresh.Verify(); err != nil {
+				t.Fatalf("%s: Run schedule infeasible: %v", label, err)
+			}
+			assertIdentical(t, label, fresh, recycled)
 		}
 	}
 }
 
 // all returns the registry, skipping nothing; split out so the parity sweep
 // fails loudly if registration ever becomes empty.
-func all(t *testing.T) []algo.Algorithm {
+func all(t testing.TB) []algo.Algorithm {
 	t.Helper()
 	out := algo.All()
 	if len(out) == 0 {

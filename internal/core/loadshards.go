@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"busytime/internal/interval"
@@ -194,10 +195,12 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 	// Small sweeps — the common case with shards sized to a handful of jobs
 	// — skip the sorts: the maximum closed depth is attained at some clipped
 	// start point, so a direct quadratic evaluation over the parallel
-	// start/end arrays is exact and cheaper than two SortFunc calls. Only a
-	// saturated result (depth >= thresh) falls through to the full sweep,
-	// which additionally extracts the saturated run.
+	// start/end arrays is exact and cheaper than sorting them. The
+	// first saturated point (depth >= thresh) ends the evaluation and falls
+	// through to the full sweep, which recomputes the maximum from scratch and
+	// additionally extracts the saturated run.
 	if len(starts) <= smallSweep {
+		saturated := false
 		for i := range starts {
 			pt := starts[i].t
 			d := 0
@@ -206,33 +209,21 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 					d += int(starts[k].d)
 				}
 			}
+			if d >= thresh {
+				saturated = true
+				break
+			}
 			if d > depth || (d == depth && pt < at) {
 				depth, at = d, pt
 			}
 		}
-		if depth < thresh {
+		if !saturated {
 			return depth, at, interval.Interval{}, false
 		}
 		depth, at = 0, 0
 	}
-	slices.SortFunc(starts, func(a, b shardEvent) int {
-		if a.t < b.t {
-			return -1
-		}
-		if a.t > b.t {
-			return 1
-		}
-		return 0
-	})
-	slices.SortFunc(ends, func(a, b shardEvent) int {
-		if a.t < b.t {
-			return -1
-		}
-		if a.t > b.t {
-			return 1
-		}
-		return 0
-	})
+	sortEvents(starts)
+	sortEvents(ends)
 	// Two-pointer sweep, starts first at equal coordinates for closed
 	// semantics, tracking the run of depth ≥ thresh that holds the maximum.
 	cur, best := 0, 0
@@ -272,4 +263,22 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 		j++
 	}
 	return best, at, run, ok
+}
+
+// sortEvents orders sweep events by coordinate. Up to smallSweep events —
+// every saturated small sweep — an inline insertion sort beats SortFunc's
+// comparator calls; the sweep's result does not depend on how equal
+// coordinates are ordered.
+func sortEvents(ev []shardEvent) {
+	if len(ev) > smallSweep {
+		slices.SortFunc(ev, func(a, b shardEvent) int { return cmp.Compare(a.t, b.t) })
+		return
+	}
+	for i := 1; i < len(ev); i++ {
+		e, j := ev[i], i
+		for ; j > 0 && ev[j-1].t > e.t; j-- {
+			ev[j] = ev[j-1]
+		}
+		ev[j] = e
+	}
 }

@@ -3,6 +3,7 @@ package online
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -216,10 +217,13 @@ func TestPoolChurnRaced(t *testing.T) {
 				start := float64(w*1000 + i) // per-goroutine clocks collide across tenants; errors are expected
 				_, job, err := p.Place(tenant, iv(start, start+10), 1)
 				if err == nil && i%3 == 0 {
-					// A sibling goroutine sharing the tenant may Drop it
-					// between the Place and this Release, so a Release error
-					// is expected here too.
-					_, _ = p.Release(tenant, job)
+					// Between the Place and this Release, a sibling goroutine
+					// sharing the tenant may Drop it and another may re-create
+					// it with fewer placements, so the job number can be
+					// unknown to the new session. Any other error is a bug.
+					if _, err := p.Release(tenant, job); err != nil && !strings.Contains(err.Error(), "no such job") {
+						t.Errorf("Release: %v", err)
+					}
 				}
 				switch i % 97 {
 				case 13:
