@@ -2,20 +2,24 @@ package busytime
 
 import (
 	"context"
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"io"
+	"strconv"
 
-	"busytime/internal/algo"
-	"busytime/internal/engine"
+	"busytime/internal/parallel"
 )
 
-// BatchResult summarizes scheduling one instance of a batch or stream. The
-// engine deliberately reports summaries rather than retaining schedules:
+// streamShard is the number of instances SolveStream drains from its stream
+// per fan-out.
+const streamShard = 64
+
+// BatchResult summarizes scheduling one instance of a batch or stream. Batch
+// runs deliberately report summaries rather than retaining schedules:
 // keeping every schedule of a 100k-job batch alive would defeat the arena
 // recycling that makes batch runs fast. Re-run an interesting instance
 // through Solve to get its schedule.
-//
-// The field layout mirrors internal/engine.Result exactly; SolveBatch
-// converts by plain struct conversion.
 type BatchResult struct {
 	// Index is the instance's position in the batch or stream.
 	Index int `json:"index"`
@@ -31,9 +35,10 @@ type BatchResult struct {
 	// Cost/LowerBound (0 when the bound is 0).
 	LowerBound float64 `json:"lower_bound"`
 	Ratio      float64 `json:"ratio"`
-	// Err is non-empty when the algorithm rejected the instance or, under
-	// WithVerify, produced an infeasible schedule; the schedule fields are
-	// then zero.
+	// Err is non-empty when Solve would have returned an error for the
+	// instance (a nil or invalid instance, an algorithm rejection, under
+	// WithVerify an infeasible schedule) or the run panicked; it carries
+	// that error's text, and the schedule fields are then zero.
 	Err string `json:"err,omitempty"`
 	// Warm and SetupAllocs report arena reuse (see ArenaStats). They depend
 	// on worker count and scheduling order, so they are excluded from
@@ -53,76 +58,97 @@ type BatchResult struct {
 	Shards int `json:"-"`
 }
 
-// SolveBatch schedules every instance with the session's algorithm, fanned
-// out across WithWorkers workers over the session's shared arena pool, and
-// returns one summary per instance in input order — a parallel run is
-// byte-identical to a sequential one. Per-instance failures land in
+// SolveBatch schedules every instance through Solve, fanned out across
+// WithWorkers workers that lease the session's arenas (or schedule in fresh
+// memory under WithFreshSchedules), and returns one summary per instance in
+// input order — a parallel run is byte-identical to
+// a sequential one. Per-instance failures, panics included, land in
 // BatchResult.Err and do not abort the batch. Cancelling ctx stops workers
-// at their next instance (and mid-run for the cancellable algorithms),
-// drains the fan-out without leaking goroutines, and returns the context's
-// error.
+// at their next instance (and while they wait for an arena, and mid-run for
+// the cancellable algorithms), drains the fan-out without leaking
+// goroutines, and returns the context's error.
 func (s *Solver) SolveBatch(ctx context.Context, instances []*Instance) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results, err := engine.Run(ctx, instances, s.engineOptions())
-	if err != nil {
+	out := s.fanOut(ctx, instances, 0)
+	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
-	return convertBatch(results), nil
+	if out == nil {
+		out = []BatchResult{} // an empty batch encodes as [], not null
+	}
+	return out, nil
 }
 
 // SolveStream drains the instance stream next (which reports ok=false when
-// exhausted), scheduling shard by shard with the same guarantees as
-// SolveBatch; the output is identical to collecting the stream into a slice
-// first. Arbitrarily long streams run in bounded memory.
+// exhausted), scheduling it in shards of 64 instances with the same
+// guarantees as SolveBatch; the output is identical to collecting the
+// stream into a slice first. Arbitrarily long streams run in bounded
+// memory. Ctx is also checked at every shard boundary.
 func (s *Solver) SolveStream(ctx context.Context, next func() (*Instance, bool)) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results, err := engine.RunStream(ctx, next, s.engineOptions())
+	out := make([]BatchResult, 0, streamShard)
+	shard := make([]*Instance, 0, streamShard)
+	for {
+		if err := context.Cause(ctx); err != nil {
+			return nil, err
+		}
+		shard = shard[:0]
+		for len(shard) < streamShard {
+			in, ok := next()
+			if !ok {
+				break
+			}
+			shard = append(shard, in)
+		}
+		out = append(out, s.fanOut(ctx, shard, len(out))...)
+		if err := context.Cause(ctx); err != nil {
+			return nil, err
+		}
+		if len(shard) < streamShard {
+			return out, nil
+		}
+	}
+}
+
+// fanOut solves the instances on up to WithWorkers goroutines and returns
+// their summaries in input order, numbered from base.
+func (s *Solver) fanOut(ctx context.Context, instances []*Instance, base int) []BatchResult {
+	return parallel.Map(len(instances), s.cfg.maxWorkers(), func(i int) BatchResult {
+		return s.solveItem(ctx, instances[i], base+i)
+	})
+}
+
+// solveItem runs one batch item through Solve and folds the Result into a
+// BatchResult. A panic is recovered into Err, so one bad item cannot take
+// down the batch or the process. Once ctx is done the item is skipped: the
+// caller discards the whole batch for the context's error.
+func (s *Solver) solveItem(ctx context.Context, in *Instance, index int) (br BatchResult) {
+	br.Index = index
+	if in != nil {
+		br.Name, br.N, br.G = in.Name, in.N(), in.G
+	}
+	if ctx.Err() != nil {
+		return br
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			br.Err = fmt.Sprintf("busytime: %s panicked: %v", s.cfg.algorithm, r)
+		}
+	}()
+	res, err := s.Solve(ctx, in)
 	if err != nil {
-		return nil, err
+		br.Err = err.Error()
+		return br
 	}
-	return convertBatch(results), nil
-}
-
-// engineOptions maps the session config onto the internal engine. The
-// session's arena pool is passed through, so batch arenas stay warm across
-// SolveBatch/SolveStream/Solve calls, not just across shards of one call;
-// the algorithm record is the Solver's own dispatch (engine.Options.Custom),
-// so batch runs carry the full session configuration — WithExactLimit,
-// WithLookahead, WithLengthBound — and are guaranteed to agree with Solve.
-func (s *Solver) engineOptions() engine.Options {
-	opt := engine.Options{
-		Algorithm: s.cfg.algorithm,
-		Custom: &algo.Algorithm{
-			Name:          s.cfg.algorithm,
-			RunScratchCtx: s.run,
-			Cancellation:  s.alg.Cancellation,
-			// Decompose carries the session's resolved contract (exact limit
-			// applied), so batch workers route through the same decomposition
-			// layer as Solve — or none, identically.
-			Decompose: s.decomp,
-		},
-		Workers: s.cfg.workers,
-		Verify:  s.cfg.verify,
-		Pool:    s.pool, // nil in fresh mode: the engine builds a private pool
-	}
-	if s.decomp != nil {
-		opt.IntraWorkers = s.cfg.intraWorkers()
-		opt.TimeShards = s.cfg.timeShards()
-		opt.Runners = s.runners
-	}
-	return opt
-}
-
-func convertBatch(results []engine.Result) []BatchResult {
-	out := make([]BatchResult, len(results))
-	for i, r := range results {
-		out[i] = BatchResult(r)
-	}
-	return out
+	br.Machines, br.Cost = res.Machines, res.Cost
+	br.LowerBound, br.Ratio = res.LowerBound(), res.Ratio()
+	br.Warm, br.SetupAllocs = res.Arena.Warm, res.Arena.SetupAllocs
+	br.Components, br.IntraWorkers, br.Shards = res.Decomp.Components, res.Decomp.Workers, res.Decomp.Shards
+	return br
 }
 
 // BatchSummary aggregates the arena-reuse telemetry of a batch: how many
@@ -188,18 +214,33 @@ func SummarizeBatch(results []BatchResult) BatchSummary {
 // the shortest round-trip representation, so output is byte-stable across
 // runs and worker counts.
 func WriteBatchCSV(w io.Writer, results []BatchResult) error {
-	return engine.WriteCSV(w, convertToEngine(results))
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"index", "name", "n", "g", "machines", "cost", "lower_bound", "ratio", "err"}); err != nil {
+		return err
+	}
+	for _, r := range results {
+		rec := []string{
+			strconv.Itoa(r.Index),
+			r.Name,
+			strconv.Itoa(r.N),
+			strconv.Itoa(r.G),
+			strconv.Itoa(r.Machines),
+			strconv.FormatFloat(r.Cost, 'g', -1, 64),
+			strconv.FormatFloat(r.LowerBound, 'g', -1, 64),
+			strconv.FormatFloat(r.Ratio, 'g', -1, 64),
+			r.Err,
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // WriteBatchJSON writes batch results as an indented JSON array.
 func WriteBatchJSON(w io.Writer, results []BatchResult) error {
-	return engine.WriteJSON(w, convertToEngine(results))
-}
-
-func convertToEngine(results []BatchResult) []engine.Result {
-	out := make([]engine.Result, len(results))
-	for i, r := range results {
-		out[i] = engine.Result(r)
-	}
-	return out
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(results)
 }

@@ -15,7 +15,6 @@ import (
 	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/decomp"
-	"busytime/internal/engine"
 	"busytime/internal/experiments"
 	"busytime/internal/generator"
 	"busytime/internal/online"
@@ -110,7 +109,7 @@ func BenchmarkOnlinePooledN1e5(b *testing.B) {
 }
 
 // Pooled-arena variants: the same workload scheduled through one recycled
-// core.Scratch, the engine worker's steady state. After the first iteration
+// core.Scratch, a warm Solver worker's steady state. After the first iteration
 // warms the arena, runs perform zero schedule-state allocations (see
 // core.TestFirstFitAssignZeroAllocSteadyState for the hard gate).
 func benchFirstFitPooledN(b *testing.B, n int) {
@@ -161,8 +160,9 @@ func BenchmarkSolverWarmN1e4(b *testing.B)        { benchSolverWarmN(b, 10000, "
 func BenchmarkSolverWarmN1e5(b *testing.B)        { benchSolverWarmN(b, 100000, "firstfit") }
 func BenchmarkSolverWarmBestFitN1e5(b *testing.B) { benchSolverWarmN(b, 100000, "bestfit") }
 
-// The batch fan-out through the public facade, against BenchmarkBatchFirstFit
-// (the internal engine run it wraps).
+// The batch fan-out of one warm session: its arenas persist across
+// iterations, against BenchmarkBatchFirstFit, which builds a fresh Solver
+// (cold arenas) per iteration.
 func BenchmarkSolverBatchFirstFit(b *testing.B) {
 	batch := batch100k()
 	s, err := busytime.New(busytime.WithAlgorithm("firstfit"))
@@ -198,10 +198,11 @@ func benchBestFitPooledN(b *testing.B, n int) {
 func BenchmarkBestFitPooledN1e4(b *testing.B) { benchBestFitPooledN(b, 10000) }
 func BenchmarkBestFitPooledN1e5(b *testing.B) { benchBestFitPooledN(b, 100000) }
 
-// Batch-engine benchmarks (DESIGN.md §5): the same batch of seeded 100k-job
-// instances scheduled through internal/engine versus a naive sequential
-// loop. The engine run should beat the loop by roughly the core count; the
-// determinism test in internal/engine guarantees the outputs are identical.
+// Batch fan-out benchmarks (DESIGN.md §5): the same batch of seeded 100k-job
+// instances scheduled through SolveBatch versus a naive sequential loop.
+// The fan-out should beat the loop by roughly the core count;
+// TestSolveBatchDeterministicAcrossWorkers guarantees the outputs are
+// identical at every worker count.
 
 // batch100k builds one 100k-job instance per available core (min 4) across
 // the large-scale scenario generators.
@@ -225,27 +226,39 @@ func batch100k() []*core.Instance {
 	return out
 }
 
-func BenchmarkBatchFirstFit(b *testing.B) {
-	batch := batch100k()
+// benchBatchCold runs the batch through SolveBatch on a fresh Solver per
+// iteration, so every iteration starts from cold arenas.
+func benchBatchCold(b *testing.B, algorithm string, batch []*core.Instance) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(context.Background(), batch, engine.Options{Algorithm: "firstfit"})
+		s, err := busytime.New(busytime.WithAlgorithm(algorithm))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.SolveBatch(context.Background(), batch)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(res) != len(batch) {
 			b.Fatalf("got %d results, want %d", len(res), len(batch))
 		}
+		for _, r := range res {
+			if r.Err != "" {
+				b.Fatalf("instance %d: %s", r.Index, r.Err)
+			}
+		}
 	}
 }
+
+func BenchmarkBatchFirstFit(b *testing.B) { benchBatchCold(b, "firstfit", batch100k()) }
 
 func BenchmarkBatchFirstFitSequential(b *testing.B) {
 	batch := batch100k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The naive loop the engine replaces: fresh schedule state per
+		// The naive loop the fan-out replaces: fresh schedule state per
 		// instance, one instance at a time.
 		for _, in := range batch {
 			s := firstfit.Schedule(in)
@@ -263,13 +276,7 @@ func BenchmarkBatchPortfolio(b *testing.B) {
 	for i := range batch {
 		batch[i] = generator.General(int64(200+i), 400, 4, 400, 30)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(context.Background(), batch, engine.Options{Algorithm: "portfolio"}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatchCold(b, "portfolio", batch)
 }
 
 // The decompose–solve–merge path: one warm Solver session re-solving a

@@ -15,9 +15,9 @@
 //
 // The package is organized around the Solver session: New selects an
 // algorithm by registered name and owns a pool of recycled schedule arenas,
-// so repeated Solve calls run the same zero-steady-state-allocation path as
-// the internal batch engine. SolveBatch and SolveStream fan instances out
-// across workers with deterministic, input-ordered results; Online opens a
+// so repeated Solve calls stop allocating schedule state once warm.
+// SolveBatch and SolveStream fan Solve itself out across workers on the
+// same arenas, with deterministic, input-ordered results; Online opens a
 // feed-one-job-at-a-time handle for the online problem. Every entry point
 // takes a context: batch runs cancel at instance boundaries and the exact
 // branch-and-bound cancels mid-search.

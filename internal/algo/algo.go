@@ -25,15 +25,16 @@ type Func func(*core.Instance) *core.Schedule
 type CtxFunc func(context.Context, *core.Instance, *core.Scratch) (*core.Schedule, error)
 
 // CancelPoint documents where a registered algorithm observes context
-// cancellation. It is registry metadata for drivers: the batch engine and
-// the public Solver check ctx between runs regardless; only CancelMidRun
-// algorithms additionally stop inside a single run.
+// cancellation. It is registry metadata for drivers: the public Solver
+// checks ctx between runs regardless (per Solve, per batch item and per
+// stream shard); only CancelMidRun algorithms additionally stop inside a
+// single run.
 type CancelPoint int
 
 const (
 	// CancelAtBoundary marks an algorithm whose single run always completes:
 	// it is polynomial and fast, so drivers observe ctx only between runs
-	// (the engine's shard loop, the Solver's entry check).
+	// (the Solver's entry check and batch fan-out).
 	CancelAtBoundary CancelPoint = iota
 	// CancelMidRun marks an algorithm with an unbounded-time search that
 	// checkpoints ctx during the run via RunScratchCtx (the exact branch and

@@ -48,13 +48,27 @@ type ScratchStats struct {
 }
 
 // Stats returns the arena counters accumulated since the scratch was
-// created. Engine workers snapshot it around each run to report per-run
-// reuse.
+// created. The busytime Solver snapshots it around each Solve to report
+// per-run reuse.
 func (sc *Scratch) Stats() ScratchStats {
 	return ScratchStats{
 		Schedules:   sc.schedules,
 		SetupAllocs: sc.allocs + sc.index.allocs + sc.pool.allocs,
 	}
+}
+
+// NewScratchPool builds an arena pool of the given width (min 1): a buffered
+// channel holding one recyclable Scratch per slot. Sharing one pool across
+// runs keeps arenas warm from run to run.
+func NewScratchPool(workers int) chan *Scratch {
+	if workers < 1 {
+		workers = 1
+	}
+	pool := make(chan *Scratch, workers)
+	for i := 0; i < workers; i++ {
+		pool <- new(Scratch)
+	}
+	return pool
 }
 
 // NewScheduleFrom returns an empty schedule for inst drawn from sc, or a

@@ -206,7 +206,7 @@ func TestScratchZeroAllocAcrossShrinkingInstances(t *testing.T) {
 	}
 }
 
-// TestScratchStatsCounts pins the telemetry the engine reports: a cold
+// TestScratchStatsCounts pins the telemetry the Solver reports: a cold
 // scratch performs setup allocations, an identical second run performs none.
 func TestScratchStatsCounts(t *testing.T) {
 	in := denseTestInstance(800, 4, 400, 15)

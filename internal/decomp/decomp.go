@@ -197,7 +197,7 @@ type Runner struct {
 func NewRunner() *Runner { return &Runner{} }
 
 // NewRunnerPool builds a pool of the given width (min 1), mirroring
-// engine.NewScratchPool: one recyclable Runner per slot on a buffered
+// core.NewScratchPool: one recyclable Runner per slot on a buffered
 // channel, shared across runs so the layer's buffers stay warm.
 func NewRunnerPool(workers int) chan *Runner {
 	if workers < 1 {
@@ -393,7 +393,7 @@ func (r *Runner) order(in *core.Instance, d *algo.Decomposer) []int32 {
 // goroutines only up to the high-water mark: steady-state runs re-enter
 // goroutines parked on the channel instead of spawning per run. The channel
 // is closed by a runtime cleanup when the Runner itself becomes garbage, so
-// engine-private runner pools cannot leak their workers.
+// the runner pool of a discarded Solver cannot leak its workers.
 func (r *Runner) dispatch(workers int, shard bool) {
 	if workers <= 0 {
 		return

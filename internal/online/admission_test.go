@@ -8,14 +8,13 @@ import (
 	"testing"
 
 	"busytime/internal/core"
-	"busytime/internal/engine"
 )
 
 func newTestPool(t *testing.T, shards int, scratch bool) *Pool {
 	t.Helper()
 	arenas := (chan *core.Scratch)(nil)
 	if scratch {
-		arenas = engine.NewScratchPool(2)
+		arenas = core.NewScratchPool(2)
 	}
 	pool, err := NewPool(4, FirstFit{}, shards, 0, arenas)
 	if err != nil {

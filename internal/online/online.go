@@ -14,8 +14,8 @@
 // and competitive-ratio replays through a recycled core.Scratch are
 // allocation-free once warm (RunScratch). The policies are also registered
 // with the algorithm registry ("online-firstfit", "online-bestfit",
-// "online-nextfit"), so the batch engine and the CLI drive online replays
-// exactly like offline algorithms.
+// "online-nextfit"), so the Solver's batch fan-out and the CLI drive online
+// replays exactly like offline algorithms.
 package online
 
 import (
@@ -105,7 +105,7 @@ func Run(in *core.Instance, p Policy) (*core.Schedule, error) {
 // competitive-ratio sweeps replaying many instances recycle one arena and
 // stop allocating once warm. It skips the final feasibility re-verification
 // (the kernel's checked primitives only make feasible placements; batch
-// callers re-verify via the engine's Verify option); misuse detection is
+// callers re-verify via the Solver's WithVerify option); misuse detection is
 // identical to Run. The returned schedule is only valid until sc's next use.
 func RunScratch(in *core.Instance, sc *core.Scratch, p Policy) (*core.Schedule, error) {
 	s := sc.NewSchedule(in)

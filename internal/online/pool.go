@@ -70,11 +70,12 @@ var (
 // per-tenant operations run under the owning shard's lock, so a Pool is safe
 // for concurrent use while each underlying Session stays single-threaded.
 //
-// The optional scratch channel — the same recycled-arena pool the batch
-// engine leases from — powers Offline: an on-demand replay of a tenant's
-// retained window through the offline kernel on a leased arena, yielding the
-// exact competitive comparison (online cost vs. offline cost vs. the
-// window's CachedBounds) without allocating schedule state per call.
+// The optional scratch channel — the same recycled-arena pool the Solver's
+// Solve and batch fan-out lease from — powers Offline: an on-demand replay
+// of a tenant's retained window through the offline kernel on a leased
+// arena, yielding the exact competitive comparison (online cost vs. offline
+// cost vs. the window's CachedBounds) without allocating schedule state per
+// call.
 //
 // A pool optionally enforces an Admission policy per tenant (SetAdmission)
 // and supports a one-way drain switch (Close) that rejects new placements

@@ -5,14 +5,14 @@ import (
 	"sync"
 	"testing"
 
-	"busytime/internal/engine"
+	"busytime/internal/core"
 	"busytime/internal/generator"
 	"busytime/internal/interval"
 	"busytime/internal/xrand"
 )
 
 func TestPoolShardedTenantsConcurrent(t *testing.T) {
-	pool, err := NewPool(4, FirstFit{}, 8, 64, engine.NewScratchPool(2))
+	pool, err := NewPool(4, FirstFit{}, 8, 64, core.NewScratchPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}

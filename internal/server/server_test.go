@@ -103,6 +103,23 @@ func TestControlPlane(t *testing.T) {
 		t.Fatalf("batch: %+v", batch)
 	}
 
+	// A null batch entry is a per-item error, not a crash of the daemon.
+	resp, err = http.Post(base+"/v1/batch", "application/json", strings.NewReader("["+instance+",null]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch = nil
+	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || len(batch) != 2 || batch[0].Err != "" || batch[0].Cost != solved.Cost || batch[1].Err == "" {
+		t.Fatalf("batch with a null entry: status %d, %+v", resp.StatusCode, batch)
+	}
+	if code := get(t, srv, "/healthz", &health); code != 200 || health.Status != "ok" {
+		t.Fatalf("healthz after a null batch entry: code %d, %+v", code, health)
+	}
+
 	resp, err = http.Post(base+"/v1/solve", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +194,8 @@ func TestControlPlane(t *testing.T) {
 	if code := get(t, srv, "/stats", &snap); code != 200 {
 		t.Fatalf("stats: code %d", code)
 	}
-	// Solve observes once per HTTP request: one /v1/solve + one /v1/batch.
-	if snap.Frames == 0 || snap.Accepted != 1 || snap.Solve.Count != 2 || snap.Place.Count != 1 {
+	// Solve observes once per HTTP request: one /v1/solve + two /v1/batch.
+	if snap.Frames == 0 || snap.Accepted != 1 || snap.Solve.Count != 3 || snap.Place.Count != 1 {
 		t.Fatalf("stats counters: %+v", snap)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // ArenaStats reports the scratch-arena traffic of one Solve: whether the
 // call was served by a warm arena (one that had already scheduled an
 // instance) and how many backing-array allocations the arena performed. A
-// warm Solver re-solving a seen instance shape performs none — the public
-// warm path is the same zero-steady-state-allocation path the internal
-// batch engine's workers run.
+// warm Solver re-solving a seen instance shape performs none. SolveBatch and
+// SolveStream run every item through Solve, so each BatchResult carries its
+// item's ArenaStats as Warm and SetupAllocs.
 type ArenaStats struct {
 	Warm        bool
 	SetupAllocs int

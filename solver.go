@@ -9,7 +9,6 @@ import (
 	"busytime/internal/algo/exact"
 	"busytime/internal/core"
 	"busytime/internal/decomp"
-	"busytime/internal/engine"
 	"busytime/internal/online"
 
 	// Every algorithm package registers itself in init; the facade imports
@@ -26,10 +25,11 @@ import (
 // Solver is a scheduling session: an algorithm selected by name from the
 // registry plus the state that makes repeated solving fast — a pool of
 // recycled schedule arenas (core.Scratch), one per configured worker, so a
-// warm Solver's Solve calls allocate no steady-state schedule state, exactly
-// like the internal batch engine's workers. Construct one with New, then
-// reuse it: Solve for single instances, SolveBatch/SolveStream for parallel
-// bulk runs, Online for incremental arrival-order sessions.
+// warm Solver's Solve calls allocate no steady-state schedule state.
+// Construct one with New, then reuse it: Solve for single instances,
+// SolveBatch/SolveStream for parallel bulk runs (each item runs through
+// Solve on one of the same arenas), Online for incremental arrival-order
+// sessions.
 //
 // A Solver is safe for concurrent use. Up to WithWorkers arenas exist; a
 // Solve call beyond that waits (honoring its context) for an arena to free.
@@ -97,7 +97,7 @@ func New(opts ...Option) (*Solver, error) {
 		return nil, fmt.Errorf("busytime: WithTimeSharding needs the recycled arena pool; drop WithFreshSchedules")
 	}
 	if !cfg.fresh {
-		s.pool = engine.NewScratchPool(cfg.maxWorkers())
+		s.pool = core.NewScratchPool(cfg.maxWorkers())
 	}
 	if cfg.intraWorkers() > 1 || cfg.timeShards() > 1 {
 		if d := s.decomposer(); d != nil {
@@ -186,12 +186,13 @@ func (s *Solver) solveOn(ctx context.Context, in *Instance, sc *core.Scratch) (*
 		return sched, DecompStats{}, err
 	}
 	r := <-s.runners
+	// Deferred, so a panicking run cannot leak the runner: SolveBatch
+	// recovers panics and keeps using this Solver.
+	defer func() { s.runners <- r }()
 	sched, st, err := r.Solve(ctx, in, s.decomp, sc, s.pool, s.cfg.intraWorkers(), s.cfg.timeShards())
-	// Converted before release: the stats buffer rides the runner (r.Pub)
-	// and the per-component slices are runner-owned, so both must be read
-	// out while this Solve still holds the lease.
+	// Converted under the lease: the stats buffer rides the runner (r.Pub)
+	// and the per-component slices are runner-owned.
 	dstats := newDecompStatsInto(st, &r.Pub)
-	s.runners <- r
 	if err != nil {
 		return nil, dstats, fmt.Errorf("busytime: %s: %w", s.cfg.algorithm, err)
 	}

@@ -159,7 +159,8 @@ func TestSolveCancelExact(t *testing.T) {
 }
 
 // TestSolveBatchCancel cancels a batch mid-flight: SolveBatch must return
-// context.Canceled promptly and drain its worker goroutines.
+// context.Canceled promptly — workers skip unclaimed instances and stop
+// waiting for an arena — and drain its worker goroutines.
 func TestSolveBatchCancel(t *testing.T) {
 	batch := make([]*busytime.Instance, 64)
 	for i := range batch {
@@ -178,7 +179,7 @@ func TestSolveBatchCancel(t *testing.T) {
 	if _, err := s.SolveBatch(ctx, batch); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveBatch returned %v, want context.Canceled", err)
 	}
-	// The engine's fan-out waits for its workers before returning, so no
+	// The batch fan-out waits for its workers before returning, so no
 	// goroutine may outlive the call; allow scheduler jitter to settle.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
