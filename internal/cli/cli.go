@@ -520,6 +520,12 @@ func (c *CLI) cmdOnline(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *n < 0 {
+		return fmt.Errorf("-n %d: stream length must be ≥ 0", *n)
+	}
+	if *live < 1 {
+		return fmt.Errorf("-live %d: live-job population must be ≥ 1", *live)
+	}
 	if *release < 0 || *release > 1 {
 		return fmt.Errorf("-release %v out of [0, 1]", *release)
 	}

@@ -284,6 +284,16 @@ func TestOnlineBadFlags(t *testing.T) {
 		!strings.Contains(errOut, "WithWindow") {
 		t.Errorf("bad window: code=%d err=%q", code, errOut)
 	}
+	for _, live := range []string{"0", "-3"} {
+		if code, _, errOut := run("online", "-n", "100", "-live", live); code != 1 ||
+			!strings.Contains(errOut, "-live") {
+			t.Errorf("-live %s: code=%d err=%q", live, code, errOut)
+		}
+	}
+	if code, _, errOut := run("online", "-n", "-1"); code != 1 ||
+		!strings.Contains(errOut, "-n -1") {
+		t.Errorf("negative stream length: code=%d err=%q", code, errOut)
+	}
 }
 
 func TestReplayList(t *testing.T) {

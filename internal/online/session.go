@@ -20,12 +20,13 @@ import (
 //
 // Sessions are rolling-horizon: a job departs either naturally, when the
 // stream clock (the latest arrival start) passes its end, or early via
-// Release. Departure removes its load from its machine, returns a fully-idle
-// machine to a free pool that FirstFit probes before opening new machines,
-// and eventually reclaims its record during window compaction, so
-// steady-state memory is proportional to the live window — not to every job
-// ever seen — and a warm session places, releases and compacts at zero heap
-// allocations per operation.
+// Release. Departure removes its load from its machine, lowers that
+// machine's entry in the fit tree FirstFit descends (a fully-idle machine
+// fits any arrival, so it is re-used before a new machine opens), and
+// eventually reclaims its record during window compaction, so steady-state
+// memory is proportional to the live window — not to every job ever seen —
+// and a warm session places, releases and compacts at zero heap allocations
+// per operation.
 //
 // Sessions support the built-in policies only (FirstFit, BestFit, NextFit):
 // a bespoke Policy places through a core.Placer, which requires the full
@@ -47,8 +48,12 @@ type Session struct {
 	recs []jobRec
 	base int // feed index of recs[0]
 
-	endHeap  []endEntry // min-heap of (end, job): pending natural departures
-	idleHeap []int32    // min-heap of fully-idle machine indices
+	endHeap []endEntry // min-heap of (end, job): pending natural departures
+
+	// fit is a min-tree over the machines' used capacity in heap layout:
+	// fit[1] is the root, node i has children 2i and 2i+1, and machine m is
+	// leaf fit[len(fit)/2+m]. Leaves past the last open machine hold noFit.
+	fit []int32
 
 	clock float64 // latest arrival start; -Inf before the first
 	cost  float64 // total busy time accrued, including retired coverage
@@ -68,6 +73,10 @@ type Session struct {
 
 	tailBuf []tailEnt // reusable Stats projection scratch
 }
+
+// noFit fills the fit tree's unused leaves: it exceeds g−d for every
+// demand d ≥ 1, because NewSessionSized bounds g by math.MaxInt32.
+const noFit = math.MaxInt32
 
 type sessionRule int
 
@@ -101,10 +110,9 @@ type tailEnt struct {
 // order, and capacity at a new job's window is maximized at its start, so
 // the demand sum over the live loads is a complete feasibility check.
 type sessionMachine struct {
-	busy   interval.Spans
-	loads  []loadRec
-	used   int32
-	inIdle bool // present in the idle heap (entries are unique)
+	busy  interval.Spans
+	loads []loadRec
+	used  int32
 }
 
 type loadRec struct {
@@ -122,9 +130,10 @@ func NewSession(g int, p Policy) (*Session, error) { return NewSessionSized(g, p
 // pre-sized for about `window` simultaneously live jobs, so a stream that
 // stays under the hint reaches the zero-allocation steady state without any
 // growth reallocations. window ≤ 0 starts empty and grows on demand.
+// Capacities are stored as int32, so g must lie in [1, math.MaxInt32].
 func NewSessionSized(g int, p Policy, window int) (*Session, error) {
-	if g < 1 {
-		return nil, fmt.Errorf("online: session parallelism g = %d, want ≥ 1", g)
+	if g < 1 || g > math.MaxInt32 {
+		return nil, fmt.Errorf("online: session parallelism g = %d, want in [1, %d]", g, math.MaxInt32)
 	}
 	s := &Session{g: g, cursor: -1, clock: math.Inf(-1), lbClock: math.Inf(-1)}
 	switch p.(type) {
@@ -190,6 +199,7 @@ func (s *Session) Place(iv interval.Interval, demand int) (int, error) {
 	s.cost += mc.busy.Add(iv)
 	mc.loads = append(mc.loads, loadRec{job: id, end: iv.End, demand: int32(demand)})
 	mc.used += int32(demand)
+	s.setFit(m)
 	s.appendRec(jobRec{iv: iv, machine: int32(m), demand: int32(demand)})
 	s.endPush(endEntry{end: iv.End, job: id})
 
@@ -299,14 +309,12 @@ func (s *Session) advance(c float64) {
 		mc := &s.machines[m]
 		mc.removeLoad(e.job)
 		mc.used -= d
+		s.setFit(m)
 		rec.demand = -d
 		s.live--
 		if !rec.released {
 			s.expired++
 			s.lbDemand -= int(d) // a released job's demand left the bound at Release
-		}
-		if mc.used == 0 {
-			s.markIdle(m)
 		}
 	}
 	s.integrateLB(c)
@@ -322,25 +330,23 @@ func (s *Session) integrateLB(t float64) {
 	s.lbClock = t
 }
 
-// lowestFit returns the lowest-indexed machine that fits, preferring a
-// fully-idle machine over opening a fresh one (the FirstFit rule). An idle
-// machine always fits, so the scan for a lower-indexed busy fit stops at the
-// lowest idle index — the free pool caps the probe length.
+// lowestFit returns the lowest-indexed machine that fits, opening a fresh
+// one when none does (the FirstFit rule): one descent of the fit tree to its
+// leftmost leaf with used ≤ g−demand, O(log machines). A fully-idle machine
+// has used 0 and always fits, so it is re-used before a new one opens.
 func (s *Session) lowestFit(demand int) int {
-	limit := len(s.machines)
-	idle := s.idleMin()
-	if idle >= 0 {
-		limit = idle
+	limit := int32(s.g - demand)
+	if len(s.fit) == 0 || s.fit[1] > limit {
+		return s.open()
 	}
-	for m := 0; m < limit; m++ {
-		if int(s.machines[m].used)+demand <= s.g {
-			return m
+	i, leaves := 1, len(s.fit)/2
+	for i < leaves {
+		i *= 2
+		if s.fit[i] > limit {
+			i++
 		}
 	}
-	if idle >= 0 {
-		return idle
-	}
-	return s.open()
+	return i - leaves
 }
 
 // bestFit returns the feasible machine whose busy time grows the least, ties
@@ -380,10 +386,48 @@ func (s *Session) nextFit(demand int) int {
 
 func (s *Session) open() int {
 	s.machines = append(s.machines, sessionMachine{})
+	m := len(s.machines) - 1
+	if m == len(s.fit)/2 {
+		s.growFit()
+	}
+	s.setFit(m)
 	if len(s.machines) > s.peakMachines {
 		s.peakMachines = len(s.machines)
 	}
-	return len(s.machines) - 1
+	return m
+}
+
+// growFit doubles the fit tree's leaves (one leaf at first) and rebuilds it
+// from the machines' used capacity: O(machines) per doubling, so amortized
+// O(1) per opened machine.
+func (s *Session) growFit() {
+	leaves := max(1, len(s.fit))
+	fit := make([]int32, 2*leaves)
+	for m := range leaves {
+		fit[leaves+m] = noFit
+		if m < len(s.machines) {
+			fit[leaves+m] = s.machines[m].used
+		}
+	}
+	for i := leaves - 1; i >= 1; i-- {
+		fit[i] = min(fit[2*i], fit[2*i+1])
+	}
+	s.fit = fit
+}
+
+// setFit copies machine m's used capacity into its fit-tree leaf and
+// refreshes the minima above it, stopping at the first unchanged one.
+func (s *Session) setFit(m int) {
+	i := len(s.fit)/2 + m
+	s.fit[i] = s.machines[m].used
+	for i > 1 {
+		i /= 2
+		v := min(s.fit[2*i], s.fit[2*i+1])
+		if s.fit[i] == v {
+			return
+		}
+		s.fit[i] = v
+	}
 }
 
 // removeLoad drops the load of the given job; order is irrelevant to every
@@ -424,27 +468,6 @@ func (s *Session) appendRec(r jobRec) {
 	}
 }
 
-func (s *Session) markIdle(m int) {
-	if !s.machines[m].inIdle {
-		s.machines[m].inIdle = true
-		s.idlePush(int32(m))
-	}
-}
-
-// idleMin returns the lowest-indexed fully-idle machine, discarding stale
-// heap entries for machines that have since been re-used, or -1.
-func (s *Session) idleMin() int {
-	for len(s.idleHeap) > 0 {
-		m := int(s.idleHeap[0])
-		if s.machines[m].used == 0 {
-			return m
-		}
-		s.idlePopTop()
-		s.machines[m].inIdle = false
-	}
-	return -1
-}
-
 // --- manual slice-backed heaps (container/heap boxes through an interface
 // and allocates on Push; these stay on the recycled backing arrays) ---
 
@@ -483,41 +506,6 @@ func (s *Session) endPop() endEntry {
 	}
 	s.endHeap = h
 	return top
-}
-
-func (s *Session) idlePush(m int32) {
-	h := append(s.idleHeap, m)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	s.idleHeap = h
-}
-
-func (s *Session) idlePopTop() {
-	h := s.idleHeap
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r] < h[l] {
-			l = r
-		}
-		if h[i] <= h[l] {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	s.idleHeap = h
 }
 
 // Jobs returns the number of arrivals placed so far (departed or not); the

@@ -185,6 +185,15 @@ func runRollingDifferential(t *testing.T, seed int64, n, g int, rule sessionRule
 		if sess.Live() != ref.live() {
 			t.Fatalf("seed %d: session live %d, oracle %d", seed, sess.Live(), ref.live())
 		}
+		idle := 0
+		for m := 0; m < ref.nmach; m++ {
+			if ref.usedAt(m, ref.clock) == 0 {
+				idle++
+			}
+		}
+		if got := sess.Stats().IdleMachines; got != idle {
+			t.Fatalf("seed %d: session idle machines %d, oracle %d", seed, got, idle)
+		}
 	}
 	// MachineOf: within the retained window the assignment is history; a
 	// record compacted away must have been dead in the oracle too.
@@ -244,6 +253,45 @@ func FuzzOnlineSessionRollingOracle(f *testing.F) {
 		}
 		runRollingDifferential(t, seed, int(n), int(g), rule, policy)
 	})
+}
+
+// TestOnlineSessionFitTreeAtScale pins FirstFit's tree descent to a linear
+// scan of the session's own loads with thousands of machines open: the
+// rolling differential above never opens more than a few dozen, so the
+// tree's growth steps and deep descents are exercised here.
+func TestOnlineSessionFitTreeAtScale(t *testing.T) {
+	const g, live, n = 2, 4096, 40_000
+	sess, err := NewSession(g, FirstFit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(3)
+	for i, j := range generator.Stream(11, n, live, g) {
+		sess.Advance(j.Iv.Start) // retire departures, so used is what Place sees
+		want := len(sess.machines)
+		for m := range sess.machines {
+			if int(sess.machines[m].used)+j.Demand <= g {
+				want = m
+				break
+			}
+		}
+		m, err := sess.Place(j.Iv, j.Demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != want {
+			t.Fatalf("arrival %d (demand %d): tree chose machine %d, scan %d of %d",
+				i, j.Demand, m, want, len(sess.machines))
+		}
+		if rng.Intn(4) == 0 { // release ~25% of jobs early
+			if _, err := sess.Release(i - rng.Intn(min(i+1, 64))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := sess.Machines(); got < 2048 {
+		t.Fatalf("stream opened %d machines, want ≥ 2048", got)
+	}
 }
 
 // TestOnlineSessionReleaseSemantics pins the un-billing arithmetic on a

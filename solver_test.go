@@ -543,6 +543,23 @@ func TestOnlineSessionRejectsBadInput(t *testing.T) {
 	if _, err := s.Online(0, "firstfit"); err == nil {
 		t.Error("g=0 accepted")
 	}
+	// Session capacities are int32: a wider g would wrap a demand of 1<<32
+	// to a zero load, double-booking its machine.
+	wide := math.MaxInt32
+	wide++
+	if _, err := s.Online(wide, "firstfit"); err == nil {
+		t.Errorf("g=%d accepted; capacities are int32", wide)
+	}
+	top, err := s.Online(math.MaxInt32, "firstfit") // the widest g still fits
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := top.PlaceDemand(busytime.Interval{Start: 0, End: 10}, math.MaxInt32); m != 0 || err != nil {
+		t.Fatalf("full-g job: machine %d, %v", m, err)
+	}
+	if m, err := top.PlaceDemand(busytime.Interval{Start: 1, End: 2}, 1); m != 1 || err != nil {
+		t.Fatalf("overflow job: machine %d, %v; want machine 1", m, err)
+	}
 	sess, err := s.Online(2, "online-firstfit") // registered prefix accepted
 	if err != nil {
 		t.Fatal(err)

@@ -33,6 +33,28 @@ func newStreamDriver(sess *busytime.OnlineSession, jobs []generator.StreamJob, s
 	return &streamDriver{sess: sess, jobs: jobs, rng: xrand.New(seed), live: live}
 }
 
+// warmStreamDriver returns a driver over a FirstFit session (g = 8, demand
+// ≤ 4) with about live jobs live, fed 16×live arrivals so its window, heaps
+// and machines are at their steady size.
+func warmStreamDriver(tb testing.TB, live int) *streamDriver {
+	tb.Helper()
+	s, err := busytime.New(busytime.WithWindow(live))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sess, err := s.Online(8, "firstfit")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := newStreamDriver(sess, generator.Stream(7, 1<<20, live, 4), 42, live)
+	for i := 0; i < 16*live; i++ {
+		if err := d.step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return d
+}
+
 func (d *streamDriver) step() error {
 	j := d.jobs[d.idx]
 	iv := busytime.Interval{Start: j.Iv.Start + d.shift, End: j.Iv.End + d.shift}
@@ -110,5 +132,33 @@ func TestStreamThroughputNoDecay(t *testing.T) {
 	}
 	if st.Ratio != 0 && st.Ratio < 1-1e-9 {
 		t.Fatalf("competitive ratio %v < 1", st.Ratio)
+	}
+}
+
+// TestStreamThroughputLiveScaling is the machine-index gate: FirstFit
+// placement descends a tree over the open machines, so ten times the live
+// population (~3k machines instead of ~300) must keep ≥ 0.35× the per-op
+// rate. A per-placement scan over the machines falls to about 0.2×.
+func TestStreamThroughputLiveScaling(t *testing.T) {
+	if os.Getenv("BUSYTIME_STREAM_GATE") == "" {
+		t.Skip("set BUSYTIME_STREAM_GATE=1 (CI stream gate) to run wall-clock gates")
+	}
+	const ops = 500_000
+	rate := func(live int) float64 {
+		d := warmStreamDriver(t, live)
+		t0 := time.Now()
+		for i := 0; i < ops; i++ {
+			if err := d.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := ops / time.Since(t0).Seconds()
+		t.Logf("live %d: %d machines, %.0f jobs/s", live, d.sess.Stats().Machines, r)
+		return r
+	}
+	small, large := rate(1_000), rate(10_000)
+	if large < 0.35*small {
+		t.Fatalf("live 1e4 placed at %.0f jobs/s, %.2fx the %.0f jobs/s at live 1e3 (< 0.35x)",
+			large, large/small, small)
 	}
 }
