@@ -11,14 +11,20 @@ import (
 	"testing"
 
 	"busytime"
-	"busytime/internal/algo/baselines"
+	"busytime/internal/algo"
 	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/decomp"
 	"busytime/internal/experiments"
 	"busytime/internal/generator"
-	"busytime/internal/online"
 )
+
+// registered returns the named registry row: the entry points the Solver
+// runs.
+func registered(name string) algo.Algorithm {
+	a, _ := algo.Lookup(name)
+	return a
+}
 
 // benchCfg keeps per-iteration work bounded; the experiment structure
 // (workloads, algorithms, references) is identical to the full run.
@@ -78,32 +84,26 @@ func BenchmarkFirstFitLinearN1e4(b *testing.B) { benchFirstFitN(b, 10000, firstf
 
 // Kernel BestFit at scale (the indexed argmin over span deltas).
 
-func BenchmarkBestFitN1e4(b *testing.B) { benchFirstFitN(b, 10000, baselines.BestFit) }
-func BenchmarkBestFitN1e5(b *testing.B) { benchFirstFitN(b, 100000, baselines.BestFit) }
+func BenchmarkBestFitN1e4(b *testing.B) { benchFirstFitN(b, 10000, registered("bestfit").Run) }
+func BenchmarkBestFitN1e5(b *testing.B) { benchFirstFitN(b, 100000, registered("bestfit").Run) }
 
-// Online replays at scale: the arrival-order FirstFit policy through the
-// kernel, fresh and through a recycled arena (the competitive-ratio sweep's
-// steady state).
+// Online replays at scale: the online-firstfit row (LowestFit in arrival
+// order) through the kernel, fresh and through a recycled arena (the
+// competitive-ratio sweep's steady state).
 
 func BenchmarkOnlineN1e5(b *testing.B) {
-	in := generator.General(7, 100000, 4, 100000, 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := online.Run(in, online.FirstFit{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFirstFitN(b, 100000, registered("online-firstfit").Run)
 }
 
 func BenchmarkOnlinePooledN1e5(b *testing.B) {
 	in := generator.General(7, 100000, 4, 100000, 30)
 	sc := new(core.Scratch)
+	run := registered("online-firstfit").RunScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := online.RunScratch(in, sc, online.FirstFit{}); err != nil {
-			b.Fatal(err)
+		if s := run(in, sc); s.NumMachines() == 0 {
+			b.Fatal("empty schedule")
 		}
 	}
 }
@@ -115,10 +115,11 @@ func BenchmarkOnlinePooledN1e5(b *testing.B) {
 func benchFirstFitPooledN(b *testing.B, n int) {
 	in := generator.General(7, n, 4, float64(n), 30)
 	sc := new(core.Scratch)
+	run := registered("firstfit").RunScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := firstfit.ScheduleScratch(in, sc)
+		s := run(in, sc)
 		if s.NumMachines() == 0 {
 			b.Fatal("empty schedule")
 		}
@@ -185,10 +186,11 @@ func BenchmarkSolverBatchFirstFit(b *testing.B) {
 func benchBestFitPooledN(b *testing.B, n int) {
 	in := generator.General(7, n, 4, float64(n), 30)
 	sc := new(core.Scratch)
+	run := registered("bestfit").RunScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := baselines.BestFitScratch(in, sc)
+		s := run(in, sc)
 		if s.NumMachines() == 0 {
 			b.Fatal("empty schedule")
 		}

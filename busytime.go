@@ -46,7 +46,6 @@ package busytime
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"busytime/internal/algo/portfolio"
@@ -68,15 +67,12 @@ type (
 	Bounds = core.Bounds
 )
 
-// ParseInterval returns the closed interval [start, end], rejecting NaN
-// endpoints and reversed bounds with an error. It is the validating
-// counterpart of the legacy NewInterval shim.
+// ParseInterval returns the closed interval [start, end], rejecting NaN or
+// infinite endpoints and reversed bounds with an error. It is the
+// validating counterpart of the legacy NewInterval shim.
 func ParseInterval(start, end float64) (Interval, error) {
-	if math.IsNaN(start) || math.IsNaN(end) {
-		return Interval{}, fmt.Errorf("busytime: NaN interval endpoint [%v, %v]", start, end)
-	}
-	if end < start {
-		return Interval{}, fmt.Errorf("busytime: interval end %v < start %v", end, start)
+	if err := interval.Check(start, end); err != nil {
+		return Interval{}, fmt.Errorf("busytime: %w: [%v, %v]", err, start, end)
 	}
 	return Interval{Start: start, End: end}, nil
 }

@@ -3,7 +3,9 @@
 //
 // Every algorithm consumes an instance and produces a complete feasible
 // schedule; implementations live in sub-packages (firstfit, properfit,
-// cliquealgo, boundedlength, exact, baselines, demand).
+// cliquealgo, boundedlength, exact, baselines, demand, online). The greedy
+// rows among them — one core.Rule driven in one job order — are declared as
+// GreedyRow entries and share one driver, RunGreedy.
 package algo
 
 import (
@@ -107,13 +109,12 @@ type Decomposer struct {
 	Stacked bool
 	// Stitch declares that RunComponent materializes its result as the live
 	// schedule on the arena it was handed — one kernel placement per order
-	// entry, in order (the ComponentLowestFit/ComponentBestFit family). The
-	// decomposition layer then merges by adopting each component's machine
-	// records and span pieces wholesale (core.Assembly.Graft/PutDelta)
-	// instead of replaying every placement's span merge, still bitwise
-	// identical to sequential. Decomposers that compute assignments out of
-	// band (the exact search builds a sub-instance) leave it false and get
-	// the ordinary Put replay.
+	// entry, in order (every GreedyDecomposer). The decomposition layer then
+	// merges by adopting each component's machine records and span pieces
+	// wholesale (core.Assembly.Graft/PutDelta) instead of replaying every
+	// placement's span merge, still bitwise identical to sequential.
+	// Decomposers that compute assignments out of band (the exact search
+	// builds a sub-instance) leave it false and get the ordinary Put replay.
 	Stitch bool
 	// Shard, when not ShardNone, additionally declares the algorithm safe
 	// for opt-in time-axis sharding: the dominant (or only) component's time
@@ -142,29 +143,81 @@ const (
 	ShardBestFit
 )
 
-// ComponentLowestFit is the shared RunComponent of the LowestFit-driven
-// family (firstfit, firstfit-start, randomfit, online-firstfit): the
-// component's jobs through the kernel LowestFit on a schedule drawn from sc.
-// out (aligned with order) receives each job's component-local machine.
-func ComponentLowestFit(_ context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
-	s := sc.NewSchedule(in)
-	k := s.Placer()
-	for i, j := range order {
-		out[i] = int32(k.LowestFit(int(j)))
-	}
-	return nil
+// GreedyRow is a greedy registry row: one kernel placement rule driven in
+// one job order. Every greedy algorithm the paper analyses has this shape —
+// FirstFit is LowestFit in length order, the §3.1 proper greedy NextFit in
+// start order, and the online model a rule in arrival order — so the rows
+// differ only in these four fields.
+type GreedyRow struct {
+	Name        string
+	Description string
+	// Order returns the processing order as job indices; the slice is not
+	// modified (typically a cached instance order such as
+	// (*core.Instance).LengthOrder).
+	Order func(*core.Instance) []int32
+	Rule  core.Rule
 }
 
-// ComponentBestFit is the shared RunComponent of the BestFit-driven family
-// (bestfit, online-bestfit): the kernel's pruned span-delta argmin over the
-// component's jobs.
-func ComponentBestFit(_ context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
-	s := sc.NewSchedule(in)
-	k := s.Placer()
-	for i, j := range order {
-		out[i] = int32(k.BestFit(int(j)))
+// RegisterGreedy registers greedy rows: Run and RunScratch both go through
+// RunGreedy, and Decompose is GreedyDecomposer's contract for the row.
+func RegisterGreedy(rows ...GreedyRow) {
+	for _, r := range rows {
+		Register(Algorithm{
+			Name:        r.Name,
+			Description: r.Description,
+			Run:         func(in *core.Instance) *core.Schedule { return RunGreedy(in, nil, r.Order(in), r.Rule) },
+			RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
+				return RunGreedy(in, sc, r.Order(in), r.Rule)
+			},
+			Decompose: GreedyDecomposer(r.Order, r.Rule),
+		})
 	}
-	return nil
+}
+
+// RunGreedy places the jobs of order, in sequence, by rule on an empty
+// schedule drawn from sc (a fresh one when sc is nil) and returns it. It is
+// the one greedy placement loop of the library: the registered rows, their
+// component runs, the online lookahead replay and the pool's offline
+// replay all drive it.
+func RunGreedy(in *core.Instance, sc *core.Scratch, order []int32, rule core.Rule) *core.Schedule {
+	s := core.NewScheduleFrom(in, sc)
+	k := s.Placer()
+	for _, j := range order {
+		k.Apply(rule, int(j))
+	}
+	return s
+}
+
+// GreedyDecomposer derives a greedy row's decomposition contract: each
+// component runs through RunGreedy on the arena it is handed (so the stitch
+// merge applies), merged under the identity mapping, with the row's rule as
+// the time-sharding reconciliation rule. The order restricted to a component
+// is the component's own order, and a machine's jobs from other
+// (time-disjoint) components never change a LowestFit probe or a BestFit
+// argmin — such a machine's delta is the full job length, the maximum, and
+// it loses every tie to lower indices — so the merged run equals the
+// sequential one exactly. NextFit's cursor survives component boundaries,
+// so a NextFit row does not decompose and gets nil.
+func GreedyDecomposer(order func(*core.Instance) []int32, rule core.Rule) *Decomposer {
+	shard := ShardLowestFit
+	switch rule {
+	case core.NextFit:
+		return nil
+	case core.BestFit:
+		shard = ShardBestFit
+	}
+	return &Decomposer{
+		Order: order,
+		RunComponent: func(_ context.Context, in *core.Instance, comp []int32, sc *core.Scratch, out []int32) error {
+			s := RunGreedy(in, sc, comp, rule)
+			for i, j := range comp {
+				out[i] = int32(s.MachineOf(int(j)))
+			}
+			return nil
+		},
+		Stitch: true,
+		Shard:  shard,
+	}
 }
 
 var registry = map[string]Algorithm{}

@@ -10,49 +10,52 @@
 //     machine count, but not in busy time, which motivates the paper);
 //   - RandomFit, FirstFit on a seeded random job order (noise floor).
 //
-// Every baseline is a thin policy over the shared placement kernel
-// (core.Placer): FirstFit variants drive LowestFit, BestFit drives the
-// kernel's pruned argmin over span deltas, NextFit drives the kernel
-// cursor.
+// The four greedy baselines are registry rows (algo.GreedyRow): one kernel
+// rule (core.LowestFit, core.BestFit, core.NextFit) in one job order, run
+// by the shared driver algo.RunGreedy. BestFit's rule is the kernel's
+// pruned argmin over span deltas.
 package baselines
 
 import (
 	"busytime/internal/algo"
-	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/intgraph"
 	"busytime/internal/xrand"
 )
 
 func init() {
-	algo.Register(algo.Algorithm{
-		Name:        "firstfit-start",
-		Description: "FirstFit scanning jobs by start time (no length sort)",
-		Run:         FirstFitByStart,
-		RunScratch:  FirstFitByStartScratch,
-		Decompose: &algo.Decomposer{
-			Order:        func(in *core.Instance) []int32 { return in.StartOrder() },
-			RunComponent: algo.ComponentLowestFit,
-			Stitch:       true,
-			Shard:        algo.ShardLowestFit,
+	algo.RegisterGreedy(
+		algo.GreedyRow{
+			Name:        "firstfit-start",
+			Description: "FirstFit scanning jobs by start time (no length sort)",
+			Order:       (*core.Instance).StartOrder,
+			Rule:        core.LowestFit,
 		},
-	})
-	// NextFit carries cross-component state — its single-open-machine cursor
-	// survives a component boundary, so splitting the run changes which
-	// machines get abandoned. Not decomposable.
-	algo.Register(algo.Algorithm{
-		Name:        "nextfit",
-		Description: "NextFit in start order (single open machine)",
-		Run:         NextFit,
-		RunScratch:  NextFitScratch,
-	})
-	algo.Register(algo.Algorithm{
-		Name:        "bestfit",
-		Description: "BestFit by minimal busy-time increase, longest job first (indexed kernel argmin)",
-		Run:         BestFit,
-		RunScratch:  BestFitScratch,
-		Decompose:   bestFitDecomposer(),
-	})
+		// The same (order, rule) pair as properfit, registered under its
+		// bin-packing name for harness comparisons on non-proper instances,
+		// where the §3.1 2-approximation guarantee does not apply.
+		algo.GreedyRow{
+			Name:        "nextfit",
+			Description: "NextFit in start order (single open machine)",
+			Order:       (*core.Instance).StartOrder,
+			Rule:        core.NextFit,
+		},
+		algo.GreedyRow{
+			Name:        "bestfit",
+			Description: "BestFit by minimal busy-time increase, longest job first (indexed kernel argmin)",
+			Order:       (*core.Instance).LengthOrder,
+			Rule:        core.BestFit,
+		},
+		// The registered entry point fixes seed 1, so the decomposition
+		// order is the same permutation the sequential run draws (the
+		// permutation is derived per run either way).
+		algo.GreedyRow{
+			Name:        "randomfit",
+			Description: "FirstFit on a seeded random job order",
+			Order:       func(in *core.Instance) []int32 { return randomOrder(in, 1) },
+			Rule:        core.LowestFit,
+		},
+	)
 	// MachineMin colors the whole interval graph at once; a component's
 	// color classes shift globally, so it is not decomposable as registered.
 	algo.Register(algo.Algorithm{
@@ -61,102 +64,6 @@ func init() {
 		Run:         MachineMin,
 		RunScratch:  MachineMinScratch,
 	})
-	algo.Register(algo.Algorithm{
-		Name:        "randomfit",
-		Description: "FirstFit on a seeded random job order",
-		Run:         func(in *core.Instance) *core.Schedule { return RandomFit(in, 1) },
-		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			return RandomFitScratch(in, 1, sc)
-		},
-		Decompose: &algo.Decomposer{
-			// The registered entry point fixes seed 1, so the decomposition
-			// order is the same permutation the sequential run draws (the
-			// permutation is derived per run either way).
-			Order:        func(in *core.Instance) []int32 { return randomOrder32(in, 1) },
-			RunComponent: algo.ComponentLowestFit,
-			Stitch:       true,
-			Shard:        algo.ShardLowestFit,
-		},
-	})
-}
-
-// bestFitDecomposer declares BestFit safe for the decomposition layer: the
-// kernel argmin in length order, merged under the identity mapping. Machines
-// holding only other components' jobs are hull-disjoint from every candidate
-// job, so their delta is the full job length — the maximum — and they lose
-// every argmin tie to lower indices; the component-local argmin therefore
-// picks the same machine the sequential scan would.
-func bestFitDecomposer() *algo.Decomposer {
-	return &algo.Decomposer{
-		Order:        func(in *core.Instance) []int32 { return in.LengthOrder() },
-		RunComponent: algo.ComponentBestFit,
-		Stitch:       true,
-		Shard:        algo.ShardBestFit,
-	}
-}
-
-// FirstFitByStart runs FirstFit scanning jobs by (start, end, ID).
-func FirstFitByStart(in *core.Instance) *core.Schedule {
-	return lowestFitByStart(in, core.NewSchedule(in))
-}
-
-// FirstFitByStartScratch is FirstFitByStart drawing schedule state from sc.
-func FirstFitByStartScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	return lowestFitByStart(in, sc.NewSchedule(in))
-}
-
-func lowestFitByStart(in *core.Instance, s *core.Schedule) *core.Schedule {
-	k := s.Placer()
-	for _, j := range in.StartOrder() {
-		k.LowestFit(int(j))
-	}
-	return s
-}
-
-// NextFit assigns jobs in start order to a single currently open machine,
-// opening a new one when the job does not fit. Unlike properfit this is the
-// same algorithm — NextFit is the §3.1 greedy; it is re-exported here under
-// its bin-packing name for harness comparisons on non-proper instances,
-// where its 2-approximation guarantee does not apply.
-func NextFit(in *core.Instance) *core.Schedule {
-	return nextFitByStart(in, core.NewSchedule(in))
-}
-
-// NextFitScratch is NextFit drawing schedule state from sc.
-func NextFitScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	return nextFitByStart(in, sc.NewSchedule(in))
-}
-
-func nextFitByStart(in *core.Instance, s *core.Schedule) *core.Schedule {
-	k := s.Placer()
-	for _, j := range in.StartOrder() {
-		k.NextFit(int(j))
-	}
-	return s
-}
-
-// BestFit scans jobs longest-first and assigns each to the machine whose
-// busy time grows the least (ties to the lowest index), opening a new
-// machine only when no machine fits. The argmin runs in the placement
-// kernel: the saturation bitmap skips provably rejecting machines word-wide
-// and hull-disjoint machines are dropped as soon as any candidate is held,
-// so the scan touches only machines that can actually win.
-func BestFit(in *core.Instance) *core.Schedule {
-	return bestFitByLength(in, core.NewSchedule(in))
-}
-
-// BestFitScratch is BestFit drawing schedule state from sc; warm runs
-// perform zero allocations (the alloc-budget gate in CI pins this).
-func BestFitScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	return bestFitByLength(in, sc.NewSchedule(in))
-}
-
-func bestFitByLength(in *core.Instance, s *core.Schedule) *core.Schedule {
-	k := s.Placer()
-	for _, j := range in.LengthOrder() {
-		k.BestFit(int(j))
-	}
-	return s
 }
 
 // MachineMin builds the minimum-machine-count schedule of the §1.1 remark:
@@ -165,20 +72,16 @@ func bestFitByLength(in *core.Instance, s *core.Schedule) *core.Schedule {
 // number of machines but can be far from optimal in busy time.
 //
 // MachineMin requires unit demands (the coloring argument does not apply to
-// weighted jobs); it falls back to FirstFitByStart otherwise.
-func MachineMin(in *core.Instance) *core.Schedule {
-	if !unitDemands(in) {
-		return FirstFitByStart(in)
-	}
-	return machineMinInto(in, core.NewSchedule(in))
-}
+// weighted jobs); it falls back to FirstFit by start time otherwise.
+func MachineMin(in *core.Instance) *core.Schedule { return MachineMinScratch(in, nil) }
 
-// MachineMinScratch is MachineMin drawing schedule state from sc.
+// MachineMinScratch is MachineMin drawing schedule state from sc (fresh
+// memory when sc is nil).
 func MachineMinScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
 	if !unitDemands(in) {
-		return FirstFitByStartScratch(in, sc)
+		return algo.RunGreedy(in, sc, in.StartOrder(), core.LowestFit)
 	}
-	return machineMinInto(in, sc.NewSchedule(in))
+	return machineMinInto(in, core.NewScheduleFrom(in, sc))
 }
 
 func unitDemands(in *core.Instance) bool {
@@ -209,40 +112,19 @@ func machineMinInto(in *core.Instance, s *core.Schedule) *core.Schedule {
 // RandomFit runs FirstFit on a deterministic pseudo-random permutation of
 // the jobs derived from seed.
 func RandomFit(in *core.Instance, seed int64) *core.Schedule {
-	return firstfit.ScheduleOrder(in, randomOrder(in, seed))
+	return algo.RunGreedy(in, nil, randomOrder(in, seed), core.LowestFit)
 }
 
-// RandomFitScratch is RandomFit drawing schedule state from sc (the
-// permutation itself is still derived per run).
-func RandomFitScratch(in *core.Instance, seed int64, sc *core.Scratch) *core.Schedule {
-	return firstfit.ScheduleOrderScratch(in, randomOrder(in, seed), sc)
-}
-
-func randomOrder(in *core.Instance, seed int64) []int {
-	order := make([]int, in.N())
-	for i := range order {
-		order[i] = i
-	}
-	shuffle(order, seed)
-	return order
-}
-
-// randomOrder32 is randomOrder in the registry's order representation; seed
-// and n determine the permutation, so it matches randomOrder element for
-// element.
-func randomOrder32(in *core.Instance, seed int64) []int32 {
+// randomOrder permutes the job indices with the library's splitmix64
+// generator (deterministic in seed and platform-independent, unlike
+// math/rand).
+func randomOrder(in *core.Instance, seed int64) []int32 {
 	order := make([]int32, in.N())
 	for i := range order {
 		order[i] = int32(i)
 	}
-	shuffle(order, seed)
-	return order
-}
-
-// shuffle permutes order with the library's splitmix64 generator
-// (deterministic in seed and platform-independent, unlike math/rand).
-func shuffle[T int | int32](order []T, seed int64) {
 	xrand.New(seed).Shuffle(len(order), func(i, j int) {
 		order[i], order[j] = order[j], order[i]
 	})
+	return order
 }

@@ -15,6 +15,17 @@ import (
 
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
+// row returns the registered algorithm of the given name: the tests drive
+// the greedy baselines through their registry rows, exactly as the Solver
+// does.
+func row(name string) algo.Algorithm {
+	a, ok := algo.Lookup(name)
+	if !ok {
+		panic(name + " not registered")
+	}
+	return a
+}
+
 func TestAllRegistered(t *testing.T) {
 	for _, name := range []string{"firstfit-start", "nextfit", "bestfit", "machine-min", "randomfit"} {
 		a, ok := algo.Lookup(name)
@@ -117,7 +128,7 @@ func bruteFits(s *core.Schedule, j, m int) bool {
 func TestBestFitKernelMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			kernel := BestFit(in)
+			kernel := row("bestfit").Run(in)
 			if err := kernel.Verify(); err != nil {
 				t.Fatalf("seed %d family %d: kernel BestFit infeasible: %v", seed, fi, err)
 			}
@@ -134,8 +145,8 @@ func TestBestFitScratchMatchesFresh(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(0); seed < 8; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			recycled := BestFitScratch(in, sc)
-			fresh := BestFit(in)
+			recycled := row("bestfit").RunScratch(in, sc)
+			fresh := row("bestfit").Run(in)
 			if fi == 0 && recycled.NumMachines() == 0 && in.N() > 0 {
 				t.Fatal("empty schedule")
 			}
@@ -151,8 +162,9 @@ func TestBestFitScratchMatchesFresh(t *testing.T) {
 func TestBestFitZeroAllocSteadyState(t *testing.T) {
 	in := generator.General(3, 3000, 4, 1500, 25)
 	sc := new(core.Scratch)
+	bestFit := row("bestfit").RunScratch
 	run := func() {
-		s := BestFitScratch(in, sc)
+		s := bestFit(in, sc)
 		if s.NumMachines() == 0 {
 			t.Fatal("empty schedule")
 		}
@@ -172,11 +184,11 @@ func FuzzBestFitWarmScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
 		scan := bestFitScan(in)
-		assertIdentical(t, "fuzz-kernel", BestFit(in), scan)
+		assertIdentical(t, "fuzz-kernel", row("bestfit").Run(in), scan)
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
-		_ = BestFitScratch(warm, sc)
-		assertIdentical(t, "fuzz-scratch", BestFitScratch(in, sc), scan)
+		_ = row("bestfit").RunScratch(warm, sc)
+		assertIdentical(t, "fuzz-scratch", row("bestfit").RunScratch(in, sc), scan)
 	})
 }
 
@@ -185,9 +197,9 @@ func TestAllFeasibleOnRandom(t *testing.T) {
 		name string
 		run  algo.Func
 	}{
-		{"firstfit-start", FirstFitByStart},
-		{"nextfit", NextFit},
-		{"bestfit", BestFit},
+		{"firstfit-start", row("firstfit-start").Run},
+		{"nextfit", row("nextfit").Run},
+		{"bestfit", row("bestfit").Run},
 		{"machine-min", MachineMin},
 		{"randomfit", func(in *core.Instance) *core.Schedule { return RandomFit(in, 42) }},
 	}
@@ -250,7 +262,7 @@ func TestBestFitPrefersNoGrowth(t *testing.T) {
 	// With g=2: long [0,10] first; short [2,3] can go on M0 at zero growth
 	// and BestFit must take it.
 	in := core.NewInstance(2, iv(0, 10), iv(2, 3))
-	s := BestFit(in)
+	s := row("bestfit").Run(in)
 	if s.NumMachines() != 1 {
 		t.Errorf("machines = %d, want 1", s.NumMachines())
 	}
@@ -264,7 +276,7 @@ func TestNextFitNeverRevisits(t *testing.T) {
 	// A,C on M0; B conflicts (depth 2 at [1,1.5]) → M1. A later D[4,5]
 	// fits M1 (current) even though M0 also fits.
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(0.5, 1.5), iv(4, 5))
-	s := NextFit(in)
+	s := row("nextfit").Run(in)
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +297,7 @@ func TestRandomFitDeterministicPerSeed(t *testing.T) {
 
 func TestEmptyInstances(t *testing.T) {
 	in := core.NewInstance(2)
-	for _, run := range []algo.Func{FirstFitByStart, NextFit, BestFit, MachineMin} {
+	for _, run := range []algo.Func{row("firstfit-start").Run, row("nextfit").Run, row("bestfit").Run, MachineMin} {
 		s := run(in)
 		if s.Cost() != 0 || s.Verify() != nil {
 			t.Error("empty instance mishandled")
@@ -295,10 +307,11 @@ func TestEmptyInstances(t *testing.T) {
 
 func BenchmarkBestFit1k(b *testing.B) {
 	in := generator.General(7, 1000, 4, 500, 30)
+	bestFit := row("bestfit").Run
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = BestFit(in)
+		_ = bestFit(in)
 	}
 }
 

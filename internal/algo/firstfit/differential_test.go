@@ -3,9 +3,17 @@ package firstfit
 import (
 	"testing"
 
+	"busytime/internal/algo"
 	"busytime/internal/core"
 	"busytime/internal/generator"
 )
+
+// scheduleScratch runs the registered firstfit row on the recycled arena
+// sc, as the Solver's warm path does.
+func scheduleScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
+	a, _ := algo.Lookup("firstfit")
+	return a.RunScratch(in, sc)
+}
 
 // diffFamilies enumerates the generator families the differential suite
 // sweeps; sizes stay modest so the fuzz-style seed loop stays fast.
@@ -95,7 +103,7 @@ func TestIndexedScratchMatchesFresh(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(0); seed < 10; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			recycled := ScheduleScratch(in, sc)
+			recycled := scheduleScratch(in, sc)
 			fresh := Schedule(in)
 			assertIdentical(t, labelFor(seed, fi, "scratch"), recycled, fresh)
 		}
@@ -112,7 +120,7 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	sizes := []int{30, 2500, 100, 1200, 7, 2500, 600}
 	for round, n := range sizes {
 		in := generator.General(int64(300+round), n, 3+round%4, float64(n)/2+1, 18)
-		recycled := ScheduleScratch(in, sc)
+		recycled := scheduleScratch(in, sc)
 		if err := recycled.Verify(); err != nil {
 			t.Fatalf("round %d (n=%d): recycled schedule infeasible: %v", round, n, err)
 		}
@@ -131,7 +139,7 @@ func TestScratchReuseAcrossFamilies(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(50); seed < 54; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			recycled := ScheduleScratch(in, sc)
+			recycled := scheduleScratch(in, sc)
 			linear := ScheduleLinear(in)
 			assertIdentical(t, labelFor(seed, fi, "scratch-vs-linear"), recycled, linear)
 		}
@@ -155,7 +163,7 @@ func FuzzIndexedMatchesScan(f *testing.F) {
 		// arrives warm from a differently-shaped instance.
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
-		_ = ScheduleScratch(warm, sc)
-		assertIdentical(t, "fuzz-scratch", ScheduleScratch(in, sc), linear)
+		_ = scheduleScratch(warm, sc)
+		assertIdentical(t, "fuzz-scratch", scheduleScratch(in, sc), linear)
 	})
 }

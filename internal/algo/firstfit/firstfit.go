@@ -8,10 +8,11 @@
 // the algorithm's approximation ratio lies in [3, 4].
 //
 // Placement goes through the shared kernel (core.Placer): FirstFit is the
-// LowestFit primitive driven in the paper's length order, whose machine
-// selection index makes the scan sublinear. ScheduleLinear is an independent
-// reference without any of the kernel's structures, kept for ablation A6 and
-// the differential tests; both produce byte-identical schedules.
+// greedy row (length order, core.LowestFit), and the kernel's machine
+// selection index makes each LowestFit scan sublinear. ScheduleLinear is an
+// independent reference without any of the kernel's structures, kept for
+// ablation A6 and the differential tests; both produce byte-identical
+// schedules.
 package firstfit
 
 import (
@@ -20,76 +21,23 @@ import (
 )
 
 func init() {
-	algo.Register(algo.Algorithm{
+	algo.RegisterGreedy(algo.GreedyRow{
 		Name:        "firstfit",
 		Description: "FirstFit by non-increasing length (§2.1, 4-approximation), indexed machine selection",
-		Run:         Schedule,
-		RunScratch:  ScheduleScratch,
-		Decompose:   Decomposer(),
+		Order:       (*core.Instance).LengthOrder,
+		Rule:        core.LowestFit,
 	})
 }
 
-// Decomposer declares FirstFit safe for the component-decomposition layer:
-// LowestFit driven in the paper's length order, component by component,
-// merged under the identity machine mapping. The length order restricted to
-// a component is the component's length order, and a machine's jobs from
-// other (time-disjoint) components never change a probe's outcome, so the
-// merged run equals the sequential one exactly.
-func Decomposer() *algo.Decomposer {
-	return &algo.Decomposer{
-		Order:        func(in *core.Instance) []int32 { return in.LengthOrder() },
-		RunComponent: algo.ComponentLowestFit,
-		Stitch:       true,
-		Shard:        algo.ShardLowestFit,
-	}
-}
-
-// Schedule runs FirstFit on a copy of the instance and returns a complete
-// feasible schedule of the original instance (job order preserved).
+// Schedule runs FirstFit — LowestFit in the paper's non-increasing length
+// order, read from the instance's cached ordering — and returns a complete
+// feasible schedule of the instance (job order preserved).
 func Schedule(in *core.Instance) *core.Schedule {
-	s := core.NewSchedule(in)
-	assignAllByLength(in, s.Placer())
-	return s
+	return algo.RunGreedy(in, nil, in.LengthOrder(), core.LowestFit)
 }
 
-// ScheduleScratch is Schedule with all schedule state drawn from sc, so a
-// worker looping over a batch of instances reuses one set of allocations
-// (the machine-selection index included). The returned schedule is only
-// valid until sc's next use.
-func ScheduleScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	s := sc.NewSchedule(in)
-	assignAllByLength(in, s.Placer())
-	return s
-}
-
-// assignAllByLength feeds every job to the kernel in the paper's
-// non-increasing length order, read from the instance's cached ordering
-// (computed once per instance, like its time axis) so steady-state batch
-// traffic neither sorts nor allocates per run.
-func assignAllByLength(in *core.Instance, k core.Placer) {
-	for _, j := range in.LengthOrder() {
-		k.LowestFit(int(j))
-	}
-}
-
-// ScheduleOrder runs FirstFit scanning jobs by the given index order. The
-// paper's FirstFit uses non-increasing length; baselines reuse this routine
-// with other orders.
-func ScheduleOrder(in *core.Instance, order []int) *core.Schedule {
-	s := core.NewSchedule(in)
-	k := s.Placer()
-	for _, j := range order {
-		k.LowestFit(j)
-	}
-	return s
-}
-
-// ScheduleOrderScratch is ScheduleOrder drawing schedule state from sc.
-func ScheduleOrderScratch(in *core.Instance, order []int, sc *core.Scratch) *core.Schedule {
-	s := sc.NewSchedule(in)
-	k := s.Placer()
-	for _, j := range order {
-		k.LowestFit(j)
-	}
-	return s
+// ScheduleOrder runs the FirstFit rule scanning jobs in the given index
+// order (the adversarial Fig. 4 family fixes its own order).
+func ScheduleOrder(in *core.Instance, order []int32) *core.Schedule {
+	return algo.RunGreedy(in, nil, order, core.LowestFit)
 }

@@ -133,9 +133,9 @@ func TestQuickOrderPermutationStillFeasible(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%20) + 1
 		in := generator.General(seed, n, 3, 40, 10)
-		order := make([]int, n)
+		order := make([]int32, n)
 		for i := range order {
-			order[i] = n - 1 - i // arbitrary fixed permutation
+			order[i] = int32(n - 1 - i) // arbitrary fixed permutation
 		}
 		s := ScheduleOrder(in, order)
 		return s.Verify() == nil && s.Complete()

@@ -30,7 +30,7 @@ func init() {
 			return s
 		},
 		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			s, err := ImproveScratch(firstfit.ScheduleScratch(in, sc), Options{}, sc)
+			s, err := ImproveScratch(algo.RunGreedy(in, sc, in.LengthOrder(), core.LowestFit), Options{}, sc)
 			if err != nil {
 				panic(err)
 			}

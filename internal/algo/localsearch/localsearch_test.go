@@ -7,6 +7,7 @@ import (
 	"busytime/internal/algo/baselines"
 	"busytime/internal/algo/exact"
 	"busytime/internal/algo/firstfit"
+	"busytime/internal/algo/properfit"
 	"busytime/internal/core"
 	"busytime/internal/generator"
 	"busytime/internal/interval"
@@ -76,7 +77,7 @@ func TestReachesOptimumOnEasyCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		improved, err := Improve(baselines.NextFit(in), Options{})
+		improved, err := Improve(properfit.Schedule(in), Options{}) // NextFit in start order
 		if err != nil {
 			t.Fatal(err)
 		}

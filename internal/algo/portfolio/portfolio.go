@@ -69,7 +69,7 @@ func Schedule(in *core.Instance) (*core.Schedule, string, error) {
 	}
 	cands := []candidate{
 		{"firstfit", firstfit.Schedule(in)},
-		{"bestfit", baselines.BestFit(in)},
+		{"bestfit", algo.RunGreedy(in, nil, in.LengthOrder(), core.BestFit)},
 	}
 	unitDemands := true
 	for _, j := range in.Jobs {

@@ -6,8 +6,9 @@
 //
 // Theorem 3.1: on proper instances Greedy(J) ≤ OPT(J) + span(J) ≤ 2·OPT(J).
 //
-// The greedy is the placement kernel's NextFit primitive driven in the
-// instance's cached start order (core.Placer.NextFit).
+// The greedy is the registry's greedy row (start order, core.NextFit): the
+// placement kernel's NextFit cursor driven in the instance's cached start
+// order. The "nextfit" and "online-nextfit" rows are the same pair.
 package properfit
 
 import (
@@ -16,11 +17,11 @@ import (
 )
 
 func init() {
-	algo.Register(algo.Algorithm{
+	algo.RegisterGreedy(algo.GreedyRow{
 		Name:        "properfit",
 		Description: "NextFit by start time for proper instances (§3.1, 2-approximation)",
-		Run:         Schedule,
-		RunScratch:  ScheduleScratch,
+		Order:       (*core.Instance).StartOrder,
+		Rule:        core.NextFit,
 	})
 }
 
@@ -28,19 +29,5 @@ func init() {
 // Theorem 3.1 requires a proper instance (use core.Instance.IsProper to
 // check); the returned schedule is feasible for any instance.
 func Schedule(in *core.Instance) *core.Schedule {
-	return scheduleInto(in, core.NewSchedule(in))
-}
-
-// ScheduleScratch is Schedule drawing schedule state from sc. The returned
-// schedule is only valid until sc's next use.
-func ScheduleScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
-	return scheduleInto(in, sc.NewSchedule(in))
-}
-
-func scheduleInto(in *core.Instance, s *core.Schedule) *core.Schedule {
-	k := s.Placer()
-	for _, j := range in.StartOrder() {
-		k.NextFit(int(j))
-	}
-	return s
+	return algo.RunGreedy(in, nil, in.StartOrder(), core.NextFit)
 }

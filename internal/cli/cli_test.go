@@ -280,9 +280,11 @@ func TestOnlineBadFlags(t *testing.T) {
 		!strings.Contains(errOut, "out of [0, 1]") {
 		t.Errorf("bad release fraction: code=%d err=%q", code, errOut)
 	}
-	if code, _, errOut := run("online", "-window", "-1"); code != 1 ||
-		!strings.Contains(errOut, "WithWindow") {
-		t.Errorf("bad window: code=%d err=%q", code, errOut)
+	for _, window := range []string{"-1", "1125899906842624"} {
+		if code, _, errOut := run("online", "-window", window); code != 1 ||
+			!strings.Contains(errOut, "WithWindow") {
+			t.Errorf("-window %s: code=%d err=%q", window, code, errOut)
+		}
 	}
 	for _, live := range []string{"0", "-3"} {
 		if code, _, errOut := run("online", "-n", "100", "-live", live); code != 1 ||

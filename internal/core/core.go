@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 	"unsafe"
@@ -72,8 +71,9 @@ func NewInstance(g int, ivs ...interval.Interval) *Instance {
 	return &Instance{G: g, Jobs: jobs}
 }
 
-// Validate checks structural well-formedness: g ≥ 1, unique job IDs, and
-// demands in [1, g].
+// Validate checks structural well-formedness: g ≥ 1, unique job IDs,
+// demands in [1, g], and intervals interval.Check accepts (finite, not
+// reversed).
 func (in *Instance) Validate() error {
 	if in.G < 1 {
 		return fmt.Errorf("core: parallelism g = %d, want ≥ 1", in.G)
@@ -87,11 +87,8 @@ func (in *Instance) Validate() error {
 		if j.Demand < 1 || j.Demand > in.G {
 			return fmt.Errorf("core: job %d demand %d outside [1, %d]", j.ID, j.Demand, in.G)
 		}
-		if math.IsNaN(j.Iv.Start) || math.IsNaN(j.Iv.End) {
-			return fmt.Errorf("core: job %d has NaN endpoint in %v", j.ID, j.Iv)
-		}
-		if j.Iv.End < j.Iv.Start {
-			return fmt.Errorf("core: job %d has reversed interval %v", j.ID, j.Iv)
+		if err := interval.Check(j.Iv.Start, j.Iv.End); err != nil {
+			return fmt.Errorf("core: job %d: %w: [%v, %v]", j.ID, err, j.Iv.Start, j.Iv.End)
 		}
 	}
 	return nil

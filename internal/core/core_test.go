@@ -35,6 +35,7 @@ func TestValidateErrors(t *testing.T) {
 		{"dup id", &Instance{G: 1, Jobs: []Job{{ID: 1, Iv: iv(0, 1), Demand: 1}, {ID: 1, Iv: iv(2, 3), Demand: 1}}}},
 		{"zero demand", &Instance{G: 2, Jobs: []Job{{ID: 0, Iv: iv(0, 1)}}}},
 		{"demand above g", &Instance{G: 2, Jobs: []Job{{ID: 0, Iv: iv(0, 1), Demand: 3}}}},
+		{"infinite end", &Instance{G: 1, Jobs: []Job{{ID: 0, Iv: interval.Interval{Start: 0, End: math.Inf(1)}, Demand: 1}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

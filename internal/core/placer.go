@@ -11,7 +11,8 @@ import (
 // the library composes. The kernel owns the fast substrate — the machine
 // selection index, the saturation bitmap, the time-sharded capacity oracle
 // and the recyclable arena — so an algorithm is
-// just a policy choosing which primitive to call for each job:
+// just a policy choosing which primitive to call for each job (the greedy
+// ones are named by Rule and applied with Apply):
 //
 //   - LowestFit: the FirstFit rule — lowest-indexed machine that fits, a
 //     fresh machine when none does (index-accelerated, see FirstFitAssign);
@@ -70,6 +71,33 @@ func (p Placer) OpenMachine() int { return p.s.OpenMachine() }
 // SpanDelta returns the busy-time increase machine m would incur from
 // hosting iv, without modifying the schedule.
 func (p Placer) SpanDelta(m int, iv interval.Interval) float64 { return p.s.SpanDelta(m, iv) }
+
+// Rule names one of the kernel's greedy placement rules. Every greedy
+// algorithm of the library is one Rule driven in one job order: FirstFit
+// (§2.1) is LowestFit in length order, the §3.1 proper greedy is NextFit in
+// start order, and the online model runs a rule in arrival order.
+type Rule int
+
+const (
+	// LowestFit is the FirstFit rule (Placer.LowestFit).
+	LowestFit Rule = iota
+	// BestFit is the least-busy-time-growth argmin (Placer.BestFit).
+	BestFit
+	// NextFit is the single-open-machine cursor (Placer.NextFit).
+	NextFit
+)
+
+// Apply places job index j by rule r and returns the machine.
+func (p Placer) Apply(r Rule, j int) int {
+	switch r {
+	case BestFit:
+		return p.BestFit(j)
+	case NextFit:
+		return p.NextFit(j)
+	default:
+		return p.LowestFit(j)
+	}
+}
 
 // LowestFit places job index j by the FirstFit rule — the lowest-indexed
 // machine that can process it, a fresh machine when none can — and returns

@@ -9,12 +9,18 @@ import (
 	"busytime/internal/algo"
 	_ "busytime/internal/algo/baselines"
 	"busytime/internal/algo/exact"
-	"busytime/internal/algo/firstfit"
+	_ "busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/generator"
 	"busytime/internal/interval"
 	_ "busytime/internal/online"
 )
+
+// firstFitDecomposer returns a fresh copy of FirstFit's decomposition
+// contract (LowestFit in length order), which tests may modify.
+func firstFitDecomposer() *algo.Decomposer {
+	return algo.GreedyDecomposer((*core.Instance).LengthOrder, core.LowestFit)
+}
 
 // newPool builds a scratch pool with the given number of spare arenas.
 func newPool(spares int) chan *core.Scratch {
@@ -206,7 +212,7 @@ func TestStackedMergeMatchesExact(t *testing.T) {
 // caller that can always fall back to the sequential path.
 func TestRunDeclines(t *testing.T) {
 	r := NewRunner()
-	d := firstfit.Decomposer()
+	d := firstFitDecomposer()
 	ctx := context.Background()
 	multi := generator.Clustered(1, 4, 10, 2, 8, 3)
 
@@ -239,7 +245,7 @@ func TestRunPoolRestored(t *testing.T) {
 	r := NewRunner()
 	in := generator.Clustered(3, 5, 12, 3, 9, 4)
 	for i := 0; i < 4; i++ {
-		if _, _, err := r.Run(context.Background(), in, firstfit.Decomposer(), new(core.Scratch), pool, 4); err != nil {
+		if _, _, err := r.Run(context.Background(), in, firstFitDecomposer(), new(core.Scratch), pool, 4); err != nil {
 			t.Fatal(err)
 		}
 		if len(pool) != 3 {

@@ -94,7 +94,7 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 // to Run.
 func TestShardedOffIsUnsharded(t *testing.T) {
 	in := denseInstance(1)
-	d := firstfit.Decomposer()
+	d := firstFitDecomposer()
 	r := NewRunner()
 	pool := newPool(3)
 	for _, shards := range []int{0, 1} {
@@ -117,7 +117,7 @@ func TestShardedOffIsUnsharded(t *testing.T) {
 func TestShardedDeclines(t *testing.T) {
 	ctx := context.Background()
 	r := NewRunner()
-	ff := firstfit.Decomposer()
+	ff := firstFitDecomposer()
 
 	// Too few jobs: n/minShardJobs < 2 caps the shard count below 2.
 	tiny := &core.Instance{Name: "tiny-chain", G: 2}
@@ -174,7 +174,7 @@ func TestShardedPoolRestored(t *testing.T) {
 	ctx := context.Background()
 	in := denseInstance(3)
 	for i := 0; i < 3; i++ {
-		s, st, err := r.Solve(ctx, in, firstfit.Decomposer(), new(core.Scratch), pool, 1, 4)
+		s, st, err := r.Solve(ctx, in, firstFitDecomposer(), new(core.Scratch), pool, 1, 4)
 		if err != nil || s == nil || st.Shards < 2 {
 			t.Fatalf("round %d: sharded run failed: schedule=%v err=%v shards=%d", i, s, err, st.Shards)
 		}
@@ -231,7 +231,7 @@ func TestStitchMatchesPutReplay(t *testing.T) {
 	r := NewRunner()
 	for seed := int64(0); seed < 4; seed++ {
 		in := generator.Clustered(seed, 6, 20, 3, 10, 4)
-		stitch := firstfit.Decomposer()
+		stitch := firstFitDecomposer()
 		replay := *stitch
 		replay.Stitch = false
 		sc := new(core.Scratch)
@@ -301,7 +301,7 @@ func FuzzShardedSolve(f *testing.F) {
 				Demand: 1,
 			})
 		}
-		d := firstfit.Decomposer()
+		d := firstFitDecomposer()
 		r := NewRunner()
 		pool := newPool(3)
 		seq := firstfit.Schedule(in)

@@ -104,20 +104,7 @@ func A4Online(cfg Config) (*Result, error) {
 			polName := polName
 			sample, err := ratioStats(cfg.Trials, func(t int) (float64, float64, error) {
 				in := w.gen(t)
-				var pol online.Policy
-				switch polName {
-				case "online-firstfit":
-					pol = online.FirstFit{}
-				case "online-bestfit":
-					pol = online.BestFit{}
-				default:
-					pol = &online.NextFit{}
-				}
-				s, err := online.Run(in, pol)
-				if err != nil {
-					return 0, 0, err
-				}
-				return s.Cost(), core.BestBound(in), nil
+				return registered(polName)(in).Cost(), core.BestBound(in), nil
 			})
 			if err != nil {
 				return nil, err
@@ -131,7 +118,7 @@ func A4Online(cfg Config) (*Result, error) {
 			k := k
 			sample, err := ratioStats(cfg.Trials, func(t int) (float64, float64, error) {
 				in := w.gen(t)
-				s, err := online.RunLookahead(in, k, online.FirstFit{})
+				s, err := online.RunLookahead(in, k, core.LowestFit)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -163,7 +150,7 @@ func A1Ordering(cfg Config) (*Result, error) {
 		}
 		variants := []variant{
 			{"length (paper)", firstfit.Schedule},
-			{"start time", baselines.FirstFitByStart},
+			{"start time", registered("firstfit-start")},
 			{"random", func(in *core.Instance) *core.Schedule { return baselines.RandomFit(in, 99) }},
 		}
 		for _, v := range variants {
@@ -233,7 +220,7 @@ func A3LocalSearch(cfg Config) (*Result, error) {
 		}
 		for _, v := range []variant{
 			{"firstfit", firstfit.Schedule},
-			{"nextfit", baselines.NextFit},
+			{"nextfit", registered("nextfit")},
 		} {
 			var base, improved, gain stats.Sample
 			for t := 0; t < cfg.Trials; t++ {

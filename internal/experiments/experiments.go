@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 
+	"busytime/internal/algo"
 	"busytime/internal/algo/baselines"
 	"busytime/internal/algo/boundedlength"
 	"busytime/internal/algo/cliquealgo"
@@ -29,6 +30,16 @@ import (
 	"busytime/internal/parallel"
 	"busytime/internal/stats"
 )
+
+// registered returns the entry point of a registered algorithm; the
+// experiments name only rows their imports register.
+func registered(name string) algo.Func {
+	a, ok := algo.Lookup(name)
+	if !ok {
+		panic("experiments: " + name + " not registered")
+	}
+	return a.Run
+}
 
 // Config scales the experiments.
 type Config struct {
@@ -390,7 +401,7 @@ func E7Optical(cfg Config) (*Result, error) {
 		}{
 			{"firstfit", firstfit.Schedule},
 			{"machine-min", baselines.MachineMin},
-			{"nextfit", baselines.NextFit},
+			{"nextfit", registered("nextfit")},
 		}
 		for _, a := range algs {
 			s := a.run(in)

@@ -269,7 +269,7 @@ func LightpathWave(seed int64, waves, perWave, g int, period, spread, meanLen fl
 // middles g-per-machine on g−1 machines: OPT = g+1. The adversarial order
 // interleaves left_i, its g−1 middles, right_i, driving FirstFit to
 // g·(3−2ε′); the ratio approaches 3 as g→∞ and ε′→0.
-func Fig4(g int, epsPrime float64) (*core.Instance, []int) {
+func Fig4(g int, epsPrime float64) (*core.Instance, []int32) {
 	if g < 2 {
 		panic("generator: Fig4 requires g ≥ 2")
 	}
@@ -280,15 +280,15 @@ func Fig4(g int, epsPrime float64) (*core.Instance, []int) {
 	mid := interval.New(1-epsPrime, 2-epsPrime)
 	right := interval.New(2-2*epsPrime, 3-2*epsPrime)
 	var ivs []interval.Interval
-	var order []int
+	var order []int32
 	for i := 0; i < g; i++ {
-		order = append(order, len(ivs))
+		order = append(order, int32(len(ivs)))
 		ivs = append(ivs, left)
 		for k := 0; k < g-1; k++ {
-			order = append(order, len(ivs))
+			order = append(order, int32(len(ivs)))
 			ivs = append(ivs, mid)
 		}
-		order = append(order, len(ivs))
+		order = append(order, int32(len(ivs)))
 		ivs = append(ivs, right)
 	}
 	in := core.NewInstance(g, ivs...)
@@ -305,7 +305,7 @@ func Fig4(g int, epsPrime float64) (*core.Instance, []int) {
 //
 // delta must satisfy 0 < g·(g−1)·delta < epsPrime so shifts never change the
 // overlap pattern.
-func Fig4Proper(g int, epsPrime, delta float64) (*core.Instance, []int) {
+func Fig4Proper(g int, epsPrime, delta float64) (*core.Instance, []int32) {
 	if g < 2 {
 		panic("generator: Fig4Proper requires g ≥ 2")
 	}
@@ -316,18 +316,18 @@ func Fig4Proper(g int, epsPrime, delta float64) (*core.Instance, []int) {
 	left := interval.New(0, 1)
 	right := interval.New(2-2*epsPrime, 3-2*epsPrime)
 	var ivs []interval.Interval
-	var order []int
+	var order []int32
 	shift := 0
 	for i := 0; i < g; i++ {
-		order = append(order, len(ivs))
+		order = append(order, int32(len(ivs)))
 		ivs = append(ivs, left)
 		for k := 0; k < g-1; k++ {
 			d := float64(shift) * delta
 			shift++
-			order = append(order, len(ivs))
+			order = append(order, int32(len(ivs)))
 			ivs = append(ivs, interval.New(1-epsPrime+d, 2-epsPrime+d))
 		}
-		order = append(order, len(ivs))
+		order = append(order, int32(len(ivs)))
 		ivs = append(ivs, right)
 	}
 	in := core.NewInstance(g, ivs...)

@@ -111,7 +111,7 @@ func TestFig4Structure(t *testing.T) {
 	if len(order) != in.N() {
 		t.Fatalf("order covers %d of %d jobs", len(order), in.N())
 	}
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for _, j := range order {
 		if seen[j] {
 			t.Fatal("order repeats a job")

@@ -9,14 +9,15 @@
 package interval
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 )
 
 // cmpFloat is the three-way comparator of finite float64 coordinates used by
-// the slices.SortFunc orders in this package. NaN never reaches a sort (New
-// and the generators reject it), so the IEEE comparison is a total order.
+// the slices.SortFunc orders in this package. NaN never reaches a sort (Check
+// rejects it), so the IEEE comparison is a total order.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
@@ -35,14 +36,35 @@ type Interval struct {
 	End   float64
 }
 
-// New returns the closed interval [start, end]. It panics if end < start or
-// either endpoint is NaN; callers construct intervals from validated data.
-func New(start, end float64) Interval {
-	if math.IsNaN(start) || math.IsNaN(end) {
-		panic("interval: NaN endpoint")
+// Errors of Check. They are sentinels, so a check never allocates; callers
+// wrap them with context and match them with errors.Is.
+var (
+	// ErrNotFinite rejects a NaN or infinite endpoint: no schedule can hold
+	// one, and an infinite span turns every busy-time sum into Inf or NaN.
+	ErrNotFinite = errors.New("interval: endpoint not finite")
+	// ErrReversed rejects an end before the start.
+	ErrReversed = errors.New("interval: end before start")
+)
+
+// Check reports whether [start, end] is an interval a schedule can hold:
+// both endpoints finite and start ≤ end. It is the library's one endpoint
+// check; every constructor and decoder of intervals from outside data
+// calls it.
+func Check(start, end float64) error {
+	if math.IsNaN(start) || math.IsNaN(end) || math.IsInf(start, 0) || math.IsInf(end, 0) {
+		return ErrNotFinite
 	}
 	if end < start {
-		panic(fmt.Sprintf("interval: end %v < start %v", end, start))
+		return ErrReversed
+	}
+	return nil
+}
+
+// New returns the closed interval [start, end]. It panics when Check
+// rejects the endpoints; callers construct intervals from validated data.
+func New(start, end float64) Interval {
+	if err := Check(start, end); err != nil {
+		panic(fmt.Sprintf("%v: [%v, %v]", err, start, end))
 	}
 	return Interval{Start: start, End: end}
 }

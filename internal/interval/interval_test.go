@@ -15,6 +15,8 @@ func TestNewPanics(t *testing.T) {
 		{"reversed", 2, 1},
 		{"nan start", math.NaN(), 1},
 		{"nan end", 0, math.NaN()},
+		{"infinite end", 0, math.Inf(1)},
+		{"infinite start", math.Inf(-1), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

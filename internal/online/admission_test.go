@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"busytime/internal/core"
+	"busytime/internal/interval"
 )
 
 func newTestPool(t *testing.T, shards int, scratch bool) *Pool {
@@ -16,7 +17,7 @@ func newTestPool(t *testing.T, shards int, scratch bool) *Pool {
 	if scratch {
 		arenas = core.NewScratchPool(2)
 	}
-	pool, err := NewPool(4, FirstFit{}, shards, 0, arenas)
+	pool, err := NewPool(4, core.LowestFit, shards, 0, arenas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +52,49 @@ func TestPoolLiveLimit(t *testing.T) {
 	}
 	if _, _, err := p.Place("a", iv(3, 10), 1); err != nil {
 		t.Fatalf("post-release Place: %v", err)
+	}
+}
+
+// TestPoolRejectedPlaceKeepsClock pins the rejection contract on the
+// admission path: a request the session rejects (here demand 0, far in the
+// future) must not advance an admission-limited tenant's clock or retire
+// its live jobs, on either entry point, so the tenant's next valid arrival
+// is still accepted.
+func TestPoolRejectedPlaceKeepsClock(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		name := "Place"
+		if batched {
+			name = "PlaceBatch"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := newTestPool(t, 1, false)
+			if err := p.SetAdmission(Admission{MaxLive: 100}); err != nil {
+				t.Fatal(err)
+			}
+			place := func(at interval.Interval, demand int) error {
+				if !batched {
+					_, _, err := p.Place("a", at, demand)
+					return err
+				}
+				out := make([]PlaceResult, 1)
+				if err := p.PlaceBatch("a", []PlaceRequest{{Iv: at, Demand: demand}}, out); err != nil {
+					return err
+				}
+				return out[0].Err
+			}
+			if err := place(iv(0, 10), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := place(iv(1e18, 1e18), 0); err == nil {
+				t.Fatal("demand 0 accepted")
+			}
+			if st, _ := p.Stats("a"); st.Live != 1 || st.Expired != 0 {
+				t.Fatalf("rejected request changed the session: live %d, expired %d", st.Live, st.Expired)
+			}
+			if err := place(iv(1, 2), 1); err != nil {
+				t.Fatalf("valid arrival after a rejected one: %v", err)
+			}
+		})
 	}
 }
 

@@ -4,18 +4,20 @@
 // the paper needs the full job list up front (it sorts by length); online
 // algorithms cannot, which is exactly the gap the §2.1 length sort closes.
 //
-// The package provides an event-driven runner and three online policies —
-// FirstFit, BestFit and NextFit by arrival — plus a harness hook measuring
-// empirical competitive ratios against the offline optimum / lower bound.
+// The package has two halves that share one vocabulary, the kernel's
+// core.Rule (LowestFit, BestFit, NextFit):
 //
-// Policies place arrivals through the shared placement kernel: Place
-// receives a core.Placer view instead of a raw schedule, so every policy
-// rides the machine-selection index, the saturation bitmap and the arena,
-// and competitive-ratio replays through a recycled core.Scratch are
-// allocation-free once warm (RunScratch). The policies are also registered
-// with the algorithm registry ("online-firstfit", "online-bestfit",
-// "online-nextfit"), so the Solver's batch fan-out and the CLI drive online
-// replays exactly like offline algorithms.
+//   - Replay. The registered rows "online-firstfit", "online-bestfit" and
+//     "online-nextfit" are greedy rows of the algorithm registry: a rule
+//     driven in arrival order by the shared driver algo.RunGreedy, so the
+//     Solver's batch fan-out, the decomposition layer and the CLI run
+//     online replays exactly like offline algorithms. RunLookahead is the
+//     semi-online variant over the same driver.
+//   - Sessions. Session and Pool are the genuinely incremental handles: fed
+//     one arrival at a time with no instance up front, they place by the
+//     same rules over their own rolling-horizon machines. The differential
+//     suites pin a Session fed in arrival order byte-identical to the
+//     replay row of its rule.
 package online
 
 import (
@@ -25,219 +27,96 @@ import (
 	"busytime/internal/core"
 )
 
-func init() {
-	for _, pol := range Policies() {
-		pol := pol
-		algo.Register(algo.Algorithm{
-			Name:        pol.Name(),
-			Description: "online " + pol.Name()[len("online-"):] + " by arrival order (jobs revealed at start times)",
-			Run: func(in *core.Instance) *core.Schedule {
-				s, err := Run(in, pol)
-				if err != nil {
-					panic(err)
-				}
-				return s
-			},
-			RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-				s, err := RunScratch(in, sc, pol)
-				if err != nil {
-					panic(err)
-				}
-				return s
-			},
-			Decompose: decomposer(pol),
-		})
-	}
+// rows are the online replay rows: each rule in arrival order (start, end,
+// ID), the order in which the online model reveals jobs.
+var rows = []algo.GreedyRow{
+	{
+		Name:        "online-firstfit",
+		Description: "online firstfit by arrival order (jobs revealed at start times)",
+		Order:       (*core.Instance).StartOrder,
+		Rule:        core.LowestFit,
+	},
+	{
+		Name:        "online-bestfit",
+		Description: "online bestfit by arrival order (jobs revealed at start times)",
+		Order:       (*core.Instance).StartOrder,
+		Rule:        core.BestFit,
+	},
+	{
+		Name:        "online-nextfit",
+		Description: "online nextfit by arrival order (jobs revealed at start times)",
+		Order:       (*core.Instance).StartOrder,
+		Rule:        core.NextFit,
+	},
 }
 
-// decomposer maps a policy to its decomposition contract: the arrival-order
-// replays of the memoryless FirstFit and BestFit rules decompose under the
-// identity merge (arrival order restricted to a component is the component's
-// arrival order, and time-disjoint components never change a placement).
-// NextFit's cursor survives component boundaries, so it does not decompose.
-// Lookahead replays (k > 1) carry a dynamic buffer and never route through
-// the registry's Decompose; the Solver gates them off explicitly.
-func decomposer(p Policy) *algo.Decomposer {
-	startOrder := func(in *core.Instance) []int32 { return in.StartOrder() }
-	switch p.(type) {
-	case FirstFit:
-		return &algo.Decomposer{
-			Order: startOrder, RunComponent: algo.ComponentLowestFit,
-			Stitch: true, Shard: algo.ShardLowestFit,
-		}
-	case BestFit:
-		return &algo.Decomposer{
-			Order: startOrder, RunComponent: algo.ComponentBestFit,
-			Stitch: true, Shard: algo.ShardBestFit,
-		}
-	default:
-		return nil
-	}
-}
+func init() { algo.RegisterGreedy(rows...) }
 
-// Policy decides the machine for each arriving job. Place receives the
-// placement-kernel view of the schedule under construction and the arriving
-// job index; it must place the job through the kernel (LowestFit, BestFit,
-// NextFit, or CanPlace/Place/PlaceNew for bespoke rules) and return the
-// machine it chose. The built-in policies are stateless values: per-arrival
-// state such as the NextFit cursor lives in the kernel.
-type Policy interface {
-	Name() string
-	Place(k core.Placer, j int) int
-}
-
-// Run replays the instance in arrival order (start, end, ID) through the
-// policy and returns the resulting schedule. The returned schedule is
-// verified feasible; policy misuse — placing nothing, double-placing, or
-// overloading a machine — is reported as a wrapped error, never a panic.
-func Run(in *core.Instance, p Policy) (*core.Schedule, error) {
-	s := core.NewSchedule(in)
-	if err := replay(in, s, p); err != nil {
-		return nil, err
-	}
-	if err := s.Verify(); err != nil {
-		return nil, fmt.Errorf("online: %s produced infeasible schedule: %w", p.Name(), err)
-	}
-	return s, nil
-}
-
-// RunScratch is Run with all schedule state drawn from sc, so
-// competitive-ratio sweeps replaying many instances recycle one arena and
-// stop allocating once warm. It skips the final feasibility re-verification
-// (the kernel's checked primitives only make feasible placements; batch
-// callers re-verify via the Solver's WithVerify option); misuse detection is
-// identical to Run. The returned schedule is only valid until sc's next use.
-func RunScratch(in *core.Instance, sc *core.Scratch, p Policy) (*core.Schedule, error) {
-	s := sc.NewSchedule(in)
-	if err := replay(in, s, p); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// replay feeds the arrivals to the policy and validates each decision.
-func replay(in *core.Instance, s *core.Schedule, p Policy) error {
-	k := s.Placer()
-	for _, j := range in.StartOrder() {
-		if err := placeOne(k, s, p, int(j)); err != nil {
-			return err
+// RuleByName returns the placement rule of a registered online row
+// ("online-firstfit", "online-bestfit" or "online-nextfit"). Only the full
+// registered names match.
+func RuleByName(name string) (core.Rule, bool) {
+	for _, r := range rows {
+		if r.Name == name {
+			return r.Rule, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
-// placeOne invokes the policy for one arrival and validates its decision. A
-// panic raised during the placement (a policy driving the raw kernel out of
-// range, double-placing, …) is converted to a wrapped error so one bad
-// policy cannot take down a sweep; the recover is scoped to the single
-// Place call, so the error pinpoints the offending job and a panic anywhere
-// outside a placement still surfaces with its stack intact.
-func placeOne(k core.Placer, s *core.Schedule, p Policy, j int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("online: policy %s panicked placing job %d: %v", p.Name(), j, r)
-		}
-	}()
-	m := p.Place(k, j)
-	if got := s.MachineOf(j); got == core.Unassigned || got != m {
-		return fmt.Errorf("online: policy %s returned machine %d for job %d but placed it on %d",
-			p.Name(), m, j, got)
-	}
-	return nil
-}
-
-// FirstFit places each arrival on the lowest-indexed feasible machine
-// (the kernel's index-accelerated LowestFit).
-type FirstFit struct{}
-
-// Name implements Policy.
-func (FirstFit) Name() string { return "online-firstfit" }
-
-// Place implements Policy.
-func (FirstFit) Place(k core.Placer, j int) int { return k.LowestFit(j) }
-
-// BestFit places each arrival on the feasible machine whose busy time grows
-// the least (ties to the lowest index), via the kernel's pruned argmin.
-type BestFit struct{}
-
-// Name implements Policy.
-func (BestFit) Name() string { return "online-bestfit" }
-
-// Place implements Policy.
-func (BestFit) Place(k core.Placer, j int) int { return k.BestFit(j) }
-
-// NextFit keeps one open machine and abandons it permanently on overflow
-// (the kernel cursor).
-type NextFit struct{}
-
-// Name implements Policy.
-func (NextFit) Name() string { return "online-nextfit" }
-
-// Place implements Policy.
-func (NextFit) Place(k core.Placer, j int) int { return k.NextFit(j) }
-
-// Policies returns every built-in policy. The built-ins are stateless, so
-// the same values can drive any number of runs.
-func Policies() []Policy {
-	return []Policy{FirstFit{}, BestFit{}, NextFit{}}
-}
-
-// PolicyByName returns the built-in policy with the given registered name
-// ("online-firstfit", …); the bare rule name without the "online-" prefix
-// is also accepted. It is the single name→policy mapping, so callers
-// cannot drift from Policies().
-func PolicyByName(name string) (Policy, bool) {
-	for _, p := range Policies() {
-		if p.Name() == name || p.Name() == "online-"+name {
-			return p, true
+// ruleName returns the registered name of the online row placing by rule,
+// or "" for a value that is not one of the kernel's rules.
+func ruleName(rule core.Rule) string {
+	for _, r := range rows {
+		if r.Rule == rule {
+			return r.Name
 		}
 	}
-	return nil, false
+	return ""
 }
 
 // RunLookahead is the semi-online variant: the scheduler sees a buffer of
 // the next k future arrivals and repeatedly extracts the longest buffered
 // job (ties by start, end, ID — FirstFit's offline order) before placing it
-// with the policy. k = 1 degenerates to arrival order; k ≥ n recovers the
-// offline processing order exactly, so with the FirstFit policy it equals
-// the paper's offline FirstFit.
-func RunLookahead(in *core.Instance, k int, p Policy) (*core.Schedule, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("online: lookahead %d, want ≥ 1", k)
-	}
-	arrivals := in.StartOrder()
-	s := core.NewSchedule(in)
-	if err := lookaheadReplay(in, s, arrivals, k, p); err != nil {
+// by rule. k = 1 degenerates to arrival order; k ≥ n recovers the offline
+// processing order exactly, so with core.LowestFit it equals the paper's
+// offline FirstFit. The returned schedule is verified feasible.
+func RunLookahead(in *core.Instance, k int, rule core.Rule) (*core.Schedule, error) {
+	s, err := RunLookaheadScratch(in, nil, k, rule)
+	if err != nil {
 		return nil, err
 	}
 	if err := s.Verify(); err != nil {
-		return nil, fmt.Errorf("online: lookahead %s infeasible: %w", p.Name(), err)
+		return nil, fmt.Errorf("online: lookahead %s infeasible: %w", ruleName(rule), err)
 	}
 	return s, nil
 }
 
-// RunLookaheadScratch is RunLookahead with schedule state drawn from sc, the
-// warm path of Solver-driven semi-online replays. Like RunScratch it skips
-// the final re-verification (the kernel only makes feasible placements); the
-// returned schedule is only valid until sc's next use.
-func RunLookaheadScratch(in *core.Instance, sc *core.Scratch, k int, p Policy) (*core.Schedule, error) {
+// RunLookaheadScratch is RunLookahead with schedule state drawn from sc
+// (fresh memory when sc is nil), the warm path of Solver-driven semi-online
+// replays. It skips the final re-verification (the kernel only makes
+// feasible placements); the returned schedule is only valid until sc's next
+// use.
+func RunLookaheadScratch(in *core.Instance, sc *core.Scratch, k int, rule core.Rule) (*core.Schedule, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("online: lookahead %d, want ≥ 1", k)
 	}
-	s := sc.NewSchedule(in)
-	if err := lookaheadReplay(in, s, in.StartOrder(), k, p); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return algo.RunGreedy(in, sc, lookaheadOrder(in, k), rule), nil
 }
 
-func lookaheadReplay(in *core.Instance, s *core.Schedule, arrivals []int32, k int, p Policy) error {
-	view := s.Placer()
-	buffer := make([]int, 0, k)
+// lookaheadOrder returns the order in which a k-arrival buffer releases the
+// jobs. Which job leaves the buffer depends only on the jobs, never on where
+// earlier ones were placed, so the order is computed up front and the
+// placements run through the shared greedy driver. The buffer holds at most
+// min(k, n) jobs.
+func lookaheadOrder(in *core.Instance, k int) []int32 {
+	arrivals := in.StartOrder()
+	order := make([]int32, 0, len(arrivals))
+	buffer := make([]int32, 0, min(k, len(arrivals)))
 	next := 0
 	fill := func() {
 		for len(buffer) < k && next < len(arrivals) {
-			buffer = append(buffer, int(arrivals[next]))
+			buffer = append(buffer, arrivals[next])
 			next++
 		}
 	}
@@ -266,11 +145,8 @@ func lookaheadReplay(in *core.Instance, s *core.Schedule, arrivals []int32, k in
 	}
 	for fill(); len(buffer) > 0; fill() {
 		i := longest()
-		j := buffer[i]
+		order = append(order, buffer[i])
 		buffer = append(buffer[:i], buffer[i+1:]...)
-		if err := placeOne(view, s, p, j); err != nil {
-			return err
-		}
 	}
-	return nil
+	return order
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"busytime/internal/algo"
 	"busytime/internal/algo/exact"
 	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
@@ -13,17 +14,23 @@ import (
 
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
+// replay returns the registered online replay row of the given name.
+func replay(name string) algo.Algorithm {
+	a, ok := algo.Lookup(name)
+	if !ok {
+		panic(name + " not registered")
+	}
+	return a
+}
+
 func TestPoliciesFeasibleOnRandom(t *testing.T) {
-	for _, p := range Policies() {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
+	for _, r := range rows {
+		run := replay(r.Name).Run
+		t.Run(r.Name, func(t *testing.T) {
 			f := func(seed int64, nn, gg uint8) bool {
 				in := generator.General(seed, int(nn%30)+1, int(gg%4)+1, 40, 12)
-				s, err := Run(in, p)
-				if err != nil {
-					return false
-				}
-				return s.Complete() && s.Cost() >= core.BestBound(in)-1e-9
+				s := run(in)
+				return s.Verify() == nil && s.Complete() && s.Cost() >= core.BestBound(in)-1e-9
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 				t.Error(err)
@@ -35,10 +42,7 @@ func TestPoliciesFeasibleOnRandom(t *testing.T) {
 func TestOnlineFirstFitKnownPlacement(t *testing.T) {
 	// Arrivals: [0,2], [1,3], [1.5,4] with g=2. Third job overflows M0.
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(1.5, 4))
-	s, err := Run(in, FirstFit{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replay("online-firstfit").Run(in)
 	if s.MachineOf(0) != 0 || s.MachineOf(1) != 0 || s.MachineOf(2) != 1 {
 		t.Errorf("placements: %d %d %d", s.MachineOf(0), s.MachineOf(1), s.MachineOf(2))
 	}
@@ -50,18 +54,12 @@ func TestOnlineBestFitPrefersCheapMachine(t *testing.T) {
 	// growth 3 (disjoint), M1 is feasible at growth 1 ([3,7]∪[5,8]=[3,8]).
 	// BestFit must choose M1; FirstFit would have chosen M0.
 	in := core.NewInstance(2, iv(0, 4), iv(0, 4), iv(3, 7), iv(5, 8))
-	s, err := Run(in, BestFit{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replay("online-bestfit").Run(in)
 	if s.MachineOf(3) != s.MachineOf(2) {
 		t.Errorf("BestFit placed [5,8] on machine %d, want machine of [3,7] (%d)",
 			s.MachineOf(3), s.MachineOf(2))
 	}
-	ff, err := Run(in, FirstFit{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ff := replay("online-firstfit").Run(in)
 	if ff.MachineOf(3) != ff.MachineOf(0) {
 		t.Errorf("FirstFit placed [5,8] on machine %d, want machine of [0,4] (%d)",
 			ff.MachineOf(3), ff.MachineOf(0))
@@ -75,10 +73,7 @@ func TestOnlineNextFitAbandons(t *testing.T) {
 	// g=1: [0,4] opens M0; [1,2] conflicts → M1; [5,6] fits M1 (current),
 	// never returns to M0 even though it also fits.
 	in := core.NewInstance(1, iv(0, 4), iv(1, 2), iv(5, 6))
-	s, err := Run(in, NextFit{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := replay("online-nextfit").Run(in)
 	if s.MachineOf(2) != s.MachineOf(1) {
 		t.Errorf("NextFit revisited an abandoned machine")
 	}
@@ -93,95 +88,37 @@ func TestOnlineVsOfflineGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range Policies() {
-			s, err := Run(in, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, r := range rows {
+			s := replay(r.Name).Run(in)
 			if s.Cost() < opt-1e-9 {
-				t.Fatalf("%s beat OPT", pol.Name())
+				t.Fatalf("%s beat OPT", r.Name)
 			}
 			if s.Cost() > 5*opt {
-				t.Errorf("seed %d: %s ratio %v implausibly high", seed, pol.Name(), s.Cost()/opt)
+				t.Errorf("seed %d: %s ratio %v implausibly high", seed, r.Name, s.Cost()/opt)
 			}
 		}
 	}
 }
 
-// TestRunWrapsPolicyMisuse pins the misuse contract: a policy that lies
-// about its placement, places nothing, or trips a kernel panic yields a
-// wrapped error, never a panic.
-func TestRunWrapsPolicyMisuse(t *testing.T) {
-	in := core.NewInstance(2, iv(0, 1), iv(0.5, 2))
-	// Places correctly but reports the wrong machine.
-	liar := policyFunc{name: "liar", f: func(k core.Placer, j int) int {
-		k.LowestFit(j)
-		return 99
-	}}
-	if _, err := Run(in, liar); err == nil {
-		t.Error("mis-reported placement accepted")
-	}
-	// Never places at all.
-	idle := policyFunc{name: "idle", f: func(k core.Placer, j int) int { return 0 }}
-	if _, err := Run(in, idle); err == nil {
-		t.Error("unplaced job accepted")
-	}
-	// Places the same job twice: the kernel panics, the runner must wrap it.
-	double := policyFunc{name: "double", f: func(k core.Placer, j int) int {
-		m := k.PlaceNew(j)
-		k.Place(j, m)
-		return m
-	}}
-	if _, err := Run(in, double); err == nil {
-		t.Error("double placement accepted")
-	}
-	// Out-of-range raw placement panics inside the kernel; wrapped too.
-	wild := policyFunc{name: "wild", f: func(k core.Placer, j int) int {
-		k.Place(j, 42)
-		return 42
-	}}
-	if _, err := Run(in, wild); err == nil {
-		t.Error("out-of-range machine accepted")
-	}
-	// RunScratch wraps identically.
-	sc := new(core.Scratch)
-	if _, err := RunScratch(in, sc, double); err == nil {
-		t.Error("RunScratch did not wrap double placement")
-	}
-}
-
-type policyFunc struct {
-	name string
-	f    func(core.Placer, int) int
-}
-
-func (p policyFunc) Name() string                   { return p.name }
-func (p policyFunc) Place(k core.Placer, j int) int { return p.f(k, j) }
-
 // TestRunScratchMatchesRun is the online leg of the differential contract:
 // replaying through a recycled scratch must reproduce fresh runs byte for
-// byte, for every built-in policy, across instance shapes.
+// byte, for every online row, across instance shapes.
 func TestRunScratchMatchesRun(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(0); seed < 12; seed++ {
 		in := generator.General(seed, 60+int(seed)*13, 2+int(seed)%4, 50, 14)
-		for _, pol := range Policies() {
-			fresh, err := Run(in, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recycled, err := RunScratch(in, sc, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, r := range rows {
+			a := replay(r.Name)
+			fresh := a.Run(in)
+			recycled := a.RunScratch(in, sc)
 			if fresh.NumMachines() != recycled.NumMachines() || fresh.Cost() != recycled.Cost() {
 				t.Fatalf("seed %d %s: fresh (%d machines, cost %v) != scratch (%d machines, cost %v)",
-					seed, pol.Name(), fresh.NumMachines(), fresh.Cost(),
+					seed, r.Name, fresh.NumMachines(), fresh.Cost(),
 					recycled.NumMachines(), recycled.Cost())
 			}
 			for j := 0; j < in.N(); j++ {
 				if fresh.MachineOf(j) != recycled.MachineOf(j) {
-					t.Fatalf("seed %d %s: job %d placement differs", seed, pol.Name(), j)
+					t.Fatalf("seed %d %s: job %d placement differs", seed, r.Name, j)
 				}
 			}
 		}
@@ -194,9 +131,10 @@ func TestRunScratchMatchesRun(t *testing.T) {
 func TestOnlineFirstFitZeroAllocSteadyState(t *testing.T) {
 	in := generator.General(3, 3000, 4, 1500, 25)
 	sc := new(core.Scratch)
+	firstFit := replay("online-firstfit").RunScratch
 	run := func() {
-		if _, err := RunScratch(in, sc, FirstFit{}); err != nil {
-			t.Fatal(err)
+		if s := firstFit(in, sc); s.NumMachines() == 0 {
+			t.Fatal("empty schedule")
 		}
 	}
 	run() // warm-up sizes the arena and the instance's cached orders
@@ -213,19 +151,12 @@ func FuzzOnlineFirstFitWarmScratch(f *testing.F) {
 	f.Add(int64(99), uint8(200), uint8(1), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
-		fresh, err := Run(in, FirstFit{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		firstFit := replay("online-firstfit")
+		fresh := firstFit.Run(in)
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
-		if _, err := RunScratch(warm, sc, FirstFit{}); err != nil {
-			t.Fatal(err)
-		}
-		recycled, err := RunScratch(in, sc, FirstFit{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_ = firstFit.RunScratch(warm, sc)
+		recycled := firstFit.RunScratch(in, sc)
 		if fresh.NumMachines() != recycled.NumMachines() || fresh.Cost() != recycled.Cost() {
 			t.Fatalf("fresh (%d machines, cost %v) != warm scratch (%d machines, cost %v)",
 				fresh.NumMachines(), fresh.Cost(), recycled.NumMachines(), recycled.Cost())
@@ -240,21 +171,20 @@ func FuzzOnlineFirstFitWarmScratch(f *testing.F) {
 
 func BenchmarkOnlineFirstFit1k(b *testing.B) {
 	in := generator.General(7, 1000, 4, 500, 30)
+	firstFit := replay("online-firstfit").Run
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(in, FirstFit{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = firstFit(in)
 	}
 }
 
 func TestLookaheadFullBufferEqualsOfflineFirstFit(t *testing.T) {
 	// With k ≥ n the extraction order is the global longest-first order, so
-	// the FirstFit policy reproduces the paper's offline FirstFit exactly.
+	// the LowestFit rule reproduces the paper's offline FirstFit exactly.
 	for seed := int64(0); seed < 20; seed++ {
 		in := generator.General(seed, 25, 3, 30, 10)
-		got, err := RunLookahead(in, in.N(), FirstFit{})
+		got, err := RunLookahead(in, in.N(), core.LowestFit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,14 +204,11 @@ func TestLookaheadFullBufferEqualsOfflineFirstFit(t *testing.T) {
 func TestLookaheadOneEqualsArrivalOrder(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		in := generator.General(seed, 20, 3, 25, 8)
-		got, err := RunLookahead(in, 1, FirstFit{})
+		got, err := RunLookahead(in, 1, core.LowestFit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(in, FirstFit{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := replay("online-firstfit").Run(in)
 		if got.Cost() != want.Cost() {
 			t.Fatalf("seed %d: k=1 cost %v != pure online %v", seed, got.Cost(), want.Cost())
 		}
@@ -290,7 +217,7 @@ func TestLookaheadOneEqualsArrivalOrder(t *testing.T) {
 
 func TestLookaheadRejectsBadK(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 1))
-	if _, err := RunLookahead(in, 0, FirstFit{}); err == nil {
+	if _, err := RunLookahead(in, 0, core.LowestFit); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -298,7 +225,7 @@ func TestLookaheadRejectsBadK(t *testing.T) {
 func TestLookaheadFeasibleAcrossK(t *testing.T) {
 	in := generator.General(9, 30, 3, 30, 10)
 	for _, k := range []int{1, 2, 5, 10, 30} {
-		s, err := RunLookahead(in, k, BestFit{})
+		s, err := RunLookahead(in, k, core.BestFit)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"busytime/internal/algo"
 	"busytime/internal/core"
 	"busytime/internal/interval"
 )
@@ -66,7 +67,7 @@ var (
 // Pool is sharded multi-tenant session state: one rolling-horizon Session
 // per tenant key, distributed over power-of-two lock shards so concurrent
 // tenants contend only when they hash together. Sessions are created on
-// first placement with the pool's parallelism, policy and window hint; all
+// first placement with the pool's parallelism, rule and window hint; all
 // per-tenant operations run under the owning shard's lock, so a Pool is safe
 // for concurrent use while each underlying Session stays single-threaded.
 //
@@ -83,7 +84,7 @@ var (
 // finish in-flight work — the daemon's graceful-shutdown contract.
 type Pool struct {
 	g       int
-	policy  Policy
+	rule    core.Rule
 	window  int
 	mask    uint32
 	shards  []poolShard
@@ -110,12 +111,12 @@ type tenantState struct {
 }
 
 // NewPool returns an empty pool of rolling-horizon sessions with parallelism
-// g placing through policy p. shards is rounded up to a power of two (≤ 1
-// means a single shard); window is the per-session live-window presize hint
-// (see NewSessionSized). scratch may be nil, disabling Offline.
-func NewPool(g int, p Policy, shards, window int, scratch chan *core.Scratch) (*Pool, error) {
-	if _, err := NewSessionSized(g, p, 0); err != nil {
-		return nil, err // validates g and the policy once up front
+// g placing by rule. shards is rounded up to a power of two (≤ 1 means a
+// single shard); window is the per-session live-window presize hint (see
+// NewSessionSized). scratch may be nil, disabling Offline.
+func NewPool(g int, rule core.Rule, shards, window int, scratch chan *core.Scratch) (*Pool, error) {
+	if _, err := NewSessionSized(g, rule, 0); err != nil {
+		return nil, err // validates g and the rule once up front
 	}
 	n := 1
 	for n < shards {
@@ -123,7 +124,7 @@ func NewPool(g int, p Policy, shards, window int, scratch chan *core.Scratch) (*
 	}
 	pool := &Pool{
 		g:       g,
-		policy:  p,
+		rule:    rule,
 		window:  window,
 		mask:    uint32(n - 1),
 		shards:  make([]poolShard, n),
@@ -186,11 +187,24 @@ func (p *Pool) shard(tenant string) *poolShard {
 func (p *Pool) state(sh *poolShard, tenant string) *tenantState {
 	ts := sh.tenants[tenant]
 	if ts == nil {
-		s, _ := NewSessionSized(p.g, p.policy, p.window) // args validated in NewPool
+		s, _ := NewSessionSized(p.g, p.rule, p.window) // args validated in NewPool
 		ts = &tenantState{s: s, tokens: p.burst, last: p.now()}
 		sh.tenants[tenant] = ts
 	}
 	return ts
+}
+
+// admitAt judges one placement attempt at the arrival's start time: a valid
+// arrival first retires the tenant's jobs whose ends its start passed, so
+// the live cap counts the capacity actually held then. An arrival the
+// session will reject leaves the clock alone — a rejected request never
+// changes the session — and is still charged against the limits. Callers
+// hold the shard lock.
+func (p *Pool) admitAt(ts *tenantState, iv interval.Interval, demand int) error {
+	if ts.s.check(iv, demand) == nil {
+		ts.s.Advance(iv.Start)
+	}
+	return p.admit(ts)
 }
 
 // admit charges one placement attempt against the tenant's limits. Callers
@@ -227,8 +241,7 @@ func (p *Pool) Place(tenant string, iv interval.Interval, demand int) (machine, 
 	defer sh.mu.Unlock()
 	ts := p.state(sh, tenant)
 	if p.adm.limited() {
-		ts.s.Advance(iv.Start) // retire passed ends before judging the cap
-		if err := p.admit(ts); err != nil {
+		if err := p.admitAt(ts, iv, demand); err != nil {
 			return -1, -1, err
 		}
 	}
@@ -280,8 +293,7 @@ func (p *Pool) PlaceBatch(tenant string, reqs []PlaceRequest, out []PlaceResult)
 	limited := p.adm.limited()
 	for i := range reqs {
 		if limited {
-			ts.s.Advance(reqs[i].Iv.Start) // retire passed ends before judging the cap
-			if err := p.admit(ts); err != nil {
+			if err := p.admitAt(ts, reqs[i].Iv, reqs[i].Demand); err != nil {
 				out[i] = PlaceResult{Machine: -1, Job: -1, Err: err}
 				continue
 			}
@@ -368,18 +380,18 @@ func (p *Pool) Live(tenant string) (n int, ok bool) {
 // Comparison is Offline's verdict on one tenant's retained window.
 type Comparison struct {
 	OnlineCost float64     // the session's total accrued busy time
-	WindowCost float64     // the policy's replay cost of the retained window alone
+	WindowCost float64     // the rule's replay cost of the retained window alone
 	Bounds     core.Bounds // offline lower bounds of the retained-window instance
 	Ratio      float64     // WindowCost / Bounds.Fractional: the window's competitive ratio
 }
 
-// Offline replays the tenant's retained window through the pool's policy on
-// an arena leased from the shared scratch pool and reports the competitive
-// comparison. The window instance is snapshotted under the shard lock; the
-// replay itself runs unlocked, so a slow comparison never stalls the
-// tenant's placement path — and a concurrent Drop of the tenant cannot
-// disturb it, the replay owns its snapshot. Errors: no scratch pool
-// configured, unknown tenant, or an infeasible replay (a bug).
+// Offline replays the tenant's retained window through the pool's rule in
+// arrival order (the rule's online-* replay row) on an arena leased from the
+// shared scratch pool and reports the competitive comparison. The window
+// instance is snapshotted under the shard lock; the replay itself runs
+// unlocked, so a slow comparison never stalls the tenant's placement path —
+// and a concurrent Drop of the tenant cannot disturb it, the replay owns its
+// snapshot. Errors: no scratch pool configured, or an unknown tenant.
 func (p *Pool) Offline(tenant string) (Comparison, error) {
 	if p.scratch == nil {
 		return Comparison{}, fmt.Errorf("online: pool has no scratch arenas; Offline unavailable")
@@ -397,10 +409,7 @@ func (p *Pool) Offline(tenant string) (Comparison, error) {
 
 	sc := <-p.scratch
 	defer func() { p.scratch <- sc }()
-	sched, err := RunScratch(in, sc, p.policy)
-	if err != nil {
-		return Comparison{}, err
-	}
+	sched := algo.RunGreedy(in, sc, in.StartOrder(), p.rule)
 	cmp := Comparison{
 		OnlineCost: online,
 		WindowCost: sched.Cost(),

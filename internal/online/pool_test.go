@@ -12,7 +12,7 @@ import (
 )
 
 func TestPoolShardedTenantsConcurrent(t *testing.T) {
-	pool, err := NewPool(4, FirstFit{}, 8, 64, core.NewScratchPool(2))
+	pool, err := NewPool(4, core.LowestFit, 8, 64, core.NewScratchPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestPoolShardedTenantsConcurrent(t *testing.T) {
 }
 
 func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(0, FirstFit{}, 4, 0, nil); err == nil {
+	if _, err := NewPool(0, core.LowestFit, 4, 0, nil); err == nil {
 		t.Error("g=0 accepted")
 	}
-	pool, err := NewPool(2, NextFit{}, 0, 0, nil)
+	pool, err := NewPool(2, core.NextFit, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,12 @@ import (
 // Session is the incremental online handle: jobs are fed one at a time in
 // non-decreasing start order — the paper's online model, where a job is
 // revealed at its start time — and each is placed immediately and
-// irrevocably by the session's policy. Unlike Run/RunScratch, which replay a
-// complete instance, a Session never sees the future: there is no job list
-// to index, so placement state is a per-machine active-load list and busy
-// union maintained exactly like the exact solver's incremental machines
-// (amortized O(active jobs) per arrival).
+// irrevocably by the session's rule. Unlike the registered online-* rows,
+// which replay a complete instance through the kernel, a Session never sees
+// the future: there is no job list to index, so placement state is a
+// per-machine active-load list and busy union maintained exactly like the
+// exact solver's incremental machines (amortized O(active jobs) per
+// arrival).
 //
 // Sessions are rolling-horizon: a job departs either naturally, when the
 // stream clock (the latest arrival start) passes its end, or early via
@@ -28,15 +29,14 @@ import (
 // and a warm session places, releases and compacts at zero heap allocations
 // per operation.
 //
-// Sessions support the built-in policies only (FirstFit, BestFit, NextFit):
-// a bespoke Policy places through a core.Placer, which requires the full
-// instance up front. The per-policy differential tests pin a Session fed in
-// arrival order byte-identical (assignment, cost, machine count) to the
-// corresponding kernel replay of the completed instance.
+// A session places by one of the kernel's rules (core.LowestFit,
+// core.BestFit, core.NextFit), re-implemented over its own machines. The
+// per-rule differential tests pin a Session fed in arrival order
+// byte-identical (assignment, cost, machine count) to the registered replay
+// row of the same rule over the completed instance.
 type Session struct {
 	g    int
-	rule sessionRule
-	name string
+	rule core.Rule
 
 	machines []sessionMachine
 	cursor   int // NextFit's single open machine, -1 when closed
@@ -78,14 +78,6 @@ type Session struct {
 // demand d ≥ 1, because NewSessionSized bounds g by math.MaxInt32.
 const noFit = math.MaxInt32
 
-type sessionRule int
-
-const (
-	ruleLowestFit sessionRule = iota
-	ruleBestFit
-	ruleNextFit
-)
-
 // jobRec is one retained arrival. 32 bytes: a 1e4-job live window retains
 // well under a megabyte.
 type jobRec struct {
@@ -121,32 +113,22 @@ type loadRec struct {
 	demand int32
 }
 
-// NewSession returns an empty session with parallelism g placing through the
-// built-in policy p. Custom policies are rejected: they require the kernel's
-// full-instance view.
-func NewSession(g int, p Policy) (*Session, error) { return NewSessionSized(g, p, 0) }
+// NewSession returns an empty session with parallelism g placing by rule.
+func NewSession(g int, rule core.Rule) (*Session, error) { return NewSessionSized(g, rule, 0) }
 
 // NewSessionSized is NewSession with the retained-window structures
 // pre-sized for about `window` simultaneously live jobs, so a stream that
 // stays under the hint reaches the zero-allocation steady state without any
 // growth reallocations. window ≤ 0 starts empty and grows on demand.
 // Capacities are stored as int32, so g must lie in [1, math.MaxInt32].
-func NewSessionSized(g int, p Policy, window int) (*Session, error) {
+func NewSessionSized(g int, rule core.Rule, window int) (*Session, error) {
 	if g < 1 || g > math.MaxInt32 {
 		return nil, fmt.Errorf("online: session parallelism g = %d, want in [1, %d]", g, math.MaxInt32)
 	}
-	s := &Session{g: g, cursor: -1, clock: math.Inf(-1), lbClock: math.Inf(-1)}
-	switch p.(type) {
-	case FirstFit:
-		s.rule = ruleLowestFit
-	case BestFit:
-		s.rule = ruleBestFit
-	case NextFit:
-		s.rule = ruleNextFit
-	default:
-		return nil, fmt.Errorf("online: policy %s is not supported by incremental sessions (built-in policies only)", p.Name())
+	if ruleName(rule) == "" {
+		return nil, fmt.Errorf("online: unknown placement rule %d", rule)
 	}
-	s.name = p.Name()
+	s := &Session{g: g, rule: rule, cursor: -1, clock: math.Inf(-1), lbClock: math.Inf(-1)}
 	if window > 0 {
 		s.recs = make([]jobRec, 0, window)
 		s.endHeap = make([]endEntry, 0, window)
@@ -155,39 +137,32 @@ func NewSessionSized(g int, p Policy, window int) (*Session, error) {
 	return s, nil
 }
 
-// Policy returns the name of the session's placement policy.
-func (s *Session) Policy() string { return s.name }
+// Policy returns the registered name of the replay row placing by the
+// session's rule ("online-firstfit", …).
+func (s *Session) Policy() string { return ruleName(s.rule) }
 
 // Place feeds the next arrival — the closed interval iv with the given
 // capacity demand — and returns the machine it was irrevocably assigned to.
 // Arrivals must come in non-decreasing start order (jobs are revealed at
-// their start times); an out-of-order start, an invalid interval, or a
-// demand outside [1, g] is rejected without changing the session.
+// their start times); an out-of-order start, a NaN, infinite or reversed
+// interval, or a demand outside [1, g] is rejected without changing the
+// session.
 //
 // Advancing the clock to iv.Start first retires every job whose end it
 // passed (their departure is automatic), so placement only ever scans live
 // state. The job's feed index — the handle Release and MachineOf take — is
 // Jobs() just before the call.
 func (s *Session) Place(iv interval.Interval, demand int) (int, error) {
-	if math.IsNaN(iv.Start) || math.IsNaN(iv.End) {
-		return -1, fmt.Errorf("online: NaN endpoint in %v", iv)
-	}
-	if iv.End < iv.Start {
-		return -1, fmt.Errorf("online: reversed interval %v", iv)
-	}
-	if demand < 1 || demand > s.g {
-		return -1, fmt.Errorf("online: demand %d outside [1, %d]", demand, s.g)
-	}
-	if iv.Start < s.clock {
-		return -1, fmt.Errorf("online: out-of-order arrival %v (previous start %v): online jobs are revealed at their start times", iv, s.clock)
+	if err := s.check(iv, demand); err != nil {
+		return -1, err
 	}
 	s.advance(iv.Start)
 
 	var m int
 	switch s.rule {
-	case ruleLowestFit:
+	case core.LowestFit:
 		m = s.lowestFit(demand)
-	case ruleBestFit:
+	case core.BestFit:
 		m = s.bestFit(iv, demand)
 	default:
 		m = s.nextFit(demand)
@@ -211,6 +186,24 @@ func (s *Session) Place(iv interval.Interval, demand int) (int, error) {
 	}
 	s.clock = iv.Start
 	return m, nil
+}
+
+// check reports why Place would reject the arrival, without changing the
+// session: an interval interval.Check rejects, a demand outside [1, g], or
+// a start before the clock. Callers that move the clock ahead of a Place
+// (the pool's admission path) run it first, so a rejected request never
+// retires jobs or advances the clock.
+func (s *Session) check(iv interval.Interval, demand int) error {
+	if err := interval.Check(iv.Start, iv.End); err != nil {
+		return fmt.Errorf("online: %w: %v", err, iv)
+	}
+	if demand < 1 || demand > s.g {
+		return fmt.Errorf("online: demand %d outside [1, %d]", demand, s.g)
+	}
+	if iv.Start < s.clock {
+		return fmt.Errorf("online: out-of-order arrival %v (previous start %v): online jobs are revealed at their start times", iv, s.clock)
+	}
+	return nil
 }
 
 // Release departs the job with the given feed index before its natural end:

@@ -17,7 +17,7 @@ import (
 // differential can compare costs and argmin decisions bitwise.
 type refSession struct {
 	g      int
-	rule   sessionRule
+	rule   core.Rule
 	jobs   []refJob
 	nmach  int
 	cursor int
@@ -31,7 +31,7 @@ type refJob struct {
 	released bool
 }
 
-func newRefSession(g int, rule sessionRule) *refSession {
+func newRefSession(g int, rule core.Rule) *refSession {
 	return &refSession{g: g, rule: rule, cursor: -1, clock: math.Inf(-1)}
 }
 
@@ -66,7 +66,7 @@ func (r *refSession) place(iv interval.Interval, demand int) int {
 	c := iv.Start
 	var m int
 	switch r.rule {
-	case ruleLowestFit:
+	case core.LowestFit:
 		m = r.nmach
 		for cand := 0; cand < r.nmach; cand++ {
 			if r.usedAt(cand, c)+demand <= r.g {
@@ -74,7 +74,7 @@ func (r *refSession) place(iv interval.Interval, demand int) int {
 				break
 			}
 		}
-	case ruleBestFit:
+	case core.BestFit:
 		m = -1
 		best := 0.0
 		for cand := 0; cand < r.nmach; cand++ {
@@ -142,10 +142,10 @@ func (r *refSession) dead(j int) bool { return !r.active(j, r.clock) }
 
 // runRollingDifferential drives a Session and the oracle through the same
 // dyadic-grid Place/Release stream and pins every observable step by step.
-func runRollingDifferential(t *testing.T, seed int64, n, g int, rule sessionRule, policy Policy) {
+func runRollingDifferential(t *testing.T, seed int64, n, g int, rule core.Rule) {
 	t.Helper()
 	rng := xrand.New(seed)
-	sess, err := NewSession(g, policy)
+	sess, err := NewSession(g, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +210,18 @@ func runRollingDifferential(t *testing.T, seed int64, n, g int, rule sessionRule
 
 func TestOnlineSessionRollingDifferential(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		rule   sessionRule
-		policy Policy
+		name string
+		rule core.Rule
 	}{
-		{"firstfit", ruleLowestFit, FirstFit{}},
-		{"bestfit", ruleBestFit, BestFit{}},
-		{"nextfit", ruleNextFit, NextFit{}},
+		{"firstfit", core.LowestFit},
+		{"bestfit", core.BestFit},
+		{"nextfit", core.NextFit},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 12; seed++ {
 				for _, g := range []int{1, 3, 8} {
-					runRollingDifferential(t, seed, 250, g, tc.rule, tc.policy)
+					runRollingDifferential(t, seed, 250, g, tc.rule)
 				}
 			}
 		})
@@ -230,28 +229,19 @@ func TestOnlineSessionRollingDifferential(t *testing.T) {
 }
 
 // FuzzOnlineSessionRollingOracle is the fuzz leg of the differential: the
-// fuzzer picks the stream seed, length, parallelism and policy, and the
+// fuzzer picks the stream seed, length, parallelism and rule, and the
 // interleaved Place/Release/compaction run must stay step-bitwise equal to
 // the rebuild-from-scratch oracle.
 func FuzzOnlineSessionRollingOracle(f *testing.F) {
 	f.Add(int64(1), uint8(120), uint8(3), uint8(0))
 	f.Add(int64(42), uint8(200), uint8(1), uint8(1))
 	f.Add(int64(7), uint8(80), uint8(6), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, n, g, policyByte uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n, g, ruleByte uint8) {
 		if n == 0 || g == 0 {
 			t.Skip()
 		}
-		var rule sessionRule
-		var policy Policy
-		switch policyByte % 3 {
-		case 0:
-			rule, policy = ruleLowestFit, FirstFit{}
-		case 1:
-			rule, policy = ruleBestFit, BestFit{}
-		default:
-			rule, policy = ruleNextFit, NextFit{}
-		}
-		runRollingDifferential(t, seed, int(n), int(g), rule, policy)
+		rule := []core.Rule{core.LowestFit, core.BestFit, core.NextFit}[ruleByte%3]
+		runRollingDifferential(t, seed, int(n), int(g), rule)
 	})
 }
 
@@ -261,7 +251,7 @@ func FuzzOnlineSessionRollingOracle(f *testing.F) {
 // tree's growth steps and deep descents are exercised here.
 func TestOnlineSessionFitTreeAtScale(t *testing.T) {
 	const g, live, n = 2, 4096, 40_000
-	sess, err := NewSession(g, FirstFit{})
+	sess, err := NewSession(g, core.LowestFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +287,7 @@ func TestOnlineSessionFitTreeAtScale(t *testing.T) {
 // TestOnlineSessionReleaseSemantics pins the un-billing arithmetic on a
 // hand-built scenario.
 func TestOnlineSessionReleaseSemantics(t *testing.T) {
-	sess, err := NewSession(2, FirstFit{})
+	sess, err := NewSession(2, core.LowestFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +354,7 @@ func TestOnlineSessionStatsLowerBound(t *testing.T) {
 		rng := xrand.New(seed)
 		const n = 300
 		g := 1 + rng.Intn(6)
-		sess, err := NewSessionSized(g, FirstFit{}, n) // presized: nothing compacts
+		sess, err := NewSessionSized(g, core.LowestFit, n) // presized: nothing compacts
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +405,7 @@ func TestOnlineSessionSnapshotAfterRelease(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := xrand.New(seed)
 		const n = 200
-		sess, err := NewSessionSized(3, BestFit{}, n)
+		sess, err := NewSessionSized(3, core.BestFit, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +463,7 @@ func (fd *streamFeeder) step(t testing.TB) {
 func TestOnlineSessionZeroAllocSteadyState(t *testing.T) {
 	const live = 256
 	jobs := generator.Stream(5, 120_000, live, 3)
-	sess, err := NewSession(8, FirstFit{})
+	sess, err := NewSession(8, core.LowestFit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +493,7 @@ func TestOnlineSessionWindowBoundedMemory(t *testing.T) {
 	}
 	const n = 1_000_000
 	run := func(live int) Stats {
-		sess, err := NewSession(64, FirstFit{})
+		sess, err := NewSession(64, core.LowestFit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"busytime"
+	"busytime/internal/interval"
 	"busytime/internal/stats"
 )
 
@@ -130,8 +131,8 @@ func (c *dconn) decode(op byte, p []byte) error {
 		end := math.Float64frombits(binary.LittleEndian.Uint64(p[12:]))
 		demand := int(binary.LittleEndian.Uint32(p[20:]))
 		f := pendFrame{op: op, h: h, demand: demand}
-		if math.IsNaN(start) || math.IsNaN(end) || end < start {
-			f.bad = true // interval.New would panic; answer RejectInvalid
+		if interval.Check(start, end) != nil {
+			f.bad = true // NaN, infinite or reversed: answer RejectInvalid
 		} else {
 			f.iv = busytime.Interval{Start: start, End: end}
 		}

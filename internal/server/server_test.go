@@ -365,19 +365,27 @@ func TestAdmissionRejectFrames(t *testing.T) {
 	if _, _, code, err := cl.Place(h, math.NaN(), 10, 1); err != nil || code != RejectInvalid {
 		t.Fatalf("NaN start: code %d (%s), %v", code, RejectString(code), err)
 	}
+	if _, _, code, err := cl.Place(h, 0, math.Inf(1), 1); err != nil || code != RejectInvalid {
+		t.Fatalf("infinite end: code %d (%s), %v", code, RejectString(code), err)
+	}
 	// Demand out of range is a session-level rejection, same typed frame —
-	// judged on a fresh tenant so the live cap above doesn't shadow it.
+	// judged on a fresh tenant so the live cap above doesn't shadow it. The
+	// rejected frame's far-future start must not move the tenant's clock:
+	// the next valid arrival is accepted.
 	hd, err := cl.Open("demander")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, code, err := cl.Place(hd, 6, 10, 99); err != nil || code != RejectInvalid {
+	if _, _, code, err := cl.Place(hd, 1e18, 1e18, 99); err != nil || code != RejectInvalid {
 		t.Fatalf("demand 99: code %d (%s), %v", code, RejectString(code), err)
+	}
+	if _, _, code, err := cl.Place(hd, 6, 10, 1); err != nil || code != 0 {
+		t.Fatalf("place after a rejected frame: code %d (%s), %v", code, RejectString(code), err)
 	}
 
 	snap := srv.StatsSnapshot()
-	if snap.Rejected.Live != 1 || snap.Rejected.Invalid != 3 || snap.Accepted != 2 {
-		t.Fatalf("reject attribution: %+v", snap.Rejected)
+	if snap.Rejected.Live != 1 || snap.Rejected.Invalid != 4 || snap.Accepted != 3 {
+		t.Fatalf("reject attribution: %+v, accepted %d", snap.Rejected, snap.Accepted)
 	}
 
 	// A rate-limited tenant: burst of 1, negligible refill.

@@ -112,12 +112,9 @@ func ReadCSV(r io.Reader, defaultG int) (*core.Instance, error) {
 		}
 		// Checked here, not left to interval.New: NaN and ±Inf parse as valid
 		// floats but no schedule can hold them, and interval.New panics on
-		// NaN — a data error must stay an error on arbitrary input.
-		if math.IsNaN(start) || math.IsInf(start, 0) || math.IsNaN(end) || math.IsInf(end, 0) {
-			return nil, fmt.Errorf("%w: job %d endpoint not finite [%v, %v]", ErrBadInterval, id, start, end)
-		}
-		if end < start {
-			return nil, fmt.Errorf("%w: job %d has end %v < start %v", ErrBadInterval, id, end, start)
+		// them — a data error must stay an error on arbitrary input.
+		if err := interval.Check(start, end); err != nil {
+			return nil, fmt.Errorf("%w: job %d: %v: [%v, %v]", ErrBadInterval, id, err, start, end)
 		}
 		demand := 1
 		if len(rec) >= 4 && rec[3] != "" {

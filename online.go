@@ -3,6 +3,7 @@ package busytime
 import (
 	"fmt"
 
+	"busytime/internal/core"
 	"busytime/internal/online"
 )
 
@@ -36,28 +37,32 @@ type OnlineSession struct {
 // away, so a session's memory tracks the live window rather than the stream
 // length. WithWindow pre-sizes that state; Release departs a job early.
 func (s *Solver) Online(g int, policy string) (*OnlineSession, error) {
-	pol, err := s.onlinePolicy(policy)
+	rule, err := s.onlineRule(policy)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := online.NewSessionSized(g, pol, s.cfg.window)
+	inner, err := online.NewSessionSized(g, rule, s.cfg.window)
 	if err != nil {
 		return nil, err
 	}
 	return &OnlineSession{inner: inner}, nil
 }
 
-// onlinePolicy resolves a session policy name, rejecting configurations that
+// onlineRule resolves a session policy name — a registered online-* name or
+// its bare rule name — to its placement rule, rejecting configurations that
 // cannot drive an immediate-decision handle.
-func (s *Solver) onlinePolicy(policy string) (online.Policy, error) {
+func (s *Solver) onlineRule(policy string) (core.Rule, error) {
 	if s.cfg.lookahead > 1 {
-		return nil, fmt.Errorf("busytime: WithLookahead(%d) cannot drive an incremental session (decisions are immediate); replay the completed instance via Solve instead", s.cfg.lookahead)
+		return 0, fmt.Errorf("busytime: WithLookahead(%d) cannot drive an incremental session (decisions are immediate); replay the completed instance via Solve instead", s.cfg.lookahead)
 	}
-	pol, ok := online.PolicyByName(policy)
+	rule, ok := online.RuleByName(policy)
 	if !ok {
-		return nil, fmt.Errorf("busytime: unknown online policy %q (want firstfit, bestfit or nextfit)", policy)
+		rule, ok = online.RuleByName("online-" + policy)
 	}
-	return pol, nil
+	if !ok {
+		return 0, fmt.Errorf("busytime: unknown online policy %q (want firstfit, bestfit or nextfit)", policy)
+	}
+	return rule, nil
 }
 
 // Place feeds the next unit-demand arrival and returns the machine it was
@@ -198,11 +203,11 @@ type OnlinePool struct {
 // retained window through the offline kernel for an exact competitive
 // comparison.
 func (s *Solver) OnlinePool(g int, policy string) (*OnlinePool, error) {
-	pol, err := s.onlinePolicy(policy)
+	rule, err := s.onlineRule(policy)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := online.NewPool(g, pol, s.cfg.maxWorkers(), s.cfg.window, s.pool)
+	inner, err := online.NewPool(g, rule, s.cfg.maxWorkers(), s.cfg.window, s.pool)
 	if err != nil {
 		return nil, err
 	}

@@ -177,16 +177,22 @@ func WithLookahead(k int) Option {
 // start at that capacity, so a stream that stays under the hint reaches the
 // zero-allocation steady state without any warm-up growth. It is a hint,
 // not a limit — sessions grow past it on demand — and it is inert for batch
-// Solve calls. n = 0 (the default) starts empty.
+// Solve calls. n = 0 (the default) starts empty. The presize allocates
+// about 64 bytes per job up front, so n is capped at 1<<24 (about 1 GiB per
+// session); New rejects larger values.
 func WithWindow(n int) Option {
 	return func(c *config) {
-		if n < 0 {
-			c.fail("WithWindow: %d live jobs, want ≥ 0", n)
+		if n < 0 || n > maxWindow {
+			c.fail("WithWindow: %d live jobs, want in [0, %d]", n, maxWindow)
 			return
 		}
 		c.window = n
 	}
 }
+
+// maxWindow is WithWindow's cap: 1<<24 presized jobs at 64 bytes each
+// (retained record, departure-heap entry, telemetry slot).
+const maxWindow = 1 << 24
 
 // WithAdmission installs a per-tenant acceptance policy on pools opened by
 // Solver.OnlinePool: a live-job cap (rejections are ErrLiveLimit) and a

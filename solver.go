@@ -44,9 +44,12 @@ import (
 // checkpoint it inside a single run, so cancelling returns promptly with the
 // context's error even from an exponential search.
 type Solver struct {
-	cfg    config
-	alg    algo.Algorithm
-	policy online.Policy // non-nil exactly for the online-* algorithms
+	cfg config
+	alg algo.Algorithm
+	// rule is the placement rule of the online-* algorithms (online set),
+	// which a WithLookahead replay drives in its buffered order.
+	rule   core.Rule
+	online bool
 	pool   chan *core.Scratch
 	// decomp is the session's resolved decomposition contract (nil unless
 	// WithIntraWorkers enabled the layer and the algorithm declares one) and
@@ -73,13 +76,8 @@ func New(opts ...Option) (*Solver, error) {
 		return nil, fmt.Errorf("busytime: unknown algorithm %q (registered: %s)", cfg.algorithm, algorithmNames())
 	}
 	s := &Solver{cfg: cfg, alg: a}
-	for _, p := range online.Policies() {
-		if p.Name() == cfg.algorithm {
-			s.policy = p
-			break
-		}
-	}
-	if cfg.lookahead > 1 && s.policy == nil {
+	s.rule, s.online = online.RuleByName(cfg.algorithm)
+	if cfg.lookahead > 1 && !s.online {
 		return nil, fmt.Errorf("busytime: WithLookahead applies to the online-* algorithms, not %q", cfg.algorithm)
 	}
 	if cfg.exactLimit != 0 && cfg.algorithm != "exact" {
@@ -231,9 +229,9 @@ func (s *Solver) run(ctx context.Context, in *Instance, sc *core.Scratch) (*core
 		return exact.SolveWith(ctx, in, s.exactLimit(), sc)
 	case s.cfg.lookahead > 1:
 		if sc != nil {
-			return online.RunLookaheadScratch(in, sc, s.cfg.lookahead, s.policy)
+			return online.RunLookaheadScratch(in, sc, s.cfg.lookahead, s.rule)
 		}
-		return online.RunLookahead(in, s.cfg.lookahead, s.policy)
+		return online.RunLookahead(in, s.cfg.lookahead, s.rule)
 	case s.cfg.algorithm == "boundedlength" && s.cfg.lengthD != 0:
 		if sc != nil {
 			return boundedlength.ScheduleScratch(in, boundedlength.Options{D: s.cfg.lengthD}, sc)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"busytime"
-	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/generator"
 )
@@ -67,6 +66,92 @@ func TestSolverEveryRegisteredAlgorithm(t *testing.T) {
 	}
 }
 
+// goldenRun is one recorded solve: the machine count and the exact bits of
+// the cost.
+type goldenRun struct {
+	machines int
+	cost     uint64
+}
+
+// TestAlgorithmsGolden pins every registered name's metadata and output to
+// recorded values: the Algorithms() entry, and the machine count and
+// bitwise cost on tinyUniversal and on one general instance (nil where the
+// algorithm's class precondition or component limit rejects it). A rewiring
+// of the registry that changes any row's name, flags, schedule or cost by a
+// single ulp fails here.
+func TestAlgorithmsGolden(t *testing.T) {
+	want := []struct {
+		info    busytime.AlgorithmInfo
+		tiny    goldenRun
+		general *goldenRun
+	}{
+		{busytime.AlgorithmInfo{"bestfit", "BestFit by minimal busy-time increase, longest job first (indexed kernel argmin)", "run-boundary", true, true},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408dac25139f154e}},
+		{busytime.AlgorithmInfo{"boundedlength", "segment by d then solve per segment (§3.2, 2+ε approximation)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{49, 0x409069f8db50c34f}},
+		{busytime.AlgorithmInfo{"clique", "group-by-distance algorithm for clique instances (Appendix, 2-approximation)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, nil},
+		{busytime.AlgorithmInfo{"exact", "optimal schedule by branch and bound (small instances only)", "mid-run", true, false},
+			goldenRun{2, 0x4014000000000000}, nil},
+		{busytime.AlgorithmInfo{"firstfit", "FirstFit by non-increasing length (§2.1, 4-approximation), indexed machine selection", "run-boundary", true, true},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408dcec7bf3a7ec0}},
+		{busytime.AlgorithmInfo{"firstfit+ls", "FirstFit (§2.1) followed by move/merge local search to a local optimum (ablation A3)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408d70bdcf2ee051}},
+		{busytime.AlgorithmInfo{"firstfit-start", "FirstFit scanning jobs by start time (no length sort)", "run-boundary", true, true},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408e0ce48617e466}},
+		{busytime.AlgorithmInfo{"laminar", "exact level-grouping for laminar instances (optimal, polynomial)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, nil},
+		{busytime.AlgorithmInfo{"machine-min", "⌈k/g⌉-machine schedule from optimal coloring (§1.1 remark)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408e0ce48617e46a}},
+		{busytime.AlgorithmInfo{"nextfit", "NextFit in start order (single open machine)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{75, 0x4092c4fd72861118}},
+		{busytime.AlgorithmInfo{"online-bestfit", "online bestfit by arrival order (jobs revealed at start times)", "run-boundary", true, true},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408c5c880f33c4f8}},
+		{busytime.AlgorithmInfo{"online-firstfit", "online firstfit by arrival order (jobs revealed at start times)", "run-boundary", true, true},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408e0ce48617e466}},
+		{busytime.AlgorithmInfo{"online-nextfit", "online nextfit by arrival order (jobs revealed at start times)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{75, 0x4092c4fd72861118}},
+		{busytime.AlgorithmInfo{"portfolio", "best of all applicable algorithms plus local search", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{11, 0x408d6de7411549e6}},
+		{busytime.AlgorithmInfo{"properfit", "NextFit by start time for proper instances (§3.1, 2-approximation)", "run-boundary", false, false},
+			goldenRun{2, 0x4014000000000000}, &goldenRun{75, 0x4092c4fd72861118}},
+		{busytime.AlgorithmInfo{"randomfit", "FirstFit on a seeded random job order", "run-boundary", true, true},
+			goldenRun{2, 0x4018000000000000}, &goldenRun{12, 0x4090db8681d2ee76}},
+	}
+	got := busytime.Algorithms()
+	if len(got) != len(want) {
+		t.Fatalf("Algorithms() lists %d names, want %d", len(got), len(want))
+	}
+	general := generator.General(5, 240, 3, 120, 20)
+	for i, w := range want {
+		if got[i] != w.info {
+			t.Errorf("Algorithms()[%d] = %+v, want %+v", i, got[i], w.info)
+			continue
+		}
+		s, err := busytime.New(busytime.WithAlgorithm(w.info.Name), busytime.WithVerify(true))
+		if err != nil {
+			t.Fatalf("New(%q): %v", w.info.Name, err)
+		}
+		for _, tc := range []struct {
+			in   *busytime.Instance
+			want *goldenRun
+		}{{tinyUniversal(), &w.tiny}, {general, w.general}} {
+			res, err := s.Solve(context.Background(), tc.in)
+			switch {
+			case tc.want == nil && err == nil:
+				t.Errorf("%s on %s: accepted, want a rejection", w.info.Name, tc.in.Name)
+			case tc.want == nil:
+			case err != nil:
+				t.Errorf("%s on %s: %v", w.info.Name, tc.in.Name, err)
+			case res.Machines != tc.want.machines || math.Float64bits(res.Cost) != tc.want.cost:
+				t.Errorf("%s on %s: %d machines, cost %v (%#x); want %d machines, cost %v (%#x)",
+					w.info.Name, tc.in.Name, res.Machines, res.Cost, math.Float64bits(res.Cost),
+					tc.want.machines, math.Float64frombits(tc.want.cost), tc.want.cost)
+			}
+		}
+	}
+}
+
 func TestSolverWarmPathReusesArena(t *testing.T) {
 	in := generator.General(11, 2000, 4, 500, 20)
 	s, err := busytime.New(busytime.WithAlgorithm("firstfit"), busytime.WithWorkers(1))
@@ -101,7 +186,7 @@ func TestSolverWarmPathReusesArena(t *testing.T) {
 
 // TestSolverWarmMatchesPooled pins the public warm path to the internal
 // pooled path: a warm single-worker Solver must perform (almost) exactly
-// the allocations of firstfit.ScheduleScratch on a warm core.Scratch — the
+// the allocations of the firstfit row's RunScratch on a warm core.Scratch — the
 // facade may not add per-call garbage.
 func TestSolverWarmMatchesPooled(t *testing.T) {
 	in := generator.General(7, 5000, 4, 5000, 30)
@@ -121,9 +206,10 @@ func TestSolverWarmMatchesPooled(t *testing.T) {
 	})
 
 	sc := new(core.Scratch)
-	firstfit.ScheduleScratch(in, sc)
+	pooled := registered("firstfit").RunScratch
+	pooled(in, sc)
 	internal := testing.AllocsPerRun(5, func() {
-		firstfit.ScheduleScratch(in, sc)
+		pooled(in, sc)
 	})
 
 	if public > internal+4 {
@@ -317,6 +403,7 @@ func TestSolverOptionErrors(t *testing.T) {
 		{"exact limit elsewhere", []busytime.Option{busytime.WithExactLimit(20)}, "exact"},
 		{"length bound elsewhere", []busytime.Option{busytime.WithLengthBound(2)}, "boundedlength"},
 		{"negative workers", []busytime.Option{busytime.WithWorkers(-1)}, "want ≥ 0"},
+		{"window above cap", []busytime.Option{busytime.WithWindow(1 << 50)}, "WithWindow"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -348,6 +435,9 @@ func TestParseIntervalAndBuildInstance(t *testing.T) {
 	if _, err := busytime.ParseInterval(math.NaN(), 1); err == nil {
 		t.Error("NaN start accepted")
 	}
+	if _, err := busytime.ParseInterval(0, math.Inf(1)); err == nil {
+		t.Error("infinite end accepted")
+	}
 	iv, err := busytime.ParseInterval(1, 3)
 	if err != nil || iv.Len() != 2 {
 		t.Errorf("ParseInterval(1,3) = %v, %v", iv, err)
@@ -365,6 +455,9 @@ func TestParseIntervalAndBuildInstance(t *testing.T) {
 	}
 	if _, err := busytime.BuildInstance(2, busytime.Job{ID: 0, Iv: busytime.Interval{Start: math.NaN(), End: 1}, Demand: 1}); err == nil {
 		t.Error("NaN job interval accepted")
+	}
+	if _, err := busytime.BuildInstance(2, busytime.Job{ID: 0, Iv: busytime.Interval{Start: 0, End: math.Inf(1)}, Demand: 1}); err == nil {
+		t.Error("infinite job interval accepted")
 	}
 	in, err := busytime.BuildInstance(2, busytime.UnitJobs(iv, busytime.Interval{Start: 2, End: 5})...)
 	if err != nil || in.N() != 2 {
@@ -448,6 +541,23 @@ func TestSolverLookaheadRecoversOffline(t *testing.T) {
 	}
 	if got.Cost != want.Cost || got.Machines != want.Machines {
 		t.Errorf("full lookahead %v/%d != offline FirstFit %v/%d",
+			got.Cost, got.Machines, want.Cost, want.Machines)
+	}
+	// Any k ≥ n is a full buffer, up to the largest int: the buffer is
+	// sized by the jobs, not by k.
+	unbounded, err := busytime.New(
+		busytime.WithAlgorithm("online-firstfit"),
+		busytime.WithLookahead(math.MaxInt),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = unbounded.Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cost != want.Cost || got.Machines != want.Machines {
+		t.Errorf("lookahead MaxInt %v/%d != offline FirstFit %v/%d",
 			got.Cost, got.Machines, want.Cost, want.Machines)
 	}
 	// A small buffer must still produce a feasible (verified) schedule.
@@ -579,8 +689,11 @@ func TestOnlineSessionRejectsBadInput(t *testing.T) {
 	if _, err := sess.PlaceDemand(busytime.Interval{Start: 6, End: 7}, 0); err == nil {
 		t.Error("zero demand accepted")
 	}
-	if sess.Jobs() != 1 {
-		t.Errorf("rejected placements changed the session: %d jobs", sess.Jobs())
+	if _, err := sess.Place(busytime.Interval{Start: 6, End: math.Inf(1)}); err == nil {
+		t.Error("infinite end accepted")
+	}
+	if sess.Jobs() != 1 || sess.Cost() != 4 {
+		t.Errorf("rejected placements changed the session: %d jobs, cost %v", sess.Jobs(), sess.Cost())
 	}
 }
 
