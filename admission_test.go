@@ -20,9 +20,9 @@ func TestWithAdmissionPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := []busytime.PlaceRequest{
-		{Iv: busytime.NewInterval(0, 10), Demand: 1},
-		{Iv: busytime.NewInterval(1, 10), Demand: 1},
-		{Iv: busytime.NewInterval(2, 10), Demand: 1},
+		{Iv: ival(0, 10), Demand: 1},
+		{Iv: ival(1, 10), Demand: 1},
+		{Iv: ival(2, 10), Demand: 1},
 	}
 	out := make([]busytime.PlaceResult, len(reqs))
 	if err := pool.PlaceBatch("a", reqs, out); err != nil {
@@ -38,7 +38,7 @@ func TestWithAdmissionPublicSurface(t *testing.T) {
 	if !pool.Closed() {
 		t.Fatal("Closed() = false")
 	}
-	if _, _, err := pool.Place("a", busytime.NewInterval(3, 4)); !errors.Is(err, busytime.ErrPoolClosed) {
+	if _, _, err := pool.Place("a", ival(3, 4)); !errors.Is(err, busytime.ErrPoolClosed) {
 		t.Fatalf("Place on closed pool: %v, want ErrPoolClosed", err)
 	}
 	if ok, err := pool.Release("a", out[0].Job); !ok || err != nil {

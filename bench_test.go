@@ -19,11 +19,24 @@ import (
 	"busytime/internal/generator"
 )
 
-// registered returns the named registry row: the entry points the Solver
-// runs.
-func registered(name string) algo.Algorithm {
+// registered returns the named registry row — the entry point the Solver
+// runs — as a schedule function on sc (fresh memory when sc is nil). The
+// rows used here accept every valid instance, so an error panics.
+func registered(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 	a, _ := algo.Lookup(name)
-	return a
+	return func(in *core.Instance, sc *core.Scratch) *core.Schedule {
+		s, err := a.Run(context.Background(), in, sc)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+}
+
+// freshRow is registered(name) on fresh memory.
+func freshRow(name string) func(*core.Instance) *core.Schedule {
+	run := registered(name)
+	return func(in *core.Instance) *core.Schedule { return run(in, nil) }
 }
 
 // benchCfg keeps per-iteration work bounded; the experiment structure
@@ -84,21 +97,21 @@ func BenchmarkFirstFitLinearN1e4(b *testing.B) { benchFirstFitN(b, 10000, firstf
 
 // Kernel BestFit at scale (the indexed argmin over span deltas).
 
-func BenchmarkBestFitN1e4(b *testing.B) { benchFirstFitN(b, 10000, registered("bestfit").Run) }
-func BenchmarkBestFitN1e5(b *testing.B) { benchFirstFitN(b, 100000, registered("bestfit").Run) }
+func BenchmarkBestFitN1e4(b *testing.B) { benchFirstFitN(b, 10000, freshRow("bestfit")) }
+func BenchmarkBestFitN1e5(b *testing.B) { benchFirstFitN(b, 100000, freshRow("bestfit")) }
 
 // Online replays at scale: the online-firstfit row (LowestFit in arrival
 // order) through the kernel, fresh and through a recycled arena (the
 // competitive-ratio sweep's steady state).
 
 func BenchmarkOnlineN1e5(b *testing.B) {
-	benchFirstFitN(b, 100000, registered("online-firstfit").Run)
+	benchFirstFitN(b, 100000, freshRow("online-firstfit"))
 }
 
 func BenchmarkOnlinePooledN1e5(b *testing.B) {
 	in := generator.General(7, 100000, 4, 100000, 30)
 	sc := new(core.Scratch)
-	run := registered("online-firstfit").RunScratch
+	run := registered("online-firstfit")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,7 +128,7 @@ func BenchmarkOnlinePooledN1e5(b *testing.B) {
 func benchFirstFitPooledN(b *testing.B, n int) {
 	in := generator.General(7, n, 4, float64(n), 30)
 	sc := new(core.Scratch)
-	run := registered("firstfit").RunScratch
+	run := registered("firstfit")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,7 +199,7 @@ func BenchmarkSolverBatchFirstFit(b *testing.B) {
 func benchBestFitPooledN(b *testing.B, n int) {
 	in := generator.General(7, n, 4, float64(n), 30)
 	sc := new(core.Scratch)
-	run := registered("bestfit").RunScratch
+	run := registered("bestfit")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -39,8 +39,13 @@ func main() {
 		os.Exit(1)
 	}
 	in := net.ToInstance()
+	b, err := busytime.AllBounds(in)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lightpath: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Printf("network: %d nodes, %d lightpaths, grooming g=%d\n", *nodes, *paths, *g)
-	fmt.Printf("reduction: %d jobs, fractional LB %.2f\n\n", in.N(), busytime.LowerBound(in))
+	fmt.Printf("reduction: %d jobs, fractional LB %.2f\n\n", in.N(), b.Fractional)
 
 	// The schedulers run through the public Solver API (the coloring keeps
 	// the schedule, so sessions hand out caller-owned fresh memory).

@@ -59,14 +59,16 @@ func ExampleSolver_Solve() {
 // ExampleSolver_SolveBatch fans a batch out across workers; results come
 // back in input order regardless of parallelism.
 func ExampleSolver_SolveBatch() {
+	// Every item is validated like a Solve call; an invalid one reports its
+	// error in BatchResult.Err without failing the rest.
 	batch := []*busytime.Instance{
-		busytime.NewInstance(2,
-			busytime.NewInterval(0, 4),
-			busytime.NewInterval(1, 5),
-			busytime.NewInterval(2, 6)),
-		busytime.NewInstance(2,
-			busytime.NewInterval(0, 2),
-			busytime.NewInterval(1, 3)),
+		{G: 2, Jobs: busytime.UnitJobs(
+			busytime.Interval{Start: 0, End: 4},
+			busytime.Interval{Start: 1, End: 5},
+			busytime.Interval{Start: 2, End: 6})},
+		{G: 2, Jobs: busytime.UnitJobs(
+			busytime.Interval{Start: 0, End: 2},
+			busytime.Interval{Start: 1, End: 3})},
 	}
 	s, err := busytime.New(busytime.WithAlgorithm("firstfit"), busytime.WithWorkers(2))
 	if err != nil {
@@ -95,10 +97,8 @@ func ExampleSolver_SolveStream() {
 			return nil, false
 		}
 		i++
-		end := float64(i)
-		return busytime.NewInstance(2,
-			busytime.NewInterval(0, end),
-			busytime.NewInterval(0, end)), true
+		iv := busytime.Interval{Start: 0, End: float64(i)}
+		return &busytime.Instance{G: 2, Jobs: busytime.UnitJobs(iv, iv)}, true
 	}
 	s, err := busytime.New(busytime.WithAlgorithm("firstfit"))
 	if err != nil {
@@ -146,8 +146,8 @@ func ExampleSolver_Online() {
 	// machines=2 cost=9
 }
 
-// ExampleBuildInstance shows the validating constructor rejecting what the
-// legacy shims would panic on (or silently accept).
+// ExampleBuildInstance shows the validating constructor rejecting a job
+// whose demand exceeds the parallelism g.
 func ExampleBuildInstance() {
 	_, err := busytime.BuildInstance(2, busytime.Job{ID: 0, Iv: busytime.Interval{Start: 0, End: 5}, Demand: 3})
 	fmt.Println(err)
@@ -157,57 +157,112 @@ func ExampleBuildInstance() {
 // Example schedules three overlapping jobs with parallelism 2 and compares
 // FirstFit to the optimum.
 func Example() {
-	in := busytime.NewInstance(2,
-		busytime.NewInterval(0, 4),
-		busytime.NewInterval(1, 5),
-		busytime.NewInterval(2, 6),
-	)
-	s := busytime.FirstFit(in)
-	opt, _ := busytime.Exact(in)
-	fmt.Printf("firstfit=%.0f opt=%.0f machines=%d\n", s.Cost(), opt.Cost(), s.NumMachines())
+	in, err := busytime.BuildInstance(2, busytime.UnitJobs(
+		busytime.Interval{Start: 0, End: 4},
+		busytime.Interval{Start: 1, End: 5},
+		busytime.Interval{Start: 2, End: 6},
+	)...)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	ctx := context.Background()
+	ff, err := busytime.New(busytime.WithAlgorithm("firstfit"))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := ff.Solve(ctx, in)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	exact, err := busytime.New(busytime.WithAlgorithm("exact"))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	opt, err := exact.Solve(ctx, in)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("firstfit=%.0f opt=%.0f machines=%d\n", res.Cost, opt.Cost, res.Machines)
 	// Output: firstfit=9 opt=9 machines=2
 }
 
-// ExampleLowerBound shows the fractional bound dominating the two
+// ExampleAllBounds shows the fractional bound dominating the two
 // Observation 1.1 bounds.
-func ExampleLowerBound() {
-	in := busytime.NewInstance(2,
-		busytime.NewInterval(0, 1),
-		busytime.NewInterval(2, 3),
-		busytime.NewInterval(0, 3),
-	)
-	b := busytime.AllBounds(in)
+func ExampleAllBounds() {
+	in, err := busytime.BuildInstance(2, busytime.UnitJobs(
+		busytime.Interval{Start: 0, End: 1},
+		busytime.Interval{Start: 2, End: 3},
+		busytime.Interval{Start: 0, End: 3},
+	)...)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	b, err := busytime.AllBounds(in)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("span=%.1f parallelism=%.1f fractional=%.1f\n",
 		b.Span, b.Parallelism, b.Fractional)
 	// Output: span=3.0 parallelism=2.5 fractional=3.0
 }
 
-// ExampleProperGreedy runs the §3.1 2-approximation on a proper instance.
-func ExampleProperGreedy() {
-	in := busytime.NewInstance(1,
-		busytime.NewInterval(0, 2),
-		busytime.NewInterval(1, 3),
-		busytime.NewInterval(2, 4),
-	)
-	s := busytime.ProperGreedy(in)
-	fmt.Printf("machines=%d cost=%.0f\n", s.NumMachines(), s.Cost())
-	// Output: machines=3 cost=6
-}
-
-// ExampleCliqueSchedule groups a clique of jobs by distance from their
-// common point, g per machine.
-func ExampleCliqueSchedule() {
-	in := busytime.NewInstance(2,
-		busytime.NewInterval(0, 10),
-		busytime.NewInterval(1, 9),
-		busytime.NewInterval(2, 8),
-		busytime.NewInterval(3, 7),
-	)
-	s, err := busytime.CliqueSchedule(in)
+// ExampleSolver_Solve_properfit runs the §3.1 2-approximation on a proper
+// instance.
+func ExampleSolver_Solve_properfit() {
+	in, err := busytime.BuildInstance(1, busytime.UnitJobs(
+		busytime.Interval{Start: 0, End: 2},
+		busytime.Interval{Start: 1, End: 3},
+		busytime.Interval{Start: 2, End: 4},
+	)...)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("machines=%d cost=%.0f\n", s.NumMachines(), s.Cost())
+	s, err := busytime.New(busytime.WithAlgorithm("properfit"))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := s.Solve(context.Background(), in)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("machines=%d cost=%.0f\n", res.Machines, res.Cost)
+	// Output: machines=3 cost=6
+}
+
+// ExampleSolver_Solve_clique groups a clique of jobs by distance from their
+// common point, g per machine (Appendix, Theorem A.1). On an instance that
+// is not a clique, Solve returns an error instead.
+func ExampleSolver_Solve_clique() {
+	in, err := busytime.BuildInstance(2, busytime.UnitJobs(
+		busytime.Interval{Start: 0, End: 10},
+		busytime.Interval{Start: 1, End: 9},
+		busytime.Interval{Start: 2, End: 8},
+		busytime.Interval{Start: 3, End: 7},
+	)...)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	s, err := busytime.New(busytime.WithAlgorithm("clique"))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := s.Solve(context.Background(), in)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("machines=%d cost=%.0f\n", res.Machines, res.Cost)
 	// Output: machines=2 cost=16
 }

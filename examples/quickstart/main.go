@@ -32,7 +32,10 @@ func main() {
 	}
 	in.Name = "quickstart"
 
-	b := busytime.AllBounds(in)
+	b, err := busytime.AllBounds(in)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("instance %q: n=%d, g=%d\n", in.Name, in.N(), in.G)
 	fmt.Printf("lower bounds: span=%.1f parallelism=%.1f fractional=%.1f\n\n",
 		b.Span, b.Parallelism, b.Fractional)

@@ -17,15 +17,6 @@ import (
 	"busytime/internal/core"
 )
 
-// Func is a scheduling algorithm: it must return a complete schedule that
-// passes (*core.Schedule).Verify for any valid instance it accepts.
-type Func func(*core.Instance) *core.Schedule
-
-// CtxFunc is a context-aware scratch entry point: it observes ctx at its own
-// checkpoints during the run and returns context.Cause(ctx)'s error when
-// cancelled mid-search, instead of a schedule.
-type CtxFunc func(context.Context, *core.Instance, *core.Scratch) (*core.Schedule, error)
-
 // CancelPoint documents where a registered algorithm observes context
 // cancellation. It is registry metadata for drivers: the public Solver
 // checks ctx between runs regardless (per Solve, per batch item and per
@@ -39,8 +30,8 @@ const (
 	// (the Solver's entry check and batch fan-out).
 	CancelAtBoundary CancelPoint = iota
 	// CancelMidRun marks an algorithm with an unbounded-time search that
-	// checkpoints ctx during the run via RunScratchCtx (the exact branch and
-	// bound).
+	// checkpoints ctx during the run and returns ctx's error when cancelled
+	// (the exact branch and bound).
 	CancelMidRun
 )
 
@@ -56,18 +47,15 @@ func (c CancelPoint) String() string {
 type Algorithm struct {
 	Name        string
 	Description string
-	Run         Func
-	// RunScratch runs the algorithm drawing schedule state from the scratch
-	// so batch drivers can recycle allocations across instances. Every
-	// registered algorithm provides one, routed through the shared placement
-	// kernel (core.Placer); the registry-wide differential suite pins each
-	// RunScratch byte-identical to Run. The returned schedule is only valid
-	// until the scratch's next use.
-	RunScratch func(*core.Instance, *core.Scratch) *core.Schedule
-	// RunScratchCtx, set exactly when Cancellation is CancelMidRun, is the
-	// context-aware variant: identical output to RunScratch when ctx stays
-	// live, a nil schedule and ctx's error when cancelled mid-run.
-	RunScratchCtx CtxFunc
+	// Run schedules the instance and returns a complete schedule that
+	// passes (*core.Schedule).Verify, or an error when the instance is
+	// outside the algorithm's class (not a clique, a component above the
+	// size limit) or ctx was cancelled mid-run. Schedule state is drawn
+	// from sc, recycling its allocations across runs, and the returned
+	// schedule is only valid until sc's next use; a nil sc selects fresh
+	// memory, as core.NewScheduleFrom does. The registry-wide differential
+	// suite pins the fresh and the recycled schedule byte-identical.
+	Run func(ctx context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error)
 	// Cancellation records where the algorithm observes ctx; see CancelPoint.
 	Cancellation CancelPoint
 	// Decompose, when non-nil, declares the algorithm safe for the
@@ -158,16 +146,15 @@ type GreedyRow struct {
 	Rule  core.Rule
 }
 
-// RegisterGreedy registers greedy rows: Run and RunScratch both go through
-// RunGreedy, and Decompose is GreedyDecomposer's contract for the row.
+// RegisterGreedy registers greedy rows: Run goes through RunGreedy, and
+// Decompose is GreedyDecomposer's contract for the row.
 func RegisterGreedy(rows ...GreedyRow) {
 	for _, r := range rows {
 		Register(Algorithm{
 			Name:        r.Name,
 			Description: r.Description,
-			Run:         func(in *core.Instance) *core.Schedule { return RunGreedy(in, nil, r.Order(in), r.Rule) },
-			RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-				return RunGreedy(in, sc, r.Order(in), r.Rule)
+			Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+				return RunGreedy(in, sc, r.Order(in), r.Rule), nil
 			},
 			Decompose: GreedyDecomposer(r.Order, r.Rule),
 		})
@@ -227,10 +214,6 @@ var registry = map[string]Algorithm{}
 func Register(a Algorithm) {
 	if _, dup := registry[a.Name]; dup {
 		panic(fmt.Sprintf("algo: duplicate registration of %q", a.Name))
-	}
-	if (a.Cancellation == CancelMidRun) != (a.RunScratchCtx != nil) {
-		panic(fmt.Sprintf("algo: %q declares Cancellation=%v but RunScratchCtx=%v",
-			a.Name, a.Cancellation, a.RunScratchCtx != nil))
 	}
 	registry[a.Name] = a
 }

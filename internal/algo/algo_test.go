@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"testing"
 
 	"busytime/internal/core"
@@ -10,7 +11,9 @@ func stub(name string) Algorithm {
 	return Algorithm{
 		Name:        name,
 		Description: "stub",
-		Run:         func(in *core.Instance) *core.Schedule { return core.NewSchedule(in) },
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			return core.NewScheduleFrom(in, sc), nil
+		},
 	}
 }
 

@@ -17,6 +17,8 @@
 package baselines
 
 import (
+	"context"
+
 	"busytime/internal/algo"
 	"busytime/internal/core"
 	"busytime/internal/intgraph"
@@ -61,8 +63,9 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "machine-min",
 		Description: "⌈k/g⌉-machine schedule from optimal coloring (§1.1 remark)",
-		Run:         MachineMin,
-		RunScratch:  MachineMinScratch,
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			return machineMin(in, sc), nil
+		},
 	})
 }
 
@@ -73,11 +76,11 @@ func init() {
 //
 // MachineMin requires unit demands (the coloring argument does not apply to
 // weighted jobs); it falls back to FirstFit by start time otherwise.
-func MachineMin(in *core.Instance) *core.Schedule { return MachineMinScratch(in, nil) }
+func MachineMin(in *core.Instance) *core.Schedule { return machineMin(in, nil) }
 
-// MachineMinScratch is MachineMin drawing schedule state from sc (fresh
-// memory when sc is nil).
-func MachineMinScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
+// machineMin is MachineMin drawing schedule state from sc (fresh memory when
+// sc is nil).
+func machineMin(in *core.Instance, sc *core.Scratch) *core.Schedule {
 	if !unitDemands(in) {
 		return algo.RunGreedy(in, sc, in.StartOrder(), core.LowestFit)
 	}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -15,15 +16,28 @@ import (
 
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
-// row returns the registered algorithm of the given name: the tests drive
-// the greedy baselines through their registry rows, exactly as the Solver
-// does.
-func row(name string) algo.Algorithm {
+// row returns the registered algorithm of the given name as a schedule
+// function on sc (fresh memory when sc is nil): the tests drive the greedy
+// baselines through their registry rows, exactly as the Solver does. The
+// greedy rows accept every valid instance, so an error panics.
+func row(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 	a, ok := algo.Lookup(name)
 	if !ok {
 		panic(name + " not registered")
 	}
-	return a
+	return func(in *core.Instance, sc *core.Scratch) *core.Schedule {
+		s, err := a.Run(context.Background(), in, sc)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+}
+
+// freshRow is row(name) on fresh memory.
+func freshRow(name string) func(*core.Instance) *core.Schedule {
+	run := row(name)
+	return func(in *core.Instance) *core.Schedule { return run(in, nil) }
 }
 
 func TestAllRegistered(t *testing.T) {
@@ -33,8 +47,8 @@ func TestAllRegistered(t *testing.T) {
 			t.Errorf("%s not registered", name)
 			continue
 		}
-		if a.RunScratch == nil {
-			t.Errorf("%s has no RunScratch", name)
+		if a.Run == nil {
+			t.Errorf("%s has no Run", name)
 		}
 	}
 }
@@ -128,7 +142,7 @@ func bruteFits(s *core.Schedule, j, m int) bool {
 func TestBestFitKernelMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			kernel := row("bestfit").Run(in)
+			kernel := row("bestfit")(in, nil)
 			if err := kernel.Verify(); err != nil {
 				t.Fatalf("seed %d family %d: kernel BestFit infeasible: %v", seed, fi, err)
 			}
@@ -145,8 +159,8 @@ func TestBestFitScratchMatchesFresh(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(0); seed < 8; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			recycled := row("bestfit").RunScratch(in, sc)
-			fresh := row("bestfit").Run(in)
+			recycled := row("bestfit")(in, sc)
+			fresh := row("bestfit")(in, nil)
 			if fi == 0 && recycled.NumMachines() == 0 && in.N() > 0 {
 				t.Fatal("empty schedule")
 			}
@@ -162,7 +176,7 @@ func TestBestFitScratchMatchesFresh(t *testing.T) {
 func TestBestFitZeroAllocSteadyState(t *testing.T) {
 	in := generator.General(3, 3000, 4, 1500, 25)
 	sc := new(core.Scratch)
-	bestFit := row("bestfit").RunScratch
+	bestFit := row("bestfit")
 	run := func() {
 		s := bestFit(in, sc)
 		if s.NumMachines() == 0 {
@@ -184,22 +198,22 @@ func FuzzBestFitWarmScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
 		scan := bestFitScan(in)
-		assertIdentical(t, "fuzz-kernel", row("bestfit").Run(in), scan)
+		assertIdentical(t, "fuzz-kernel", row("bestfit")(in, nil), scan)
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
-		_ = row("bestfit").RunScratch(warm, sc)
-		assertIdentical(t, "fuzz-scratch", row("bestfit").RunScratch(in, sc), scan)
+		_ = row("bestfit")(warm, sc)
+		assertIdentical(t, "fuzz-scratch", row("bestfit")(in, sc), scan)
 	})
 }
 
 func TestAllFeasibleOnRandom(t *testing.T) {
 	runs := []struct {
 		name string
-		run  algo.Func
+		run  func(*core.Instance) *core.Schedule
 	}{
-		{"firstfit-start", row("firstfit-start").Run},
-		{"nextfit", row("nextfit").Run},
-		{"bestfit", row("bestfit").Run},
+		{"firstfit-start", freshRow("firstfit-start")},
+		{"nextfit", freshRow("nextfit")},
+		{"bestfit", freshRow("bestfit")},
 		{"machine-min", MachineMin},
 		{"randomfit", func(in *core.Instance) *core.Schedule { return RandomFit(in, 42) }},
 	}
@@ -262,7 +276,7 @@ func TestBestFitPrefersNoGrowth(t *testing.T) {
 	// With g=2: long [0,10] first; short [2,3] can go on M0 at zero growth
 	// and BestFit must take it.
 	in := core.NewInstance(2, iv(0, 10), iv(2, 3))
-	s := row("bestfit").Run(in)
+	s := row("bestfit")(in, nil)
 	if s.NumMachines() != 1 {
 		t.Errorf("machines = %d, want 1", s.NumMachines())
 	}
@@ -276,7 +290,7 @@ func TestNextFitNeverRevisits(t *testing.T) {
 	// A,C on M0; B conflicts (depth 2 at [1,1.5]) → M1. A later D[4,5]
 	// fits M1 (current) even though M0 also fits.
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(0.5, 1.5), iv(4, 5))
-	s := row("nextfit").Run(in)
+	s := row("nextfit")(in, nil)
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +311,7 @@ func TestRandomFitDeterministicPerSeed(t *testing.T) {
 
 func TestEmptyInstances(t *testing.T) {
 	in := core.NewInstance(2)
-	for _, run := range []algo.Func{row("firstfit-start").Run, row("nextfit").Run, row("bestfit").Run, MachineMin} {
+	for _, run := range []func(*core.Instance) *core.Schedule{freshRow("firstfit-start"), freshRow("nextfit"), freshRow("bestfit"), MachineMin} {
 		s := run(in)
 		if s.Cost() != 0 || s.Verify() != nil {
 			t.Error("empty instance mishandled")
@@ -307,7 +321,7 @@ func TestEmptyInstances(t *testing.T) {
 
 func BenchmarkBestFit1k(b *testing.B) {
 	in := generator.General(7, 1000, 4, 500, 30)
-	bestFit := row("bestfit").Run
+	bestFit := freshRow("bestfit")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,6 +19,7 @@
 package boundedlength
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -36,19 +37,8 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "boundedlength",
 		Description: "segment by d then solve per segment (§3.2, 2+ε approximation)",
-		Run: func(in *core.Instance) *core.Schedule {
-			s, err := Schedule(in, Options{})
-			if err != nil {
-				panic(err)
-			}
-			return s
-		},
-		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			s, err := ScheduleScratch(in, Options{}, sc)
-			if err != nil {
-				panic(err)
-			}
-			return s
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			return Schedule(in, Options{}, sc)
 		},
 	})
 }
@@ -103,19 +93,11 @@ func Segments(in *core.Instance, d float64) (buckets [][]int, segnum []int) {
 }
 
 // Schedule runs the Bounded_Length algorithm and returns a complete
-// feasible schedule that never mixes segments on one machine.
-func Schedule(in *core.Instance, opts Options) (*core.Schedule, error) {
-	return schedule(in, opts, nil)
-}
-
-// ScheduleScratch is Schedule with the outer (returned) schedule drawn from
-// sc; per-segment sub-solves still build their own transient state. The
-// returned schedule is only valid until sc's next use.
-func ScheduleScratch(in *core.Instance, opts Options, sc *core.Scratch) (*core.Schedule, error) {
-	return schedule(in, opts, sc)
-}
-
-func schedule(in *core.Instance, opts Options, sc *core.Scratch) (*core.Schedule, error) {
+// feasible schedule that never mixes segments on one machine. The returned
+// schedule is drawn from sc (fresh memory when sc is nil) and is only valid
+// until sc's next use; per-segment sub-solves build their own transient
+// state.
+func Schedule(in *core.Instance, opts Options, sc *core.Scratch) (*core.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -295,7 +277,7 @@ func ScheduleFromWitness(witness *core.Schedule) (*core.Schedule, error) {
 // produces and the unrestricted optimum (when exactly solvable). Used by
 // the harness to verify the ≤ 2 segmentation loss empirically.
 func SegmentationOverhead(in *core.Instance, opts Options) (segmented, unrestricted float64, err error) {
-	s, err := Schedule(in, opts)
+	s, err := Schedule(in, opts, nil)
 	if err != nil {
 		return 0, 0, err
 	}

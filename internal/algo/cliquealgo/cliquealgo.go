@@ -10,6 +10,7 @@ package cliquealgo
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -23,19 +24,8 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "clique",
 		Description: "group-by-distance algorithm for clique instances (Appendix, 2-approximation)",
-		Run: func(in *core.Instance) *core.Schedule {
-			s, err := Schedule(in)
-			if err != nil {
-				panic(err) // registry entry is only used on clique instances
-			}
-			return s
-		},
-		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			s, err := ScheduleScratch(in, sc)
-			if err != nil {
-				panic(err)
-			}
-			return s
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			return schedule(in, sc)
 		},
 	})
 }
@@ -44,12 +34,6 @@ func init() {
 // clique (no common point exists).
 func Schedule(in *core.Instance) (*core.Schedule, error) {
 	return schedule(in, nil)
-}
-
-// ScheduleScratch is Schedule drawing schedule state from sc. The returned
-// schedule is only valid until sc's next use.
-func ScheduleScratch(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
-	return schedule(in, sc)
 }
 
 func schedule(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {

@@ -28,21 +28,7 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "exact",
 		Description: "optimal schedule by branch and bound (small instances only)",
-		Run: func(in *core.Instance) *core.Schedule {
-			s, err := Solve(in)
-			if err != nil {
-				panic(err)
-			}
-			return s
-		},
-		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			s, err := SolveScratch(in, sc)
-			if err != nil {
-				panic(err)
-			}
-			return s
-		},
-		RunScratchCtx: func(ctx context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+		Run: func(ctx context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
 			return SolveWith(ctx, in, DefaultMaxJobs, sc)
 		},
 		Cancellation: algo.CancelMidRun,
@@ -93,13 +79,6 @@ const DefaultMaxJobs = 18
 // if any component exceeds DefaultMaxJobs jobs.
 func Solve(in *core.Instance) (*core.Schedule, error) {
 	return SolveWith(context.Background(), in, DefaultMaxJobs, nil)
-}
-
-// SolveScratch is Solve with the final schedule materialized from sc through
-// the placement kernel (the search itself still builds transient state). The
-// returned schedule is only valid until sc's next use.
-func SolveScratch(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
-	return SolveWith(context.Background(), in, DefaultMaxJobs, sc)
 }
 
 // SolveMax is Solve with an explicit per-component job limit.

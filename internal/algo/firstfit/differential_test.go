@@ -1,6 +1,7 @@
 package firstfit
 
 import (
+	"context"
 	"testing"
 
 	"busytime/internal/algo"
@@ -12,7 +13,8 @@ import (
 // sc, as the Solver's warm path does.
 func scheduleScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
 	a, _ := algo.Lookup("firstfit")
-	return a.RunScratch(in, sc)
+	s, _ := a.Run(context.Background(), in, sc) // a greedy row never errors
+	return s
 }
 
 // diffFamilies enumerates the generator families the differential suite

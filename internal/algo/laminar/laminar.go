@@ -18,6 +18,7 @@
 package laminar
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -30,19 +31,8 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "laminar",
 		Description: "exact level-grouping for laminar instances (optimal, polynomial)",
-		Run: func(in *core.Instance) *core.Schedule {
-			s, err := Schedule(in)
-			if err != nil {
-				panic(err)
-			}
-			return s
-		},
-		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			s, err := ScheduleScratch(in, sc)
-			if err != nil {
-				panic(err)
-			}
-			return s
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			return schedule(in, sc)
 		},
 	})
 }
@@ -121,12 +111,6 @@ func Levels(set interval.Set) []int {
 // laminar. The result's cost equals core.FractionalBound(in).
 func Schedule(in *core.Instance) (*core.Schedule, error) {
 	return schedule(in, nil)
-}
-
-// ScheduleScratch is Schedule drawing schedule state from sc. The returned
-// schedule is only valid until sc's next use.
-func ScheduleScratch(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
-	return schedule(in, sc)
 }
 
 func schedule(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {

@@ -12,8 +12,9 @@
 package localsearch
 
 import (
+	"context"
+
 	"busytime/internal/algo"
-	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/interval"
 )
@@ -22,19 +23,10 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "firstfit+ls",
 		Description: "FirstFit (§2.1) followed by move/merge local search to a local optimum (ablation A3)",
-		Run: func(in *core.Instance) *core.Schedule {
-			s, err := Improve(firstfit.Schedule(in), Options{})
-			if err != nil {
-				panic(err)
-			}
-			return s
-		},
-		RunScratch: func(in *core.Instance, sc *core.Scratch) *core.Schedule {
-			s, err := ImproveScratch(algo.RunGreedy(in, sc, in.LengthOrder(), core.LowestFit), Options{}, sc)
-			if err != nil {
-				panic(err)
-			}
-			return s
+		// The first-fit schedule and the improved one share sc: improve
+		// copies its working state out of the input before rebuilding.
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			return improve(algo.RunGreedy(in, sc, in.LengthOrder(), core.LowestFit), Options{}, sc)
 		},
 		// The move pass shuffles member order as it relocates jobs, so the
 		// rebuilt machine job lists (and their float span accumulation) depend
@@ -161,26 +153,14 @@ func (a *assignment) move(j, to int) {
 // It returns a new schedule; the input is not modified. The result's cost is
 // never worse than the input's and feasibility is preserved.
 func Improve(s *core.Schedule, opts Options) (*core.Schedule, error) {
-	opts.fill()
-	a := fromSchedule(s)
-	for round := 0; round < opts.MaxRounds; round++ {
-		improved := a.movePass(opts.Tolerance)
-		if a.mergePass(opts.Tolerance) {
-			improved = true
-		}
-		if !improved {
-			break
-		}
-	}
-	return a.build()
+	return improve(s, opts, nil)
 }
 
-// ImproveScratch is Improve with the final schedule drawn from sc — the
-// kernel-routed batch path. The input schedule may itself live on sc: the
-// working state is copied out of it up front, so rebuilding over the same
-// arena is safe (the input is invalidated, like any schedule on a recycled
-// scratch).
-func ImproveScratch(s *core.Schedule, opts Options, sc *core.Scratch) (*core.Schedule, error) {
+// improve is Improve with the final schedule drawn from sc (fresh memory
+// when sc is nil). The input schedule may itself live on sc: the working
+// state is copied out of it up front, so rebuilding over the same arena is
+// safe (the input is invalidated, like any schedule on a recycled scratch).
+func improve(s *core.Schedule, opts Options, sc *core.Scratch) (*core.Schedule, error) {
 	opts.fill()
 	a := fromSchedule(s)
 	for round := 0; round < opts.MaxRounds; round++ {
@@ -192,7 +172,7 @@ func ImproveScratch(s *core.Schedule, opts Options, sc *core.Scratch) (*core.Sch
 			break
 		}
 	}
-	return a.buildInto(core.NewScheduleFrom(a.in, sc))
+	return a.build(core.NewScheduleFrom(a.in, sc))
 }
 
 // movePass relocates each job to its cheapest feasible machine.
@@ -293,12 +273,8 @@ func (a *assignment) mergeFeasible(m1, m2 int) bool {
 	return true
 }
 
-// build materializes a compacted core.Schedule.
-func (a *assignment) build() (*core.Schedule, error) {
-	return a.buildInto(core.NewSchedule(a.in))
-}
-
-func (a *assignment) buildInto(out *core.Schedule) (*core.Schedule, error) {
+// build materializes the assignment, compacted, into the empty schedule out.
+func (a *assignment) build(out *core.Schedule) (*core.Schedule, error) {
 	for _, jobs := range a.member {
 		if len(jobs) == 0 {
 			continue

@@ -12,6 +12,7 @@
 package portfolio
 
 import (
+	"context"
 	"fmt"
 
 	"busytime/internal/algo"
@@ -30,24 +31,13 @@ func init() {
 	algo.Register(algo.Algorithm{
 		Name:        "portfolio",
 		Description: "best of all applicable algorithms plus local search",
-		Run: func(in *core.Instance) *core.Schedule {
-			s, _, err := Schedule(in)
-			if err != nil {
-				panic(err)
-			}
-			return s
-		},
 		// The portfolio keeps several candidate schedules alive at once, so
 		// none of them can draw from the single-live-schedule scratch; every
 		// candidate is itself kernel-routed, and the scratch is simply
-		// unused. Registered so batch drivers can dispatch the portfolio
-		// uniformly with every other algorithm.
-		RunScratch: func(in *core.Instance, _ *core.Scratch) *core.Schedule {
+		// unused.
+		Run: func(_ context.Context, in *core.Instance, _ *core.Scratch) (*core.Schedule, error) {
 			s, _, err := Schedule(in)
-			if err != nil {
-				panic(err)
-			}
-			return s
+			return s, err
 		},
 	})
 }
@@ -94,7 +84,7 @@ func Schedule(in *core.Instance) (*core.Schedule, string, error) {
 			cands = append(cands, candidate{"laminar", s})
 		}
 	}
-	if s, err := boundedlength.Schedule(in, boundedlength.Options{}); err == nil {
+	if s, err := boundedlength.Schedule(in, boundedlength.Options{}, nil); err == nil {
 		cands = append(cands, candidate{"boundedlength", s})
 	}
 	if in.N() <= ExactLimit {

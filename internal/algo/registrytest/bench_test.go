@@ -1,6 +1,7 @@
 package registrytest
 
 import (
+	"context"
 	"testing"
 
 	"busytime/internal/core"
@@ -31,7 +32,7 @@ func BenchmarkRegistry(b *testing.B) {
 			in := c.in
 			b.Run(a.Name+"/"+c.name, func(b *testing.B) {
 				for b.Loop() {
-					if _, err := runSafely(func() *core.Schedule { return a.Run(in) }); err != nil {
+					if _, err := a.Run(context.Background(), in, nil); err != nil {
 						b.Skip(err)
 					}
 				}

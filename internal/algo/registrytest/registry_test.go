@@ -1,10 +1,11 @@
 // Package registrytest pins the registry-wide contract of the placement
-// kernel refactor: every registered algorithm carries a RunScratch entry
-// point, and RunScratch is byte-identical to Run — same machine count, same
-// job→machine map, same per-machine job lists, bitwise-equal cost — across
-// every generator family, with one shared Scratch kept warm across all
-// algorithms and instances. Algorithms with class preconditions (clique,
-// laminar, exact, boundedlength) must fail on both paths symmetrically.
+// kernel: every registered algorithm carries one Run entry point, and Run
+// on a recycled scratch is byte-identical to Run on fresh memory — same
+// machine count, same job→machine map, same per-machine job lists,
+// bitwise-equal cost — across every generator family, with one shared
+// Scratch kept warm across all algorithms and instances. Algorithms with
+// class preconditions (clique, laminar, exact, boundedlength) must reject
+// on both paths symmetrically, with an error rather than a panic.
 //
 // It lives in its own package so the algo package's registration unit tests
 // (which inject stub algorithms) cannot leak into the registry under test.
@@ -49,17 +50,6 @@ func families(seed int64) []*core.Instance {
 	}
 }
 
-// runSafely converts algorithm panics (class preconditions, size limits) to
-// errors so the sweep can assert failure symmetry.
-func runSafely(f func() *core.Schedule) (s *core.Schedule, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s, err = nil, fmt.Errorf("%v", r)
-		}
-	}()
-	return f(), nil
-}
-
 // assertIdentical fails unless the two schedules are byte-identical.
 func assertIdentical(t *testing.T, label string, a, b *core.Schedule) {
 	t.Helper()
@@ -88,15 +78,15 @@ func assertIdentical(t *testing.T, label string, a, b *core.Schedule) {
 }
 
 // TestEveryAlgorithmHasRunScratch is the registry completeness gate of the
-// kernel refactor.
+// kernel refactor: every row has its one entry point.
 func TestEveryAlgorithmHasRunScratch(t *testing.T) {
 	all := algo.All()
 	if len(all) == 0 {
 		t.Fatal("registry is empty")
 	}
 	for _, a := range all {
-		if a.RunScratch == nil {
-			t.Errorf("%s has no RunScratch", a.Name)
+		if a.Run == nil {
+			t.Errorf("%s has no Run", a.Name)
 		}
 	}
 }
@@ -118,10 +108,10 @@ func degenerateInputs() []*core.Instance {
 }
 
 // TestRegistryRunScratchParity sweeps every registered algorithm over every
-// generator family and then the degenerate inputs, comparing Run against
-// RunScratch through one shared, warm Scratch. The Run schedule is
-// independently allocated, and each recycled schedule is compared before the
-// scratch's next use, so the two never alias. No algorithm rejects a
+// generator family and then the degenerate inputs, comparing Run on fresh
+// memory against Run through one shared, warm Scratch. The fresh schedule
+// is independently allocated, and each recycled schedule is compared before
+// the scratch's next use, so the two never alias. No algorithm rejects a
 // degenerate input, so those must succeed on both paths.
 func TestRegistryRunScratchParity(t *testing.T) {
 	type input struct {
@@ -141,29 +131,82 @@ func TestRegistryRunScratchParity(t *testing.T) {
 	for _, in := range degenerate {
 		inputs = append(inputs, input{in.Name, in})
 	}
+	ctx := context.Background()
 	sc := new(core.Scratch)
 	for ii, c := range inputs {
 		mustRun := ii >= len(inputs)-len(degenerate)
 		for _, a := range all(t) {
-			a, in := a, c.in
 			label := a.Name + " " + c.label
-			fresh, errRun := runSafely(func() *core.Schedule { return a.Run(in) })
-			recycled, errScratch := runSafely(func() *core.Schedule { return a.RunScratch(in, sc) })
-			if mustRun && (errRun != nil || errScratch != nil) {
-				t.Fatalf("%s: Run err=%v, RunScratch err=%v", label, errRun, errScratch)
+			fresh, errFresh := a.Run(ctx, c.in, nil)
+			recycled, errScratch := a.Run(ctx, c.in, sc)
+			if mustRun && (errFresh != nil || errScratch != nil) {
+				t.Fatalf("%s: fresh err=%v, scratch err=%v", label, errFresh, errScratch)
 			}
-			if (errRun == nil) != (errScratch == nil) {
-				t.Fatalf("%s: Run err=%v but RunScratch err=%v", label, errRun, errScratch)
+			if (errFresh == nil) != (errScratch == nil) {
+				t.Fatalf("%s: fresh err=%v but scratch err=%v", label, errFresh, errScratch)
 			}
-			if errRun != nil {
+			if errFresh != nil {
 				continue // class precondition failed on both paths
 			}
 			if err := fresh.Verify(); err != nil {
-				t.Fatalf("%s: Run schedule infeasible: %v", label, err)
+				t.Fatalf("%s: fresh schedule infeasible: %v", label, err)
 			}
 			assertIdentical(t, label, fresh, recycled)
 		}
 	}
+}
+
+// FuzzRegistryRunParity fuzzes the one entry point: every registered row
+// runs on a fuzzed instance (at most 12 jobs, so exact and portfolio stay
+// fast; g in 1–4; demands up to g) on fresh memory and on a scratch that a
+// differently shaped instance warmed just before. Both runs must agree on
+// error-or-not and, on success, on the schedule byte for byte.
+func FuzzRegistryRunParity(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(8), uint8(2), uint8(10), uint8(1))
+	f.Add(int64(7), uint8(1), uint8(12), uint8(4), uint8(3), uint8(4))
+	f.Add(int64(3), uint8(2), uint8(5), uint8(3), uint8(7), uint8(2))
+	f.Add(int64(42), uint8(3), uint8(0), uint8(1), uint8(1), uint8(1))
+	ctx := context.Background()
+	warmer, ok := algo.Lookup("firstfit")
+	if !ok {
+		f.Fatal("firstfit not registered")
+	}
+	f.Fuzz(func(t *testing.T, seed int64, family, n, g, maxLen, maxDemand uint8) {
+		gg := int(g)%4 + 1
+		nn := int(n) % 13
+		length := float64(maxLen%20) + 1
+		var in *core.Instance
+		switch family % 4 {
+		case 0:
+			in = generator.General(seed, nn, gg, float64(nn)/2+1, length)
+		case 1:
+			in = generator.Clique(seed, nn, gg, 10, length)
+		case 2:
+			in = generator.Laminar(seed, gg, 1, 2, 3, length+4)
+		default:
+			in = generator.Proper(seed, nn, gg, float64(nn)+1, length)
+		}
+		if d := int(maxDemand)%gg + 1; d > 1 {
+			in = generator.WithDemands(in, seed+1, d)
+		}
+		warm := generator.General(seed+2, int(maxLen)%64+1, int(maxDemand)%5+1, float64(n)+3, 6)
+		sc := new(core.Scratch)
+		for _, a := range all(t) {
+			if _, err := warmer.Run(ctx, warm, sc); err != nil {
+				t.Fatal(err)
+			}
+			label := a.Name + " " + in.Name
+			fresh, errFresh := a.Run(ctx, in, nil)
+			recycled, errScratch := a.Run(ctx, in, sc)
+			if (errFresh == nil) != (errScratch == nil) {
+				t.Fatalf("%s: fresh err=%v but scratch err=%v", label, errFresh, errScratch)
+			}
+			if errFresh != nil {
+				continue
+			}
+			assertIdentical(t, label, fresh, recycled)
+		}
+	})
 }
 
 // all returns the registry, skipping nothing; split out so the parity sweep
@@ -188,6 +231,7 @@ func TestRegistryDecomposedParity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pool <- new(core.Scratch)
 	}
+	ctx := context.Background()
 	runner := decomp.NewRunner()
 	seqScratch := new(core.Scratch)
 	decomposable := 0
@@ -205,18 +249,17 @@ func TestRegistryDecomposedParity(t *testing.T) {
 				if a.Decompose == nil {
 					continue
 				}
-				a := a
 				label := fmt.Sprintf("%s seed=%d family=%d", a.Name, seed, fi)
-				seq, seqErr := runSafely(func() *core.Schedule { return a.RunScratch(in, seqScratch) })
+				seq, seqErr := a.Run(ctx, in, seqScratch)
 				sc := new(core.Scratch)
-				dec, st, decErr := runner.Run(context.Background(), in, a.Decompose, sc, pool, 4)
+				dec, st, decErr := runner.Run(ctx, in, a.Decompose, sc, pool, 4)
 				if dec == nil && decErr == nil {
 					// The layer declined; the real callers fall back to the
 					// plain sequential path on the same arena.
 					if st.Components > 1 {
 						t.Fatalf("%s: layer declined on %d components with 3 spare arenas", label, st.Components)
 					}
-					dec, decErr = runSafely(func() *core.Schedule { return a.RunScratch(in, sc) })
+					dec, decErr = a.Run(ctx, in, sc)
 				}
 				if (seqErr == nil) != (decErr == nil) {
 					t.Fatalf("%s: sequential err=%v but decomposed err=%v", label, seqErr, decErr)
@@ -245,9 +288,16 @@ func TestRegistryScratchSizeLadder(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s not registered", name)
 			}
-			fresh := a.Run(in)
-			recycled := a.RunScratch(in, sc)
-			assertIdentical(t, fmt.Sprintf("%s round=%d n=%d", name, round, n), fresh, recycled)
+			label := fmt.Sprintf("%s round=%d n=%d", name, round, n)
+			fresh, err := a.Run(context.Background(), in, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			recycled, err := a.Run(context.Background(), in, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertIdentical(t, label, fresh, recycled)
 		}
 	}
 }
@@ -262,9 +312,8 @@ func TestRegistrySimCrossCheck(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		for fi, in := range families(seed) {
 			for _, a := range all(t) {
-				a := a
 				label := fmt.Sprintf("%s seed=%d family=%d", a.Name, seed, fi)
-				s, err := runSafely(func() *core.Schedule { return a.Run(in) })
+				s, err := a.Run(context.Background(), in, nil)
 				if err != nil {
 					continue // class precondition rejected the family
 				}

@@ -236,9 +236,12 @@ func (c *CLI) cmdEval(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	lb := busytime.LowerBound(inst)
+	b, err := busytime.AllBounds(inst)
+	if err != nil {
+		return err
+	}
 	tb := stats.NewTable(
-		fmt.Sprintf("evaluation of %s (n=%d, g=%d, LB=%.3f)", inst.Name, inst.N(), inst.G, lb),
+		fmt.Sprintf("evaluation of %s (n=%d, g=%d, LB=%.3f)", inst.Name, inst.N(), inst.G, b.Fractional),
 		"algorithm", "machines", "cost", "cost/LB")
 	for _, a := range busytime.Algorithms() {
 		if a.Name == "exact" && inst.N() > 16 {
@@ -280,7 +283,10 @@ func (c *CLI) cmdBounds(args []string) error {
 	if err != nil {
 		return err
 	}
-	b := busytime.AllBounds(inst)
+	b, err := busytime.AllBounds(inst)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(c.Out, "instance    : %s (n=%d, g=%d)\n", inst.Name, inst.N(), inst.G)
 	fmt.Fprintf(c.Out, "span        : %.4f\n", b.Span)
 	fmt.Fprintf(c.Out, "parallelism : %.4f\n", b.Parallelism)

@@ -72,8 +72,8 @@ func NewScratchPool(workers int) chan *Scratch {
 }
 
 // NewScheduleFrom returns an empty schedule for inst drawn from sc, or a
-// fresh one when sc is nil. It is the single construction point for
-// algorithms whose Run and RunScratch entry points share one body.
+// fresh one when sc is nil. It is the single construction point through
+// which one algorithm body serves both fresh memory and a recycled arena.
 func NewScheduleFrom(inst *Instance, sc *Scratch) *Schedule {
 	if sc != nil {
 		return sc.NewSchedule(inst)

@@ -486,9 +486,9 @@ func (r *Runner) drain(w int, sc *core.Scratch) {
 // solveOne runs one component through the algorithm's RunComponent on the
 // worker's arena, recording its error and wall time, and — on the stitch
 // path — capturing the component's machine span pieces off the arena before
-// the worker's next component recycles them. Panics — the legacy error
-// channel of registry algorithms — are converted to errors here, on the
-// worker goroutine, so they cannot take the process down.
+// the worker's next component recycles them. RunComponent reports
+// rejections as errors, so a panic is a bug; it is converted to an error
+// here, on the worker goroutine, so it cannot take the process down.
 func (r *Runner) solveOne(c, w int, sc *core.Scratch) {
 	defer func() {
 		switch p := recover().(type) {

@@ -165,7 +165,10 @@ func TestRunMatchesSequential(t *testing.T) {
 			if a.Decompose == nil {
 				t.Fatalf("%s has no Decomposer", name)
 			}
-			seq := a.Run(in)
+			seq, err := a.Run(context.Background(), in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sc := new(core.Scratch)
 			got, st, err := r.Run(context.Background(), in, a.Decompose, sc, pool, 4)
 			if err != nil {

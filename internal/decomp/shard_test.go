@@ -53,7 +53,10 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 					t.Fatalf("%s declares no shard rule", name)
 				}
 				label := fmt.Sprintf("%s seed=%d family=%d", name, seed, fi)
-				seq := a.Run(in)
+				seq, err := a.Run(context.Background(), in, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				sc := new(core.Scratch)
 				got, st, err := r.Solve(context.Background(), in, d, sc, pool, 1, 4)
 				if err != nil {

@@ -6,6 +6,7 @@ package experiments
 // paper's per-class guarantees are asserted against exact optima.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -58,7 +59,11 @@ func runSafely(t *testing.T, a algo.Algorithm, in *core.Instance) (s *core.Sched
 			t.Fatalf("%s panicked: %v", a.Name, r)
 		}
 	}()
-	return a.Run(in)
+	var err error
+	if s, err = a.Run(context.Background(), in, nil); err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	return s
 }
 
 func TestConformanceAllAlgorithmsAllFamilies(t *testing.T) {

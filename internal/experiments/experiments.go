@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"busytime/internal/algo"
@@ -31,14 +32,21 @@ import (
 	"busytime/internal/stats"
 )
 
-// registered returns the entry point of a registered algorithm; the
-// experiments name only rows their imports register.
-func registered(name string) algo.Func {
+// registered returns a registered algorithm as a fresh-memory schedule
+// function; the experiments name only greedy rows their imports register,
+// which accept every valid instance, so an error is a bug and panics.
+func registered(name string) func(*core.Instance) *core.Schedule {
 	a, ok := algo.Lookup(name)
 	if !ok {
 		panic("experiments: " + name + " not registered")
 	}
-	return a.Run
+	return func(in *core.Instance) *core.Schedule {
+		s, err := a.Run(context.Background(), in, nil)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s: %v", name, err))
+		}
+		return s
+	}
 }
 
 // Config scales the experiments.
@@ -281,7 +289,7 @@ func E4BoundedLength(cfg Config) (*Result, error) {
 	}
 	large, err := ratioStats(5, func(t int) (float64, float64, error) {
 		in := generator.BoundedLength(cfg.Seed+int64(901+t), cfg.LargeN/2, 3, 40, 4)
-		s, err := boundedlength.Schedule(in, boundedlength.Options{D: 4})
+		s, err := boundedlength.Schedule(in, boundedlength.Options{D: 4}, nil)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -14,22 +15,30 @@ import (
 
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
-// replay returns the registered online replay row of the given name.
-func replay(name string) algo.Algorithm {
+// replay returns the registered online replay row of the given name as a
+// schedule function on sc (fresh memory when sc is nil). The online rows
+// accept every valid instance, so an error panics.
+func replay(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 	a, ok := algo.Lookup(name)
 	if !ok {
 		panic(name + " not registered")
 	}
-	return a
+	return func(in *core.Instance, sc *core.Scratch) *core.Schedule {
+		s, err := a.Run(context.Background(), in, sc)
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
 }
 
 func TestPoliciesFeasibleOnRandom(t *testing.T) {
 	for _, r := range rows {
-		run := replay(r.Name).Run
+		run := replay(r.Name)
 		t.Run(r.Name, func(t *testing.T) {
 			f := func(seed int64, nn, gg uint8) bool {
 				in := generator.General(seed, int(nn%30)+1, int(gg%4)+1, 40, 12)
-				s := run(in)
+				s := run(in, nil)
 				return s.Verify() == nil && s.Complete() && s.Cost() >= core.BestBound(in)-1e-9
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -42,7 +51,7 @@ func TestPoliciesFeasibleOnRandom(t *testing.T) {
 func TestOnlineFirstFitKnownPlacement(t *testing.T) {
 	// Arrivals: [0,2], [1,3], [1.5,4] with g=2. Third job overflows M0.
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(1.5, 4))
-	s := replay("online-firstfit").Run(in)
+	s := replay("online-firstfit")(in, nil)
 	if s.MachineOf(0) != 0 || s.MachineOf(1) != 0 || s.MachineOf(2) != 1 {
 		t.Errorf("placements: %d %d %d", s.MachineOf(0), s.MachineOf(1), s.MachineOf(2))
 	}
@@ -54,12 +63,12 @@ func TestOnlineBestFitPrefersCheapMachine(t *testing.T) {
 	// growth 3 (disjoint), M1 is feasible at growth 1 ([3,7]∪[5,8]=[3,8]).
 	// BestFit must choose M1; FirstFit would have chosen M0.
 	in := core.NewInstance(2, iv(0, 4), iv(0, 4), iv(3, 7), iv(5, 8))
-	s := replay("online-bestfit").Run(in)
+	s := replay("online-bestfit")(in, nil)
 	if s.MachineOf(3) != s.MachineOf(2) {
 		t.Errorf("BestFit placed [5,8] on machine %d, want machine of [3,7] (%d)",
 			s.MachineOf(3), s.MachineOf(2))
 	}
-	ff := replay("online-firstfit").Run(in)
+	ff := replay("online-firstfit")(in, nil)
 	if ff.MachineOf(3) != ff.MachineOf(0) {
 		t.Errorf("FirstFit placed [5,8] on machine %d, want machine of [0,4] (%d)",
 			ff.MachineOf(3), ff.MachineOf(0))
@@ -73,7 +82,7 @@ func TestOnlineNextFitAbandons(t *testing.T) {
 	// g=1: [0,4] opens M0; [1,2] conflicts → M1; [5,6] fits M1 (current),
 	// never returns to M0 even though it also fits.
 	in := core.NewInstance(1, iv(0, 4), iv(1, 2), iv(5, 6))
-	s := replay("online-nextfit").Run(in)
+	s := replay("online-nextfit")(in, nil)
 	if s.MachineOf(2) != s.MachineOf(1) {
 		t.Errorf("NextFit revisited an abandoned machine")
 	}
@@ -89,7 +98,7 @@ func TestOnlineVsOfflineGap(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			s := replay(r.Name).Run(in)
+			s := replay(r.Name)(in, nil)
 			if s.Cost() < opt-1e-9 {
 				t.Fatalf("%s beat OPT", r.Name)
 			}
@@ -109,8 +118,8 @@ func TestRunScratchMatchesRun(t *testing.T) {
 		in := generator.General(seed, 60+int(seed)*13, 2+int(seed)%4, 50, 14)
 		for _, r := range rows {
 			a := replay(r.Name)
-			fresh := a.Run(in)
-			recycled := a.RunScratch(in, sc)
+			fresh := a(in, nil)
+			recycled := a(in, sc)
 			if fresh.NumMachines() != recycled.NumMachines() || fresh.Cost() != recycled.Cost() {
 				t.Fatalf("seed %d %s: fresh (%d machines, cost %v) != scratch (%d machines, cost %v)",
 					seed, r.Name, fresh.NumMachines(), fresh.Cost(),
@@ -131,7 +140,7 @@ func TestRunScratchMatchesRun(t *testing.T) {
 func TestOnlineFirstFitZeroAllocSteadyState(t *testing.T) {
 	in := generator.General(3, 3000, 4, 1500, 25)
 	sc := new(core.Scratch)
-	firstFit := replay("online-firstfit").RunScratch
+	firstFit := replay("online-firstfit")
 	run := func() {
 		if s := firstFit(in, sc); s.NumMachines() == 0 {
 			t.Fatal("empty schedule")
@@ -152,11 +161,11 @@ func FuzzOnlineFirstFitWarmScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
 		firstFit := replay("online-firstfit")
-		fresh := firstFit.Run(in)
+		fresh := firstFit(in, nil)
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
-		_ = firstFit.RunScratch(warm, sc)
-		recycled := firstFit.RunScratch(in, sc)
+		_ = firstFit(warm, sc)
+		recycled := firstFit(in, sc)
 		if fresh.NumMachines() != recycled.NumMachines() || fresh.Cost() != recycled.Cost() {
 			t.Fatalf("fresh (%d machines, cost %v) != warm scratch (%d machines, cost %v)",
 				fresh.NumMachines(), fresh.Cost(), recycled.NumMachines(), recycled.Cost())
@@ -171,11 +180,11 @@ func FuzzOnlineFirstFitWarmScratch(f *testing.F) {
 
 func BenchmarkOnlineFirstFit1k(b *testing.B) {
 	in := generator.General(7, 1000, 4, 500, 30)
-	firstFit := replay("online-firstfit").Run
+	firstFit := replay("online-firstfit")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = firstFit(in)
+		_ = firstFit(in, nil)
 	}
 }
 
@@ -208,7 +217,7 @@ func TestLookaheadOneEqualsArrivalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := replay("online-firstfit").Run(in)
+		want := replay("online-firstfit")(in, nil)
 		if got.Cost() != want.Cost() {
 			t.Fatalf("seed %d: k=1 cost %v != pure online %v", seed, got.Cost(), want.Cost())
 		}

@@ -133,7 +133,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding instance: %v", err)
 		return
 	}
-	res, err := s.solver.Solve(r.Context(), &in)
+	res, err := s.oneShot.Solve(r.Context(), &in)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "solve: %v", err)
 		return

@@ -61,15 +61,20 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Server is the daemon: one warm Solver session for the control plane, one
+// Server is the daemon: Solver sessions for the control plane, one
 // multi-tenant OnlinePool for the data plane, both fronted by listeners
 // with per-endpoint latency histograms and a graceful drain. Construct
 // with New, bind with Start, then either Wait on the listeners or drive
 // the lifecycle with Run.
 type Server struct {
-	cfg    Config
-	solver *busytime.Solver
-	pool   *busytime.OnlinePool
+	cfg Config
+	// solver is the warm arena session behind /v1/batch and the tenant
+	// pool; oneShot serves /v1/solve in fresh memory, because that handler
+	// reads the schedule's assignment after Solve has returned its arena,
+	// where a concurrent solve could already be reusing it.
+	solver  *busytime.Solver
+	oneShot *busytime.Solver
+	pool    *busytime.OnlinePool
 
 	ctrlLn  net.Listener
 	dataLn  net.Listener
@@ -115,15 +120,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	oneShot, err := busytime.New(busytime.WithAlgorithm(cfg.Algorithm), busytime.WithFreshSchedules())
+	if err != nil {
+		return nil, err
+	}
 	pool, err := solver.OnlinePool(cfg.G, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{
-		cfg:    cfg,
-		solver: solver,
-		pool:   pool,
-		conns:  make(map[*dconn]struct{}),
+		cfg:     cfg,
+		solver:  solver,
+		oneShot: oneShot,
+		pool:    pool,
+		conns:   make(map[*dconn]struct{}),
 	}, nil
 }
 

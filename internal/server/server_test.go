@@ -8,16 +8,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"busytime"
+	"busytime/internal/generator"
 )
 
 // startServer boots a daemon on ephemeral ports and tears it down with the
@@ -200,6 +203,74 @@ func TestControlPlane(t *testing.T) {
 	}
 }
 
+// TestControlPlaneConcurrentSolve posts /v1/solve from four clients at once
+// to a one-worker daemon, alternating a 3-job and a 1000-job instance: every
+// reply must carry its own instance's assignment and cost. The handler reads
+// the assignment after Solve returns, so a schedule left on a recycled arena
+// could be overwritten, or indexed past its end, by a concurrent solve.
+func TestControlPlaneConcurrentSolve(t *testing.T) {
+	srv := startServer(t, Config{Workers: 1})
+	url := "http://" + srv.ControlAddr().String() + "/v1/solve"
+	instances := []*busytime.Instance{
+		generator.General(1, 3, 2, 4, 3),
+		generator.General(2, 1000, 4, 500, 20),
+	}
+	ref, err := busytime.New(busytime.WithFreshSchedules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, len(instances))
+	want := make([]busytime.Result, len(instances))
+	wantAssign := make([]map[int]int, len(instances))
+	for i, in := range instances {
+		if bodies[i], err = json.Marshal(in); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = ref.Solve(context.Background(), in); err != nil {
+			t.Fatal(err)
+		}
+		wantAssign[i] = want[i].Schedule.Assignment()
+	}
+
+	const clients, posts = 4, 100
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < posts; i++ {
+				k := (c + i) % len(instances)
+				resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[k]))
+				if err != nil {
+					errs <- fmt.Errorf("client %d post %d: %v", c, i, err)
+					return
+				}
+				var got solveResponse
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("client %d post %d: status %d, %v", c, i, resp.StatusCode, err)
+					return
+				}
+				if w := want[k]; got.N != len(instances[k].Jobs) || got.Cost != w.Cost ||
+					!maps.Equal(got.Assignment, wantAssign[k]) {
+					errs <- fmt.Errorf("client %d post %d: n=%d cost=%v with %d assignments, want n=%d cost=%v",
+						c, i, got.N, got.Cost, len(got.Assignment), len(instances[k].Jobs), w.Cost)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestDataPlaneRoundTrip pins the protocol against the library: the same
 // arrival stream placed through the daemon and through a direct OnlinePool
 // must produce identical machines and feed indexes.
@@ -234,7 +305,7 @@ func TestDataPlaneRoundTrip(t *testing.T) {
 		if err != nil || code != 0 {
 			t.Fatalf("place %d: code %d, %v", i, code, err)
 		}
-		wm, wj, err := pool.PlaceDemand("t0", busytime.NewInterval(start, end), demand)
+		wm, wj, err := pool.PlaceDemand("t0", busytime.Interval{Start: start, End: end}, demand)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,12 +13,14 @@ import (
 
 	// Every algorithm package registers itself in init; the facade imports
 	// the full set so any registered name is reachable through
-	// WithAlgorithm from a pure public consumer. (boundedlength, exact,
-	// online and portfolio are real imports above / in busytime.go.)
+	// WithAlgorithm from a pure public consumer. (boundedlength, exact and
+	// online are real imports above; portfolio also registers firstfit+ls
+	// through its localsearch import.)
 	_ "busytime/internal/algo/baselines"
 	_ "busytime/internal/algo/cliquealgo"
 	_ "busytime/internal/algo/firstfit"
 	_ "busytime/internal/algo/laminar"
+	_ "busytime/internal/algo/portfolio"
 	_ "busytime/internal/algo/properfit"
 )
 
@@ -218,11 +220,12 @@ func (s *Solver) summarize(in *Instance, sched *core.Schedule, arena ArenaStats)
 	}, nil
 }
 
-// run dispatches one instance to the session's algorithm; sc == nil selects
-// the fresh-memory path. The exact solver and the lookahead replays route
+// run dispatches one instance to the session's algorithm, drawing the
+// schedule from sc (fresh memory when sc is nil). The exact solver, the
+// lookahead replays and a boundedlength run with WithLengthBound route
 // around the registry to carry their extra configuration (component limit,
 // buffer size, segment bound); everything else goes through its registered
-// scratch entry point with panics converted to errors.
+// Run.
 func (s *Solver) run(ctx context.Context, in *Instance, sc *core.Scratch) (*core.Schedule, error) {
 	switch {
 	case s.cfg.algorithm == "exact":
@@ -233,14 +236,9 @@ func (s *Solver) run(ctx context.Context, in *Instance, sc *core.Scratch) (*core
 		}
 		return online.RunLookahead(in, s.cfg.lookahead, s.rule)
 	case s.cfg.algorithm == "boundedlength" && s.cfg.lengthD != 0:
-		if sc != nil {
-			return boundedlength.ScheduleScratch(in, boundedlength.Options{D: s.cfg.lengthD}, sc)
-		}
-		return boundedlength.Schedule(in, boundedlength.Options{D: s.cfg.lengthD})
-	case s.alg.RunScratchCtx != nil && sc != nil:
-		return s.alg.RunScratchCtx(ctx, in, sc)
+		return boundedlength.Schedule(in, boundedlength.Options{D: s.cfg.lengthD}, sc)
 	default:
-		return safeRun(s.alg, in, sc)
+		return safeRun(ctx, s.alg, in, sc)
 	}
 }
 
@@ -252,11 +250,12 @@ func (s *Solver) exactLimit() int {
 	return exact.DefaultMaxJobs
 }
 
-// safeRun invokes the registered entry point converting panics — the legacy
-// error channel of the registry's Run signature (class preconditions like
-// "not a clique", component limits) — into errors. Recovered error values
-// stay wrapped so errors.Is/As keep working across the facade.
-func safeRun(a algo.Algorithm, in *core.Instance, sc *core.Scratch) (sched *core.Schedule, err error) {
+// safeRun invokes the registered Run and wraps its error (a class
+// rejection such as "not a clique") as "busytime: <name>: …", keeping
+// errors.Is/As working across the facade. The recover is only a guard: a
+// panic inside Run is a bug, and it surfaces as the same wrapped error
+// instead of taking the caller down.
+func safeRun(ctx context.Context, a algo.Algorithm, in *core.Instance, sc *core.Scratch) (sched *core.Schedule, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -266,10 +265,10 @@ func safeRun(a algo.Algorithm, in *core.Instance, sc *core.Scratch) (sched *core
 			err = fmt.Errorf("busytime: %s: %v", a.Name, r)
 		}
 	}()
-	if sc != nil && a.RunScratch != nil {
-		return a.RunScratch(in, sc), nil
+	if sched, err = a.Run(ctx, in, sc); err != nil {
+		return nil, fmt.Errorf("busytime: %s: %w", a.Name, err)
 	}
-	return a.Run(in), nil
+	return sched, nil
 }
 
 // acquire leases an arena from the session pool, honoring ctx while waiting

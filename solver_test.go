@@ -25,10 +25,10 @@ func almostEq(a, b float64) bool {
 // it is simultaneously a clique (all intervals share a point) and laminar
 // (nested), small enough for exact, and valid for every heuristic.
 func tinyUniversal() *busytime.Instance {
-	in := busytime.NewInstance(2,
-		busytime.NewInterval(0, 4),
-		busytime.NewInterval(1, 3),
-		busytime.NewInterval(1.5, 2.5),
+	in := unitInstance(2,
+		ival(0, 4),
+		ival(1, 3),
+		ival(1.5, 2.5),
 	)
 	in.Name = "tiny-universal"
 	return in
@@ -186,7 +186,7 @@ func TestSolverWarmPathReusesArena(t *testing.T) {
 
 // TestSolverWarmMatchesPooled pins the public warm path to the internal
 // pooled path: a warm single-worker Solver must perform (almost) exactly
-// the allocations of the firstfit row's RunScratch on a warm core.Scratch — the
+// the allocations of the firstfit row's Run on a warm core.Scratch — the
 // facade may not add per-call garbage.
 func TestSolverWarmMatchesPooled(t *testing.T) {
 	in := generator.General(7, 5000, 4, 5000, 30)
@@ -206,7 +206,7 @@ func TestSolverWarmMatchesPooled(t *testing.T) {
 	})
 
 	sc := new(core.Scratch)
-	pooled := registered("firstfit").RunScratch
+	pooled := registered("firstfit")
 	pooled(in, sc)
 	internal := testing.AllocsPerRun(5, func() {
 		pooled(in, sc)
@@ -338,8 +338,8 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 // lookahead buffers) must produce the same outcome as Solve, never fall
 // back to the registered defaults.
 func TestSolveBatchHonorsSessionConfig(t *testing.T) {
-	three := busytime.NewInstance(2,
-		busytime.NewInterval(0, 4), busytime.NewInterval(1, 5), busytime.NewInterval(2, 6))
+	three := unitInstance(2,
+		ival(0, 4), ival(1, 5), ival(2, 6))
 
 	s, err := busytime.New(busytime.WithAlgorithm("exact"), busytime.WithExactLimit(2))
 	if err != nil {
@@ -409,6 +409,66 @@ func TestSolverOptionErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := busytime.New(tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("New(%s) error = %v, want containing %q", tc.name, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSolveRejectionErrors pins the exact error text of every class
+// rejection as Solve returns it and as SolveBatch stores it in Err: an
+// instance outside an algorithm's class is an error, never a panic.
+func TestSolveRejectionErrors(t *testing.T) {
+	build := func(g int, ivs ...busytime.Interval) *busytime.Instance {
+		in, err := busytime.BuildInstance(g, busytime.UnitJobs(ivs...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	// Twenty jobs sharing [19, 20]: one component above exact's limits.
+	var dense []busytime.Interval
+	for i := 0; i < 20; i++ {
+		dense = append(dense, busytime.Interval{Start: float64(i), End: float64(i) + 20})
+	}
+	nonClique := build(2, busytime.Interval{Start: 0, End: 1}, busytime.Interval{Start: 5, End: 6})
+	crossing := build(2, busytime.Interval{Start: 0, End: 5}, busytime.Interval{Start: 3, End: 8})
+	long := build(1, busytime.Interval{Start: 0, End: 5})
+	big := build(2, dense...)
+	cases := []struct {
+		name string
+		opts []busytime.Option
+		in   *busytime.Instance
+		want string
+	}{
+		{"clique", []busytime.Option{busytime.WithAlgorithm("clique")}, nonClique,
+			`busytime: clique: cliquealgo: instance "" is not a clique`},
+		{"laminar", []busytime.Option{busytime.WithAlgorithm("laminar")}, crossing,
+			`busytime: laminar: laminar: instance "" is not laminar`},
+		{"boundedlength", []busytime.Option{busytime.WithAlgorithm("boundedlength"), busytime.WithLengthBound(1)}, long,
+			"boundedlength: job 0 length 5 exceeds d = 1"},
+		{"exact", []busytime.Option{busytime.WithAlgorithm("exact")}, big,
+			"exact: component with 20 jobs exceeds limit 18"},
+		{"exact limit", []busytime.Option{busytime.WithAlgorithm("exact"), busytime.WithExactLimit(5)}, big,
+			"exact: component with 20 jobs exceeds limit 5"},
+		{"exact intra", []busytime.Option{busytime.WithAlgorithm("exact"), busytime.WithIntraWorkers(2)}, big,
+			"exact: component with 20 jobs exceeds limit 18"},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := busytime.New(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Solve(ctx, tc.in); err == nil || err.Error() != tc.want {
+				t.Errorf("Solve error = %v, want %q", err, tc.want)
+			}
+			res, err := s.SolveBatch(ctx, []*busytime.Instance{tc.in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Err != tc.want {
+				t.Errorf("SolveBatch Err = %q, want %q", res[0].Err, tc.want)
 			}
 		})
 	}
@@ -727,25 +787,6 @@ func TestSolverConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersStillWork pins the deprecated free functions to the
-// session path they now wrap.
-func TestLegacyWrappersStillWork(t *testing.T) {
-	in := tinyUniversal()
-	s := busytime.FirstFit(in)
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// The wrapper solvers run in fresh mode: consecutive calls must not
-	// recycle each other's schedules.
-	s2 := busytime.FirstFit(busytime.NewInstance(2, busytime.NewInterval(0, 1)))
-	if err := s.Verify(); err != nil {
-		t.Errorf("first schedule invalidated by second call: %v", err)
-	}
-	if s2.NumMachines() != 1 {
-		t.Errorf("second schedule machines = %d", s2.NumMachines())
-	}
-}
-
 // TestOnlineSessionRollingPublic drives the rolling-horizon surface through
 // the public API: WithWindow pre-sizing, early Release, auto-expiry and the
 // telemetry snapshot.
@@ -758,10 +799,10 @@ func TestOnlineSessionRollingPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Place(busytime.NewInterval(0, 10)); err != nil {
+	if _, err := sess.Place(ival(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Place(busytime.NewInterval(1, 10)); err != nil {
+	if _, err := sess.Place(ival(1, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if sess.Live() != 2 {
@@ -778,7 +819,7 @@ func TestOnlineSessionRollingPublic(t *testing.T) {
 	if _, err := sess.Release(7); err == nil {
 		t.Fatal("Release of a never-placed job accepted")
 	}
-	if _, err := sess.Place(busytime.NewInterval(2, 10)); err != nil {
+	if _, err := sess.Place(ival(2, 10)); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.Stats()
@@ -812,7 +853,7 @@ func TestOnlinePoolPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		iv := busytime.NewInterval(float64(i), float64(i)+4)
+		iv := ival(float64(i), float64(i)+4)
 		if _, _, err := pool.Place("a", iv); err != nil {
 			t.Fatal(err)
 		}
@@ -820,7 +861,7 @@ func TestOnlinePoolPublic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, job, err := pool.Place("a", busytime.NewInterval(8, 12)); err != nil {
+	if _, job, err := pool.Place("a", ival(8, 12)); err != nil {
 		t.Fatal(err)
 	} else if ok, err := pool.Release("a", job); !ok || err != nil {
 		t.Fatalf("Release = %v, %v", ok, err)
@@ -858,7 +899,7 @@ func TestOnlinePoolPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fpool.Place("x", busytime.NewInterval(0, 1)); err != nil {
+	if _, _, err := fpool.Place("x", ival(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fpool.Offline("x"); err == nil {
