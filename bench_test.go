@@ -295,17 +295,20 @@ func BenchmarkBatchPortfolio(b *testing.B) {
 }
 
 // The decompose–solve–merge path: one warm Solver session re-solving a
-// multi-component clustered instance (~100k jobs across 16 time-disjoint
-// clusters). The Seq variant is the plain sequential path; the Intra
-// variants enable WithIntraWorkers so components solve concurrently on the
-// session's spare arenas. On a multi-core host the ladder shows the
-// intra-instance speedup; determinism is pinned separately (the decomposed
-// schedule is bitwise-identical, see intra_test.go), so the bench only
-// checks machine count. BENCH_6.json records the measured numbers together
-// with the host core count — the scaling gate is only meaningful when
-// GOMAXPROCS exceeds the intra budget.
-func benchDecompClustered(b *testing.B, workers, intra int) {
-	in := generator.Clustered(7, 16, 6250, 4, 5000, 40)
+// multi-component clustered instance. The Clustered100k ladder has ~100k
+// jobs across 16 time-disjoint clusters; the Many50k pair has the bench
+// ledger's offline-clustered shape, 4,167 clusters of 12 jobs (g 3, cluster
+// span 9, jobs at most 6 long), where chunks of many components keep the
+// per-unit schedule resets off the critical path. The Seq variants are the
+// plain sequential path; the Intra variants enable WithIntraWorkers so
+// chunks solve concurrently on the session's spare arenas. On a multi-core
+// host the ladder shows the intra-instance speedup; determinism is pinned
+// separately (the decomposed schedule is bitwise-identical, see
+// intra_test.go), so the bench only checks machine count. BENCH_6.json
+// records the measured Clustered100k numbers together with the host core
+// count — the scaling gate is only meaningful when GOMAXPROCS exceeds the
+// intra budget.
+func benchDecompClustered(b *testing.B, in *core.Instance, workers, intra int) {
 	opts := []busytime.Option{busytime.WithWorkers(workers)}
 	if intra != 1 {
 		opts = append(opts, busytime.WithIntraWorkers(intra))
@@ -331,9 +334,21 @@ func benchDecompClustered(b *testing.B, workers, intra int) {
 	}
 }
 
-func BenchmarkDecompClustered100kSeq(b *testing.B)    { benchDecompClustered(b, 1, 1) }
-func BenchmarkDecompClustered100kIntra2(b *testing.B) { benchDecompClustered(b, 2, 2) }
-func BenchmarkDecompClustered100kIntra4(b *testing.B) { benchDecompClustered(b, 4, 4) }
+// clustered100k is the 16-cluster shape of the Clustered100k ladder.
+func clustered100k() *core.Instance { return generator.Clustered(7, 16, 6250, 4, 5000, 40) }
+
+// many50k is the bench ledger's offline-clustered shape at seed 1.
+func many50k() *core.Instance { return generator.Clustered(1, 4167, 12, 3, 9, 6) }
+
+func BenchmarkDecompClustered100kSeq(b *testing.B) { benchDecompClustered(b, clustered100k(), 1, 1) }
+func BenchmarkDecompClustered100kIntra2(b *testing.B) {
+	benchDecompClustered(b, clustered100k(), 2, 2)
+}
+func BenchmarkDecompClustered100kIntra4(b *testing.B) {
+	benchDecompClustered(b, clustered100k(), 4, 4)
+}
+func BenchmarkDecompMany50kSeq(b *testing.B)    { benchDecompClustered(b, many50k(), 1, 1) }
+func BenchmarkDecompMany50kIntra2(b *testing.B) { benchDecompClustered(b, many50k(), 2, 2) }
 
 // The sweep alone: component labeling over the cached start order, the O(n)
 // prefix of every decomposed run. The warm-up call before ResetTimer sizes

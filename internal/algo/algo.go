@@ -59,24 +59,24 @@ type Algorithm struct {
 	// Cancellation records where the algorithm observes ctx; see CancelPoint.
 	Cancellation CancelPoint
 	// Decompose, when non-nil, declares the algorithm safe for the
-	// component-decomposition layer (internal/decomp): running it on each
-	// connected component of the interval graph independently and merging
-	// the per-component schedules reproduces the sequential whole-instance
-	// run exactly. The registry-wide differential suite pins decomposed ==
-	// sequential bitwise for every algorithm that sets it.
+	// component-decomposition layer (internal/decomp): running it on chunks
+	// of whole connected components of the interval graph independently and
+	// merging the per-chunk schedules reproduces the sequential
+	// whole-instance run exactly. The registry-wide differential suite pins
+	// decomposed == sequential bitwise for every algorithm that sets it.
 	Decompose *Decomposer
 }
 
 // Decomposer is the decomposition contract of an algorithm: how to partition
-// its processing order by component, how to solve one component against the
-// parent instance, and how component-local machine indices map to global
+// its processing order by component, how to solve a run of whole components
+// against the parent instance, and how the solved machines map to global
 // ones.
 //
 // The greedy family qualifies under the identity mapping: components are
 // strictly time-disjoint, so during the sequential whole-instance run a
 // machine's jobs from other components never constrain a job's feasibility
-// or span delta — machine m's placements restricted to one component are
-// exactly the component-local run's machine m. Algorithms with cross-job
+// or span delta — machine m's placements restricted to some components are
+// exactly a run over those components alone. Algorithms with cross-job
 // state that survives a component boundary (NextFit's cursor, local search's
 // move passes, dynamic lookahead buffers) do not qualify and leave Decompose
 // nil.
@@ -85,25 +85,19 @@ type Decomposer struct {
 	// (a cached instance order; the slice is not modified). nil means
 	// position order 0..n-1.
 	Order func(in *core.Instance) []int32
-	// RunComponent solves one component against the parent instance: order
-	// is the component's jobs as a subsequence of the global Order, sc is a
-	// worker-private arena, and out (aligned with order) receives each job's
-	// component-local machine. Machines must be opened densely from 0.
-	RunComponent func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error
+	// RunComponent solves a chunk — one or more whole components, or a time
+	// shard — against the parent instance: order is the chunk's jobs as a
+	// subsequence of the global Order, and sc a worker-private arena. It
+	// must leave its result as the live schedule of in drawn from sc, with
+	// one kernel placement per order entry, in order, on machines opened
+	// densely from 0. The layer checks the placement count against the
+	// arena's span log and reads every job's machine off the live schedule.
+	RunComponent func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error
 	// Stacked selects the merge mapping: false merges under the identity
-	// (component-local machine j → global machine j, the greedy family);
-	// true stacks components onto disjoint machine ranges in component
-	// order (the exact solver, which opens fresh machines per component).
+	// (chunk machine j → global machine j, the greedy family); true stacks
+	// chunks onto disjoint machine ranges in start order (the exact solver,
+	// which opens fresh machines per component).
 	Stacked bool
-	// Stitch declares that RunComponent materializes its result as the live
-	// schedule on the arena it was handed — one kernel placement per order
-	// entry, in order (every GreedyDecomposer). The decomposition layer then
-	// merges by adopting each component's machine records and span pieces
-	// wholesale (core.Assembly.Graft/PutDelta) instead of replaying every
-	// placement's span merge, still bitwise identical to sequential.
-	// Decomposers that compute assignments out of band (the exact search
-	// builds a sub-instance) leave it false and get the ordinary Put replay.
-	Stitch bool
 	// Shard, when not ShardNone, additionally declares the algorithm safe
 	// for opt-in time-axis sharding: the dominant (or only) component's time
 	// axis is cut at low-crossing boundaries, the shards run through
@@ -111,7 +105,7 @@ type Decomposer struct {
 	// and the named rule places the withheld crossing jobs into the live
 	// shard schedules during the sequential reconciliation pass. Sharded
 	// results are valid but not bitwise-identical to sequential, so the
-	// layer only takes this path when the caller opted in. Requires Stitch.
+	// layer only takes this path when the caller opted in.
 	Shard ShardRule
 }
 
@@ -164,27 +158,25 @@ func RegisterGreedy(rows ...GreedyRow) {
 // RunGreedy places the jobs of order, in sequence, by rule on an empty
 // schedule drawn from sc (a fresh one when sc is nil) and returns it. It is
 // the one greedy placement loop of the library: the registered rows, their
-// component runs, the online lookahead replay and the pool's offline
-// replay all drive it.
+// chunk runs, the online lookahead replay and the pool's offline replay all
+// drive it.
 func RunGreedy(in *core.Instance, sc *core.Scratch, order []int32, rule core.Rule) *core.Schedule {
 	s := core.NewScheduleFrom(in, sc)
-	k := s.Placer()
 	for _, j := range order {
-		k.Apply(rule, int(j))
+		s.Apply(rule, int(j))
 	}
 	return s
 }
 
-// GreedyDecomposer derives a greedy row's decomposition contract: each
-// component runs through RunGreedy on the arena it is handed (so the stitch
-// merge applies), merged under the identity mapping, with the row's rule as
-// the time-sharding reconciliation rule. The order restricted to a component
-// is the component's own order, and a machine's jobs from other
-// (time-disjoint) components never change a LowestFit probe or a BestFit
-// argmin — such a machine's delta is the full job length, the maximum, and
-// it loses every tie to lower indices — so the merged run equals the
-// sequential one exactly. NextFit's cursor survives component boundaries,
-// so a NextFit row does not decompose and gets nil.
+// GreedyDecomposer derives a greedy row's decomposition contract: each chunk
+// runs through RunGreedy on the arena it is handed, merged under the
+// identity mapping, with the row's rule as the time-sharding reconciliation
+// rule. The order restricted to a chunk is the chunk's own order, and a
+// machine's jobs from other (time-disjoint) components never change a
+// LowestFit probe or a BestFit argmin — such a machine's delta is the full
+// job length, the maximum, and it loses every tie to lower indices — so the
+// merged run equals the sequential one exactly. NextFit's cursor survives
+// component boundaries, so a NextFit row does not decompose and gets nil.
 func GreedyDecomposer(order func(*core.Instance) []int32, rule core.Rule) *Decomposer {
 	shard := ShardLowestFit
 	switch rule {
@@ -195,15 +187,11 @@ func GreedyDecomposer(order func(*core.Instance) []int32, rule core.Rule) *Decom
 	}
 	return &Decomposer{
 		Order: order,
-		RunComponent: func(_ context.Context, in *core.Instance, comp []int32, sc *core.Scratch, out []int32) error {
-			s := RunGreedy(in, sc, comp, rule)
-			for i, j := range comp {
-				out[i] = int32(s.MachineOf(int(j)))
-			}
+		RunComponent: func(_ context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
+			RunGreedy(in, sc, order, rule)
 			return nil
 		},
-		Stitch: true,
-		Shard:  shard,
+		Shard: shard,
 	}
 }
 

@@ -99,14 +99,13 @@ func unitDemands(in *core.Instance) bool {
 func machineMinInto(in *core.Instance, s *core.Schedule) *core.Schedule {
 	g := intgraph.New(in.Set())
 	classes := intgraph.ColorClasses(g.MinColoring())
-	k := s.Placer()
 	for ci, class := range classes {
 		if ci%in.G == 0 {
-			k.OpenMachine()
+			s.OpenMachine()
 		}
-		m := k.NumMachines() - 1
+		m := s.NumMachines() - 1
 		for _, j := range class {
-			k.Place(j, m)
+			s.Assign(j, m)
 		}
 	}
 	return s

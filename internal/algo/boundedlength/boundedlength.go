@@ -146,16 +146,14 @@ func subInstance(in *core.Instance, bucket []int) *core.Instance {
 	return &core.Instance{Name: in.Name + "/seg", G: in.G, Jobs: jobs}
 }
 
-// graft copies a sub-instance schedule into s through the placement kernel,
-// opening fresh machines.
+// graft copies a sub-instance schedule into s, opening fresh machines.
 func graft(s *core.Schedule, bucket []int, solved *core.Schedule) {
-	k := s.Placer()
 	remap := make([]int, solved.NumMachines())
 	for m := range remap {
-		remap[m] = k.OpenMachine()
+		remap[m] = s.OpenMachine()
 	}
 	for i, j := range bucket {
-		k.Place(j, remap[solved.MachineOf(i)])
+		s.Assign(j, remap[solved.MachineOf(i)])
 	}
 }
 

@@ -57,13 +57,12 @@ func ScheduleAround(in *core.Instance, t float64) *core.Schedule {
 
 func scheduleAroundInto(in *core.Instance, t float64, s *core.Schedule) *core.Schedule {
 	order := distanceOrder(in, t)
-	k := s.Placer()
 	g := in.G
 	for i, j := range order {
 		if i%g == 0 {
-			k.OpenMachine()
+			s.OpenMachine()
 		}
-		k.Place(j, k.NumMachines()-1)
+		s.Assign(j, s.NumMachines()-1)
 	}
 	return s
 }

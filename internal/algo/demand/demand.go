@@ -201,7 +201,6 @@ func schedule(in *FlexInstance, sc *core.Scratch) (*Result, error) {
 		fixed.Jobs[i] = core.Job{ID: j.ID, Iv: interval.New(st, st+j.Proc), Demand: j.Demand}
 	}
 	s := core.NewScheduleFrom(fixed, sc)
-	k := s.Placer()
 	maxM := -1
 	for _, p := range decided {
 		if p.machine > maxM {
@@ -209,10 +208,10 @@ func schedule(in *FlexInstance, sc *core.Scratch) (*Result, error) {
 		}
 	}
 	for m := 0; m <= maxM; m++ {
-		k.OpenMachine()
+		s.OpenMachine()
 	}
 	for i, p := range decided {
-		k.Place(i, p.machine)
+		s.Assign(i, p.machine)
 	}
 	res := &Result{Starts: starts, Fixed: fixed, Schedule: s}
 	if err := res.Verify(in); err != nil {

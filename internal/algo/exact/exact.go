@@ -37,36 +37,18 @@ func init() {
 }
 
 // Decomposer declares the branch and bound safe for the decomposition layer
-// with the given per-component job limit: SolveWith already is a
-// decompose–solve–merge (it iterates Instance.Components sequentially), so
-// the layer merely runs the same per-component searches concurrently.
-// Stacked merging reproduces SolveWith's machineBase accumulation — each
-// component's machines offset by the counts of the components before it, in
-// component start order — and the position-order replay (Order nil)
-// reproduces FromAssignment's materialization bit for bit. solveComponent's
-// result is independent of its input job order (it canonicalizes to (start,
-// end, ID) internally), so the partition is the only thing that matters, and
-// both paths use the same reach sweep.
+// with the given per-component job limit. A chunk is solved by solveOrder,
+// the function SolveWith runs on the whole instance, so the layer merely runs
+// the same per-component searches concurrently. Stacked merging offsets each
+// chunk's machines by the counts of the chunks before it, in start order —
+// exactly solveOrder's own stacking — and the position-order replay (Order
+// nil) reproduces SolveWith's placement order bit for bit.
 func Decomposer(maxJobs int) *algo.Decomposer {
 	return &algo.Decomposer{
 		Stacked: true,
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
-			if len(order) > maxJobs {
-				return fmt.Errorf("exact: component with %d jobs exceeds limit %d", len(order), maxJobs)
-			}
-			jobs := make([]core.Job, len(order))
-			for i, j := range order {
-				jobs[i] = in.Jobs[j]
-			}
-			comp := &core.Instance{Name: in.Name + "/comp", G: in.G, Jobs: jobs}
-			sub, err := solveComponent(ctx, comp)
-			if err != nil {
-				return err
-			}
-			for i, m := range sub.assign {
-				out[i] = int32(m)
-			}
-			return nil
+		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
+			_, err := solveOrder(ctx, in, order, maxJobs, sc)
+			return err
 		},
 	}
 }
@@ -99,43 +81,70 @@ func SolveWith(ctx context.Context, in *core.Instance, maxJobs int, sc *core.Scr
 	if maxJobs < 1 {
 		return nil, fmt.Errorf("exact: component job limit %d, want ≥ 1", maxJobs)
 	}
-	assignment := make(map[int]int, in.N())
-	machineBase := 0
-	for _, comp := range in.Components() {
-		if comp.N() > maxJobs {
-			return nil, fmt.Errorf("exact: component with %d jobs exceeds limit %d", comp.N(), maxJobs)
-		}
-		if err := context.Cause(ctx); err != nil {
-			return nil, err
-		}
-		sub, err := solveComponent(ctx, comp)
-		if err != nil {
-			return nil, err
-		}
-		used := 0
-		for j, m := range sub.assign {
-			assignment[comp.Jobs[j].ID] = machineBase + m
-			if m+1 > used {
-				used = m + 1
-			}
-		}
-		machineBase += used
+	order := make([]int32, in.N())
+	for i := range order {
+		order[i] = int32(i)
 	}
-	if in.N() == 0 {
-		return core.NewScheduleFrom(in, sc), nil
-	}
-	var s *core.Schedule
-	var err error
-	if sc != nil {
-		s, err = core.FromAssignmentScratch(in, assignment, sc)
-	} else {
-		s, err = core.FromAssignment(in, assignment)
-	}
+	s, err := solveOrder(ctx, in, order, maxJobs, sc)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.Verify(); err != nil {
 		return nil, fmt.Errorf("exact: produced infeasible schedule: %w", err)
+	}
+	return s, nil
+}
+
+// solveOrder solves every connected component among the jobs of order
+// optimally (optimal per component is optimal overall), stacks their
+// machines in start order — each component's machines follow those of every
+// earlier-starting one — and places the jobs, in order, on a schedule of in
+// drawn from sc (fresh memory when sc is nil). Components are checked
+// against maxJobs and ctx in start order, each before its search, so the
+// earliest failing component decides the error.
+func solveOrder(ctx context.Context, in *core.Instance, order []int32, maxJobs int, sc *core.Scratch) (*core.Schedule, error) {
+	job := func(p int) core.Job { return in.Jobs[order[p]] }
+	byStart := make([]int, len(order))
+	for p := range byStart {
+		byStart[p] = p
+	}
+	slices.SortFunc(byStart, func(a, b int) int { return cmp.Compare(job(a).Iv.Start, job(b).Iv.Start) })
+	machine := make([]int, len(order))
+	base := 0
+	for lo := 0; lo < len(byStart); {
+		hi, reach := lo+1, job(byStart[lo]).Iv.End
+		for ; hi < len(byStart) && job(byStart[hi]).Iv.Start <= reach; hi++ {
+			reach = max(reach, job(byStart[hi]).Iv.End)
+		}
+		comp := byStart[lo:hi]
+		lo = hi
+		if len(comp) > maxJobs {
+			return nil, fmt.Errorf("exact: component with %d jobs exceeds limit %d", len(comp), maxJobs)
+		}
+		if err := context.Cause(ctx); err != nil {
+			return nil, err
+		}
+		jobs := make([]core.Job, len(comp))
+		for i, p := range comp {
+			jobs[i] = job(p)
+		}
+		sub, err := solveComponent(ctx, &core.Instance{Name: in.Name + "/comp", G: in.G, Jobs: jobs})
+		if err != nil {
+			return nil, err
+		}
+		used := 0
+		for i, m := range sub.assign {
+			machine[comp[i]] = base + m
+			used = max(used, m+1)
+		}
+		base += used
+	}
+	s := core.NewScheduleFrom(in, sc)
+	for range base {
+		s.OpenMachine()
+	}
+	for p, j := range order {
+		s.Assign(int(j), machine[p])
 	}
 	return s, nil
 }

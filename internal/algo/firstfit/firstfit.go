@@ -7,7 +7,7 @@
 // Theorem 2.4 exhibits instances forcing a ratio arbitrarily close to 3, so
 // the algorithm's approximation ratio lies in [3, 4].
 //
-// Placement goes through the shared kernel (core.Placer): FirstFit is the
+// Placement goes through the shared kernel (core.Schedule): FirstFit is the
 // greedy row (length order, core.LowestFit), and the kernel's machine
 // selection index makes each LowestFit scan sublinear. ScheduleLinear is an
 // independent reference without any of the kernel's structures, kept for

@@ -135,13 +135,12 @@ func schedule(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
 		}
 	}
 	s := core.NewScheduleFrom(in, sc)
-	k := s.Placer()
 	numMachines := (maxLevel + in.G - 1) / in.G
 	for m := 0; m < numMachines; m++ {
-		k.OpenMachine()
+		s.OpenMachine()
 	}
 	for j, l := range levels {
-		k.Place(j, (l-1)/in.G)
+		s.Assign(j, (l-1)/in.G)
 	}
 	if err := s.Verify(); err != nil {
 		return nil, fmt.Errorf("laminar: produced infeasible schedule: %w", err)

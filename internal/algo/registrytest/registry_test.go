@@ -252,7 +252,7 @@ func TestRegistryDecomposedParity(t *testing.T) {
 				label := fmt.Sprintf("%s seed=%d family=%d", a.Name, seed, fi)
 				seq, seqErr := a.Run(ctx, in, seqScratch)
 				sc := new(core.Scratch)
-				dec, st, decErr := runner.Run(ctx, in, a.Decompose, sc, pool, 4)
+				dec, st, decErr := runner.Solve(ctx, in, a.Decompose, sc, pool, 4, 0)
 				if dec == nil && decErr == nil {
 					// The layer declined; the real callers fall back to the
 					// plain sequential path on the same arena.
@@ -271,6 +271,90 @@ func TestRegistryDecomposedParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// clusteredFromBytes derives an instance of clusters time-disjoint clusters
+// from data (cycled): each cluster holds 1–12 jobs starting within 7 units of
+// its origin and at most 5 long, demands in [1, g], and the next cluster
+// starts at least 3 units past the cluster's latest possible end. Every
+// component therefore lies inside one cluster and holds at most 12 jobs,
+// small enough for the exact search.
+func clusteredFromBytes(data []byte, clusters, g int) *core.Instance {
+	in := &core.Instance{Name: "fuzz-clustered", G: g}
+	i := 0
+	next := func() int {
+		b := data[i%len(data)]
+		i++
+		return int(b)
+	}
+	origin := 0.0
+	for c := 0; c < clusters; c++ {
+		per := next()%12 + 1
+		for k := 0; k < per; k++ {
+			start := origin + float64(next()%8)
+			in.Jobs = append(in.Jobs, core.Job{
+				ID:     len(in.Jobs),
+				Iv:     interval.New(start, start+float64(next()%6)),
+				Demand: next()%g + 1,
+			})
+		}
+		origin += 15 + float64(next()%3)
+	}
+	return in
+}
+
+// FuzzDecomposedParity fuzzes decomposed ≡ sequential on many small
+// components: every registered row with a Decomposer, exact included, runs
+// sequentially and through the decomposition layer at worker budgets 2–4
+// (spare arenas permitting). Both must agree on the error text or, on
+// success, on the schedule byte for byte. The seed corpus includes an
+// instance with more components than chunksPerWorker (16) per worker at
+// budget 4, so chunks hold several components.
+func FuzzDecomposedParity(f *testing.F) {
+	f.Add([]byte{7, 3, 9, 1, 4, 12, 2, 7, 5, 0, 11}, uint8(100), uint8(1))
+	f.Add([]byte{11, 0, 0, 5, 3, 1, 2, 2, 8}, uint8(20), uint8(2))
+	f.Add([]byte{255, 1, 128, 64, 32, 16, 8, 4, 2, 1}, uint8(70), uint8(0))
+	ctx := context.Background()
+	var rows []algo.Algorithm
+	for _, a := range algo.All() {
+		if a.Decompose != nil {
+			rows = append(rows, a)
+		}
+	}
+	if len(rows) < 7 {
+		f.Fatalf("only %d registered algorithms declare a Decomposer; want ≥ 7", len(rows))
+	}
+	pool := make(chan *core.Scratch, 3)
+	for i := 0; i < 3; i++ {
+		pool <- new(core.Scratch)
+	}
+	runner := decomp.NewRunner()
+	f.Fuzz(func(t *testing.T, data []byte, clusters, g uint8) {
+		if len(data) == 0 {
+			return
+		}
+		in := clusteredFromBytes(data, int(clusters)%128+1, int(g)%3+1)
+		sc := new(core.Scratch)
+		for _, a := range rows {
+			seq, seqErr := a.Run(ctx, in, nil)
+			for w := 2; w <= 4; w++ {
+				label := fmt.Sprintf("%s budget=%d", a.Name, w)
+				dec, st, decErr := runner.Solve(ctx, in, a.Decompose, sc, pool, w, 0)
+				if dec == nil && decErr == nil {
+					if st.Components > 1 {
+						t.Fatalf("%s: layer declined on %d components with spare arenas", label, st.Components)
+					}
+					dec, decErr = a.Run(ctx, in, sc)
+				}
+				if fmt.Sprint(seqErr) != fmt.Sprint(decErr) {
+					t.Fatalf("%s: sequential err=%v but decomposed err=%v", label, seqErr, decErr)
+				}
+				if seqErr == nil {
+					assertIdentical(t, label, seq, dec)
+				}
+			}
+		}
+	})
 }
 
 // TestRegistryScratchSizeLadder stresses the shared arena across shrinking

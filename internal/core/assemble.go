@@ -7,19 +7,19 @@ import (
 )
 
 // Assembly builds a schedule whose placements are already known — the merge
-// step of the component-decomposition layer, where per-component runs have
-// decided every job's machine and only the global bookkeeping remains. It
-// replays placements through the same incremental accounting as the live
-// kernel (per-machine job list, busy hull, span union feeding totalBusy) but
-// skips every capacity structure: no time axis, shards or index, because
-// feasibility was established by the runs being merged. The
-// result is sealed — mutating kernel entry points panic on it, since its
-// machines carry no oracle to answer them — while every read path (Cost,
-// Verify, Summary, Assignment, Detach-style re-derivation) stays valid.
+// step of the decomposition layer, where per-chunk runs have decided every
+// job's machine and built every machine's busy spans. Graft adopts those
+// span pieces wholesale, and PutDelta or Credit replay the busy-time
+// accounting, so the merge never re-runs a span union. Assembly skips every
+// capacity structure: no time axis, shards or index, because feasibility
+// was established by the runs being merged. The result is sealed —
+// mutating kernel entry points panic on it, since its machines carry no
+// oracle to answer them — while every read path (Cost, Verify, Summary,
+// Assignment, Detach-style re-derivation) stays valid.
 //
-// Replay order matters for bitwise equality: Σ busy time is accumulated by
-// interval.Spans.Add one placement at a time, so putting jobs in the same
-// order the sequential algorithm would have placed them reproduces its
+// Replay order matters for bitwise equality: Σ busy time is accumulated one
+// placement at a time, so replaying the recorded deltas in the order the
+// sequential algorithm would have placed the jobs reproduces its
 // floating-point accumulation exactly.
 type Assembly struct {
 	s *Schedule
@@ -36,29 +36,9 @@ func BeginAssembly(inst *Instance, sc *Scratch, machines int) Assembly {
 	return Assembly{s: s}
 }
 
-// Put appends job index j to machine m. Placements on one machine must
-// arrive in the order the originating run placed them, so the machine's job
-// list and span union replay identically.
-func (a Assembly) Put(j, m int) {
-	s := a.s
-	if s.assign[j] != Unassigned {
-		panic(fmt.Sprintf("core: assembly placed job index %d twice", j))
-	}
-	st := &s.machines[m]
-	job := s.inst.Jobs[j]
-	if len(st.jobs) == 0 {
-		st.hull = job.Iv
-	} else {
-		st.hull = st.hull.Hull(job.Iv)
-	}
-	st.jobs = append(st.jobs, j)
-	s.totalBusy += st.spans.Add(job.Iv)
-	s.assign[j] = m
-}
-
 // Graft adopts already-merged busy-span pieces onto machine m wholesale —
 // the stitch merge of the decomposition layer. The pieces come from a
-// per-component (or per-shard) run's live span union via
+// per-chunk (or per-shard) run's live span union via
 // Schedule.AppendMachineSpans; successive grafts onto one machine must
 // arrive in ascending time order with positive gaps between them, which the
 // component sweep guarantees (components are separated by gaps of positive
@@ -92,7 +72,9 @@ func (a Assembly) Credit(m int, measure float64) {
 // list, its busy total and the schedule's Cost advance exactly as the
 // originating run's placement did. Placements must arrive in the originating
 // global order so the floating-point accumulation reproduces bit for bit;
-// the span pieces themselves are adopted separately via Graft.
+// the span pieces themselves are adopted separately via Graft. A merge that
+// credited each machine's total wholesale (Credit) passes a zero delta,
+// which leaves the non-negative totals unchanged.
 func (a Assembly) PutDelta(j, m int, delta float64) {
 	s := a.s
 	if s.assign[j] != Unassigned {
@@ -102,18 +84,6 @@ func (a Assembly) PutDelta(j, m int, delta float64) {
 	st.jobs = append(st.jobs, j)
 	st.spans.AddMeasure(delta)
 	s.totalBusy += delta
-	s.assign[j] = m
-}
-
-// PutPlaced appends job index j to machine m updating only the job list and
-// assignment — for merges whose span pieces and totals were adopted
-// machine-wholesale (Graft + Credit).
-func (a Assembly) PutPlaced(j, m int) {
-	s := a.s
-	if s.assign[j] != Unassigned {
-		panic(fmt.Sprintf("core: assembly placed job index %d twice", j))
-	}
-	s.machines[m].jobs = append(s.machines[m].jobs, j)
 	s.assign[j] = m
 }
 

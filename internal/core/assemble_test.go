@@ -39,17 +39,26 @@ func buildByFirstFit(in *Instance, s *Schedule) *Schedule {
 	return s
 }
 
-// TestAssemblyMatchesInsertion pins the sealed replay path against the
-// ordinary insertion path: replaying a known assignment through Assembly in
-// the same placement order must reproduce the machine job lists and the
-// bitwise cost.
+// TestAssemblyMatchesInsertion pins the sealed stitch path against the
+// ordinary insertion path: grafting a live run's span pieces and replaying
+// its logged span deltas through Assembly in the same placement order must
+// reproduce the machine job lists, the busy spans and the bitwise cost.
 func TestAssemblyMatchesInsertion(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		in := asmInstance(seed, 60, 3, 40, 10)
-		ref := buildByFirstFit(in, NewSchedule(in))
+		sc := new(Scratch)
+		sc.ArmSpanLog(make([]float64, 0, in.N()))
+		ref := buildByFirstFit(in, sc.NewSchedule(in))
+		deltas := ref.EndSpanLog()
+		if len(deltas) != in.N() {
+			t.Fatalf("seed=%d: span log holds %d deltas, want %d", seed, len(deltas), in.N())
+		}
 		asm := BeginAssembly(in, nil, ref.NumMachines())
+		for m := 0; m < ref.NumMachines(); m++ {
+			asm.Graft(m, ref.AppendMachineSpans(m, nil))
+		}
 		for j := range in.Jobs {
-			asm.Put(j, ref.MachineOf(j))
+			asm.PutDelta(j, ref.MachineOf(j), deltas[j])
 		}
 		got := asm.Finish()
 		if got.NumMachines() != ref.NumMachines() {
@@ -69,6 +78,9 @@ func TestAssemblyMatchesInsertion(t *testing.T) {
 				if ja[i] != jb[i] {
 					t.Fatalf("seed=%d: machine %d slot %d: %d vs %d", seed, m, i, ja[i], jb[i])
 				}
+			}
+			if got.MachineBusy(m) != ref.MachineBusy(m) {
+				t.Fatalf("seed=%d: machine %d busy %v vs %v", seed, m, got.MachineBusy(m), ref.MachineBusy(m))
 			}
 		}
 		if got.Cost() != ref.Cost() {
@@ -114,7 +126,7 @@ func TestSealedScheduleRejectsMutation(t *testing.T) {
 	in := asmInstance(9, 20, 2, 15, 5)
 	asm := BeginAssembly(in, nil, 1)
 	for j := 0; j < in.N()-1; j++ {
-		asm.Put(j, 0)
+		asm.PutDelta(j, 0, 0)
 	}
 	s := asm.Finish()
 	last := in.N() - 1
@@ -126,12 +138,12 @@ func TestSealedScheduleRejectsMutation(t *testing.T) {
 	}
 }
 
-// TestAssemblyDoublePlacementPanics pins Put's replay invariant.
+// TestAssemblyDoublePlacementPanics pins PutDelta's replay invariant.
 func TestAssemblyDoublePlacementPanics(t *testing.T) {
 	in := asmInstance(10, 10, 2, 8, 3)
 	asm := BeginAssembly(in, nil, 1)
-	asm.Put(0, 0)
-	if msg := mustPanic(t, "double Put", func() { asm.Put(0, 0) }); !strings.Contains(msg, "twice") {
+	asm.PutDelta(0, 0, 0)
+	if msg := mustPanic(t, "double PutDelta", func() { asm.PutDelta(0, 0, 0) }); !strings.Contains(msg, "twice") {
 		t.Errorf("double placement panic %q does not mention the duplicate", msg)
 	}
 }
@@ -143,7 +155,7 @@ func TestSealedClearsOnRecycle(t *testing.T) {
 	sc := new(Scratch)
 	asm := BeginAssembly(in, sc, 2)
 	for j := range in.Jobs {
-		asm.Put(j, j%2)
+		asm.PutDelta(j, j%2, 0)
 	}
 	asm.Finish()
 	s := sc.NewSchedule(in)

@@ -56,9 +56,8 @@ func TestPlacerBestFitMatchesNaive(t *testing.T) {
 		in := randInstance(r, 140, 1+r.Intn(5))
 		a := NewSchedule(in)
 		b := NewSchedule(in)
-		k := a.Placer()
 		for j := range in.Jobs {
-			got := k.BestFit(j)
+			got := a.BestFit(j)
 			want := naiveBestFit(b, j)
 			if got != want {
 				t.Fatalf("seed %d: job %d kernel chose machine %d, naive %d", seed, j, got, want)
@@ -82,23 +81,22 @@ func TestPlacerNextFitCursor(t *testing.T) {
 		iv(5, 6), // fits M1 (current), M0 never revisited
 	)
 	s := NewSchedule(in)
-	k := s.Placer()
-	if m := k.NextFit(0); m != 0 {
+	if m := s.NextFit(0); m != 0 {
 		t.Fatalf("first placement on machine %d, want 0", m)
 	}
-	if m := k.NextFit(1); m != 1 {
+	if m := s.NextFit(1); m != 1 {
 		t.Fatalf("overflow placement on machine %d, want 1", m)
 	}
-	if m := k.NextFit(2); m != 1 {
+	if m := s.NextFit(2); m != 1 {
 		t.Fatalf("cursor placement on machine %d, want 1 (no revisiting)", m)
 	}
 
 	// A recycled schedule must reset the cursor.
 	sc := new(Scratch)
 	s2 := sc.NewSchedule(in)
-	_ = s2.Placer().NextFit(0)
+	_ = s2.NextFit(0)
 	s3 := sc.NewSchedule(in)
-	if m := s3.Placer().NextFit(0); m != 0 {
+	if m := s3.NextFit(0); m != 0 {
 		t.Fatalf("recycled schedule's cursor placed on machine %d, want fresh machine 0", m)
 	}
 }
@@ -109,13 +107,12 @@ func TestPlacerBestFitProbeDoesNotPlace(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	in := randInstance(r, 60, 3)
 	s := NewSchedule(in)
-	k := s.Placer()
 	for j := range in.Jobs {
-		probe := k.BestFitProbe(j)
+		probe := s.BestFitProbe(j)
 		if s.MachineOf(j) != Unassigned {
 			t.Fatalf("probe assigned job %d", j)
 		}
-		got := k.BestFit(j)
+		got := s.BestFit(j)
 		if probe == Unassigned {
 			if got != s.NumMachines()-1 {
 				t.Fatalf("job %d: probe said no machine but BestFit chose existing %d", j, got)

@@ -40,10 +40,9 @@ type Schedule struct {
 	index *machindex
 	ia    *instanceAxis
 	pool  *shardPool
-	// cursor is the NextFit placement cursor of the kernel (Placer.NextFit):
-	// the single currently open machine, or Unassigned before the first
-	// opening. It lives on the schedule so recycled schedules reset it for
-	// free and the kernel view stays a stateless handle.
+	// cursor is the NextFit placement cursor of the kernel (NextFit): the
+	// single currently open machine, or Unassigned before the first opening.
+	// It lives on the schedule so recycled schedules reset it for free.
 	cursor int
 	// sealed marks a schedule assembled from precomputed placements (see
 	// Assembly): it carries no index and its machines no capacity oracle, so
@@ -53,10 +52,11 @@ type Schedule struct {
 	// the oracles.
 	sealed bool
 	// spanLog, when armed via Scratch.ArmSpanLog, records every placement's
-	// span-union delta in placement order. The decomposition layer's stitch
-	// merge replays these deltas in the global processing order so the merged
-	// schedule's busy-time accumulation reproduces the sequential run bit for
-	// bit without re-running any span merge. logSpans gates the hot path.
+	// span-union delta in placement order until EndSpanLog. The
+	// decomposition layer's stitch merge replays these deltas in the global
+	// processing order so the merged schedule's busy-time accumulation
+	// reproduces the sequential run bit for bit without re-running any span
+	// merge. logSpans gates the hot path.
 	spanLog  []float64
 	logSpans bool
 }
@@ -438,11 +438,16 @@ func (s *Schedule) fitsAt(j, m, lo, hi int, place bool) bool {
 	return s.canAssign(j, m, lo, hi)
 }
 
-// SpanLog returns the per-placement span deltas recorded since the schedule
-// was created with an armed log (Scratch.ArmSpanLog); nil when no log was
+// EndSpanLog stops the span-delta log the schedule was created with
+// (Scratch.ArmSpanLog) and returns what it recorded; nil when no log was
 // armed. Entry i is the busy-time contribution of the i-th placement, in
-// placement order — the values insert folded into Cost.
-func (s *Schedule) SpanLog() []float64 { return s.spanLog }
+// placement order — the values insert folded into Cost. Later placements
+// are not logged.
+func (s *Schedule) EndSpanLog() []float64 {
+	log := s.spanLog
+	s.spanLog, s.logSpans = nil, false
+	return log
+}
 
 // AppendMachineSpans appends machine m's busy-span pieces (the disjoint,
 // ascending union of its job intervals) to dst and returns the extended
@@ -627,18 +632,7 @@ func (s *Schedule) Summary() []MachineSummary {
 // previously exported with Assignment or decoded from JSON. Machine indices
 // are compacted preserving their relative order.
 func FromAssignment(inst *Instance, byID map[int]int) (*Schedule, error) {
-	return fromAssignmentInto(inst, byID, NewSchedule(inst))
-}
-
-// FromAssignmentScratch is FromAssignment with the schedule drawn from sc —
-// the kernel-routed materialization step of solvers that compute an
-// assignment out of band (e.g. the exact branch and bound). Jobs are
-// inserted in position order, matching FromAssignment bit for bit.
-func FromAssignmentScratch(inst *Instance, byID map[int]int, sc *Scratch) (*Schedule, error) {
-	return fromAssignmentInto(inst, byID, sc.NewSchedule(inst))
-}
-
-func fromAssignmentInto(inst *Instance, byID map[int]int, s *Schedule) (*Schedule, error) {
+	s := NewSchedule(inst)
 	machines := make([]int, 0, len(byID))
 	seen := map[int]bool{}
 	for _, m := range byID {

@@ -94,11 +94,13 @@ func (sc *Scratch) NewSchedule(inst *Instance) *Schedule {
 // this scratch records every placement's span-union delta by appending to
 // buf (normally length 0 with capacity for the expected placement count, so
 // a well-behaved run stays inside the caller's backing array). Read the
-// result back with Schedule.SpanLog. The decomposition layer arms a
-// per-component segment before each component solve, giving the stitch merge
-// the exact floating-point deltas to replay in global order.
+// result back with Schedule.EndSpanLog. The decomposition layer arms a
+// per-chunk segment before each chunk solve, giving the stitch merge the
+// exact floating-point deltas to replay in global order. A nil buf disarms
+// a log no schedule has picked up yet, so a run that failed before drawing
+// its schedule cannot leave the next, unrelated schedule logging into buf.
 func (sc *Scratch) ArmSpanLog(buf []float64) {
-	sc.pendingLog, sc.armed = buf, true
+	sc.pendingLog, sc.armed = buf, buf != nil
 }
 
 // LiveSchedule returns the schedule most recently drawn from this scratch

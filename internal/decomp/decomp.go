@@ -1,46 +1,48 @@
 // Package decomp is the component-decomposition layer between the algorithm
 // registry and the placement kernel: it splits an instance into the connected
 // components of its interval graph (strictly time-disjoint sub-instances),
-// solves the components concurrently on worker-private core.Scratch arenas,
-// and merges the per-component schedules back into one.
+// groups consecutive components into chunks of about equal job count, solves
+// the chunks concurrently on worker-private core.Scratch arenas, and merges
+// the per-chunk schedules back into one.
 //
 // The merge is exact, not approximate. For the greedy family the mapping is
-// the identity (component-local machine j → global machine j): components
-// never overlap in time, so during the sequential whole-instance run the jobs
-// other components placed on a machine neither constrain a job's feasibility
-// nor change its span delta, and an inductive argument gives that the global
-// run restricted to one component is exactly the component-local run — down
-// to argmin ties, which other-component machines always lose (their delta is
-// the full job length, the maximum, and ties go to the lowest index). The
-// merged schedule is assembled through core.Assembly so the floating-point
-// busy-time accumulation is reproduced bit for bit. Algorithms that declare
-// Decomposer.Stitch take the fast path: each component's machine records and
-// span pieces are adopted wholesale (Assembly.Graft) and only the scalar
-// span deltas — recorded by the component runs into a per-component log —
-// are replayed in the global processing order (Assembly.PutDelta), turning
-// the merge from a second full span-union pass into O(components + machines)
-// grafts plus one cheap linear scatter. Algorithms without Stitch (the exact
-// solver, which computes assignments off-arena) keep the original Put
-// replay. Either way the registry-wide differential suite pins decomposed ==
-// sequential bitwise for every algorithm that declares a Decomposer.
+// the identity (chunk machine j → global machine j): components never
+// overlap in time, so during the sequential whole-instance run the jobs
+// other components placed on a machine neither constrain a job's
+// feasibility nor change its span delta, and an inductive argument gives
+// that the global run restricted to a chunk's components is exactly the
+// chunk run — down to argmin ties, which other-component machines always
+// lose (their delta is the full job length, the maximum, and ties go to the
+// lowest index). Stacked decomposers (the exact solver) offset each chunk's
+// machines by the machine counts of the chunks before it instead.
+//
+// Every decomposer leaves its chunk as the live schedule on the arena it was
+// handed, one kernel placement per job, so one stitch merge serves them all:
+// each chunk's machine span pieces are adopted wholesale (Assembly.Graft)
+// and only the scalar span deltas — recorded by the chunk runs into a
+// per-chunk log — are replayed in the global processing order
+// (Assembly.PutDelta). The merge is O(chunks + machines + n) and reproduces
+// the sequential floating-point accumulation bit for bit; the registry-wide
+// differential suite pins decomposed == sequential for every algorithm that
+// declares a Decomposer.
 //
 // Solve additionally offers opt-in time-axis sharding for the regime where
 // decomposition starves — a single (or dominant) component. The axis is cut
-// at low-crossing bucket boundaries, the resulting shards are solved
-// concurrently exactly like components, and the jobs crossing a cut are
-// withheld and placed afterwards by a sequential reconciliation pass driven
-// by the algorithm's declared ShardRule against the live shard schedules.
-// Shard machines map to disjoint global machine ranges, so capacity never
+// at low-crossing bucket boundaries, the resulting shards are scattered and
+// solved exactly like chunks, and the jobs crossing a cut are withheld and
+// placed afterwards by a sequential reconciliation pass driven by the
+// algorithm's declared ShardRule against the live shard schedules. Shard
+// machines map to disjoint global machine ranges, so capacity never
 // interacts across shards and the merged schedule is always feasible; the
 // result is NOT bitwise-identical to the sequential run, which is why the
 // path only runs when the caller asked for shards explicitly.
 //
-// Decomposition is purely opportunistic: Run and Solve decline (returning a
-// nil schedule) when the instance is a single component and sharding is off
-// or inapplicable, or when no spare arenas are available, and the caller
-// then takes the plain sequential path. Results therefore never depend on
-// worker count or pool pressure — only latency does (and, under sharding,
-// on the shard count the caller fixed).
+// Decomposition is purely opportunistic: Solve declines (returning a nil
+// schedule) when the instance is a single component and sharding is off or
+// inapplicable, or when no spare arenas are available, and the caller then
+// takes the plain sequential path. Results therefore never depend on worker
+// count or pool pressure — only latency does (and, under sharding, on the
+// shard count the caller fixed).
 package decomp
 
 import (
@@ -63,14 +65,21 @@ import (
 // the crossing set, so Solve caps the shard count at n/minShardJobs.
 const minShardJobs = 32
 
-// Stats describes one decomposition attempt. The per-component slices are
-// owned by the Runner and only valid until its next Run; callers that retain
+// chunksPerWorker caps the chunk count at this many per worker. Each chunk
+// costs one schedule reset, O(n + axis buckets), so chunks must hold many
+// small components. Fewer, larger chunks unbalance the largest-first drain
+// and grow every arena's schedule: on the bench ledger's offline-clustered
+// input one chunk per worker peaked at 9.13 MB against 7.06 MB at 16.
+const chunksPerWorker = 16
+
+// Stats describes one decomposition attempt. The per-unit slices are owned
+// by the Runner and only valid until its next Solve; callers that retain
 // them must copy.
 type Stats struct {
 	// Components is the number of connected components the sweep found
-	// (reported even when Run declines).
+	// (reported even when Solve declines).
 	Components int
-	// Workers is the number of goroutines that solved components or shards:
+	// Workers is the number of goroutines that solved chunks or shards:
 	// the calling goroutine plus the arenas leased from the pool.
 	Workers int
 	// Largest is the job count of the largest component.
@@ -82,30 +91,32 @@ type Stats struct {
 	// placed by the reconciliation pass (0 when Shards == 0).
 	Crossing int
 	// Sweep, Solve and Merge are the wall times of the three phases:
-	// component labeling (plus cut selection when sharding), the concurrent
-	// per-component or per-shard runs (as a whole), and the ordered
-	// reassembly. Reconcile is the sequential crossing-job placement pass
-	// between Solve and Merge (0 when Shards == 0).
+	// labeling (components, then chunks or shard cuts) and the scatter of
+	// the processing order, the concurrent chunk or shard runs (as a
+	// whole), and the ordered reassembly. Reconcile is the sequential
+	// crossing-job placement pass between Solve and Merge (0 when
+	// Shards == 0).
 	Sweep, Solve, Merge, Reconcile time.Duration
-	// Sizes[c] and Times[c] are component (or shard) c's job count and solve
-	// wall time, in start (or time) order.
+	// Sizes[u] and Times[u] are the job count and solve wall time of the
+	// u-th unit the layer solved — a chunk of whole components, or a time
+	// shard when Shards > 0 — in start order.
 	Sizes []int32
 	Times []time.Duration
 }
 
-// capture holds the span pieces one worker copied out of its arena after
-// each component solve, before the arena's next schedule recycles them:
-// pieces is the flat piece store and ends[i] the cumulative piece count
-// after the i-th captured machine, so machine runs are pieces[ends[i-1]:
-// ends[i]]. Buffers are retained across runs.
+// capture holds the span pieces copied out of arenas after unit solves,
+// before an arena's next schedule recycles them: pieces is the flat piece
+// store and ends[i] the cumulative piece count after the i-th captured
+// machine, so machine runs are pieces[ends[i-1]:ends[i]]. Buffers are
+// retained across runs.
 type capture struct {
 	pieces interval.Set
 	ends   []int32
 }
 
-// workItem is one unit handed to a resident worker goroutine: solve either
-// the component queue (drain) or a single time shard on the w-th arena of
-// the carried Runner. Items carry the Runner so the resident goroutines
+// workItem is one task handed to a resident worker goroutine: drain the
+// chunk queue, or solve a single time shard, on the w-th arena of the
+// carried Runner. Items carry the Runner so the resident goroutines
 // reference only their channel and the Runner stays collectable — its
 // finalizing cleanup closes the channel and the workers exit.
 type workItem struct {
@@ -118,7 +129,7 @@ func (it workItem) run() {
 	r := it.r
 	defer r.wg.Done()
 	if it.shard {
-		r.solveShard(it.w, r.scs[it.w])
+		r.solve("shard", it.w, r.scs[it.w])
 	} else {
 		r.drain(it.w, r.arenas[it.w-1])
 	}
@@ -132,43 +143,42 @@ func worker(ch chan workItem) {
 	}
 }
 
-// Runner owns the recyclable state of the decomposition layer: component
-// labels, the scattered per-component processing orders, the local machine
-// assignments, the stitch-capture buffers and the scheduling/merge
-// bookkeeping. A warm Runner re-serving an instance shape performs no
-// allocations; like a core.Scratch it must not be shared between goroutines
-// (the resident workers it dispatches to coordinate through it, but at most
-// one Run is live at a time).
+// Runner owns the recyclable state of the decomposition layer: component and
+// chunk labels, the scattered per-unit processing orders, machines and span
+// deltas, the capture buffers and the scheduling/merge bookkeeping. A unit
+// is what one RunComponent call solves: a chunk, or a time shard. A warm
+// Runner re-serving an instance shape performs no allocations; like a
+// core.Scratch it must not be shared between goroutines (the resident
+// workers it dispatches to coordinate through it, but at most one Solve is
+// live at a time).
 type Runner struct {
-	labels   []int32 // job position → component id (start order)
-	slabels  []int32 // job position → shard id (crossing jobs get id = shards)
-	offsets  []int32 // bucket id → start of its segment in suborder
-	cursor   []int32 // per-bucket scatter/replay cursors
-	sizes    []int32 // bucket id → job count
-	suborder []int32 // global order scattered bucket-major
-	localm   []int32 // bucket-local machine per suborder position
-	posOrder []int32 // identity order 0..n-1, for algorithms with nil Order
-	used     []int32 // bucket id → local machine count
-	base     []int32 // bucket id → global machine offset
-	keys     []int64 // (size<<32|id) keys for largest-first scheduling
+	labels   []int32   // job position → component id, then chunk id
+	slabels  []int32   // job position → shard id (crossing jobs get id = shards)
+	offsets  []int32   // bucket id → start of its segment in suborder
+	cursor   []int32   // per-bucket scatter/replay cursors
+	sizes    []int32   // bucket id → job count
+	suborder []int32   // global order scattered bucket-major
+	localm   []int32   // unit-local machine per suborder position
+	deltas   []float64 // span delta per suborder position (the span logs)
+	posOrder []int32   // identity order 0..n-1, for algorithms with nil Order
+	used     []int32   // unit id → machine count
+	base     []int32   // bucket id → global machine offset
+	keys     []int64   // (size<<32|id) keys for largest-first scheduling
 	times    []time.Duration
 	errs     []error
 
-	// Stitch-merge capture state: one capture buffer per worker, the global
-	// span-delta log (suborder-aligned), and per component the worker that
-	// captured it and where in that worker's ends its machines begin.
-	deltas     []float64
-	caps       []capture
-	compWorker []int32
-	compSlot   []int32
+	// Capture state: one buffer per worker, and per unit the buffer holding
+	// its machines and where in that buffer's ends they begin.
+	caps     []capture
+	capOwner []int32
+	capSlot  []int32
 
 	// Time-sharding state: per-boundary crossing and start counts, the
-	// chosen cut times, per-crossing-job shard choices, captured per-machine
-	// busy totals, and the per-shard arenas (scs[0] is the caller's).
+	// chosen cut times, captured per-machine busy totals, and the per-shard
+	// arenas (scs[0] is the caller's).
 	bcross []int32
 	bstart []int32
 	cuts   []float64
-	xshard []int32
 	totals []float64
 	scs    []*core.Scratch
 
@@ -180,8 +190,8 @@ type Runner struct {
 
 	// Pub is a mount point for a caller-layer companion that should ride
 	// the pooled Runner between leases (the public Solver parks its
-	// reusable per-component stats buffer here). The decomposition layer
-	// never touches it.
+	// reusable per-unit stats buffer here). The decomposition layer never
+	// touches it.
 	Pub any
 
 	// Per-run shared state the worker goroutines coordinate through.
@@ -230,29 +240,27 @@ func extend[T any](buf []T, n int) []T {
 	return nb
 }
 
-// Run decomposes in, solves the components on up to budget workers (the
+// Solve decomposes in, solves its chunks on up to budget workers (the
 // calling goroutine plus spare arenas leased non-blockingly from pool), and
-// merges the component schedules into one schedule assembled on sc.
+// merges them into one schedule assembled on sc, bitwise identical to the
+// sequential run.
 //
-// A nil schedule with a nil error means Run declined — single component,
-// budget ≤ 1, or no spare arena free — and the caller must run the plain
-// sequential path; by the merge-identity argument the result is the same
-// either way. The returned Stats are filled as far as the attempt got.
-func (r *Runner) Run(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, budget int) (*core.Schedule, Stats, error) {
-	return r.Solve(ctx, in, d, sc, pool, budget, 0)
-}
-
-// Solve is Run plus opt-in time-axis sharding: when shards ≥ 2, the
-// algorithm declares a ShardRule, and the component sweep finds a single or
-// dominant component (the regime where component parallelism starves), the
-// instance's time axis is cut at up to shards−1 low-crossing boundaries,
-// the shards are solved concurrently on leased arenas, the withheld
-// crossing jobs are reconciled sequentially by the declared rule, and the
-// result is assembled exactly like a stacked merge. Sharded schedules are
+// With shards ≥ 2, when the algorithm declares a ShardRule and the sweep
+// finds a single or dominant component (the regime where component
+// parallelism starves), Solve instead cuts the time axis at up to shards−1
+// low-crossing boundaries, solves the shards concurrently on leased arenas,
+// reconciles the withheld crossing jobs sequentially by the declared rule,
+// and merges the shards onto disjoint machine ranges. Sharded schedules are
 // feasible but not bitwise-identical to sequential; Stats.Shards > 0 tells
 // the caller which path ran. Whenever sharding is inapplicable — axis too
-// coarse, too many crossing jobs, no arenas — Solve falls back to the
-// component path under the original bitwise contract.
+// coarse, too many crossing jobs, no arenas — Solve falls back to the chunk
+// path under the bitwise contract.
+//
+// A nil schedule with a nil error means Solve declined — single component
+// and no sharding, budget ≤ 1, or no spare arena free — and the caller must
+// run the plain sequential path; by the merge-identity argument the result
+// is the same either way. The returned Stats are filled as far as the
+// attempt got.
 func (r *Runner) Solve(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, budget, shards int) (*core.Schedule, Stats, error) {
 	var st Stats
 	n := in.N()
@@ -265,8 +273,7 @@ func (r *Runner) Solve(ctx context.Context, in *core.Instance, d *algo.Decompose
 	st.Components, st.Largest = ncomp, largest
 	st.Sweep = time.Since(t0)
 
-	if shards > 1 && d.Shard != algo.ShardNone && d.Stitch && !d.Stacked &&
-		(ncomp == 1 || 2*largest >= n) {
+	if shards > 1 && d.Shard != algo.ShardNone && (ncomp == 1 || 2*largest >= n) {
 		if s, err, ok := r.runSharded(ctx, in, d, sc, pool, shards, &st); ok {
 			return s, st, err
 		}
@@ -274,78 +281,39 @@ func (r *Runner) Solve(ctx context.Context, in *core.Instance, d *algo.Decompose
 	if ncomp <= 1 || budget <= 1 {
 		return nil, st, nil
 	}
-	return r.runComponents(ctx, in, d, sc, pool, budget, ncomp, &st)
+	s, err := r.runChunks(ctx, in, d, sc, pool, budget, &st)
+	return s, st, err
 }
 
-// runComponents is the component path: scatter the global order by
-// component, solve components largest-first on the caller plus the leased
-// arenas, and merge bitwise-identically to the sequential run.
-func (r *Runner) runComponents(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, budget, ncomp int, st *Stats) (*core.Schedule, Stats, error) {
-	n := in.N()
+// runChunks is the chunk path: group the components into chunks, scatter
+// the global order by chunk, solve chunks largest-first on the caller plus
+// the leased arenas, and stitch them bitwise-identically to the sequential
+// run. It declines (nil, nil) when no spare arena is free.
+func (r *Runner) runChunks(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, budget int, st *Stats) (*core.Schedule, error) {
 	extras := r.lease(pool, budget-1)
 	if len(extras) == 0 {
-		return nil, *st, nil
+		return nil, nil
 	}
-	defer func() {
-		for _, a := range extras {
-			pool <- a
-		}
-	}()
-
-	// Scatter the algorithm's global processing order into contiguous
-	// per-component segments (stable: each segment preserves the global
-	// order restricted to its component).
-	ord := r.order(in, d)
-	r.offsets = grow(r.offsets, ncomp+1)
-	clear(r.offsets[:ncomp+1])
-	for _, c := range r.labels[:n] {
-		r.offsets[c+1]++
-	}
-	r.sizes = grow(r.sizes, ncomp)
-	for c := 0; c < ncomp; c++ {
-		r.sizes[c] = r.offsets[c+1]
-		r.offsets[c+1] += r.offsets[c]
-	}
-	st.Sizes = r.sizes[:ncomp]
-	r.cursor = grow(r.cursor, ncomp)
-	copy(r.cursor, r.offsets[:ncomp])
-	r.suborder = grow(r.suborder, n)
-	for _, j := range ord {
-		c := r.labels[j]
-		r.suborder[r.cursor[c]] = j
-		r.cursor[c]++
-	}
-	r.localm = grow(r.localm, n)
-
-	// Largest components first, so the tail of the run is small work: pack
-	// (size, id) into one int64 key and sort ascending (no comparator
-	// closure), then workers claim keys from the back.
-	r.keys = grow(r.keys, ncomp)
-	for c := 0; c < ncomp; c++ {
-		r.keys[c] = int64(r.sizes[c])<<32 | int64(c)
-	}
-	slices.Sort(r.keys[:ncomp])
-	r.times = grow(r.times, ncomp)
-	clear(r.times[:ncomp])
-	r.errs = grow(r.errs, ncomp)
-	clear(r.errs[:ncomp])
-	st.Times = r.times[:ncomp]
-
+	defer r.release(pool)
 	workers := 1 + len(extras)
-	stitch := d.Stitch && !d.Stacked
-	if stitch {
-		r.deltas = grow(r.deltas, n)
-		r.caps = extend(r.caps, workers)
-		for w := 0; w < workers; w++ {
-			r.caps[w].pieces = r.caps[w].pieces[:0]
-			r.caps[w].ends = r.caps[w].ends[:0]
-		}
-		r.compWorker = grow(r.compWorker, ncomp)
-		r.compSlot = grow(r.compSlot, ncomp)
-		r.used = grow(r.used, ncomp)
-	}
 
 	t0 := time.Now()
+	nchunks := r.chunk(in, st.Components, workers)
+	ord := r.scatter(in, d, r.labels, nchunks)
+	r.resetUnits(nchunks, workers)
+	st.Sweep += time.Since(t0)
+	st.Sizes, st.Times = r.sizes[:nchunks], r.times[:nchunks]
+
+	// Largest chunks first, so the tail of the run is small work: pack
+	// (size, id) into one int64 key and sort ascending (no comparator
+	// closure), then workers claim keys from the back.
+	r.keys = grow(r.keys, nchunks)
+	for c := 0; c < nchunks; c++ {
+		r.keys[c] = int64(r.sizes[c])<<32 | int64(c)
+	}
+	slices.Sort(r.keys[:nchunks])
+
+	t0 = time.Now()
 	r.ctx, r.in, r.d = ctx, in, d
 	r.next.Store(0)
 	st.Workers = workers
@@ -354,24 +322,72 @@ func (r *Runner) runComponents(ctx context.Context, in *core.Instance, d *algo.D
 	r.wg.Wait()
 	r.ctx, r.in, r.d = nil, nil, nil
 	st.Solve = time.Since(t0)
-
-	// Deterministic error selection: the lowest component id, i.e. the
-	// earliest-starting failing component, independent of scheduling order.
-	for c := 0; c < ncomp; c++ {
-		if err := r.errs[c]; err != nil {
-			return nil, *st, err
-		}
+	if err := r.firstErr(nchunks); err != nil {
+		return nil, err
 	}
 
 	t0 = time.Now()
-	var s *core.Schedule
-	if stitch {
-		s = r.stitchMerge(in, sc, ord, ncomp)
-	} else {
-		s = r.merge(in, d, sc, ord, ncomp)
-	}
+	machines := r.stack(nchunks, d.Stacked)
+	s := r.assemble(in, sc, ord, r.labels, nchunks, nchunks, machines, nil)
 	st.Merge = time.Since(t0)
-	return s, *st, nil
+	return s, nil
+}
+
+// chunk relabels every job with its chunk — a run of consecutive components
+// in start order — and returns the chunk count, at most
+// chunksPerWorker·workers. Up to that many components each form their own
+// chunk. Past it, a chunk closes at the first component boundary where it
+// holds at least ⌈n/(chunksPerWorker·workers)⌉ jobs, so every chunk but the
+// last reaches that target.
+func (r *Runner) chunk(in *core.Instance, ncomp, workers int) int {
+	k := chunksPerWorker * workers
+	if ncomp <= k {
+		return ncomp
+	}
+	target := (in.N() + k - 1) / k
+	chunk, size, comp := int32(0), 0, int32(0)
+	for _, j := range in.StartOrder() {
+		if c := r.labels[j]; c != comp {
+			comp = c
+			if size >= target {
+				chunk++
+				size = 0
+			}
+		}
+		r.labels[j] = chunk
+		size++
+	}
+	return int(chunk) + 1
+}
+
+// scatter resolves the algorithm's global processing order and copies it
+// into contiguous per-bucket segments of suborder (stable: each segment
+// keeps the global order restricted to its bucket), where labels maps each
+// job to one of buckets buckets. It returns the global order.
+func (r *Runner) scatter(in *core.Instance, d *algo.Decomposer, labels []int32, buckets int) []int32 {
+	n := in.N()
+	order := r.order(in, d)
+	r.offsets = grow(r.offsets, buckets+1)
+	clear(r.offsets)
+	for _, c := range labels[:n] {
+		r.offsets[c+1]++
+	}
+	r.sizes = grow(r.sizes, buckets)
+	for c := range r.sizes {
+		r.sizes[c] = r.offsets[c+1]
+		r.offsets[c+1] += r.offsets[c]
+	}
+	r.cursor = grow(r.cursor, buckets)
+	copy(r.cursor, r.offsets)
+	r.suborder = grow(r.suborder, n)
+	for _, j := range order {
+		c := labels[j]
+		r.suborder[r.cursor[c]] = j
+		r.cursor[c]++
+	}
+	r.localm = grow(r.localm, n)
+	r.deltas = grow(r.deltas, n)
+	return order
 }
 
 // order resolves the algorithm's global processing order (the identity when
@@ -380,13 +396,42 @@ func (r *Runner) order(in *core.Instance, d *algo.Decomposer) []int32 {
 	if d.Order != nil {
 		return d.Order(in)
 	}
-	n := in.N()
-	ord := grow(r.posOrder, n)
+	ord := grow(r.posOrder, in.N())
 	for i := range ord {
 		ord[i] = int32(i)
 	}
 	r.posOrder = ord
 	return ord
+}
+
+// resetUnits sizes the per-unit bookkeeping for units units solved by
+// workers workers (base keeps one slot more: the shard path's crossing
+// bucket).
+func (r *Runner) resetUnits(units, workers int) {
+	r.times = grow(r.times, units)
+	clear(r.times)
+	r.errs = grow(r.errs, units)
+	clear(r.errs)
+	r.used = grow(r.used, units)
+	r.base = grow(r.base, units+1)
+	r.capOwner = grow(r.capOwner, units)
+	r.capSlot = grow(r.capSlot, units)
+	r.caps = extend(r.caps, workers)
+	for w := range r.caps {
+		r.caps[w].pieces = r.caps[w].pieces[:0]
+		r.caps[w].ends = r.caps[w].ends[:0]
+	}
+}
+
+// firstErr returns the error of the lowest failing unit — the earliest in
+// start order, independent of scheduling order — or nil.
+func (r *Runner) firstErr(units int) error {
+	for _, err := range r.errs[:units] {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dispatch hands workers items on the resident channel, spawning worker
@@ -470,8 +515,16 @@ func (r *Runner) lease(pool chan *core.Scratch, max int) []*core.Scratch {
 	return r.arenas
 }
 
-// drain claims components largest-first off the shared counter and solves
-// each as worker w on sc until none remain.
+// release returns the leased arenas to pool.
+func (r *Runner) release(pool chan *core.Scratch) {
+	for _, a := range r.arenas {
+		pool <- a
+	}
+	r.arenas = r.arenas[:0]
+}
+
+// drain claims chunks largest-first off the shared counter and solves and
+// captures each as worker w on sc until none remain.
 func (r *Runner) drain(w int, sc *core.Scratch) {
 	nt := int64(len(r.keys))
 	for {
@@ -479,320 +532,229 @@ func (r *Runner) drain(w int, sc *core.Scratch) {
 		if t >= nt {
 			return
 		}
-		r.solveOne(int(uint32(r.keys[nt-1-t])), w, sc)
+		c := int(uint32(r.keys[nt-1-t]))
+		if r.solve("chunk", c, sc) {
+			r.capture(c, w, sc)
+		}
 	}
 }
 
-// solveOne runs one component through the algorithm's RunComponent on the
-// worker's arena, recording its error and wall time, and — on the stitch
-// path — capturing the component's machine span pieces off the arena before
-// the worker's next component recycles them. RunComponent reports
+// solve runs unit u's segment through RunComponent on sc and checks the run
+// contract: the armed span log must hold one delta per order entry, the
+// deltas the stitch merge replays. It then reads every job's unit-local
+// machine off the live schedule and reports success. Errors land in errs[u]
+// named by the unit's kind ("chunk" or "shard"). RunComponent reports
 // rejections as errors, so a panic is a bug; it is converted to an error
 // here, on the worker goroutine, so it cannot take the process down.
-func (r *Runner) solveOne(c, w int, sc *core.Scratch) {
+func (r *Runner) solve(kind string, u int, sc *core.Scratch) (ok bool) {
 	defer func() {
 		switch p := recover().(type) {
 		case nil:
 		case error:
-			r.errs[c] = fmt.Errorf("decomp: component %d: %w", c, p)
+			r.errs[u] = fmt.Errorf("decomp: %s %d: %w", kind, u, p)
 		default:
-			r.errs[c] = fmt.Errorf("decomp: component %d: %v", c, p)
+			r.errs[u] = fmt.Errorf("decomp: %s %d: %v", kind, u, p)
 		}
 	}()
 	if err := context.Cause(r.ctx); err != nil {
-		r.errs[c] = err
-		return
+		r.errs[u] = err
+		return false
 	}
 	t0 := time.Now()
-	lo, hi := r.offsets[c], r.offsets[c+1]
-	stitch := r.d.Stitch && !r.d.Stacked
-	if stitch {
-		// Arm the per-component slice of the global delta log: capacity is
-		// pinned to the component's placement count, so a misbehaving run
-		// appending more grows away from the log instead of corrupting a
-		// neighboring segment (and is caught by the length check below).
-		sc.ArmSpanLog(r.deltas[lo:lo:hi])
-	}
-	err := r.d.RunComponent(r.ctx, r.in, r.suborder[lo:hi], sc, r.localm[lo:hi])
-	if err == nil && stitch {
-		err = r.capture(c, w, sc, int(hi-lo))
-	}
-	r.errs[c] = err
-	r.times[c] = time.Since(t0)
-}
-
-// capture copies component c's per-machine span pieces from worker w's live
-// schedule into the worker's capture buffer and records where they start,
-// after checking the armed delta log saw exactly one placement per order
-// entry (the stitch contract).
-func (r *Runner) capture(c, w int, sc *core.Scratch, placements int) error {
+	lo, hi := r.offsets[u], r.offsets[u+1]
+	// The log's capacity is pinned to the unit's placement count, so a
+	// misbehaving run appending more grows away from the shared buffer
+	// instead of corrupting a neighboring segment (and fails the check).
+	// A run that fails before drawing its schedule leaves the log armed;
+	// the deferred disarm keeps the arena's next schedule out of it.
+	sc.ArmSpanLog(r.deltas[lo:lo:hi])
+	defer sc.ArmSpanLog(nil)
+	err := r.d.RunComponent(r.ctx, r.in, r.suborder[lo:hi], sc)
 	s := sc.LiveSchedule()
-	if s == nil || len(s.SpanLog()) != placements {
+	if err == nil {
 		got := 0
 		if s != nil {
-			got = len(s.SpanLog())
+			got = len(s.EndSpanLog())
 		}
-		return fmt.Errorf("decomp: component %d: span log recorded %d placements, want %d (Decomposer declares Stitch but RunComponent is not a one-placement-per-job kernel run)", c, got, placements)
+		if got != int(hi-lo) {
+			err = fmt.Errorf("decomp: %s %d: span log recorded %d placements, want %d (RunComponent must place each job once on a schedule drawn from its arena)", kind, u, got, hi-lo)
+		}
 	}
+	if err == nil {
+		for p := lo; p < hi; p++ {
+			r.localm[p] = int32(s.MachineOf(int(r.suborder[p])))
+		}
+	}
+	r.errs[u] = err
+	r.times[u] = time.Since(t0)
+	return err == nil
+}
+
+// capture copies unit u's per-machine span pieces from the live schedule on
+// sc into capture buffer w and records where they start and how many
+// machines the unit opened.
+func (r *Runner) capture(u, w int, sc *core.Scratch) {
+	s := sc.LiveSchedule()
 	cp := &r.caps[w]
-	r.compWorker[c] = int32(w)
-	r.compSlot[c] = int32(len(cp.ends))
+	r.capOwner[u] = int32(w)
+	r.capSlot[u] = int32(len(cp.ends))
 	nm := s.NumMachines()
-	r.used[c] = int32(nm)
+	r.used[u] = int32(nm)
 	for m := 0; m < nm; m++ {
 		cp.pieces = s.AppendMachineSpans(m, cp.pieces)
 		cp.ends = append(cp.ends, int32(len(cp.pieces)))
 	}
-	return nil
 }
 
-// stitchMerge assembles the captured component runs under the identity
-// machine mapping: per machine, each component's span pieces are grafted
-// wholesale in component (= time) order, then one linear pass over the
-// global processing order replays every placement's recorded span delta, so
-// machine totals and Cost accumulate in exactly the sequential order — the
-// whole merge is O(components + machines + n) instead of a second full
-// span-union construction.
-func (r *Runner) stitchMerge(in *core.Instance, sc *core.Scratch, ord []int32, ncomp int) *core.Schedule {
+// stack sets every unit's global machine base from the units' machine
+// counts and returns the global machine count: stacked units take disjoint
+// ranges in start order (a running sum), identity units all overlay
+// machines from 0.
+func (r *Runner) stack(units int, stacked bool) int {
 	machines := int32(0)
-	for _, u := range r.used[:ncomp] {
-		if u > machines {
-			machines = u
+	for u, nm := range r.used[:units] {
+		if stacked {
+			r.base[u] = machines
+			machines += nm
+		} else {
+			r.base[u] = 0
+			machines = max(machines, nm)
 		}
 	}
-	asm := core.BeginAssembly(in, sc, int(machines))
-	for c := 0; c < ncomp; c++ {
-		cp := &r.caps[r.compWorker[c]]
-		slot := int(r.compSlot[c])
+	return int(machines)
+}
+
+// assemble merges the captured units into one sealed schedule on sc. Per
+// unit in start order, each machine's span pieces are grafted onto global
+// machine base+m; successive grafts onto one machine therefore arrive in
+// time order. One pass over the global order ord then appends every job,
+// bucketed by labels, to its machine. With totals nil the pass replays each
+// job's logged span delta, so machine totals and Cost accumulate in exactly
+// the sequential order; otherwise totals[i] is credited to the i-th grafted
+// machine and jobs carry a zero delta.
+func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int32, units, buckets, machines int, totals []float64) *core.Schedule {
+	asm := core.BeginAssembly(in, sc, machines)
+	i := 0
+	for u := 0; u < units; u++ {
+		cp := &r.caps[r.capOwner[u]]
+		slot := int(r.capSlot[u])
 		lo := int32(0)
 		if slot > 0 {
 			lo = cp.ends[slot-1]
 		}
-		for m := int32(0); m < r.used[c]; m++ {
+		for m := int32(0); m < r.used[u]; m++ {
 			hi := cp.ends[slot+int(m)]
-			asm.Graft(int(m), cp.pieces[lo:hi])
+			g := int(r.base[u] + m)
+			asm.Graft(g, cp.pieces[lo:hi])
+			if totals != nil {
+				asm.Credit(g, totals[i])
+				i++
+			}
 			lo = hi
 		}
 	}
-	copy(r.cursor, r.offsets[:ncomp])
+	copy(r.cursor, r.offsets[:buckets])
 	for _, j := range ord {
-		c := r.labels[j]
+		c := labels[j]
 		p := r.cursor[c]
 		r.cursor[c] = p + 1
-		asm.PutDelta(int(j), int(r.localm[p]), r.deltas[p])
-	}
-	return asm.Finish()
-}
-
-// merge reassembles the per-component machine assignments into one sealed
-// schedule on the caller's arena, replaying placements in the algorithm's
-// global processing order so span accumulation (and hence Cost) reproduces
-// the sequential run bit for bit. Identity merging overlays components on
-// the shared machine range; stacked merging (the exact solver) offsets each
-// component by the machine count of the components before it, in component
-// start order — exactly the sequential solver's machineBase accumulation.
-func (r *Runner) merge(in *core.Instance, d *algo.Decomposer, sc *core.Scratch, ord []int32, ncomp int) *core.Schedule {
-	r.used = grow(r.used, ncomp)
-	for c := 0; c < ncomp; c++ {
-		hi := int32(0)
-		for _, m := range r.localm[r.offsets[c]:r.offsets[c+1]] {
-			if m >= hi {
-				hi = m + 1
-			}
+		delta := 0.0
+		if totals == nil {
+			delta = r.deltas[p]
 		}
-		r.used[c] = hi
-	}
-	r.base = grow(r.base, ncomp)
-	machines := int32(0)
-	if d.Stacked {
-		for c := 0; c < ncomp; c++ {
-			r.base[c] = machines
-			machines += r.used[c]
-		}
-	} else {
-		clear(r.base[:ncomp])
-		for c := 0; c < ncomp; c++ {
-			if r.used[c] > machines {
-				machines = r.used[c]
-			}
-		}
-	}
-	copy(r.cursor, r.offsets[:ncomp])
-	asm := core.BeginAssembly(in, sc, int(machines))
-	for _, j := range ord {
-		c := r.labels[j]
-		p := r.cursor[c]
-		r.cursor[c] = p + 1
-		asm.Put(int(j), int(r.localm[p]+r.base[c]))
+		asm.PutDelta(int(j), int(r.base[c]+r.localm[p]), delta)
 	}
 	return asm.Finish()
 }
 
 // runSharded is the time-sharding path. It returns ok == false (after
 // releasing any leased arenas) when sharding is inapplicable and the caller
-// should fall back to the component path: axis too coarse, not enough
-// arenas, no low-crossing cuts, or too many crossing jobs.
+// should fall back to the chunk path: axis too coarse, not enough arenas,
+// no low-crossing cuts, or too many crossing jobs.
 func (r *Runner) runSharded(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, shards int, st *Stats) (*core.Schedule, error, bool) {
 	n := in.N()
 	ax := in.TimeAxis()
 	if ax.NB() < 2 {
 		return nil, nil, false
 	}
-	want := shards
-	if max := n / minShardJobs; want > max {
-		want = max
-	}
+	want := min(shards, n/minShardJobs)
 	if want < 2 {
 		return nil, nil, false
 	}
-
 	extras := r.lease(pool, want-1)
-	release := func() {
-		for _, a := range extras {
-			pool <- a
-		}
-	}
 	if len(extras) == 0 {
 		return nil, nil, false
 	}
+	defer r.release(pool)
 
 	t0 := time.Now()
 	cuts := r.selectCuts(in, ax, len(extras)+1)
 	k := len(cuts) + 1
-	if k < 2 {
-		release()
-		st.Sweep += time.Since(t0)
-		return nil, nil, false
-	}
-	crossing := r.partition(in, cuts, k)
 	// Every crossing job is placed by the sequential reconcile pass; past a
 	// quarter of the instance that pass dominates and sharding cannot pay.
-	if crossing*4 > n {
-		release()
+	crossing := 0
+	if k >= 2 {
+		crossing = r.partition(in, cuts, k)
+	}
+	if k < 2 || crossing*4 > n {
 		st.Sweep += time.Since(t0)
 		return nil, nil, false
 	}
-
-	// Scatter the global order into k shard segments plus the crossing
-	// segment (bucket k) — which, being the global order restricted to the
-	// crossing jobs, is exactly the reconcile order.
-	ord := r.order(in, d)
-	r.offsets = grow(r.offsets, k+2)
-	clear(r.offsets[:k+2])
-	for _, c := range r.slabels[:n] {
-		r.offsets[c+1]++
-	}
-	r.sizes = grow(r.sizes, k+1)
-	for c := 0; c <= k; c++ {
-		r.sizes[c] = r.offsets[c+1]
-		r.offsets[c+1] += r.offsets[c]
-	}
-	r.cursor = grow(r.cursor, k+1)
-	copy(r.cursor, r.offsets[:k+1])
-	r.suborder = grow(r.suborder, n)
-	for _, j := range ord {
-		c := r.slabels[j]
-		r.suborder[r.cursor[c]] = j
-		r.cursor[c]++
-	}
-	r.localm = grow(r.localm, n)
-	r.times = grow(r.times, k)
-	clear(r.times[:k])
-	r.errs = grow(r.errs, k)
-	clear(r.errs[:k])
+	// Bucket k collects the crossing jobs: the global order restricted to
+	// them is exactly the reconcile order.
+	ord := r.scatter(in, d, r.slabels, k+1)
+	r.resetUnits(k, 1)
 	st.Sweep += time.Since(t0)
 	st.Shards, st.Crossing = k, crossing
-	st.Sizes = r.sizes[:k]
-	st.Times = r.times[:k]
+	st.Sizes, st.Times = r.sizes[:k], r.times[:k]
 
 	// Solve the shards 1:1 on caller + leased arenas, so every shard's
 	// schedule is still live (queryable and growable) for reconciliation.
-	r.scs = append(r.scs[:0], sc)
-	r.scs = append(r.scs, extras[:k-1]...)
+	r.scs = append(append(r.scs[:0], sc), extras[:k-1]...)
+	defer func() { r.scs = r.scs[:0] }()
 	t0 = time.Now()
 	r.ctx, r.in, r.d = ctx, in, d
 	st.Workers = k
 	r.dispatch(k-1, true)
-	r.solveShard(0, sc)
+	r.solve("shard", 0, sc)
 	r.wg.Wait()
+	r.ctx, r.in, r.d = nil, nil, nil
 	st.Solve = time.Since(t0)
-
-	finish := func() {
-		r.ctx, r.in, r.d = nil, nil, nil
-		r.scs = r.scs[:0]
-		release()
-	}
-	for s := 0; s < k; s++ {
-		if err := r.errs[s]; err != nil {
-			finish()
-			return nil, err, true
-		}
+	if err := r.firstErr(k); err != nil {
+		return nil, err, true
 	}
 
 	// Reconcile the crossing jobs sequentially, in the global processing
 	// order, against the live shard schedules. Shard machines become
 	// disjoint global machine ranges, so a shard-local capacity probe is
-	// exact for the corresponding global machine.
+	// exact for the corresponding global machine. Only the last shard opens
+	// machines here, so the bases fixed now hold through the merge.
 	t0 = time.Now()
-	nx := int32(crossing)
-	xoff := r.offsets[k]
-	r.xshard = grow(r.xshard, crossing)
-	for i := int32(0); i < nx; i++ {
-		p := xoff + i
-		s, m := r.reconcileOne(in, d, int(r.suborder[p]), k)
-		r.xshard[i] = int32(s)
-		r.localm[p] = int32(m)
+	for s := range k {
+		r.used[s] = int32(r.scs[s].LiveSchedule().NumMachines())
+	}
+	r.stack(k, true)
+	r.base[k] = 0
+	for p := r.offsets[k]; p < r.offsets[k+1]; p++ {
+		r.localm[p] = int32(r.reconcileOne(in, d, int(r.suborder[p]), k))
 	}
 	st.Reconcile = time.Since(t0)
 
 	// Capture every shard machine's span pieces and busy total, then
-	// assemble: graft + credit per machine, one linear pass for the job
-	// lists. Totals are captured after reconciliation, so no delta log is
-	// needed — each global machine's total is its shard machine's total.
+	// assemble. Totals are captured after reconciliation, so no delta log
+	// is needed — each global machine's total is its shard machine's total.
 	t0 = time.Now()
-	r.caps = extend(r.caps, 1)
-	cp := &r.caps[0]
-	cp.pieces, cp.ends = cp.pieces[:0], cp.ends[:0]
 	r.totals = r.totals[:0]
-	r.used = grow(r.used, k)
-	r.base = grow(r.base, k)
-	machines := int32(0)
-	for s := 0; s < k; s++ {
+	for s := range k {
+		r.capture(s, 0, r.scs[s])
 		sch := r.scs[s].LiveSchedule()
-		nm := sch.NumMachines()
-		r.used[s] = int32(nm)
-		r.base[s] = machines
-		machines += int32(nm)
-		for m := 0; m < nm; m++ {
-			cp.pieces = sch.AppendMachineSpans(m, cp.pieces)
-			cp.ends = append(cp.ends, int32(len(cp.pieces)))
+		for m := range sch.NumMachines() {
 			r.totals = append(r.totals, sch.MachineBusy(m))
 		}
 	}
-	asm := core.BeginAssembly(in, sc, int(machines))
-	lo := int32(0)
-	for g := int32(0); g < machines; g++ {
-		hi := cp.ends[g]
-		asm.Graft(int(g), cp.pieces[lo:hi])
-		asm.Credit(int(g), r.totals[g])
-		lo = hi
-	}
-	copy(r.cursor, r.offsets[:k+1])
-	for _, j := range ord {
-		c := r.slabels[j]
-		p := r.cursor[c]
-		r.cursor[c] = p + 1
-		m := r.localm[p]
-		if int(c) == k {
-			m += r.base[r.xshard[p-xoff]]
-		} else {
-			m += r.base[c]
-		}
-		asm.PutPlaced(int(j), int(m))
-	}
-	s := asm.Finish()
+	machines := r.stack(k, true)
+	s := r.assemble(in, sc, ord, r.slabels, k, k+1, machines, r.totals)
 	st.Merge = time.Since(t0)
-	finish()
 	return s, nil, true
 }
 
@@ -879,42 +841,20 @@ func (r *Runner) partition(in *core.Instance, cuts []float64, k int) int {
 	return crossing
 }
 
-// solveShard runs shard w's segment through RunComponent on sc, leaving the
-// result live on the arena for reconciliation and capture. Error handling
-// mirrors solveOne.
-func (r *Runner) solveShard(w int, sc *core.Scratch) {
-	defer func() {
-		switch p := recover().(type) {
-		case nil:
-		case error:
-			r.errs[w] = fmt.Errorf("decomp: shard %d: %w", w, p)
-		default:
-			r.errs[w] = fmt.Errorf("decomp: shard %d: %v", w, p)
-		}
-	}()
-	if err := context.Cause(r.ctx); err != nil {
-		r.errs[w] = err
-		return
-	}
-	t0 := time.Now()
-	lo, hi := r.offsets[w], r.offsets[w+1]
-	r.errs[w] = r.d.RunComponent(r.ctx, r.in, r.suborder[lo:hi], sc, r.localm[lo:hi])
-	r.times[w] = time.Since(t0)
-}
-
 // reconcileOne places one crossing job by the algorithm's declared rule
-// against the live shard schedules and returns its (shard, shard-local
-// machine). Every shard schedule is a schedule of the full instance, so
-// probes and placements use the job's global index directly; placements are
-// visible to subsequent reconciliations. When no machine in any shard fits,
-// a machine is opened on the last shard (any choice is feasible — the new
-// machine's global range is private).
-func (r *Runner) reconcileOne(in *core.Instance, d *algo.Decomposer, j, k int) (int, int) {
+// against the live shard schedules and returns its global machine. Every
+// shard schedule is a schedule of the full instance, so probes and
+// placements use the job's global index directly; placements are visible to
+// subsequent reconciliations. When no machine in any shard fits, a machine
+// is opened on the last shard (any choice is feasible — the new machine's
+// global range is private).
+func (r *Runner) reconcileOne(in *core.Instance, d *algo.Decomposer, j, k int) int {
+	last := r.scs[k-1].LiveSchedule()
 	if d.Shard == algo.ShardBestFit {
 		bs, bm, bd := -1, -1, 0.0
 		for s := 0; s < k; s++ {
 			sch := r.scs[s].LiveSchedule()
-			m := sch.Placer().BestFitProbe(j)
+			m := sch.BestFitProbe(j)
 			if m == core.Unassigned {
 				continue
 			}
@@ -924,17 +864,17 @@ func (r *Runner) reconcileOne(in *core.Instance, d *algo.Decomposer, j, k int) (
 			}
 		}
 		if bs < 0 {
-			return k - 1, r.scs[k-1].LiveSchedule().AssignNew(j)
+			return int(r.base[k-1]) + last.AssignNew(j)
 		}
 		r.scs[bs].LiveSchedule().Assign(j, bm)
-		return bs, bm
+		return int(r.base[bs]) + bm
 	}
 	for s := 0; s < k; s++ {
 		sch := r.scs[s].LiveSchedule()
 		if m := sch.FirstFitProbe(j); m != core.Unassigned {
 			sch.Assign(j, m)
-			return s, m
+			return int(r.base[s]) + m
 		}
 	}
-	return k - 1, r.scs[k-1].LiveSchedule().AssignNew(j)
+	return int(r.base[k-1]) + last.AssignNew(j)
 }

@@ -170,7 +170,7 @@ func TestRunMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc := new(core.Scratch)
-			got, st, err := r.Run(context.Background(), in, a.Decompose, sc, pool, 4)
+			got, st, err := r.Solve(context.Background(), in, a.Decompose, sc, pool, 4, 0)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", name, seed, err)
 			}
@@ -200,7 +200,7 @@ func TestStackedMergeMatchesExact(t *testing.T) {
 			t.Fatalf("seed=%d: sequential exact: %v", seed, err)
 		}
 		sc := new(core.Scratch)
-		got, st, runErr := r.Run(context.Background(), in, exact.Decomposer(exact.DefaultMaxJobs), sc, pool, 3)
+		got, st, runErr := r.Solve(context.Background(), in, exact.Decomposer(exact.DefaultMaxJobs), sc, pool, 3, 0)
 		if runErr != nil {
 			t.Fatalf("seed=%d: decomposed exact: %v", seed, runErr)
 		}
@@ -208,6 +208,63 @@ func TestStackedMergeMatchesExact(t *testing.T) {
 			t.Fatalf("seed=%d: layer declined (components=%d)", seed, st.Components)
 		}
 		assertSame(t, fmt.Sprintf("exact seed=%d", seed), seq, got)
+	}
+}
+
+// TestChunksBoundSchedules pins the chunk grouping: a decomposed solve of an
+// instance with well over a thousand components draws at most
+// chunksPerWorker schedules per worker, plus the merged one, across the
+// caller's and the leased arenas — not one schedule per component — and
+// still matches the sequential run bitwise.
+func TestChunksBoundSchedules(t *testing.T) {
+	in := generator.Clustered(1, 1500, 6, 3, 9, 6)
+	a, ok := algo.Lookup("firstfit")
+	if !ok {
+		t.Fatal("firstfit not registered")
+	}
+	seq, err := a.Run(context.Background(), in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	for w := 2; w <= 4; w++ {
+		pool := newPool(w - 1)
+		sc := new(core.Scratch)
+		arenas := []*core.Scratch{sc}
+		for i := 0; i < w-1; i++ {
+			spare := <-pool
+			arenas = append(arenas, spare)
+			pool <- spare
+		}
+		schedules := func() int {
+			total := 0
+			for _, ar := range arenas {
+				total += ar.Stats().Schedules
+			}
+			return total
+		}
+		before := schedules()
+		got, st, err := r.Solve(context.Background(), in, a.Decompose, sc, pool, w, 0)
+		if err != nil || got == nil {
+			t.Fatalf("w=%d: schedule=%v err=%v", w, got, err)
+		}
+		if st.Components < 1000 || st.Workers != w {
+			t.Fatalf("w=%d: components=%d workers=%d, want ≥ 1000 components on %d workers", w, st.Components, st.Workers, w)
+		}
+		if drawn, limit := schedules()-before, chunksPerWorker*w+1; drawn > limit {
+			t.Fatalf("w=%d: decomposed solve drew %d schedules, want ≤ %d", w, drawn, limit)
+		}
+		if len(st.Sizes) > chunksPerWorker*w {
+			t.Fatalf("w=%d: %d chunks, want ≤ %d", w, len(st.Sizes), chunksPerWorker*w)
+		}
+		jobs := 0
+		for _, sz := range st.Sizes {
+			jobs += int(sz)
+		}
+		if jobs != in.N() {
+			t.Fatalf("w=%d: chunk sizes sum to %d, want %d", w, jobs, in.N())
+		}
+		assertSame(t, fmt.Sprintf("w=%d", w), seq, got)
 	}
 }
 
@@ -219,22 +276,22 @@ func TestRunDeclines(t *testing.T) {
 	ctx := context.Background()
 	multi := generator.Clustered(1, 4, 10, 2, 8, 3)
 
-	if s, _, err := r.Run(ctx, &core.Instance{Name: "empty", G: 2}, d, new(core.Scratch), newPool(2), 4); s != nil || err != nil {
+	if s, _, err := r.Solve(ctx, &core.Instance{Name: "empty", G: 2}, d, new(core.Scratch), newPool(2), 4, 0); s != nil || err != nil {
 		t.Fatalf("empty instance: got schedule=%v err=%v, want decline", s, err)
 	}
-	if s, _, err := r.Run(ctx, multi, d, new(core.Scratch), newPool(2), 1); s != nil || err != nil {
+	if s, _, err := r.Solve(ctx, multi, d, new(core.Scratch), newPool(2), 1, 0); s != nil || err != nil {
 		t.Fatalf("budget 1: got schedule=%v err=%v, want decline", s, err)
 	}
 	single := &core.Instance{Name: "chain", G: 2} // one overlapping chain: one component
 	for i := 0; i < 20; i++ {
 		single.Jobs = append(single.Jobs, core.Job{ID: i, Iv: interval.New(float64(i), float64(i)+1.5), Demand: 1})
 	}
-	if s, st, err := r.Run(ctx, single, d, new(core.Scratch), newPool(2), 4); s != nil || err != nil {
+	if s, st, err := r.Solve(ctx, single, d, new(core.Scratch), newPool(2), 4, 0); s != nil || err != nil {
 		t.Fatalf("single component: got schedule=%v err=%v, want decline", s, err)
 	} else if st.Components != 1 {
 		t.Fatalf("single component: sweep reported %d components", st.Components)
 	}
-	if s, st, err := r.Run(ctx, multi, d, new(core.Scratch), newPool(0), 4); s != nil || err != nil {
+	if s, st, err := r.Solve(ctx, multi, d, new(core.Scratch), newPool(0), 4, 0); s != nil || err != nil {
 		t.Fatalf("empty pool: got schedule=%v err=%v, want decline", s, err)
 	} else if st.Components < 2 {
 		t.Fatalf("empty pool: expected a multi-component instance, sweep saw %d", st.Components)
@@ -248,7 +305,7 @@ func TestRunPoolRestored(t *testing.T) {
 	r := NewRunner()
 	in := generator.Clustered(3, 5, 12, 3, 9, 4)
 	for i := 0; i < 4; i++ {
-		if _, _, err := r.Run(context.Background(), in, firstFitDecomposer(), new(core.Scratch), pool, 4); err != nil {
+		if _, _, err := r.Solve(context.Background(), in, firstFitDecomposer(), new(core.Scratch), pool, 4, 0); err != nil {
 			t.Fatal(err)
 		}
 		if len(pool) != 3 {
@@ -258,34 +315,56 @@ func TestRunPoolRestored(t *testing.T) {
 }
 
 // TestErrorSelection pins deterministic error reporting: the lowest
-// (earliest-starting) failing component wins regardless of solve order, and
-// panics inside a component are converted to errors.
+// (earliest-starting) failing chunk wins regardless of solve order, and
+// panics inside a chunk are converted to errors.
 func TestErrorSelection(t *testing.T) {
 	in := generator.Clustered(4, 6, 8, 2, 6, 2)
 	sentinel := errors.New("component rejected")
 	d := &algo.Decomposer{
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
-			return sentinel // every component fails; component 0 must win
+		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
+			return sentinel // every chunk fails; chunk 0 must win
 		},
 	}
 	r := NewRunner()
-	s, _, err := r.Run(context.Background(), in, d, new(core.Scratch), newPool(2), 3)
+	s, _, err := r.Solve(context.Background(), in, d, new(core.Scratch), newPool(2), 3, 0)
 	if s != nil || !errors.Is(err, sentinel) {
 		t.Fatalf("got schedule=%v err=%v, want wrapped sentinel", s, err)
 	}
 
 	dPanic := &algo.Decomposer{
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
+		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
 			panic("component blew up")
 		},
 	}
-	s, _, err = r.Run(context.Background(), in, dPanic, new(core.Scratch), newPool(2), 3)
+	s, _, err = r.Solve(context.Background(), in, dPanic, new(core.Scratch), newPool(2), 3, 0)
 	if s != nil || err == nil {
 		t.Fatalf("got schedule=%v err=%v, want converted panic", s, err)
 	}
-	want := "decomp: component 0: component blew up"
+	want := "decomp: chunk 0: component blew up"
 	if err.Error() != want {
-		t.Fatalf("error %q, want %q (lowest component id)", err, want)
+		t.Fatalf("error %q, want %q (lowest chunk id)", err, want)
+	}
+}
+
+// TestFailedRunLeavesNoArmedLog pins the disarm after every unit run: exact
+// rejects an oversized component before drawing a schedule, so the span log
+// armed for that chunk is never picked up, and the arena's next, unrelated
+// schedule must not log into the runner's buffer.
+func TestFailedRunLeavesNoArmedLog(t *testing.T) {
+	in := generator.Clustered(3, 4, 10, 2, 8, 3)
+	pool := newPool(2)
+	sc := new(core.Scratch)
+	r := NewRunner()
+	if s, _, err := r.Solve(context.Background(), in, exact.Decomposer(2), sc, pool, 3, 0); s != nil || err == nil {
+		t.Fatalf("got schedule=%v err=%v, want the component limit error", s, err)
+	}
+	arenas := []*core.Scratch{sc, <-pool, <-pool}
+	for i, a := range arenas {
+		s := a.NewSchedule(in)
+		s.FirstFitAssign(0)
+		if log := s.EndSpanLog(); log != nil {
+			t.Fatalf("arena %d: a fresh schedule logged %d span deltas into a stale buffer", i, len(log))
+		}
 	}
 }
 
@@ -303,7 +382,7 @@ func TestWarmRunnerArenaSteadyState(t *testing.T) {
 	sc := new(core.Scratch)
 	r := NewRunner()
 	run := func() {
-		s, st, err := r.Run(context.Background(), in, d.Decompose, sc, pool, 4)
+		s, st, err := r.Solve(context.Background(), in, d.Decompose, sc, pool, 4, 0)
 		if err != nil || s == nil {
 			t.Fatalf("decomposed run failed: schedule=%v err=%v components=%d", s, err, st.Components)
 		}
@@ -320,12 +399,11 @@ func TestWarmRunnerArenaSteadyState(t *testing.T) {
 		pool <- a
 	}
 	order := make([]int32, in.N())
-	localm := make([]int32, in.N())
 	for i := range order {
 		order[i] = int32(i)
 	}
 	for _, a := range arenas {
-		if err := d.Decompose.RunComponent(context.Background(), in, order, a, localm); err != nil {
+		if err := d.Decompose.RunComponent(context.Background(), in, order, a); err != nil {
 			t.Fatalf("warming arena: %v", err)
 		}
 	}

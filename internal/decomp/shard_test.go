@@ -131,9 +131,8 @@ func TestShardedDeclines(t *testing.T) {
 		t.Fatalf("tiny: got schedule=%v err=%v shards=%d, want decline", s, err, st.Shards)
 	}
 
-	// Stacked decomposers (the exact solver) never shard: their component
-	// runs compute assignments off-arena, so there is no live schedule to
-	// reconcile against.
+	// Stacked decomposers (the exact solver) never shard: they declare no
+	// shard rule to reconcile crossing jobs by.
 	if s, st, err := r.Solve(ctx, tiny, exact.Decomposer(exact.DefaultMaxJobs), new(core.Scratch), newPool(3), 1, 4); s != nil || err != nil || st.Shards != 0 {
 		t.Fatalf("stacked: got schedule=%v err=%v shards=%d, want decline", s, err, st.Shards)
 	}
@@ -186,11 +185,10 @@ func TestShardedPoolRestored(t *testing.T) {
 		}
 	}
 	boom := &algo.Decomposer{
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
+		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
 			panic("shard blew up")
 		},
-		Stitch: true,
-		Shard:  algo.ShardLowestFit,
+		Shard: algo.ShardLowestFit,
 	}
 	if s, _, err := r.Solve(ctx, in, boom, new(core.Scratch), pool, 1, 4); s != nil || err == nil {
 		t.Fatalf("got schedule=%v err=%v, want converted shard panic", s, err)
@@ -205,11 +203,10 @@ func TestShardedPoolRestored(t *testing.T) {
 // the message names the shard.
 func TestShardedErrorSelection(t *testing.T) {
 	boom := &algo.Decomposer{
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
+		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
 			panic("shard blew up")
 		},
-		Stitch: true,
-		Shard:  algo.ShardLowestFit,
+		Shard: algo.ShardLowestFit,
 	}
 	r := NewRunner()
 	s, st, err := r.Solve(context.Background(), denseInstance(4), boom, new(core.Scratch), newPool(3), 1, 4)
@@ -225,50 +222,19 @@ func TestShardedErrorSelection(t *testing.T) {
 	}
 }
 
-// TestStitchMatchesPutReplay pins the stitch merge directly against the
-// original Put-replay merge on the same decomposed runs: adopting span pieces
-// wholesale and replaying only the recorded scalar deltas must reproduce the
-// full re-merge bit for bit.
-func TestStitchMatchesPutReplay(t *testing.T) {
-	pool := newPool(3)
-	r := NewRunner()
-	for seed := int64(0); seed < 4; seed++ {
-		in := generator.Clustered(seed, 6, 20, 3, 10, 4)
-		stitch := firstFitDecomposer()
-		replay := *stitch
-		replay.Stitch = false
-		sc := new(core.Scratch)
-		a, _, err := r.Run(context.Background(), in, stitch, sc, pool, 4)
-		if err != nil || a == nil {
-			t.Fatalf("seed=%d: stitch run: schedule=%v err=%v", seed, a, err)
-		}
-		// The stitch schedule lives on sc; extract before the replay run
-		// recycles anything by assembling on a second arena.
-		b, _, err := r.Run(context.Background(), in, &replay, new(core.Scratch), pool, 4)
-		if err != nil || b == nil {
-			t.Fatalf("seed=%d: replay run: schedule=%v err=%v", seed, b, err)
-		}
-		assertSame(t, fmt.Sprintf("stitch vs replay seed=%d", seed), a, b)
-	}
-}
-
 // TestStitchContractViolation pins the guard on the stitch contract: a
-// Decomposer that declares Stitch but whose RunComponent does not record one
-// span delta per placement must fail loudly, not merge garbage.
+// Decomposer whose RunComponent does not record one span delta per
+// placement must fail loudly, not merge garbage.
 func TestStitchContractViolation(t *testing.T) {
 	lying := &algo.Decomposer{
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch, out []int32) error {
+		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
 			_ = sc.NewSchedule(in) // picks up the armed log, then places nothing
-			for i := range order {
-				out[i] = 0 // fabricate assignments without kernel placements
-			}
 			return nil
 		},
-		Stitch: true,
 	}
 	in := generator.Clustered(5, 3, 10, 2, 8, 3)
 	r := NewRunner()
-	s, _, err := r.Run(context.Background(), in, lying, new(core.Scratch), newPool(2), 3)
+	s, _, err := r.Solve(context.Background(), in, lying, new(core.Scratch), newPool(2), 3, 0)
 	if s != nil || err == nil {
 		t.Fatalf("got schedule=%v err=%v, want stitch-contract error", s, err)
 	}

@@ -107,46 +107,55 @@ func RunLookaheadScratch(in *core.Instance, sc *core.Scratch, k int, rule core.R
 // lookaheadOrder returns the order in which a k-arrival buffer releases the
 // jobs. Which job leaves the buffer depends only on the jobs, never on where
 // earlier ones were placed, so the order is computed up front and the
-// placements run through the shared greedy driver. The buffer holds at most
-// min(k, n) jobs.
+// placements run through the shared greedy driver. The buffer is a binary
+// heap of at most min(k, n) jobs keyed by FirstFit's total order — length
+// descending, then start, end and ID — so the order costs O(n log min(k, n)).
 func lookaheadOrder(in *core.Instance, k int) []int32 {
 	arrivals := in.StartOrder()
 	order := make([]int32, 0, len(arrivals))
-	buffer := make([]int32, 0, min(k, len(arrivals)))
-	next := 0
-	fill := func() {
-		for len(buffer) < k && next < len(arrivals) {
-			buffer = append(buffer, arrivals[next])
-			next++
+	heap := make([]int32, 0, min(k, len(arrivals)))
+	before := func(a, b int32) bool {
+		ja, jb := in.Jobs[a], in.Jobs[b]
+		switch {
+		case ja.Len() != jb.Len():
+			return ja.Len() > jb.Len()
+		case ja.Iv.Start != jb.Iv.Start:
+			return ja.Iv.Start < jb.Iv.Start
+		case ja.Iv.End != jb.Iv.End:
+			return ja.Iv.End < jb.Iv.End
 		}
+		return ja.ID < jb.ID
 	}
-	longest := func() int {
-		best := 0
-		for i := 1; i < len(buffer); i++ {
-			ji, jb := in.Jobs[buffer[i]], in.Jobs[buffer[best]]
-			switch {
-			case ji.Len() != jb.Len():
-				if ji.Len() > jb.Len() {
-					best = i
+	for next := 0; next < len(arrivals) || len(heap) > 0; {
+		for ; len(heap) < k && next < len(arrivals); next++ {
+			heap = append(heap, arrivals[next])
+			for i := len(heap) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !before(heap[i], heap[p]) {
+					break
 				}
-			case ji.Iv.Start != jb.Iv.Start:
-				if ji.Iv.Start < jb.Iv.Start {
-					best = i
-				}
-			case ji.Iv.End != jb.Iv.End:
-				if ji.Iv.End < jb.Iv.End {
-					best = i
-				}
-			case ji.ID < jb.ID:
-				best = i
+				heap[i], heap[p] = heap[p], heap[i]
+				i = p
 			}
 		}
-		return best
-	}
-	for fill(); len(buffer) > 0; fill() {
-		i := longest()
-		order = append(order, buffer[i])
-		buffer = append(buffer[:i], buffer[i+1:]...)
+		order = append(order, heap[0])
+		last := len(heap) - 1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if c+1 < last && before(heap[c+1], heap[c]) {
+				c++
+			}
+			if !before(heap[c], heap[i]) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
 	}
 	return order
 }

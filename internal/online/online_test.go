@@ -2,6 +2,9 @@ package online
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +223,76 @@ func TestLookaheadOneEqualsArrivalOrder(t *testing.T) {
 		want := replay("online-firstfit")(in, nil)
 		if got.Cost() != want.Cost() {
 			t.Fatalf("seed %d: k=1 cost %v != pure online %v", seed, got.Cost(), want.Cost())
+		}
+	}
+}
+
+// quadraticLookaheadOrder is the reference buffer: after every refill it
+// scans the whole buffer for the longest job (ties by start, end, ID) and
+// splices it out, O(n·min(k, n)).
+func quadraticLookaheadOrder(in *core.Instance, k int) []int32 {
+	arrivals := in.StartOrder()
+	order := make([]int32, 0, len(arrivals))
+	buffer := make([]int32, 0, min(k, len(arrivals)))
+	next := 0
+	fill := func() {
+		for len(buffer) < k && next < len(arrivals) {
+			buffer = append(buffer, arrivals[next])
+			next++
+		}
+	}
+	longest := func() int {
+		best := 0
+		for i := 1; i < len(buffer); i++ {
+			ji, jb := in.Jobs[buffer[i]], in.Jobs[buffer[best]]
+			switch {
+			case ji.Len() != jb.Len():
+				if ji.Len() > jb.Len() {
+					best = i
+				}
+			case ji.Iv.Start != jb.Iv.Start:
+				if ji.Iv.Start < jb.Iv.Start {
+					best = i
+				}
+			case ji.Iv.End != jb.Iv.End:
+				if ji.Iv.End < jb.Iv.End {
+					best = i
+				}
+			case ji.ID < jb.ID:
+				best = i
+			}
+		}
+		return best
+	}
+	for fill(); len(buffer) > 0; fill() {
+		i := longest()
+		order = append(order, buffer[i])
+		buffer = append(buffer[:i], buffer[i+1:]...)
+	}
+	return order
+}
+
+// TestLookaheadOrderMatchesQuadratic pins the heap buffer against the
+// quadratic reference scan for buffer sizes from 1 to unbounded, on random
+// instances with integer endpoints, so lengths and starts tie often and the
+// end and ID tie-breaks decide.
+func TestLookaheadOrderMatchesQuadratic(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(60)
+		in := &core.Instance{Name: "ties", G: 2}
+		for i := 0; i < n; i++ {
+			start := float64(r.Intn(6))
+			in.Jobs = append(in.Jobs, core.Job{ID: r.Intn(1000)*n + i, Iv: iv(start, start+float64(r.Intn(4))), Demand: 1})
+		}
+		for _, k := range []int{1, 2, 7, n - 1, n, math.MaxInt} {
+			if k < 1 {
+				continue
+			}
+			got, want := lookaheadOrder(in, k), quadraticLookaheadOrder(in, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d n=%d k=%d: heap order %v, reference %v", trial, n, k, got, want)
+			}
 		}
 	}
 }

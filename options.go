@@ -74,10 +74,12 @@ func WithWorkers(n int) Option {
 
 // WithIntraWorkers enables intra-instance parallelism: when the session's
 // algorithm declares itself decomposable, each Solve (and each batch worker)
-// splits its instance into the connected components of the interval graph and
-// solves them on up to n workers — its own plus spare arenas borrowed, only
-// while they are idle, from the same WithWorkers pool, so batch fan-out and
-// component fan-out share one core budget instead of multiplying.
+// splits its instance into the connected components of the interval graph,
+// groups consecutive components into chunks of about equal job count (at
+// most 16 per worker), and solves the chunks on up to n workers — its own
+// plus spare arenas borrowed, only while they are idle, from the same
+// WithWorkers pool, so batch fan-out and chunk fan-out share one core budget
+// instead of multiplying.
 //
 // n = 0 means automatic (the full WithWorkers budget); n = 1 disables the
 // layer (the default); n ≥ 2 caps the per-instance fan-out. The produced

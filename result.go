@@ -21,12 +21,13 @@ type ArenaStats struct {
 	SetupAllocs int
 }
 
-// ComponentStat describes one connected component of a decomposed solve.
+// ComponentStat describes one unit a decomposed solve ran: a chunk of
+// consecutive whole components, or a time shard when the solve was sharded.
 type ComponentStat struct {
-	// Jobs is the component's job count.
+	// Jobs is the unit's job count.
 	Jobs int
-	// Solve is the component's solve wall time; zero when this component was
-	// never solved individually (the layer declined before solving).
+	// Solve is the unit's solve wall time; zero when the unit was never
+	// solved (the layer stopped before solving it).
 	Solve time.Duration
 }
 
@@ -41,8 +42,8 @@ type DecompStats struct {
 	// Components is the number of connected components of the instance's
 	// interval graph (strictly time-disjoint job groups).
 	Components int
-	// Workers is how many workers solved components concurrently: this
-	// Solve's own arena plus the spare ones borrowed from the pool.
+	// Workers is how many workers solved chunks or shards concurrently:
+	// this Solve's own arena plus the spare ones borrowed from the pool.
 	Workers int
 	// LargestComponent is the job count of the largest component — the lower
 	// bound on the critical path of the parallel solve.
@@ -53,16 +54,18 @@ type DecompStats struct {
 	// sequential reconciliation pass.
 	Shards, CrossingJobs int
 	// SweepTime, SolveTime and MergeTime are the wall times of the three
-	// phases: component labeling (plus shard-cut selection when sharding),
-	// the concurrent per-component or per-shard solves as a whole, and the
-	// ordered reassembly. ReconcileTime is the sequential crossing-job
-	// placement pass between solve and merge (0 unless Shards > 0).
+	// phases: labeling (components, then chunks or shard cuts), the
+	// concurrent per-chunk or per-shard solves as a whole, and the ordered
+	// reassembly. ReconcileTime is the sequential crossing-job placement
+	// pass between solve and merge (0 unless Shards > 0).
 	SweepTime, SolveTime, MergeTime, ReconcileTime time.Duration
-	// PerComponent lists the components (or, when Shards > 0, the shards)
-	// in start order. The slice rides the session's recycled solver state:
-	// it is valid until a later Solve on this Solver reuses the same
-	// internal runner — the same window as an arena-mode Schedule. Callers
-	// that retain it must copy.
+	// PerComponent lists the units the layer actually solved, in start
+	// order: chunks of consecutive whole components (one component per
+	// chunk unless the instance has more than 16 components per worker),
+	// or the shards when Shards > 0. The slice rides the session's recycled
+	// solver state: it is valid until a later Solve on this Solver reuses
+	// the same internal runner — the same window as an arena-mode
+	// Schedule. Callers that retain it must copy.
 	PerComponent []ComponentStat
 }
 

@@ -191,7 +191,7 @@ func (s *Solver) solveOn(ctx context.Context, in *Instance, sc *core.Scratch) (*
 	defer func() { s.runners <- r }()
 	sched, st, err := r.Solve(ctx, in, s.decomp, sc, s.pool, s.cfg.intraWorkers(), s.cfg.timeShards())
 	// Converted under the lease: the stats buffer rides the runner (r.Pub)
-	// and the per-component slices are runner-owned.
+	// and the per-unit slices are runner-owned.
 	dstats := newDecompStatsInto(st, &r.Pub)
 	if err != nil {
 		return nil, dstats, fmt.Errorf("busytime: %s: %w", s.cfg.algorithm, err)
