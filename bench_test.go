@@ -14,7 +14,6 @@ import (
 	"busytime/internal/algo"
 	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
-	"busytime/internal/decomp"
 	"busytime/internal/experiments"
 	"busytime/internal/generator"
 )
@@ -349,26 +348,6 @@ func BenchmarkDecompClustered100kIntra4(b *testing.B) {
 }
 func BenchmarkDecompMany50kSeq(b *testing.B)    { benchDecompClustered(b, many50k(), 1, 1) }
 func BenchmarkDecompMany50kIntra2(b *testing.B) { benchDecompClustered(b, many50k(), 2, 2) }
-
-// The sweep alone: component labeling over the cached start order, the O(n)
-// prefix of every decomposed run. The warm-up call before ResetTimer sizes
-// the runner's label buffer, so the steady-state figure is 0 B/op — the
-// recycled-buffer contract of the layer, not an amortized average.
-func BenchmarkDecompSweep100k(b *testing.B) {
-	in := generator.Clustered(7, 16, 6250, 4, 5000, 40)
-	in.CachedValidate()
-	r := decomp.NewRunner()
-	if n := r.SweepCount(in); n != 16 { // warm: grow labels once
-		b.Fatalf("sweep found %d components, want 16", n)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := r.SweepCount(in); n != 16 {
-			b.Fatalf("sweep found %d components, want 16", n)
-		}
-	}
-}
 
 // The time-sharding ladder: one warm Solver session re-solving a dense
 // single-component instance (100k jobs, no positive-length gap anywhere) —

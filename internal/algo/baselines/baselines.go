@@ -21,7 +21,7 @@ import (
 
 	"busytime/internal/algo"
 	"busytime/internal/core"
-	"busytime/internal/intgraph"
+	"busytime/internal/interval"
 	"busytime/internal/xrand"
 )
 
@@ -97,9 +97,7 @@ func unitDemands(in *core.Instance) bool {
 }
 
 func machineMinInto(in *core.Instance, s *core.Schedule) *core.Schedule {
-	g := intgraph.New(in.Set())
-	classes := intgraph.ColorClasses(g.MinColoring())
-	for ci, class := range classes {
+	for ci, class := range interval.MinColoring(in.Set()) {
 		if ci%in.G == 0 {
 			s.OpenMachine()
 		}

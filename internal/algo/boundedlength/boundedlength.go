@@ -30,7 +30,6 @@ import (
 	"busytime/internal/bmatch"
 	"busytime/internal/core"
 	"busytime/internal/interval"
-	"busytime/internal/intgraph"
 )
 
 func init() {
@@ -238,8 +237,7 @@ func ScheduleFromWitness(witness *core.Schedule) (*core.Schedule, error) {
 		}
 		hull, _ := set.Hull()
 		machines = append(machines, MachineSpec{Window: hull})
-		colors := intgraph.New(set).MinColoring()
-		for _, class := range intgraph.ColorClasses(colors) {
+		for _, class := range interval.MinColoring(set) {
 			is := make([]int, len(class))
 			for i, pos := range class {
 				is[i] = jobs[pos]

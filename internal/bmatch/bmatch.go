@@ -30,12 +30,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.edges = append(g.edges, [2]int{u, v})
 }
 
-// NU and NV return the side sizes.
-func (g *Graph) NU() int { return g.nu }
-
-// NV returns the number of right-side vertices.
-func (g *Graph) NV() int { return g.nv }
-
 // Edges returns the number of edges.
 func (g *Graph) Edges() int { return len(g.edges) }
 

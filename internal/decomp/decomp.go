@@ -458,14 +458,6 @@ func (r *Runner) dispatch(workers int, shard bool) {
 	}
 }
 
-// SweepCount runs only the component sweep and returns the component count,
-// exposing the O(n) prefix of every decomposed run for benchmarks and
-// instance triage (a count of 1 means the layer would decline).
-func (r *Runner) SweepCount(in *core.Instance) int {
-	ncomp, _ := r.sweep(in)
-	return ncomp
-}
-
 // sweep labels every job with its connected component (components numbered
 // in start order) via a single reach sweep over the cached start order, and
 // returns the component count plus the largest component's job count.

@@ -456,3 +456,22 @@ func assertSame(t *testing.T, label string, a, b *core.Schedule) {
 		t.Fatalf("%s: cost %v vs %v", label, a.Cost(), b.Cost())
 	}
 }
+
+// The sweep alone: component labeling over the cached start order, the O(n)
+// prefix of every decomposed run. The warm-up call before the timed loop
+// sizes the runner's label buffer, so the steady-state figure is 0 B/op —
+// the recycled-buffer contract of the layer, not an amortized average.
+func BenchmarkDecompSweep100k(b *testing.B) {
+	in := generator.Clustered(7, 16, 6250, 4, 5000, 40)
+	in.CachedValidate()
+	r := NewRunner()
+	if n, _ := r.sweep(in); n != 16 { // warm: grow labels once
+		b.Fatalf("sweep found %d components, want 16", n)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if n, _ := r.sweep(in); n != 16 {
+			b.Fatalf("sweep found %d components, want 16", n)
+		}
+	}
+}

@@ -32,12 +32,3 @@ func ExampleSet_IntegrateDepth() {
 	fmt.Println(lb)
 	// Output: 3
 }
-
-func ExampleSubtract() {
-	pieces := interval.Subtract(interval.New(0, 10), interval.Set{
-		interval.New(2, 4),
-		interval.New(6, 7),
-	})
-	fmt.Println(pieces)
-	// Output: [[0,2] [4,6] [7,10]]
-}

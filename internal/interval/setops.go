@@ -1,95 +1,5 @@
 package interval
 
-// Subtract returns the part of iv not covered by the set s, as a sorted
-// disjoint slice of intervals. Point gaps (zero measure) are not reported.
-func Subtract(iv Interval, s Set) Set {
-	covered := s.Union()
-	var out Set
-	cur := iv
-	for _, c := range covered {
-		if c.End <= cur.Start {
-			continue
-		}
-		if c.Start >= cur.End {
-			break
-		}
-		if c.Start > cur.Start {
-			out = append(out, Interval{Start: cur.Start, End: c.Start})
-		}
-		if c.End >= cur.End {
-			return out
-		}
-		cur.Start = c.End
-	}
-	if cur.End > cur.Start {
-		out = append(out, cur)
-	}
-	return out
-}
-
-// SubtractSet returns the measure-wise difference a \ b as a sorted disjoint
-// slice of intervals.
-func SubtractSet(a, b Set) Set {
-	bu := b.Union()
-	var out Set
-	for _, iv := range a.Union() {
-		out = append(out, subtractAgainstUnion(iv, bu)...)
-	}
-	return out
-}
-
-// subtractAgainstUnion is Subtract with b already unioned.
-func subtractAgainstUnion(iv Interval, covered Set) Set {
-	var out Set
-	cur := iv
-	for _, c := range covered {
-		if c.End <= cur.Start {
-			continue
-		}
-		if c.Start >= cur.End {
-			break
-		}
-		if c.Start > cur.Start {
-			out = append(out, Interval{Start: cur.Start, End: c.Start})
-		}
-		if c.End >= cur.End {
-			return out
-		}
-		cur.Start = c.End
-	}
-	if cur.End > cur.Start {
-		out = append(out, cur)
-	}
-	return out
-}
-
-// IntersectSets returns the measure-wise intersection a ∩ b as a sorted
-// disjoint slice of intervals (zero-measure touch points omitted).
-func IntersectSets(a, b Set) Set {
-	au, bu := a.Union(), b.Union()
-	var out Set
-	i, j := 0, 0
-	for i < len(au) && j < len(bu) {
-		lo := au[i].Start
-		if bu[j].Start > lo {
-			lo = bu[j].Start
-		}
-		hi := au[i].End
-		if bu[j].End < hi {
-			hi = bu[j].End
-		}
-		if hi > lo {
-			out = append(out, Interval{Start: lo, End: hi})
-		}
-		if au[i].End < bu[j].End {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
 // Clip returns the parts of every interval of s inside the window w,
 // dropping empty results but keeping touch points (closed semantics), so a
 // clipped set preserves capacity interactions at the window border.

@@ -1,70 +1,6 @@
 package interval
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestSubtract(t *testing.T) {
-	got := Subtract(New(0, 10), Set{New(2, 4), New(6, 7)})
-	want := Set{New(0, 2), New(4, 6), New(7, 10)}
-	if len(got) != len(want) {
-		t.Fatalf("Subtract = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("piece %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSubtractEdgeCases(t *testing.T) {
-	if got := Subtract(New(0, 5), nil); len(got) != 1 || got[0] != New(0, 5) {
-		t.Errorf("empty subtrahend: %v", got)
-	}
-	if got := Subtract(New(2, 3), Set{New(0, 5)}); len(got) != 0 {
-		t.Errorf("full cover: %v", got)
-	}
-	if got := Subtract(New(0, 5), Set{New(0, 5)}); len(got) != 0 {
-		t.Errorf("exact cover: %v", got)
-	}
-	// Unsorted, overlapping subtrahend handled via Union.
-	got := Subtract(New(0, 6), Set{New(4, 5), New(1, 3), New(2, 4)})
-	want := Set{New(0, 1), New(5, 6)}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("messy subtrahend: %v, want %v", got, want)
-	}
-}
-
-func TestSubtractSet(t *testing.T) {
-	a := Set{New(0, 4), New(6, 10)}
-	b := Set{New(2, 7)}
-	got := SubtractSet(a, b)
-	want := Set{New(0, 2), New(7, 10)}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("SubtractSet = %v, want %v", got, want)
-	}
-}
-
-func TestIntersectSets(t *testing.T) {
-	a := Set{New(0, 4), New(6, 10)}
-	b := Set{New(2, 7), New(9, 12)}
-	got := IntersectSets(a, b)
-	want := Set{New(2, 4), New(6, 7), New(9, 10)}
-	if len(got) != len(want) {
-		t.Fatalf("IntersectSets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("piece %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := IntersectSets(Set{New(0, 1)}, Set{New(1, 2)}); len(got) != 0 {
-		t.Errorf("touching sets have zero-measure intersection, got %v", got)
-	}
-}
+import "testing"
 
 func TestClip(t *testing.T) {
 	s := Set{New(0, 4), New(3, 8), New(10, 12)}
@@ -77,45 +13,5 @@ func TestClip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("piece %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestQuickSubtractMeasureIdentity(t *testing.T) {
-	// span(a) = span(a∩b) + span(a\b)
-	f := func(seed int64, na, nb uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomSet(r, int(na%16)+1)
-		b := randomSet(r, int(nb%16)+1)
-		inter := IntersectSets(a, b).TotalLen()
-		diff := SubtractSet(a, b).TotalLen()
-		return math.Abs(a.Span()-(inter+diff)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSubtractDisjointFromSubtrahend(t *testing.T) {
-	f := func(seed int64, na, nb uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomSet(r, int(na%16)+1)
-		b := randomSet(r, int(nb%16)+1)
-		diff := SubtractSet(a, b)
-		return IntersectSets(diff, b).TotalLen() < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickIntersectCommutes(t *testing.T) {
-	f := func(seed int64, na, nb uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomSet(r, int(na%16)+1)
-		b := randomSet(r, int(nb%16)+1)
-		return math.Abs(IntersectSets(a, b).TotalLen()-IntersectSets(b, a).TotalLen()) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,6 +1,10 @@
 package interval
 
-import "slices"
+import (
+	"container/heap"
+	"slices"
+	"sort"
+)
 
 // Event is a sweep-line event: Delta is +1 at an interval start and -1 at an
 // interval end.
@@ -39,6 +43,64 @@ func (s Set) MaxDepth() int {
 		}
 	}
 	return best
+}
+
+// MinColoring returns an optimal coloring of the intersection graph of s
+// (closed semantics: touching intervals conflict) as its color classes:
+// class c lists, in increasing order, the indices of the intervals with
+// color c, so the members of a class are pairwise disjoint. One sweep in
+// (start, end, index) order gives each interval the smallest color that no
+// earlier interval still covering its start holds; on interval graphs this
+// uses exactly MaxDepth colors.
+func MinColoring(s Set) [][]int {
+	n := len(s)
+	byStart, byEnd := make([]int, n), make([]int, n)
+	for i := range byStart {
+		byStart[i], byEnd[i] = i, i
+	}
+	slices.SortFunc(byStart, func(a, b int) int {
+		if c := cmpFloat(s[a].Start, s[b].Start); c != 0 {
+			return c
+		}
+		if c := cmpFloat(s[a].End, s[b].End); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	slices.SortFunc(byEnd, func(a, b int) int { return cmpFloat(s[a].End, s[b].End) })
+	colors := make([]int, n)
+	free := &colorHeap{} // colors of intervals ending before the sweep point
+	used, ended := 0, 0
+	for _, v := range byStart {
+		// An interval ending before s[v] starts also starts before it, so
+		// the sweep has already colored it.
+		for ; ended < n && s[byEnd[ended]].End < s[v].Start; ended++ {
+			heap.Push(free, colors[byEnd[ended]])
+		}
+		if free.Len() > 0 {
+			colors[v] = heap.Pop(free).(int)
+		} else {
+			colors[v] = used
+			used++
+		}
+	}
+	classes := make([][]int, used)
+	for v, c := range colors {
+		classes[c] = append(classes[c], v)
+	}
+	return classes
+}
+
+// colorHeap is a min-heap of colors.
+type colorHeap struct{ sort.IntSlice }
+
+func (h *colorHeap) Push(x any) { h.IntSlice = append(h.IntSlice, x.(int)) }
+
+func (h *colorHeap) Pop() any {
+	last := len(h.IntSlice) - 1
+	x := h.IntSlice[last]
+	h.IntSlice = h.IntSlice[:last]
+	return x
 }
 
 // DepthAt returns the number of intervals containing the point t.

@@ -525,25 +525,27 @@ func (s *Session) MachineOf(j int) int {
 
 // Stats is a point-in-time snapshot of a session's rolling-horizon state and
 // competitive telemetry. Reading it does not allocate on a warm session.
+// The JSON field names are part of the scripting surface: `busysched online
+// -json` and the daemon's per-tenant stats endpoint both emit this struct.
 type Stats struct {
-	Placed      uint64 // arrivals accepted
-	Released    uint64 // explicit early departures
-	Expired     uint64 // natural departures (clock passed the end)
-	Compactions uint64 // retained-window reclaim passes
+	Placed      uint64 `json:"placed"`      // arrivals accepted
+	Released    uint64 `json:"released"`    // explicit early departures
+	Expired     uint64 `json:"expired"`     // natural departures (clock passed the end)
+	Compactions uint64 `json:"compactions"` // retained-window reclaim passes
 
-	Live         int // jobs currently holding capacity
-	Window       int // retained records (live + departed awaiting reclaim)
-	WindowCap    int // retained-window backing capacity (the memory bound)
-	Machines     int // machines opened so far
-	IdleMachines int // machines currently in the free pool
+	Live         int `json:"live"`          // jobs currently holding capacity
+	Window       int `json:"window"`        // retained records (live + departed awaiting reclaim)
+	WindowCap    int `json:"window_cap"`    // retained-window backing capacity (the memory bound)
+	Machines     int `json:"machines"`      // machines opened so far
+	IdleMachines int `json:"idle_machines"` // machines currently in the free pool
 
-	PeakLive     int // high-water Live
-	PeakWindow   int // high-water Window
-	PeakMachines int // high-water Machines
+	PeakLive     int `json:"peak_live"`     // high-water Live
+	PeakWindow   int `json:"peak_window"`   // high-water Window
+	PeakMachines int `json:"peak_machines"` // high-water Machines
 
-	Cost       float64 // total busy time accrued
-	LowerBound float64 // fractional bound of the effective stream, live tails projected
-	Ratio      float64 // Cost / LowerBound; the live competitive ratio
+	Cost       float64 `json:"cost"`        // total busy time accrued
+	LowerBound float64 `json:"lower_bound"` // fractional bound of the effective stream, live tails projected
+	Ratio      float64 `json:"ratio"`       // Cost / LowerBound; the live competitive ratio
 }
 
 // Stats reports the session's counters, memory high-water marks and live

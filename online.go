@@ -97,7 +97,7 @@ func (o *OnlineSession) Live() int { return o.inner.Live() }
 
 // Stats reports the session's counters, memory high-water marks and live
 // competitive ratio without allocating.
-func (o *OnlineSession) Stats() OnlineStats { return onlineStats(o.inner.Stats()) }
+func (o *OnlineSession) Stats() OnlineStats { return o.inner.Stats() }
 
 // Machines returns the number of machines opened so far.
 func (o *OnlineSession) Machines() int { return o.inner.Machines() }
@@ -143,47 +143,7 @@ func (o *OnlineSession) Result() (Result, error) {
 // The JSON field names are part of the scripting surface: `busysched online
 // -json` and the daemon's per-tenant stats endpoint both emit this struct
 // through the library's shared encoder.
-type OnlineStats struct {
-	Placed      uint64 `json:"placed"`      // arrivals accepted
-	Released    uint64 `json:"released"`    // explicit early departures
-	Expired     uint64 `json:"expired"`     // natural departures (clock passed the end)
-	Compactions uint64 `json:"compactions"` // retained-window reclaim passes
-
-	Live         int `json:"live"`          // jobs currently holding capacity
-	Window       int `json:"window"`        // retained records (live + departed awaiting reclaim)
-	WindowCap    int `json:"window_cap"`    // retained-window backing capacity (the memory bound)
-	Machines     int `json:"machines"`      // machines opened so far
-	IdleMachines int `json:"idle_machines"` // machines currently in the free pool
-
-	PeakLive     int `json:"peak_live"`     // high-water Live
-	PeakWindow   int `json:"peak_window"`   // high-water Window
-	PeakMachines int `json:"peak_machines"` // high-water Machines
-
-	Cost       float64 `json:"cost"`        // total busy time accrued
-	LowerBound float64 `json:"lower_bound"` // fractional bound of the effective stream, live tails projected
-	Ratio      float64 `json:"ratio"`       // Cost / LowerBound; the live competitive ratio
-}
-
-// onlineStats converts the internal telemetry struct field for field.
-func onlineStats(st online.Stats) OnlineStats {
-	return OnlineStats{
-		Placed:       st.Placed,
-		Released:     st.Released,
-		Expired:      st.Expired,
-		Compactions:  st.Compactions,
-		Live:         st.Live,
-		Window:       st.Window,
-		WindowCap:    st.WindowCap,
-		Machines:     st.Machines,
-		IdleMachines: st.IdleMachines,
-		PeakLive:     st.PeakLive,
-		PeakWindow:   st.PeakWindow,
-		PeakMachines: st.PeakMachines,
-		Cost:         st.Cost,
-		LowerBound:   st.LowerBound,
-		Ratio:        st.Ratio,
-	}
-}
+type OnlineStats = online.Stats
 
 // OnlinePool is sharded multi-tenant online state: one rolling-horizon
 // session per tenant key, created on first placement and distributed over
@@ -287,11 +247,7 @@ func (p *OnlinePool) Release(tenant string, job int) (bool, error) {
 // Stats snapshots the tenant's telemetry; ok is false for a tenant that
 // never placed.
 func (p *OnlinePool) Stats(tenant string) (OnlineStats, bool) {
-	st, ok := p.inner.Stats(tenant)
-	if !ok {
-		return OnlineStats{}, false
-	}
-	return onlineStats(st), true
+	return p.inner.Stats(tenant)
 }
 
 // Drop discards the tenant's session and reports whether one existed.
@@ -303,17 +259,11 @@ func (p *OnlinePool) Tenants() []string { return p.inner.Tenants() }
 
 // OnlineComparison is Offline's verdict on one tenant: how the irrevocable
 // online decisions compare to an offline replay of the same retained window
-// and to its lower bounds.
-type OnlineComparison struct {
-	// OnlineCost is the tenant's total accrued busy time (stream lifetime).
-	OnlineCost float64
-	// WindowCost is the policy's offline replay cost of the retained window.
-	WindowCost float64
-	// Bounds are the offline lower bounds of the retained-window instance.
-	Bounds Bounds
-	// Ratio is WindowCost / Bounds.Fractional: the window's competitive ratio.
-	Ratio float64
-}
+// and to its lower bounds. OnlineCost is the tenant's total accrued busy
+// time (stream lifetime), WindowCost the policy's offline replay cost of the
+// retained window, Bounds the window instance's offline lower bounds, and
+// Ratio = WindowCost / Bounds.Fractional the window's competitive ratio.
+type OnlineComparison = online.Comparison
 
 // Offline replays the tenant's retained window through the pool's policy on
 // an arena leased from the solver's scratch pool and reports the competitive
@@ -322,14 +272,5 @@ type OnlineComparison struct {
 // errors on a solver built WithFreshSchedules (no shared arenas) or an
 // unknown tenant.
 func (p *OnlinePool) Offline(tenant string) (OnlineComparison, error) {
-	cmp, err := p.inner.Offline(tenant)
-	if err != nil {
-		return OnlineComparison{}, err
-	}
-	return OnlineComparison{
-		OnlineCost: cmp.OnlineCost,
-		WindowCost: cmp.WindowCost,
-		Bounds:     cmp.Bounds,
-		Ratio:      cmp.Ratio,
-	}, nil
+	return p.inner.Offline(tenant)
 }

@@ -205,16 +205,8 @@ const maxWindow = 1 << 24
 // multi-tenant-service concern, and the busyschedd daemon is its consumer.
 func WithAdmission(a Admission) Option {
 	return func(c *config) {
-		if a.MaxLive < 0 {
-			c.fail("WithAdmission: MaxLive = %d, want ≥ 0", a.MaxLive)
-			return
-		}
-		if a.Rate < 0 || a.Rate != a.Rate {
-			c.fail("WithAdmission: Rate = %v, want ≥ 0", a.Rate)
-			return
-		}
-		if a.Burst < 0 {
-			c.fail("WithAdmission: Burst = %d, want ≥ 0", a.Burst)
+		if err := a.Validate(); err != nil {
+			c.fail("WithAdmission: %w", err)
 			return
 		}
 		c.admission = a

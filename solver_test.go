@@ -152,6 +152,36 @@ func TestAlgorithmsGolden(t *testing.T) {
 	}
 }
 
+// TestMachineMinColoringMemory bounds the memory of machine-min's coloring
+// on a dense clique: 4,000 unit jobs that all share a point, so the
+// intersection graph is complete and any structure holding its edges, such
+// as adjacency lists, costs Θ(n²). Coloring by one sweep needs O(n).
+func TestMachineMinColoringMemory(t *testing.T) {
+	const n, g = 4000, 8
+	ivs := make([]busytime.Interval, n)
+	for i := range ivs {
+		ivs[i] = ival(float64(i), float64(n+i))
+	}
+	in := unitInstance(g, ivs...)
+	s, err := busytime.New(busytime.WithAlgorithm("machine-min"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := s.Solve(context.Background(), in)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perJob := (after.TotalAlloc - before.TotalAlloc) / n; perJob > 4<<10 {
+		t.Errorf("machine-min allocated %d B per job, want ≤ 4 KiB", perJob)
+	}
+	if want := (n + g - 1) / g; res.Machines != want {
+		t.Errorf("machine-min used %d machines, want ⌈MaxDepth/g⌉ = %d", res.Machines, want)
+	}
+}
+
 func TestSolverWarmPathReusesArena(t *testing.T) {
 	in := generator.General(11, 2000, 4, 500, 20)
 	s, err := busytime.New(busytime.WithAlgorithm("firstfit"), busytime.WithWorkers(1))
