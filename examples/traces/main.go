@@ -16,7 +16,6 @@ import (
 
 	"busytime/internal/core"
 	"busytime/internal/scenario"
-	"busytime/internal/trace"
 	"busytime/internal/viz"
 )
 
@@ -63,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteCSV(f, in); err != nil {
+	if err := core.WriteInstanceCSV(f, in); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("workload exported to %s\n", path)

@@ -128,14 +128,6 @@ func sortEvents(evs []evt) {
 
 func (a *assignment) cost(m int) float64 { return a.set(m).Span() }
 
-func (a *assignment) totalCost() float64 {
-	var c float64
-	for m := range a.member {
-		c += a.cost(m)
-	}
-	return c
-}
-
 func (a *assignment) move(j, to int) {
 	from := a.of[j]
 	list := a.member[from]

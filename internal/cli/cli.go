@@ -6,13 +6,19 @@
 // exercises exactly the surface external users get (including context
 // cancellation: busysched wires SIGINT into the context). Subcommands:
 //
-//	generate  create a random instance (JSON on stdout or -out)
+//	generate  create an instance of a registered workload (JSON on stdout or -out)
 //	solve     run one algorithm on an instance file
 //	eval      run every registered algorithm on an instance and compare
 //	bounds    print the lower bounds of an instance
 //	batch     run one algorithm over many instances in parallel (CSV/JSON)
 //	online    drive a rolling-horizon session over a synthetic arrival stream
 //	replay    run a registered workload scenario offline/online/over the wire
+//
+// Every workload name resolves through the internal/scenario registry:
+// generate -kind, batch -kind and replay -scenario take the same names
+// (replay -list prints them), and generate and batch share one workload
+// flag set mapping onto scenario.Params (-seed, -n, -g, -horizon,
+// -meanlen), where zero means the family default.
 //
 // Example:
 //
@@ -38,7 +44,6 @@ import (
 	"busytime/internal/scenario"
 	"busytime/internal/sim"
 	"busytime/internal/stats"
-	"busytime/internal/trace"
 	"busytime/internal/viz"
 	"busytime/internal/xrand"
 )
@@ -105,8 +110,9 @@ func (c *CLI) usage() {
 	fmt.Fprintln(c.Err, `usage: busysched <command> [flags]
 
 commands:
-  generate  -kind general|proper|clique|bounded|poisson|diurnal|burst|waves
-            -n N -g G -seed S [-out FILE]
+  generate  -kind NAME [-seed S] [-n N] [-g G] [-horizon H] [-meanlen L]
+            [-out FILE]                        an instance of any scenario that
+                                               replay -list prints (0 = default)
   solve     -algo NAME -in FILE [-out FILE] [-replay]
   eval      -in FILE
   bounds    -in FILE
@@ -115,7 +121,8 @@ commands:
   convert   -in FILE -out FILE                 json<->csv by extension
   batch     -algo NAME [-workers W] [-format csv|json] [-out FILE] [-verify]
             FILE...                            schedule instance files, or
-            -kind ... -count K -n N -g G -seed S   a generated suite
+            -kind NAME -count K [-seed S] [-n N] [-g G] [-horizon H] [-meanlen L]
+                                               a generated suite (seeds S, S+1, ...)
   online    -policy firstfit|bestfit|nextfit -n N -g G -live L
             [-maxdemand D] [-release P] [-window W] [-seed S] [-json]
             rolling-horizon stream with arrivals and departures
@@ -144,18 +151,16 @@ func newSolver(name string, opts ...busytime.Option) (*busytime.Solver, error) {
 
 func (c *CLI) cmdGenerate(args []string) error {
 	fs := newFlagSet(c, "generate")
-	kind := fs.String("kind", "general", "instance class: general, proper, clique, bounded, poisson, diurnal, burst, waves")
-	n := fs.Int("n", 50, "number of jobs")
-	g := fs.Int("g", 3, "parallelism parameter")
-	seed := fs.Int64("seed", 1, "random seed")
-	horizon := fs.Float64("horizon", 100, "time horizon")
-	maxLen := fs.Float64("maxlen", 20, "maximum job length (general/proper)")
-	d := fs.Float64("d", 4, "length bound (bounded)")
+	wf := addWorkloadFlags(fs)
 	out := fs.String("out", "", "output file (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	in, err := generateInstance(*kind, *seed, *n, *g, *horizon, *maxLen, *d)
+	sc, err := wf.scenario()
+	if err != nil {
+		return err
+	}
+	in, err := sc.Instance(wf.p)
 	if err != nil {
 		return err
 	}
@@ -380,7 +385,7 @@ func (c *CLI) cmdConvert(args []string) error {
 	defer rf.Close()
 	switch {
 	case strings.HasSuffix(*in, ".csv"):
-		inst, err = trace.ReadCSV(rf, *g)
+		inst, err = core.ReadInstanceCSV(rf, *g)
 	default:
 		inst, err = core.ReadInstance(rf)
 	}
@@ -393,7 +398,7 @@ func (c *CLI) cmdConvert(args []string) error {
 	}
 	defer wf.Close()
 	if strings.HasSuffix(*out, ".csv") {
-		return trace.WriteCSV(wf, inst)
+		return core.WriteInstanceCSV(wf, inst)
 	}
 	return core.WriteInstance(wf, inst)
 }
@@ -401,9 +406,10 @@ func (c *CLI) cmdConvert(args []string) error {
 // cmdBatch runs one algorithm over a batch of instances through the public
 // SolveBatch/SolveStream fan-out and reports one CSV or JSON row per
 // instance. Instances come either from the positional file arguments or,
-// when none are given, from a generated suite (-kind/-count/-n/-g/-seed,
-// seeds increasing per instance). Generated suites stream into the solver
-// shard by shard, so arbitrarily long suites run in bounded memory.
+// when none are given, from a generated suite (-kind/-count and the shared
+// workload flags, seeds increasing per instance). Generated suites stream
+// into the solver shard by shard, so arbitrarily long suites run in
+// bounded memory.
 func (c *CLI) cmdBatch(ctx context.Context, args []string) error {
 	fs := newFlagSet(c, "batch")
 	name := fs.String("algo", "firstfit", "algorithm name (see busysched help)")
@@ -413,13 +419,8 @@ func (c *CLI) cmdBatch(ctx context.Context, args []string) error {
 	format := fs.String("format", "csv", "output format: csv or json")
 	out := fs.String("out", "", "output file (default stdout)")
 	verify := fs.Bool("verify", false, "re-verify every schedule's feasibility")
-	kind := fs.String("kind", "general", "generated suite class: general, proper, clique, bounded, poisson, diurnal, burst, waves")
+	wf := addWorkloadFlags(fs)
 	count := fs.Int("count", 16, "generated suite size")
-	n := fs.Int("n", 1000, "jobs per generated instance")
-	g := fs.Int("g", 4, "parallelism parameter")
-	seed := fs.Int64("seed", 1, "base seed; instance i uses seed+i")
-	horizon := fs.Float64("horizon", 0, "time horizon (default n/10)")
-	maxLen := fs.Float64("maxlen", 20, "maximum (or mean, for burst/waves) job length")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -448,9 +449,9 @@ func (c *CLI) cmdBatch(ctx context.Context, args []string) error {
 		}
 		results, err = solver.SolveBatch(ctx, instances)
 	} else {
-		hz := *horizon
-		if hz <= 0 {
-			hz = float64(*n) / 10
+		var sc scenario.Scenario
+		if sc, err = wf.scenario(); err != nil {
+			return err
 		}
 		var genErr error
 		i := 0
@@ -458,7 +459,9 @@ func (c *CLI) cmdBatch(ctx context.Context, args []string) error {
 			if i >= *count {
 				return nil, false
 			}
-			in, err := generateInstance(*kind, *seed+int64(i), *n, *g, hz, *maxLen, *maxLen)
+			p := wf.p
+			p.Seed += int64(i)
+			in, err := sc.Instance(p)
 			if err != nil {
 				genErr = err
 				return nil, false
@@ -709,46 +712,32 @@ func (c *CLI) printReport(w io.Writer, rep *scenario.Report) {
 	}
 }
 
-// generateInstance builds one instance of the named class; it is the single
-// switch behind both `generate` and `batch`, so the kinds and their
-// conventions cannot drift apart. d is the length bound of the bounded
-// class; the others ignore it.
-func generateInstance(kind string, seed int64, n, g int, horizon, maxLen, d float64) (*core.Instance, error) {
-	switch kind {
-	case "general":
-		return generator.General(seed, n, g, horizon, maxLen), nil
-	case "proper":
-		return generator.Proper(seed, n, g, horizon, maxLen), nil
-	case "clique":
-		return generator.Clique(seed, n, g, horizon/2, maxLen), nil
-	case "bounded":
-		segs := int(horizon / d)
-		if segs < 1 {
-			segs = 1
-		}
-		return generator.BoundedLength(seed, n, g, segs, d), nil
-	case "poisson":
-		// Rate chosen so the expected job count matches n.
-		return trace.Poisson(seed, g, float64(n)/horizon, horizon, maxLen/2), nil
-	case "diurnal":
-		days := int(horizon / 24)
-		if days < 1 {
-			days = 1
-		}
-		peak := float64(n) / (float64(days) * 12) // rough midday rate
-		return trace.Diurnal(seed, g, days, peak/8, peak, maxLen/2), nil
-	case "burst":
-		return generator.CloudBurst(seed, n, g, horizon, maxLen, 8, 0.5), nil
-	case "waves":
-		waves := 10
-		perWave := n / waves
-		if perWave < 1 {
-			perWave = 1
-		}
-		return generator.LightpathWave(seed, waves, perWave, g, horizon/float64(waves), horizon/float64(4*waves), maxLen), nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q", kind)
+// workloadFlags are the flags generate and batch share: a registered
+// scenario name and the scenario.Params fields the flags map onto. Zero
+// means the family default.
+type workloadFlags struct {
+	kind string
+	p    scenario.Params
+}
+
+func addWorkloadFlags(fs *flag.FlagSet) *workloadFlags {
+	wf := &workloadFlags{}
+	fs.StringVar(&wf.kind, "kind", "general", "registered workload: "+strings.Join(scenario.Names(), ", "))
+	fs.Int64Var(&wf.p.Seed, "seed", 1, "random seed, 0 = family default (batch: instance i uses seed+i)")
+	fs.IntVar(&wf.p.N, "n", 0, "number of jobs (0 = family default)")
+	fs.IntVar(&wf.p.G, "g", 0, "parallelism parameter (0 = family default)")
+	fs.Float64Var(&wf.p.Horizon, "horizon", 0, "time horizon (0 = family default)")
+	fs.Float64Var(&wf.p.MeanLen, "meanlen", 0, "mean job length (0 = family default)")
+	return wf
+}
+
+// scenario resolves -kind in the registry.
+func (wf *workloadFlags) scenario() (scenario.Scenario, error) {
+	sc, ok := scenario.Lookup(wf.kind)
+	if !ok {
+		return sc, fmt.Errorf("unknown kind %q (registered: %s)", wf.kind, strings.Join(scenario.Names(), ", "))
 	}
+	return sc, nil
 }
 
 // newFlagSet builds a flag set that reports parse errors on the CLI's

@@ -11,6 +11,7 @@ import (
 
 	"busytime"
 	"busytime/internal/core"
+	"busytime/internal/scenario"
 )
 
 // run invokes the CLI and returns (exit code, stdout, stderr).
@@ -61,6 +62,60 @@ func TestGenerateBadKind(t *testing.T) {
 	code, _, errOut := run("generate", "-kind", "nonsense")
 	if code != 1 || !strings.Contains(errOut, "unknown kind") {
 		t.Errorf("code=%d err=%q", code, errOut)
+	}
+}
+
+// TestGenerateMatchesRegistry checks generate resolves every name through
+// the scenario registry: its JSON decodes to exactly the instance Lookup
+// builds from the same params, and unset flags take the family defaults.
+func TestGenerateMatchesRegistry(t *testing.T) {
+	for _, name := range scenario.Names() {
+		code, out, errOut := run("generate", "-kind", name, "-seed", "3", "-n", "200")
+		if code != 0 {
+			t.Fatalf("generate %s: exit %d: %s", name, code, errOut)
+		}
+		got, err := core.ReadInstance(strings.NewReader(out))
+		if err != nil {
+			t.Fatalf("generate %s: %v", name, err)
+		}
+		sc, _ := scenario.Lookup(name)
+		want, err := sc.Instance(scenario.Params{Seed: 3, N: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || got.G != want.G || got.N() != want.N() {
+			t.Fatalf("%s: got %s g=%d n=%d, want %s g=%d n=%d",
+				name, got.Name, got.G, got.N(), want.Name, want.G, want.N())
+		}
+		for i := range want.Jobs {
+			if got.Jobs[i] != want.Jobs[i] {
+				t.Fatalf("%s: job %d: %+v, want %+v", name, i, got.Jobs[i], want.Jobs[i])
+			}
+		}
+	}
+}
+
+// TestWorkloadFlagsRejectBadValues checks a negative or non-finite workload
+// flag is an error (exit 1), never a panic, on every subcommand that
+// generates a workload.
+func TestWorkloadFlagsRejectBadValues(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"generate", "-kind", "general", "-n", "-5"}, "N = -5"},
+		{[]string{"generate", "-kind", "poisson", "-horizon", "NaN"}, "Horizon = NaN"},
+		{[]string{"generate", "-kind", "bounded", "-meanlen", "-Inf"}, "MeanLen = -Inf"},
+		{[]string{"generate", "-kind", "waves", "-g", "-2"}, "G = -2"},
+		{[]string{"batch", "-kind", "burst", "-n", "-5"}, "N = -5"},
+		{[]string{"batch", "-kind", "diurnal", "-meanlen", "+Inf"}, "MeanLen = +Inf"},
+		{[]string{"replay", "-scenario", "burst", "-n", "-5"}, "N = -5"},
+		{[]string{"replay", "-scenario", "poisson", "-workers", "-1"}, "Workers = -1"},
+	} {
+		code, _, errOut := run(c.args...)
+		if code != 1 || !strings.Contains(errOut, c.want) {
+			t.Errorf("%v: code=%d err=%q, want exit 1 with %q", c.args, code, errOut, c.want)
+		}
 	}
 }
 
@@ -303,7 +358,7 @@ func TestReplayList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	for _, name := range []string{"diurnal", "poisson", "ring", "lightpath"} {
+	for _, name := range []string{"diurnal", "poisson", "ring", "lightpath", "general", "proper", "clique", "bounded"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing %q:\n%s", name, out)
 		}

@@ -11,8 +11,9 @@ import (
 	"busytime/internal/core"
 	"busytime/internal/generator"
 	"busytime/internal/online"
+	"busytime/internal/parallel"
+	"busytime/internal/scenario"
 	"busytime/internal/stats"
-	"busytime/internal/trace"
 )
 
 // Ablations returns the design-choice ablation experiments (DESIGN.md §4,
@@ -77,22 +78,27 @@ func A4Online(cfg Config) (*Result, error) {
 	tb := stats.NewTable("A4 — online policies vs offline FirstFit",
 		"workload", "policy", "mean cost/LB", "max cost/LB")
 	metrics := map[string]float64{}
+	poisson, _ := scenario.Lookup("poisson")
 	type workload struct {
 		name string
-		gen  func(t int) *core.Instance
+		gen  func(t int) (*core.Instance, error)
 	}
 	workloads := []workload{
-		{"uniform", func(t int) *core.Instance {
-			return generator.General(cfg.Seed+int64(t), 80, 3, 60, 18)
+		{"uniform", func(t int) (*core.Instance, error) {
+			return generator.General(cfg.Seed+int64(t), 80, 3, 60, 18), nil
 		}},
-		{"poisson", func(t int) *core.Instance {
-			return trace.Poisson(cfg.Seed+int64(t), 3, 1.5, 60, 6)
+		{"poisson", func(t int) (*core.Instance, error) {
+			// Rate 1.5 over a horizon of 60: 90 arrivals in expectation.
+			return poisson.Instance(scenario.Params{Seed: cfg.Seed + int64(t), N: 90, G: 3, Horizon: 60, MeanLen: 6})
 		}},
 	}
 	for _, w := range workloads {
-		w := w
+		insts, err := parallel.MapErr(cfg.Trials, 0, w.gen)
+		if err != nil {
+			return nil, err
+		}
 		offline, err := ratioStats(cfg.Trials, func(t int) (float64, float64, error) {
-			in := w.gen(t)
+			in := insts[t]
 			return firstfit.Schedule(in).Cost(), core.BestBound(in), nil
 		})
 		if err != nil {
@@ -103,7 +109,7 @@ func A4Online(cfg Config) (*Result, error) {
 		for _, polName := range []string{"online-firstfit", "online-bestfit", "online-nextfit"} {
 			polName := polName
 			sample, err := ratioStats(cfg.Trials, func(t int) (float64, float64, error) {
-				in := w.gen(t)
+				in := insts[t]
 				return registered(polName)(in).Cost(), core.BestBound(in), nil
 			})
 			if err != nil {
@@ -117,7 +123,7 @@ func A4Online(cfg Config) (*Result, error) {
 		for _, k := range []int{2, 8, 32} {
 			k := k
 			sample, err := ratioStats(cfg.Trials, func(t int) (float64, float64, error) {
-				in := w.gen(t)
+				in := insts[t]
 				s, err := online.RunLookahead(in, k, core.LowestFit)
 				if err != nil {
 					return 0, 0, err

@@ -30,6 +30,7 @@ import (
 	"busytime/internal/optical"
 	"busytime/internal/parallel"
 	"busytime/internal/stats"
+	"busytime/internal/xrand"
 )
 
 // registered returns a registered algorithm as a fresh-memory schedule
@@ -540,7 +541,7 @@ func E10Demand(cfg Config) (*Result, error) {
 // demand package's test generator, kept here to avoid exporting test code).
 func flexWorkload(seed int64, n, g int, slackMax float64) *demand.FlexInstance {
 	in := &demand.FlexInstance{Name: fmt.Sprintf("flex(seed=%d)", seed), G: g}
-	r := newRand(seed)
+	r := xrand.New(seed)
 	for i := 0; i < n; i++ {
 		rel := r.Float64() * 40
 		proc := 0.5 + r.Float64()*8

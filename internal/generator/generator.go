@@ -5,9 +5,10 @@
 // §3.1 closing remark (its proper ranked-shift variant).
 //
 // All generators are deterministic in their inputs: the same seed yields the
-// same instance. Randomness comes from a seedable splitmix64 generator (see
-// rand.go) rather than math/rand, so drawing an instance allocates nothing
-// beyond the instance itself and the stream is stable across platforms.
+// same instance. Randomness comes from the seedable splitmix64 generator of
+// internal/xrand rather than math/rand, so drawing an instance allocates
+// nothing beyond the instance itself and the stream is stable across
+// platforms.
 package generator
 
 import (
@@ -16,12 +17,13 @@ import (
 
 	"busytime/internal/core"
 	"busytime/internal/interval"
+	"busytime/internal/xrand"
 )
 
 // General returns n jobs with starts uniform in [0, horizon) and lengths
 // uniform in (0, maxLen], parallelism g.
 func General(seed int64, n, g int, horizon, maxLen float64) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	ivs := make([]interval.Interval, n)
 	for i := range ivs {
 		s := r.Float64() * horizon
@@ -36,7 +38,7 @@ func General(seed int64, n, g int, horizon, maxLen float64) *core.Instance {
 // strictly increasing, so no interval properly contains another while
 // lengths still vary in (0, maxLen].
 func Proper(seed int64, n, g int, horizon, maxLen float64) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	starts := make([]float64, n)
 	for i := range starts {
 		starts[i] = r.Float64() * horizon
@@ -61,7 +63,7 @@ func Proper(seed int64, n, g int, horizon, maxLen float64) *core.Instance {
 // Clique returns n jobs that all contain the point t: job i spans
 // [t-a, t+b] with a, b uniform in (0, reach].
 func Clique(seed int64, n, g int, t, reach float64) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	ivs := make([]interval.Interval, n)
 	for i := range ivs {
 		a := r.Float64() * reach
@@ -77,7 +79,7 @@ func Clique(seed int64, n, g int, t, reach float64) *core.Instance {
 // real lengths in [1, d] — the §3.2 model (lengths in [1, d], integral start
 // times).
 func BoundedLength(seed int64, n, g, segments int, d float64) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	ivs := make([]interval.Interval, n)
 	horizon := int(float64(segments) * d)
 	if horizon < 1 {
@@ -111,7 +113,7 @@ func Clustered(seed int64, clusters, per, g int, clusterLen, maxLen float64) *co
 	if maxLen > clusterLen {
 		maxLen = clusterLen
 	}
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	ivs := make([]interval.Interval, 0, clusters*per)
 	for c := 0; c < clusters; c++ {
 		winStart := float64(c) * (clusterLen + 1)
@@ -133,7 +135,7 @@ func Clustered(seed int64, clusters, per, g int, clusterLen, maxLen float64) *co
 // WithDemands returns a copy of in with pseudo-random demands in
 // [1, maxDemand] (clamped to g).
 func WithDemands(in *core.Instance, seed int64, maxDemand int) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	out := in.Clone()
 	if maxDemand > out.G {
 		maxDemand = out.G
@@ -153,7 +155,7 @@ func WithDemands(in *core.Instance, seed int64, maxDemand int) *core.Instance {
 // unit gaps, each recursively subdivided into up to maxChildren strictly
 // interior children per level, down to maxDepth nesting levels.
 func Laminar(seed int64, g, roots, maxChildren, maxDepth int, rootLen float64) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	var ivs []interval.Interval
 	var grow func(iv interval.Interval, depth int)
 	grow = func(iv interval.Interval, depth int) {
@@ -205,7 +207,7 @@ func CloudBurst(seed int64, n, g int, horizon, meanLen float64, bursts int, burs
 	if burstFrac > 1 {
 		burstFrac = 1
 	}
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	centers := make([]float64, bursts)
 	for i := range centers {
 		centers[i] = r.Float64() * horizon
@@ -242,7 +244,7 @@ func CloudBurst(seed int64, n, g int, horizon, meanLen float64, bursts int, burs
 // minimizing busy time minimizes total fiber activation, the §4 application.
 // Deterministic in its inputs.
 func LightpathWave(seed int64, waves, perWave, g int, period, spread, meanLen float64) *core.Instance {
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	ivs := make([]interval.Interval, 0, waves*perWave)
 	for w := 0; w < waves; w++ {
 		center := float64(w) * period

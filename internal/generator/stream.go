@@ -1,6 +1,9 @@
 package generator
 
-import "busytime/internal/interval"
+import (
+	"busytime/internal/interval"
+	"busytime/internal/xrand"
+)
 
 // StreamJob is one arrival of a rolling-horizon stream: the closed interval
 // the job occupies and its capacity demand.
@@ -29,7 +32,7 @@ func Stream(seed int64, n, live, maxDemand int) []StreamJob {
 	if maxDemand < 1 {
 		maxDemand = 1
 	}
-	r := newRNG(seed)
+	r := xrand.New(seed)
 	jobs := make([]StreamJob, n)
 	clock := 0.0
 	for i := range jobs {

@@ -156,9 +156,6 @@ func (p *Pool) SetAdmission(a Admission) error {
 	return nil
 }
 
-// Admission returns the installed acceptance policy (zero value: admit all).
-func (p *Pool) Admission() Admission { return p.adm }
-
 // Close flips the pool into draining: every subsequent Place or PlaceBatch
 // item is rejected with ErrPoolClosed, while Release, Stats, Tenants, Drop
 // and Offline keep working so in-flight work can finish and final telemetry
@@ -362,19 +359,6 @@ func (p *Pool) Tenants() []string {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Live returns the tenant's live-job count without a full Stats snapshot;
-// ok is false for a tenant that never placed.
-func (p *Pool) Live(tenant string) (n int, ok bool) {
-	sh := p.shard(tenant)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ts := sh.tenants[tenant]
-	if ts == nil {
-		return 0, false
-	}
-	return ts.s.Live(), true
 }
 
 // Comparison is Offline's verdict on one tenant's retained window.

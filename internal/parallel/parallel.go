@@ -102,14 +102,6 @@ func MapErr[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
 	return out, firstErr
 }
 
-// ForEach runs f(0..n-1) for side effects with the given worker count.
-func ForEach(n, workers int, f func(i int)) {
-	Map(n, workers, func(i int) struct{} {
-		f(i)
-		return struct{}{}
-	})
-}
-
 func clampWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -123,14 +123,6 @@ func TestMapErrSuccess(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	ForEach(100, 8, func(i int) { sum.Add(int64(i)) })
-	if sum.Load() != 4950 {
-		t.Errorf("sum = %d, want 4950", sum.Load())
-	}
-}
-
 func TestClampWorkers(t *testing.T) {
 	if w := clampWorkers(0, 5); w < 1 || w > 5 {
 		t.Errorf("default workers = %d", w)

@@ -5,8 +5,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"busytime"
@@ -33,7 +33,7 @@ const (
 // ParseModes parses a comma-separated mode list ("offline,online,wire").
 func ParseModes(s string) (Mode, error) {
 	var m Mode
-	for _, f := range splitComma(s) {
+	for _, f := range strings.Split(s, ",") {
 		switch f {
 		case "offline":
 			m |= ModeOffline
@@ -45,24 +45,7 @@ func ParseModes(s string) (Mode, error) {
 			return 0, fmt.Errorf("scenario: unknown mode %q (want offline, online or wire)", f)
 		}
 	}
-	if m == 0 {
-		return 0, fmt.Errorf("scenario: empty mode list")
-	}
 	return m, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // Config steers one driver Run across the enabled modes.
@@ -187,10 +170,6 @@ func Run(ctx context.Context, cfg Config, sc Scenario, p Params) (*Report, error
 		G:        in.G,
 		GenTime:  time.Since(t0),
 	}
-	var order []int
-	if cfg.Modes&(ModeOnline|ModeWire) != 0 {
-		order = arrivalOrder(in)
-	}
 	if cfg.Modes&ModeOffline != 0 {
 		off, sched, err := runOffline(ctx, cfg, in)
 		if err != nil {
@@ -206,37 +185,20 @@ func Run(ctx context.Context, cfg Config, sc Scenario, p Params) (*Report, error
 		}
 	}
 	if cfg.Modes&ModeOnline != 0 {
-		on, err := runOnline(cfg, p, in, order)
+		on, err := runOnline(cfg, p, in)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q online: %w", sc.Name, err)
 		}
 		rep.Online = on
 	}
 	if cfg.Modes&ModeWire != 0 {
-		w, err := runWire(cfg, in, order)
+		w, err := runWire(cfg, in)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q wire: %w", sc.Name, err)
 		}
 		rep.Wire = w
 	}
 	return rep, nil
-}
-
-// arrivalOrder returns job indices sorted by start (ties by index), the
-// stream order the online and wire replays feed.
-func arrivalOrder(in *core.Instance) []int {
-	order := make([]int, in.N())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := in.Jobs[order[a]].Iv.Start, in.Jobs[order[b]].Iv.Start
-		if sa != sb {
-			return sa < sb
-		}
-		return order[a] < order[b]
-	})
-	return order
 }
 
 // runOffline solves the full instance Repeat times on one warm Solver (the
@@ -276,13 +238,15 @@ func runOffline(ctx context.Context, cfg Config, in *core.Instance) (*OfflineRep
 	}, res.Schedule, nil
 }
 
-// runOnline feeds the stream through a rolling-horizon session in arrival
-// order. A ReleaseFrac slice of arrivals departs early: each is scheduled,
+// runOnline feeds the stream through a rolling-horizon session in the
+// instance's start order, the order the online-* rows place in, so with no
+// early releases the session bills exactly the matching row's cost. A
+// ReleaseFrac slice of arrivals departs early: each is scheduled,
 // deterministically in the seed, for release a few arrivals after its
 // placement — mimicking cancel-before-complete churn. The session's
 // retained window is snapshotted at the end and cross-checked against the
 // simulator.
-func runOnline(cfg Config, p Params, in *core.Instance, order []int) (*OnlineReport, error) {
+func runOnline(cfg Config, p Params, in *core.Instance) (*OnlineReport, error) {
 	solver, err := busytime.New()
 	if err != nil {
 		return nil, err
@@ -296,6 +260,7 @@ func runOnline(cfg Config, p Params, in *core.Instance, order []int) (*OnlineRep
 	due := map[int][]int{}
 	released := 0
 	var h stats.Hist
+	order := in.StartOrder()
 	for k, j := range order {
 		for _, feed := range due[k] {
 			if ok, err := sess.Release(feed); err != nil {

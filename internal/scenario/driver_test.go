@@ -88,6 +88,27 @@ func TestRunRingBrackets(t *testing.T) {
 	}
 }
 
+// TestOnlineSessionMatchesRow pins the online mode's arrival order: fed in
+// the instance's start order, the firstfit session bills exactly what the
+// registry's online-firstfit row computes on the same instance, bit for bit.
+func TestOnlineSessionMatchesRow(t *testing.T) {
+	for _, name := range []string{"lightpath", "ring"} {
+		sc, _ := Lookup(name)
+		rep, err := Run(context.Background(), Config{
+			Modes:     ModeOffline | ModeOnline,
+			Algorithm: "online-firstfit",
+			Policy:    "firstfit",
+		}, sc, Params{Seed: 1, N: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Online.Stats.Cost != rep.Offline.Cost {
+			t.Errorf("%s: session cost %v != online-firstfit row cost %v",
+				name, rep.Online.Stats.Cost, rep.Offline.Cost)
+		}
+	}
+}
+
 func metricMap(ms []Metric) map[string]float64 {
 	out := map[string]float64{}
 	for _, m := range ms {

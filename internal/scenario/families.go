@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -10,11 +9,49 @@ import (
 	"busytime/internal/generator"
 	"busytime/internal/interval"
 	"busytime/internal/optical"
-	"busytime/internal/trace"
 	"busytime/internal/xrand"
 )
 
 func init() {
+	// The paper's instance classes, one per guarantee: general (Thm 2.1),
+	// proper (Thm 3.1), clique (Thm A.1) and bounded lengths (Thm 3.2).
+	// Lengths are drawn so their mean is MeanLen.
+	Register(Scenario{
+		Name:        "general",
+		Description: "general instances (Thm 2.1): uniform starts, lengths uniform in (0, 2·MeanLen]",
+		Defaults:    Params{Seed: 1, N: 1000, G: 4, Horizon: 100, MeanLen: 10},
+		Generate: func(p Params) (*core.Instance, error) {
+			return generator.General(p.Seed, p.N, p.G, p.Horizon, 2*p.MeanLen), nil
+		},
+	})
+	Register(Scenario{
+		Name:        "proper",
+		Description: "proper instances (Thm 3.1): no job contains another, lengths ≈ uniform in (0, 2·MeanLen]",
+		Defaults:    Params{Seed: 1, N: 1000, G: 4, Horizon: 100, MeanLen: 10},
+		Generate: func(p Params) (*core.Instance, error) {
+			return generator.Proper(p.Seed, p.N, p.G, p.Horizon, 2*p.MeanLen), nil
+		},
+	})
+	Register(Scenario{
+		Name:        "clique",
+		Description: "clique instances (Thm A.1): every job contains Horizon/2, reaching up to MeanLen each side",
+		Defaults:    Params{Seed: 1, N: 1000, G: 4, Horizon: 100, MeanLen: 20},
+		Generate: func(p Params) (*core.Instance, error) {
+			return generator.Clique(p.Seed, p.N, p.G, p.Horizon/2, p.MeanLen), nil
+		},
+	})
+	Register(Scenario{
+		Name:        "bounded",
+		Description: "bounded lengths (Thm 3.2): integral starts, lengths in [1, d] for d = 2·MeanLen−1",
+		Defaults:    Params{Seed: 1, N: 1000, G: 4, Horizon: 100, MeanLen: 2.5},
+		Generate: func(p Params) (*core.Instance, error) {
+			d := 2*p.MeanLen - 1
+			if d < 1 {
+				return nil, fmt.Errorf("bounded needs MeanLen ≥ 1, got %v", p.MeanLen)
+			}
+			return generator.BoundedLength(p.Seed, p.N, p.G, max(int(p.Horizon/d), 1), d), nil
+		},
+	})
 	Register(Scenario{
 		Name:        "poisson",
 		Description: "homogeneous Poisson arrivals, exponential durations (≈N jobs in expectation)",
@@ -95,9 +132,6 @@ func init() {
 // streams is distribution-exact. The rate is N/Horizon, hitting N jobs in
 // expectation.
 func genPoisson(p Params) (*core.Instance, error) {
-	if p.N < 1 || p.Horizon <= 0 || p.MeanLen <= 0 {
-		return nil, fmt.Errorf("poisson needs N ≥ 1, Horizon > 0, MeanLen > 0")
-	}
 	rate := float64(p.N) / p.Horizon
 	jobs := parallelTime(p.Seed, p.Workers, p.Horizon, func(r *xrand.RNG, t0, t1 float64, emit func(core.Job)) {
 		t := t0 + r.ExpFloat64()/rate
@@ -120,9 +154,6 @@ func genPoisson(p Params) (*core.Instance, error) {
 // thinning acceptance at time t depends only on t and the chunk's own
 // stream, so chunked generation stays distribution-exact.
 func genDiurnal(p Params) (*core.Instance, error) {
-	if p.N < 1 || p.Horizon <= 0 || p.MeanLen <= 0 {
-		return nil, fmt.Errorf("diurnal needs N ≥ 1, Horizon > 0, MeanLen > 0")
-	}
 	meanRate := float64(p.N) / p.Horizon
 	base, peak := 0.2*meanRate, 1.8*meanRate
 	rate := func(t float64) float64 {
@@ -262,12 +293,7 @@ func FromCSV(path string) Scenario {
 				return nil, err
 			}
 			defer f.Close()
-			return readCSV(f, p.G)
+			return core.ReadInstanceCSV(f, p.G)
 		},
 	}
-}
-
-// readCSV adapts trace.ReadCSV (split out for tests that feed a reader).
-func readCSV(r io.Reader, defaultG int) (*core.Instance, error) {
-	return trace.ReadCSV(r, defaultG)
 }

@@ -1,10 +1,8 @@
 package scenario
 
 import (
-	"runtime"
-	"sync"
-
 	"busytime/internal/core"
+	"busytime/internal/parallel"
 	"busytime/internal/xrand"
 )
 
@@ -25,34 +23,13 @@ const genChunks = 64
 // chunk emits in start order.
 func parallelTime(seed int64, workers int, horizon float64,
 	gen func(r *xrand.RNG, t0, t1 float64, emit func(core.Job))) []core.Job {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > genChunks {
-		workers = genChunks
-	}
-	chunks := make([][]core.Job, genChunks)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				r := xrand.Shard(seed, i)
-				t0 := horizon * float64(i) / genChunks
-				t1 := horizon * float64(i+1) / genChunks
-				var out []core.Job
-				gen(r, t0, t1, func(j core.Job) { out = append(out, j) })
-				chunks[i] = out
-			}
-		}()
-	}
-	for i := 0; i < genChunks; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	chunks := parallel.Map(genChunks, workers, func(i int) []core.Job {
+		t0 := horizon * float64(i) / genChunks
+		t1 := horizon * float64(i+1) / genChunks
+		var out []core.Job
+		gen(xrand.Shard(seed, i), t0, t1, func(j core.Job) { out = append(out, j) })
+		return out
+	})
 	total := 0
 	for _, c := range chunks {
 		total += len(c)

@@ -1,12 +1,14 @@
-// Package scenario is the workload-scenario engine: a registry of named,
-// seeded, parameterized instance families — cloud arrival traces, optical
-// lightpath and ring traffic, the synthetic families of internal/generator,
-// external CSV traces — with a uniform driver that replays any of them
-// offline through the Solver, online through a rolling-horizon session, or
-// over the wire against a running busyschedd, and emits one structured
-// report per run: cost, bounds, gap and competitive ratio, per-phase
-// latency percentiles, and a discrete-event billing cross-check asserting
-// the simulated busy time equals the analytic cost.
+// Package scenario is the workload-scenario engine: the one registry of
+// named, seeded, parameterized instance families — the paper's instance
+// classes (general, proper, clique, bounded lengths), cloud arrival traces,
+// optical lightpath and ring traffic, the synthetic families of
+// internal/generator, external CSV traces — with a uniform driver that
+// replays any of them offline through the Solver, online through a
+// rolling-horizon session, or over the wire against a running busyschedd,
+// and emits one structured report per run: cost, bounds, gap and
+// competitive ratio, per-phase latency percentiles, and a discrete-event
+// billing cross-check asserting the simulated busy time equals the
+// analytic cost.
 //
 // Generation is parallel and contention-free: stochastic families split the
 // time axis into a fixed number of chunks, each owning its own splitmix64
@@ -17,6 +19,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -73,6 +76,28 @@ func (p Params) merged(d Params) Params {
 	return p
 }
 
+// check rejects merged params no family can honor: a negative count, or a
+// negative or non-finite length. Zero fields have already been filled from
+// the defaults, so it does not ask for N ≥ 1 (a CSV trace leaves N at 0).
+func (p Params) check() error {
+	badLen := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
+	switch {
+	case p.N < 0:
+		return fmt.Errorf("N = %d, want ≥ 0", p.N)
+	case p.G < 0:
+		return fmt.Errorf("G = %d, want ≥ 0", p.G)
+	case p.MaxDemand < 0:
+		return fmt.Errorf("MaxDemand = %d, want ≥ 0", p.MaxDemand)
+	case p.Workers < 0:
+		return fmt.Errorf("Workers = %d, want ≥ 0", p.Workers)
+	case badLen(p.Horizon):
+		return fmt.Errorf("Horizon = %v, want finite and ≥ 0", p.Horizon)
+	case badLen(p.MeanLen):
+		return fmt.Errorf("MeanLen = %v, want finite and ≥ 0", p.MeanLen)
+	}
+	return nil
+}
+
 // Metric is one named number a scenario's Check contributes to the report —
 // ring-native wavelength counts, regenerator totals, and the like.
 type Metric struct {
@@ -99,11 +124,15 @@ type Scenario struct {
 	Check func(p Params, in *core.Instance, s *core.Schedule) ([]Metric, error)
 }
 
-// Instance merges p onto the scenario's defaults and generates.
+// Instance merges p onto the scenario's defaults, checks the merged params
+// and generates. A bad param is an error, never a panic.
 func (sc Scenario) Instance(p Params) (*core.Instance, error) {
 	m := p.merged(sc.Defaults)
 	if sc.Generate == nil {
 		return nil, fmt.Errorf("scenario %q has no generator", sc.Name)
+	}
+	if err := m.check(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	in, err := sc.Generate(m)
 	if err != nil {

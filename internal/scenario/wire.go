@@ -16,13 +16,14 @@ import (
 // processing pass, so one batch is one shard-lock acquisition server-side.
 const wireBatch = 64
 
-// runWire replays the stream over the framed data plane: frames are
-// pipelined wireBatch at a time (send, flush, drain the replies in order),
-// rejects are counted rather than fatal — an admission-limited or draining
+// runWire replays the stream over the framed data plane in the instance's
+// start order (the order the online-* rows place in): frames are pipelined
+// wireBatch at a time (send, flush, drain the replies in order), rejects
+// are counted rather than fatal — an admission-limited or draining
 // server is an answer, not a transport failure — and the server's own
 // per-tenant stats are fetched over the final stats frame so the report
 // shows the authoritative server-side cost and competitive ratio.
-func runWire(cfg Config, in *core.Instance, order []int) (*WireReport, error) {
+func runWire(cfg Config, in *core.Instance) (*WireReport, error) {
 	if cfg.Addr == "" {
 		return nil, fmt.Errorf("wire mode needs an address")
 	}
@@ -37,6 +38,7 @@ func runWire(cfg Config, in *core.Instance, order []int) (*WireReport, error) {
 	}
 	rep := &WireReport{Addr: cfg.Addr, Tenant: cfg.Tenant, BatchSize: wireBatch}
 	var hist stats.Hist
+	order := in.StartOrder()
 	for at := 0; at < len(order); at += wireBatch {
 		end := at + wireBatch
 		if end > len(order) {

@@ -144,15 +144,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Ratio returns num/den, or NaN when den == 0 and num != 0, and 1 when both
-// are 0 (an empty instance solved at zero cost is a perfect ratio).
-func Ratio(num, den float64) float64 {
-	if den == 0 {
-		if num == 0 {
-			return 1
-		}
-		return math.NaN()
-	}
-	return num / den
-}

@@ -103,15 +103,3 @@ func TestTableNoTitle(t *testing.T) {
 		t.Error("empty title produced leading newline")
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if got := Ratio(6, 3); got != 2 {
-		t.Errorf("Ratio = %v", got)
-	}
-	if got := Ratio(0, 0); got != 1 {
-		t.Errorf("Ratio(0,0) = %v, want 1", got)
-	}
-	if !math.IsNaN(Ratio(1, 0)) {
-		t.Error("Ratio(1,0) should be NaN")
-	}
-}

@@ -143,3 +143,33 @@ func TestExpFloat64Positive(t *testing.T) {
 		t.Fatalf("ExpFloat64 mean %v far from 1", mean)
 	}
 }
+
+// TestIntnUniform checks Intn spreads evenly: each of 10 buckets gets its
+// share of 200,000 draws within ±2,000 (about 15 standard deviations).
+func TestIntnUniform(t *testing.T) {
+	r := New(7)
+	const n = 200000
+	counts := make([]int, 10)
+	for i := 0; i < n; i++ {
+		counts[r.Intn(10)]++
+	}
+	for k, c := range counts {
+		if c < n/10-2000 || c > n/10+2000 {
+			t.Errorf("Intn bucket %d count %d far from uniform", k, c)
+		}
+	}
+}
+
+// TestIntnPanicsOnNonPositive pins Intn's documented panic for n ≤ 0.
+func TestIntnPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			New(1).Intn(n)
+		}()
+	}
+}

@@ -172,20 +172,7 @@ func (r Result) CrossCheck(tol float64) error {
 	if r.Schedule == nil {
 		return fmt.Errorf("busytime: CrossCheck on a Result without a schedule")
 	}
-	rep, err := sim.Replay(r.Schedule)
-	if err != nil {
-		return err
-	}
-	if len(rep.Violations) > 0 {
-		v := rep.Violations[0]
-		return fmt.Errorf("busytime: machine %d holds load %d > g at t=%v (%d violations)",
-			v.Machine, v.Load, v.T, len(rep.Violations))
-	}
-	if d := math.Abs(rep.TotalBusy - r.Cost); d > tol*math.Max(1, math.Abs(r.Cost)) {
-		return fmt.Errorf("busytime: simulated busy time %v != analytic cost %v (Δ=%v)",
-			rep.TotalBusy, r.Cost, d)
-	}
-	return nil
+	return sim.Check(r.Schedule, tol*math.Max(1, math.Abs(r.Cost)))
 }
 
 // Detach moves the Result's schedule out of the Solver's recycled arena
