@@ -26,6 +26,15 @@ import (
 //     saturated point, so the machine provably rejects and whole runs of
 //     saturated machines are skipped with word-wide bit operations.
 //
+// The bitmap is word-major: column w holds one word per bucket for machines
+// 64w…64w+63, so opening a machine word appends one cleared column and never
+// moves existing bits, and a scan reads a column only when it reaches it.
+// Summary words OR each column over groups of 32 buckets, so a window costs
+// at most 62 raw loads at its ragged ends plus one load per whole group.
+// Columns are capped by a byte budget rather than a machine count: the
+// budget covers few machines on a wide axis and every machine on a narrow
+// one, and machines past it read as unblocked, which only costs skips.
+//
 // Buckets are the elementary segments of the instance axis (distinct job
 // endpoints, decimated past maxTimeBuckets), so bitmap memory scales with
 // distinct event times rather than the raw horizon. All bucket
@@ -38,10 +47,11 @@ import (
 // byte-identical schedules to the linear probe loop.
 type machindex struct {
 	// Saturation bitmap; nb == 0 disables it (degenerate axis).
-	nb      int
-	words   int      // uint64 words per bucket (machines / 64, rounded up)
-	mask    []uint64 // nb × words, bucket-major
-	blocked []uint64 // scratch for the per-probe blocked-machine mask
+	nb    int
+	ng    int      // summary groups per column: ⌈nb/32⌉
+	words int      // open columns (64 machines each)
+	mask  []uint64 // words × nb, word-major: column w is mask[w·nb:(w+1)·nb]
+	sum   []uint64 // words × ng: sum[w·ng+k] ORs column w over buckets 32k…32k+31
 
 	// Segment tree over machine slots; standard 1-based array layout with
 	// leaves at [size, 2·size). Unopened slots never qualify.
@@ -56,41 +66,19 @@ type machindex struct {
 	allocs int
 }
 
-// maxQueryBuckets caps the per-probe bitmap scan; longer windows are sampled
-// with a stride, which only under-reports blocked machines and is therefore
-// always sound.
-const maxQueryBuckets = 1024
-
-// Bitmap memory is O(buckets × machines), so the bitmap covers only a prefix
-// of the machine range: machines beyond the cap are still indexed by the
-// segment tree (O(1) per machine) and probed through hints and shards — they
-// just can't be skipped by the bitmap, which only costs time, never
-// correctness. FirstFit concentrates its probes on low machine indices, so
-// the prefix is where the bitmap pays off. With the maximum 2¹⁶ buckets this
-// bounds the bitmap at 4 MiB per schedule.
-const maxBitmapMachines = 512
+// maxBitmapBytes budgets the raw bitmap columns of one schedule (summary
+// words add 1/32 on top): 512 machines at the maximum 2¹⁶ buckets, every
+// machine on an axis of a few dozen buckets.
+const maxBitmapBytes = 4 << 20
 
 const unopenedPeak = math.MaxInt32
 
 // reset reconfigures the index for an instance axis, retaining allocations
 // where shapes allow, and drops all machines.
 func (ix *machindex) reset(ia *instanceAxis) {
-	ix.nm = 0
-	ix.words = 1
-	ix.nb = ia.nb
-	if need := ix.nb * ix.words; cap(ix.mask) < need {
-		ix.allocs++
-		ix.mask = make([]uint64, need)
-	} else {
-		ix.mask = ix.mask[:need]
-		clear(ix.mask)
-	}
-	if cap(ix.blocked) < ix.words {
-		ix.allocs++
-		ix.blocked = make([]uint64, ix.words)
-	} else {
-		ix.blocked = ix.blocked[:ix.words]
-	}
+	ix.nm, ix.words = 0, 0
+	ix.nb, ix.ng = ia.nb, (ia.nb+31)>>5
+	ix.mask, ix.sum = ix.mask[:0], ix.sum[:0]
 	ix.clearTree(1)
 }
 
@@ -180,8 +168,11 @@ func (ix *machindex) addMachine() {
 	}
 	ix.nm++
 	ix.setLeaf(m, math.Inf(-1), math.Inf(1), 0)
-	if ix.nm > 64*ix.words && ix.nm <= maxBitmapMachines {
-		ix.growWords()
+	// A new machine word gets a column while the raw columns fit the budget.
+	if ix.nm > 64*ix.words && ix.nb > 0 && 8*ix.nb*(ix.words+1) <= maxBitmapBytes {
+		ix.words++
+		ix.mask = ix.appendCleared(ix.mask, ix.nb)
+		ix.sum = ix.appendCleared(ix.sum, ix.ng)
 	}
 }
 
@@ -241,69 +232,66 @@ func (ix *machindex) firstTrivial(w interval.Interval, slack int32) int {
 	return m
 }
 
-// growWords widens the bitmap rows by one word, preserving existing bits. It
-// widens in place when the retained capacity suffices: rows are moved back
-// to front, so a destination row only ever overlaps source rows that have
-// already been moved.
-func (ix *machindex) growWords() {
-	old := ix.words
-	ix.words = old + 1
-	need := ix.nb * ix.words
-	if cap(ix.mask) < need {
-		ix.allocs++
-		mask := make([]uint64, need)
-		for b := 0; b < ix.nb; b++ {
-			copy(mask[b*ix.words:b*ix.words+old], ix.mask[b*old:(b+1)*old])
-		}
-		ix.mask = mask
-	} else {
-		ix.mask = ix.mask[:need]
-		for b := ix.nb - 1; b >= 0; b-- {
-			ix.mask[b*ix.words+old] = 0
-			for w := old - 1; w >= 0; w-- {
-				ix.mask[b*ix.words+w] = ix.mask[b*old+w]
-			}
-		}
+// appendCleared extends s by n zero words, reallocating to the exact length
+// when the retained capacity does not suffice.
+func (ix *machindex) appendCleared(s []uint64, n int) []uint64 {
+	if len(s)+n <= cap(s) {
+		s = s[:len(s)+n]
+		clear(s[len(s)-n:])
+		return s
 	}
-	if cap(ix.blocked) < ix.words {
-		ix.allocs++
-		ix.blocked = make([]uint64, ix.words)
-	} else {
-		ix.blocked = ix.blocked[:ix.words]
-	}
+	ix.allocs++
+	grown := make([]uint64, len(s)+n)
+	copy(grown, s)
+	return grown
 }
 
-// markBucket records that machine m is loaded to ≥ g at every point of
-// bucket b; machines beyond the bitmap prefix are not tracked.
-func (ix *machindex) markBucket(m, b int) {
-	if m >= 64*ix.words {
+// markRun records that machine m is loaded to ≥ g at every point of buckets
+// [lo, hi]; machines past the bitmap budget are not tracked.
+func (ix *machindex) markRun(m, lo, hi int) {
+	w := m >> 6
+	if w >= ix.words || lo > hi {
 		return
 	}
-	ix.mask[b*ix.words+m/64] |= 1 << (m % 64)
+	bit := uint64(1) << (m & 63)
+	run := ix.mask[w*ix.nb+lo : w*ix.nb+hi+1]
+	for i := range run {
+		run[i] |= bit
+	}
+	groups := ix.sum[w*ix.ng+lo>>5 : w*ix.ng+hi>>5+1]
+	for i := range groups {
+		groups[i] |= bit
+	}
 }
 
-// blockedMask ORs the saturation rows of the buckets [lo, hi] (a window's
-// axis overlap range) into the scratch mask and returns it: a set bit means
-// the machine has a fully saturated bucket intersecting the window and
-// therefore provably rejects any job on it. The mask is valid until the next
-// call.
-func (ix *machindex) blockedMask(lo, hi int) []uint64 {
-	bl := ix.blocked[:ix.words]
-	for i := range bl {
-		bl[i] = 0
+// blockedWord returns the saturation word of machines 64w…64w+63 over the
+// buckets [lo, hi] (a window's axis overlap range): a set bit means the
+// machine has a fully saturated bucket intersecting the window and therefore
+// provably rejects any job on it. Columns past the budget read 0. Whole
+// 32-bucket groups are read from the summary words, the partial groups at
+// either end from the raw column.
+func (ix *machindex) blockedWord(w, lo, hi int) uint64 {
+	if w >= ix.words || lo > hi {
+		return 0
 	}
-	if lo > hi {
-		return bl
-	}
-	step := 1
-	if n := hi - lo + 1; n > maxQueryBuckets {
-		step = n/maxQueryBuckets + 1
-	}
-	for b := lo; b <= hi; b += step {
-		row := ix.mask[b*ix.words : b*ix.words+ix.words]
-		for i := range bl {
-			bl[i] |= row[i]
+	col := ix.mask[w*ix.nb : (w+1)*ix.nb]
+	// Groups glo…ghi−1 lie wholly inside [lo, hi].
+	glo, ghi := (lo+31)>>5, (hi+1)>>5
+	var acc uint64
+	if glo >= ghi {
+		for _, x := range col[lo : hi+1] {
+			acc |= x
 		}
+		return acc
 	}
-	return bl
+	for _, x := range col[lo : glo<<5] {
+		acc |= x
+	}
+	for _, x := range ix.sum[w*ix.ng+glo : w*ix.ng+ghi] {
+		acc |= x
+	}
+	for _, x := range col[ghi<<5 : hi+1] {
+		acc |= x
+	}
+	return acc
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"busytime/internal/interval"
+	"busytime/internal/xrand"
 )
 
 // TestFirstTrivialFindsLowestGuaranteedMachine drives the segment tree
@@ -99,14 +100,16 @@ func TestShardGeometryCoversJobs(t *testing.T) {
 	}
 }
 
-// TestMachindexWordGrowth exercises the bitmap re-layout past 64 machines,
-// including the in-place widening of a recycled mask.
+// TestMachindexWordGrowth exercises column growth past 64 machines: a new
+// machine word appends a cleared column and leaves earlier bits in place,
+// and a recycled index re-grows inside its retained arrays without stale
+// bits from the previous round.
 func TestMachindexWordGrowth(t *testing.T) {
 	in := denseTestInstance(64, 2, 64, 4)
 	ix := new(machindex)
 	for round := 0; round < 2; round++ {
-		// Round 1 re-runs on the warm index: the widening must then happen
-		// in place, preserving bits without fresh backing arrays.
+		// Round 1 re-runs on the warm index with a shifted pattern: the
+		// columns must then be re-cleared in place, without fresh arrays.
 		ix.reset(in.timeAxis())
 		if ix.nb == 0 {
 			t.Skip("degenerate axis")
@@ -114,13 +117,143 @@ func TestMachindexWordGrowth(t *testing.T) {
 		allocsBefore := ix.allocs
 		for m := 0; m < 130; m++ {
 			ix.addMachine()
-			ix.markBucket(m, m%ix.nb)
+			b := (m + round) % ix.nb
+			ix.markRun(m, b, b)
 		}
 		for m := 0; m < 130; m++ {
-			b := m % ix.nb
-			if ix.mask[b*ix.words+m/64]&(1<<(m%64)) == 0 {
-				t.Fatalf("round %d: bit for machine %d bucket %d lost across word growth", round, m, b)
+			for b := 0; b < ix.nb; b++ {
+				want := b == (m+round)%ix.nb
+				if got := ix.mask[(m/64)*ix.nb+b]&(1<<(m%64)) != 0; got != want {
+					t.Fatalf("round %d: machine %d bucket %d bit %v, want %v", round, m, b, got, want)
+				}
+				if got := ix.blockedWord(m/64, b, b)&(1<<(m%64)) != 0; got != want {
+					t.Fatalf("round %d: blockedWord machine %d bucket %d = %v, want %v", round, m, b, got, want)
+				}
 			}
+		}
+		if round == 1 && ix.allocs != allocsBefore {
+			t.Fatalf("warm re-run allocated %d backing arrays; want 0", ix.allocs-allocsBefore)
+		}
+	}
+}
+
+// bitmapMark is one saturated run [lo, hi] of machine m recorded in a test
+// index.
+type bitmapMark struct{ m, lo, hi int }
+
+// markedIndex resets an index on a synthetic nb-bucket axis (reset reads
+// only nb), opens cols columns of machines and marks n random runs, a third
+// of them single buckets, returning the index and the marks.
+func markedIndex(nb, cols, n int, seed int64) (*machindex, []bitmapMark) {
+	ix := new(machindex)
+	ix.reset(&instanceAxis{nb: nb})
+	for m := 0; m < 64*cols; m++ {
+		ix.addMachine()
+	}
+	r := xrand.New(seed)
+	marks := make([]bitmapMark, n)
+	for i := range marks {
+		mk := bitmapMark{m: r.Intn(64 * cols), lo: r.Intn(nb)}
+		mk.hi = mk.lo
+		if i%3 != 0 {
+			mk.hi = min(nb-1, mk.lo+r.Intn(80))
+		}
+		ix.markRun(mk.m, mk.lo, mk.hi)
+		marks[i] = mk
+	}
+	return ix, marks
+}
+
+// bruteBlocked recomputes blockedWord(w, lo, hi) from the list of marks.
+func bruteBlocked(marks []bitmapMark, w, lo, hi int) uint64 {
+	var acc uint64
+	for _, mk := range marks {
+		if mk.m/64 == w && max(lo, mk.lo) <= min(hi, mk.hi) {
+			acc |= 1 << (mk.m % 64)
+		}
+	}
+	return acc
+}
+
+// TestBlockedWordMatchesBrute checks blockedWord against the marks it was
+// built from on windows of every length, starting and ending on and inside
+// 32-bucket group edges and at both ends of the axis. Column 3 is past the
+// open columns and must read 0.
+func TestBlockedWordMatchesBrute(t *testing.T) {
+	const nb = 2500
+	ix, marks := markedIndex(nb, 3, 60, 7)
+	starts := []int{0, 1, 31, 32, 33, 63, 64, 1000}
+	ends := []int{31, 32, 63, 64, 1023, 1024, 32*77 - 1, nb - 1}
+	for n := 0; n <= nb; n++ {
+		los := append([]int(nil), starts...)
+		for _, e := range ends {
+			los = append(los, e-n+1)
+		}
+		for _, lo := range los {
+			hi := lo + n - 1
+			if lo < 0 || hi >= nb {
+				continue
+			}
+			for w := 0; w <= 3; w++ {
+				if got, want := ix.blockedWord(w, lo, hi), bruteBlocked(marks, w, lo, hi); got != want {
+					t.Fatalf("blockedWord(%d, %d, %d) = %#x, brute force %#x", w, lo, hi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBlockedWord is the fuzzed form of TestBlockedWordMatchesBrute: a
+// fuzzed axis width, mark pattern and window, plus 64 windows drawn from the
+// seed.
+func FuzzBlockedWord(f *testing.F) {
+	f.Add(uint16(2500), int64(7), uint16(33), uint16(1100))
+	f.Add(uint16(32), int64(1), uint16(0), uint16(32))
+	f.Add(uint16(95), int64(3), uint16(31), uint16(64))
+	f.Fuzz(func(t *testing.T, nb16 uint16, seed int64, lo16, n16 uint16) {
+		nb := 1 + int(nb16)%4096
+		ix, marks := markedIndex(nb, 2, 1+int(nb16)%50, seed)
+		r := xrand.New(seed)
+		lo := int(lo16) % nb
+		hi := lo + int(n16)%(nb-lo+1) - 1
+		for i := 0; i <= 64; i++ {
+			for w := 0; w <= 2; w++ {
+				if got, want := ix.blockedWord(w, lo, hi), bruteBlocked(marks, w, lo, hi); got != want {
+					t.Fatalf("nb %d: blockedWord(%d, %d, %d) = %#x, brute force %#x", nb, w, lo, hi, got, want)
+				}
+			}
+			lo = r.Intn(nb)
+			hi = lo + r.Intn(nb-lo+1) - 1
+		}
+	})
+}
+
+// TestBitmapBudget pins the byte budget on the widest axis: 600 machines on
+// 2¹⁶ buckets get 512 machines of raw columns within maxBitmapBytes, a mark
+// past the budget is dropped and its column reads 0, and a warm re-run
+// allocates nothing.
+func TestBitmapBudget(t *testing.T) {
+	ia := &instanceAxis{nb: 1 << 16}
+	ix := new(machindex)
+	for round := 0; round < 2; round++ {
+		ix.reset(ia)
+		allocsBefore := ix.allocs
+		for m := 0; m < 600; m++ {
+			ix.addMachine()
+		}
+		if bytes := 8 * cap(ix.mask); bytes > maxBitmapBytes {
+			t.Fatalf("raw columns take %d bytes; budget %d", bytes, maxBitmapBytes)
+		}
+		if covered := 64 * ix.words; covered != 512 {
+			t.Fatalf("bitmap covers %d machines at 2¹⁶ buckets; want 512", covered)
+		}
+		ix.markRun(511, 0, ia.nb-1)
+		ix.markRun(599, 0, ia.nb-1)
+		if got := ix.blockedWord(511/64, 0, ia.nb-1); got != 1<<63 {
+			t.Fatalf("covered machine 511: blockedWord = %#x, want bit 63", got)
+		}
+		if got := ix.blockedWord(599/64, 0, ia.nb-1); got != 0 {
+			t.Fatalf("machine 599 past the budget: blockedWord = %#x, want 0", got)
 		}
 		if round == 1 && ix.allocs != allocsBefore {
 			t.Fatalf("warm re-run allocated %d backing arrays; want 0", ix.allocs-allocsBefore)
@@ -277,11 +410,12 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 	}
 }
 
-// TestIndexManyMachinesPastPrefixCaps drives FirstFitAssign on a clique
-// instance that opens far more machines than the bitmap prefix (512) covers,
-// checking the indexed scan still matches a brute-force FirstFit machine for
-// machine.
-func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
+// TestBitmapCoversNarrowAxis drives FirstFitAssign and BestFit on a clique
+// instance that opens 750 machines, more than the bitmap budget covers on
+// the widest axis (512 at 2¹⁶ buckets). Its ~3,000-bucket axis fits every
+// machine in the budget, and both indexed scans must match their
+// brute-force references machine for machine.
+func TestBitmapCoversNarrowAxis(t *testing.T) {
 	// 1500 unit jobs through a common point with g=2 → 750 machines.
 	ivs := make([]interval.Interval, 1500)
 	state := uint64(8)
@@ -297,14 +431,22 @@ func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
 		ivs[i] = interval.New(10-a, 10+b)
 	}
 	in := NewInstance(2, ivs...)
-	indexed := NewSchedule(in)
-	plain := NewSchedule(in)
+	indexed, plain := NewSchedule(in), NewSchedule(in)
+	best, naive := NewSchedule(in), NewSchedule(in)
 	for j := range in.Jobs {
 		indexed.FirstFitAssign(j)
 		bruteFirstFit(plain, j)
+		if got, want := best.BestFit(j), naiveBestFit(naive, j); got != want {
+			t.Fatalf("job %d: BestFit chose machine %d, naive %d", j, got, want)
+		}
 	}
-	if indexed.NumMachines() <= maxBitmapMachines {
-		t.Fatalf("instance opened only %d machines; prefix cap untested", indexed.NumMachines())
+	if indexed.NumMachines() <= 512 {
+		t.Fatalf("instance opened only %d machines; coverage past the widest axis's 512 untested", indexed.NumMachines())
+	}
+	for _, s := range []*Schedule{indexed, best} {
+		if covered := 64 * s.index.words; covered < s.NumMachines() {
+			t.Fatalf("bitmap covers %d of %d machines", covered, s.NumMachines())
+		}
 	}
 	if indexed.NumMachines() != plain.NumMachines() {
 		t.Fatalf("indexed %d machines, plain %d", indexed.NumMachines(), plain.NumMachines())
@@ -314,10 +456,12 @@ func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
 			t.Fatalf("job %d: indexed machine %d, plain %d", j, indexed.MachineOf(j), plain.MachineOf(j))
 		}
 	}
-	if indexed.Cost() != plain.Cost() {
-		t.Fatalf("cost %v vs %v", indexed.Cost(), plain.Cost())
+	if indexed.Cost() != plain.Cost() || best.Cost() != naive.Cost() {
+		t.Fatalf("cost: FirstFit %v vs %v, BestFit %v vs %v", indexed.Cost(), plain.Cost(), best.Cost(), naive.Cost())
 	}
-	if err := indexed.Verify(); err != nil {
-		t.Fatal(err)
+	for _, s := range []*Schedule{indexed, best} {
+		if err := s.Verify(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -84,12 +84,9 @@ func (s *Schedule) BestFitProbe(j int) int {
 	if nm == 0 {
 		return Unassigned
 	}
-	bl := s.index.blockedMask(s.jobBuckets(j))
+	lo, hi := s.jobBuckets(j)
 	for wi := 0; wi*64 < nm; wi++ {
-		free := ^uint64(0)
-		if wi < len(bl) {
-			free = ^bl[wi]
-		}
+		free := ^s.index.blockedWord(wi, lo, hi)
 		for free != 0 {
 			m := wi*64 + bits.TrailingZeros64(free)
 			free &= free - 1
@@ -105,7 +102,7 @@ func (s *Schedule) BestFitProbe(j int) int {
 				// reported a candidate delta above the length.
 				continue
 			}
-			if !s.CanAssign(j, m) {
+			if !s.canAssign(j, m, lo, hi) {
 				continue
 			}
 			delta := st.spans.Delta(job.Iv)

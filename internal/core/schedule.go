@@ -281,9 +281,7 @@ func (s *Schedule) query(st *machineState, m int, job Job, lo, hi int) (used int
 // of machine m in the index's saturation bitmap.
 func (s *Schedule) markSaturatedRun(m int, run interval.Interval) {
 	lo, hi := s.ia.ax.WithinRange(run)
-	for b := lo; b <= hi; b++ {
-		s.index.markBucket(m, b)
-	}
+	s.index.markRun(m, lo, hi)
 }
 
 // noteHot records a saturation witness, evicting the shallowest entry when
@@ -401,26 +399,17 @@ func (s *Schedule) lowestFit(j int, place bool) int {
 			trivial, stop = t, t
 		}
 	}
-	if stop > 0 {
-		bl := ix.blockedMask(lo, hi)
-		for wi := 0; wi*64 < stop && wi < len(bl); wi++ {
-			free := ^bl[wi]
-			for free != 0 {
-				m := wi*64 + bits.TrailingZeros64(free)
-				if m >= stop {
-					break
-				}
-				if s.fitsAt(j, m, lo, hi, place) {
-					return m
-				}
-				free &= free - 1
+	for wi := 0; wi*64 < stop; wi++ {
+		free := ^ix.blockedWord(wi, lo, hi)
+		for free != 0 {
+			m := wi*64 + bits.TrailingZeros64(free)
+			if m >= stop {
+				break
 			}
-		}
-		// Machines past the bitmap prefix are probed unskipped.
-		for m := 64 * len(bl); m < stop; m++ {
 			if s.fitsAt(j, m, lo, hi, place) {
 				return m
 			}
+			free &= free - 1
 		}
 	}
 	if place && trivial != Unassigned && !s.tryAssign(j, trivial, lo, hi) {
