@@ -2,16 +2,29 @@
 # Golden check of the public busytime API surface.
 #
 # The committed ci/api-surface.txt is the symbol listing of `go doc -all .`
-# (exported funcs, types, consts, vars and methods, one line each). Any
-# change to the public surface — additions included — must be deliberate:
-# regenerate with `ci/check-api-surface.sh -u`, review the diff, and commit
-# it alongside the change. CI fails on undocumented drift.
+# (exported funcs, types, consts, vars and methods, one line each), followed
+# by the methods of every type alias. `go doc` prints an alias such as
+# `type Schedule = core.Schedule` without the methods a caller can use
+# through it, so the script appends the `func (` lines of the aliased type's
+# own `go doc` entry; a method dropped from an internal package then shows
+# here too. Any change to the public surface — additions included — must be
+# deliberate: regenerate with `ci/check-api-surface.sh -u`, review the diff,
+# and commit it alongside the change. CI fails on undocumented drift.
 set -eu
 cd "$(dirname "$0")/.."
 golden=ci/api-surface.txt
 current=$(mktemp)
 trap 'rm -f "$current"' EXIT
-go doc -all . | grep -E '^(func|type|const|var)' > "$current"
+doc=$(go doc -all .)
+{
+    printf '%s\n' "$doc" | grep -E '^(func|type|const|var)'
+    printf '%s\n' "$doc" |
+        sed -n 's/^type [A-Za-z0-9_]* = \([a-z0-9_]*\)\.\([A-Za-z0-9_]*\)$/\1 \2/p' |
+        while read -r pkg typ; do
+            methods=$(go doc "busytime/internal/$pkg" "$typ")
+            printf '%s\n' "$methods" | grep -E '^func \(' || true
+        done
+} > "$current"
 if [ "${1:-}" = "-u" ]; then
     cp "$current" "$golden"
     echo "updated $golden"

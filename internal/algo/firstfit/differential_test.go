@@ -98,9 +98,9 @@ func itoa(v int) string {
 }
 
 // TestIndexedScratchMatchesFresh pins down that the recycled index inside a
-// Scratch (bitmap, segment tree, load shards, profiles) is fully reset
-// between instances: streaming many different instances through one Scratch
-// must reproduce fresh runs byte for byte.
+// Scratch (saturation bitmap, load shards) is fully reset between instances:
+// streaming many different instances through one Scratch must reproduce
+// fresh runs byte for byte.
 func TestIndexedScratchMatchesFresh(t *testing.T) {
 	sc := new(core.Scratch)
 	for seed := int64(0); seed < 10; seed++ {

@@ -7,60 +7,6 @@ import (
 	"busytime/internal/xrand"
 )
 
-// TestFirstTrivialFindsLowestGuaranteedMachine drives the segment tree
-// directly: the reported machine must actually satisfy one of the trivial
-// acceptance conditions, and no lower-indexed machine may satisfy any.
-func TestFirstTrivialFindsLowestGuaranteedMachine(t *testing.T) {
-	in := denseTestInstance(200, 3, 100, 10)
-	ix := new(machindex)
-	ix.reset(in.timeAxis())
-	type mstate struct {
-		hull interval.Interval
-		peak int
-		open bool
-	}
-	var ms []mstate
-	state := uint64(99)
-	next := func(n int) int {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		return int(z % uint64(n))
-	}
-	for step := 0; step < 400; step++ {
-		switch {
-		case len(ms) == 0 || next(5) == 0:
-			ix.addMachine()
-			ms = append(ms, mstate{open: true})
-		default:
-			m := next(len(ms))
-			s := float64(next(100))
-			hull := interval.Interval{Start: s, End: s + float64(next(20))}
-			peak := next(4)
-			ix.update(m, hull, peak)
-			ms[m] = mstate{hull: hull, peak: peak, open: false}
-		}
-		ws := float64(next(110)) - 5
-		w := interval.Interval{Start: ws, End: ws + float64(next(15))}
-		d := 1 + next(3)
-		slack := int32(in.G - d)
-		got := ix.firstTrivial(w, slack)
-		want := -1
-		for m, st := range ms {
-			trivial := st.open || // empty machine: peak 0 ≤ slack
-				st.hull.End < w.Start || st.hull.Start > w.End ||
-				st.peak <= int(slack)
-			if trivial {
-				want = m
-				break
-			}
-		}
-		if got != want {
-			t.Fatalf("step %d: firstTrivial=%d, brute force=%d (w=%v slack=%d)", step, got, want, w, slack)
-		}
-	}
-}
-
 // TestShardGeometryCoversJobs pins the bucket→shard mapping every indexed
 // machine relies on: a job's shard range covers its window, and every shard
 // in the range genuinely touches the window, so sharded sweeps see exactly
@@ -414,7 +360,8 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 // instance that opens 750 machines, more than the bitmap budget covers on
 // the widest axis (512 at 2¹⁶ buckets). Its ~3,000-bucket axis fits every
 // machine in the budget, and both indexed scans must match their
-// brute-force references machine for machine.
+// brute-force references machine for machine. FirstFitProbe is checked
+// before each placement the same way as in TestPlacerProbesDoNotPlace.
 func TestBitmapCoversNarrowAxis(t *testing.T) {
 	// 1500 unit jobs through a common point with g=2 → 750 machines.
 	ivs := make([]interval.Interval, 1500)
@@ -434,7 +381,7 @@ func TestBitmapCoversNarrowAxis(t *testing.T) {
 	indexed, plain := NewSchedule(in), NewSchedule(in)
 	best, naive := NewSchedule(in), NewSchedule(in)
 	for j := range in.Jobs {
-		indexed.FirstFitAssign(j)
+		checkProbe(t, indexed, j, (*Schedule).FirstFitProbe, (*Schedule).FirstFitAssign)
 		bruteFirstFit(plain, j)
 		if got, want := best.BestFit(j), naiveBestFit(naive, j); got != want {
 			t.Fatalf("job %d: BestFit chose machine %d, naive %d", j, got, want)

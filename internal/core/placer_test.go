@@ -101,29 +101,49 @@ func TestPlacerNextFitCursor(t *testing.T) {
 	}
 }
 
-// TestPlacerBestFitProbeDoesNotPlace checks the probe variant leaves the
-// assignment untouched and agrees with the placing variant.
-func TestPlacerBestFitProbeDoesNotPlace(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	in := randInstance(r, 60, 3)
-	s := NewSchedule(in)
-	for j := range in.Jobs {
-		probe := s.BestFitProbe(j)
-		if s.MachineOf(j) != Unassigned {
-			t.Fatalf("probe assigned job %d", j)
-		}
-		got := s.BestFit(j)
-		if probe == Unassigned {
-			if got != s.NumMachines()-1 {
-				t.Fatalf("job %d: probe said no machine but BestFit chose existing %d", j, got)
-			}
-			continue
-		}
-		if got != probe {
-			t.Fatalf("job %d: probe chose %d, BestFit placed on %d", j, probe, got)
-		}
+// TestPlacerProbesDoNotPlace checks each probe variant against its placing
+// call: the probe leaves the assignment, machine count and cost untouched
+// and names the machine the placing call then uses, Unassigned meaning the
+// call opens a fresh one.
+func TestPlacerProbesDoNotPlace(t *testing.T) {
+	cases := []struct {
+		name         string
+		probe, place func(s *Schedule, j int) int
+	}{
+		{"BestFit", (*Schedule).BestFitProbe, (*Schedule).BestFit},
+		{"FirstFit", (*Schedule).FirstFitProbe, (*Schedule).FirstFitAssign},
 	}
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(9))
+			in := randInstance(r, 60, 3)
+			s := NewSchedule(in)
+			for j := range in.Jobs {
+				checkProbe(t, s, j, tc.probe, tc.place)
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// checkProbe runs probe then place for job j on s: the probe must not change
+// the schedule, and place must use the probed machine, or a fresh one when
+// the probe reported Unassigned.
+func checkProbe(t *testing.T, s *Schedule, j int, probe, place func(*Schedule, int) int) {
+	t.Helper()
+	nm, cost := s.NumMachines(), s.Cost()
+	m := probe(s, j)
+	if s.MachineOf(j) != Unassigned || s.NumMachines() != nm || s.Cost() != cost {
+		t.Fatalf("job %d: probe changed the schedule (machine %d, %d→%d machines, cost %v→%v)",
+			j, s.MachineOf(j), nm, s.NumMachines(), cost, s.Cost())
+	}
+	want := m
+	if m == Unassigned {
+		want = nm
+	}
+	if got := place(s, j); got != want {
+		t.Fatalf("job %d: probe said %d with %d machines open, placing call used %d", j, m, nm, got)
 	}
 }

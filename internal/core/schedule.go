@@ -33,10 +33,11 @@ type Schedule struct {
 	// totalBusy is Σ_m span(J_m), maintained incrementally by insert so
 	// Cost is an O(1) read.
 	totalBusy float64
-	// index is the machine-selection index behind FirstFitAssign (see
-	// machindex); ia is the instance's compressed time axis and pool the
-	// shard arena. Every schedule built by NewSchedule or Scratch.NewSchedule
-	// carries all three; only sealed assemblies go without.
+	// index is the saturation bitmap the FirstFit and BestFit scans skip
+	// provably full machines with (see machindex); ia is the instance's
+	// compressed time axis and pool the shard arena. Every schedule built by
+	// NewSchedule or Scratch.NewSchedule carries all three; only sealed
+	// assemblies go without.
 	index *machindex
 	ia    *instanceAxis
 	pool  *shardPool
@@ -364,11 +365,10 @@ func (s *Schedule) tryAssign(j, m, lo, hi int) bool {
 
 // FirstFitAssign places job index j by the FirstFit rule — the lowest-indexed
 // machine that can process it, a fresh machine when none can — and returns
-// the machine. The scan is sublinear: the segment tree bounds it at the
-// first machine guaranteed to accept, and the saturation bitmap skips whole
-// runs of machines provably unable to take the job's window. Both prunings
-// are sound, so the produced schedule is byte-identical to probing every
-// machine in order.
+// the machine. The saturation bitmap skips whole runs of machines provably
+// unable to take the job's window, and the scan stops at the first machine
+// that accepts. The pruning is sound, so the produced schedule is
+// byte-identical to probing every machine in order.
 func (s *Schedule) FirstFitAssign(j int) int {
 	if m := s.lowestFit(j, true); m != Unassigned {
 		return m
@@ -378,32 +378,23 @@ func (s *Schedule) FirstFitAssign(j int) int {
 
 // FirstFitProbe returns the machine FirstFitAssign would choose among the
 // already-open machines — the lowest-indexed one that fits — or Unassigned
-// when none fits, without placing the job or opening a machine. It shares
-// FirstFitAssign's prunings, so the probe is as sublinear as the placement
-// path; the reconciliation pass of the time-sharding layer drives it against
-// live shard schedules.
+// when none fits, without placing the job or opening a machine. It runs
+// FirstFitAssign's bitmap-pruned scan with capacity checks in place of
+// placements; the reconciliation pass of the time-sharding layer drives it
+// against live shard schedules.
 func (s *Schedule) FirstFitProbe(j int) int { return s.lowestFit(j, false) }
 
 // lowestFit scans the open machines for the lowest-indexed one that fits job
 // j, placing the job there when place is set, and returns it (Unassigned
 // when none fits).
 func (s *Schedule) lowestFit(j int, place bool) int {
-	ix := s.index
-	job := s.inst.Jobs[j]
 	lo, hi := s.jobBuckets(j)
-	g := s.inst.G
-	stop := len(s.machines)
-	trivial := Unassigned
-	if job.Demand <= g {
-		if t := ix.firstTrivial(job.Iv, int32(g-job.Demand)); t >= 0 {
-			trivial, stop = t, t
-		}
-	}
-	for wi := 0; wi*64 < stop; wi++ {
-		free := ^ix.blockedWord(wi, lo, hi)
+	nm := len(s.machines)
+	for wi := 0; wi*64 < nm; wi++ {
+		free := ^s.index.blockedWord(wi, lo, hi)
 		for free != 0 {
 			m := wi*64 + bits.TrailingZeros64(free)
-			if m >= stop {
+			if m >= nm {
 				break
 			}
 			if s.fitsAt(j, m, lo, hi, place) {
@@ -412,10 +403,7 @@ func (s *Schedule) lowestFit(j int, place bool) int {
 			free &= free - 1
 		}
 	}
-	if place && trivial != Unassigned && !s.tryAssign(j, trivial, lo, hi) {
-		panic("core: machine index reported a trivially fitting machine that rejected its job")
-	}
-	return trivial
+	return Unassigned
 }
 
 // fitsAt probes job j on machine m, placing it there on success when place
@@ -448,10 +436,10 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 }
 
 // insert performs the bookkeeping of placing job index j on machine state st
-// (machine index m): shard copies, assignment map, and the hint and index
-// updates. used must be at least the machine's maximum load within the
-// job's window before insertion (exact keeps peak exact; an upper bound
-// keeps it sound). lo/hi is the job's axis bucket range.
+// (machine index m): shard copies, assignment map, and the hint updates.
+// used must be at least the machine's maximum load within the job's window
+// before insertion (exact keeps peak exact; an upper bound keeps it sound).
+// lo/hi is the job's axis bucket range.
 func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 	if s.assign[j] != Unassigned {
 		panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, s.assign[j]))
@@ -478,7 +466,6 @@ func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 	if s.logSpans {
 		s.spanLog = append(s.spanLog, d)
 	}
-	s.index.update(m, st.hull, st.peak)
 	s.assign[j] = m
 }
 

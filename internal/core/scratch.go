@@ -3,12 +3,12 @@ package core
 // Scratch is the schedule-state arena: it owns and recycles everything a
 // schedule allocates — the schedule record itself, the assignment slice, the
 // flat machine-state array (with each machine's span union and shard
-// directory), the machine-selection index (segment tree and saturation
-// bitmap), and the chunked shard pool every machine's time-sharded job lists
-// draw from. A worker that schedules a stream of
-// instances through one Scratch stops allocating once warm: every reset is a
-// truncation or a clear of retained backing arrays, sized on first use from
-// the instance's compressed time axis.
+// directory), the machine-selection index (the saturation bitmap), and the
+// chunked shard pool every machine's time-sharded job lists draw from. A
+// worker that schedules a stream of instances through one Scratch stops
+// allocating once warm: every reset is a truncation or a clear of retained
+// backing arrays, sized on first use from the instance's compressed time
+// axis.
 //
 // Contract: NewSchedule reclaims everything handed out by the previous
 // NewSchedule call on the same Scratch, so at most one schedule per Scratch
@@ -41,9 +41,8 @@ type ScratchStats struct {
 	Schedules int
 	// SetupAllocs counts the backing-array allocations the arena performed
 	// while setting up schedule state: machine records, the assignment
-	// slice, segment-tree and bitmap arrays, shard directories and
-	// shard-pool chunks. A warm scratch re-serving an
-	// instance shape it has seen performs none.
+	// slice, bitmap columns, shard directories and shard-pool chunks. A
+	// warm scratch re-serving an instance shape it has seen performs none.
 	SetupAllocs int
 }
 

@@ -156,8 +156,8 @@ func TestScratchReuse(t *testing.T) {
 // one warm-up pass, re-scheduling an instance through a recycled Scratch —
 // NewSchedule and every FirstFitAssign — performs zero allocations. This
 // covers the whole indexed pipeline: assignment slice, machine records,
-// segment tree, saturation bitmap, shard directories, shard-pool chunks,
-// sweep scratch and span unions.
+// saturation bitmap, shard directories, shard-pool chunks, sweep scratch
+// and span unions.
 func TestFirstFitAssignZeroAllocSteadyState(t *testing.T) {
 	in := denseTestInstance(3000, 4, 1500, 25)
 	sc := new(Scratch)

@@ -175,9 +175,8 @@ func A1Ordering(cfg Config) (*Result, error) {
 	return &Result{ID: "A1", Name: "ordering ablation", Table: tb, Metrics: metrics}, nil
 }
 
-// A6MachineIndex ablates the placement kernel (segment tree over machine
-// slots, time-bucketed saturation bitmap, sharded capacity oracle and its
-// hints) against ScheduleLinear, which probes every machine in order and
+// A6MachineIndex ablates the placement kernel (time-bucketed saturation
+// bitmap, sharded capacity oracle and its hints) against ScheduleLinear, which probes every machine in order and
 // sweeps every job on it. Both paths are exact and the schedules must agree
 // bitwise — machine counts and incremental costs included — so the table
 // isolates pure placement speed.

@@ -61,6 +61,16 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// Control-plane connection deadlines: a client must finish sending a
+// request's headers within controlReadHeaderTimeout, and a keep-alive
+// connection with no request in flight is closed after controlIdleTimeout,
+// so a stalled or idle client cannot hold a connection and its goroutine
+// forever.
+const (
+	controlReadHeaderTimeout = 5 * time.Second
+	controlIdleTimeout       = 60 * time.Second
+)
+
 // Server is the daemon: Solver sessions for the control plane, one
 // multi-tenant OnlinePool for the data plane, both fronted by listeners
 // with per-endpoint latency histograms and a graceful drain. Construct
@@ -148,7 +158,11 @@ func (s *Server) Start() error {
 			return err
 		}
 		s.ctrlLn = ln
-		s.httpSrv = &http.Server{Handler: s.controlMux()}
+		s.httpSrv = &http.Server{
+			Handler:           s.controlMux(),
+			ReadHeaderTimeout: controlReadHeaderTimeout,
+			IdleTimeout:       controlIdleTimeout,
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -268,6 +269,30 @@ func TestControlPlaneConcurrentSolve(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestControlPlaneStalledHeaderClosed sends a request whose header never
+// ends: the control plane must close the connection once the header
+// timeout passes, instead of holding it and its goroutine open.
+func TestControlPlaneStalledHeaderClosed(t *testing.T) {
+	srv := startServer(t, Config{})
+	conn, err := net.Dial("tcp", srv.ControlAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	limit := controlReadHeaderTimeout + 2*time.Second
+	if err := conn.SetReadDeadline(time.Now().Add(limit)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = io.Copy(io.Discard, conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection with a stalled header still open after %v", time.Since(start).Round(time.Millisecond))
 	}
 }
 
