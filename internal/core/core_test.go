@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -234,10 +235,27 @@ func TestSummaryAndAssignmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromAssignmentMissingJob rejects assignments that do not name exactly
+// the instance's jobs: a job left out, or an ID the instance lacks, which
+// would otherwise open an empty machine of its own.
 func TestFromAssignmentMissingJob(t *testing.T) {
-	in := NewInstance(2, iv(0, 1), iv(2, 3))
-	if _, err := FromAssignment(in, map[int]int{0: 0}); err == nil {
-		t.Error("missing job accepted")
+	cases := []struct {
+		in   *Instance
+		byID map[int]int
+		want string
+	}{
+		{NewInstance(2, iv(0, 1), iv(2, 3)), map[int]int{0: 0}, "missing job ID 1"},
+		{NewInstance(2, iv(0, 1)), map[int]int{0: 0, 7: 3}, "job ID 7, which the instance lacks"},
+	}
+	for _, tc := range cases {
+		s, err := FromAssignment(tc.in, tc.byID)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			machines := -1
+			if s != nil {
+				machines = s.NumMachines()
+			}
+			t.Errorf("FromAssignment(%v) = %d machines, error %v; want an error containing %q", tc.byID, machines, err, tc.want)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-
-	"busytime/internal/interval"
 )
 
 // The capacity oracle of a machine stores the machine's jobs bucketed by
@@ -17,18 +15,19 @@ import (
 // (shardPool): a shard is a chain of fixed-size chunks addressed by index,
 // so appending a job never moves other jobs and recycling the whole pool is
 // an O(1) truncation. Shard count and width are fixed up front from the
-// instance axis, which removes the PR 2 doubling growth (grow() re-copied
-// every stored job each time a machine's shards doubled — the dominant
-// allocation source at 100k jobs) from the insert path entirely.
+// instance axis, so the insert path never redistributes.
 //
-// Shard membership is computed in bucket space (integer shifts on the
-// precomputed axis ranges), and axis buckets touching an interval at a
-// single point are included (interval.Axis.OverlapRange): a job ending
-// exactly on a shard boundary is stored on both sides, so every shard holds
-// every job overlapping any point of its closed time range and per-shard
-// sweeps are exact under closed semantics, with no float widening.
+// Items, windows, shard tiles, witnesses and saturated runs are spans —
+// endpoint ranks, not times (see span). Every coordinate the sweep compares
+// is a job endpoint or an axis boundary, which is a job endpoint too, so
+// rank comparisons give exactly the float comparisons' answers on records
+// half their size. Shard membership is computed in bucket space, and axis
+// buckets touching a job at a single point are included (instanceAxis.buckets):
+// a job ending exactly on a shard boundary is stored on both sides, so
+// every shard holds every job overlapping any point of its closed tile and
+// per-shard sweeps are exact under closed semantics.
 
-// shardChunkLen is the number of items per chunk; chunks are ~400 B, small
+// shardChunkLen is the number of items per chunk; chunks are 200 B, small
 // enough that sparsely filled shards waste little and large enough that a
 // sweep mostly walks contiguous memory.
 const shardChunkLen = 16
@@ -38,13 +37,12 @@ const shardChunkLen = 16
 const smallSweep = 32
 
 type shardItem struct {
-	iv     interval.Interval
+	w      span
 	demand int32
 }
 
 type shardEvent struct {
-	t float64
-	d int32
+	t, d int32
 }
 
 type shardChunk struct {
@@ -114,10 +112,10 @@ func (ls *loadShards) init(ia *instanceAxis) (grew bool) {
 	return false
 }
 
-// add stores one copy of the job in every shard of [slo, shi] (the job's
-// axis bucket range shifted to shard space).
-func (ls *loadShards) add(p *shardPool, iv interval.Interval, demand int, slo, shi int) {
-	it := shardItem{iv: iv, demand: int32(demand)}
+// add stores one copy of the job with span w in every shard of [slo, shi]
+// (the job's axis bucket range shifted to shard space).
+func (ls *loadShards) add(p *shardPool, w span, demand int, slo, shi int) {
+	it := shardItem{w: w, demand: int32(demand)}
 	for k := slo; k <= shi; k++ {
 		h := ls.heads[k]
 		if len(p.chunks) == 0 || p.chunks[h].n == shardChunkLen {
@@ -131,30 +129,26 @@ func (ls *loadShards) add(p *shardPool, iv interval.Interval, demand int, slo, s
 }
 
 // maxDepthRun returns the maximum demand-weighted closed depth within w, a
-// witness point attaining it, and (when the depth reaches thresh) a
-// saturated run around the witness: the maximal sub-interval of the
-// witness's clipped shard window on which the depth stays ≥ thresh.
+// witness rank attaining it, and (when the depth reaches thresh) a
+// saturated run around the witness: the maximal sub-span of the witness's
+// clipped shard window on which the depth stays ≥ thresh.
 // [slo, shi] is w's shard range; the window is processed shard by shard on
 // clipped sub-windows. Each shard holds every job overlapping its closed
 // tile, so per-shard depths are exact and the overall maximum is their
 // maximum.
-func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w interval.Interval, thresh, slo, shi int) (depth int, at float64, run interval.Interval, ok bool) {
+func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, thresh, slo, shi int) (depth int, at int32, run span, ok bool) {
 	if thresh < 1 {
 		thresh = 1
 	}
 	for k := slo; k <= shi; k++ {
 		sub := w
 		if k > slo {
-			if t := ia.shardStart(k); t > sub.Start {
-				sub.Start = t
-			}
+			sub.start = max(sub.start, ia.shardStart(k))
 		}
 		if k < shi {
-			if t := ia.shardEnd(k); t < sub.End {
-				sub.End = t
-			}
+			sub.end = min(sub.end, ia.shardEnd(k))
 		}
-		if sub.Start > sub.End {
+		if sub.start > sub.end {
 			continue
 		}
 		d, a, r, o := ls.sweepShard(p, k, sub, thresh)
@@ -168,29 +162,22 @@ func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w interval.Int
 
 // sweepShard computes the exact depth profile of one shard's items over the
 // sub-window sub by walking the shard's chunk chain.
-func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thresh int) (depth int, at float64, run interval.Interval, ok bool) {
+func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (depth int, at int32, run span, ok bool) {
 	starts, ends := p.sbuf[:0], p.ebuf[:0]
 	for h := ls.heads[k]; h != 0; h = p.chunks[h].prev {
 		c := &p.chunks[h]
 		for i := int32(0); i < c.n; i++ {
 			it := &c.items[i]
-			if !it.iv.Overlaps(sub) {
+			if !it.w.overlaps(sub) {
 				continue
 			}
-			s, e := it.iv.Start, it.iv.End
-			if s < sub.Start {
-				s = sub.Start
-			}
-			if e > sub.End {
-				e = sub.End
-			}
-			starts = append(starts, shardEvent{t: s, d: it.demand})
-			ends = append(ends, shardEvent{t: e, d: it.demand})
+			starts = append(starts, shardEvent{t: max(it.w.start, sub.start), d: it.demand})
+			ends = append(ends, shardEvent{t: min(it.w.end, sub.end), d: it.demand})
 		}
 	}
 	p.sbuf, p.ebuf = starts, ends
 	if len(starts) == 0 {
-		return 0, 0, interval.Interval{}, false
+		return 0, 0, span{}, false
 	}
 	// Small sweeps — the common case with shards sized to a handful of jobs
 	// — skip the sorts: the maximum closed depth is attained at some clipped
@@ -218,7 +205,7 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 			}
 		}
 		if !saturated {
-			return depth, at, interval.Interval{}, false
+			return depth, at, span{}, false
 		}
 		depth, at = 0, 0
 	}
@@ -227,7 +214,7 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 	// Two-pointer sweep, starts first at equal coordinates for closed
 	// semantics, tracking the run of depth ≥ thresh that holds the maximum.
 	cur, best := 0, 0
-	inRun, runStart, bestRunStart := false, 0.0, 0.0
+	inRun, runStart, bestRunStart := false, int32(0), int32(0)
 	i, j := 0, 0
 	for i < len(starts) {
 		if starts[i].t <= ends[j].t {
@@ -245,7 +232,7 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 			if inRun && cur-int(ends[j].d) < thresh {
 				inRun = false
 				if best >= thresh && bestRunStart == runStart {
-					run, ok = interval.Interval{Start: runStart, End: ends[j].t}, true
+					run, ok = span{runStart, ends[j].t}, true
 				}
 			}
 			cur -= int(ends[j].d)
@@ -256,7 +243,7 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub interval.Interval, thr
 		if cur-int(ends[j].d) < thresh {
 			inRun = false
 			if best >= thresh && bestRunStart == runStart {
-				run, ok = interval.Interval{Start: runStart, End: ends[j].t}, true
+				run, ok = span{runStart, ends[j].t}, true
 			}
 		}
 		cur -= int(ends[j].d)

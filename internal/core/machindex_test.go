@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"busytime/internal/interval"
@@ -8,8 +10,8 @@ import (
 )
 
 // TestShardGeometryCoversJobs pins the bucket→shard mapping every indexed
-// machine relies on: a job's shard range covers its window, and every shard
-// in the range genuinely touches the window, so sharded sweeps see exactly
+// machine relies on: a job's shard range covers its span, and every shard
+// in the range genuinely touches the span, so sharded sweeps see exactly
 // the jobs that can contribute load.
 func TestShardGeometryCoversJobs(t *testing.T) {
 	for _, n := range []int{5, 60, 600, 6000} {
@@ -22,21 +24,21 @@ func TestShardGeometryCoversJobs(t *testing.T) {
 			t.Fatalf("n=%d: nshards %d inconsistent with nb %d >> %d", n, ia.nshards, ia.nb, ia.shardShift)
 		}
 		extra := 0
-		for _, job := range in.Jobs {
-			lo, hi := ia.ax.OverlapRange(job.Iv)
+		for j := range in.Jobs {
+			w := ia.jobSpan(j)
+			lo, hi := ia.buckets(w)
 			if lo > hi {
-				t.Fatalf("n=%d: job %v got empty bucket range", n, job.Iv)
+				t.Fatalf("n=%d: job %d span %v got empty bucket range", n, j, w)
 			}
 			slo, shi := ia.shardRange(lo, hi)
 			extra += shi - slo
-			if ia.shardStart(slo) > job.Iv.Start || ia.shardEnd(shi) < job.Iv.End {
-				t.Fatalf("n=%d: job %v not covered by shards [%d,%d] = [%v,%v]",
-					n, job.Iv, slo, shi, ia.shardStart(slo), ia.shardEnd(shi))
+			if ia.shardStart(slo) > w.start || ia.shardEnd(shi) < w.end {
+				t.Fatalf("n=%d: job %d span %v not covered by shards [%d,%d] = [%d,%d]",
+					n, j, w, slo, shi, ia.shardStart(slo), ia.shardEnd(shi))
 			}
 			for k := slo; k <= shi; k++ {
-				tile := interval.Interval{Start: ia.shardStart(k), End: ia.shardEnd(k)}
-				if !tile.Overlaps(job.Iv) {
-					t.Fatalf("n=%d: job %v spans disjoint shard %d %v", n, job.Iv, k, tile)
+				if tile := (span{ia.shardStart(k), ia.shardEnd(k)}); !tile.overlaps(w) {
+					t.Fatalf("n=%d: job %d span %v spans disjoint shard %d %v", n, j, w, k, tile)
 				}
 			}
 		}
@@ -207,138 +209,212 @@ func TestBitmapBudget(t *testing.T) {
 	}
 }
 
-// shardHarness wires a loadShards directory to a pool and an axis the way a
-// schedule does, for driving the oracle directly in tests.
+// shardHarness wires a loadShards directory to a pool and an instance axis
+// the way a schedule does, for driving the oracle directly in tests: jobs
+// are inserted and windows queried by job index, and witnesses and runs are
+// mapped back to times.
 type shardHarness struct {
-	ia   *instanceAxis
-	pool shardPool
-	ls   loadShards
+	in    *Instance
+	ia    *instanceAxis
+	times []float64 // times[r] is the endpoint of rank r
+	pool  shardPool
+	ls    loadShards
 }
 
 func newShardHarness(in *Instance) *shardHarness {
-	h := &shardHarness{ia: in.timeAxis()}
+	h := &shardHarness{in: in, ia: in.timeAxis(), times: rankTimes(in)}
 	h.ls.init(h.ia)
 	return h
 }
 
-func (h *shardHarness) add(iv interval.Interval, demand int) {
-	lo, hi := h.ia.ax.OverlapRange(iv)
-	slo, shi := h.ia.shardRange(lo, hi)
-	h.ls.add(&h.pool, iv, demand, slo, shi)
+// rankTimes returns in's distinct job endpoints in ascending order, so entry
+// r is the endpoint of rank r; it is built independently of the axis.
+func rankTimes(in *Instance) []float64 {
+	ts := make([]float64, 0, 2*in.N())
+	for _, j := range in.Jobs {
+		ts = append(ts, j.Iv.Start, j.Iv.End)
+	}
+	slices.Sort(ts)
+	return slices.Compact(ts)
 }
 
-func (h *shardHarness) maxDepthRun(w interval.Interval, thresh int) (int, float64, interval.Interval, bool) {
-	lo, hi := h.ia.ax.OverlapRange(w)
-	slo, shi := h.ia.shardRange(lo, hi)
-	return h.ls.maxDepthRun(&h.pool, h.ia, w, thresh, slo, shi)
+// add inserts job j.
+func (h *shardHarness) add(j int) {
+	w := h.ia.jobSpan(j)
+	slo, shi := h.ia.shardRange(h.ia.buckets(w))
+	h.ls.add(&h.pool, w, h.in.Jobs[j].Demand, slo, shi)
 }
 
-// shardOracleCase is one seeded workload for checkShardsAgainstBrute.
+// maxDepthRun queries the oracle on job j's window.
+func (h *shardHarness) maxDepthRun(j, thresh int) (depth int, at float64, run interval.Interval, ok bool) {
+	w := h.ia.jobSpan(j)
+	slo, shi := h.ia.shardRange(h.ia.buckets(w))
+	depth, a, r, ok := h.ls.maxDepthRun(&h.pool, h.ia, w, thresh, slo, shi)
+	return depth, h.times[a], interval.Interval{Start: h.times[r.start], End: h.times[r.end]}, ok
+}
+
+// shardOracleCase is one seeded workload for checkShardsAgainstBrute: n
+// jobs inserted in order, extra jobs present in the instance (and on its
+// axis) but never inserted, and queries checked at thresholds thresh and
+// thresh+2.
 type shardOracleCase struct {
 	seed            uint64
-	n               int
+	n, extra        int
 	horizon, maxLen float64
 	maxDemand       int
-	thresholds      []int
+	// snap, when positive, rounds endpoints to multiples of 1/snap.
+	snap   int
+	thresh int
 }
 
-// TestLoadShardsMatchesBrute compares the sharded capacity oracle against a
-// brute-force depth computation on demand-weighted jobs at threshold 3. The
-// insertion count runs far past the old doubling-growth threshold
-// (shardJobTarget items per shard) to pin the regression the up-front sizing
-// replaced: the fixed directory must stay exact at any occupancy, with no
-// redistribution path left to get wrong.
-func TestLoadShardsMatchesBrute(t *testing.T) {
-	tc := shardOracleCase{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, thresholds: []int{3}}
-	if old := shardJobTarget; tc.n <= old {
-		t.Fatalf("workload %d does not exceed the old growth threshold %d", tc.n, old)
+// shardOracleSeeds is FuzzLoadShardsMatchesBrute's seed corpus: a workload
+// whose insertion count runs far past shardJobTarget items per shard (the
+// fixed directory must stay exact at any occupancy), a unit-demand workload
+// also checked against the endpoint sweep of interval.Set.MaxDepthWithin,
+// and a workload on an axis past 2¹⁶ distinct endpoints, decimated to
+// stride 2, where most inserted endpoints are not axis boundaries.
+var shardOracleSeeds = []shardOracleCase{
+	{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, thresh: 3},
+	{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, thresh: 2},
+	{seed: 5, n: 400, extra: 40000, horizon: 100, maxLen: 12, maxDemand: 3, thresh: 3},
+}
+
+// FuzzLoadShardsMatchesBrute compares the sharded capacity oracle against a
+// brute-force depth computation on demand-weighted jobs (see
+// checkShardsAgainstBrute and shardOracleSeeds).
+func FuzzLoadShardsMatchesBrute(f *testing.F) {
+	for _, tc := range shardOracleSeeds {
+		f.Add(tc.seed, uint16(tc.n), uint32(tc.extra), uint16(tc.horizon), uint8(tc.maxLen), uint8(tc.maxDemand), uint8(tc.snap), uint8(tc.thresh))
 	}
-	checkShardsAgainstBrute(t, tc)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, extra uint32, horizon uint16, maxLen, maxDemand, snap, thresh uint8) {
+		checkShardsAgainstBrute(t, shardOracleCase{
+			seed:      seed,
+			n:         max(1, int(n)%1201),
+			extra:     int(extra % 50001),
+			horizon:   float64(max(1, horizon%1001)),
+			maxLen:    float64(maxLen % 64),
+			maxDemand: max(1, int(maxDemand)%5),
+			snap:      int(snap % 8),
+			thresh:    int(thresh % 8),
+		})
+	})
 }
 
-// TestLoadShardsMatchesTreeOracle checks the sharded capacity oracle on
-// unit-demand content at thresholds 2 and 4. It once compared the shards with
-// the per-machine interval tree; with the tree gone, the references are the
-// brute-force depth and, for unit demands, the endpoint sweep of
-// interval.Set.MaxDepthWithin, both independent of the shard code.
-func TestLoadShardsMatchesTreeOracle(t *testing.T) {
-	checkShardsAgainstBrute(t, shardOracleCase{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, thresholds: []int{2, 4}})
+// TestShardOracleSeedsReachTheirCases pins what each seed of
+// FuzzLoadShardsMatchesBrute is there for: several shards on every axis,
+// more than shardJobTarget inserted jobs in the first, unit demands in the
+// second, and in the third an axis past 2¹⁶ distinct endpoints at stride 2.
+func TestShardOracleSeedsReachTheirCases(t *testing.T) {
+	for i, tc := range shardOracleSeeds {
+		in := tc.instance()
+		ia := in.timeAxis()
+		if ia.nshards < 2 {
+			t.Errorf("seed %d: only %d shard(s); multi-shard sweeps untested", i, ia.nshards)
+		}
+		switch i {
+		case 0:
+			if tc.n <= shardJobTarget {
+				t.Errorf("seed 0 inserts %d jobs, not past shardJobTarget %d", tc.n, shardJobTarget)
+			}
+		case 1:
+			if tc.maxDemand != 1 {
+				t.Errorf("seed 1 has demands up to %d; the MaxDepthWithin check needs unit demands", tc.maxDemand)
+			}
+		case 2:
+			if ia.ax.Distinct() <= 1<<16 || ia.stride != 2 {
+				t.Errorf("seed 2: %d distinct endpoints at stride %d; want past 2¹⁶ at stride 2", ia.ax.Distinct(), ia.stride)
+			}
+		}
+	}
 }
 
-// checkShardsAgainstBrute inserts tc's jobs one at a time and, after each,
-// checks a random window's depth, witness and saturated run against brute
-// force at every threshold of tc.
-func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
-	t.Helper()
-	state := tc.seed
-	next := func() float64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
+// instance generates tc's n+extra jobs.
+func (tc shardOracleCase) instance() *Instance {
+	r := splitmix(tc.seed)
+	snap := func(x float64) float64 {
+		if tc.snap > 0 {
+			return math.Round(x*float64(tc.snap)) / float64(tc.snap)
+		}
+		return x
+	}
+	ivs := make([]interval.Interval, tc.n+tc.extra)
+	for i := range ivs {
+		s := snap(r() * tc.horizon)
+		ivs[i] = interval.Interval{Start: s, End: max(s, snap(s+r()*tc.maxLen))}
+	}
+	in := NewInstance(4, ivs...)
+	for i := range in.Jobs {
+		in.Jobs[i].Demand = 1 + int(r()*float64(tc.maxDemand))
+	}
+	return in
+}
+
+// splitmix returns a SplitMix64 stream of floats in [0, 1) seeded by seed.
+func splitmix(seed uint64) func() float64 {
+	return func() float64 {
+		seed += 0x9e3779b97f4a7c15
+		z := seed
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return float64((z^(z>>31))>>11) / (1 << 53)
 	}
-	type wjob struct {
-		iv interval.Interval
-		d  int
+}
+
+// checkShardsAgainstBrute inserts tc's jobs one at a time and, after each,
+// queries the window of a random job of the instance, checking the depth,
+// the witness and the saturated run against brute force at both thresholds
+// of tc. The brute-force depth is kept per endpoint: every maximum of the
+// closed depth within a window is attained at an endpoint inside it.
+func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
+	t.Helper()
+	in := tc.instance()
+	set := in.Set()
+	next := splitmix(^tc.seed)
+	h := newShardHarness(in)
+	// pointDepth[p] is the load of the inserted jobs at endpoint times[p].
+	pointDepth := make([]int, len(h.times))
+	index := func(x float64) int {
+		p, ok := slices.BinarySearch(h.times, x)
+		if !ok {
+			t.Fatalf("seed %d: %v is not a job endpoint", tc.seed, x)
+		}
+		return p
 	}
-	// Pre-generate the workload so the instance axis exists up front, the
-	// way a schedule sees a complete instance.
-	jobs := make([]wjob, tc.n)
-	ivs := make([]interval.Interval, len(jobs))
-	for i := range jobs {
-		s := next() * tc.horizon
-		iv := interval.Interval{Start: s, End: s + next()*tc.maxLen}
-		jobs[i] = wjob{iv, 1 + int(next()*float64(tc.maxDemand))}
-		ivs[i] = iv
-	}
-	h := newShardHarness(NewInstance(4, ivs...))
-	if h.ia.nshards < 2 {
-		t.Fatalf("seed %d: only %d shard(s); multi-shard sweeps untested", tc.seed, h.ia.nshards)
-	}
-	var added []wjob
-	depthAt := func(p float64) int {
+	depthAt := func(x float64, added int) int {
 		depth := 0
-		for _, o := range added {
-			if o.iv.Contains(p) {
-				depth += o.d
+		for _, o := range in.Jobs[:added] {
+			if o.Iv.Contains(x) {
+				depth += o.Demand
 			}
 		}
 		return depth
 	}
-	brute := func(w interval.Interval) int {
-		// Max closed depth within w: evaluate at every clipped endpoint.
-		best := 0
-		for _, cand := range added {
-			for _, p := range []float64{cand.iv.Start, cand.iv.End, w.Start, w.End} {
-				if p >= w.Start && p <= w.End {
-					best = max(best, depthAt(p))
-				}
-			}
+	for step := 0; step < tc.n; step++ {
+		h.add(step)
+		job := in.Jobs[step]
+		for p := index(job.Iv.Start); p <= index(job.Iv.End); p++ {
+			pointDepth[p] += job.Demand
 		}
-		return best
-	}
-	for step, j := range jobs {
-		h.add(j.iv, j.d)
-		added = append(added, j)
-		qs := next() * tc.horizon
-		w := interval.Interval{Start: qs, End: qs + next()*tc.maxLen}
-		want := brute(w)
+		added := step + 1
+		q := min(int(next()*float64(in.N())), in.N()-1)
+		w := in.Jobs[q].Iv
+		want := slices.Max(pointDepth[index(w.Start) : index(w.End)+1])
 		if tc.maxDemand == 1 {
-			if sweep := interval.Set(ivs[:step+1]).MaxDepthWithin(w); sweep != want {
+			if sweep := set[:added].MaxDepthWithin(w); sweep != want {
 				t.Fatalf("seed %d step %d: brute %d, sweep %d (w=%v)", tc.seed, step, want, sweep, w)
 			}
 		}
-		for _, thresh := range tc.thresholds {
-			got, at, run, ok := h.maxDepthRun(w, thresh)
+		for _, thresh := range []int{tc.thresh, tc.thresh + 2} {
+			got, at, run, ok := h.maxDepthRun(q, thresh)
 			if got != want {
-				t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d)", tc.seed, step, got, want, w, h.ia.nshards)
+				t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d, stride %d)", tc.seed, step, got, want, w, h.ia.nshards, h.ia.stride)
 			}
-			if ok != (want >= thresh) {
+			if ok != (want >= max(thresh, 1)) {
 				t.Fatalf("seed %d step %d: ok=%v with depth %d, thresh %d", tc.seed, step, ok, want, thresh)
 			}
-			if want > 0 && !w.Contains(at) {
-				t.Fatalf("seed %d step %d: witness %v outside %v", tc.seed, step, at, w)
+			if want > 0 && (!w.Contains(at) || depthAt(at, added) != want) {
+				t.Fatalf("seed %d step %d: witness %v (depth %d) outside %v or below the maximum %d",
+					tc.seed, step, at, depthAt(at, added), w, want)
 			}
 			if !ok {
 				continue
@@ -348,7 +424,7 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 			}
 			for i := 0; i <= 8; i++ {
 				p := run.Start + (run.End-run.Start)*float64(i)/8
-				if depth := depthAt(p); depth < thresh {
+				if depth := depthAt(p, added); depth < thresh {
 					t.Fatalf("seed %d step %d: run %v has depth %d < %d at %v", tc.seed, step, run, depth, thresh, p)
 				}
 			}

@@ -62,12 +62,12 @@ type Schedule struct {
 	logSpans bool
 }
 
-// hotspot is a saturation hint: the machine's load at time at is known to be
-// at least depth. Machines only ever gain jobs, so the bound stays valid for
-// the machine's lifetime; Assign tightens it as covering jobs arrive.
+// hotspot is a saturation hint: the machine's load at the endpoint of rank
+// at is known to be at least depth. Machines only ever gain jobs, so the
+// bound stays valid for the machine's lifetime; Assign tightens it as
+// covering jobs arrive.
 type hotspot struct {
-	at    float64
-	depth int
+	at, depth int32
 }
 
 // maxHotspots bounds the per-machine hint list; rejects beyond the cap evict
@@ -202,18 +202,15 @@ func (s *Schedule) OpenMachine() int {
 }
 
 // jobBuckets returns the axis bucket overlap range of job j's window, or an
-// empty range on a degenerate axis. The range is precomputed per job with
-// the axis, so the hot path never searches. Every capacity probe and
-// placement starts here, so this is also where sealed schedules, which have
-// no axis attached, refuse them.
+// empty range on a degenerate axis, by arithmetic on the job's span, so the
+// hot path never searches the axis. Every capacity probe and placement
+// starts here, so this is also where sealed schedules, which have no axis
+// attached, refuse them.
 func (s *Schedule) jobBuckets(j int) (lo, hi int) {
 	if s.sealed {
 		panic("core: capacity probe or placement on a sealed schedule")
 	}
-	if s.ia.nb == 0 {
-		return 0, -1
-	}
-	return int(s.ia.jobLo[j]), int(s.ia.jobHi[j])
+	return s.ia.buckets(s.ia.jobSpan(j))
 }
 
 // CanAssign reports whether job index j fits on machine m without violating
@@ -241,34 +238,35 @@ func (s *Schedule) canAssign(j, m, lo, hi int) bool {
 	if st.peak+job.Demand <= g {
 		return true
 	}
-	if st.hotRejects(job, g) {
+	w := s.ia.jobSpan(j)
+	if st.hotRejects(w, job.Demand, g) {
 		return false
 	}
-	_, ok := s.query(st, m, job, lo, hi)
+	_, ok := s.query(st, m, w, job.Demand, lo, hi)
 	return ok
 }
 
-// hotRejects reports whether a recorded saturation witness inside job's
-// window proves the job cannot fit.
-func (st *machineState) hotRejects(job Job, g int) bool {
+// hotRejects reports whether a recorded saturation witness inside the span
+// w proves that a job of the given demand cannot fit.
+func (st *machineState) hotRejects(w span, demand, g int) bool {
 	for _, h := range st.hot[:st.nhot] {
-		if h.depth+job.Demand > g && job.Iv.Contains(h.at) {
+		if int(h.depth)+demand > g && w.contains(h.at) {
 			return true
 		}
 	}
 	return false
 }
 
-// query asks machine m's exact oracle for the maximum load within job's
-// window (bucket range [lo, hi]) and reports whether the job fits on top of
-// it. A rejection records its witness point and, when the oracle extracted
-// one, marks the saturated run in the index's bitmap, so repeated probing
-// of a saturated machine converges to O(1).
-func (s *Schedule) query(st *machineState, m int, job Job, lo, hi int) (used int, ok bool) {
+// query asks machine m's exact oracle for the maximum load within the job
+// window w (bucket range [lo, hi]) and reports whether a job of the given
+// demand fits on top of it. A rejection records its witness and, when the
+// oracle extracted one, marks the saturated run in the index's bitmap, so
+// repeated probing of a saturated machine converges to O(1).
+func (s *Schedule) query(st *machineState, m int, w span, demand, lo, hi int) (used int, ok bool) {
 	g := s.inst.G
 	slo, shi := s.ia.shardRange(lo, hi)
-	used, at, run, sat := st.shards.maxDepthRun(s.pool, s.ia, job.Iv, g, slo, shi)
-	if used+job.Demand > g {
+	used, at, run, sat := st.shards.maxDepthRun(s.pool, s.ia, w, g, slo, shi)
+	if used+demand > g {
 		st.noteHot(at, used)
 		if sat {
 			s.markSaturatedRun(m, run)
@@ -279,25 +277,27 @@ func (s *Schedule) query(st *machineState, m int, job Job, lo, hi int) (used int
 }
 
 // markSaturatedRun records a saturated run (load ≥ g at every point of run)
-// of machine m in the index's saturation bitmap.
-func (s *Schedule) markSaturatedRun(m int, run interval.Interval) {
-	lo, hi := s.ia.ax.WithinRange(run)
+// of machine m in the index's saturation bitmap, on the buckets lying
+// wholly inside it.
+func (s *Schedule) markSaturatedRun(m int, run span) {
+	lo, hi := s.ia.within(run)
 	s.index.markRun(m, lo, hi)
 }
 
 // noteHot records a saturation witness, evicting the shallowest entry when
 // the hint list is full.
-func (st *machineState) noteHot(at float64, depth int) {
+func (st *machineState) noteHot(at int32, depth int) {
+	d := int32(depth)
 	for i := 0; i < st.nhot; i++ {
 		if st.hot[i].at == at {
-			if depth > st.hot[i].depth {
-				st.hot[i].depth = depth
+			if d > st.hot[i].depth {
+				st.hot[i].depth = d
 			}
 			return
 		}
 	}
 	if st.nhot < maxHotspots {
-		st.hot[st.nhot] = hotspot{at, depth}
+		st.hot[st.nhot] = hotspot{at, d}
 		st.nhot++
 		return
 	}
@@ -307,8 +307,8 @@ func (st *machineState) noteHot(at float64, depth int) {
 			weakest = i
 		}
 	}
-	if depth > st.hot[weakest].depth {
-		st.hot[weakest] = hotspot{at, depth}
+	if d > st.hot[weakest].depth {
+		st.hot[weakest] = hotspot{at, d}
 	}
 }
 
@@ -353,10 +353,11 @@ func (s *Schedule) tryAssign(j, m, lo, hi int) bool {
 		s.insert(st, j, m, 0, lo, hi)
 		return true
 	}
-	if st.peak+job.Demand > g && st.hotRejects(job, g) {
+	w := s.ia.jobSpan(j)
+	if st.peak+job.Demand > g && st.hotRejects(w, job.Demand, g) {
 		return false
 	}
-	used, ok := s.query(st, m, job, lo, hi)
+	used, ok := s.query(st, m, w, job.Demand, lo, hi)
 	if ok {
 		s.insert(st, j, m, used, lo, hi)
 	}
@@ -444,9 +445,9 @@ func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 	if s.assign[j] != Unassigned {
 		panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, s.assign[j]))
 	}
-	job := s.inst.Jobs[j]
+	job, w := s.inst.Jobs[j], s.ia.jobSpan(j)
 	slo, shi := s.ia.shardRange(lo, hi)
-	st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
+	st.shards.add(s.pool, w, job.Demand, slo, shi)
 	if len(st.jobs) == 0 {
 		st.hull = job.Iv
 	} else {
@@ -457,8 +458,8 @@ func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 		st.peak = used + job.Demand
 	}
 	for i := 0; i < st.nhot; i++ {
-		if job.Iv.Contains(st.hot[i].at) {
-			st.hot[i].depth += job.Demand
+		if w.contains(st.hot[i].at) {
+			st.hot[i].depth += int32(job.Demand)
 		}
 	}
 	d := st.spans.Add(job.Iv)
@@ -606,8 +607,25 @@ func (s *Schedule) Summary() []MachineSummary {
 
 // FromAssignment reconstructs a schedule from a Job.ID→machine map, e.g. one
 // previously exported with Assignment or decoded from JSON. Machine indices
-// are compacted preserving their relative order.
+// are compacted preserving their relative order. The map must assign every
+// job of inst and name no other job ID.
 func FromAssignment(inst *Instance, byID map[int]int) (*Schedule, error) {
+	ids := make(map[int]bool, len(inst.Jobs))
+	for _, job := range inst.Jobs {
+		if _, ok := byID[job.ID]; !ok {
+			return nil, fmt.Errorf("core: assignment missing job ID %d", job.ID)
+		}
+		ids[job.ID] = true
+	}
+	var unknown []int
+	for id := range byID {
+		if !ids[id] {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("core: assignment names job ID %d, which the instance lacks", slices.Min(unknown))
+	}
 	s := NewSchedule(inst)
 	machines := make([]int, 0, len(byID))
 	seen := map[int]bool{}
@@ -624,11 +642,7 @@ func FromAssignment(inst *Instance, byID map[int]int) (*Schedule, error) {
 		s.OpenMachine()
 	}
 	for j, job := range inst.Jobs {
-		m, ok := byID[job.ID]
-		if !ok {
-			return nil, fmt.Errorf("core: assignment missing job ID %d", job.ID)
-		}
-		s.Assign(j, remap[m])
+		s.Assign(j, remap[byID[job.ID]])
 	}
 	return s, nil
 }

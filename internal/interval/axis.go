@@ -17,13 +17,21 @@ import (
 // semantics of the scheduling model: an event at a shared boundary belongs
 // to both buckets.
 //
-// Range queries run through a uniform acceleration grid built once with the
-// axis: a query first maps its time to a grid cell by one multiplication,
-// then binary-searches only the handful of boundaries the cell brackets, so
-// lookups are O(1) expected on near-uniform axes and O(log k) in a cell of
-// k boundaries in the worst case.
+// The boundaries sit at fixed ranks of the sorted distinct events:
+// Boundary(b) is the event of rank b·Stride() for b < NB(), and
+// Boundary(NB()) the largest event, of rank Distinct()−1. A caller holding
+// the ranks NewAxis hands out maps them to buckets by integer arithmetic.
+//
+// Time queries (OverlapRange, Interior) run through a uniform acceleration
+// grid built once with the axis: a query first maps its time to a grid cell
+// by one multiplication, then binary-searches only the handful of
+// boundaries the cell brackets, so lookups are O(1) expected on near-uniform
+// axes and O(log k) in a cell of k boundaries in the worst case.
 type Axis struct {
 	bounds []float64
+	// stride is the decimation stride and distinct the number of distinct
+	// events (see Stride and Distinct).
+	stride, distinct int
 	// Acceleration grid: cell c of [t0, t0+ncells/inv] brackets the
 	// boundary indices [grid[c], grid[c+1]]; ncells = len(grid)-2.
 	grid []int32
@@ -33,38 +41,43 @@ type Axis struct {
 
 // NewAxis builds an axis whose boundaries are the distinct values of events,
 // decimated with a uniform stride when the bucket count would exceed
-// maxBuckets (maxBuckets <= 0 means unbounded). The events slice is sorted
-// and deduplicated in place. Fewer than two distinct events yield the
-// degenerate axis with NB() == 0.
-func NewAxis(events []float64, maxBuckets int) Axis {
-	if len(events) == 0 {
-		return Axis{}
-	}
-	sort.Float64s(events)
-	w := 1
-	for i := 1; i < len(events); i++ {
-		if events[i] != events[w-1] {
-			events[w] = events[i]
-			w++
+// maxBuckets (maxBuckets <= 0 means unbounded). Fewer than two distinct
+// events yield the degenerate axis with NB() == 0. events is not modified.
+//
+// A non-nil ranks, of len(events), receives each event's rank among the
+// distinct values, 0 for the smallest: ranks[i] < ranks[k] exactly when
+// events[i] < events[k], and the ranks are equal exactly when the values
+// are (−0 and +0 included). They come from the same sort that orders the
+// boundaries.
+func NewAxis(events []float64, maxBuckets int, ranks []int32) Axis {
+	ord := sortByValue(events)
+	// Rank the events, compacting one entry per distinct value to the
+	// front of ord; d counts the distinct values seen.
+	d := 0
+	for _, e := range ord {
+		if d == 0 || e.key != ord[d-1].key {
+			ord[d] = e
+			d++
+		}
+		if ranks != nil {
+			ranks[e.idx] = int32(d - 1)
 		}
 	}
-	events = events[:w]
-	if len(events) < 2 {
-		return Axis{}
+	ax := Axis{stride: 1, distinct: d}
+	if d < 2 {
+		return ax
 	}
-	if segs := len(events) - 1; maxBuckets > 0 && segs > maxBuckets {
-		stride := (segs + maxBuckets - 1) / maxBuckets
-		w = 0
-		for i := 0; i < len(events)-1; i += stride {
-			events[w] = events[i]
-			w++
-		}
-		events[w] = events[len(events)-1]
-		events = events[:w+1]
+	if segs := d - 1; maxBuckets > 0 && segs > maxBuckets {
+		ax.stride = (segs + maxBuckets - 1) / maxBuckets
 	}
-	ax := Axis{bounds: events, t0: events[0]}
-	ncells := len(events) - 1
-	ax.inv = float64(ncells) / (events[len(events)-1] - events[0])
+	nb := (d - 2 + ax.stride) / ax.stride
+	ax.bounds = make([]float64, nb+1)
+	for b := range nb {
+		ax.bounds[b] = events[ord[b*ax.stride].idx]
+	}
+	ax.bounds[nb] = events[ord[d-1].idx]
+	ax.t0 = ax.bounds[0]
+	ax.inv = float64(nb) / (ax.bounds[nb] - ax.bounds[0])
 	if !(ax.inv > 0) || math.IsInf(ax.inv, 1) {
 		// Degenerate span; pos falls back to a plain binary search.
 		ax.inv = 0
@@ -72,15 +85,70 @@ func NewAxis(events []float64, maxBuckets int) Axis {
 	}
 	// grid[c] = first boundary index whose cell (computed with the exact
 	// query-side formula, so float rounding cancels) is >= c.
-	ax.grid = make([]int32, ncells+2)
+	ax.grid = make([]int32, nb+2)
 	i := 0
-	for c := 0; c <= ncells+1; c++ {
-		for i < len(events) && ax.cellOf(events[i]) < c {
+	for c := 0; c <= nb+1; c++ {
+		for i < len(ax.bounds) && ax.cellOf(ax.bounds[i]) < c {
 			i++
 		}
 		ax.grid[c] = int32(i)
 	}
 	return ax
+}
+
+// keyedEvent is an event's position and its order key: the float's bits
+// mapped to an unsigned integer whose order is the numeric order, with −0
+// sharing +0's key.
+type keyedEvent struct {
+	key uint64
+	idx int32
+}
+
+// radixBits is the digit width of sortByValue's radix passes; the counts
+// of one digit take 8 KiB.
+const radixBits = 11
+
+// sortByValue returns the events' keys and positions in ascending order of
+// value: an LSD radix sort over 11-bit digits of the keys, skipping the
+// passes whose digit every key shares. At 2·10⁵ events it takes less than
+// half the time of a comparison sort of the bare floats.
+func sortByValue(events []float64) []keyedEvent {
+	buf := make([]keyedEvent, 2*len(events))
+	a, b := buf[:len(events)], buf[len(events):]
+	for i, t := range events {
+		u := math.Float64bits(t)
+		switch {
+		case t == 0:
+			u = 1 << 63
+		case u>>63 != 0:
+			u = ^u // negative: larger magnitudes sort first
+		default:
+			u |= 1 << 63
+		}
+		a[i] = keyedEvent{u, int32(i)}
+	}
+	var count [1 << radixBits]int32
+	const mask = 1<<radixBits - 1
+	for shift := 0; shift < 64 && len(a) > 1; shift += radixBits {
+		clear(count[:])
+		for _, e := range a {
+			count[e.key>>shift&mask]++
+		}
+		if int(count[a[0].key>>shift&mask]) == len(a) {
+			continue
+		}
+		sum := int32(0)
+		for i, c := range count {
+			count[i], sum = sum, sum+c
+		}
+		for _, e := range a {
+			digit := e.key >> shift & mask
+			b[count[digit]] = e
+			count[digit]++
+		}
+		a, b = b, a
+	}
+	return a
 }
 
 // cellOf maps a time to its acceleration-grid cell, clamped to the grid.
@@ -131,6 +199,14 @@ func (ax Axis) NB() int {
 
 // Boundary returns the i-th bucket boundary, 0 <= i <= NB().
 func (ax Axis) Boundary(i int) float64 { return ax.bounds[i] }
+
+// Stride returns the decimation stride: 1 when every distinct event is a
+// boundary, and s when Boundary(b) is the event of rank b·s for b < NB().
+func (ax Axis) Stride() int { return ax.stride }
+
+// Distinct returns the number of distinct events the axis was built from;
+// Boundary(NB()) is the event of rank Distinct()−1.
+func (ax Axis) Distinct() int { return ax.distinct }
 
 // Hull returns the covered range [Boundary(0), Boundary(NB())]; ok is false
 // for the degenerate axis.
@@ -188,30 +264,6 @@ func (ax Axis) Interior(iv Interval) (lo, hi int) {
 	hi = ax.pos(iv.End) - 1
 	if last := len(ax.bounds) - 1; hi > last {
 		hi = last
-	}
-	if lo > hi {
-		return 0, -1
-	}
-	return lo, hi
-}
-
-// WithinRange returns the inclusive range of buckets entirely contained in
-// the closed interval iv; lo > hi means none. Every returned bucket
-// satisfies iv.Start <= Boundary(b) and Boundary(b+1) <= iv.End, so marking
-// these buckets with a property that holds throughout iv never over-claims.
-func (ax Axis) WithinRange(iv Interval) (lo, hi int) {
-	nb := ax.NB()
-	if nb == 0 {
-		return 0, -1
-	}
-	lo = ax.pos(iv.Start)
-	hi = ax.pos(iv.End)
-	if hi == len(ax.bounds) || ax.bounds[hi] > iv.End {
-		hi--
-	}
-	hi-- // bucket hi is bounded above by Boundary(hi+1)
-	if hi > nb-1 {
-		hi = nb - 1
 	}
 	if lo > hi {
 		return 0, -1

@@ -1,7 +1,9 @@
 package interval
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +12,7 @@ func randAxis(r *rand.Rand, n, maxBuckets int) Axis {
 	for i := range events {
 		events[i] = float64(r.Intn(40)) + r.Float64()*float64(r.Intn(3))
 	}
-	return NewAxis(events, maxBuckets)
+	return NewAxis(events, maxBuckets, nil)
 }
 
 // TestAxisBoundariesStrictlyIncrease pins the structural invariant every
@@ -36,7 +38,7 @@ func TestAxisDecimationRespectsCapAndEndpoints(t *testing.T) {
 		events[i] = float64(i)
 	}
 	lo, hi := events[0], events[len(events)-1]
-	ax := NewAxis(events, 64)
+	ax := NewAxis(events, 64, nil)
 	if ax.NB() > 64 || ax.NB() == 0 {
 		t.Fatalf("NB = %d, want in (0, 64]", ax.NB())
 	}
@@ -46,9 +48,8 @@ func TestAxisDecimationRespectsCapAndEndpoints(t *testing.T) {
 	}
 }
 
-// TestAxisRangeGeometry fuzzes the range queries against the bucket
-// geometry they promise: OverlapRange buckets touch the interval and cover
-// it, and WithinRange buckets lie inside it.
+// TestAxisRangeGeometry fuzzes OverlapRange against the bucket geometry it
+// promises: its buckets touch the interval and cover it.
 func TestAxisRangeGeometry(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
@@ -83,14 +84,80 @@ func TestAxisRangeGeometry(t *testing.T) {
 					t.Fatalf("trial %d: OverlapRange(%v) = [%d,%d] does not cover the interval", trial, iv, lo, hi)
 				}
 			}
-			wlo, whi := ax.WithinRange(iv)
-			for b := 0; b < nb; b++ {
-				inside := iv.Start <= ax.Boundary(b) && ax.Boundary(b+1) <= iv.End
-				if inside != (wlo <= b && b <= whi) {
-					t.Fatalf("trial %d: WithinRange(%v) = [%d,%d], bucket %d inside=%v",
-						trial, iv, wlo, whi, b, inside)
-				}
+		}
+	}
+}
+
+// TestAxisRanks checks the ranks NewAxis hands out against the values they
+// stand for, on inputs small enough for the comparison sort and large
+// enough for the radix passes: negative values, −0 next to +0, duplicates
+// and decimation. Ranks must order and equate exactly as the values do, the
+// boundaries must sit at ranks b·Stride() and Distinct()−1, and events must
+// come back unmodified.
+func TestAxisRanks(t *testing.T) {
+	if ax := NewAxis(nil, 0, nil); ax.NB() != 0 || ax.Distinct() != 0 {
+		t.Fatalf("no events: NB %d, Distinct %d", ax.NB(), ax.Distinct())
+	}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(300)
+		if trial%3 == 0 {
+			n = 2048 + r.Intn(6000)
+		}
+		events := make([]float64, n)
+		for i := range events {
+			switch r.Intn(5) {
+			case 0:
+				events[i] = float64(r.Intn(50) - 25) // duplicates
+			case 1:
+				events[i] = math.Copysign(0, -1)
+			case 2:
+				events[i] = (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(12)-4))
+			default:
+				events[i] = r.NormFloat64() * 1e3
 			}
+		}
+		orig := append([]float64(nil), events...)
+		maxBuckets := []int{0, 7, 64, n / 3}[r.Intn(4)]
+		ranks := make([]int32, n)
+		ax := NewAxis(events, maxBuckets, ranks)
+		for i := range events {
+			if math.Float64bits(events[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: NewAxis modified event %d", trial, i)
+			}
+		}
+		distinct := append([]float64(nil), events...)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		if ax.Distinct() != len(distinct) {
+			t.Fatalf("trial %d: Distinct() = %d, want %d", trial, ax.Distinct(), len(distinct))
+		}
+		for i, e := range events {
+			if got := distinct[ranks[i]]; got != e {
+				t.Fatalf("trial %d: event %v got rank %d, the rank of %v", trial, e, ranks[i], got)
+			}
+		}
+		nb := ax.NB()
+		if len(distinct) < 2 {
+			if nb != 0 {
+				t.Fatalf("trial %d: %d distinct events gave %d buckets", trial, len(distinct), nb)
+			}
+			continue
+		}
+		if maxBuckets > 0 && nb > maxBuckets {
+			t.Fatalf("trial %d: %d buckets above the cap %d", trial, nb, maxBuckets)
+		}
+		s := ax.Stride()
+		if want := (len(distinct) - 2 + s) / s; nb != want {
+			t.Fatalf("trial %d: %d buckets at stride %d over %d distinct events, want %d", trial, nb, s, len(distinct), want)
+		}
+		for b := 0; b < nb; b++ {
+			if ax.Boundary(b) != distinct[b*s] {
+				t.Fatalf("trial %d: Boundary(%d) = %v, want rank %d's %v", trial, b, ax.Boundary(b), b*s, distinct[b*s])
+			}
+		}
+		if last := distinct[len(distinct)-1]; ax.Boundary(nb) != last {
+			t.Fatalf("trial %d: Boundary(NB) = %v, want the largest event %v", trial, ax.Boundary(nb), last)
 		}
 	}
 }

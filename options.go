@@ -61,16 +61,27 @@ func WithVerify(verify bool) Option {
 // WithWorkers sets the solver's parallelism: the fan-out width of SolveBatch
 // and SolveStream, and equally the number of recycled arenas — the count of
 // Solve calls that can run concurrently without contending for scratch
-// state. 0 (the default) means GOMAXPROCS. Results never depend on it.
+// state. 0 (the default) means GOMAXPROCS. Results never depend on it. New
+// allocates the arenas up front, so n is capped at 1<<12; New rejects
+// larger values.
 func WithWorkers(n int) Option {
 	return func(c *config) {
 		if n < 0 {
 			c.fail("WithWorkers: %d workers, want ≥ 0", n)
 			return
 		}
+		if n > maxWorkerCount {
+			c.fail("WithWorkers: %d workers, want ≤ %d", n, maxWorkerCount)
+			return
+		}
 		c.workers = n
 	}
 }
+
+// maxWorkerCount is WithWorkers' cap: New builds one arena (and, with
+// decomposition on, one decomposition runner) per worker before the first
+// Solve.
+const maxWorkerCount = 1 << 12
 
 // WithIntraWorkers enables intra-instance parallelism: when the session's
 // algorithm declares itself decomposable, each Solve (and each batch worker)

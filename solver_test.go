@@ -433,6 +433,8 @@ func TestSolverOptionErrors(t *testing.T) {
 		{"exact limit elsewhere", []busytime.Option{busytime.WithExactLimit(20)}, "exact"},
 		{"length bound elsewhere", []busytime.Option{busytime.WithLengthBound(2)}, "boundedlength"},
 		{"negative workers", []busytime.Option{busytime.WithWorkers(-1)}, "want ≥ 0"},
+		{"workers above cap", []busytime.Option{busytime.WithWorkers(1 << 50)}, "want ≤ 4096"},
+		{"workers just above cap", []busytime.Option{busytime.WithWorkers(1<<12 + 1)}, "want ≤ 4096"},
 		{"window above cap", []busytime.Option{busytime.WithWindow(1 << 50)}, "WithWindow"},
 	}
 	for _, tc := range cases {
