@@ -162,9 +162,7 @@ func RegisterGreedy(rows ...GreedyRow) {
 // drive it.
 func RunGreedy(in *core.Instance, sc *core.Scratch, order []int32, rule core.Rule) *core.Schedule {
 	s := core.NewScheduleFrom(in, sc)
-	for _, j := range order {
-		s.Apply(rule, int(j))
-	}
+	s.ApplyOrder(rule, order)
 	return s
 }
 

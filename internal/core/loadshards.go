@@ -32,8 +32,8 @@ import (
 // sweep mostly walks contiguous memory.
 const shardChunkLen = 16
 
-// smallSweep is the event count up to which sweepShard evaluates depths
-// quadratically instead of sorting; beyond it the sort-based sweep wins.
+// smallSweep is the insertion-sort cutoff of sortEvents: sweeps of up to
+// this many events sort inline, longer ones through slices.SortFunc.
 const smallSweep = 32
 
 type shardItem struct {
@@ -161,7 +161,10 @@ func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, thresh
 }
 
 // sweepShard computes the exact depth profile of one shard's items over the
-// sub-window sub by walking the shard's chunk chain.
+// sub-window sub by walking the shard's chunk chain, then reads the maximum
+// depth, its witness (the lowest rank attaining it: ranks ascend through the
+// sweep and only a strictly deeper point replaces the witness) and the
+// saturated run holding it from one sorted two-pointer pass.
 func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (depth int, at int32, run span, ok bool) {
 	starts, ends := p.sbuf[:0], p.ebuf[:0]
 	for h := ls.heads[k]; h != 0; h = p.chunks[h].prev {
@@ -178,36 +181,6 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (dep
 	p.sbuf, p.ebuf = starts, ends
 	if len(starts) == 0 {
 		return 0, 0, span{}, false
-	}
-	// Small sweeps — the common case with shards sized to a handful of jobs
-	// — skip the sorts: the maximum closed depth is attained at some clipped
-	// start point, so a direct quadratic evaluation over the parallel
-	// start/end arrays is exact and cheaper than sorting them. The
-	// first saturated point (depth >= thresh) ends the evaluation and falls
-	// through to the full sweep, which recomputes the maximum from scratch and
-	// additionally extracts the saturated run.
-	if len(starts) <= smallSweep {
-		saturated := false
-		for i := range starts {
-			pt := starts[i].t
-			d := 0
-			for k := range starts {
-				if starts[k].t <= pt && pt <= ends[k].t {
-					d += int(starts[k].d)
-				}
-			}
-			if d >= thresh {
-				saturated = true
-				break
-			}
-			if d > depth || (d == depth && pt < at) {
-				depth, at = d, pt
-			}
-		}
-		if !saturated {
-			return depth, at, span{}, false
-		}
-		depth, at = 0, 0
 	}
 	sortEvents(starts)
 	sortEvents(ends)
@@ -253,9 +226,9 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (dep
 }
 
 // sortEvents orders sweep events by coordinate. Up to smallSweep events —
-// every saturated small sweep — an inline insertion sort beats SortFunc's
-// comparator calls; the sweep's result does not depend on how equal
-// coordinates are ordered.
+// most sweeps, with shards sized to a handful of jobs — an inline insertion
+// sort beats SortFunc's comparator calls; the sweep's result does not depend
+// on how equal coordinates are ordered.
 func sortEvents(ev []shardEvent) {
 	if len(ev) > smallSweep {
 		slices.SortFunc(ev, func(a, b shardEvent) int { return cmp.Compare(a.t, b.t) })

@@ -302,8 +302,10 @@ func FuzzLoadShardsMatchesBrute(f *testing.F) {
 
 // TestShardOracleSeedsReachTheirCases pins what each seed of
 // FuzzLoadShardsMatchesBrute is there for: several shards on every axis,
-// more than shardJobTarget inserted jobs in the first, unit demands in the
-// second, and in the third an axis past 2¹⁶ distinct endpoints at stride 2.
+// more than shardJobTarget inserted jobs in the first, and shard sweeps
+// both within and past smallSweep events there, so both branches of
+// sortEvents run; unit demands in the second, and in the third an axis past
+// 2¹⁶ distinct endpoints at stride 2.
 func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 	for i, tc := range shardOracleSeeds {
 		in := tc.instance()
@@ -316,6 +318,9 @@ func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 			if tc.n <= shardJobTarget {
 				t.Errorf("seed 0 inserts %d jobs, not past shardJobTarget %d", tc.n, shardJobTarget)
 			}
+			if least, most := sweepEvents(tc); least > smallSweep || most <= smallSweep {
+				t.Errorf("seed 0 sweeps %d to %d events; want both sides of smallSweep %d", least, most, smallSweep)
+			}
 		case 1:
 			if tc.maxDemand != 1 {
 				t.Errorf("seed 1 has demands up to %d; the MaxDepthWithin check needs unit demands", tc.maxDemand)
@@ -326,6 +331,82 @@ func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSweepWitnessIsLowestMaximum pins which witness the oracle reports:
+// the lowest endpoint inside the window at which the depth attains its
+// maximum, with the saturated run holding it. Verdicts do not depend on the
+// choice, but witnesses and runs feed the hint list and the bitmap, so
+// another choice would change the kernel's work. Checked on the first two
+// seeds of FuzzLoadShardsMatchesBrute, with brute-force depths per endpoint.
+func TestSweepWitnessIsLowestMaximum(t *testing.T) {
+	for _, tc := range shardOracleSeeds[:2] {
+		in := tc.instance()
+		h := newShardHarness(in)
+		next := splitmix(^tc.seed)
+		pointDepth := make([]int, len(h.times))
+		index := func(x float64) int {
+			p, _ := slices.BinarySearch(h.times, x)
+			return p
+		}
+		for step := 0; step < tc.n; step++ {
+			h.add(step)
+			job := in.Jobs[step]
+			for p := index(job.Iv.Start); p <= index(job.Iv.End); p++ {
+				pointDepth[p] += job.Demand
+			}
+			q := min(int(next()*float64(in.N())), in.N()-1)
+			w := in.Jobs[q].Iv
+			lo, hi := index(w.Start), index(w.End)
+			lowest := lo + slices.Index(pointDepth[lo:hi+1], slices.Max(pointDepth[lo:hi+1]))
+			depth, at, run, ok := h.maxDepthRun(q, tc.thresh)
+			if depth > 0 && at != h.times[lowest] {
+				t.Fatalf("seed %d step %d: witness %v, want the lowest maximum %v (depth %d)", tc.seed, step, at, h.times[lowest], depth)
+			}
+			if ok && !run.Contains(at) {
+				t.Fatalf("seed %d step %d: run %v does not hold the witness %v", tc.seed, step, run, at)
+			}
+		}
+	}
+}
+
+// sweepEvents replays checkShardsAgainstBrute's insertions and queries for
+// tc and returns the smallest and the largest event count of the non-empty
+// shard sweeps they run: per shard of a query window's shard range, the
+// inserted jobs overlapping the window clipped to the shard's tile, counted
+// by brute force.
+func sweepEvents(tc shardOracleCase) (least, most int) {
+	in := tc.instance()
+	ia := in.timeAxis()
+	next := splitmix(^tc.seed)
+	least = math.MaxInt
+	for step := 0; step < tc.n; step++ {
+		q := min(int(next()*float64(in.N())), in.N()-1)
+		w := ia.jobSpan(q)
+		slo, shi := ia.shardRange(ia.buckets(w))
+		for k := slo; k <= shi; k++ {
+			sub := w
+			if k > slo {
+				sub.start = max(sub.start, ia.shardStart(k))
+			}
+			if k < shi {
+				sub.end = min(sub.end, ia.shardEnd(k))
+			}
+			if sub.start > sub.end {
+				continue
+			}
+			events := 0
+			for i := 0; i <= step; i++ {
+				if ia.jobSpan(i).overlaps(sub) {
+					events++
+				}
+			}
+			if events > 0 {
+				least, most = min(least, events), max(most, events)
+			}
+		}
+	}
+	return least, most
 }
 
 // instance generates tc's n+extra jobs.

@@ -22,16 +22,64 @@ const (
 	NextFit
 )
 
+// orderBlock is the number of job records ApplyOrder gathers before placing
+// them: 256 records, 8 KiB, held in the arena. A fixed block keeps the
+// gathered reads overlapping without a retained per-job table.
+const orderBlock = 256
+
 // Apply places job index j by rule r and returns the machine.
 func (s *Schedule) Apply(r Rule, j int) int {
+	rec := s.record(j)
+	return s.apply(r, &rec)
+}
+
+// apply is Apply on a job record.
+func (s *Schedule) apply(r Rule, rec *jobRec) int {
 	switch r {
 	case BestFit:
-		return s.BestFit(j)
+		return s.bestFit(rec)
 	case NextFit:
-		return s.NextFit(j)
+		return s.nextFit(rec)
 	default:
-		return s.FirstFitAssign(j)
+		return s.firstFit(rec)
 	}
+}
+
+// ApplyOrder places the jobs of order, in sequence, by rule r: the same
+// placements, machines and span deltas as calling Apply(r, j) for each j.
+// It gathers the records of orderBlock jobs at a time before placing them,
+// so the random reads of each job's fields overlap in one tight loop and
+// the placements read one sequential record per job. It panics like Apply
+// on a sealed schedule or a job placed twice; a job already placed before
+// its block is refused while the block is gathered.
+func (s *Schedule) ApplyOrder(r Rule, order []int32) {
+	s.refuseSealed()
+	if s.block == nil {
+		s.block = new([orderBlock]jobRec)
+	}
+	for len(order) > 0 {
+		blk := s.gather(order[:min(len(order), orderBlock)])
+		for i := range blk {
+			s.apply(r, &blk[i])
+		}
+		order = order[len(blk):]
+	}
+}
+
+// gather fills the schedule's record block with the records of order's
+// jobs (at most orderBlock of them), refusing a job that is already placed,
+// and returns the filled part.
+func (s *Schedule) gather(order []int32) []jobRec {
+	blk := s.block[:len(order)]
+	jobs, ranks, assign := s.inst.Jobs, s.ia.ranks, s.assign
+	for i, j := range order {
+		if m := assign[j]; m != Unassigned {
+			panicAssigned(int(j), m)
+		}
+		job := &jobs[j]
+		blk[i] = jobRec{iv: job.Iv, w: span{ranks[2*j], ranks[2*j+1]}, demand: int32(job.Demand), j: j}
+	}
+	return blk
 }
 
 // NextFit places job index j on the kernel's single open machine, opening a
@@ -40,13 +88,19 @@ func (s *Schedule) Apply(r Rule, j int) int {
 // closed, so the first call always opens machine 0 and a recycled schedule
 // resets it for free.
 func (s *Schedule) NextFit(j int) int {
+	r := s.record(j)
+	return s.nextFit(&r)
+}
+
+// nextFit is NextFit on a job record.
+func (s *Schedule) nextFit(r *jobRec) int {
 	if s.cursor != Unassigned {
-		lo, hi := s.jobBuckets(j)
-		if s.tryAssign(j, s.cursor, lo, hi) {
+		lo, hi := s.ia.buckets(r.w)
+		if s.tryAssign(r, s.cursor, lo, hi) {
 			return s.cursor
 		}
 	}
-	s.cursor = s.AssignNew(j)
+	s.cursor = s.assignNew(r)
 	return s.cursor
 }
 
@@ -66,11 +120,17 @@ func (s *Schedule) NextFit(j int) int {
 // Both prunings only skip machines the naive scan would also discard, so the
 // produced schedule is byte-identical to probing every machine in order.
 func (s *Schedule) BestFit(j int) int {
-	m := s.BestFitProbe(j)
+	r := s.record(j)
+	return s.bestFit(&r)
+}
+
+// bestFit is BestFit on a job record.
+func (s *Schedule) bestFit(r *jobRec) int {
+	m := s.bestFitProbe(r)
 	if m == Unassigned {
-		return s.AssignNew(j)
+		return s.assignNew(r)
 	}
-	s.Assign(j, m)
+	s.put(r, m)
 	return m
 }
 
@@ -78,13 +138,18 @@ func (s *Schedule) BestFit(j int) int {
 // BestFit would choose, or Unassigned when no machine fits. Callers that
 // need to veto or record the decision place it themselves via Assign.
 func (s *Schedule) BestFitProbe(j int) int {
-	job := s.inst.Jobs[j]
+	r := s.record(j)
+	return s.bestFitProbe(&r)
+}
+
+// bestFitProbe is BestFitProbe on a job record.
+func (s *Schedule) bestFitProbe(r *jobRec) int {
 	nm := len(s.machines)
 	bestM, bestDelta := -1, 0.0
 	if nm == 0 {
 		return Unassigned
 	}
-	lo, hi := s.jobBuckets(j)
+	lo, hi := s.ia.buckets(r.w)
 	for wi := 0; wi*64 < nm; wi++ {
 		free := ^s.index.blockedWord(wi, lo, hi)
 		for free != 0 {
@@ -94,18 +159,18 @@ func (s *Schedule) BestFitProbe(j int) int {
 				break
 			}
 			st := &s.machines[m]
-			if bestM >= 0 && bestDelta <= job.Iv.Len() &&
-				(len(st.jobs) == 0 || !job.Iv.Overlaps(st.hull)) {
+			if bestM >= 0 && bestDelta <= r.iv.Len() &&
+				(len(st.jobs) == 0 || !r.iv.Overlaps(st.hull)) {
 				// A disjoint (or empty) machine's delta is exactly the job
 				// length; it cannot beat the held candidate. The bestDelta
 				// guard keeps the skip sound even if floating point ever
 				// reported a candidate delta above the length.
 				continue
 			}
-			if !s.canAssign(j, m, lo, hi) {
+			if !s.canAssign(r, m, lo, hi) {
 				continue
 			}
-			delta := st.spans.Delta(job.Iv)
+			delta := st.spans.Delta(r.iv)
 			if bestM < 0 || delta < bestDelta {
 				bestM, bestDelta = m, delta
 			}

@@ -52,6 +52,9 @@ type Schedule struct {
 	// remain valid — Verify in particular re-derives loads independently of
 	// the oracles.
 	sealed bool
+	// block is the record buffer ApplyOrder gathers into: the arena's for
+	// schedules drawn from a Scratch, allocated on first use otherwise.
+	block *[orderBlock]jobRec
 	// spanLog, when armed via Scratch.ArmSpanLog, records every placement's
 	// span-union delta in placement order until EndSpanLog. The
 	// decomposition layer's stitch merge replays these deltas in the global
@@ -139,7 +142,7 @@ func blankSchedule(inst *Instance, sc *Scratch) *Schedule {
 	for i := range assign {
 		assign[i] = Unassigned
 	}
-	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned}
+	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned, block: &sc.block}
 	if sc.armed {
 		s.spanLog, s.logSpans = sc.pendingLog, true
 		sc.pendingLog, sc.armed = nil, false
@@ -201,16 +204,33 @@ func (s *Schedule) OpenMachine() int {
 	return m
 }
 
-// jobBuckets returns the axis bucket overlap range of job j's window, or an
-// empty range on a degenerate axis, by arithmetic on the job's span, so the
-// hot path never searches the axis. Every capacity probe and placement
-// starts here, so this is also where sealed schedules, which have no axis
-// attached, refuse them.
-func (s *Schedule) jobBuckets(j int) (lo, hi int) {
+// jobRec is one job as the placement kernel reads it — the float interval
+// (hull and span-union bookkeeping), the rank span (capacity oracle), the
+// demand and the job's index — packed into 32 bytes. The per-index entry
+// points build it once per call; ApplyOrder gathers blocks of them in
+// processing order, so a placement reads one sequential record instead of
+// the instance's job slice and the axis's rank array at random.
+type jobRec struct {
+	iv     interval.Interval
+	w      span
+	demand int32
+	j      int32
+}
+
+// record builds job index j's kernel record. Every per-index probe and
+// placement starts here, so this is also where sealed schedules, which have
+// no axis attached, refuse them.
+func (s *Schedule) record(j int) jobRec {
+	s.refuseSealed()
+	job := &s.inst.Jobs[j]
+	return jobRec{iv: job.Iv, w: s.ia.jobSpan(j), demand: int32(job.Demand), j: int32(j)}
+}
+
+// refuseSealed panics on a sealed schedule (see Schedule.sealed).
+func (s *Schedule) refuseSealed() {
 	if s.sealed {
 		panic("core: capacity probe or placement on a sealed schedule")
 	}
-	return s.ia.buckets(s.ia.jobSpan(j))
 }
 
 // CanAssign reports whether job index j fits on machine m without violating
@@ -223,26 +243,26 @@ func (s *Schedule) jobBuckets(j int) (lo, hi int) {
 // to the oracle and get rejected record the rejection's witness point, so
 // repeated probing of a saturated machine converges to O(1).
 func (s *Schedule) CanAssign(j, m int) bool {
-	lo, hi := s.jobBuckets(j)
-	return s.canAssign(j, m, lo, hi)
+	r := s.record(j)
+	lo, hi := s.ia.buckets(r.w)
+	return s.canAssign(&r, m, lo, hi)
 }
 
-// canAssign is CanAssign with job j's axis bucket range precomputed.
-func (s *Schedule) canAssign(j, m, lo, hi int) bool {
-	job := s.inst.Jobs[j]
+// canAssign is CanAssign on a job record with its axis bucket range
+// precomputed.
+func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) bool {
 	st := &s.machines[m]
-	g := s.inst.G
-	if len(st.jobs) == 0 || !job.Iv.Overlaps(st.hull) {
-		return job.Demand <= g
+	g, d := s.inst.G, int(r.demand)
+	if len(st.jobs) == 0 || !r.iv.Overlaps(st.hull) {
+		return d <= g
 	}
-	if st.peak+job.Demand <= g {
+	if st.peak+d <= g {
 		return true
 	}
-	w := s.ia.jobSpan(j)
-	if st.hotRejects(w, job.Demand, g) {
+	if st.hotRejects(r.w, d, g) {
 		return false
 	}
-	_, ok := s.query(st, m, w, job.Demand, lo, hi)
+	_, ok := s.query(st, m, r.w, d, lo, hi)
 	return ok
 }
 
@@ -320,14 +340,19 @@ func (st *machineState) noteHot(at int32, depth int) {
 // oracle: a job overlapping the busy hull can raise the true peak by at most
 // its demand. TryAssign is the path that keeps peak exact for free.
 func (s *Schedule) Assign(j, m int) {
-	lo, hi := s.jobBuckets(j)
+	r := s.record(j)
+	s.put(&r, m)
+}
+
+// put is Assign on a job record.
+func (s *Schedule) put(r *jobRec, m int) {
+	lo, hi := s.ia.buckets(r.w)
 	st := &s.machines[m]
-	job := s.inst.Jobs[j]
 	used := 0
-	if len(st.jobs) > 0 && job.Iv.Overlaps(st.hull) {
+	if len(st.jobs) > 0 && r.iv.Overlaps(st.hull) {
 		used = st.peak
 	}
-	s.insert(st, j, m, used, lo, hi)
+	s.insert(st, r, m, used, lo, hi)
 }
 
 // TryAssign atomically checks capacity and, when job index j fits machine m,
@@ -336,30 +361,30 @@ func (s *Schedule) Assign(j, m int) {
 // between the check and the hint update), and most probes resolve on the
 // hints alone.
 func (s *Schedule) TryAssign(j, m int) bool {
-	lo, hi := s.jobBuckets(j)
-	return s.tryAssign(j, m, lo, hi)
+	r := s.record(j)
+	lo, hi := s.ia.buckets(r.w)
+	return s.tryAssign(&r, m, lo, hi)
 }
 
-// tryAssign is TryAssign with job j's axis bucket range precomputed, so
-// FirstFitAssign resolves the range once per job instead of once per probe.
-func (s *Schedule) tryAssign(j, m, lo, hi int) bool {
+// tryAssign is TryAssign on a job record with its axis bucket range
+// precomputed, so a scan resolves the range once per job instead of once
+// per probe.
+func (s *Schedule) tryAssign(r *jobRec, m, lo, hi int) bool {
 	st := &s.machines[m]
-	job := s.inst.Jobs[j]
-	g := s.inst.G
-	if len(st.jobs) == 0 || !job.Iv.Overlaps(st.hull) {
-		if job.Demand > g {
+	g, d := s.inst.G, int(r.demand)
+	if len(st.jobs) == 0 || !r.iv.Overlaps(st.hull) {
+		if d > g {
 			return false
 		}
-		s.insert(st, j, m, 0, lo, hi)
+		s.insert(st, r, m, 0, lo, hi)
 		return true
 	}
-	w := s.ia.jobSpan(j)
-	if st.peak+job.Demand > g && st.hotRejects(w, job.Demand, g) {
+	if st.peak+d > g && st.hotRejects(r.w, d, g) {
 		return false
 	}
-	used, ok := s.query(st, m, w, job.Demand, lo, hi)
+	used, ok := s.query(st, m, r.w, d, lo, hi)
 	if ok {
-		s.insert(st, j, m, used, lo, hi)
+		s.insert(st, r, m, used, lo, hi)
 	}
 	return ok
 }
@@ -371,10 +396,16 @@ func (s *Schedule) tryAssign(j, m, lo, hi int) bool {
 // that accepts. The pruning is sound, so the produced schedule is
 // byte-identical to probing every machine in order.
 func (s *Schedule) FirstFitAssign(j int) int {
-	if m := s.lowestFit(j, true); m != Unassigned {
+	r := s.record(j)
+	return s.firstFit(&r)
+}
+
+// firstFit is FirstFitAssign on a job record.
+func (s *Schedule) firstFit(r *jobRec) int {
+	if m := s.lowestFit(r, true); m != Unassigned {
 		return m
 	}
-	return s.AssignNew(j)
+	return s.assignNew(r)
 }
 
 // FirstFitProbe returns the machine FirstFitAssign would choose among the
@@ -383,13 +414,16 @@ func (s *Schedule) FirstFitAssign(j int) int {
 // FirstFitAssign's bitmap-pruned scan with capacity checks in place of
 // placements; the reconciliation pass of the time-sharding layer drives it
 // against live shard schedules.
-func (s *Schedule) FirstFitProbe(j int) int { return s.lowestFit(j, false) }
+func (s *Schedule) FirstFitProbe(j int) int {
+	r := s.record(j)
+	return s.lowestFit(&r, false)
+}
 
-// lowestFit scans the open machines for the lowest-indexed one that fits job
-// j, placing the job there when place is set, and returns it (Unassigned
-// when none fits).
-func (s *Schedule) lowestFit(j int, place bool) int {
-	lo, hi := s.jobBuckets(j)
+// lowestFit scans the open machines for the lowest-indexed one that fits the
+// job of r, placing the job there when place is set, and returns it
+// (Unassigned when none fits).
+func (s *Schedule) lowestFit(r *jobRec, place bool) int {
+	lo, hi := s.ia.buckets(r.w)
 	nm := len(s.machines)
 	for wi := 0; wi*64 < nm; wi++ {
 		free := ^s.index.blockedWord(wi, lo, hi)
@@ -398,7 +432,7 @@ func (s *Schedule) lowestFit(j int, place bool) int {
 			if m >= nm {
 				break
 			}
-			if s.fitsAt(j, m, lo, hi, place) {
+			if s.fitsAt(r, m, lo, hi, place) {
 				return m
 			}
 			free &= free - 1
@@ -407,13 +441,13 @@ func (s *Schedule) lowestFit(j int, place bool) int {
 	return Unassigned
 }
 
-// fitsAt probes job j on machine m, placing it there on success when place
-// is set.
-func (s *Schedule) fitsAt(j, m, lo, hi int, place bool) bool {
+// fitsAt probes the job of r on machine m, placing it there on success when
+// place is set.
+func (s *Schedule) fitsAt(r *jobRec, m, lo, hi int, place bool) bool {
 	if place {
-		return s.tryAssign(j, m, lo, hi)
+		return s.tryAssign(r, m, lo, hi)
 	}
-	return s.canAssign(j, m, lo, hi)
+	return s.canAssign(r, m, lo, hi)
 }
 
 // EndSpanLog stops the span-delta log the schedule was created with
@@ -436,44 +470,57 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 	return s.machines[m].spans.AppendTo(dst)
 }
 
-// insert performs the bookkeeping of placing job index j on machine state st
-// (machine index m): shard copies, assignment map, and the hint updates.
+// insert performs the bookkeeping of placing the job of r on machine state
+// st (machine index m): shard copies, assignment map, and the hint updates.
 // used must be at least the machine's maximum load within the job's window
 // before insertion (exact keeps peak exact; an upper bound keeps it sound).
 // lo/hi is the job's axis bucket range.
-func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
+func (s *Schedule) insert(st *machineState, r *jobRec, m, used, lo, hi int) {
+	j := int(r.j)
 	if s.assign[j] != Unassigned {
-		panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, s.assign[j]))
+		panicAssigned(j, s.assign[j])
 	}
-	job, w := s.inst.Jobs[j], s.ia.jobSpan(j)
+	d := int(r.demand)
 	slo, shi := s.ia.shardRange(lo, hi)
-	st.shards.add(s.pool, w, job.Demand, slo, shi)
+	st.shards.add(s.pool, r.w, d, slo, shi)
 	if len(st.jobs) == 0 {
-		st.hull = job.Iv
+		st.hull = r.iv
 	} else {
-		st.hull = st.hull.Hull(job.Iv)
+		st.hull = st.hull.Hull(r.iv)
 	}
 	st.jobs = append(st.jobs, j)
-	if used+job.Demand > st.peak {
-		st.peak = used + job.Demand
+	if used+d > st.peak {
+		st.peak = used + d
 	}
 	for i := 0; i < st.nhot; i++ {
-		if w.contains(st.hot[i].at) {
-			st.hot[i].depth += int32(job.Demand)
+		if r.w.contains(st.hot[i].at) {
+			st.hot[i].depth += r.demand
 		}
 	}
-	d := st.spans.Add(job.Iv)
-	s.totalBusy += d
+	delta := st.spans.Add(r.iv)
+	s.totalBusy += delta
 	if s.logSpans {
-		s.spanLog = append(s.spanLog, d)
+		s.spanLog = append(s.spanLog, delta)
 	}
 	s.assign[j] = m
 }
 
+// panicAssigned reports a placement of job index j, which machine m already
+// holds.
+func panicAssigned(j, m int) {
+	panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, m))
+}
+
 // AssignNew opens a fresh machine for job index j and returns the machine.
 func (s *Schedule) AssignNew(j int) int {
+	r := s.record(j)
+	return s.assignNew(&r)
+}
+
+// assignNew is AssignNew on a job record.
+func (s *Schedule) assignNew(r *jobRec) int {
 	m := s.OpenMachine()
-	s.Assign(j, m)
+	s.put(r, m)
 	return m
 }
 

@@ -33,6 +33,8 @@ type Scratch struct {
 	// placements land in the caller-provided buffer.
 	pendingLog []float64
 	armed      bool
+	// block is the live schedule's ApplyOrder record buffer.
+	block [orderBlock]jobRec
 }
 
 // ScratchStats summarizes the arena traffic of a Scratch.

@@ -177,6 +177,14 @@ func TestFirstFitAssignZeroAllocSteadyState(t *testing.T) {
 	if after := sc.Stats().SetupAllocs; after != before {
 		t.Fatalf("warm run performed %d arena setup allocations; want 0", after-before)
 	}
+	// The ordered entry point gathers into the arena's record block, so a
+	// warm ordered run allocates nothing either.
+	order := in.LengthOrder()
+	ordered := func() { sc.NewSchedule(in).ApplyOrder(LowestFit, order) }
+	ordered()
+	if allocs := testing.AllocsPerRun(5, ordered); allocs != 0 {
+		t.Fatalf("warm ordered FirstFit allocated %v times per run; want 0", allocs)
+	}
 }
 
 // TestScratchZeroAllocAcrossShrinkingInstances checks the arena's sizing

@@ -39,10 +39,12 @@
 //
 // Decomposition is purely opportunistic: Solve declines (returning a nil
 // schedule) when the instance is a single component and sharding is off or
-// inapplicable, or when no spare arenas are available, and the caller then
-// takes the plain sequential path. Results therefore never depend on worker
-// count or pool pressure — only latency does (and, under sharding, on the
-// shard count the caller fixed).
+// inapplicable, or when the chunk path finds no spare arena, and the caller
+// then takes the plain sequential path. The shard path never declines for
+// want of arenas: it cuts the shards from the instance alone and solves the
+// ones no idle arena covers on the calling goroutine. Results therefore
+// never depend on worker count or pool pressure — only latency does (and,
+// under sharding, on the shard count the caller fixed).
 package decomp
 
 import (
@@ -174,13 +176,16 @@ type Runner struct {
 	capSlot  []int32
 
 	// Time-sharding state: per-boundary crossing and start counts, the
-	// chosen cut times, captured per-machine busy totals, and the per-shard
-	// arenas (scs[0] is the caller's).
+	// chosen cut times, captured per-machine busy totals, the per-shard
+	// arenas (scs[0] is the caller's, then the leased ones, then the
+	// runner's own), and the arenas the runner keeps for shards no leased
+	// arena covers.
 	bcross []int32
 	bstart []int32
 	cuts   []float64
 	totals []float64
 	scs    []*core.Scratch
+	own    []*core.Scratch
 
 	// Resident worker pool: an unbuffered channel the (lazily spawned)
 	// worker goroutines range over. started counts spawned goroutines; a
@@ -248,12 +253,14 @@ func extend[T any](buf []T, n int) []T {
 // With shards ≥ 2, when the algorithm declares a ShardRule and the sweep
 // finds a single or dominant component (the regime where component
 // parallelism starves), Solve instead cuts the time axis at up to shards−1
-// low-crossing boundaries, solves the shards concurrently on leased arenas,
+// low-crossing boundaries, solves the shards — concurrently on the arenas
+// the lease finds idle, in turn on the calling goroutine for the rest —
 // reconciles the withheld crossing jobs sequentially by the declared rule,
 // and merges the shards onto disjoint machine ranges. Sharded schedules are
 // feasible but not bitwise-identical to sequential; Stats.Shards > 0 tells
-// the caller which path ran. Whenever sharding is inapplicable — axis too
-// coarse, too many crossing jobs, no arenas — Solve falls back to the chunk
+// the caller which path ran, and it depends on the instance and shards
+// alone, never on which arenas are idle. Whenever sharding is inapplicable
+// — axis too coarse, too many crossing jobs — Solve falls back to the chunk
 // path under the bitwise contract.
 //
 // A nil schedule with a nil error means Solve declined — single component
@@ -659,10 +666,11 @@ func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int
 	return asm.Finish()
 }
 
-// runSharded is the time-sharding path. It returns ok == false (after
-// releasing any leased arenas) when sharding is inapplicable and the caller
-// should fall back to the chunk path: axis too coarse, not enough arenas,
-// no low-crossing cuts, or too many crossing jobs.
+// runSharded is the time-sharding path. It returns ok == false when
+// sharding is inapplicable and the caller should fall back to the chunk
+// path: axis too coarse, no low-crossing cuts, or too many crossing jobs.
+// Those verdicts and the cuts depend on the instance alone; the pool only
+// decides how many shards run concurrently.
 func (r *Runner) runSharded(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, shards int, st *Stats) (*core.Schedule, error, bool) {
 	n := in.N()
 	ax := in.TimeAxis()
@@ -673,14 +681,9 @@ func (r *Runner) runSharded(ctx context.Context, in *core.Instance, d *algo.Deco
 	if want < 2 {
 		return nil, nil, false
 	}
-	extras := r.lease(pool, want-1)
-	if len(extras) == 0 {
-		return nil, nil, false
-	}
-	defer r.release(pool)
 
 	t0 := time.Now()
-	cuts := r.selectCuts(in, ax, len(extras)+1)
+	cuts := r.selectCuts(in, ax, want)
 	k := len(cuts) + 1
 	// Every crossing job is placed by the sequential reconcile pass; past a
 	// quarter of the instance that pass dominates and sharding cannot pay.
@@ -700,15 +703,27 @@ func (r *Runner) runSharded(ctx context.Context, in *core.Instance, d *algo.Deco
 	st.Shards, st.Crossing = k, crossing
 	st.Sizes, st.Times = r.sizes[:k], r.times[:k]
 
-	// Solve the shards 1:1 on caller + leased arenas, so every shard's
-	// schedule is still live (queryable and growable) for reconciliation.
-	r.scs = append(append(r.scs[:0], sc), extras[:k-1]...)
+	// Every shard's schedule must stay live (queryable and growable) for
+	// reconciliation, so each shard gets an arena of its own: the caller's,
+	// the spares the lease finds idle, and the runner's own for the rest.
+	// The leased shards run concurrently; the caller solves its shard and
+	// the runner-held ones in turn, so concurrency stays within the pool.
+	extras := r.lease(pool, k-1)
+	defer r.release(pool)
+	rest := k - 1 - len(extras)
+	for len(r.own) < rest {
+		r.own = append(r.own, new(core.Scratch))
+	}
+	r.scs = append(append(append(r.scs[:0], sc), extras...), r.own[:rest]...)
 	defer func() { r.scs = r.scs[:0] }()
 	t0 = time.Now()
 	r.ctx, r.in, r.d = ctx, in, d
-	st.Workers = k
-	r.dispatch(k-1, true)
+	st.Workers = 1 + len(extras)
+	r.dispatch(len(extras), true)
 	r.solve("shard", 0, sc)
+	for u := 1 + len(extras); u < k; u++ {
+		r.solve("shard", u, r.scs[u])
+	}
 	r.wg.Wait()
 	r.ctx, r.in, r.d = nil, nil, nil
 	st.Solve = time.Since(t0)

@@ -155,16 +155,54 @@ func TestShardedDeclines(t *testing.T) {
 		t.Fatalf("crossing-heavy: got schedule=%v err=%v shards=%d, want decline", s, err, st.Shards)
 	}
 
-	// Empty pool: no leased arena, no shard workers.
-	if s, st, err := r.Solve(ctx, denseInstance(2), ff, new(core.Scratch), newPool(0), 1, 4); s != nil || err != nil || st.Shards != 0 {
-		t.Fatalf("empty pool: got schedule=%v err=%v shards=%d, want decline", s, err, st.Shards)
-	}
-
 	// Multi-component instance without a dominant component: sharding defers
 	// to component parallelism (which here is off via budget 1).
 	multi := generator.Clustered(2, 6, 100, 3, 10, 4)
 	if s, st, err := r.Solve(ctx, multi, ff, new(core.Scratch), newPool(3), 1, 4); s != nil || err != nil || st.Shards != 0 {
 		t.Fatalf("multi-component: got schedule=%v err=%v shards=%d, want decline (components=%d)", s, err, st.Shards, st.Components)
+	}
+}
+
+// TestShardedSolveIgnoresIdleArenas pins that a sharded solve depends on
+// the instance alone, not on which arenas are idle: one single-component
+// instance solved with the pool full, with one spare left and with the pool
+// drained must cut the same shards and produce the same schedule, and only
+// the concurrency (Stats.Workers) may differ.
+func TestShardedSolveIgnoresIdleArenas(t *testing.T) {
+	ctx := context.Background()
+	in := denseInstance(5)
+	for _, name := range []string{"firstfit", "bestfit"} {
+		a, ok := algo.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		r := NewRunner()
+		pool := newPool(3)
+		full, fst, err := r.Solve(ctx, in, a.Decompose, new(core.Scratch), pool, 1, 4)
+		if err != nil || full == nil || fst.Shards < 2 {
+			t.Fatalf("%s, full pool: schedule=%v err=%v shards=%d, want a sharded run", name, full, err, fst.Shards)
+		}
+		if fst.Workers != fst.Shards {
+			t.Fatalf("%s, full pool: %d workers for %d shards", name, fst.Workers, fst.Shards)
+		}
+		for _, spares := range []int{1, 0} {
+			label := fmt.Sprintf("%s, %d spare arenas", name, spares)
+			few := newPool(spares)
+			got, st, err := r.Solve(ctx, in, a.Decompose, new(core.Scratch), few, 1, 4)
+			if err != nil || got == nil {
+				t.Fatalf("%s: schedule=%v err=%v, want a sharded run", label, got, err)
+			}
+			if st.Shards != fst.Shards || st.Crossing != fst.Crossing {
+				t.Fatalf("%s: %d shards, %d crossing; the full pool cut %d, %d", label, st.Shards, st.Crossing, fst.Shards, fst.Crossing)
+			}
+			if st.Workers != 1+spares {
+				t.Fatalf("%s: %d workers, want %d", label, st.Workers, 1+spares)
+			}
+			if len(few) != spares {
+				t.Fatalf("%s: pool holds %d arenas after the run", label, len(few))
+			}
+			assertSame(t, label, full, got)
+		}
 	}
 }
 

@@ -127,10 +127,12 @@ func (c *config) intraWorkers() int {
 // connected component. When the session's algorithm declares a shard rule
 // (see AlgorithmInfo.Shards), such an instance's time axis is cut at up to
 // k−1 low-crossing bucket boundaries, the resulting shards are solved
-// concurrently on idle arenas from the WithWorkers pool, and the jobs
-// crossing a cut are placed afterwards by a sequential reconciliation pass
-// driven by the algorithm's own placement rule against the live shard
-// schedules.
+// concurrently on the arenas of the WithWorkers pool that are idle (and in
+// turn on the calling goroutine for the rest), and the jobs crossing a cut
+// are placed afterwards by a sequential reconciliation pass driven by the
+// algorithm's own placement rule against the live shard schedules. The cuts
+// depend on the instance and k alone, so pool pressure changes how many
+// shards run at once, never the schedule.
 //
 // Unlike every other parallelism knob in this package, sharding CAN change
 // results: the sharded schedule is always feasible (WithVerify-clean) and
@@ -143,9 +145,9 @@ func (c *config) intraWorkers() int {
 // k = 0 means automatic (the full WithWorkers budget); k = 1 disables the
 // layer (the default); k ≥ 2 fixes the shard count. The layer declines
 // silently — falling back to the ordinary bitwise paths — whenever sharding
-// cannot pay: too few jobs, a degenerate time axis, too many crossing jobs,
-// or no idle arenas. New rejects the combination with WithFreshSchedules:
-// shard arenas only exist in arena mode.
+// cannot pay: too few jobs, a degenerate time axis or too many crossing
+// jobs. New rejects the combination with WithFreshSchedules: shard arenas
+// only exist in arena mode.
 func WithTimeSharding(k int) Option {
 	return func(c *config) {
 		if k < 0 {
