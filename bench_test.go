@@ -295,20 +295,21 @@ func BenchmarkBatchPortfolio(b *testing.B) {
 
 // The decompose–solve–merge path: one warm Solver session re-solving a
 // multi-component clustered instance. The Clustered100k ladder has ~100k
-// jobs across 16 time-disjoint clusters; the Many50k pair has the bench
-// ledger's offline-clustered shape, 4,167 clusters of 12 jobs (g 3, cluster
-// span 9, jobs at most 6 long), where chunks of many components keep the
-// per-unit schedule resets off the critical path. The Seq variants are the
-// plain sequential path; the Intra variants enable WithIntraWorkers so
-// chunks solve concurrently on the session's spare arenas. On a multi-core
-// host the ladder shows the intra-instance speedup; determinism is pinned
-// separately (the decomposed schedule is bitwise-identical, see
-// intra_test.go), so the bench only checks machine count. BENCH_6.json
-// records the measured Clustered100k numbers together with the host core
-// count — the scaling gate is only meaningful when GOMAXPROCS exceeds the
-// intra budget.
-func benchDecompClustered(b *testing.B, in *core.Instance, workers, intra int) {
-	opts := []busytime.Option{busytime.WithWorkers(workers)}
+// jobs across 16 time-disjoint clusters; the Many50k benches (FirstFit, the
+// session default, and BestFit) have the bench ledger's offline-clustered
+// shape, 4,167 clusters of 12 jobs (g 3, cluster span 9, jobs at most 6
+// long), where chunks of many components keep the per-unit schedule resets
+// off the critical path. The Seq variants are the plain sequential path;
+// the Intra variants enable WithIntraWorkers so chunks solve concurrently
+// on the session's spare arenas. Extra options (an algorithm) follow the
+// worker counts. On a multi-core host the ladder shows the intra-instance
+// speedup; determinism is pinned separately (the decomposed schedule is
+// bitwise-identical, see intra_test.go), so the bench only checks machine
+// count. BENCH_6.json records the measured Clustered100k numbers together
+// with the host core count — the scaling gate is only meaningful when
+// GOMAXPROCS exceeds the intra budget.
+func benchDecompClustered(b *testing.B, in *core.Instance, workers, intra int, extra ...busytime.Option) {
+	opts := append([]busytime.Option{busytime.WithWorkers(workers)}, extra...)
 	if intra != 1 {
 		opts = append(opts, busytime.WithIntraWorkers(intra))
 	}
@@ -336,7 +337,10 @@ func benchDecompClustered(b *testing.B, in *core.Instance, workers, intra int) {
 // clustered100k is the 16-cluster shape of the Clustered100k ladder.
 func clustered100k() *core.Instance { return generator.Clustered(7, 16, 6250, 4, 5000, 40) }
 
-// many50k is the bench ledger's offline-clustered shape at seed 1.
+// many50k is the bench ledger's offline-clustered shape at seed 1: 50,004
+// jobs in about 4.3k components. Two intra workers solve it as 32 chunks of
+// about 1.5k jobs and 135 components each, and a chunk run places its
+// components one after another, each in the algorithm's own order.
 func many50k() *core.Instance { return generator.Clustered(1, 4167, 12, 3, 9, 6) }
 
 func BenchmarkDecompClustered100kSeq(b *testing.B) { benchDecompClustered(b, clustered100k(), 1, 1) }
@@ -348,6 +352,12 @@ func BenchmarkDecompClustered100kIntra4(b *testing.B) {
 }
 func BenchmarkDecompMany50kSeq(b *testing.B)    { benchDecompClustered(b, many50k(), 1, 1) }
 func BenchmarkDecompMany50kIntra2(b *testing.B) { benchDecompClustered(b, many50k(), 2, 2) }
+func BenchmarkDecompMany50kBestFitSeq(b *testing.B) {
+	benchDecompClustered(b, many50k(), 1, 1, busytime.WithAlgorithm("bestfit"))
+}
+func BenchmarkDecompMany50kBestFitIntra2(b *testing.B) {
+	benchDecompClustered(b, many50k(), 2, 2, busytime.WithAlgorithm("bestfit"))
+}
 
 // The time-sharding ladder: one warm Solver session re-solving a dense
 // single-component instance (100k jobs, no positive-length gap anywhere) —

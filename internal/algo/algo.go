@@ -75,19 +75,22 @@ type Algorithm struct {
 // The greedy family qualifies under the identity mapping: components are
 // strictly time-disjoint, so during the sequential whole-instance run a
 // machine's jobs from other components never constrain a job's feasibility
-// or span delta — machine m's placements restricted to some components are
-// exactly a run over those components alone. Algorithms with cross-job
-// state that survives a component boundary (NextFit's cursor, local search's
-// move passes, dynamic lookahead buffers) do not qualify and leave Decompose
-// nil.
+// or span delta — a placement's machine and delta depend only on the
+// earlier placements of its own component, so any run over whole
+// components that keeps each component's order reproduces them. Algorithms
+// with cross-job state that survives a component boundary (NextFit's
+// cursor, local search's move passes, dynamic lookahead buffers) do not
+// qualify and leave Decompose nil.
 type Decomposer struct {
 	// Order returns the algorithm's global processing order as job indices
 	// (a cached instance order; the slice is not modified). nil means
 	// position order 0..n-1.
 	Order func(in *core.Instance) []int32
 	// RunComponent solves a chunk — one or more whole components, or a time
-	// shard — against the parent instance: order is the chunk's jobs as a
-	// subsequence of the global Order, and sc a worker-private arena. It
+	// shard — against the parent instance on sc, a worker-private arena. A
+	// chunk's order is component-major: its components one after another in
+	// start order, each holding its jobs in the global Order. A shard's
+	// order is its jobs as a subsequence of the global Order. RunComponent
 	// must leave its result as the live schedule of in drawn from sc, with
 	// one kernel placement per order entry, in order, on machines opened
 	// densely from 0. The layer checks the placement count against the
@@ -169,12 +172,15 @@ func RunGreedy(in *core.Instance, sc *core.Scratch, order []int32, rule core.Rul
 // GreedyDecomposer derives a greedy row's decomposition contract: each chunk
 // runs through RunGreedy on the arena it is handed, merged under the
 // identity mapping, with the row's rule as the time-sharding reconciliation
-// rule. The order restricted to a chunk is the chunk's own order, and a
-// machine's jobs from other (time-disjoint) components never change a
-// LowestFit probe or a BestFit argmin — such a machine's delta is the full
-// job length, the maximum, and it loses every tie to lower indices — so the
-// merged run equals the sequential one exactly. NextFit's cursor survives
-// component boundaries, so a NextFit row does not decompose and gets nil.
+// rule. A chunk receives its components one after another, each in the
+// row's order, so consecutive placements stay inside one component's time
+// window. A machine's jobs from other (time-disjoint) components never
+// change a LowestFit probe or a BestFit argmin — such a machine's delta is
+// the full job length, the maximum, and it loses every tie to lower indices
+// — so each placement depends only on the earlier ones of its component,
+// and the merged run equals the sequential one exactly. NextFit's cursor
+// survives component boundaries, so a NextFit row does not decompose and
+// gets nil.
 func GreedyDecomposer(order func(*core.Instance) []int32, rule core.Rule) *Decomposer {
 	shard := ShardLowestFit
 	switch rule {

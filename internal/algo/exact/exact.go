@@ -39,10 +39,13 @@ func init() {
 // Decomposer declares the branch and bound safe for the decomposition layer
 // with the given per-component job limit. A chunk is solved by solveOrder,
 // the function SolveWith runs on the whole instance, so the layer merely runs
-// the same per-component searches concurrently. Stacked merging offsets each
-// chunk's machines by the counts of the chunks before it, in start order —
-// exactly solveOrder's own stacking — and the position-order replay (Order
-// nil) reproduces SolveWith's placement order bit for bit.
+// the same per-component searches concurrently; solveOrder finds the
+// components by re-sorting its order by start, so the component-major order
+// a chunk receives yields the same components, checked in the same start
+// order. Stacked merging offsets each chunk's machines by the counts of the
+// chunks before it, in start order — exactly solveOrder's own stacking — and
+// the position-order replay (Order nil) reproduces SolveWith's placement
+// order bit for bit.
 func Decomposer(maxJobs int) *algo.Decomposer {
 	return &algo.Decomposer{
 		Stacked: true,

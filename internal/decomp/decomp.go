@@ -3,18 +3,27 @@
 // components of its interval graph (strictly time-disjoint sub-instances),
 // groups consecutive components into chunks of about equal job count, solves
 // the chunks concurrently on worker-private core.Scratch arenas, and merges
-// the per-chunk schedules back into one.
+// the per-chunk schedules back into one. Components are numbered in start
+// order and every job keeps its component id as its label. The algorithm's
+// global order is scattered component-major: each component's jobs form one
+// segment in the global order, segments follow in component order, and a
+// chunk is the contiguous run of its components' segments. A chunk run
+// therefore places its components one after another, and its consecutive
+// placements stay inside one component's time window.
 //
 // The merge is exact, not approximate. For the greedy family the mapping is
 // the identity (chunk machine j → global machine j): components never
 // overlap in time, so during the sequential whole-instance run the jobs
 // other components placed on a machine neither constrain a job's
 // feasibility nor change its span delta, and an inductive argument gives
-// that the global run restricted to a chunk's components is exactly the
-// chunk run — down to argmin ties, which other-component machines always
-// lose (their delta is the full job length, the maximum, and ties go to the
-// lowest index). Stacked decomposers (the exact solver) offset each chunk's
-// machines by the machine counts of the chunks before it instead.
+// that a placement's machine and span delta depend only on the earlier
+// placements of its own component — down to argmin ties, which
+// other-component machines always lose (their delta is the full job length,
+// the maximum, and ties go to the lowest index). Any interleaving of whole
+// components that keeps each component's order, the component-major chunk
+// order included, therefore reproduces the sequential machines and deltas.
+// Stacked decomposers (the exact solver) offset each chunk's machines by the
+// machine counts of the chunks before it instead.
 //
 // Every decomposer leaves its chunk as the live schedule on the arena it was
 // handed, one kernel placement per job, so one stitch merge serves them all:
@@ -146,19 +155,24 @@ func worker(ch chan workItem) {
 }
 
 // Runner owns the recyclable state of the decomposition layer: component and
-// chunk labels, the scattered per-unit processing orders, machines and span
-// deltas, the capture buffers and the scheduling/merge bookkeeping. A unit
-// is what one RunComponent call solves: a chunk, or a time shard. A warm
+// shard labels, the scattered processing order, machines and span deltas,
+// the capture buffers and the scheduling/merge bookkeeping. A bucket is a
+// label value — a component on the chunk path, a shard or the crossing jobs
+// on the shard path — and owns one segment of suborder. A unit is what one
+// RunComponent call solves: a chunk (a run of consecutive components, so one
+// contiguous range of suborder), or a time shard. A warm
 // Runner re-serving an instance shape performs no allocations; like a
 // core.Scratch it must not be shared between goroutines (the resident
 // workers it dispatches to coordinate through it, but at most one Solve is
 // live at a time).
 type Runner struct {
-	labels   []int32   // job position → component id, then chunk id
+	labels   []int32   // job position → component id (start order)
 	slabels  []int32   // job position → shard id (crossing jobs get id = shards)
 	offsets  []int32   // bucket id → start of its segment in suborder
 	cursor   []int32   // per-bucket scatter/replay cursors
-	sizes    []int32   // bucket id → job count
+	unitOf   []int32   // bucket id → the unit that solves it
+	bounds   []int32   // unit id → start of its range in suborder
+	sizes    []int32   // unit id → job count
 	suborder []int32   // global order scattered bucket-major
 	localm   []int32   // unit-local machine per suborder position
 	deltas   []float64 // span delta per suborder position (the span logs)
@@ -292,10 +306,10 @@ func (r *Runner) Solve(ctx context.Context, in *core.Instance, d *algo.Decompose
 	return s, st, err
 }
 
-// runChunks is the chunk path: group the components into chunks, scatter
-// the global order by chunk, solve chunks largest-first on the caller plus
-// the leased arenas, and stitch them bitwise-identically to the sequential
-// run. It declines (nil, nil) when no spare arena is free.
+// runChunks is the chunk path: scatter the global order component-major,
+// group the components into chunks, solve chunks largest-first on the
+// caller plus the leased arenas, and stitch them bitwise-identically to the
+// sequential run. It declines (nil, nil) when no spare arena is free.
 func (r *Runner) runChunks(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, budget int, st *Stats) (*core.Schedule, error) {
 	extras := r.lease(pool, budget-1)
 	if len(extras) == 0 {
@@ -305,8 +319,8 @@ func (r *Runner) runChunks(ctx context.Context, in *core.Instance, d *algo.Decom
 	workers := 1 + len(extras)
 
 	t0 := time.Now()
-	nchunks := r.chunk(in, st.Components, workers)
-	ord := r.scatter(in, d, r.labels, nchunks)
+	ord := r.scatter(in, d, r.labels, st.Components)
+	nchunks := r.chunk(in.N(), st.Components, workers)
 	r.resetUnits(nchunks, workers)
 	st.Sweep += time.Since(t0)
 	st.Sizes, st.Times = r.sizes[:nchunks], r.times[:nchunks]
@@ -335,42 +349,54 @@ func (r *Runner) runChunks(ctx context.Context, in *core.Instance, d *algo.Decom
 
 	t0 = time.Now()
 	machines := r.stack(nchunks, d.Stacked)
-	s := r.assemble(in, sc, ord, r.labels, nchunks, nchunks, machines, nil)
+	s := r.assemble(in, sc, ord, r.labels, nchunks, st.Components, machines, nil)
 	st.Merge = time.Since(t0)
 	return s, nil
 }
 
-// chunk relabels every job with its chunk — a run of consecutive components
-// in start order — and returns the chunk count, at most
-// chunksPerWorker·workers. Up to that many components each form their own
-// chunk. Past it, a chunk closes at the first component boundary where it
-// holds at least ⌈n/(chunksPerWorker·workers)⌉ jobs, so every chunk but the
-// last reaches that target.
-func (r *Runner) chunk(in *core.Instance, ncomp, workers int) int {
+// chunk groups the ncomp components of the n jobs, already scattered
+// component-major, into chunks — runs of consecutive components in start
+// order — and returns the chunk count, at most chunksPerWorker·workers.
+// Up to that many components each form their own chunk. Past it, a chunk
+// closes at the first component boundary where it holds at least
+// ⌈n/(chunksPerWorker·workers)⌉ jobs, so every chunk but the last reaches
+// that target.
+func (r *Runner) chunk(n, ncomp, workers int) int {
 	k := chunksPerWorker * workers
-	if ncomp <= k {
-		return ncomp
+	target := 0
+	if ncomp > k {
+		target = (n + k - 1) / k
 	}
-	target := (in.N() + k - 1) / k
-	chunk, size, comp := int32(0), 0, int32(0)
-	for _, j := range in.StartOrder() {
-		if c := r.labels[j]; c != comp {
-			comp = c
-			if size >= target {
-				chunk++
-				size = 0
-			}
+	return r.group(ncomp, target)
+}
+
+// group partitions the scattered buckets, in id order, into units of
+// consecutive buckets in one O(buckets) pass: a unit closes after the first
+// bucket that brings it to at least target jobs (target 0 makes every
+// bucket its own unit, empty ones included). It fills unitOf, bounds and
+// sizes, and returns the unit count.
+func (r *Runner) group(buckets, target int) int {
+	r.unitOf = grow(r.unitOf, buckets)
+	r.bounds = grow(r.bounds, buckets+1)
+	r.sizes = grow(r.sizes, buckets)
+	r.bounds[0] = 0
+	units := 0
+	for b := range buckets {
+		r.unitOf[b] = int32(units)
+		if end := r.offsets[b+1]; int(end-r.bounds[units]) >= target || b == buckets-1 {
+			r.sizes[units] = end - r.bounds[units]
+			units++
+			r.bounds[units] = end
 		}
-		r.labels[j] = chunk
-		size++
 	}
-	return int(chunk) + 1
+	return units
 }
 
 // scatter resolves the algorithm's global processing order and copies it
-// into contiguous per-bucket segments of suborder (stable: each segment
-// keeps the global order restricted to its bucket), where labels maps each
-// job to one of buckets buckets. It returns the global order.
+// into contiguous per-bucket segments of suborder, in bucket id order
+// (stable: each segment keeps the global order restricted to its bucket),
+// where labels maps each job to one of buckets buckets. It returns the
+// global order.
 func (r *Runner) scatter(in *core.Instance, d *algo.Decomposer, labels []int32, buckets int) []int32 {
 	n := in.N()
 	order := r.order(in, d)
@@ -379,9 +405,7 @@ func (r *Runner) scatter(in *core.Instance, d *algo.Decomposer, labels []int32, 
 	for _, c := range labels[:n] {
 		r.offsets[c+1]++
 	}
-	r.sizes = grow(r.sizes, buckets)
-	for c := range r.sizes {
-		r.sizes[c] = r.offsets[c+1]
+	for c := range buckets {
 		r.offsets[c+1] += r.offsets[c]
 	}
 	r.cursor = grow(r.cursor, buckets)
@@ -413,7 +437,7 @@ func (r *Runner) order(in *core.Instance, d *algo.Decomposer) []int32 {
 
 // resetUnits sizes the per-unit bookkeeping for units units solved by
 // workers workers (base keeps one slot more: the shard path's crossing
-// bucket).
+// unit).
 func (r *Runner) resetUnits(units, workers int) {
 	r.times = grow(r.times, units)
 	clear(r.times)
@@ -560,7 +584,7 @@ func (r *Runner) solve(kind string, u int, sc *core.Scratch) (ok bool) {
 		return false
 	}
 	t0 := time.Now()
-	lo, hi := r.offsets[u], r.offsets[u+1]
+	lo, hi := r.bounds[u], r.bounds[u+1]
 	// The log's capacity is pinned to the unit's placement count, so a
 	// misbehaving run appending more grows away from the shared buffer
 	// instead of corrupting a neighboring segment (and fails the check).
@@ -626,11 +650,13 @@ func (r *Runner) stack(units int, stacked bool) int {
 // assemble merges the captured units into one sealed schedule on sc. Per
 // unit in start order, each machine's span pieces are grafted onto global
 // machine base+m; successive grafts onto one machine therefore arrive in
-// time order. One pass over the global order ord then appends every job,
-// bucketed by labels, to its machine. With totals nil the pass replays each
-// job's logged span delta, so machine totals and Cost accumulate in exactly
-// the sequential order; otherwise totals[i] is credited to the i-th grafted
-// machine and jobs carry a zero delta.
+// time order. One pass over the global order ord then appends every job to
+// its machine, keeping one cursor per bucket of labels: a bucket's segment
+// holds its jobs in the global order, and the bucket's unit gives the base.
+// With totals nil the pass replays each job's logged span delta, so machine
+// totals and Cost accumulate in exactly the sequential order; otherwise
+// totals[i] is credited to the i-th grafted machine and jobs carry a zero
+// delta.
 func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int32, units, buckets, machines int, totals []float64) *core.Schedule {
 	asm := core.BeginAssembly(in, sc, machines)
 	i := 0
@@ -661,7 +687,7 @@ func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int
 		if totals == nil {
 			delta = r.deltas[p]
 		}
-		asm.PutDelta(int(j), int(r.base[c]+r.localm[p]), delta)
+		asm.PutDelta(int(j), int(r.base[r.unitOf[c]]+r.localm[p]), delta)
 	}
 	return asm.Finish()
 }
@@ -696,8 +722,10 @@ func (r *Runner) runSharded(ctx context.Context, in *core.Instance, d *algo.Deco
 		return nil, nil, false
 	}
 	// Bucket k collects the crossing jobs: the global order restricted to
-	// them is exactly the reconcile order.
+	// them is exactly the reconcile order. Every bucket is a unit of its
+	// own; the crossing unit k is placed by reconciliation, not solved.
 	ord := r.scatter(in, d, r.slabels, k+1)
+	r.group(k+1, 0)
 	r.resetUnits(k, 1)
 	st.Sweep += time.Since(t0)
 	st.Shards, st.Crossing = k, crossing

@@ -151,63 +151,83 @@ func FuzzSweepMatchesUnionFind(f *testing.F) {
 
 // TestRunMatchesSequential pins the whole decompose–solve–merge path against
 // the plain sequential run for the greedy identity-merge family, bitwise.
+// Six clusters make one chunk per component; 300 clusters on four workers
+// (at most 64 chunks) make chunks of several components, so the chunk runs
+// place their components one after another.
 func TestRunMatchesSequential(t *testing.T) {
 	names := []string{"firstfit", "bestfit", "firstfit-start", "online-firstfit"}
-	pool := newPool(3)
-	r := NewRunner()
-	for seed := int64(0); seed < 4; seed++ {
-		in := generator.Clustered(seed, 6, 20, 3, 10, 4)
-		for _, name := range names {
-			a, ok := algo.Lookup(name)
-			if !ok {
-				t.Fatalf("%s not registered", name)
+	for _, clusters := range []int{6, 300} {
+		t.Run(fmt.Sprintf("clusters=%d", clusters), func(t *testing.T) {
+			pool := newPool(3)
+			r := NewRunner()
+			for seed := int64(0); seed < 4; seed++ {
+				in := generator.Clustered(seed, clusters, 20, 3, 10, 4)
+				for _, name := range names {
+					a, ok := algo.Lookup(name)
+					if !ok {
+						t.Fatalf("%s not registered", name)
+					}
+					if a.Decompose == nil {
+						t.Fatalf("%s has no Decomposer", name)
+					}
+					seq, err := a.Run(context.Background(), in, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sc := new(core.Scratch)
+					got, st, err := r.Solve(context.Background(), in, a.Decompose, sc, pool, 4, 0)
+					if err != nil {
+						t.Fatalf("%s seed=%d: %v", name, seed, err)
+					}
+					if got == nil {
+						t.Fatalf("%s seed=%d: layer declined on a %d-component instance with spare arenas", name, seed, st.Components)
+					}
+					if st.Components < 2 || st.Workers < 2 {
+						t.Fatalf("%s seed=%d: components=%d workers=%d, want ≥ 2 each", name, seed, st.Components, st.Workers)
+					}
+					if clusters > 64 && len(st.Sizes) >= st.Components {
+						t.Fatalf("%s seed=%d: %d chunks for %d components, want chunks of several components", name, seed, len(st.Sizes), st.Components)
+					}
+					assertSame(t, fmt.Sprintf("%s seed=%d", name, seed), seq, got)
+					if err := got.Verify(); err != nil {
+						t.Fatalf("%s seed=%d: merged schedule infeasible: %v", name, seed, err)
+					}
+				}
 			}
-			if a.Decompose == nil {
-				t.Fatalf("%s has no Decomposer", name)
-			}
-			seq, err := a.Run(context.Background(), in, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := new(core.Scratch)
-			got, st, err := r.Solve(context.Background(), in, a.Decompose, sc, pool, 4, 0)
-			if err != nil {
-				t.Fatalf("%s seed=%d: %v", name, seed, err)
-			}
-			if got == nil {
-				t.Fatalf("%s seed=%d: layer declined on a %d-component instance with spare arenas", name, seed, st.Components)
-			}
-			if st.Components < 2 || st.Workers < 2 {
-				t.Fatalf("%s seed=%d: components=%d workers=%d, want ≥ 2 each", name, seed, st.Components, st.Workers)
-			}
-			assertSame(t, fmt.Sprintf("%s seed=%d", name, seed), seq, got)
-			if err := got.Verify(); err != nil {
-				t.Fatalf("%s seed=%d: merged schedule infeasible: %v", name, seed, err)
-			}
-		}
+		})
 	}
 }
 
 // TestStackedMergeMatchesExact pins the stacked merge against the exact
-// solver's own sequential component iteration.
+// solver's own sequential component iteration. Five clusters make one chunk
+// per component; 200 clusters on three workers (at most 48 chunks) make
+// chunks of several components, whose bases the stacked merge finds through
+// each component's chunk.
 func TestStackedMergeMatchesExact(t *testing.T) {
-	pool := newPool(2)
-	r := NewRunner()
-	for seed := int64(0); seed < 3; seed++ {
-		in := generator.Clustered(seed, 5, 7, 2, 6, 2)
-		seq, err := exact.Solve(in)
-		if err != nil {
-			t.Fatalf("seed=%d: sequential exact: %v", seed, err)
-		}
-		sc := new(core.Scratch)
-		got, st, runErr := r.Solve(context.Background(), in, exact.Decomposer(exact.DefaultMaxJobs), sc, pool, 3, 0)
-		if runErr != nil {
-			t.Fatalf("seed=%d: decomposed exact: %v", seed, runErr)
-		}
-		if got == nil {
-			t.Fatalf("seed=%d: layer declined (components=%d)", seed, st.Components)
-		}
-		assertSame(t, fmt.Sprintf("exact seed=%d", seed), seq, got)
+	for _, clusters := range []int{5, 200} {
+		t.Run(fmt.Sprintf("clusters=%d", clusters), func(t *testing.T) {
+			pool := newPool(2)
+			r := NewRunner()
+			for seed := int64(0); seed < 3; seed++ {
+				in := generator.Clustered(seed, clusters, 7, 2, 6, 2)
+				seq, err := exact.Solve(in)
+				if err != nil {
+					t.Fatalf("seed=%d: sequential exact: %v", seed, err)
+				}
+				sc := new(core.Scratch)
+				got, st, runErr := r.Solve(context.Background(), in, exact.Decomposer(exact.DefaultMaxJobs), sc, pool, 3, 0)
+				if runErr != nil {
+					t.Fatalf("seed=%d: decomposed exact: %v", seed, runErr)
+				}
+				if got == nil {
+					t.Fatalf("seed=%d: layer declined (components=%d)", seed, st.Components)
+				}
+				if clusters > 48 && len(st.Sizes) >= st.Components {
+					t.Fatalf("seed=%d: %d chunks for %d components, want chunks of several components", seed, len(st.Sizes), st.Components)
+				}
+				assertSame(t, fmt.Sprintf("exact seed=%d", seed), seq, got)
+			}
+		})
 	}
 }
 
@@ -265,6 +285,83 @@ func TestChunksBoundSchedules(t *testing.T) {
 			t.Fatalf("w=%d: chunk sizes sum to %d, want %d", w, jobs, in.N())
 		}
 		assertSame(t, fmt.Sprintf("w=%d", w), seq, got)
+	}
+}
+
+// TestChunkOrderIsComponentMajor pins the order a chunk run receives: with
+// more components than chunks, every chunk's segment of suborder is a run of
+// whole, consecutive components in increasing component id, and each
+// component's jobs follow the algorithm's global order — length order for
+// FirstFit, position order for exact.
+func TestChunkOrderIsComponentMajor(t *testing.T) {
+	in := generator.Clustered(1, 200, 6, 3, 9, 6)
+	const budget = 4
+	labels := referenceLabels(in)
+	ncomp := 0
+	for _, c := range labels {
+		ncomp = max(ncomp, int(c)+1)
+	}
+	compSize := make([]int, ncomp)
+	for _, c := range labels {
+		compSize[c]++
+	}
+	if ncomp <= chunksPerWorker*budget {
+		t.Fatalf("%d components, want more than %d chunks", ncomp, chunksPerWorker*budget)
+	}
+	ff, ok := algo.Lookup("firstfit")
+	if !ok {
+		t.Fatal("firstfit not registered")
+	}
+	for _, tc := range []struct {
+		name string
+		d    *algo.Decomposer
+	}{
+		{"firstfit", ff.Decompose},
+		{"exact", exact.Decomposer(exact.DefaultMaxJobs)},
+	} {
+		rank := make([]int, in.N()) // job → position in the global order
+		for j := range rank {
+			rank[j] = j
+		}
+		if tc.d.Order != nil {
+			for p, j := range tc.d.Order(in) {
+				rank[j] = p
+			}
+		}
+		r := NewRunner()
+		got, st, err := r.Solve(context.Background(), in, tc.d, new(core.Scratch), newPool(budget-1), budget, 0)
+		if err != nil || got == nil {
+			t.Fatalf("%s: schedule=%v err=%v", tc.name, got, err)
+		}
+		if len(st.Sizes) >= ncomp {
+			t.Fatalf("%s: %d chunks for %d components, want chunks of several components", tc.name, len(st.Sizes), ncomp)
+		}
+		lo, next := 0, 0 // next: the component the next segment must start with
+		for u, size := range st.Sizes {
+			seg := r.suborder[lo : lo+int(size)]
+			lo += int(size)
+			for i := 0; i < len(seg); next++ {
+				if c := int(labels[seg[i]]); c != next {
+					t.Fatalf("%s chunk %d: position %d holds component %d, want component %d to start there", tc.name, u, i, c, next)
+				}
+				end := i + compSize[next]
+				if end > len(seg) {
+					t.Fatalf("%s chunk %d: component %d is cut by the chunk's end", tc.name, u, next)
+				}
+				for p := i + 1; p < end; p++ {
+					if int(labels[seg[p]]) != next {
+						t.Fatalf("%s chunk %d: component %d's jobs are not contiguous", tc.name, u, next)
+					}
+					if rank[seg[p]] < rank[seg[p-1]] {
+						t.Fatalf("%s chunk %d: component %d places job %d before job %d against the global order", tc.name, u, next, seg[p-1], seg[p])
+					}
+				}
+				i = end
+			}
+		}
+		if next != ncomp || lo != in.N() {
+			t.Fatalf("%s: chunks cover %d components and %d jobs, want %d and %d", tc.name, next, lo, ncomp, in.N())
+		}
 	}
 }
 
@@ -371,61 +468,70 @@ func TestFailedRunLeavesNoArmedLog(t *testing.T) {
 // TestWarmRunnerArenaSteadyState is the decomposition layer's alloc gate:
 // once the runner and every arena have served the instance shape, repeated
 // decomposed runs perform zero arena setup allocations on the caller's and
-// every leased worker's scratch.
+// every leased worker's scratch. Six clusters make one chunk per component;
+// 300 clusters on four workers make chunks of several components, and the
+// runner's per-component buffers must stay warm too.
 func TestWarmRunnerArenaSteadyState(t *testing.T) {
-	in := generator.Clustered(5, 6, 25, 3, 10, 4)
-	d, ok := algo.Lookup("bestfit")
-	if !ok || d.Decompose == nil {
-		t.Fatal("bestfit decomposer missing")
-	}
-	pool := newPool(3)
-	sc := new(core.Scratch)
-	r := NewRunner()
-	run := func() {
-		s, st, err := r.Solve(context.Background(), in, d.Decompose, sc, pool, 4, 0)
-		if err != nil || s == nil {
-			t.Fatalf("decomposed run failed: schedule=%v err=%v components=%d", s, err, st.Components)
-		}
-	}
-	run() // cold: runner buffers grow
-	// Component→arena pairing is racy under real parallelism, so warming by
-	// repetition alone cannot guarantee a given arena has seen the largest
-	// component. Instead warm every arena on the full instance shape, which
-	// dominates every component's job count and machine count.
-	arenas := []*core.Scratch{sc}
-	for i := 0; i < 3; i++ {
-		a := <-pool
-		arenas = append(arenas, a)
-		pool <- a
-	}
-	order := make([]int32, in.N())
-	for i := range order {
-		order[i] = int32(i)
-	}
-	for _, a := range arenas {
-		if err := d.Decompose.RunComponent(context.Background(), in, order, a); err != nil {
-			t.Fatalf("warming arena: %v", err)
-		}
-	}
-	run() // warm the runner's merge path on the now-sized caller arena
-	before := make([]int, len(arenas))
-	for i, a := range arenas {
-		before[i] = a.Stats().SetupAllocs
-	}
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	for i, a := range arenas {
-		if got := a.Stats().SetupAllocs - before[i]; got != 0 {
-			t.Errorf("arena %d performed %d setup allocations across 5 warm decomposed runs; want 0", i, got)
-		}
-	}
-	// The Go-heap side of the same gate: with resident workers and recycled
-	// stitch buffers a warm decomposed run performs (almost) no allocations
-	// at all — the budget of 2 tolerates runtime jitter (stack growth,
-	// timer churn), not a regression back to per-run spawning.
-	if got := testing.AllocsPerRun(20, run); got > 2 {
-		t.Errorf("warm decomposed run allocates %v objects/op; want ≤ 2", got)
+	for _, clusters := range []int{6, 300} {
+		t.Run(fmt.Sprintf("clusters=%d", clusters), func(t *testing.T) {
+			in := generator.Clustered(5, clusters, 25, 3, 10, 4)
+			d, ok := algo.Lookup("bestfit")
+			if !ok || d.Decompose == nil {
+				t.Fatal("bestfit decomposer missing")
+			}
+			pool := newPool(3)
+			sc := new(core.Scratch)
+			r := NewRunner()
+			run := func() {
+				s, st, err := r.Solve(context.Background(), in, d.Decompose, sc, pool, 4, 0)
+				if err != nil || s == nil {
+					t.Fatalf("decomposed run failed: schedule=%v err=%v components=%d", s, err, st.Components)
+				}
+				if clusters > 64 && len(st.Sizes) >= st.Components {
+					t.Fatalf("%d chunks for %d components, want chunks of several components", len(st.Sizes), st.Components)
+				}
+			}
+			run() // cold: runner buffers grow
+			// Component→arena pairing is racy under real parallelism, so warming by
+			// repetition alone cannot guarantee a given arena has seen the largest
+			// component. Instead warm every arena on the full instance shape, which
+			// dominates every component's job count and machine count.
+			arenas := []*core.Scratch{sc}
+			for i := 0; i < 3; i++ {
+				a := <-pool
+				arenas = append(arenas, a)
+				pool <- a
+			}
+			order := make([]int32, in.N())
+			for i := range order {
+				order[i] = int32(i)
+			}
+			for _, a := range arenas {
+				if err := d.Decompose.RunComponent(context.Background(), in, order, a); err != nil {
+					t.Fatalf("warming arena: %v", err)
+				}
+			}
+			run() // warm the runner's merge path on the now-sized caller arena
+			before := make([]int, len(arenas))
+			for i, a := range arenas {
+				before[i] = a.Stats().SetupAllocs
+			}
+			for i := 0; i < 5; i++ {
+				run()
+			}
+			for i, a := range arenas {
+				if got := a.Stats().SetupAllocs - before[i]; got != 0 {
+					t.Errorf("arena %d performed %d setup allocations across 5 warm decomposed runs; want 0", i, got)
+				}
+			}
+			// The Go-heap side of the same gate: with resident workers and recycled
+			// stitch buffers a warm decomposed run performs (almost) no allocations
+			// at all — the budget of 2 tolerates runtime jitter (stack growth,
+			// timer churn), not a regression back to per-run spawning.
+			if got := testing.AllocsPerRun(20, run); got > 2 {
+				t.Errorf("warm decomposed run allocates %v objects/op; want ≤ 2", got)
+			}
+		})
 	}
 }
 
