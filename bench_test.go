@@ -2,8 +2,8 @@ package busytime_test
 
 // One benchmark per experiment (E1–E10, see DESIGN.md §4): each bench
 // regenerates the corresponding table of the reproduction at reduced trial
-// counts, so `go test -bench=.` exercises the entire harness. cmd/benchtables
-// prints the full tables.
+// counts, so `go test -bench=.` exercises the entire harness. `busysched
+// experiments` prints the full tables.
 
 import (
 	"context"

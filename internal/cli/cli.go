@@ -1,18 +1,16 @@
 // Package cli implements the busysched command-line front end as a
-// testable library: Run dispatches subcommands and writes to injected
-// streams, and cmd/busysched is a thin wrapper around it. The CLI is a
-// consumer of the public busytime API — solvers are built with busytime.New
-// and driven through Solve/SolveBatch/SolveStream, so every subcommand
-// exercises exactly the surface external users get (including context
-// cancellation: busysched wires SIGINT into the context). Subcommands:
+// testable library: RunContext dispatches subcommands and writes to
+// injected streams, and cmd/busysched is a thin wrapper around it. The CLI
+// is a consumer of the public busytime API — solvers are built with
+// busytime.New and driven through Solve/SolveBatch/SolveStream, so every
+// subcommand exercises exactly the surface external users get (including
+// context cancellation: busysched wires SIGINT into the context).
 //
-//	generate  create an instance of a registered workload (JSON on stdout or -out)
-//	solve     run one algorithm on an instance file
-//	eval      run every registered algorithm on an instance and compare
-//	bounds    print the lower bounds of an instance
-//	batch     run one algorithm over many instances in parallel (CSV/JSON)
-//	online    drive a rolling-horizon session over a synthetic arrival stream
-//	replay    run a registered workload scenario offline/online/over the wire
+// `busysched help` lists the subcommands and their flags. They cover
+// instances (generate, convert, bounds), single solves (solve, eval, show,
+// simulate), batches and streams (batch, online, replay), and the paper's
+// artifacts: experiments prints the tables of experiments E1–E10 and the
+// ablations, and lightpath runs the §4 optical grooming reduction.
 //
 // Every workload name resolves through the internal/scenario registry:
 // generate -kind, batch -kind and replay -scenario take the same names
@@ -24,12 +22,13 @@
 //
 //	busysched generate -kind general -n 50 -g 3 -seed 7 -out inst.json
 //	busysched solve -algo firstfit -in inst.json
-//	busysched eval -in inst.json
 //	busysched batch -algo firstfit -count 64 -kind burst -n 100000 -format csv
+//	busysched experiments -trials 10 -only E2,E9
 package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,16 +53,12 @@ type CLI struct {
 	Err io.Writer
 }
 
-// Run dispatches a busysched invocation (args excludes the program name)
-// and returns the process exit code.
-func Run(args []string, stdout, stderr io.Writer) int {
-	return RunContext(context.Background(), args, stdout, stderr)
-}
-
-// RunContext is Run with a caller-supplied context: cancelling it stops
-// in-flight solves cooperatively (batch workers at their next instance, the
-// exact search mid-run) and surfaces context.Canceled as an ordinary
-// command error.
+// RunContext dispatches a busysched invocation (args excludes the program
+// name) and returns the process exit code: 0 on success, 1 for a command
+// error, 2 for a missing or unknown command. Cancelling ctx stops in-flight
+// work cooperatively (batch workers at their next instance, the exact
+// search mid-run, experiments before the next table) and surfaces
+// context.Canceled as an ordinary command error.
 func RunContext(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	c := &CLI{Out: stdout, Err: stderr}
 	if len(args) < 1 {
@@ -92,12 +87,19 @@ func RunContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		err = c.cmdOnline(ctx, args[1:])
 	case "replay":
 		err = c.cmdReplay(ctx, args[1:])
+	case "experiments":
+		err = c.cmdExperiments(ctx, args[1:])
+	case "lightpath":
+		err = c.cmdLightpath(ctx, args[1:])
 	case "help", "-h", "--help":
 		c.usage()
 	default:
 		fmt.Fprintf(c.Err, "busysched: unknown command %q\n", args[0])
 		c.usage()
 		return 2
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		return 0 // -h: the flag set has printed the command's flags
 	}
 	if err != nil {
 		fmt.Fprintf(c.Err, "busysched: %v\n", err)
@@ -132,6 +134,10 @@ commands:
             [-release P] [-repeat R] [-workers W] [-maxdemand D]
             [-json | -format csv] [-out FILE]
             replay a registered workload scenario with billing cross-checks
+  experiments [-trials T] [-large N] [-seed S] [-only E1,E2,...] [-ablations=false]
+            the paper's experiments E1–E10 and ablations, one table each
+  lightpath [-nodes N] [-paths P] [-g G] [-maxhops H] [-seed S] [-breakdown]
+            [-ring]                            §4 optical grooming via the reduction
 
 registered algorithms:`)
 	for _, a := range busytime.Algorithms() {
@@ -188,6 +194,21 @@ func loadInstance(path string) (*core.Instance, error) {
 	return core.ReadInstance(f)
 }
 
+// solveFile loads an instance file and solves it on a verifying session of
+// the named algorithm.
+func solveFile(ctx context.Context, path, name string) (*core.Instance, busytime.Result, error) {
+	inst, err := loadInstance(path)
+	if err != nil {
+		return nil, busytime.Result{}, err
+	}
+	solver, err := newSolver(name, busytime.WithVerify(true))
+	if err != nil {
+		return nil, busytime.Result{}, err
+	}
+	res, err := solver.Solve(ctx, inst)
+	return inst, res, err
+}
+
 func (c *CLI) cmdSolve(ctx context.Context, args []string) error {
 	fs := newFlagSet(c, "solve")
 	name := fs.String("algo", "firstfit", "algorithm name (see busysched help)")
@@ -197,15 +218,7 @@ func (c *CLI) cmdSolve(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inst, err := loadInstance(*in)
-	if err != nil {
-		return err
-	}
-	solver, err := newSolver(*name, busytime.WithVerify(true))
-	if err != nil {
-		return err
-	}
-	res, err := solver.Solve(ctx, inst)
+	inst, res, err := solveFile(ctx, *in, *name)
 	if err != nil {
 		return err
 	}
@@ -310,15 +323,10 @@ func (c *CLI) cmdShow(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inst, err := loadInstance(*in)
-	if err != nil {
-		return err
+	if *width < 1 {
+		return fmt.Errorf("-width %d: chart width must be ≥ 1", *width)
 	}
-	solver, err := newSolver(*name, busytime.WithVerify(true))
-	if err != nil {
-		return err
-	}
-	res, err := solver.Solve(ctx, inst)
+	inst, res, err := solveFile(ctx, *in, *name)
 	if err != nil {
 		return err
 	}
@@ -335,15 +343,7 @@ func (c *CLI) cmdSimulate(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inst, err := loadInstance(*in)
-	if err != nil {
-		return err
-	}
-	solver, err := newSolver(*name, busytime.WithVerify(true))
-	if err != nil {
-		return err
-	}
-	res, err := solver.Solve(ctx, inst)
+	inst, res, err := solveFile(ctx, *in, *name)
 	if err != nil {
 		return err
 	}
@@ -426,6 +426,9 @@ func (c *CLI) cmdBatch(ctx context.Context, args []string) error {
 	}
 	if *format != "csv" && *format != "json" {
 		return fmt.Errorf("unknown format %q (want csv or json)", *format)
+	}
+	if *count < 0 {
+		return fmt.Errorf("-count %d: suite size must be ≥ 0", *count)
 	}
 	opts := []busytime.Option{busytime.WithWorkers(*workers), busytime.WithVerify(*verify)}
 	if *intra != 1 {

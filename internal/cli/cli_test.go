@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -17,7 +18,7 @@ import (
 // run invokes the CLI and returns (exit code, stdout, stderr).
 func run(args ...string) (int, string, string) {
 	var out, errb bytes.Buffer
-	code := Run(args, &out, &errb)
+	code := RunContext(context.Background(), args, &out, &errb)
 	return code, out.String(), errb.String()
 }
 
@@ -45,6 +46,13 @@ func TestHelp(t *testing.T) {
 	code, _, errOut := run("help")
 	if code != 0 || !strings.Contains(errOut, "commands:") {
 		t.Errorf("help: code=%d err=%q", code, errOut)
+	}
+	// A command's -h prints its flags and is not an error.
+	for _, cmd := range []string{"generate", "batch", "experiments", "lightpath"} {
+		code, _, errOut := run(cmd, "-h")
+		if code != 0 || !strings.Contains(errOut, "Usage of "+cmd) || strings.Contains(errOut, "busysched:") {
+			t.Errorf("%s -h: code=%d err=%q", cmd, code, errOut)
+		}
 	}
 }
 
@@ -115,6 +123,36 @@ func TestWorkloadFlagsRejectBadValues(t *testing.T) {
 		code, _, errOut := run(c.args...)
 		if code != 1 || !strings.Contains(errOut, c.want) {
 			t.Errorf("%v: code=%d err=%q, want exit 1 with %q", c.args, code, errOut, c.want)
+		}
+	}
+}
+
+// TestCommandsRejectBadFlags checks flag values a command cannot honour are
+// an error (exit 1) naming the value, never a panic or a silently empty run.
+func TestCommandsRejectBadFlags(t *testing.T) {
+	path := writeInstance(t, "general", 10)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"show", "-in", path, "-width", "0"}, "-width 0"},
+		{[]string{"show", "-in", path, "-width", "-7"}, "-width -7"},
+		{[]string{"batch", "-kind", "general", "-count", "-1"}, "-count -1"},
+		{[]string{"lightpath", "-nodes", "1"}, "optical: 1 nodes, want ≥ 2"},
+		{[]string{"lightpath", "-nodes", "0"}, "optical: 0 nodes, want ≥ 2"},
+		{[]string{"lightpath", "-nodes", "-4"}, "optical: -4 nodes, want ≥ 2"},
+		{[]string{"lightpath", "-g", "0"}, "optical: grooming factor 0, want ≥ 1"},
+		{[]string{"lightpath", "-ring", "-nodes", "1"}, "optical: ring with 1 nodes, want ≥ 3"},
+		{[]string{"lightpath", "-paths", "-5"}, "-paths -5"},
+		{[]string{"experiments", "-only", "E99"}, "-only E99: not one of the selected experiments (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, A1, A3, A4, A5, A6)"},
+		{[]string{"experiments", "-only", "e1,E99"}, "-only E99: not one"},
+		{[]string{"experiments", "-ablations=false", "-only", "A1"}, "-only A1: not one of the selected experiments (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10)"},
+		{[]string{"experiments", "-trials", "-3"}, "-trials -3"},
+		{[]string{"experiments", "-large", "-1"}, "-large -1"},
+	} {
+		code, out, errOut := run(c.args...)
+		if code != 1 || !strings.Contains(errOut, c.want) || out != "" {
+			t.Errorf("%v: code=%d err=%q out=%q, want exit 1 with %q and no output", c.args, code, errOut, out, c.want)
 		}
 	}
 }
