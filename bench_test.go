@@ -368,7 +368,7 @@ func BenchmarkDecompMany50kBestFitIntra2(b *testing.B) {
 // machine count only; TestShardedSolveValidAndBounded pins validity and the
 // cost envelope. BENCH_7.json records measured numbers with the host core
 // count — on a single-core host the ladder shows the sharding overhead
-// (cut selection + reconcile + merge), not a speedup.
+// (cut selection, scatter and merge), not a speedup.
 func benchShardDense(b *testing.B, workers, shards int) {
 	in := generator.General(7, 100000, 4, 10000, 30)
 	opts := []busytime.Option{busytime.WithWorkers(workers)}

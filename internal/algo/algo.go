@@ -101,32 +101,16 @@ type Decomposer struct {
 	// chunks onto disjoint machine ranges in start order (the exact solver,
 	// which opens fresh machines per component).
 	Stacked bool
-	// Shard, when not ShardNone, additionally declares the algorithm safe
-	// for opt-in time-axis sharding: the dominant (or only) component's time
-	// axis is cut at low-crossing boundaries, the shards run through
-	// RunComponent independently (its contract never assumed connectivity),
-	// and the named rule places the withheld crossing jobs into the live
-	// shard schedules during the sequential reconciliation pass. Sharded
-	// results are valid but not bitwise-identical to sequential, so the
-	// layer only takes this path when the caller opted in.
-	Shard ShardRule
+	// Shards additionally declares the algorithm safe for opt-in time-axis
+	// sharding: the dominant (or only) component's time axis is cut at
+	// low-crossing boundaries, every job joins the shard whose time range
+	// holds its start, and each shard runs through RunComponent on its own
+	// (the contract never assumed connectivity) onto machines no other
+	// shard uses. Sharded results are valid but not bitwise-identical to
+	// sequential, so the layer only takes this path when the caller opted
+	// in.
+	Shards bool
 }
-
-// ShardRule names the reconciliation rule of the time-sharding layer: how
-// withheld crossing jobs are placed into the merged shard schedules.
-type ShardRule int
-
-const (
-	// ShardNone marks an algorithm that does not support time-axis sharding.
-	ShardNone ShardRule = iota
-	// ShardLowestFit reconciles crossing jobs onto the lowest machine that
-	// fits, scanning shards in time order (the FirstFit family's rule).
-	ShardLowestFit
-	// ShardBestFit reconciles crossing jobs onto the feasible machine with
-	// the smallest busy-time increase across all shards, ties to the
-	// earliest shard and lowest machine (the BestFit family's rule).
-	ShardBestFit
-)
 
 // GreedyRow is a greedy registry row: one kernel placement rule driven in
 // one job order. Every greedy algorithm the paper analyses has this shape —
@@ -170,24 +154,19 @@ func RunGreedy(in *core.Instance, sc *core.Scratch, order []int32, rule core.Rul
 }
 
 // GreedyDecomposer derives a greedy row's decomposition contract: each chunk
-// runs through RunGreedy on the arena it is handed, merged under the
-// identity mapping, with the row's rule as the time-sharding reconciliation
-// rule. A chunk receives its components one after another, each in the
-// row's order, so consecutive placements stay inside one component's time
-// window. A machine's jobs from other (time-disjoint) components never
-// change a LowestFit probe or a BestFit argmin — such a machine's delta is
-// the full job length, the maximum, and it loses every tie to lower indices
-// — so each placement depends only on the earlier ones of its component,
-// and the merged run equals the sequential one exactly. NextFit's cursor
-// survives component boundaries, so a NextFit row does not decompose and
-// gets nil.
+// or time shard runs through RunGreedy on the arena it is handed, and chunks
+// merge under the identity mapping. A chunk receives its components one
+// after another, each in the row's order, so consecutive placements stay
+// inside one component's time window. A machine's jobs from other
+// (time-disjoint) components never change a LowestFit probe or a BestFit
+// argmin — such a machine's delta is the full job length, the maximum, and
+// it loses every tie to lower indices — so each placement depends only on
+// the earlier ones of its component, and the merged run equals the
+// sequential one exactly. NextFit's cursor survives component boundaries,
+// so a NextFit row does not decompose and gets nil.
 func GreedyDecomposer(order func(*core.Instance) []int32, rule core.Rule) *Decomposer {
-	shard := ShardLowestFit
-	switch rule {
-	case core.NextFit:
+	if rule == core.NextFit {
 		return nil
-	case core.BestFit:
-		shard = ShardBestFit
 	}
 	return &Decomposer{
 		Order: order,
@@ -195,7 +174,7 @@ func GreedyDecomposer(order func(*core.Instance) []int32, rule core.Rule) *Decom
 			RunGreedy(in, sc, order, rule)
 			return nil
 		},
-		Shard: shard,
+		Shards: true,
 	}
 }
 

@@ -191,7 +191,11 @@ func loadInstance(path string) (*core.Instance, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return core.ReadInstance(f)
+	in, err := core.ReadInstance(f)
+	if err != nil {
+		return nil, fmt.Errorf("read instance %s: %w", path, err)
+	}
+	return in, nil
 }
 
 // solveFile loads an instance file and solves it on a verifying session of
@@ -619,6 +623,12 @@ func (c *CLI) cmdReplay(ctx context.Context, args []string) error {
 	if *release < 0 || *release > 1 {
 		return fmt.Errorf("-release %v out of [0, 1]", *release)
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: seed count must be ≥ 1", *seeds)
+	}
+	if *repeat < 1 {
+		return fmt.Errorf("-repeat %d: repetition count must be ≥ 1", *repeat)
+	}
 	var sc scenario.Scenario
 	if *traceFile != "" {
 		sc = scenario.FromCSV(*traceFile)
@@ -646,7 +656,7 @@ func (c *CLI) cmdReplay(ctx context.Context, args []string) error {
 		Repeat:      *repeat,
 	}
 	var reports []*scenario.Report
-	for k := 0; k < max(*seeds, 1); k++ {
+	for k := 0; k < *seeds; k++ {
 		rep, err := scenario.Run(ctx, cfg, sc, scenario.Params{
 			Seed:      *seed + int64(k),
 			N:         *n,

@@ -131,6 +131,10 @@ func TestWorkloadFlagsRejectBadValues(t *testing.T) {
 // an error (exit 1) naming the value, never a panic or a silently empty run.
 func TestCommandsRejectBadFlags(t *testing.T) {
 	path := writeInstance(t, "general", 10)
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args []string
 		want string
@@ -149,6 +153,9 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{[]string{"experiments", "-ablations=false", "-only", "A1"}, "-only A1: not one of the selected experiments (E1, E2, E3, E4, E5, E6, E7, E8, E9, E10)"},
 		{[]string{"experiments", "-trials", "-3"}, "-trials -3"},
 		{[]string{"experiments", "-large", "-1"}, "-large -1"},
+		{[]string{"solve", "-in", empty}, "read instance " + empty + ": EOF"},
+		{[]string{"replay", "-scenario", "poisson", "-n", "100", "-seeds", "-3"}, "-seeds -3"},
+		{[]string{"replay", "-scenario", "poisson", "-n", "100", "-repeat", "-2"}, "-repeat -2"},
 	} {
 		code, out, errOut := run(c.args...)
 		if code != 1 || !strings.Contains(errOut, c.want) || out != "" {

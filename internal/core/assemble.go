@@ -9,10 +9,10 @@ import (
 // Assembly builds a schedule whose placements are already known — the merge
 // step of the decomposition layer, where per-chunk runs have decided every
 // job's machine and built every machine's busy spans. Graft adopts those
-// span pieces wholesale, and PutDelta or Credit replay the busy-time
-// accounting, so the merge never re-runs a span union. Assembly skips every
-// capacity structure: no time axis, shards or index, because feasibility
-// was established by the runs being merged. The result is sealed —
+// span pieces wholesale, and PutDelta replays the busy-time accounting, so
+// the merge never re-runs a span union. Assembly skips every capacity
+// structure: no time axis, shards or index, because feasibility was
+// established by the runs being merged. The result is sealed —
 // mutating kernel entry points panic on it, since its machines carry no
 // oracle to answer them — while every read path (Cost, Verify, Summary,
 // Assignment, Detach-style re-derivation) stays valid.
@@ -43,8 +43,8 @@ func BeginAssembly(inst *Instance, sc *Scratch, machines int) Assembly {
 // arrive in ascending time order with positive gaps between them, which the
 // component sweep guarantees (components are separated by gaps of positive
 // length). Graft maintains the machine's busy hull but not its total: totals
-// are replayed separately (PutDelta or Credit) so the assembled Cost
-// reproduces the originating accumulation order bitwise.
+// are replayed separately (PutDelta) so the assembled Cost reproduces the
+// originating accumulation order bitwise.
 func (a Assembly) Graft(m int, pieces []interval.Interval) {
 	if len(pieces) == 0 {
 		return
@@ -58,23 +58,12 @@ func (a Assembly) Graft(m int, pieces []interval.Interval) {
 	st.spans.Graft(pieces)
 }
 
-// Credit folds measure into machine m's busy total and the schedule's Cost
-// without touching the span pieces — the accounting half of a Graft whose
-// per-machine total is already known (the time-sharding merge, where each
-// shard machine maps to exactly one global machine).
-func (a Assembly) Credit(m int, measure float64) {
-	a.s.machines[m].spans.AddMeasure(measure)
-	a.s.totalBusy += measure
-}
-
 // PutDelta appends job index j to machine m replaying its recorded
 // span-union delta instead of re-merging the interval: the machine's job
 // list, its busy total and the schedule's Cost advance exactly as the
 // originating run's placement did. Placements must arrive in the originating
 // global order so the floating-point accumulation reproduces bit for bit;
-// the span pieces themselves are adopted separately via Graft. A merge that
-// credited each machine's total wholesale (Credit) passes a zero delta,
-// which leaves the non-negative totals unchanged.
+// the span pieces themselves are adopted separately via Graft.
 func (a Assembly) PutDelta(j, m int, delta float64) {
 	s := a.s
 	if s.assign[j] != Unassigned {

@@ -517,8 +517,9 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 // instance that opens 750 machines, more than the bitmap budget covers on
 // the widest axis (512 at 2¹⁶ buckets). Its ~3,000-bucket axis fits every
 // machine in the budget, and both indexed scans must match their
-// brute-force references machine for machine. FirstFitProbe is checked
-// before each placement the same way as in TestPlacerProbesDoNotPlace.
+// brute-force references machine for machine. Each FirstFitAssign is
+// checked against lowestCanAssign the same way as in
+// TestPlacerProbesDoNotPlace.
 func TestBitmapCoversNarrowAxis(t *testing.T) {
 	// 1500 unit jobs through a common point with g=2 → 750 machines.
 	ivs := make([]interval.Interval, 1500)
@@ -538,7 +539,7 @@ func TestBitmapCoversNarrowAxis(t *testing.T) {
 	indexed, plain := NewSchedule(in), NewSchedule(in)
 	best, naive := NewSchedule(in), NewSchedule(in)
 	for j := range in.Jobs {
-		checkProbe(t, indexed, j, (*Schedule).FirstFitProbe, (*Schedule).FirstFitAssign)
+		checkProbe(t, indexed, j, lowestCanAssign, (*Schedule).FirstFitAssign)
 		bruteFirstFit(plain, j)
 		if got, want := best.BestFit(j), naiveBestFit(naive, j); got != want {
 			t.Fatalf("job %d: BestFit chose machine %d, naive %d", j, got, want)

@@ -101,17 +101,18 @@ func TestPlacerNextFitCursor(t *testing.T) {
 	}
 }
 
-// TestPlacerProbesDoNotPlace checks each probe variant against its placing
-// call: the probe leaves the assignment, machine count and cost untouched
-// and names the machine the placing call then uses, Unassigned meaning the
-// call opens a fresh one.
+// TestPlacerProbesDoNotPlace checks each probe against its placing call: the
+// probe leaves the assignment, machine count and cost untouched and names
+// the machine the placing call then uses, Unassigned meaning the call opens
+// a fresh one. BestFit's probe is the kernel's own argmin; FirstFit's is the
+// lowest machine CanAssign accepts, where the bitmap-pruned scan must land.
 func TestPlacerProbesDoNotPlace(t *testing.T) {
 	cases := []struct {
 		name         string
 		probe, place func(s *Schedule, j int) int
 	}{
-		{"BestFit", (*Schedule).BestFitProbe, (*Schedule).BestFit},
-		{"FirstFit", (*Schedule).FirstFitProbe, (*Schedule).FirstFitAssign},
+		{"BestFit", probeBestFit, (*Schedule).BestFit},
+		{"FirstFit", lowestCanAssign, (*Schedule).FirstFitAssign},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +127,24 @@ func TestPlacerProbesDoNotPlace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// probeBestFit returns the machine BestFit would choose for job index j,
+// without placing it.
+func probeBestFit(s *Schedule, j int) int {
+	r := s.record(j)
+	return s.bestFitProbe(&r)
+}
+
+// lowestCanAssign returns the lowest open machine CanAssign accepts for job
+// index j, Unassigned when none does.
+func lowestCanAssign(s *Schedule, j int) int {
+	for m := range s.NumMachines() {
+		if s.CanAssign(j, m) {
+			return m
+		}
+	}
+	return Unassigned
 }
 
 // checkProbe runs probe then place for job j on s: the probe must not change

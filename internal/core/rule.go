@@ -134,15 +134,8 @@ func (s *Schedule) bestFit(r *jobRec) int {
 	return m
 }
 
-// BestFitProbe is BestFit without the placement: it returns the machine
-// BestFit would choose, or Unassigned when no machine fits. Callers that
-// need to veto or record the decision place it themselves via Assign.
-func (s *Schedule) BestFitProbe(j int) int {
-	r := s.record(j)
-	return s.bestFitProbe(&r)
-}
-
-// bestFitProbe is BestFitProbe on a job record.
+// bestFitProbe returns the machine BestFit would choose for the job of r,
+// or Unassigned when no machine fits, without placing the job.
 func (s *Schedule) bestFitProbe(r *jobRec) int {
 	nm := len(s.machines)
 	bestM, bestDelta := -1, 0.0

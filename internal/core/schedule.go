@@ -402,27 +402,15 @@ func (s *Schedule) FirstFitAssign(j int) int {
 
 // firstFit is FirstFitAssign on a job record.
 func (s *Schedule) firstFit(r *jobRec) int {
-	if m := s.lowestFit(r, true); m != Unassigned {
+	if m := s.lowestFit(r); m != Unassigned {
 		return m
 	}
 	return s.assignNew(r)
 }
 
-// FirstFitProbe returns the machine FirstFitAssign would choose among the
-// already-open machines — the lowest-indexed one that fits — or Unassigned
-// when none fits, without placing the job or opening a machine. It runs
-// FirstFitAssign's bitmap-pruned scan with capacity checks in place of
-// placements; the reconciliation pass of the time-sharding layer drives it
-// against live shard schedules.
-func (s *Schedule) FirstFitProbe(j int) int {
-	r := s.record(j)
-	return s.lowestFit(&r, false)
-}
-
-// lowestFit scans the open machines for the lowest-indexed one that fits the
-// job of r, placing the job there when place is set, and returns it
-// (Unassigned when none fits).
-func (s *Schedule) lowestFit(r *jobRec, place bool) int {
+// lowestFit places the job of r on the lowest-indexed open machine that fits
+// it and returns the machine (Unassigned when none fits).
+func (s *Schedule) lowestFit(r *jobRec) int {
 	lo, hi := s.ia.buckets(r.w)
 	nm := len(s.machines)
 	for wi := 0; wi*64 < nm; wi++ {
@@ -432,22 +420,13 @@ func (s *Schedule) lowestFit(r *jobRec, place bool) int {
 			if m >= nm {
 				break
 			}
-			if s.fitsAt(r, m, lo, hi, place) {
+			if s.tryAssign(r, m, lo, hi) {
 				return m
 			}
 			free &= free - 1
 		}
 	}
 	return Unassigned
-}
-
-// fitsAt probes the job of r on machine m, placing it there on success when
-// place is set.
-func (s *Schedule) fitsAt(r *jobRec, m, lo, hi int, place bool) bool {
-	if place {
-		return s.tryAssign(r, m, lo, hi)
-	}
-	return s.canAssign(r, m, lo, hi)
 }
 
 // EndSpanLog stops the span-delta log the schedule was created with

@@ -37,23 +37,23 @@
 //
 // Solve additionally offers opt-in time-axis sharding for the regime where
 // decomposition starves — a single (or dominant) component. The axis is cut
-// at low-crossing bucket boundaries, the resulting shards are scattered and
-// solved exactly like chunks, and the jobs crossing a cut are withheld and
-// placed afterwards by a sequential reconciliation pass driven by the
-// algorithm's declared ShardRule against the live shard schedules. Shard
-// machines map to disjoint global machine ranges, so capacity never
-// interacts across shards and the merged schedule is always feasible; the
-// result is NOT bitwise-identical to the sequential run, which is why the
-// path only runs when the caller asked for shards explicitly.
+// at low-crossing bucket boundaries and every job joins the shard whose time
+// range holds its start, so a job crossing a cut stays in the shard it
+// starts in. The shards then go through the same solve and stitch as
+// chunks, always under the stacked mapping: shard machines take disjoint
+// global machine ranges, so capacity never interacts across shards and the
+// merged schedule is always feasible. The result is NOT bitwise-identical
+// to the sequential run, which is why the path only runs when the caller
+// asked for shards explicitly.
 //
 // Decomposition is purely opportunistic: Solve declines (returning a nil
 // schedule) when the instance is a single component and sharding is off or
 // inapplicable, or when the chunk path finds no spare arena, and the caller
 // then takes the plain sequential path. The shard path never declines for
-// want of arenas: it cuts the shards from the instance alone and solves the
-// ones no idle arena covers on the calling goroutine. Results therefore
-// never depend on worker count or pool pressure — only latency does (and,
-// under sharding, on the shard count the caller fixed).
+// want of arenas: it cuts the shards from the instance alone, and the
+// calling goroutine solves every shard no leased arena takes. Results
+// therefore never depend on worker count or pool pressure — only latency
+// does (and, under sharding, on the shard count the caller fixed).
 package decomp
 
 import (
@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,16 +97,15 @@ type Stats struct {
 	// Shards is the number of time shards solved when the run took the
 	// time-sharding path, 0 otherwise.
 	Shards int
-	// Crossing is the number of jobs that crossed a shard cut and were
-	// placed by the reconciliation pass (0 when Shards == 0).
+	// Crossing is the number of jobs whose window crosses a shard cut;
+	// each is solved in the shard that holds its start (0 when
+	// Shards == 0).
 	Crossing int
 	// Sweep, Solve and Merge are the wall times of the three phases:
 	// labeling (components, then chunks or shard cuts) and the scatter of
 	// the processing order, the concurrent chunk or shard runs (as a
-	// whole), and the ordered reassembly. Reconcile is the sequential
-	// crossing-job placement pass between Solve and Merge (0 when
-	// Shards == 0).
-	Sweep, Solve, Merge, Reconcile time.Duration
+	// whole), and the ordered reassembly.
+	Sweep, Solve, Merge time.Duration
 	// Sizes[u] and Times[u] are the job count and solve wall time of the
 	// u-th unit the layer solved — a chunk of whole components, or a time
 	// shard when Shards > 0 — in start order.
@@ -126,24 +124,18 @@ type capture struct {
 }
 
 // workItem is one task handed to a resident worker goroutine: drain the
-// chunk queue, or solve a single time shard, on the w-th arena of the
-// carried Runner. Items carry the Runner so the resident goroutines
-// reference only their channel and the Runner stays collectable — its
-// finalizing cleanup closes the channel and the workers exit.
+// unit queue on the w-th arena of the carried Runner. Items carry the
+// Runner so the resident goroutines reference only their channel and the
+// Runner stays collectable — its finalizing cleanup closes the channel and
+// the workers exit.
 type workItem struct {
-	r     *Runner
-	w     int
-	shard bool
+	r *Runner
+	w int
 }
 
 func (it workItem) run() {
-	r := it.r
-	defer r.wg.Done()
-	if it.shard {
-		r.solve("shard", it.w, r.scs[it.w])
-	} else {
-		r.drain(it.w, r.arenas[it.w-1])
-	}
+	defer it.r.wg.Done()
+	it.r.drain(it.w, it.r.arenas[it.w-1])
 }
 
 // worker is the resident goroutine body: it references only the channel, so
@@ -157,17 +149,16 @@ func worker(ch chan workItem) {
 // Runner owns the recyclable state of the decomposition layer: component and
 // shard labels, the scattered processing order, machines and span deltas,
 // the capture buffers and the scheduling/merge bookkeeping. A bucket is a
-// label value — a component on the chunk path, a shard or the crossing jobs
-// on the shard path — and owns one segment of suborder. A unit is what one
-// RunComponent call solves: a chunk (a run of consecutive components, so one
-// contiguous range of suborder), or a time shard. A warm
-// Runner re-serving an instance shape performs no allocations; like a
-// core.Scratch it must not be shared between goroutines (the resident
-// workers it dispatches to coordinate through it, but at most one Solve is
-// live at a time).
+// label value — a component on the chunk path, a shard on the shard path —
+// and owns one segment of suborder. A unit is what one RunComponent call
+// solves, one contiguous range of suborder: a chunk (a run of consecutive
+// components), or a time shard. A warm Runner re-serving an instance shape
+// performs no allocations; like a core.Scratch it must not be shared between
+// goroutines (the resident workers it dispatches to coordinate through it,
+// but at most one Solve is live at a time).
 type Runner struct {
 	labels   []int32   // job position → component id (start order)
-	slabels  []int32   // job position → shard id (crossing jobs get id = shards)
+	slabels  []int32   // job position → shard id
 	offsets  []int32   // bucket id → start of its segment in suborder
 	cursor   []int32   // per-bucket scatter/replay cursors
 	unitOf   []int32   // bucket id → the unit that solves it
@@ -178,7 +169,7 @@ type Runner struct {
 	deltas   []float64 // span delta per suborder position (the span logs)
 	posOrder []int32   // identity order 0..n-1, for algorithms with nil Order
 	used     []int32   // unit id → machine count
-	base     []int32   // bucket id → global machine offset
+	base     []int32   // unit id → global machine offset
 	keys     []int64   // (size<<32|id) keys for largest-first scheduling
 	times    []time.Duration
 	errs     []error
@@ -189,17 +180,11 @@ type Runner struct {
 	capOwner []int32
 	capSlot  []int32
 
-	// Time-sharding state: per-boundary crossing and start counts, the
-	// chosen cut times, captured per-machine busy totals, the per-shard
-	// arenas (scs[0] is the caller's, then the leased ones, then the
-	// runner's own), and the arenas the runner keeps for shards no leased
-	// arena covers.
+	// Time-sharding state: per-boundary crossing and start counts and the
+	// chosen cut times.
 	bcross []int32
 	bstart []int32
 	cuts   []float64
-	totals []float64
-	scs    []*core.Scratch
-	own    []*core.Scratch
 
 	// Resident worker pool: an unbuffered channel the (lazily spawned)
 	// worker goroutines range over. started counts spawned goroutines; a
@@ -213,10 +198,12 @@ type Runner struct {
 	// touches it.
 	Pub any
 
-	// Per-run shared state the worker goroutines coordinate through.
+	// Per-run shared state the worker goroutines coordinate through; kind
+	// names the units in errors ("chunk" or "shard").
 	ctx    context.Context
 	in     *core.Instance
 	d      *algo.Decomposer
+	kind   string
 	arenas []*core.Scratch
 	next   atomic.Int64
 	wg     sync.WaitGroup
@@ -264,18 +251,17 @@ func extend[T any](buf []T, n int) []T {
 // merges them into one schedule assembled on sc, bitwise identical to the
 // sequential run.
 //
-// With shards ≥ 2, when the algorithm declares a ShardRule and the sweep
-// finds a single or dominant component (the regime where component
-// parallelism starves), Solve instead cuts the time axis at up to shards−1
-// low-crossing boundaries, solves the shards — concurrently on the arenas
-// the lease finds idle, in turn on the calling goroutine for the rest —
-// reconciles the withheld crossing jobs sequentially by the declared rule,
-// and merges the shards onto disjoint machine ranges. Sharded schedules are
-// feasible but not bitwise-identical to sequential; Stats.Shards > 0 tells
-// the caller which path ran, and it depends on the instance and shards
-// alone, never on which arenas are idle. Whenever sharding is inapplicable
-// — axis too coarse, too many crossing jobs — Solve falls back to the chunk
-// path under the bitwise contract.
+// With shards ≥ 2, when the algorithm declares Shards and the sweep finds a
+// single or dominant component (the regime where component parallelism
+// starves), Solve instead cuts the time axis at up to shards−1 low-crossing
+// boundaries, puts every job in the shard that holds its start, solves the
+// shards — concurrently on the arenas the lease finds idle, in turn on the
+// calling goroutine for the rest — and stacks them onto disjoint machine
+// ranges. Sharded schedules are feasible but not bitwise-identical to
+// sequential; Stats.Shards > 0 tells the caller which path ran, and it
+// depends on the instance and shards alone, never on which arenas are idle.
+// Whenever sharding is inapplicable — axis too coarse, too many crossing
+// jobs — Solve falls back to the chunk path under the bitwise contract.
 //
 // A nil schedule with a nil error means Solve declined — single component
 // and no sharding, budget ≤ 1, or no spare arena free — and the caller must
@@ -294,80 +280,87 @@ func (r *Runner) Solve(ctx context.Context, in *core.Instance, d *algo.Decompose
 	st.Components, st.Largest = ncomp, largest
 	st.Sweep = time.Since(t0)
 
-	if shards > 1 && d.Shard != algo.ShardNone && (ncomp == 1 || 2*largest >= n) {
-		if s, err, ok := r.runSharded(ctx, in, d, sc, pool, shards, &st); ok {
+	if shards > 1 && d.Shards && (ncomp == 1 || 2*largest >= n) {
+		t0 = time.Now()
+		k, crossing := r.shard(in, shards)
+		st.Sweep += time.Since(t0)
+		if k >= 2 {
+			st.Shards, st.Crossing = k, crossing
+			r.lease(pool, k-1)
+			defer r.release(pool)
+			s, err := r.run(ctx, in, d, sc, r.slabels, k, 0, "shard", true, &st)
 			return s, st, err
 		}
 	}
 	if ncomp <= 1 || budget <= 1 {
 		return nil, st, nil
 	}
-	s, err := r.runChunks(ctx, in, d, sc, pool, budget, &st)
+	extras := r.lease(pool, budget-1)
+	if len(extras) == 0 {
+		return nil, st, nil
+	}
+	defer r.release(pool)
+	target := chunkTarget(n, ncomp, 1+len(extras))
+	s, err := r.run(ctx, in, d, sc, r.labels, ncomp, target, "chunk", d.Stacked, &st)
 	return s, st, err
 }
 
-// runChunks is the chunk path: scatter the global order component-major,
-// group the components into chunks, solve chunks largest-first on the
-// caller plus the leased arenas, and stitch them bitwise-identically to the
-// sequential run. It declines (nil, nil) when no spare arena is free.
-func (r *Runner) runChunks(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, budget int, st *Stats) (*core.Schedule, error) {
-	extras := r.lease(pool, budget-1)
-	if len(extras) == 0 {
-		return nil, nil
-	}
-	defer r.release(pool)
-	workers := 1 + len(extras)
-
+// run is the one solve flow of both paths. It scatters the global order
+// into the buckets of labels, groups consecutive buckets into units that
+// close at target jobs (group), solves the units largest-first on the
+// caller's arena sc plus the leased ones, and stitches the captured units
+// into one schedule on sc by span-delta replay, stacking the units'
+// machines or overlaying them from 0 (the identity mapping). kind names the
+// units in errors.
+func (r *Runner) run(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, labels []int32, buckets, target int, kind string, stacked bool, st *Stats) (*core.Schedule, error) {
 	t0 := time.Now()
-	ord := r.scatter(in, d, r.labels, st.Components)
-	nchunks := r.chunk(in.N(), st.Components, workers)
-	r.resetUnits(nchunks, workers)
-	st.Sweep += time.Since(t0)
-	st.Sizes, st.Times = r.sizes[:nchunks], r.times[:nchunks]
-
-	// Largest chunks first, so the tail of the run is small work: pack
+	workers := 1 + len(r.arenas)
+	ord := r.scatter(in, d, labels, buckets)
+	units := r.group(buckets, target)
+	r.resetUnits(units, workers)
+	st.Sizes, st.Times = r.sizes[:units], r.times[:units]
+	// Largest units first, so the tail of the run is small work: pack
 	// (size, id) into one int64 key and sort ascending (no comparator
 	// closure), then workers claim keys from the back.
-	r.keys = grow(r.keys, nchunks)
-	for c := 0; c < nchunks; c++ {
-		r.keys[c] = int64(r.sizes[c])<<32 | int64(c)
+	r.keys = grow(r.keys, units)
+	for u := range units {
+		r.keys[u] = int64(r.sizes[u])<<32 | int64(u)
 	}
-	slices.Sort(r.keys[:nchunks])
+	slices.Sort(r.keys)
+	st.Sweep += time.Since(t0)
 
 	t0 = time.Now()
-	r.ctx, r.in, r.d = ctx, in, d
+	r.ctx, r.in, r.d, r.kind = ctx, in, d, kind
 	r.next.Store(0)
 	st.Workers = workers
-	r.dispatch(len(extras), false)
+	r.dispatch(len(r.arenas))
 	r.drain(0, sc)
 	r.wg.Wait()
 	r.ctx, r.in, r.d = nil, nil, nil
 	st.Solve = time.Since(t0)
-	if err := r.firstErr(nchunks); err != nil {
+	if err := r.firstErr(units); err != nil {
 		return nil, err
 	}
 
 	t0 = time.Now()
-	machines := r.stack(nchunks, d.Stacked)
-	s := r.assemble(in, sc, ord, r.labels, nchunks, st.Components, machines, nil)
+	machines := r.stack(units, stacked)
+	s := r.assemble(in, sc, ord, labels, units, machines)
 	st.Merge = time.Since(t0)
 	return s, nil
 }
 
-// chunk groups the ncomp components of the n jobs, already scattered
-// component-major, into chunks — runs of consecutive components in start
-// order — and returns the chunk count, at most chunksPerWorker·workers.
-// Up to that many components each form their own chunk. Past it, a chunk
-// closes at the first component boundary where it holds at least
-// ⌈n/(chunksPerWorker·workers)⌉ jobs, so every chunk but the last reaches
-// that target.
-func (r *Runner) chunk(n, ncomp, workers int) int {
+// chunkTarget is the job count at which a chunk of the ncomp components of
+// n jobs closes on workers workers, so there are at most
+// chunksPerWorker·workers chunks. Up to that many components each form
+// their own chunk (target 0). Past it, a chunk closes at the first
+// component boundary where it holds at least ⌈n/(chunksPerWorker·workers)⌉
+// jobs, so every chunk but the last reaches that target.
+func chunkTarget(n, ncomp, workers int) int {
 	k := chunksPerWorker * workers
-	target := 0
-	if ncomp > k {
-		target = (n + k - 1) / k
+	if ncomp <= k {
+		return 0
 	}
-	return r.group(ncomp, target)
+	return (n + k - 1) / k
 }
 
 // group partitions the scattered buckets, in id order, into units of
@@ -436,15 +429,14 @@ func (r *Runner) order(in *core.Instance, d *algo.Decomposer) []int32 {
 }
 
 // resetUnits sizes the per-unit bookkeeping for units units solved by
-// workers workers (base keeps one slot more: the shard path's crossing
-// unit).
+// workers workers.
 func (r *Runner) resetUnits(units, workers int) {
 	r.times = grow(r.times, units)
 	clear(r.times)
 	r.errs = grow(r.errs, units)
 	clear(r.errs)
 	r.used = grow(r.used, units)
-	r.base = grow(r.base, units+1)
+	r.base = grow(r.base, units)
 	r.capOwner = grow(r.capOwner, units)
 	r.capSlot = grow(r.capSlot, units)
 	r.caps = extend(r.caps, workers)
@@ -470,7 +462,7 @@ func (r *Runner) firstErr(units int) error {
 // goroutines parked on the channel instead of spawning per run. The channel
 // is closed by a runtime cleanup when the Runner itself becomes garbage, so
 // the runner pool of a discarded Solver cannot leak its workers.
-func (r *Runner) dispatch(workers int, shard bool) {
+func (r *Runner) dispatch(workers int) {
 	if workers <= 0 {
 		return
 	}
@@ -485,7 +477,7 @@ func (r *Runner) dispatch(workers int, shard bool) {
 	}
 	r.wg.Add(workers)
 	for w := 1; w <= workers; w++ {
-		r.work <- workItem{r: r, w: w, shard: shard}
+		r.work <- workItem{r: r, w: w}
 	}
 }
 
@@ -523,8 +515,8 @@ func (r *Runner) sweep(in *core.Instance) (ncomp, largest int) {
 
 // lease claims up to max spare arenas from pool without blocking: intra- and
 // inter-instance parallelism draw on the same pool, so total concurrency
-// never exceeds the configured worker budget and an empty pool simply means
-// no decomposition this run.
+// never exceeds the configured worker budget. An empty pool means no chunk
+// decomposition this run, and a shard run on the caller alone.
 func (r *Runner) lease(pool chan *core.Scratch, max int) []*core.Scratch {
 	r.arenas = r.arenas[:0]
 	for len(r.arenas) < max {
@@ -546,7 +538,7 @@ func (r *Runner) release(pool chan *core.Scratch) {
 	r.arenas = r.arenas[:0]
 }
 
-// drain claims chunks largest-first off the shared counter and solves and
+// drain claims units largest-first off the shared counter and solves and
 // captures each as worker w on sc until none remain.
 func (r *Runner) drain(w int, sc *core.Scratch) {
 	nt := int64(len(r.keys))
@@ -555,9 +547,9 @@ func (r *Runner) drain(w int, sc *core.Scratch) {
 		if t >= nt {
 			return
 		}
-		c := int(uint32(r.keys[nt-1-t]))
-		if r.solve("chunk", c, sc) {
-			r.capture(c, w, sc)
+		u := int(uint32(r.keys[nt-1-t]))
+		if r.solve(u, sc) {
+			r.capture(u, w, sc)
 		}
 	}
 }
@@ -566,10 +558,11 @@ func (r *Runner) drain(w int, sc *core.Scratch) {
 // contract: the armed span log must hold one delta per order entry, the
 // deltas the stitch merge replays. It then reads every job's unit-local
 // machine off the live schedule and reports success. Errors land in errs[u]
-// named by the unit's kind ("chunk" or "shard"). RunComponent reports
-// rejections as errors, so a panic is a bug; it is converted to an error
-// here, on the worker goroutine, so it cannot take the process down.
-func (r *Runner) solve(kind string, u int, sc *core.Scratch) (ok bool) {
+// named by the unit's kind. RunComponent reports rejections as errors, so a
+// panic is a bug; it is converted to an error here, on the worker
+// goroutine, so it cannot take the process down.
+func (r *Runner) solve(u int, sc *core.Scratch) (ok bool) {
+	kind := r.kind
 	defer func() {
 		switch p := recover().(type) {
 		case nil:
@@ -653,13 +646,11 @@ func (r *Runner) stack(units int, stacked bool) int {
 // time order. One pass over the global order ord then appends every job to
 // its machine, keeping one cursor per bucket of labels: a bucket's segment
 // holds its jobs in the global order, and the bucket's unit gives the base.
-// With totals nil the pass replays each job's logged span delta, so machine
-// totals and Cost accumulate in exactly the sequential order; otherwise
-// totals[i] is credited to the i-th grafted machine and jobs carry a zero
-// delta.
-func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int32, units, buckets, machines int, totals []float64) *core.Schedule {
+// The pass replays each job's logged span delta, so machine totals and Cost
+// accumulate in the global order — exactly the sequential order on the
+// chunk path.
+func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int32, units, machines int) *core.Schedule {
 	asm := core.BeginAssembly(in, sc, machines)
-	i := 0
 	for u := 0; u < units; u++ {
 		cp := &r.caps[r.capOwner[u]]
 		slot := int(r.capSlot[u])
@@ -669,128 +660,45 @@ func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int
 		}
 		for m := int32(0); m < r.used[u]; m++ {
 			hi := cp.ends[slot+int(m)]
-			g := int(r.base[u] + m)
-			asm.Graft(g, cp.pieces[lo:hi])
-			if totals != nil {
-				asm.Credit(g, totals[i])
-				i++
-			}
+			asm.Graft(int(r.base[u]+m), cp.pieces[lo:hi])
 			lo = hi
 		}
 	}
-	copy(r.cursor, r.offsets[:buckets])
+	copy(r.cursor, r.offsets)
 	for _, j := range ord {
 		c := labels[j]
 		p := r.cursor[c]
 		r.cursor[c] = p + 1
-		delta := 0.0
-		if totals == nil {
-			delta = r.deltas[p]
-		}
-		asm.PutDelta(int(j), int(r.base[r.unitOf[c]]+r.localm[p]), delta)
+		asm.PutDelta(int(j), int(r.base[r.unitOf[c]]+r.localm[p]), r.deltas[p])
 	}
 	return asm.Finish()
 }
 
-// runSharded is the time-sharding path. It returns ok == false when
-// sharding is inapplicable and the caller should fall back to the chunk
-// path: axis too coarse, no low-crossing cuts, or too many crossing jobs.
-// Those verdicts and the cuts depend on the instance alone; the pool only
-// decides how many shards run concurrently.
-func (r *Runner) runSharded(ctx context.Context, in *core.Instance, d *algo.Decomposer, sc *core.Scratch, pool chan *core.Scratch, shards int, st *Stats) (*core.Schedule, error, bool) {
+// shard cuts in's time axis into up to shards shards and labels every job
+// with its shard (partition). It returns the shard count and the crossing
+// count, or no shards when sharding is inapplicable: axis too coarse, too
+// few jobs, no usable cut, or too many crossing jobs. Every verdict depends
+// on the instance and shards alone; the pool only decides how many shards
+// run at once.
+func (r *Runner) shard(in *core.Instance, shards int) (k, crossing int) {
 	n := in.N()
 	ax := in.TimeAxis()
-	if ax.NB() < 2 {
-		return nil, nil, false
-	}
 	want := min(shards, n/minShardJobs)
-	if want < 2 {
-		return nil, nil, false
+	if ax.NB() < 2 || want < 2 {
+		return 0, 0
 	}
-
-	t0 := time.Now()
 	cuts := r.selectCuts(in, ax, want)
-	k := len(cuts) + 1
-	// Every crossing job is placed by the sequential reconcile pass; past a
-	// quarter of the instance that pass dominates and sharding cannot pay.
-	crossing := 0
-	if k >= 2 {
-		crossing = r.partition(in, cuts, k)
+	if len(cuts) == 0 {
+		return 0, 0
 	}
-	if k < 2 || crossing*4 > n {
-		st.Sweep += time.Since(t0)
-		return nil, nil, false
+	crossing = r.partition(in, cuts)
+	// A crossing job's machine serves none of the next shard's jobs its
+	// window overlaps, so the split departs from the sequential run there;
+	// past a quarter of the instance that can cost more than sharding saves.
+	if crossing*4 > n {
+		return 0, 0
 	}
-	// Bucket k collects the crossing jobs: the global order restricted to
-	// them is exactly the reconcile order. Every bucket is a unit of its
-	// own; the crossing unit k is placed by reconciliation, not solved.
-	ord := r.scatter(in, d, r.slabels, k+1)
-	r.group(k+1, 0)
-	r.resetUnits(k, 1)
-	st.Sweep += time.Since(t0)
-	st.Shards, st.Crossing = k, crossing
-	st.Sizes, st.Times = r.sizes[:k], r.times[:k]
-
-	// Every shard's schedule must stay live (queryable and growable) for
-	// reconciliation, so each shard gets an arena of its own: the caller's,
-	// the spares the lease finds idle, and the runner's own for the rest.
-	// The leased shards run concurrently; the caller solves its shard and
-	// the runner-held ones in turn, so concurrency stays within the pool.
-	extras := r.lease(pool, k-1)
-	defer r.release(pool)
-	rest := k - 1 - len(extras)
-	for len(r.own) < rest {
-		r.own = append(r.own, new(core.Scratch))
-	}
-	r.scs = append(append(append(r.scs[:0], sc), extras...), r.own[:rest]...)
-	defer func() { r.scs = r.scs[:0] }()
-	t0 = time.Now()
-	r.ctx, r.in, r.d = ctx, in, d
-	st.Workers = 1 + len(extras)
-	r.dispatch(len(extras), true)
-	r.solve("shard", 0, sc)
-	for u := 1 + len(extras); u < k; u++ {
-		r.solve("shard", u, r.scs[u])
-	}
-	r.wg.Wait()
-	r.ctx, r.in, r.d = nil, nil, nil
-	st.Solve = time.Since(t0)
-	if err := r.firstErr(k); err != nil {
-		return nil, err, true
-	}
-
-	// Reconcile the crossing jobs sequentially, in the global processing
-	// order, against the live shard schedules. Shard machines become
-	// disjoint global machine ranges, so a shard-local capacity probe is
-	// exact for the corresponding global machine. Only the last shard opens
-	// machines here, so the bases fixed now hold through the merge.
-	t0 = time.Now()
-	for s := range k {
-		r.used[s] = int32(r.scs[s].LiveSchedule().NumMachines())
-	}
-	r.stack(k, true)
-	r.base[k] = 0
-	for p := r.offsets[k]; p < r.offsets[k+1]; p++ {
-		r.localm[p] = int32(r.reconcileOne(in, d, int(r.suborder[p]), k))
-	}
-	st.Reconcile = time.Since(t0)
-
-	// Capture every shard machine's span pieces and busy total, then
-	// assemble. Totals are captured after reconciliation, so no delta log
-	// is needed — each global machine's total is its shard machine's total.
-	t0 = time.Now()
-	r.totals = r.totals[:0]
-	for s := range k {
-		r.capture(s, 0, r.scs[s])
-		sch := r.scs[s].LiveSchedule()
-		for m := range sch.NumMachines() {
-			r.totals = append(r.totals, sch.MachineBusy(m))
-		}
-	}
-	machines := r.stack(k, true)
-	s := r.assemble(in, sc, ord, r.slabels, k, k+1, machines, r.totals)
-	st.Merge = time.Since(t0)
-	return s, nil, true
+	return len(cuts) + 1, crossing
 }
 
 // selectCuts picks up to k−1 cut times for a k-way shard split: for each
@@ -854,62 +762,23 @@ func (r *Runner) selectCuts(in *core.Instance, ax interval.Axis, k int) []float6
 	return r.cuts
 }
 
-// partition labels every job with its shard — the unique shard whose time
-// range contains it, under closed semantics: a job ending exactly on a cut
-// belongs to the shard left of it. Jobs properly spanning a cut get label k
-// (the crossing bucket) and are withheld for reconciliation. Returns the
-// crossing count.
-func (r *Runner) partition(in *core.Instance, cuts []float64, k int) int {
-	n := in.N()
-	r.slabels = grow(r.slabels, n)
-	crossing := 0
+// partition labels every job with the shard whose time range holds its
+// start — shard s spans [cuts[s−1], cuts[s]), so a job starting on a cut
+// joins the shard right of it — and returns the number of crossing jobs,
+// those whose end passes the next cut. A crossing job stays in the shard
+// of its start, on that shard's machines.
+func (r *Runner) partition(in *core.Instance, cuts []float64) (crossing int) {
+	r.slabels = grow(r.slabels, in.N())
 	for i := range in.Jobs {
 		iv := in.Jobs[i].Iv
-		s := sort.SearchFloat64s(cuts, iv.End)
-		if s > 0 && iv.Start < cuts[s-1] {
-			r.slabels[i] = int32(k)
+		s, on := slices.BinarySearch(cuts, iv.Start)
+		if on {
+			s++
+		}
+		r.slabels[i] = int32(s)
+		if s < len(cuts) && iv.End > cuts[s] {
 			crossing++
-		} else {
-			r.slabels[i] = int32(s)
 		}
 	}
 	return crossing
-}
-
-// reconcileOne places one crossing job by the algorithm's declared rule
-// against the live shard schedules and returns its global machine. Every
-// shard schedule is a schedule of the full instance, so probes and
-// placements use the job's global index directly; placements are visible to
-// subsequent reconciliations. When no machine in any shard fits, a machine
-// is opened on the last shard (any choice is feasible — the new machine's
-// global range is private).
-func (r *Runner) reconcileOne(in *core.Instance, d *algo.Decomposer, j, k int) int {
-	last := r.scs[k-1].LiveSchedule()
-	if d.Shard == algo.ShardBestFit {
-		bs, bm, bd := -1, -1, 0.0
-		for s := 0; s < k; s++ {
-			sch := r.scs[s].LiveSchedule()
-			m := sch.BestFitProbe(j)
-			if m == core.Unassigned {
-				continue
-			}
-			delta := sch.SpanDelta(m, in.Jobs[j].Iv)
-			if bs < 0 || delta < bd {
-				bs, bm, bd = s, m, delta
-			}
-		}
-		if bs < 0 {
-			return int(r.base[k-1]) + last.AssignNew(j)
-		}
-		r.scs[bs].LiveSchedule().Assign(j, bm)
-		return int(r.base[bs]) + bm
-	}
-	for s := 0; s < k; s++ {
-		sch := r.scs[s].LiveSchedule()
-		if m := sch.FirstFitProbe(j); m != core.Unassigned {
-			sch.Assign(j, m)
-			return int(r.base[s]) + m
-		}
-	}
-	return int(r.base[k-1]) + last.AssignNew(j)
 }

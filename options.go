@@ -124,23 +124,23 @@ func (c *config) intraWorkers() int {
 
 // WithTimeSharding opts into time-axis sharding for instances whose
 // component structure starves WithIntraWorkers — a single (or dominant)
-// connected component. When the session's algorithm declares a shard rule
-// (see AlgorithmInfo.Shards), such an instance's time axis is cut at up to
-// k−1 low-crossing bucket boundaries, the resulting shards are solved
-// concurrently on the arenas of the WithWorkers pool that are idle (and in
-// turn on the calling goroutine for the rest), and the jobs crossing a cut
-// are placed afterwards by a sequential reconciliation pass driven by the
-// algorithm's own placement rule against the live shard schedules. The cuts
-// depend on the instance and k alone, so pool pressure changes how many
-// shards run at once, never the schedule.
+// connected component. When the session's algorithm supports sharding (see
+// AlgorithmInfo.Shards), such an instance's time axis is cut at up to k−1
+// low-crossing bucket boundaries, every job joins the shard whose time range
+// holds its start (a job crossing a cut stays in the shard it starts in),
+// and the shards are solved by the algorithm's own rule onto machines of
+// their own, concurrently on the arenas of the WithWorkers pool that are
+// idle and in turn on the calling goroutine for the rest. The cuts depend
+// on the instance and k alone, so pool pressure changes how many shards run
+// at once, never the schedule.
 //
 // Unlike every other parallelism knob in this package, sharding CAN change
 // results: the sharded schedule is always feasible (WithVerify-clean) and
 // empirically within a few percent of the sequential cost, but it is not
 // bitwise-identical — which is exactly why it is a separate opt-in rather
-// than part of WithIntraWorkers. Result.Decomp reports the shard count,
-// the crossing-job count and the reconcile time, so callers can audit what
-// the option did.
+// than part of WithIntraWorkers. Result.Decomp reports the shard count and
+// the number of jobs crossing a cut, so callers can audit what the option
+// did.
 //
 // k = 0 means automatic (the full WithWorkers budget); k = 1 disables the
 // layer (the default); k ≥ 2 fixes the shard count. The layer declines
@@ -286,11 +286,11 @@ type AlgorithmInfo struct {
 	// its time-disjoint components concurrently with a bitwise-identical
 	// result; false means the option leaves the algorithm untouched.
 	Decomposes bool
-	// Shards reports whether the algorithm additionally declares a
-	// time-sharding reconciliation rule: true means WithTimeSharding can cut
-	// a dominant component across the time axis (feasible but not bitwise —
-	// see WithTimeSharding); false means that option leaves the algorithm
-	// untouched.
+	// Shards reports whether the algorithm additionally supports time
+	// sharding: true means WithTimeSharding can cut a dominant component
+	// across the time axis and solve each shard on its own (feasible but not
+	// bitwise — see WithTimeSharding); false means that option leaves the
+	// algorithm untouched.
 	Shards bool
 }
 
@@ -305,7 +305,7 @@ func Algorithms() []AlgorithmInfo {
 			Description:  a.Description,
 			Cancellation: a.Cancellation.String(),
 			Decomposes:   a.Decompose != nil,
-			Shards:       a.Decompose != nil && a.Decompose.Shard != algo.ShardNone,
+			Shards:       a.Decompose != nil && a.Decompose.Shards,
 		}
 	}
 	return out

@@ -50,15 +50,14 @@ type DecompStats struct {
 	LargestComponent int
 	// Shards is the time-shard count when this Solve took the opt-in
 	// time-sharding path (WithTimeSharding), 0 otherwise; CrossingJobs is
-	// the number of jobs that crossed a shard cut and were placed by the
-	// sequential reconciliation pass.
+	// the number of jobs whose window crosses a shard cut (each is solved
+	// in the shard that holds its start).
 	Shards, CrossingJobs int
 	// SweepTime, SolveTime and MergeTime are the wall times of the three
 	// phases: labeling (components, then chunks or shard cuts), the
 	// concurrent per-chunk or per-shard solves as a whole, and the ordered
-	// reassembly. ReconcileTime is the sequential crossing-job placement
-	// pass between solve and merge (0 unless Shards > 0).
-	SweepTime, SolveTime, MergeTime, ReconcileTime time.Duration
+	// reassembly.
+	SweepTime, SolveTime, MergeTime time.Duration
 	// PerComponent lists the units the layer actually solved, in start
 	// order: chunks of consecutive whole components (one component per
 	// chunk unless the instance has more than 16 components per worker),
@@ -93,7 +92,6 @@ func newDecompStatsInto(st decomp.Stats, slot *any) DecompStats {
 		SweepTime:        st.Sweep,
 		SolveTime:        st.Solve,
 		MergeTime:        st.Merge,
-		ReconcileTime:    st.Reconcile,
 	}
 	if len(st.Sizes) > 0 {
 		buf, _ := (*slot).([]ComponentStat)
