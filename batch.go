@@ -161,7 +161,8 @@ func (s *Solver) solveItem(ctx context.Context, in *Instance, index int) (br Bat
 // ran — see WithIntraWorkers and WithTimeSharding), DecomposedRuns and
 // ShardedRuns count the instances actually solved component-parallel or
 // time-sharded, and MaxIntraWorkers/MaxShards the widest fan-out any single
-// instance achieved.
+// instance achieved. A time-sharded run counts only as sharded: its shard
+// workers are not intra-workers.
 type BatchSummary struct {
 	Runs        int
 	WarmRuns    int
@@ -194,17 +195,12 @@ func SummarizeBatch(results []BatchResult) BatchSummary {
 		}
 		b.SetupAllocs += r.SetupAllocs
 		b.Components += r.Components
-		if r.IntraWorkers > 0 {
-			b.DecomposedRuns++
-		}
-		if r.IntraWorkers > b.MaxIntraWorkers {
-			b.MaxIntraWorkers = r.IntraWorkers
-		}
 		if r.Shards > 0 {
 			b.ShardedRuns++
-		}
-		if r.Shards > b.MaxShards {
-			b.MaxShards = r.Shards
+			b.MaxShards = max(b.MaxShards, r.Shards)
+		} else if r.IntraWorkers > 0 {
+			b.DecomposedRuns++
+			b.MaxIntraWorkers = max(b.MaxIntraWorkers, r.IntraWorkers)
 		}
 	}
 	return b

@@ -242,6 +242,33 @@ func TestSolveStreamWarmArenas(t *testing.T) {
 	}
 }
 
+// TestSummarizeBatchSeparatesShardedRuns folds hand-built results: a
+// time-sharded run also reports the workers that solved its shards, and it
+// must count as sharded only, never as component-parallel.
+func TestSummarizeBatchSeparatesShardedRuns(t *testing.T) {
+	cases := []struct {
+		name    string
+		results []busytime.BatchResult
+		want    busytime.BatchSummary
+	}{
+		{"plain", []busytime.BatchResult{{}, {Warm: true}},
+			busytime.BatchSummary{Runs: 2, WarmRuns: 1}},
+		{"declined", []busytime.BatchResult{{Components: 1}},
+			busytime.BatchSummary{Runs: 1, Components: 1}},
+		{"component-parallel", []busytime.BatchResult{{Components: 9, IntraWorkers: 2}, {Components: 4, IntraWorkers: 3}},
+			busytime.BatchSummary{Runs: 2, Components: 13, DecomposedRuns: 2, MaxIntraWorkers: 3}},
+		{"time-sharded", []busytime.BatchResult{{Components: 1, IntraWorkers: 2, Shards: 2}, {Components: 1, IntraWorkers: 1, Shards: 2}},
+			busytime.BatchSummary{Runs: 2, Components: 2, ShardedRuns: 2, MaxShards: 2}},
+		{"mixed", []busytime.BatchResult{{Components: 1, IntraWorkers: 4, Shards: 4}, {Components: 7, IntraWorkers: 2}},
+			busytime.BatchSummary{Runs: 2, Components: 8, DecomposedRuns: 1, MaxIntraWorkers: 2, ShardedRuns: 1, MaxShards: 4}},
+	}
+	for _, tc := range cases {
+		if got := busytime.SummarizeBatch(tc.results); got != tc.want {
+			t.Errorf("%s: SummarizeBatch = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestSolverConcurrentEntryPoints shares one Solver between goroutines that
 // mix Solve, SolveBatch and SolveStream (run with -race): the fan-out leases
 // the same arenas and decomposition runners as Solve, and every cost must

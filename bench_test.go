@@ -82,9 +82,11 @@ func benchFirstFitN(b *testing.B, n int, run func(*core.Instance) *core.Schedule
 	in := generator.General(7, n, 4, float64(n), 30)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var s *core.Schedule
 	for i := 0; i < b.N; i++ {
-		_ = run(in)
+		s = run(in)
 	}
+	reportQueries(b, s)
 }
 
 func BenchmarkFirstFitN1e2(b *testing.B) { benchFirstFitN(b, 100, firstfit.Schedule) }
@@ -147,7 +149,10 @@ func BenchmarkFirstFitPooledN1e5(b *testing.B) { benchFirstFitPooledN(b, 100000)
 // allocs/op of BenchmarkFirstFitPooledN1e5 by TestSolverWarmMatchesPooled
 // and the BENCH_5 record.
 func benchSolverWarmN(b *testing.B, n int, algorithm string) {
-	in := generator.General(7, n, 4, float64(n), 30)
+	benchSolverWarm(b, generator.General(7, n, 4, float64(n), 30), algorithm)
+}
+
+func benchSolverWarm(b *testing.B, in *core.Instance, algorithm string) {
 	s, err := busytime.New(busytime.WithAlgorithm(algorithm), busytime.WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
@@ -158,8 +163,9 @@ func benchSolverWarmN(b *testing.B, n int, algorithm string) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res busytime.Result
 	for i := 0; i < b.N; i++ {
-		res, err := s.Solve(ctx, in)
+		res, err = s.Solve(ctx, in)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,11 +173,22 @@ func benchSolverWarmN(b *testing.B, n int, algorithm string) {
 			b.Fatal("empty schedule")
 		}
 	}
+	reportQueries(b, res.Schedule)
 }
 
 func BenchmarkSolverWarmN1e4(b *testing.B)        { benchSolverWarmN(b, 10000, "firstfit") }
 func BenchmarkSolverWarmN1e5(b *testing.B)        { benchSolverWarmN(b, 100000, "firstfit") }
 func BenchmarkSolverWarmBestFitN1e5(b *testing.B) { benchSolverWarmN(b, 100000, "bestfit") }
+
+// The benchmark ledger's optical-lightpath input (the paper's §4.2
+// application), solved warm by FirstFit, as the ledger does, and by BestFit,
+// which no ledger workload runs.
+func BenchmarkSolverWarmLightpath17k(b *testing.B) {
+	benchSolverWarm(b, lightpath17k(b), "firstfit")
+}
+func BenchmarkSolverWarmLightpath17kBestFit(b *testing.B) {
+	benchSolverWarm(b, lightpath17k(b), "bestfit")
+}
 
 // The batch fan-out of one warm session: its arenas persist across
 // iterations, against BenchmarkBatchFirstFit, which builds a fresh Solver

@@ -47,6 +47,87 @@ func naiveBestFit(s *Schedule, j int) int {
 	return bestM
 }
 
+// bruteNextFit places job j on the open machine *cursor of the NextFit
+// reference schedule s when it fits by bruteFits, and otherwise opens a
+// fresh machine for it and makes that the open one; it returns the machine.
+func bruteNextFit(s *Schedule, j int, cursor *int) int {
+	if *cursor != Unassigned && bruteFits(s, j, *cursor) {
+		s.Assign(j, *cursor)
+		return *cursor
+	}
+	*cursor = s.AssignNew(j)
+	return *cursor
+}
+
+// FuzzPlacerMatchesBrute drives every placement rule on a random
+// demand-weighted instance against its brute-force reference, placement by
+// placement: FirstFit against bruteFirstFit, BestFit against naiveBestFit
+// and NextFit against bruteNextFit. After every placement it checks that the
+// hints the kernel decides on without a query stay sound (checkHintsSound).
+// The seeds are TestPlacerBestFitMatchesNaive's instances.
+func FuzzPlacerMatchesBrute(f *testing.F) {
+	for seed := int64(0); seed < 25; seed++ {
+		f.Add(seed, uint8(140))
+	}
+	rules := []struct {
+		name  string
+		rule  Rule
+		brute func(s *Schedule, j int, cursor *int) int
+	}{
+		{"FirstFit", LowestFit, func(s *Schedule, j int, _ *int) int { return bruteFirstFit(s, j) }},
+		{"BestFit", BestFit, func(s *Schedule, j int, _ *int) int { return naiveBestFit(s, j) }},
+		{"NextFit", NextFit, bruteNextFit},
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		r := rand.New(rand.NewSource(seed))
+		g := 1 + r.Intn(5)
+		in := randInstance(r, max(1, int(n)), g)
+		times := rankTimes(in)
+		for _, tc := range rules {
+			s, ref := NewSchedule(in), NewSchedule(in)
+			cursor := Unassigned
+			for j := range in.Jobs {
+				want := tc.brute(ref, j, &cursor)
+				if got := s.Apply(tc.rule, j); got != want {
+					t.Fatalf("seed %d %s: job %d on machine %d, brute force %d", seed, tc.name, j, got, want)
+				}
+				checkHintsSound(t, s, times)
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
+			}
+			if s.Cost() != ref.Cost() {
+				t.Fatalf("seed %d %s: cost %v, brute force %v", seed, tc.name, s.Cost(), ref.Cost())
+			}
+		}
+	})
+}
+
+// checkHintsSound fails unless every machine's peak is at least its true
+// maximum load and every saturation witness's depth is at most the true load
+// at its endpoint, both computed by brute force from the machine's jobs;
+// times[r] is the endpoint of rank r (rankTimes).
+func checkHintsSound(t *testing.T, s *Schedule, times []float64) {
+	t.Helper()
+	for m := range s.machines {
+		st := &s.machines[m]
+		if load := maxWeightedDepth(s.inst, st.jobs); st.peak < load {
+			t.Fatalf("machine %d: peak hint %d below its load %d", m, st.peak, load)
+		}
+		for _, h := range st.hot[:st.nhot] {
+			at, load := times[h.at], 0
+			for _, j := range st.jobs {
+				if iv := s.inst.Jobs[j].Iv; iv.Start <= at && at <= iv.End {
+					load += s.inst.Jobs[j].Demand
+				}
+			}
+			if int(h.depth) > load {
+				t.Fatalf("machine %d: witness depth %d at %v above the load %d there", m, h.depth, at, load)
+			}
+		}
+	}
+}
+
 // TestPlacerBestFitMatchesNaive drives the kernel BestFit against the naive
 // scan on random demand-weighted instances and requires identical machine
 // choices throughout.

@@ -106,18 +106,22 @@ func (s *Schedule) nextFit(r *jobRec) int {
 
 // BestFit places job index j on the feasible machine whose busy time grows
 // the least — ties to the lowest index, a fresh machine when none fits — and
-// returns the machine. The scan is pruned by two sound observations on top
-// of the capacity hints:
+// returns the machine. The scan ranks each candidate by its span delta
+// before asking whether the job fits, and is pruned by three sound
+// observations on top of the capacity hints:
 //
 //   - a machine whose busy hull is disjoint from the job's window (or that
 //     is empty) grows by the full job length, the maximum possible delta, so
 //     once any candidate is held such machines can never win the argmin
 //     (ties go to the earlier candidate);
+//   - once a candidate is held, a machine whose delta does not beat it
+//     cannot replace it whether or not the job fits, so its capacity is
+//     never probed;
 //   - a machine with a fully saturated axis bucket inside the job's window
 //     provably rejects, so the index's saturation bitmap skips whole words
 //     of such machines without probing them.
 //
-// Both prunings only skip machines the naive scan would also discard, so the
+// All three only skip machines that cannot change the argmin, so the
 // produced schedule is byte-identical to probing every machine in order.
 func (s *Schedule) BestFit(j int) int {
 	r := s.record(j)
@@ -160,11 +164,11 @@ func (s *Schedule) bestFitProbe(r *jobRec) int {
 				// reported a candidate delta above the length.
 				continue
 			}
-			if !s.canAssign(r, m, lo, hi) {
+			delta := st.spans.Delta(r.iv)
+			if bestM >= 0 && delta >= bestDelta {
 				continue
 			}
-			delta := st.spans.Delta(r.iv)
-			if bestM < 0 || delta < bestDelta {
+			if _, ok := s.canAssign(r, m, lo, hi); ok {
 				bestM, bestDelta = m, delta
 			}
 		}

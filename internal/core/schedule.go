@@ -63,7 +63,34 @@ type Schedule struct {
 	// merge. logSpans gates the hot path.
 	spanLog  []float64
 	logSpans bool
+	// work counts the kernel's capacity work on this schedule (see Work).
+	work WorkCounts
 }
+
+// WorkCounts counts the placement kernel's capacity work on one schedule
+// since it was created. The counts are deterministic for a given instance,
+// job order and rule, so two versions of the kernel compare on them exactly
+// where timings on a shared host cannot.
+type WorkCounts struct {
+	// Probes counts capacity checks of one job against one open machine:
+	// TryAssign and CanAssign calls, and the FirstFit, BestFit and NextFit
+	// scans built on them.
+	Probes int
+	// DisjointAccepts counts probes accepted because the machine was empty
+	// or its busy hull missed the job; PeakAccepts those accepted on the
+	// peak hint alone.
+	DisjointAccepts, PeakAccepts int
+	// WitnessRejects counts probes rejected by a recorded saturation
+	// witness without a query.
+	WitnessRejects int
+	// Queries counts exact capacity-oracle queries, and QueryRejects the
+	// queries that found the job does not fit.
+	Queries, QueryRejects int
+}
+
+// Work returns the kernel work counts accumulated since the schedule was
+// created; a schedule recycled from a Scratch starts again from zero.
+func (s *Schedule) Work() WorkCounts { return s.work }
 
 // hotspot is a saturation hint: the machine's load at the endpoint of rank
 // at is known to be at least depth. Machines only ever gain jobs, so the
@@ -84,10 +111,12 @@ type machineState struct {
 	// trivially fits.
 	hull interval.Interval
 	// peak is an upper bound on the machine's maximum demand-weighted load
-	// over all time — exact while placements go through TryAssign's oracle
-	// query, which learns the true in-window load; plain Assign widens it
-	// conservatively instead of paying a query. A candidate with
-	// Demand ≤ g − peak trivially fits.
+	// over all time, not an exact one: insert raises it to at least used +
+	// demand, where used bounds the load within the new job's window — the
+	// true load when the placement queried the oracle, 0 on a machine whose
+	// hull the job misses, and peak itself otherwise (a peak-hint accept,
+	// plain Assign), which keeps it sound without paying a query. A
+	// candidate with Demand ≤ g − peak trivially fits.
 	peak int
 	// hot are saturation witnesses recorded by rejected probes, stored
 	// inline so recording one never allocates.
@@ -245,25 +274,34 @@ func (s *Schedule) refuseSealed() {
 func (s *Schedule) CanAssign(j, m int) bool {
 	r := s.record(j)
 	lo, hi := s.ia.buckets(r.w)
-	return s.canAssign(&r, m, lo, hi)
+	_, ok := s.canAssign(&r, m, lo, hi)
+	return ok
 }
 
 // canAssign is CanAssign on a job record with its axis bucket range
-// precomputed.
-func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) bool {
+// precomputed. When the job fits, used is an upper bound on the machine's
+// load within the job's window, as insert wants: 0 for a disjoint machine,
+// the peak hint for a peak accept, and the exact load after a query.
+func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) (used int, ok bool) {
 	st := &s.machines[m]
 	g, d := s.inst.G, int(r.demand)
+	s.work.Probes++
 	if len(st.jobs) == 0 || !r.iv.Overlaps(st.hull) {
-		return d <= g
+		if d > g {
+			return 0, false
+		}
+		s.work.DisjointAccepts++
+		return 0, true
 	}
 	if st.peak+d <= g {
-		return true
+		s.work.PeakAccepts++
+		return st.peak, true
 	}
 	if st.hotRejects(r.w, d, g) {
-		return false
+		s.work.WitnessRejects++
+		return 0, false
 	}
-	_, ok := s.query(st, m, r.w, d, lo, hi)
-	return ok
+	return s.query(st, m, r.w, d, lo, hi)
 }
 
 // hotRejects reports whether a recorded saturation witness inside the span
@@ -285,8 +323,10 @@ func (st *machineState) hotRejects(w span, demand, g int) bool {
 func (s *Schedule) query(st *machineState, m int, w span, demand, lo, hi int) (used int, ok bool) {
 	g := s.inst.G
 	slo, shi := s.ia.shardRange(lo, hi)
+	s.work.Queries++
 	used, at, run, sat := st.shards.maxDepthRun(s.pool, s.ia, w, g, slo, shi)
 	if used+demand > g {
+		s.work.QueryRejects++
 		st.noteHot(at, used)
 		if sat {
 			s.markSaturatedRun(m, run)
@@ -338,7 +378,7 @@ func (st *machineState) noteHot(at int32, depth int) {
 //
 // Assign keeps the peak hint a sound upper bound without querying the
 // oracle: a job overlapping the busy hull can raise the true peak by at most
-// its demand. TryAssign is the path that keeps peak exact for free.
+// its demand.
 func (s *Schedule) Assign(j, m int) {
 	r := s.record(j)
 	s.put(&r, m)
@@ -357,9 +397,9 @@ func (s *Schedule) put(r *jobRec, m int) {
 
 // TryAssign atomically checks capacity and, when job index j fits machine m,
 // assigns it there, reporting success. It is the hot path of greedy
-// schedulers: a successful placement costs at most one oracle query (shared
-// between the check and the hint update), and most probes resolve on the
-// hints alone.
+// schedulers: a probe makes at most one oracle query, shared between the
+// check and the hint update, and none when the hull or peak hint proves the
+// fit; most probes resolve on the hints alone.
 func (s *Schedule) TryAssign(j, m int) bool {
 	r := s.record(j)
 	lo, hi := s.ia.buckets(r.w)
@@ -370,21 +410,9 @@ func (s *Schedule) TryAssign(j, m int) bool {
 // precomputed, so a scan resolves the range once per job instead of once
 // per probe.
 func (s *Schedule) tryAssign(r *jobRec, m, lo, hi int) bool {
-	st := &s.machines[m]
-	g, d := s.inst.G, int(r.demand)
-	if len(st.jobs) == 0 || !r.iv.Overlaps(st.hull) {
-		if d > g {
-			return false
-		}
-		s.insert(st, r, m, 0, lo, hi)
-		return true
-	}
-	if st.peak+d > g && st.hotRejects(r.w, d, g) {
-		return false
-	}
-	used, ok := s.query(st, m, r.w, d, lo, hi)
+	used, ok := s.canAssign(r, m, lo, hi)
 	if ok {
-		s.insert(st, r, m, used, lo, hi)
+		s.insert(&s.machines[m], r, m, used, lo, hi)
 	}
 	return ok
 }
@@ -452,7 +480,7 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 // insert performs the bookkeeping of placing the job of r on machine state
 // st (machine index m): shard copies, assignment map, and the hint updates.
 // used must be at least the machine's maximum load within the job's window
-// before insertion (exact keeps peak exact; an upper bound keeps it sound).
+// before insertion, which keeps peak a sound upper bound.
 // lo/hi is the job's axis bucket range.
 func (s *Schedule) insert(st *machineState, r *jobRec, m, used, lo, hi int) {
 	j := int(r.j)

@@ -40,7 +40,17 @@ func (sp *Spans) AppendTo(dst Set) Set { return append(dst, sp.pieces...) }
 // means iv is disjoint from every piece and belongs at position i.
 func (sp *Spans) run(iv Interval) (i, j int) {
 	// First piece that could merge with iv: End ≥ iv.Start (touch counts).
-	i = sort.Search(len(sp.pieces), func(k int) bool { return sp.pieces[k].End >= iv.Start })
+	// The binary search is written out: BestFit calls Delta on most
+	// machines it ranks, and sort.Search's closure costs a call per step.
+	i, j = 0, len(sp.pieces)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if sp.pieces[h].End < iv.Start {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	for j = i; j < len(sp.pieces) && sp.pieces[j].Start <= iv.End; j++ {
 	}
 	return i, j
