@@ -86,7 +86,7 @@ func benchFirstFitN(b *testing.B, n int, run func(*core.Instance) *core.Schedule
 	for i := 0; i < b.N; i++ {
 		s = run(in)
 	}
-	reportQueries(b, s)
+	reportWork(b, s)
 }
 
 func BenchmarkFirstFitN1e2(b *testing.B) { benchFirstFitN(b, 100, firstfit.Schedule) }
@@ -173,7 +173,7 @@ func benchSolverWarm(b *testing.B, in *core.Instance, algorithm string) {
 			b.Fatal("empty schedule")
 		}
 	}
-	reportQueries(b, res.Schedule)
+	reportWork(b, res.Schedule)
 }
 
 func BenchmarkSolverWarmN1e4(b *testing.B)        { benchSolverWarmN(b, 10000, "firstfit") }

@@ -27,7 +27,7 @@ import (
 // every shard holds every job overlapping any point of its closed tile and
 // per-shard sweeps are exact under closed semantics.
 
-// shardChunkLen is the number of items per chunk; chunks are 200 B, small
+// shardChunkLen is the number of items per chunk; chunks are 204 B, small
 // enough that sparsely filled shards waste little and large enough that a
 // sweep mostly walks contiguous memory.
 const shardChunkLen = 16
@@ -49,6 +49,10 @@ type shardChunk struct {
 	items [shardChunkLen]shardItem
 	n     int32
 	prev  int32 // earlier chunk of the same shard's chain; 0 terminates
+	// reach is the largest end rank in this chunk and every older chunk of
+	// its chain, so a sweep stops at the first chunk whose reach lies
+	// before its window: nothing behind it can overlap the window.
+	reach int32
 }
 
 // shardPool is the schedule-wide arena behind every machine's loadShards,
@@ -63,31 +67,37 @@ type shardPool struct {
 	sbuf, ebuf []shardEvent
 	// allocs counts backing-array growth, feeding ScratchStats.
 	allocs int
+	// sweeps and walked count shard sweeps and the items of the chunks they
+	// visit since the last reset, feeding Schedule.Work.
+	sweeps, walked int
 }
 
-// reset drops every chunk in O(1), retaining the arena.
+// reset drops every chunk in O(1), retaining the arena, and zeroes the walk
+// counts.
 func (p *shardPool) reset() {
 	if len(p.chunks) > 0 {
 		p.chunks = p.chunks[:1]
 	}
+	p.sweeps, p.walked = 0, 0
 }
 
-// take hands out an empty chunk chained after prev, recycling retained
-// capacity before growing the arena.
+// take hands out an empty chunk chained after prev, with prev's reach,
+// recycling retained capacity before growing the arena.
 func (p *shardPool) take(prev int32) int32 {
 	if len(p.chunks) == 0 {
 		if cap(p.chunks) == 0 {
 			p.allocs++
 		}
-		p.chunks = append(p.chunks, shardChunk{n: shardChunkLen}) // sentinel
+		p.chunks = append(p.chunks, shardChunk{n: shardChunkLen, reach: -1}) // sentinel
 	}
+	reach := p.chunks[prev].reach
 	if len(p.chunks) < cap(p.chunks) {
 		p.chunks = p.chunks[:len(p.chunks)+1]
 		c := &p.chunks[len(p.chunks)-1]
-		c.n, c.prev = 0, prev
+		c.n, c.prev, c.reach = 0, prev, reach
 	} else {
 		p.allocs++
-		p.chunks = append(p.chunks, shardChunk{prev: prev})
+		p.chunks = append(p.chunks, shardChunk{prev: prev, reach: reach})
 	}
 	return int32(len(p.chunks) - 1)
 }
@@ -125,6 +135,7 @@ func (ls *loadShards) add(p *shardPool, w span, demand int, slo, shi int) {
 		c := &p.chunks[h]
 		c.items[c.n] = it
 		c.n++
+		c.reach = max(c.reach, w.end)
 	}
 }
 
@@ -161,14 +172,20 @@ func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, thresh
 }
 
 // sweepShard computes the exact depth profile of one shard's items over the
-// sub-window sub by walking the shard's chunk chain, then reads the maximum
+// sub-window sub by walking the shard's chunk chain from its newest chunk
+// until the first whose reach lies before sub, then reads the maximum
 // depth, its witness (the lowest rank attaining it: ranks ascend through the
 // sweep and only a strictly deeper point replaces the witness) and the
 // saturated run holding it from one sorted two-pointer pass.
 func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (depth int, at int32, run span, ok bool) {
 	starts, ends := p.sbuf[:0], p.ebuf[:0]
+	p.sweeps++
 	for h := ls.heads[k]; h != 0; h = p.chunks[h].prev {
 		c := &p.chunks[h]
+		if c.reach < sub.start {
+			break
+		}
+		p.walked += int(c.n)
 		for i := int32(0); i < c.n; i++ {
 			it := &c.items[i]
 			if !it.w.overlaps(sub) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -254,7 +255,8 @@ func (h *shardHarness) maxDepthRun(j, thresh int) (depth int, at float64, run in
 }
 
 // shardOracleCase is one seeded workload for checkShardsAgainstBrute: n
-// jobs inserted in order, extra jobs present in the instance (and on its
+// jobs inserted in start order, so the shard chains advance in time as a
+// component-major run's do, extra jobs present in the instance (and on its
 // axis) but never inserted, and queries checked at thresholds thresh and
 // thresh+2.
 type shardOracleCase struct {
@@ -302,10 +304,11 @@ func FuzzLoadShardsMatchesBrute(f *testing.F) {
 
 // TestShardOracleSeedsReachTheirCases pins what each seed of
 // FuzzLoadShardsMatchesBrute is there for: several shards on every axis,
-// more than shardJobTarget inserted jobs in the first, and shard sweeps
-// both within and past smallSweep events there, so both branches of
-// sortEvents run; unit demands in the second, and in the third an axis past
-// 2¹⁶ distinct endpoints at stride 2.
+// more than shardJobTarget inserted jobs in the first, shard sweeps both
+// within and past smallSweep events there, so both branches of sortEvents
+// run, and sweeps the chain reach stops early as well as sweeps it lets
+// walk the whole chain; unit demands in the second, and in the third an
+// axis past 2¹⁶ distinct endpoints at stride 2.
 func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 	for i, tc := range shardOracleSeeds {
 		in := tc.instance()
@@ -320,6 +323,9 @@ func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 			}
 			if least, most := sweepEvents(tc); least > smallSweep || most <= smallSweep {
 				t.Errorf("seed 0 sweeps %d to %d events; want both sides of smallSweep %d", least, most, smallSweep)
+			}
+			if cut, whole := reachCuts(tc); cut == 0 || whole == 0 {
+				t.Errorf("seed 0: %d queries stopped early at a chunk's reach and %d walked every chain; want both", cut, whole)
 			}
 		case 1:
 			if tc.maxDemand != 1 {
@@ -409,7 +415,36 @@ func sweepEvents(tc shardOracleCase) (least, most int) {
 	return least, most
 }
 
-// instance generates tc's n+extra jobs.
+// reachCuts replays checkShardsAgainstBrute's insertions and queries for
+// tc and counts the queries whose sweeps walked fewer items than the chains
+// of their shards hold (the reach cut stopped one) and those that walked
+// them whole, from the pool's walk count.
+func reachCuts(tc shardOracleCase) (cut, whole int) {
+	in := tc.instance()
+	h := newShardHarness(in)
+	next := splitmix(^tc.seed)
+	for step := 0; step < tc.n; step++ {
+		h.add(step)
+		q := min(int(next()*float64(in.N())), in.N()-1)
+		slo, shi := h.ia.shardRange(h.ia.buckets(h.ia.jobSpan(q)))
+		held := 0
+		for k := slo; k <= shi; k++ {
+			for c := h.ls.heads[k]; c != 0; c = h.pool.chunks[c].prev {
+				held += int(h.pool.chunks[c].n)
+			}
+		}
+		before := h.pool.walked
+		h.maxDepthRun(q, tc.thresh)
+		if h.pool.walked-before < held {
+			cut++
+		} else {
+			whole++
+		}
+	}
+	return cut, whole
+}
+
+// instance generates tc's n+extra jobs, the n inserted ones in start order.
 func (tc shardOracleCase) instance() *Instance {
 	r := splitmix(tc.seed)
 	snap := func(x float64) float64 {
@@ -423,6 +458,7 @@ func (tc shardOracleCase) instance() *Instance {
 		s := snap(r() * tc.horizon)
 		ivs[i] = interval.Interval{Start: s, End: max(s, snap(s+r()*tc.maxLen))}
 	}
+	slices.SortStableFunc(ivs[:tc.n], func(a, b interval.Interval) int { return cmp.Compare(a.Start, b.Start) })
 	in := NewInstance(4, ivs...)
 	for i := range in.Jobs {
 		in.Jobs[i].Demand = 1 + int(r()*float64(tc.maxDemand))
@@ -504,7 +540,8 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 				t.Fatalf("seed %d step %d: run %v outside %v", tc.seed, step, run, w)
 			}
 			for i := 0; i <= 8; i++ {
-				p := run.Start + (run.End-run.Start)*float64(i)/8
+				// Clamped: rounding can carry the last sample past run.End.
+				p := min(run.Start+(run.End-run.Start)*float64(i)/8, run.End)
 				if depth := depthAt(p, added); depth < thresh {
 					t.Fatalf("seed %d step %d: run %v has depth %d < %d at %v", tc.seed, step, run, depth, thresh, p)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -62,9 +63,13 @@ func bruteNextFit(s *Schedule, j int, cursor *int) int {
 // FuzzPlacerMatchesBrute drives every placement rule on a random
 // demand-weighted instance against its brute-force reference, placement by
 // placement: FirstFit against bruteFirstFit, BestFit against naiveBestFit
-// and NextFit against bruteNextFit. After every placement it checks that the
-// hints the kernel decides on without a query stay sound (checkHintsSound).
-// The seeds are TestPlacerBestFitMatchesNaive's instances.
+// and NextFit against bruteNextFit, each in index order and in start order
+// (where placements keep landing after a machine's busy hull, so the tail
+// peak restarts), on the instance and on a copy with its endpoints snapped
+// to halves (where windows start exactly on a machine's gap). After every
+// placement it checks that the hints the kernel decides on without a
+// query, and the shard chains' reach, stay sound (checkHintsSound). The
+// seeds are TestPlacerBestFitMatchesNaive's instances.
 func FuzzPlacerMatchesBrute(f *testing.F) {
 	for seed := int64(0); seed < 25; seed++ {
 		f.Add(seed, uint8(140))
@@ -81,38 +86,81 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
 		r := rand.New(rand.NewSource(seed))
 		g := 1 + r.Intn(5)
-		in := randInstance(r, max(1, int(n)), g)
-		times := rankTimes(in)
-		for _, tc := range rules {
-			s, ref := NewSchedule(in), NewSchedule(in)
-			cursor := Unassigned
-			for j := range in.Jobs {
-				want := tc.brute(ref, j, &cursor)
-				if got := s.Apply(tc.rule, j); got != want {
-					t.Fatalf("seed %d %s: job %d on machine %d, brute force %d", seed, tc.name, j, got, want)
+		plain := randInstance(r, max(1, int(n)), g)
+		snapped := &Instance{G: g, Jobs: slices.Clone(plain.Jobs)}
+		for i := range snapped.Jobs {
+			iv := &snapped.Jobs[i].Iv
+			iv.Start = math.Round(2*iv.Start) / 2
+			iv.End = max(iv.Start, math.Round(2*iv.End)/2)
+		}
+		for _, inst := range []struct {
+			name string
+			in   *Instance
+		}{{"plain", plain}, {"snapped", snapped}} {
+			in := inst.in
+			times := rankTimes(in)
+			indexOrder := make([]int32, in.N())
+			for j := range indexOrder {
+				indexOrder[j] = int32(j)
+			}
+			orders := []struct {
+				name string
+				jobs []int32
+			}{{"index order", indexOrder}, {"start order", in.StartOrder()}}
+			for _, tc := range rules {
+				for _, order := range orders {
+					s, ref := NewSchedule(in), NewSchedule(in)
+					cursor := Unassigned
+					for _, j := range order.jobs {
+						want := tc.brute(ref, int(j), &cursor)
+						if got := s.Apply(tc.rule, int(j)); got != want {
+							t.Fatalf("seed %d %s %s in %s: job %d on machine %d, brute force %d", seed, inst.name, tc.name, order.name, j, got, want)
+						}
+						checkHintsSound(t, s, times)
+					}
+					if err := s.Verify(); err != nil {
+						t.Fatalf("seed %d %s %s in %s: %v", seed, inst.name, tc.name, order.name, err)
+					}
+					if s.Cost() != ref.Cost() {
+						t.Fatalf("seed %d %s %s in %s: cost %v, brute force %v", seed, inst.name, tc.name, order.name, s.Cost(), ref.Cost())
+					}
 				}
-				checkHintsSound(t, s, times)
-			}
-			if err := s.Verify(); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, tc.name, err)
-			}
-			if s.Cost() != ref.Cost() {
-				t.Fatalf("seed %d %s: cost %v, brute force %v", seed, tc.name, s.Cost(), ref.Cost())
 			}
 		}
 	})
 }
 
 // checkHintsSound fails unless every machine's peak is at least its true
-// maximum load and every saturation witness's depth is at most the true load
-// at its endpoint, both computed by brute force from the machine's jobs;
-// times[r] is the endpoint of rank r (rankTimes).
+// maximum load, its tail peak at least its true maximum load after its gap,
+// every saturation witness's depth at most the true load at its endpoint,
+// all computed by brute force from the machine's jobs, and every chunk of
+// its shard chains stores as reach the largest end rank in itself and the
+// chunks behind it; times[r] is the endpoint of rank r (rankTimes).
 func checkHintsSound(t *testing.T, s *Schedule, times []float64) {
 	t.Helper()
 	for m := range s.machines {
 		st := &s.machines[m]
 		if load := maxWeightedDepth(s.inst, st.jobs); st.peak < load {
 			t.Fatalf("machine %d: peak hint %d below its load %d", m, st.peak, load)
+		}
+		if load := loadAfter(s.inst, st.jobs, st.gap); st.tail < load {
+			t.Fatalf("machine %d: tail peak %d below its load %d after the gap at %v", m, st.tail, load, st.gap)
+		}
+		for k, h := range st.shards.heads {
+			var chain []int32
+			for ; h != 0; h = s.pool.chunks[h].prev {
+				chain = append(chain, h)
+			}
+			reach := int32(-1)
+			for i := len(chain) - 1; i >= 0; i-- {
+				c := &s.pool.chunks[chain[i]]
+				for _, it := range c.items[:c.n] {
+					reach = max(reach, it.w.end)
+				}
+				if c.reach != reach {
+					t.Fatalf("machine %d shard %d: chunk %d has reach %d, the largest end rank in and behind it is %d", m, k, chain[i], c.reach, reach)
+				}
+			}
 		}
 		for _, h := range st.hot[:st.nhot] {
 			at, load := times[h.at], 0
@@ -125,6 +173,48 @@ func checkHintsSound(t *testing.T, s *Schedule, times []float64) {
 				t.Fatalf("machine %d: witness depth %d at %v above the load %d there", m, h.depth, at, load)
 			}
 		}
+	}
+}
+
+// loadAfter returns the maximum demand-weighted closed load of jobs at the
+// points after gap, by brute force: maxWeightedDepth of the jobs reaching
+// past gap, each clipped to start no earlier than gap. At gap itself the
+// clipped jobs give the load just after it.
+func loadAfter(inst *Instance, jobs []int, gap float64) int {
+	clipped := &Instance{G: inst.G}
+	var idx []int
+	for _, j := range jobs {
+		if job := inst.Jobs[j]; job.Iv.End > gap {
+			job.Iv.Start = max(job.Iv.Start, gap)
+			idx = append(idx, len(clipped.Jobs))
+			clipped.Jobs = append(clipped.Jobs, job)
+		}
+	}
+	return maxWeightedDepth(clipped, idx)
+}
+
+// TestTailPeakSkipsQueryAfterGap pins the tail peak: once a machine is
+// saturated, a job landing strictly after its busy hull restarts the bound
+// on the load after that gap, so a later job starting after the gap is
+// accepted on the tail peak instead of an oracle query, while one starting
+// on the gap, where the saturating job ends, still reads the all-time peak.
+func TestTailPeakSkipsQueryAfterGap(t *testing.T) {
+	in := NewInstance(2, iv(0, 1), iv(2, 3), iv(1, 1.5), iv(2.5, 4))
+	in.Jobs[0].Demand = 2
+	s := NewSchedule(in)
+	for j, want := range []int{0, 0, 1, 0} {
+		if m := s.FirstFitAssign(j); m != want {
+			t.Fatalf("job %d on machine %d, want %d", j, m, want)
+		}
+	}
+	st := &s.machines[0]
+	if st.gap != 1 || st.peak != 2 || st.tail != 2 {
+		t.Fatalf("gap %v, peak %d, tail %d; want gap 1, peak 2, tail 2", st.gap, st.peak, st.tail)
+	}
+	// Job 2 is rejected by a query on machine 0; job 3 is accepted there on
+	// the tail peak alone.
+	if w := s.Work(); w.Queries != 1 || w.QueryRejects != 1 || w.PeakAccepts != 1 || w.DisjointAccepts != 1 {
+		t.Fatalf("work %+v; want one rejecting query, one disjoint and one peak accept", w)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -77,8 +78,8 @@ type WorkCounts struct {
 	// scans built on them.
 	Probes int
 	// DisjointAccepts counts probes accepted because the machine was empty
-	// or its busy hull missed the job; PeakAccepts those accepted on the
-	// peak hint alone.
+	// or its busy hull missed the job; PeakAccepts those accepted on a peak
+	// bound alone (the all-time peak, or the tail peak after a gap).
 	DisjointAccepts, PeakAccepts int
 	// WitnessRejects counts probes rejected by a recorded saturation
 	// witness without a query.
@@ -86,11 +87,20 @@ type WorkCounts struct {
 	// Queries counts exact capacity-oracle queries, and QueryRejects the
 	// queries that found the job does not fit.
 	Queries, QueryRejects int
+	// Sweeps counts the shard sweeps the queries ran, one per shard of a
+	// window, and ItemsWalked the items of the chunks those sweeps visited.
+	Sweeps, ItemsWalked int
 }
 
 // Work returns the kernel work counts accumulated since the schedule was
 // created; a schedule recycled from a Scratch starts again from zero.
-func (s *Schedule) Work() WorkCounts { return s.work }
+func (s *Schedule) Work() WorkCounts {
+	w := s.work
+	if s.pool != nil {
+		w.Sweeps, w.ItemsWalked = s.pool.sweeps, s.pool.walked
+	}
+	return w
+}
 
 // hotspot is a saturation hint: the machine's load at the endpoint of rank
 // at is known to be at least depth. Machines only ever gain jobs, so the
@@ -114,10 +124,19 @@ type machineState struct {
 	// over all time, not an exact one: insert raises it to at least used +
 	// demand, where used bounds the load within the new job's window — the
 	// true load when the placement queried the oracle, 0 on a machine whose
-	// hull the job misses, and peak itself otherwise (a peak-hint accept,
-	// plain Assign), which keeps it sound without paying a query. A
-	// candidate with Demand ≤ g − peak trivially fits.
+	// hull the job misses, and the peak bound the window reads otherwise
+	// (a peak-hint accept, plain Assign; see bound), which keeps it sound
+	// without paying a query. A candidate with Demand ≤ g − peak trivially
+	// fits.
 	peak int
+	// gap and tail restart the peak bound after the machine's last gap:
+	// gap is the busy hull's end when a placement last landed strictly
+	// after it (−∞ before any such placement), and tail bounds the load at
+	// every point after gap. Every earlier job ends by gap, so a window
+	// starting after it meets only load that tail counts. insert raises tail
+	// by the same used + demand as peak, which keeps it sound for any window.
+	gap  float64
+	tail int
 	// hot are saturation witnesses recorded by rejected probes, stored
 	// inline so recording one never allocates.
 	hot  [maxHotspots]hotspot
@@ -135,7 +154,7 @@ type machineState struct {
 func (st *machineState) recycle() {
 	st.jobs = st.jobs[:0]
 	st.hull = interval.Interval{}
-	st.peak = 0
+	st.peak, st.gap, st.tail = 0, math.Inf(-1), 0
 	st.nhot = 0
 	st.spans.Reset()
 }
@@ -267,7 +286,8 @@ func (s *Schedule) refuseSealed() {
 //
 // The check consults the machine's residual-capacity hints before paying for
 // an exact oracle query: a job outside the busy hull always fits, a job
-// whose demand is within g − peak always fits, and a job covering a known
+// whose demand is within g − peak always fits (g − tail peak for a job
+// starting after the machine's last gap), and a job covering a known
 // saturation point that it cannot share never fits. Probes that fall through
 // to the oracle and get rejected record the rejection's witness point, so
 // repeated probing of a saturated machine converges to O(1).
@@ -281,7 +301,7 @@ func (s *Schedule) CanAssign(j, m int) bool {
 // canAssign is CanAssign on a job record with its axis bucket range
 // precomputed. When the job fits, used is an upper bound on the machine's
 // load within the job's window, as insert wants: 0 for a disjoint machine,
-// the peak hint for a peak accept, and the exact load after a query.
+// the peak bound for a peak accept, and the exact load after a query.
 func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) (used int, ok bool) {
 	st := &s.machines[m]
 	g, d := s.inst.G, int(r.demand)
@@ -293,15 +313,25 @@ func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) (used int, ok bool) {
 		s.work.DisjointAccepts++
 		return 0, true
 	}
-	if st.peak+d <= g {
+	if b := st.bound(r.iv.Start); b+d <= g {
 		s.work.PeakAccepts++
-		return st.peak, true
+		return b, true
 	}
 	if st.hotRejects(r.w, d, g) {
 		s.work.WitnessRejects++
 		return 0, false
 	}
 	return s.query(st, m, r.w, d, lo, hi)
+}
+
+// bound returns the machine's load bound for a window that overlaps its
+// busy hull and starts at start: the tail peak when the window starts after
+// the machine's last gap, the all-time peak otherwise.
+func (st *machineState) bound(start float64) int {
+	if start > st.gap {
+		return st.tail
+	}
+	return st.peak
 }
 
 // hotRejects reports whether a recorded saturation witness inside the span
@@ -376,9 +406,9 @@ func (st *machineState) noteHot(at int32, depth int) {
 // assigned or the machine does not exist; it does not re-check capacity
 // (algorithms call CanAssign, and Verify re-checks everything).
 //
-// Assign keeps the peak hint a sound upper bound without querying the
-// oracle: a job overlapping the busy hull can raise the true peak by at most
-// its demand.
+// Assign keeps the peak bounds sound without querying the oracle: a job
+// overlapping the busy hull can raise the true load by at most its demand
+// above the bound its window reads.
 func (s *Schedule) Assign(j, m int) {
 	r := s.record(j)
 	s.put(&r, m)
@@ -390,7 +420,7 @@ func (s *Schedule) put(r *jobRec, m int) {
 	st := &s.machines[m]
 	used := 0
 	if len(st.jobs) > 0 && r.iv.Overlaps(st.hull) {
-		used = st.peak
+		used = st.bound(r.iv.Start)
 	}
 	s.insert(st, r, m, used, lo, hi)
 }
@@ -480,7 +510,9 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 // insert performs the bookkeeping of placing the job of r on machine state
 // st (machine index m): shard copies, assignment map, and the hint updates.
 // used must be at least the machine's maximum load within the job's window
-// before insertion, which keeps peak a sound upper bound.
+// before insertion, which keeps peak and tail sound upper bounds. A job
+// starting strictly after the busy hull records the hull's end as the
+// machine's gap and restarts tail: nothing before it reaches past the gap.
 // lo/hi is the job's axis bucket range.
 func (s *Schedule) insert(st *machineState, r *jobRec, m, used, lo, hi int) {
 	j := int(r.j)
@@ -493,12 +525,14 @@ func (s *Schedule) insert(st *machineState, r *jobRec, m, used, lo, hi int) {
 	if len(st.jobs) == 0 {
 		st.hull = r.iv
 	} else {
+		if r.iv.Start > st.hull.End {
+			st.gap, st.tail = st.hull.End, 0
+		}
 		st.hull = st.hull.Hull(r.iv)
 	}
 	st.jobs = append(st.jobs, j)
-	if used+d > st.peak {
-		st.peak = used + d
-	}
+	st.peak = max(st.peak, used+d)
+	st.tail = max(st.tail, used+d)
 	for i := 0; i < st.nhot; i++ {
 		if r.w.contains(st.hot[i].at) {
 			st.hot[i].depth += r.demand

@@ -160,12 +160,12 @@ type Runner struct {
 	labels   []int32   // job position → component id (start order)
 	slabels  []int32   // job position → shard id
 	offsets  []int32   // bucket id → start of its segment in suborder
-	cursor   []int32   // per-bucket scatter/replay cursors
-	unitOf   []int32   // bucket id → the unit that solves it
+	cursor   []int32   // per-bucket scatter cursors
 	bounds   []int32   // unit id → start of its range in suborder
 	sizes    []int32   // unit id → job count
 	suborder []int32   // global order scattered bucket-major
-	localm   []int32   // unit-local machine per suborder position
+	pos      []int32   // global order position → its suborder position
+	localm   []int32   // machine per suborder position: unit-local, then global
 	deltas   []float64 // span delta per suborder position (the span logs)
 	posOrder []int32   // identity order 0..n-1, for algorithms with nil Order
 	used     []int32   // unit id → machine count
@@ -344,7 +344,7 @@ func (r *Runner) run(ctx context.Context, in *core.Instance, d *algo.Decomposer,
 
 	t0 = time.Now()
 	machines := r.stack(units, stacked)
-	s := r.assemble(in, sc, ord, labels, units, machines)
+	s := r.assemble(in, sc, ord, units, machines)
 	st.Merge = time.Since(t0)
 	return s, nil
 }
@@ -366,16 +366,14 @@ func chunkTarget(n, ncomp, workers int) int {
 // group partitions the scattered buckets, in id order, into units of
 // consecutive buckets in one O(buckets) pass: a unit closes after the first
 // bucket that brings it to at least target jobs (target 0 makes every
-// bucket its own unit, empty ones included). It fills unitOf, bounds and
-// sizes, and returns the unit count.
+// bucket its own unit, empty ones included). It fills bounds and sizes, and
+// returns the unit count.
 func (r *Runner) group(buckets, target int) int {
-	r.unitOf = grow(r.unitOf, buckets)
 	r.bounds = grow(r.bounds, buckets+1)
 	r.sizes = grow(r.sizes, buckets)
 	r.bounds[0] = 0
 	units := 0
 	for b := range buckets {
-		r.unitOf[b] = int32(units)
 		if end := r.offsets[b+1]; int(end-r.bounds[units]) >= target || b == buckets-1 {
 			r.sizes[units] = end - r.bounds[units]
 			units++
@@ -388,8 +386,8 @@ func (r *Runner) group(buckets, target int) int {
 // scatter resolves the algorithm's global processing order and copies it
 // into contiguous per-bucket segments of suborder, in bucket id order
 // (stable: each segment keeps the global order restricted to its bucket),
-// where labels maps each job to one of buckets buckets. It returns the
-// global order.
+// where labels maps each job to one of buckets buckets, recording in pos
+// where each global order position landed. It returns the global order.
 func (r *Runner) scatter(in *core.Instance, d *algo.Decomposer, labels []int32, buckets int) []int32 {
 	n := in.N()
 	order := r.order(in, d)
@@ -404,10 +402,12 @@ func (r *Runner) scatter(in *core.Instance, d *algo.Decomposer, labels []int32, 
 	r.cursor = grow(r.cursor, buckets)
 	copy(r.cursor, r.offsets)
 	r.suborder = grow(r.suborder, n)
-	for _, j := range order {
+	r.pos = grow(r.pos, n)
+	for i, j := range order {
 		c := labels[j]
-		r.suborder[r.cursor[c]] = j
-		r.cursor[c]++
+		p := r.cursor[c]
+		r.suborder[p], r.pos[i] = j, p
+		r.cursor[c] = p + 1
 	}
 	r.localm = grow(r.localm, n)
 	r.deltas = grow(r.deltas, n)
@@ -642,34 +642,36 @@ func (r *Runner) stack(units int, stacked bool) int {
 
 // assemble merges the captured units into one sealed schedule on sc. Per
 // unit in start order, each machine's span pieces are grafted onto global
-// machine base+m; successive grafts onto one machine therefore arrive in
-// time order. One pass over the global order ord then appends every job to
-// its machine, keeping one cursor per bucket of labels: a bucket's segment
-// holds its jobs in the global order, and the bucket's unit gives the base.
+// machine base+m, so successive grafts onto one machine arrive in time
+// order, and base is added to the machines logged for the unit's suborder
+// range. One pass over the global order ord then appends every job to its
+// machine, reading the job's suborder position from pos.
 // The pass replays each job's logged span delta, so machine totals and Cost
 // accumulate in the global order — exactly the sequential order on the
 // chunk path.
-func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord, labels []int32, units, machines int) *core.Schedule {
+func (r *Runner) assemble(in *core.Instance, sc *core.Scratch, ord []int32, units, machines int) *core.Schedule {
 	asm := core.BeginAssembly(in, sc, machines)
 	for u := 0; u < units; u++ {
 		cp := &r.caps[r.capOwner[u]]
-		slot := int(r.capSlot[u])
+		slot, base := int(r.capSlot[u]), r.base[u]
 		lo := int32(0)
 		if slot > 0 {
 			lo = cp.ends[slot-1]
 		}
 		for m := int32(0); m < r.used[u]; m++ {
 			hi := cp.ends[slot+int(m)]
-			asm.Graft(int(r.base[u]+m), cp.pieces[lo:hi])
+			asm.Graft(int(base+m), cp.pieces[lo:hi])
 			lo = hi
 		}
+		if base != 0 {
+			for p := r.bounds[u]; p < r.bounds[u+1]; p++ {
+				r.localm[p] += base
+			}
+		}
 	}
-	copy(r.cursor, r.offsets)
-	for _, j := range ord {
-		c := labels[j]
-		p := r.cursor[c]
-		r.cursor[c] = p + 1
-		asm.PutDelta(int(j), int(r.base[r.unitOf[c]]+r.localm[p]), r.deltas[p])
+	for i, j := range ord {
+		p := r.pos[i]
+		asm.PutDelta(int(j), int(r.localm[p]), r.deltas[p])
 	}
 	return asm.Finish()
 }
