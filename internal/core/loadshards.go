@@ -17,7 +17,7 @@ import (
 // an O(1) truncation. Shard count and width are fixed up front from the
 // instance axis, so the insert path never redistributes.
 //
-// Items, windows, shard tiles, witnesses and saturated runs are spans —
+// Items, windows, shard tiles, witnesses and maximal runs are spans —
 // endpoint ranks, not times (see span). Every coordinate the sweep compares
 // is a job endpoint or an axis boundary, which is a job endpoint too, so
 // rank comparisons give exactly the float comparisons' answers on records
@@ -65,6 +65,11 @@ type shardPool struct {
 	chunks []shardChunk
 	// sweep scratch reused across every probe of the schedule
 	sbuf, ebuf []shardEvent
+	// runs holds the last query's maximal runs at its maximum depth (see
+	// maxDepthRun). kept is a second run buffer: BestFit swaps a candidate's
+	// runs into it on accepting the candidate, out of reach of the queries
+	// that follow.
+	runs, kept []span
 	// allocs counts backing-array growth, feeding ScratchStats.
 	allocs int
 	// sweeps and walked count shard sweeps and the items of the chunks they
@@ -139,18 +144,17 @@ func (ls *loadShards) add(p *shardPool, w span, demand int, slo, shi int) {
 	}
 }
 
-// maxDepthRun returns the maximum demand-weighted closed depth within w, a
-// witness rank attaining it, and (when the depth reaches thresh) a
-// saturated run around the witness: the maximal sub-span of the witness's
-// clipped shard window on which the depth stays ≥ thresh.
-// [slo, shi] is w's shard range; the window is processed shard by shard on
-// clipped sub-windows. Each shard holds every job overlapping its closed
-// tile, so per-shard depths are exact and the overall maximum is their
-// maximum.
-func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, thresh, slo, shi int) (depth int, at int32, run span, ok bool) {
-	if thresh < 1 {
-		thresh = 1
-	}
+// maxDepthRun returns the maximum demand-weighted closed depth within w and
+// its witness, the lowest rank attaining it, and leaves in p.runs every
+// maximal run at that maximum, in ascending order: per shard of [slo, shi]
+// (w's shard range) whose clipped sub-window reaches the maximum, the
+// maximal sub-spans of the sub-window on which the depth equals it (the
+// whole sub-window at depth 0). Each shard holds every job overlapping its
+// closed tile, so per-shard depths are exact and the overall maximum is
+// their maximum; the first reported run starts at the witness.
+func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, slo, shi int) (depth int, at int32) {
+	p.runs = p.runs[:0]
+	depth = -1
 	for k := slo; k <= shi; k++ {
 		sub := w
 		if k > slo {
@@ -162,22 +166,26 @@ func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, thresh
 		if sub.start > sub.end {
 			continue
 		}
-		d, a, r, o := ls.sweepShard(p, k, sub, thresh)
-		if d > depth {
-			depth, at = d, a
-			run, ok = r, o
+		base := len(p.runs)
+		switch d := ls.sweepShard(p, k, sub); {
+		case d > depth:
+			depth = d
+			p.runs = p.runs[:copy(p.runs, p.runs[base:])]
+		case d < depth:
+			p.runs = p.runs[:base]
 		}
 	}
-	return depth, at, run, ok
+	return depth, p.runs[0].start
 }
 
 // sweepShard computes the exact depth profile of one shard's items over the
 // sub-window sub by walking the shard's chunk chain from its newest chunk
-// until the first whose reach lies before sub, then reads the maximum
-// depth, its witness (the lowest rank attaining it: ranks ascend through the
-// sweep and only a strictly deeper point replaces the witness) and the
-// saturated run holding it from one sorted two-pointer pass.
-func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (depth int, at int32, run span, ok bool) {
+// until the first whose reach lies before sub, and returns the maximum
+// depth from one sorted two-pointer pass. The same pass appends to p.runs
+// the maximal runs of sub at that depth in ascending order, dropping the
+// runs it appended so far whenever a deeper point restarts the list; a
+// sub-window no item overlaps is one run at depth 0.
+func (ls *loadShards) sweepShard(p *shardPool, k int, sub span) int {
 	starts, ends := p.sbuf[:0], p.ebuf[:0]
 	p.sweeps++
 	for h := ls.heads[k]; h != 0; h = p.chunks[h].prev {
@@ -197,49 +205,41 @@ func (ls *loadShards) sweepShard(p *shardPool, k int, sub span, thresh int) (dep
 	}
 	p.sbuf, p.ebuf = starts, ends
 	if len(starts) == 0 {
-		return 0, 0, span{}, false
+		p.runs = append(p.runs, sub)
+		return 0
 	}
 	sortEvents(starts)
 	sortEvents(ends)
 	// Two-pointer sweep, starts first at equal coordinates for closed
-	// semantics, tracking the run of depth ≥ thresh that holds the maximum.
-	cur, best := 0, 0
-	inRun, runStart, bestRunStart := false, int32(0), int32(0)
+	// semantics. Demands are positive, so a run at the running maximum best
+	// is open exactly while the depth equals best: it opens at the start
+	// that brings the depth to best and closes at the next end.
+	runs, base := p.runs, len(p.runs)
+	cur, best, runStart := 0, 0, int32(0)
 	i, j := 0, 0
 	for i < len(starts) {
 		if starts[i].t <= ends[j].t {
 			cur += int(starts[i].d)
-			if cur >= thresh && !inRun {
-				inRun, runStart = true, starts[i].t
-			}
-			if cur > best {
-				best = cur
-				at = starts[i].t
-				bestRunStart = runStart
+			if cur >= best {
+				if cur > best {
+					best, runs = cur, runs[:base]
+				}
+				runStart = starts[i].t
 			}
 			i++
 		} else {
-			if inRun && cur-int(ends[j].d) < thresh {
-				inRun = false
-				if best >= thresh && bestRunStart == runStart {
-					run, ok = span{runStart, ends[j].t}, true
-				}
+			if cur == best {
+				runs = append(runs, span{runStart, ends[j].t})
 			}
 			cur -= int(ends[j].d)
 			j++
 		}
 	}
-	for inRun && j < len(ends) {
-		if cur-int(ends[j].d) < thresh {
-			inRun = false
-			if best >= thresh && bestRunStart == runStart {
-				run, ok = span{runStart, ends[j].t}, true
-			}
-		}
-		cur -= int(ends[j].d)
-		j++
+	if cur == best {
+		runs = append(runs, span{runStart, ends[j].t})
 	}
-	return best, at, run, ok
+	p.runs = runs
+	return best
 }
 
 // sortEvents orders sweep events by coordinate. Up to smallSweep events —

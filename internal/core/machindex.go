@@ -3,11 +3,14 @@ package core
 // machindex is the machine-selection index behind Schedule.FirstFitAssign
 // and Schedule.BestFit: a per-bucket saturation bitmap over the instance's
 // compressed time axis. Bit m of bucket b means "machine m is loaded to ≥ g
-// at every point of bucket b". Bits are derived from saturated runs
-// extracted by rejected capacity probes, which are durable because machines
-// only gain jobs. A probe window overlapping a set bucket therefore contains
-// a saturated point, so the machine provably rejects and whole runs of
-// saturated machines are skipped with word-wide bit operations.
+// at every point of bucket b". Bits come from the runs the capacity oracle
+// reports at a window's maximum load: a query that rejects at load g marks
+// every such run, and a placement that fills a machine — the job's demand
+// d on an exact load g − d — marks the runs it brings to g right after the
+// job is inserted. Both are durable because machines only gain jobs. A
+// probe window overlapping a set bucket therefore contains a saturated
+// point, so the machine provably rejects and whole runs of saturated
+// machines are skipped with word-wide bit operations.
 //
 // The bitmap is word-major: column w holds one word per bucket for machines
 // 64w…64w+63, so opening a machine word appends one cleared column and never

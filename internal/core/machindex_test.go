@@ -212,8 +212,8 @@ func TestBitmapBudget(t *testing.T) {
 
 // shardHarness wires a loadShards directory to a pool and an instance axis
 // the way a schedule does, for driving the oracle directly in tests: jobs
-// are inserted and windows queried by job index, and witnesses and runs are
-// mapped back to times.
+// are inserted and windows queried by job index, and witnesses are mapped
+// back to times. A query leaves its runs in pool.runs.
 type shardHarness struct {
 	in    *Instance
 	ia    *instanceAxis
@@ -222,8 +222,10 @@ type shardHarness struct {
 	ls    loadShards
 }
 
-func newShardHarness(in *Instance) *shardHarness {
-	h := &shardHarness{in: in, ia: in.timeAxis(), times: rankTimes(in)}
+// newShardHarness builds a harness for in on its axis decimated to at most
+// maxBuckets buckets.
+func newShardHarness(in *Instance, maxBuckets int) *shardHarness {
+	h := &shardHarness{in: in, ia: buildInstanceAxis(in, maxBuckets), times: rankTimes(in)}
 	h.ls.init(h.ia)
 	return h
 }
@@ -246,58 +248,83 @@ func (h *shardHarness) add(j int) {
 	h.ls.add(&h.pool, w, h.in.Jobs[j].Demand, slo, shi)
 }
 
-// maxDepthRun queries the oracle on job j's window.
-func (h *shardHarness) maxDepthRun(j, thresh int) (depth int, at float64, run interval.Interval, ok bool) {
+// maxDepthRun queries the oracle on job j's window; the runs stay in
+// h.pool.runs.
+func (h *shardHarness) maxDepthRun(j int) (depth int, at float64) {
 	w := h.ia.jobSpan(j)
 	slo, shi := h.ia.shardRange(h.ia.buckets(w))
-	depth, a, r, ok := h.ls.maxDepthRun(&h.pool, h.ia, w, thresh, slo, shi)
-	return depth, h.times[a], interval.Interval{Start: h.times[r.start], End: h.times[r.end]}, ok
+	depth, a := h.ls.maxDepthRun(&h.pool, h.ia, w, slo, shi)
+	return depth, h.times[a]
+}
+
+// subWindows returns the sub-windows the oracle sweeps for the window w:
+// per shard of w's shard range, w clipped to the shard's tile, when that
+// leaves a point.
+func subWindows(ia *instanceAxis, w span) []span {
+	slo, shi := ia.shardRange(ia.buckets(w))
+	var subs []span
+	for k := slo; k <= shi; k++ {
+		sub := w
+		if k > slo {
+			sub.start = max(sub.start, ia.shardStart(k))
+		}
+		if k < shi {
+			sub.end = min(sub.end, ia.shardEnd(k))
+		}
+		if sub.start <= sub.end {
+			subs = append(subs, sub)
+		}
+	}
+	return subs
 }
 
 // shardOracleCase is one seeded workload for checkShardsAgainstBrute: n
 // jobs inserted in start order, so the shard chains advance in time as a
-// component-major run's do, extra jobs present in the instance (and on its
-// axis) but never inserted, and queries checked at thresholds thresh and
-// thresh+2.
+// component-major run's do, and extra jobs present in the instance (and on
+// its axis) but never inserted, on an axis of at most buckets buckets.
 type shardOracleCase struct {
 	seed            uint64
 	n, extra        int
 	horizon, maxLen float64
 	maxDemand       int
 	// snap, when positive, rounds endpoints to multiples of 1/snap.
-	snap   int
-	thresh int
+	snap int
+	// buckets is the axis's bucket cap (buildInstanceAxis).
+	buckets int
 }
 
 // shardOracleSeeds is FuzzLoadShardsMatchesBrute's seed corpus: a workload
 // whose insertion count runs far past shardJobTarget items per shard (the
 // fixed directory must stay exact at any occupancy), a unit-demand workload
 // also checked against the endpoint sweep of interval.Set.MaxDepthWithin,
-// and a workload on an axis past 2¹⁶ distinct endpoints, decimated to
-// stride 2, where most inserted endpoints are not axis boundaries.
+// and a workload whose 4,000 endpoints pass its 2,048-bucket cap, so its
+// axis is decimated to stride 2 and most inserted endpoints are not axis
+// boundaries.
 var shardOracleSeeds = []shardOracleCase{
-	{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, thresh: 3},
-	{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, thresh: 2},
-	{seed: 5, n: 400, extra: 40000, horizon: 100, maxLen: 12, maxDemand: 3, thresh: 3},
+	{seed: 3, n: 1200, horizon: 100, maxLen: 12, maxDemand: 3, buckets: maxTimeBuckets},
+	{seed: 21, n: 800, horizon: 60, maxLen: 9, maxDemand: 1, buckets: maxTimeBuckets},
+	{seed: 5, n: 400, extra: 1600, horizon: 100, maxLen: 12, maxDemand: 3, buckets: 2048},
 }
 
 // FuzzLoadShardsMatchesBrute compares the sharded capacity oracle against a
 // brute-force depth computation on demand-weighted jobs (see
-// checkShardsAgainstBrute and shardOracleSeeds).
+// checkShardsAgainstBrute and shardOracleSeeds). The bucket cap is fuzzed
+// too, so a few hundred jobs reach a decimated axis; the never-inserted
+// jobs stop at 4,000.
 func FuzzLoadShardsMatchesBrute(f *testing.F) {
 	for _, tc := range shardOracleSeeds {
-		f.Add(tc.seed, uint16(tc.n), uint32(tc.extra), uint16(tc.horizon), uint8(tc.maxLen), uint8(tc.maxDemand), uint8(tc.snap), uint8(tc.thresh))
+		f.Add(tc.seed, uint16(tc.n), uint32(tc.extra), uint16(tc.horizon), uint8(tc.maxLen), uint8(tc.maxDemand), uint8(tc.snap), uint16(tc.buckets-1))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, n uint16, extra uint32, horizon uint16, maxLen, maxDemand, snap, thresh uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, extra uint32, horizon uint16, maxLen, maxDemand, snap uint8, buckets uint16) {
 		checkShardsAgainstBrute(t, shardOracleCase{
 			seed:      seed,
 			n:         max(1, int(n)%1201),
-			extra:     int(extra % 50001),
+			extra:     int(extra % 4001),
 			horizon:   float64(max(1, horizon%1001)),
 			maxLen:    float64(maxLen % 64),
 			maxDemand: max(1, int(maxDemand)%5),
 			snap:      int(snap % 8),
-			thresh:    int(thresh % 8),
+			buckets:   1 + int(buckets),
 		})
 	})
 }
@@ -308,11 +335,11 @@ func FuzzLoadShardsMatchesBrute(f *testing.F) {
 // within and past smallSweep events there, so both branches of sortEvents
 // run, and sweeps the chain reach stops early as well as sweeps it lets
 // walk the whole chain; unit demands in the second, and in the third an
-// axis past 2¹⁶ distinct endpoints at stride 2.
+// axis its bucket cap decimates to stride 2.
 func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 	for i, tc := range shardOracleSeeds {
 		in := tc.instance()
-		ia := in.timeAxis()
+		ia := buildInstanceAxis(in, tc.buckets)
 		if ia.nshards < 2 {
 			t.Errorf("seed %d: only %d shard(s); multi-shard sweeps untested", i, ia.nshards)
 		}
@@ -332,8 +359,8 @@ func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 				t.Errorf("seed 1 has demands up to %d; the MaxDepthWithin check needs unit demands", tc.maxDemand)
 			}
 		case 2:
-			if ia.ax.Distinct() <= 1<<16 || ia.stride != 2 {
-				t.Errorf("seed 2: %d distinct endpoints at stride %d; want past 2¹⁶ at stride 2", ia.ax.Distinct(), ia.stride)
+			if ia.stride != 2 {
+				t.Errorf("seed 2: %d distinct endpoints under a %d-bucket cap at stride %d; want stride 2", ia.ax.Distinct(), tc.buckets, ia.stride)
 			}
 		}
 	}
@@ -341,14 +368,14 @@ func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 
 // TestSweepWitnessIsLowestMaximum pins which witness the oracle reports:
 // the lowest endpoint inside the window at which the depth attains its
-// maximum, with the saturated run holding it. Verdicts do not depend on the
-// choice, but witnesses and runs feed the hint list and the bitmap, so
-// another choice would change the kernel's work. Checked on the first two
-// seeds of FuzzLoadShardsMatchesBrute, with brute-force depths per endpoint.
+// maximum, where the first reported run starts. Verdicts do not depend on
+// the choice, but witnesses feed the hint list, so another choice would
+// change the kernel's work. Checked on the first two seeds of
+// FuzzLoadShardsMatchesBrute, with brute-force depths per endpoint.
 func TestSweepWitnessIsLowestMaximum(t *testing.T) {
 	for _, tc := range shardOracleSeeds[:2] {
 		in := tc.instance()
-		h := newShardHarness(in)
+		h := newShardHarness(in, tc.buckets)
 		next := splitmix(^tc.seed)
 		pointDepth := make([]int, len(h.times))
 		index := func(x float64) int {
@@ -365,12 +392,12 @@ func TestSweepWitnessIsLowestMaximum(t *testing.T) {
 			w := in.Jobs[q].Iv
 			lo, hi := index(w.Start), index(w.End)
 			lowest := lo + slices.Index(pointDepth[lo:hi+1], slices.Max(pointDepth[lo:hi+1]))
-			depth, at, run, ok := h.maxDepthRun(q, tc.thresh)
-			if depth > 0 && at != h.times[lowest] {
+			depth, at := h.maxDepthRun(q)
+			if at != h.times[lowest] {
 				t.Fatalf("seed %d step %d: witness %v, want the lowest maximum %v (depth %d)", tc.seed, step, at, h.times[lowest], depth)
 			}
-			if ok && !run.Contains(at) {
-				t.Fatalf("seed %d step %d: run %v does not hold the witness %v", tc.seed, step, run, at)
+			if first := h.pool.runs[0]; h.times[first.start] != at {
+				t.Fatalf("seed %d step %d: first run %v does not start at the witness %v", tc.seed, step, first, at)
 			}
 		}
 	}
@@ -383,24 +410,12 @@ func TestSweepWitnessIsLowestMaximum(t *testing.T) {
 // by brute force.
 func sweepEvents(tc shardOracleCase) (least, most int) {
 	in := tc.instance()
-	ia := in.timeAxis()
+	ia := buildInstanceAxis(in, tc.buckets)
 	next := splitmix(^tc.seed)
 	least = math.MaxInt
 	for step := 0; step < tc.n; step++ {
 		q := min(int(next()*float64(in.N())), in.N()-1)
-		w := ia.jobSpan(q)
-		slo, shi := ia.shardRange(ia.buckets(w))
-		for k := slo; k <= shi; k++ {
-			sub := w
-			if k > slo {
-				sub.start = max(sub.start, ia.shardStart(k))
-			}
-			if k < shi {
-				sub.end = min(sub.end, ia.shardEnd(k))
-			}
-			if sub.start > sub.end {
-				continue
-			}
+		for _, sub := range subWindows(ia, ia.jobSpan(q)) {
 			events := 0
 			for i := 0; i <= step; i++ {
 				if ia.jobSpan(i).overlaps(sub) {
@@ -421,7 +436,7 @@ func sweepEvents(tc shardOracleCase) (least, most int) {
 // them whole, from the pool's walk count.
 func reachCuts(tc shardOracleCase) (cut, whole int) {
 	in := tc.instance()
-	h := newShardHarness(in)
+	h := newShardHarness(in, tc.buckets)
 	next := splitmix(^tc.seed)
 	for step := 0; step < tc.n; step++ {
 		h.add(step)
@@ -434,7 +449,7 @@ func reachCuts(tc shardOracleCase) (cut, whole int) {
 			}
 		}
 		before := h.pool.walked
-		h.maxDepthRun(q, tc.thresh)
+		h.maxDepthRun(q)
 		if h.pool.walked-before < held {
 			cut++
 		} else {
@@ -479,17 +494,21 @@ func splitmix(seed uint64) func() float64 {
 
 // checkShardsAgainstBrute inserts tc's jobs one at a time and, after each,
 // queries the window of a random job of the instance, checking the depth,
-// the witness and the saturated run against brute force at both thresholds
-// of tc. The brute-force depth is kept per endpoint: every maximum of the
-// closed depth within a window is attained at an endpoint inside it.
+// the witness and the reported runs against brute force (maxRuns). The
+// brute-force load is kept per endpoint and per gap between consecutive
+// endpoints: every maximum of the closed depth within a window is attained
+// at an endpoint inside it, and a run at the maximum is a maximal range of
+// endpoints whose gaps carry it too.
 func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 	t.Helper()
 	in := tc.instance()
 	set := in.Set()
 	next := splitmix(^tc.seed)
-	h := newShardHarness(in)
-	// pointDepth[p] is the load of the inserted jobs at endpoint times[p].
+	h := newShardHarness(in, tc.buckets)
+	// pointDepth[p] is the load of the inserted jobs at endpoint times[p],
+	// gapDepth[p] their load strictly between times[p] and times[p+1].
 	pointDepth := make([]int, len(h.times))
+	gapDepth := make([]int, len(h.times))
 	index := func(x float64) int {
 		p, ok := slices.BinarySearch(h.times, x)
 		if !ok {
@@ -509,8 +528,12 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 	for step := 0; step < tc.n; step++ {
 		h.add(step)
 		job := in.Jobs[step]
-		for p := index(job.Iv.Start); p <= index(job.Iv.End); p++ {
+		lo, hi := index(job.Iv.Start), index(job.Iv.End)
+		for p := lo; p <= hi; p++ {
 			pointDepth[p] += job.Demand
+			if p < hi {
+				gapDepth[p] += job.Demand
+			}
 		}
 		added := step + 1
 		q := min(int(next()*float64(in.N())), in.N()-1)
@@ -521,33 +544,42 @@ func checkShardsAgainstBrute(t *testing.T, tc shardOracleCase) {
 				t.Fatalf("seed %d step %d: brute %d, sweep %d (w=%v)", tc.seed, step, want, sweep, w)
 			}
 		}
-		for _, thresh := range []int{tc.thresh, tc.thresh + 2} {
-			got, at, run, ok := h.maxDepthRun(q, thresh)
-			if got != want {
-				t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d, stride %d)", tc.seed, step, got, want, w, h.ia.nshards, h.ia.stride)
-			}
-			if ok != (want >= max(thresh, 1)) {
-				t.Fatalf("seed %d step %d: ok=%v with depth %d, thresh %d", tc.seed, step, ok, want, thresh)
-			}
-			if want > 0 && (!w.Contains(at) || depthAt(at, added) != want) {
-				t.Fatalf("seed %d step %d: witness %v (depth %d) outside %v or below the maximum %d",
-					tc.seed, step, at, depthAt(at, added), w, want)
-			}
-			if !ok {
-				continue
-			}
-			if !w.ContainsInterval(run) {
-				t.Fatalf("seed %d step %d: run %v outside %v", tc.seed, step, run, w)
-			}
-			for i := 0; i <= 8; i++ {
-				// Clamped: rounding can carry the last sample past run.End.
-				p := min(run.Start+(run.End-run.Start)*float64(i)/8, run.End)
-				if depth := depthAt(p, added); depth < thresh {
-					t.Fatalf("seed %d step %d: run %v has depth %d < %d at %v", tc.seed, step, run, depth, thresh, p)
-				}
-			}
+		got, at := h.maxDepthRun(q)
+		if got != want {
+			t.Fatalf("seed %d step %d: depth %d, brute %d (w=%v, shards=%d, stride %d)", tc.seed, step, got, want, w, h.ia.nshards, h.ia.stride)
+		}
+		if !w.Contains(at) || depthAt(at, added) != want {
+			t.Fatalf("seed %d step %d: witness %v (depth %d) outside %v or below the maximum %d",
+				tc.seed, step, at, depthAt(at, added), w, want)
+		}
+		if runs := maxRuns(subWindows(h.ia, h.ia.jobSpan(q)), pointDepth, gapDepth, want); !slices.Equal(h.pool.runs, runs) {
+			t.Fatalf("seed %d step %d: runs %v at depth %d in %v, brute force %v (stride %d)", tc.seed, step, h.pool.runs, want, w, runs, h.ia.stride)
 		}
 	}
+}
+
+// maxRuns returns by brute force the maximal runs of the sub-windows subs
+// at the window's maximum load depth: per sub-window whose own maximum is
+// depth, in order, each maximal rank range whose endpoints and the gaps
+// between them carry load depth, from the per-endpoint and per-gap loads.
+func maxRuns(subs []span, pointDepth, gapDepth []int, depth int) []span {
+	var runs []span
+	for _, sub := range subs {
+		if slices.Max(pointDepth[sub.start:sub.end+1]) != depth {
+			continue
+		}
+		for p := sub.start; p <= sub.end; p++ {
+			if pointDepth[p] != depth {
+				continue
+			}
+			start := p
+			for p < sub.end && gapDepth[p] == depth {
+				p++
+			}
+			runs = append(runs, span{start, p})
+		}
+	}
+	return runs
 }
 
 // TestBitmapCoversNarrowAxis drives FirstFitAssign and BestFit on a clique

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -68,8 +69,9 @@ func bruteNextFit(s *Schedule, j int, cursor *int) int {
 // peak restarts), on the instance and on a copy with its endpoints snapped
 // to halves (where windows start exactly on a machine's gap). After every
 // placement it checks that the hints the kernel decides on without a
-// query, and the shard chains' reach, stay sound (checkHintsSound). The
-// seeds are TestPlacerBestFitMatchesNaive's instances.
+// query, the saturation bitmap's marks and the shard chains' reach stay
+// sound (checkHintsSound). The seeds are TestPlacerBestFitMatchesNaive's
+// instances.
 func FuzzPlacerMatchesBrute(f *testing.F) {
 	for seed := int64(0); seed < 25; seed++ {
 		f.Add(seed, uint8(140))
@@ -111,12 +113,13 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 				for _, order := range orders {
 					s, ref := NewSchedule(in), NewSchedule(in)
 					cursor := Unassigned
+					var marked []uint64
 					for _, j := range order.jobs {
 						want := tc.brute(ref, int(j), &cursor)
 						if got := s.Apply(tc.rule, int(j)); got != want {
 							t.Fatalf("seed %d %s %s in %s: job %d on machine %d, brute force %d", seed, inst.name, tc.name, order.name, j, got, want)
 						}
-						checkHintsSound(t, s, times)
+						checkHintsSound(t, s, times, &marked)
 					}
 					if err := s.Verify(); err != nil {
 						t.Fatalf("seed %d %s %s in %s: %v", seed, inst.name, tc.name, order.name, err)
@@ -133,11 +136,14 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 // checkHintsSound fails unless every machine's peak is at least its true
 // maximum load, its tail peak at least its true maximum load after its gap,
 // every saturation witness's depth at most the true load at its endpoint,
-// all computed by brute force from the machine's jobs, and every chunk of
-// its shard chains stores as reach the largest end rank in itself and the
-// chunks behind it; times[r] is the endpoint of rank r (rankTimes).
-func checkHintsSound(t *testing.T, s *Schedule, times []float64) {
+// all computed by brute force from the machine's jobs, every chunk of its
+// shard chains stores as reach the largest end rank in itself and the
+// chunks behind it, and every bitmap mark is sound (checkBitmapSound, on
+// the bits set since the bitmap *marked holds); times[r] is the endpoint
+// of rank r (rankTimes).
+func checkHintsSound(t *testing.T, s *Schedule, times []float64, marked *[]uint64) {
 	t.Helper()
+	checkBitmapSound(t, s, times, marked)
 	for m := range s.machines {
 		st := &s.machines[m]
 		if load := maxWeightedDepth(s.inst, st.jobs); st.peak < load {
@@ -174,6 +180,69 @@ func checkHintsSound(t *testing.T, s *Schedule, times []float64) {
 			}
 		}
 	}
+}
+
+// checkBitmapSound fails unless every set bit of every in-budget bitmap
+// column holds by brute force: for bit m of bucket b, machine m carries
+// load ≥ g at every endpoint inside the bucket's closed range and between
+// every two consecutive ones (machineLoads); times[r] is the endpoint of
+// rank r. It checks only the bits missing from the bitmap *marked holds,
+// then copies the bitmap there: machines only gain jobs, so a bit found
+// sound stays sound, and checking after every placement checks every bit.
+func checkBitmapSound(t *testing.T, s *Schedule, times []float64, marked *[]uint64) {
+	t.Helper()
+	ix, g := s.index, s.inst.G
+	var point, gap []int
+	for w := range ix.words {
+		col, seen := ix.mask[w*ix.nb:(w+1)*ix.nb], make([]uint64, ix.nb)
+		if len(*marked) >= (w+1)*ix.nb {
+			seen = (*marked)[w*ix.nb : (w+1)*ix.nb]
+		}
+		var fresh uint64
+		for b, word := range col {
+			fresh |= word &^ seen[b]
+		}
+		for ; fresh != 0; fresh &= fresh - 1 {
+			m := 64*w + bits.TrailingZeros64(fresh)
+			if m >= len(s.machines) {
+				t.Fatalf("machine %d, which is not open, has buckets marked saturated", m)
+			}
+			point, gap = machineLoads(s, m, times, point, gap)
+			for b, word := range col {
+				if (word&^seen[b])&(1<<(m&63)) == 0 {
+					continue
+				}
+				lo, hi := s.ia.boundaryRank(b), s.ia.boundaryRank(b+1)
+				for r := lo; r <= hi; r++ {
+					if point[r] < g || r < hi && gap[r] < g {
+						t.Fatalf("machine %d: bucket %d [%v, %v] is marked saturated, but its load is %d at %v and %d just after, g = %d",
+							m, b, times[lo], times[hi], point[r], times[r], gap[r], g)
+					}
+				}
+			}
+		}
+	}
+	*marked = append((*marked)[:0], ix.mask...)
+}
+
+// machineLoads returns machine m's load at every endpoint, point[r] at
+// times[r], and between every two consecutive ones, gap[r] strictly
+// between times[r] and times[r+1], by brute force from its jobs, reusing
+// the arrays passed in.
+func machineLoads(s *Schedule, m int, times []float64, point, gap []int) ([]int, []int) {
+	point, gap = append(point[:0], make([]int, len(times))...), append(gap[:0], make([]int, len(times))...)
+	for _, j := range s.machines[m].jobs {
+		job := s.inst.Jobs[j]
+		a, _ := slices.BinarySearch(times, job.Iv.Start)
+		e, _ := slices.BinarySearch(times, job.Iv.End)
+		for r := a; r <= e; r++ {
+			point[r] += job.Demand
+			if r < e {
+				gap[r] += job.Demand
+			}
+		}
+	}
+	return point, gap
 }
 
 // loadAfter returns the maximum demand-weighted closed load of jobs at the
@@ -215,6 +284,33 @@ func TestTailPeakSkipsQueryAfterGap(t *testing.T) {
 	// the tail peak alone.
 	if w := s.Work(); w.Queries != 1 || w.QueryRejects != 1 || w.PeakAccepts != 1 || w.DisjointAccepts != 1 {
 		t.Fatalf("work %+v; want one rejecting query, one disjoint and one peak accept", w)
+	}
+}
+
+// TestFillMarkSkipsQuery pins the fill marks: a FirstFit placement that an
+// oracle query shows to bring machine 0 to g marks the runs it saturates,
+// so a later job inside one of them skips machine 0 through the bitmap
+// without a probe, where it would otherwise pay a rejected query.
+func TestFillMarkSkipsQuery(t *testing.T) {
+	in := NewInstance(2, iv(0, 4), iv(1, 3), iv(6, 10), iv(3.5, 9), iv(7, 8))
+	s := NewSchedule(in)
+	for j := range 4 {
+		if m := s.FirstFitAssign(j); m != 0 {
+			t.Fatalf("job %d on machine %d, want 0", j, m)
+		}
+	}
+	// Job 3's window reads the all-time peak 2, so its probe queries the
+	// oracle, which finds load 1 on [3.5, 4] and [6, 9]: the job fills both
+	// to g, and they hold four whole buckets.
+	before := s.Work()
+	if before.Queries != 1 || before.QueryRejects != 0 || before.Marks != 2 || before.MarkedBuckets != 4 {
+		t.Fatalf("work %+v; want one accepting query and two marked runs of four buckets", before)
+	}
+	if m := s.FirstFitAssign(4); m != 1 {
+		t.Fatalf("job 4 on machine %d, want 1", m)
+	}
+	if w := s.Work(); w.Probes != before.Probes || w.Queries != before.Queries {
+		t.Fatalf("job 4 took %d probes and %d queries; want machine 0 skipped without either", w.Probes-before.Probes, w.Queries-before.Queries)
 	}
 }
 
@@ -304,7 +400,8 @@ func TestPlacerProbesDoNotPlace(t *testing.T) {
 // without placing it.
 func probeBestFit(s *Schedule, j int) int {
 	r := s.record(j)
-	return s.bestFitProbe(&r)
+	m, _, _ := s.bestFitProbe(&r)
+	return m
 }
 
 // lowestCanAssign returns the lowest open machine CanAssign accepts for job

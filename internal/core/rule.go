@@ -128,23 +128,33 @@ func (s *Schedule) BestFit(j int) int {
 	return s.bestFit(&r)
 }
 
-// bestFit is BestFit on a job record.
+// bestFit is BestFit on a job record. It inserts the job with the load its
+// winning probe read and, when that probe found the job fills the machine,
+// marks the runs the probe kept.
 func (s *Schedule) bestFit(r *jobRec) int {
-	m := s.bestFitProbe(r)
+	m, used, v := s.bestFitProbe(r)
 	if m == Unassigned {
 		return s.assignNew(r)
 	}
-	s.put(r, m)
+	lo, hi := s.ia.buckets(r.w)
+	s.insert(&s.machines[m], r, m, used, lo, hi)
+	if v == fills {
+		s.markRuns(m, s.pool.kept)
+	}
 	return m
 }
 
 // bestFitProbe returns the machine BestFit would choose for the job of r,
-// or Unassigned when no machine fits, without placing the job.
-func (s *Schedule) bestFitProbe(r *jobRec) int {
+// or Unassigned when no machine fits, without placing the job, with the
+// load bound and verdict of the machine's probe (canAssign). When the
+// verdict is fills, the probe's runs are in the pool's kept buffer: each
+// accepted candidate that fills swaps its runs there, so later queries
+// cannot overwrite them.
+func (s *Schedule) bestFitProbe(r *jobRec) (int, int, verdict) {
 	nm := len(s.machines)
-	bestM, bestDelta := -1, 0.0
+	bestM, bestDelta, bestUsed, bestV := -1, 0.0, 0, rejects
 	if nm == 0 {
-		return Unassigned
+		return Unassigned, 0, rejects
 	}
 	lo, hi := s.ia.buckets(r.w)
 	for wi := 0; wi*64 < nm; wi++ {
@@ -168,13 +178,16 @@ func (s *Schedule) bestFitProbe(r *jobRec) int {
 			if bestM >= 0 && delta >= bestDelta {
 				continue
 			}
-			if _, ok := s.canAssign(r, m, lo, hi); ok {
-				bestM, bestDelta = m, delta
+			if used, v := s.canAssign(r, m, lo, hi); v != rejects {
+				bestM, bestDelta, bestUsed, bestV = m, delta, used, v
+				if v == fills {
+					s.pool.runs, s.pool.kept = s.pool.kept, s.pool.runs
+				}
 			}
 		}
 	}
 	if bestM < 0 {
-		return Unassigned
+		return Unassigned, 0, rejects
 	}
-	return bestM
+	return bestM, bestUsed, bestV
 }

@@ -90,6 +90,10 @@ type WorkCounts struct {
 	// Sweeps counts the shard sweeps the queries ran, one per shard of a
 	// window, and ItemsWalked the items of the chunks those sweeps visited.
 	Sweeps, ItemsWalked int
+	// Marks counts the saturated runs written to the bitmap's in-budget
+	// columns, by rejecting queries and by placements that fill a machine
+	// to g, and MarkedBuckets the buckets those writes covered.
+	Marks, MarkedBuckets int
 }
 
 // Work returns the kernel work counts accumulated since the schedule was
@@ -294,32 +298,52 @@ func (s *Schedule) refuseSealed() {
 func (s *Schedule) CanAssign(j, m int) bool {
 	r := s.record(j)
 	lo, hi := s.ia.buckets(r.w)
-	_, ok := s.canAssign(&r, m, lo, hi)
-	return ok
+	_, v := s.canAssign(&r, m, lo, hi)
+	return v != rejects
 }
+
+// verdict is a capacity probe's answer.
+type verdict uint8
+
+const (
+	// rejects: the job does not fit.
+	rejects verdict = iota
+	// fits: the job fits, and used bounds the load within its window.
+	fits
+	// fills: the job fits, used is the exact load within its window and
+	// used + demand = g, and the pool's run list holds the spans of the
+	// window at load used: the spans the job saturates once inserted.
+	fills
+)
 
 // canAssign is CanAssign on a job record with its axis bucket range
 // precomputed. When the job fits, used is an upper bound on the machine's
 // load within the job's window, as insert wants: 0 for a disjoint machine,
-// the peak bound for a peak accept, and the exact load after a query.
-func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) (used int, ok bool) {
+// the peak bound for a peak accept, and the exact load after a query. The
+// load is exact on a disjoint machine and after a query, so there a job
+// that brings it to g fills: on a disjoint machine its own span is the run.
+func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) (used int, v verdict) {
 	st := &s.machines[m]
 	g, d := s.inst.G, int(r.demand)
 	s.work.Probes++
 	if len(st.jobs) == 0 || !r.iv.Overlaps(st.hull) {
 		if d > g {
-			return 0, false
+			return 0, rejects
 		}
 		s.work.DisjointAccepts++
-		return 0, true
+		if d == g {
+			s.pool.runs = append(s.pool.runs[:0], r.w)
+			return 0, fills
+		}
+		return 0, fits
 	}
 	if b := st.bound(r.iv.Start); b+d <= g {
 		s.work.PeakAccepts++
-		return b, true
+		return b, fits
 	}
 	if st.hotRejects(r.w, d, g) {
 		s.work.WitnessRejects++
-		return 0, false
+		return 0, rejects
 	}
 	return s.query(st, m, r.w, d, lo, hi)
 }
@@ -346,32 +370,44 @@ func (st *machineState) hotRejects(w span, demand, g int) bool {
 }
 
 // query asks machine m's exact oracle for the maximum load within the job
-// window w (bucket range [lo, hi]) and reports whether a job of the given
+// window w (bucket range [lo, hi]), which leaves the window's runs at that
+// load in the pool (maxDepthRun), and reports whether a job of the given
 // demand fits on top of it. A rejection records its witness and, when the
-// oracle extracted one, marks the saturated run in the index's bitmap, so
-// repeated probing of a saturated machine converges to O(1).
-func (s *Schedule) query(st *machineState, m int, w span, demand, lo, hi int) (used int, ok bool) {
+// load is at g, marks every run in the index's bitmap, so repeated probing
+// of a saturated machine converges to O(1).
+func (s *Schedule) query(st *machineState, m int, w span, demand, lo, hi int) (used int, v verdict) {
 	g := s.inst.G
 	slo, shi := s.ia.shardRange(lo, hi)
 	s.work.Queries++
-	used, at, run, sat := st.shards.maxDepthRun(s.pool, s.ia, w, g, slo, shi)
-	if used+demand > g {
-		s.work.QueryRejects++
-		st.noteHot(at, used)
-		if sat {
-			s.markSaturatedRun(m, run)
-		}
-		return used, false
+	used, at := st.shards.maxDepthRun(s.pool, s.ia, w, slo, shi)
+	switch {
+	case used+demand < g:
+		return used, fits
+	case used+demand == g:
+		return used, fills
 	}
-	return used, true
+	s.work.QueryRejects++
+	st.noteHot(at, used)
+	if used >= g {
+		s.markRuns(m, s.pool.runs)
+	}
+	return used, rejects
 }
 
-// markSaturatedRun records a saturated run (load ≥ g at every point of run)
-// of machine m in the index's saturation bitmap, on the buckets lying
-// wholly inside it.
-func (s *Schedule) markSaturatedRun(m int, run span) {
-	lo, hi := s.ia.within(run)
-	s.index.markRun(m, lo, hi)
+// markRuns records saturated runs of machine m (load ≥ g at every point of
+// each) in the index's saturation bitmap, on the buckets lying wholly
+// inside them, counting the runs that reach an in-budget column.
+func (s *Schedule) markRuns(m int, runs []span) {
+	if m>>6 >= s.index.words {
+		return
+	}
+	for _, run := range runs {
+		if lo, hi := s.ia.within(run); lo <= hi {
+			s.index.markRun(m, lo, hi)
+			s.work.Marks++
+			s.work.MarkedBuckets += hi - lo + 1
+		}
+	}
 }
 
 // noteHot records a saturation witness, evicting the shallowest entry when
@@ -438,13 +474,18 @@ func (s *Schedule) TryAssign(j, m int) bool {
 
 // tryAssign is TryAssign on a job record with its axis bucket range
 // precomputed, so a scan resolves the range once per job instead of once
-// per probe.
+// per probe. A placement that fills the machine to g marks the runs it
+// saturates, so later probes skip the machine there without a query.
 func (s *Schedule) tryAssign(r *jobRec, m, lo, hi int) bool {
-	used, ok := s.canAssign(r, m, lo, hi)
-	if ok {
-		s.insert(&s.machines[m], r, m, used, lo, hi)
+	used, v := s.canAssign(r, m, lo, hi)
+	if v == rejects {
+		return false
 	}
-	return ok
+	s.insert(&s.machines[m], r, m, used, lo, hi)
+	if v == fills {
+		s.markRuns(m, s.pool.runs)
+	}
+	return true
 }
 
 // FirstFitAssign places job index j by the FirstFit rule — the lowest-indexed

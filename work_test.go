@@ -3,6 +3,9 @@ package busytime_test
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"slices"
 	"testing"
 
@@ -44,13 +47,26 @@ func offlineClustered50k(tb testing.TB) *core.Instance {
 	return scenarioInput(tb, "clustered", scenario.Params{Seed: 1, N: 50000, G: 3})
 }
 
-// reportWork reports the capacity-oracle queries and the shard items walked
-// per job of a finished schedule as the benchmark metrics queries/job and
-// items/job.
+// reportWork reports the capacity-oracle queries, the shard items walked
+// and the saturated runs marked per job of a finished schedule as the
+// benchmark metrics queries/job, items/job and marks/job.
 func reportWork(b *testing.B, s *core.Schedule) {
 	w, n := s.Work(), float64(s.Instance().N())
 	b.ReportMetric(float64(w.Queries)/n, "queries/job")
 	b.ReportMetric(float64(w.ItemsWalked)/n, "items/job")
+	b.ReportMetric(float64(w.Marks)/n, "marks/job")
+}
+
+// scheduleHash returns the FNV-1a hash of s's job→machine map: the machine
+// of every job index, in index order, as four little-endian bytes.
+func scheduleHash(s *core.Schedule) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for j := range s.Instance().N() {
+		binary.LittleEndian.PutUint32(buf[:], uint32(s.MachineOf(j)))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // componentMajor returns order scattered component-major, the order the
@@ -81,7 +97,9 @@ func componentMajor(in *core.Instance, order []int32) []int32 {
 // offline-clustered input in the chunk path's component-major order, all
 // components on one schedule. The counts are deterministic, so the ceilings
 // hold exactly on any host; a change that lowers the work lowers its
-// ceiling.
+// ceiling. It also pins the schedule of every run (schedulePin), so a
+// change to the kernel's hints that moves work without moving schedules
+// keeps passing, and one that moves a schedule fails.
 func TestKernelWorkCeilings(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -94,14 +112,32 @@ func TestKernelWorkCeilings(t *testing.T) {
 		{"general-1e4", generator.General(7, 10000, 4, 10000, 30), false},
 		{"clustered", offlineClustered50k(t), true},
 	}
-	// Ceilings per job: oracle queries, the queries that rejected and the
-	// shard items the queries walked, the measured counts rounded up at the
-	// third decimal.
-	ceilings := map[string]map[string][3]float64{
-		"lightpath":     {"firstfit": {0.431, 0.133, 9.640}, "bestfit": {0.885, 0.140, 18.097}},
-		"offline-dense": {"firstfit": {2.074, 1.118, 19.621}, "bestfit": {2.597, 1.151, 22.962}},
-		"general-1e4":   {"firstfit": {1.422, 0.431, 40.642}, "bestfit": {1.476, 0.430, 41.840}},
-		"clustered":     {"firstfit": {0.481, 0.297, 5.002}, "bestfit": {0.530, 0.302, 5.439}},
+	// Ceilings per job: oracle queries, the queries that rejected, the
+	// shard items the queries walked and the saturated runs marked in the
+	// bitmap, the measured counts rounded up at the third decimal.
+	ceilings := map[string]map[string][4]float64{
+		"lightpath":     {"firstfit": {0.374, 0.076, 8.555, 0.099}, "bestfit": {0.818, 0.073, 16.624, 0.103}},
+		"offline-dense": {"firstfit": {0.974, 0.018, 7.931, 1.026}, "bestfit": {1.463, 0.019, 10.958, 1.033}},
+		"general-1e4":   {"firstfit": {0.992, 0.001, 25.007, 0.602}, "bestfit": {1.046, 0.001, 26.396, 0.600}},
+		"clustered":     {"firstfit": {0.439, 0.255, 4.509, 0.263}, "bestfit": {0.487, 0.259, 4.945, 0.272}},
+	}
+	pins := map[string]map[string]schedulePin{
+		"lightpath": {
+			"firstfit": {732, 34238, 0x7994280a802ccf84},
+			"bestfit":  {733, 33904, 0xa117656c9079c684},
+		},
+		"offline-dense": {
+			"firstfit": {348, 77832.30032934195, 0x688056b3bf1caa88},
+			"bestfit":  {349, 77864.7894681136, 0x16e5b3a43c48393a},
+		},
+		"general-1e4": {
+			"firstfit": {8, 48083.202536018856, 0x12839ce071c4df11},
+			"bestfit":  {8, 48042.693407506944, 0xf7904bd0a0d5dd73},
+		},
+		"clustered": {
+			"firstfit": {4, 71332.08614082329, 0x12d84070f9dc41b6},
+			"bestfit":  {4, 70758.15822639776, 0x9752a44cd02ed7a4},
+		},
 	}
 	for _, tc := range inputs {
 		for _, row := range []string{"firstfit", "bestfit"} {
@@ -115,15 +151,30 @@ func TestKernelWorkCeilings(t *testing.T) {
 			if err := d.RunComponent(context.Background(), tc.in, order, sc); err != nil {
 				t.Fatal(err)
 			}
-			w, n := sc.LiveSchedule().Work(), float64(tc.in.N())
-			queries, rejects, items := float64(w.Queries)/n, float64(w.QueryRejects)/n, float64(w.ItemsWalked)/n
-			t.Logf("%s %s (%d jobs): %+v; %.3f queries, %.3f rejections, %.3f items walked per job",
-				tc.name, row, tc.in.N(), w, queries, rejects, items)
+			s := sc.LiveSchedule()
+			w, n := s.Work(), float64(tc.in.N())
+			per := [4]float64{float64(w.Queries) / n, float64(w.QueryRejects) / n, float64(w.ItemsWalked) / n, float64(w.Marks) / n}
+			t.Logf("%s %s (%d jobs): %+v; %.3f queries, %.3f rejections, %.3f items walked and %.3f marks per job",
+				tc.name, row, tc.in.N(), w, per[0], per[1], per[2], per[3])
 			limit := ceilings[tc.name][row]
-			if queries > limit[0] || rejects > limit[1] || items > limit[2] {
-				t.Errorf("%s %s: %.4f queries, %.4f rejections and %.4f items walked per job, ceilings %.3f, %.3f and %.3f",
-					tc.name, row, queries, rejects, items, limit[0], limit[1], limit[2])
+			for i, name := range []string{"queries", "rejections", "items walked", "marks"} {
+				if per[i] > limit[i] {
+					t.Errorf("%s %s: %.4f %s per job, ceiling %.3f", tc.name, row, per[i], name, limit[i])
+				}
+			}
+			got := schedulePin{s.NumMachines(), s.Cost(), scheduleHash(s)}
+			if pin := pins[tc.name][row]; got.machines != pin.machines || math.Float64bits(got.cost) != math.Float64bits(pin.cost) || got.hash != pin.hash {
+				t.Errorf("%s %s: schedule {machines: %d, cost: %v, hash: %#x}, pinned {machines: %d, cost: %v, hash: %#x}",
+					tc.name, row, got.machines, got.cost, got.hash, pin.machines, pin.cost, pin.hash)
 			}
 		}
 	}
+}
+
+// schedulePin is a schedule's fingerprint: its machine count, the bits of
+// its cost and the scheduleHash of its job→machine map.
+type schedulePin struct {
+	machines int
+	cost     float64
+	hash     uint64
 }
