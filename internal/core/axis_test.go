@@ -7,15 +7,17 @@ import (
 	"busytime/internal/interval"
 )
 
-// TestJobSpansMatchAxis pins the rank arithmetic of instanceAxis against the
-// float axis at strides 1, 2 and 3, on integral and continuous endpoints
-// with point jobs: every job's span names its endpoints, its bucket range
-// equals Axis.OverlapRange, every boundary's rank names the boundary, and
-// within equals a brute-force scan of Boundary(b) on job spans and on
-// arbitrary rank pairs, as saturated runs are.
+// TestJobSpansMatchAxis pins the rank arithmetic of Axis against float
+// boundaries the test derives from the sorted distinct endpoints (rank
+// b·stride, and the largest) at strides 1, 2, 3 and 7, on integral and
+// continuous endpoints with point jobs: every job's span names its
+// endpoints, every boundary's rank names its boundary, and buckets, within
+// and CrossedBy equal brute-force scans of the float boundaries, on job
+// spans and, for buckets and within, on arbitrary rank pairs, as windows
+// and saturated runs are.
 func TestJobSpansMatchAxis(t *testing.T) {
 	for _, integral := range []bool{true, false} {
-		for stride := 1; stride <= 3; stride++ {
+		for _, stride := range []int{1, 2, 3, 7} {
 			r := rand.New(rand.NewSource(int64(stride)))
 			ivs := make([]interval.Interval, 400)
 			for i := range ivs {
@@ -49,24 +51,36 @@ func TestJobSpansMatchAxis(t *testing.T) {
 	checkSpanArithmetic(t, in, ia, rankTimes(in), rand.New(rand.NewSource(1)))
 }
 
-// checkSpanArithmetic checks ia's spans, bucket ranges, boundary ranks and
-// within ranges against in's endpoints and ia.ax; times[r] is the endpoint
-// of rank r.
-func checkSpanArithmetic(t *testing.T, in *Instance, ia *instanceAxis, times []float64, r *rand.Rand) {
+// checkSpanArithmetic checks ia's spans, boundary ranks, bucket, within and
+// crossing ranges against in's endpoints; times[r] is the endpoint of rank r.
+func checkSpanArithmetic(t *testing.T, in *Instance, ia *Axis, times []float64, r *rand.Rand) {
 	t.Helper()
 	if ia.last != len(times)-1 {
 		t.Fatalf("last rank %d, want %d", ia.last, len(times)-1)
 	}
-	for b := 0; b <= ia.nb && ia.nb > 0; b++ {
-		if got := times[ia.boundaryRank(b)]; got != ia.ax.Boundary(b) {
-			t.Fatalf("stride %d: boundary %d at rank %d is %v, want %v", ia.stride, b, ia.boundaryRank(b), got, ia.ax.Boundary(b))
+	// bounds[b] is boundary b: the endpoint of rank b·stride, and the
+	// largest endpoint last.
+	var bounds []float64
+	if len(times) >= 2 {
+		for b := 0; b*ia.stride < len(times)-1; b++ {
+			bounds = append(bounds, times[b*ia.stride])
+		}
+		bounds = append(bounds, times[len(times)-1])
+	}
+	if nb := max(len(bounds)-1, 0); ia.NB() != nb {
+		t.Fatalf("stride %d: %d buckets, want %d", ia.stride, ia.NB(), nb)
+	}
+	for b := range bounds {
+		if got := times[ia.BoundaryRank(b)]; got != bounds[b] {
+			t.Fatalf("stride %d: boundary %d at rank %d is %v, want %v", ia.stride, b, ia.BoundaryRank(b), got, bounds[b])
 		}
 	}
-	// bruteWithin scans every bucket for those inside [times[a], times[b]].
-	bruteWithin := func(w span) (lo, hi int) {
+	// brute scans every bucket or boundary b < n for those where in holds,
+	// returning the first and last (lo > hi: none).
+	brute := func(n int, in func(b int) bool) (lo, hi int) {
 		lo, hi = 0, -1
-		for b := 0; b < ia.nb; b++ {
-			if times[w.start] <= ia.ax.Boundary(b) && ia.ax.Boundary(b+1) <= times[w.end] {
+		for b := 0; b < n; b++ {
+			if in(b) {
 				if lo > hi {
 					lo = b
 				}
@@ -89,16 +103,63 @@ func checkSpanArithmetic(t *testing.T, in *Instance, ia *instanceAxis, times []f
 		if times[w.start] != job.Start || times[w.end] != job.End {
 			t.Fatalf("stride %d: job %d %v has span %v = [%v, %v]", ia.stride, j, job, w, times[w.start], times[w.end])
 		}
-		lo, hi := ia.buckets(w)
-		if wlo, whi := ia.ax.OverlapRange(job); !sameRange(lo, hi, wlo, whi) {
-			t.Fatalf("stride %d: job %d %v: buckets [%d,%d], OverlapRange [%d,%d]", ia.stride, j, job, lo, hi, wlo, whi)
+		if s, e := ia.JobRanks(j); s != w.start || e != w.end {
+			t.Fatalf("stride %d: job %d: JobRanks (%d, %d), span %v", ia.stride, j, s, e, w)
+		}
+		lo, hi := ia.CrossedBy(j)
+		if wlo, whi := brute(len(bounds), func(b int) bool { return job.Start < bounds[b] && bounds[b] < job.End }); !sameRange(lo, hi, wlo, whi) {
+			t.Fatalf("stride %d: job %d %v: CrossedBy [%d,%d], brute force [%d,%d]", ia.stride, j, job, lo, hi, wlo, whi)
 		}
 	}
 	for _, w := range spans {
-		lo, hi := ia.within(w)
-		if wlo, whi := bruteWithin(w); !sameRange(lo, hi, wlo, whi) {
-			t.Fatalf("stride %d: span %v = [%v, %v]: within [%d,%d], brute force [%d,%d]",
-				ia.stride, w, times[w.start], times[w.end], lo, hi, wlo, whi)
+		iv := interval.New(times[w.start], times[w.end])
+		lo, hi := ia.buckets(w)
+		if wlo, whi := brute(ia.nb, func(b int) bool { return bounds[b] <= iv.End && iv.Start <= bounds[b+1] }); !sameRange(lo, hi, wlo, whi) {
+			t.Fatalf("stride %d: span %v = %v: buckets [%d,%d], brute force [%d,%d]", ia.stride, w, iv, lo, hi, wlo, whi)
+		}
+		if ia.nb == 0 {
+			continue
+		}
+		lo, hi = ia.within(w)
+		if wlo, whi := brute(ia.nb, func(b int) bool { return iv.Start <= bounds[b] && bounds[b+1] <= iv.End }); !sameRange(lo, hi, wlo, whi) {
+			t.Fatalf("stride %d: span %v = %v: within [%d,%d], brute force [%d,%d]", ia.stride, w, iv, lo, hi, wlo, whi)
+		}
+	}
+}
+
+// TestAxisDecimationRespectsCapAndEndpoints checks the stride decimation
+// on random instances under random bucket caps: the bucket count obeys the
+// cap, the stride is the smallest that does, the bucket count is
+// ⌈(distinct−1)/stride⌉, and the first and last boundaries are the
+// smallest and largest endpoints.
+func TestAxisDecimationRespectsCapAndEndpoints(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		ivs := make([]interval.Interval, 1+r.Intn(500))
+		for i := range ivs {
+			s := float64(r.Intn(400)) + r.Float64()*float64(r.Intn(3))
+			ivs[i] = interval.New(s, s+float64(r.Intn(20)))
+		}
+		in := NewInstance(2, ivs...)
+		times := rankTimes(in)
+		segs := len(times) - 1
+		limit := 1 + r.Intn(2*segs+1)
+		ia := buildInstanceAxis(in, limit)
+		if segs < 1 {
+			if ia.nb != 0 {
+				t.Fatalf("trial %d: %d distinct endpoints gave %d buckets", trial, len(times), ia.nb)
+			}
+			continue
+		}
+		s := ia.stride
+		if ia.nb > limit || s > 1 && (segs+s-2)/(s-1) <= limit {
+			t.Fatalf("trial %d: %d segments under cap %d: stride %d, %d buckets", trial, segs, limit, s, ia.nb)
+		}
+		if want := (segs + s - 1) / s; ia.nb != want {
+			t.Fatalf("trial %d: %d buckets at stride %d over %d segments, want %d", trial, ia.nb, s, segs, want)
+		}
+		if lo, hi := times[ia.BoundaryRank(0)], times[ia.BoundaryRank(ia.nb)]; lo != times[0] || hi != times[segs] {
+			t.Fatalf("trial %d: boundaries span [%v, %v], endpoints [%v, %v]", trial, lo, hi, times[0], times[segs])
 		}
 	}
 }
@@ -122,7 +183,7 @@ func TestIndexedPlacementOnDecimatedAxis(t *testing.T) {
 		for i := range in.Jobs {
 			in.Jobs[i].Demand = 1 + r.Intn(g)
 		}
-		if stride := in.timeAxis().stride; stride < 2 {
+		if stride := in.TimeAxis().stride; stride < 2 {
 			t.Fatalf("seed %d: axis stride %d; the decimated axis is untested", seed, stride)
 		}
 		ff, brute := NewSchedule(in), NewSchedule(in)

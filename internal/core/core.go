@@ -48,9 +48,9 @@ type Instance struct {
 	G    int
 	Jobs []Job
 
-	// axis lazily caches the compressed time axis (*instanceAxis) shared by
+	// axis lazily caches the compressed time axis (*Axis) shared by
 	// every schedule of this instance; accessed atomically via
-	// timeAxis. lenOrder lazily caches LengthOrder, startOrder caches
+	// TimeAxis. lenOrder lazily caches LengthOrder, startOrder caches
 	// StartOrder (both *[]int32), and bounds caches CachedBounds (*Bounds).
 	// All are derived data: the job-reordering methods drop them, and
 	// mutating jobs directly after scheduling has begun is not supported.
@@ -154,9 +154,8 @@ func (in *Instance) IsClique() bool { return in.Set().IsClique() }
 
 // SortJobsByLenDesc sorts jobs in place by non-increasing length, breaking
 // ties by (start, end, ID) for determinism. This is FirstFit's order.
-// Reordering invalidates the cached per-job axis ranges, so the axis cache
-// is dropped (its boundaries would survive, but the job-position caches
-// would not).
+// Reordering invalidates the job spans the axis keeps by job position, so
+// the axis cache is dropped.
 func (in *Instance) SortJobsByLenDesc() {
 	slices.SortFunc(in.Jobs, func(ja, jb Job) int {
 		if la, lb := ja.Len(), jb.Len(); la != lb {

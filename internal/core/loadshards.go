@@ -22,7 +22,7 @@ import (
 // is a job endpoint or an axis boundary, which is a job endpoint too, so
 // rank comparisons give exactly the float comparisons' answers on records
 // half their size. Shard membership is computed in bucket space, and axis
-// buckets touching a job at a single point are included (instanceAxis.buckets):
+// buckets touching a job at a single point are included (Axis.buckets):
 // a job ending exactly on a shard boundary is stored on both sides, so
 // every shard holds every job overlapping any point of its closed tile and
 // per-shard sweeps are exact under closed semantics.
@@ -116,7 +116,7 @@ type loadShards struct {
 // init sizes the shard directory from the instance axis — shard count and
 // width are fixed per instance, so the insert path never redistributes. It
 // reports whether the directory's backing array had to grow.
-func (ls *loadShards) init(ia *instanceAxis) (grew bool) {
+func (ls *loadShards) init(ia *Axis) (grew bool) {
 	n := ia.nshards
 	if cap(ls.heads) < n {
 		ls.heads = make([]int32, n)
@@ -152,7 +152,7 @@ func (ls *loadShards) add(p *shardPool, w span, demand int, slo, shi int) {
 // whole sub-window at depth 0). Each shard holds every job overlapping its
 // closed tile, so per-shard depths are exact and the overall maximum is
 // their maximum; the first reported run starts at the witness.
-func (ls *loadShards) maxDepthRun(p *shardPool, ia *instanceAxis, w span, slo, shi int) (depth int, at int32) {
+func (ls *loadShards) maxDepthRun(p *shardPool, ia *Axis, w span, slo, shi int) (depth int, at int32) {
 	p.runs = p.runs[:0]
 	depth = -1
 	for k := slo; k <= shi; k++ {

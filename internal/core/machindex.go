@@ -23,9 +23,9 @@ package core
 //
 // Buckets are the elementary segments of the instance axis (distinct job
 // endpoints, decimated past maxTimeBuckets), so bitmap memory scales with
-// distinct event times rather than the raw horizon. All bucket
-// geometry lives in interval.Axis; the index only consumes precomputed
-// bucket ranges.
+// distinct event times rather than the raw horizon. All bucket geometry
+// lives in Axis, in endpoint ranks; the index only consumes the bucket
+// ranges it computes.
 //
 // Soundness is one-directional by construction: the bitmap may only skip
 // machines that would certainly reject, so the indexed scan produces
@@ -54,7 +54,7 @@ const maxBitmapBytes = 4 << 20
 
 // reset reconfigures the index for an instance axis, retaining allocations
 // where shapes allow, and drops all machines.
-func (ix *machindex) reset(ia *instanceAxis) {
+func (ix *machindex) reset(ia *Axis) {
 	ix.nm, ix.words = 0, 0
 	ix.nb, ix.ng = ia.nb, (ia.nb+31)>>5
 	ix.mask, ix.sum = ix.mask[:0], ix.sum[:0]

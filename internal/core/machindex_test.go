@@ -17,7 +17,7 @@ import (
 func TestShardGeometryCoversJobs(t *testing.T) {
 	for _, n := range []int{5, 60, 600, 6000} {
 		in := denseTestInstance(n, 3, float64(n), 12)
-		ia := in.timeAxis()
+		ia := in.TimeAxis()
 		if ia.nb == 0 {
 			t.Fatalf("n=%d: degenerate axis", n)
 		}
@@ -59,7 +59,7 @@ func TestMachindexWordGrowth(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		// Round 1 re-runs on the warm index with a shifted pattern: the
 		// columns must then be re-cleared in place, without fresh arrays.
-		ix.reset(in.timeAxis())
+		ix.reset(in.TimeAxis())
 		if ix.nb == 0 {
 			t.Skip("degenerate axis")
 		}
@@ -95,7 +95,7 @@ type bitmapMark struct{ m, lo, hi int }
 // of them single buckets, returning the index and the marks.
 func markedIndex(nb, cols, n int, seed int64) (*machindex, []bitmapMark) {
 	ix := new(machindex)
-	ix.reset(&instanceAxis{nb: nb})
+	ix.reset(&Axis{nb: nb})
 	for m := 0; m < 64*cols; m++ {
 		ix.addMachine()
 	}
@@ -182,7 +182,7 @@ func FuzzBlockedWord(f *testing.F) {
 // past the budget is dropped and its column reads 0, and a warm re-run
 // allocates nothing.
 func TestBitmapBudget(t *testing.T) {
-	ia := &instanceAxis{nb: 1 << 16}
+	ia := &Axis{nb: 1 << 16}
 	ix := new(machindex)
 	for round := 0; round < 2; round++ {
 		ix.reset(ia)
@@ -216,7 +216,7 @@ func TestBitmapBudget(t *testing.T) {
 // back to times. A query leaves its runs in pool.runs.
 type shardHarness struct {
 	in    *Instance
-	ia    *instanceAxis
+	ia    *Axis
 	times []float64 // times[r] is the endpoint of rank r
 	pool  shardPool
 	ls    loadShards
@@ -260,7 +260,7 @@ func (h *shardHarness) maxDepthRun(j int) (depth int, at float64) {
 // subWindows returns the sub-windows the oracle sweeps for the window w:
 // per shard of w's shard range, w clipped to the shard's tile, when that
 // leaves a point.
-func subWindows(ia *instanceAxis, w span) []span {
+func subWindows(ia *Axis, w span) []span {
 	slo, shi := ia.shardRange(ia.buckets(w))
 	var subs []span
 	for k := slo; k <= shi; k++ {
@@ -360,7 +360,7 @@ func TestShardOracleSeedsReachTheirCases(t *testing.T) {
 			}
 		case 2:
 			if ia.stride != 2 {
-				t.Errorf("seed 2: %d distinct endpoints under a %d-bucket cap at stride %d; want stride 2", ia.ax.Distinct(), tc.buckets, ia.stride)
+				t.Errorf("seed 2: %d distinct endpoints under a %d-bucket cap at stride %d; want stride 2", ia.last+1, tc.buckets, ia.stride)
 			}
 		}
 	}

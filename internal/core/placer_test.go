@@ -212,7 +212,7 @@ func checkBitmapSound(t *testing.T, s *Schedule, times []float64, marked *[]uint
 				if (word&^seen[b])&(1<<(m&63)) == 0 {
 					continue
 				}
-				lo, hi := s.ia.boundaryRank(b), s.ia.boundaryRank(b+1)
+				lo, hi := s.ia.BoundaryRank(b), s.ia.BoundaryRank(b+1)
 				for r := lo; r <= hi; r++ {
 					if point[r] < g || r < hi && gap[r] < g {
 						t.Fatalf("machine %d: bucket %d [%v, %v] is marked saturated, but its load is %d at %v and %d just after, g = %d",

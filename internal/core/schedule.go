@@ -40,7 +40,7 @@ type Schedule struct {
 	// NewSchedule or Scratch.NewSchedule carries all three; only sealed
 	// assemblies go without.
 	index *machindex
-	ia    *instanceAxis
+	ia    *Axis
 	pool  *shardPool
 	// cursor is the NextFit placement cursor of the kernel (NextFit): the
 	// single currently open machine, or Unassigned before the first opening.
@@ -207,7 +207,7 @@ func blankSchedule(inst *Instance, sc *Scratch) *Schedule {
 // machine-selection index ix into a schedule that has no machines yet,
 // resetting both arenas for the instance.
 func (s *Schedule) attachIndex(ix *machindex, pool *shardPool) {
-	s.ia = s.inst.timeAxis()
+	s.ia = s.inst.TimeAxis()
 	s.index, s.pool = ix, pool
 	pool.reset()
 	ix.reset(s.ia)

@@ -181,22 +181,16 @@ type Runner struct {
 	capSlot  []int32
 
 	// Time-sharding state: per-boundary crossing and start counts and the
-	// chosen cut times.
+	// chosen cut ranks.
 	bcross []int32
 	bstart []int32
-	cuts   []float64
+	cuts   []int32
 
 	// Resident worker pool: an unbuffered channel the (lazily spawned)
 	// worker goroutines range over. started counts spawned goroutines; a
 	// runtime cleanup closes the channel when the Runner becomes garbage.
 	work    chan workItem
 	started int
-
-	// Pub is a mount point for a caller-layer companion that should ride
-	// the pooled Runner between leases (the public Solver parks its
-	// reusable per-unit stats buffer here). The decomposition layer never
-	// touches it.
-	Pub any
 
 	// Per-run shared state the worker goroutines coordinate through; kind
 	// names the units in errors ("chunk" or "shard").
@@ -211,20 +205,6 @@ type Runner struct {
 
 // NewRunner returns an empty Runner.
 func NewRunner() *Runner { return &Runner{} }
-
-// NewRunnerPool builds a pool of the given width (min 1), mirroring
-// core.NewScratchPool: one recyclable Runner per slot on a buffered
-// channel, shared across runs so the layer's buffers stay warm.
-func NewRunnerPool(workers int) chan *Runner {
-	if workers < 1 {
-		workers = 1
-	}
-	pool := make(chan *Runner, workers)
-	for i := 0; i < workers; i++ {
-		pool <- NewRunner()
-	}
-	return pool
-}
 
 // grow returns buf resized to n, reallocating only beyond retained capacity.
 // Contents are not preserved across a reallocation.
@@ -693,7 +673,7 @@ func (r *Runner) shard(in *core.Instance, shards int) (k, crossing int) {
 	if len(cuts) == 0 {
 		return 0, 0
 	}
-	crossing = r.partition(in, cuts)
+	crossing = r.partition(n, ax, cuts)
 	// A crossing job's machine serves none of the next shard's jobs its
 	// window overlaps, so the split departs from the sequential run there;
 	// past a quarter of the instance that can cost more than sharding saves.
@@ -703,22 +683,22 @@ func (r *Runner) shard(in *core.Instance, shards int) (k, crossing int) {
 	return len(cuts) + 1, crossing
 }
 
-// selectCuts picks up to k−1 cut times for a k-way shard split: for each
-// job-count quantile target i·n/k it scans the axis boundaries whose
-// started-job count falls within ±n/(4k) of the target and keeps the one
-// the fewest jobs cross. Both per-boundary counts come from one O(n + nb)
-// pass (a difference array over Axis.Interior ranges and a pointer walk
-// over the cached start order); the quantile windows are disjoint, so one
-// monotone boundary pointer serves all targets. A target with no boundary
-// in its window is skipped — the two shards merge — so the returned cut
-// count can be anywhere from 0 to k−1.
-func (r *Runner) selectCuts(in *core.Instance, ax interval.Axis, k int) []float64 {
+// selectCuts picks up to k−1 cuts for a k-way shard split, as the ranks of
+// axis boundaries: for each job-count quantile target i·n/k it scans the
+// boundaries whose started-job count falls within ±n/(4k) of the target and
+// keeps the one the fewest jobs cross. Both per-boundary counts come from
+// one O(n + nb) pass (a difference array over the boundaries each job
+// crosses and a pointer walk over the cached start order); the quantile
+// windows are disjoint, so one monotone boundary pointer serves all
+// targets. A target with no boundary in its window is skipped — the two
+// shards merge — so the returned cut count can be anywhere from 0 to k−1.
+func (r *Runner) selectCuts(in *core.Instance, ax *core.Axis, k int) []int32 {
 	n := in.N()
 	nb := ax.NB()
 	r.bcross = grow(r.bcross, nb+2)
 	clear(r.bcross[:nb+2])
-	for i := range in.Jobs {
-		lo, hi := ax.Interior(in.Jobs[i].Iv)
+	for j := range n {
+		lo, hi := ax.CrossedBy(j)
 		if lo > hi {
 			continue
 		}
@@ -732,9 +712,10 @@ func (r *Runner) selectCuts(in *core.Instance, ax interval.Axis, k int) []float6
 	so := in.StartOrder()
 	p := 0
 	for b := 0; b <= nb; b++ {
-		t := ax.Boundary(b)
-		for p < n && in.Jobs[so[p]].Iv.Start < t {
-			p++
+		for ; p < n; p++ {
+			if start, _ := ax.JobRanks(int(so[p])); start >= ax.BoundaryRank(b) {
+				break
+			}
 		}
 		r.bstart[b] = int32(p)
 	}
@@ -758,27 +739,29 @@ func (r *Runner) selectCuts(in *core.Instance, ax interval.Axis, k int) []float6
 			}
 		}
 		if best >= 0 {
-			r.cuts = append(r.cuts, ax.Boundary(best))
+			r.cuts = append(r.cuts, ax.BoundaryRank(best))
 		}
 	}
 	return r.cuts
 }
 
-// partition labels every job with the shard whose time range holds its
-// start — shard s spans [cuts[s−1], cuts[s]), so a job starting on a cut
-// joins the shard right of it — and returns the number of crossing jobs,
-// those whose end passes the next cut. A crossing job stays in the shard
-// of its start, on that shard's machines.
-func (r *Runner) partition(in *core.Instance, cuts []float64) (crossing int) {
-	r.slabels = grow(r.slabels, in.N())
-	for i := range in.Jobs {
-		iv := in.Jobs[i].Iv
-		s, on := slices.BinarySearch(cuts, iv.Start)
+// partition labels each of the n jobs with the shard whose rank range
+// holds its start rank — shard s spans [cuts[s−1], cuts[s]), so a job
+// starting on a cut joins the shard right of it — and returns the number
+// of crossing jobs, those whose end passes the next cut. A crossing job
+// stays in the shard of its start, on that shard's machines. Ranks keep
+// the order and equality of the times, so the labels are those of the cut
+// times.
+func (r *Runner) partition(n int, ax *core.Axis, cuts []int32) (crossing int) {
+	r.slabels = grow(r.slabels, n)
+	for j := range n {
+		start, end := ax.JobRanks(j)
+		s, on := slices.BinarySearch(cuts, start)
 		if on {
 			s++
 		}
-		r.slabels[i] = int32(s)
-		if s < len(cuts) && iv.End > cuts[s] {
+		r.slabels[j] = int32(s)
+		if s < len(cuts) && end > cuts[s] {
 			crossing++
 		}
 	}

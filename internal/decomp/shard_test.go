@@ -3,6 +3,8 @@ package decomp
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,9 +99,17 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 // every job is labeled with the shard whose time range holds its start,
 // Stats.Crossing counts the jobs whose end passes the next cut, and no
 // machine of the merged schedule holds jobs of two shards — a crossing job
-// stays on its own shard's machines.
+// stays on its own shard's machines. The cuts are endpoint ranks; the test
+// maps them to the times they stand for through its own sorted endpoints
+// and checks the float starts and ends against those.
 func TestShardLabelsFollowStarts(t *testing.T) {
 	in := denseInstance(6)
+	var times []float64
+	for _, job := range in.Jobs {
+		times = append(times, job.Iv.Start, job.Iv.End)
+	}
+	slices.Sort(times)
+	times = slices.Compact(times)
 	for _, name := range []string{"firstfit", "bestfit"} {
 		a, ok := algo.Lookup(name)
 		if !ok {
@@ -110,9 +120,12 @@ func TestShardLabelsFollowStarts(t *testing.T) {
 		if err != nil || s == nil || st.Shards < 2 {
 			t.Fatalf("%s: schedule=%v err=%v shards=%d, want a sharded run", name, s, err, st.Shards)
 		}
-		cuts := r.cuts
-		if len(cuts) != st.Shards-1 {
-			t.Fatalf("%s: %d cuts for %d shards", name, len(cuts), st.Shards)
+		if len(r.cuts) != st.Shards-1 {
+			t.Fatalf("%s: %d cuts for %d shards", name, len(r.cuts), st.Shards)
+		}
+		var cuts []float64
+		for _, c := range r.cuts {
+			cuts = append(cuts, times[c])
 		}
 		shardOf := make([]int, in.N())
 		crossing := 0
@@ -389,4 +402,101 @@ func FuzzShardedSolve(f *testing.F) {
 			t.Fatalf("sharded cost %v more than doubles sequential %v", got.Cost(), seq.Cost())
 		}
 	})
+}
+
+// shardPin is one recorded sharded solve: the shard sizes, the crossing
+// count and the cost bits of row name solved at k shards.
+type shardPin struct {
+	input    string
+	name     string
+	k        int
+	sizes    []int32
+	crossing int
+	cost     uint64
+}
+
+// shardPinInputs are the inputs of shardPins, by label: the dense instance
+// at seeds 0–3, one CloudBurst input, and a single 40,000-job component
+// whose 80,000 distinct endpoints decimate the axis at stride 2.
+func shardPinInputs() map[string]*core.Instance {
+	inputs := map[string]*core.Instance{
+		"burst":   generator.CloudBurst(1, 3000, 4, 400, 8, 5, 0.4),
+		"general": generator.General(7, 40000, 4, 4000, 30),
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		inputs[fmt.Sprintf("dense%d", seed)] = denseInstance(seed)
+	}
+	return inputs
+}
+
+// shardPins pins the time-sharded partition: which cuts the layer picks
+// shows in the shard sizes and the crossing count, and the schedule each
+// shard gets in the cost bits.
+var shardPins = []shardPin{
+	{"dense0", "firstfit", 2, []int32{1039, 961}, 31, 0x40ada6fe89ad5b23},
+	{"dense0", "firstfit", 4, []int32{407, 632, 586, 375}, 112, 0x40adfc4ecd1c78ab},
+	{"dense0", "bestfit", 2, []int32{1039, 961}, 31, 0x40ada3b4e82684e3},
+	{"dense0", "bestfit", 4, []int32{407, 632, 586, 375}, 112, 0x40ade2b05b04851c},
+	{"dense1", "firstfit", 2, []int32{974, 1026}, 31, 0x40adc5652a18a5a8},
+	{"dense1", "firstfit", 4, []int32{548, 426, 646, 380}, 108, 0x40ade51ed2928474},
+	{"dense1", "bestfit", 2, []int32{974, 1026}, 31, 0x40ada929eed3c4bd},
+	{"dense1", "bestfit", 4, []int32{548, 426, 646, 380}, 108, 0x40addbfd49ab68c6},
+	{"dense2", "firstfit", 2, []int32{1013, 987}, 27, 0x40ae545d5e12a923},
+	{"dense2", "firstfit", 4, []int32{383, 630, 454, 533}, 96, 0x40ae9a902109181f},
+	{"dense2", "bestfit", 2, []int32{1013, 987}, 27, 0x40ae2ff61cf37d0f},
+	{"dense2", "bestfit", 4, []int32{383, 630, 454, 533}, 96, 0x40ae98f00520141b},
+	{"dense3", "firstfit", 2, []int32{992, 1008}, 33, 0x40ae08eb0d21ff3c},
+	{"dense3", "firstfit", 4, []int32{432, 560, 546, 462}, 104, 0x40ae6d4bbc10e758},
+	{"dense3", "bestfit", 2, []int32{992, 1008}, 33, 0x40adf5909d1f17cc},
+	{"dense3", "bestfit", 4, []int32{432, 560, 546, 462}, 104, 0x40ae1f0cc5b2e544},
+	{"burst", "firstfit", 2, []int32{1479, 1521}, 41, 0x40baba0b2e29b7a0},
+	{"burst", "firstfit", 4, []int32{774, 705, 584, 937}, 106, 0x40bb26fdc43caa61},
+	{"burst", "bestfit", 2, []int32{1479, 1521}, 41, 0x40baa32eba78e51c},
+	{"burst", "bestfit", 4, []int32{774, 705, 584, 937}, 106, 0x40bafeaf60e72ee0},
+	{"general", "firstfit", 2, []int32{16995, 23005}, 111, 0x41044827cdff9951},
+	{"general", "firstfit", 4, []int32{11590, 10297, 8515, 9598}, 347, 0x4104530d08276c6e},
+	{"general", "bestfit", 2, []int32{16995, 23005}, 111, 0x41044bc603847bac},
+	{"general", "bestfit", 4, []int32{11590, 10297, 8515, 9598}, 347, 0x41045650f1fa4fff},
+}
+
+// TestShardPartitionPinned solves every shardPins entry and compares its
+// shard sizes, crossing count and cost bits with the recorded ones.
+func TestShardPartitionPinned(t *testing.T) {
+	inputs := shardPinInputs()
+	var ends []float64
+	for _, job := range inputs["general"].Jobs {
+		ends = append(ends, job.Iv.Start, job.Iv.End)
+	}
+	slices.Sort(ends)
+	// The axis caps its buckets at 2^16, so d distinct endpoints decimate at
+	// stride 2 when 2^16 < d−1 ≤ 2^17.
+	if d := len(slices.Compact(ends)); d-1 <= 1<<16 || d-1 > 2<<16 {
+		t.Fatalf("general input: %d distinct endpoints, not a stride-2 axis", d)
+	}
+	r := NewRunner()
+	pool := newPool(3)
+	var got []string
+	for _, label := range []string{"dense0", "dense1", "dense2", "dense3", "burst", "general"} {
+		in := inputs[label]
+		for _, name := range []string{"firstfit", "bestfit"} {
+			a, ok := algo.Lookup(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			for _, k := range []int{2, 4} {
+				s, st, err := r.Solve(context.Background(), in, a.Decompose, new(core.Scratch), pool, 1, k)
+				if err != nil || s == nil {
+					t.Fatalf("%s %s k=%d: schedule=%v err=%v", label, name, k, s, err)
+				}
+				got = append(got, fmt.Sprintf("{%q, %q, %d, %#v, %d, %#x},", label, name, k, st.Sizes, st.Crossing, math.Float64bits(s.Cost())))
+			}
+		}
+	}
+	var want []string
+	for _, p := range shardPins {
+		want = append(want, fmt.Sprintf("{%q, %q, %d, %#v, %d, %#x},", p.input, p.name, p.k, p.sizes, p.crossing, p.cost))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("sharded solves left their pins; got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

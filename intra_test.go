@@ -184,3 +184,32 @@ func TestIntraExactRespectsSessionLimit(t *testing.T) {
 			res.Machines, res.Cost, want.Machines, want.Cost)
 	}
 }
+
+// TestWarmIntraSolveAllocs pins the Go-heap allocations of a warm
+// WithIntraWorkers(2) Solve on a clustered input: the runner, its stats
+// buffer and both arenas are recycled, so the count stays at the measured
+// warmIntraAllocs.
+func TestWarmIntraSolveAllocs(t *testing.T) {
+	const warmIntraAllocs = 0
+	in := generator.Clustered(3, 40, 25, 3, 10, 4)
+	s, err := busytime.New(busytime.WithWorkers(2), busytime.WithIntraWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	solve := func() {
+		res, err := s.Solve(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Decomp.Decomposed() || len(res.Decomp.PerComponent) < 2 {
+			t.Fatalf("Solve did not decompose: %+v", res.Decomp)
+		}
+	}
+	for range 3 {
+		solve()
+	}
+	if got := testing.AllocsPerRun(20, solve); got > warmIntraAllocs {
+		t.Errorf("warm intra Solve allocates %v objects/op; want ≤ %d", got, warmIntraAllocs)
+	}
+}

@@ -78,11 +78,11 @@ func (d DecompStats) Decomposed() bool { return d.Workers > 0 }
 func (d DecompStats) Sharded() bool { return d.Shards > 0 }
 
 // newDecompStatsInto converts the layer's runner-owned telemetry into the
-// public form, drawing the PerComponent backing array from slot — a
-// per-runner stash that rides the pooled runner between leases — so warm
-// Solves stop allocating stats. The caller must finish with the returned
-// value's PerComponent before the same runner serves another Solve.
-func newDecompStatsInto(st decomp.Stats, slot *any) DecompStats {
+// public form, drawing the PerComponent backing array from buf — the
+// buffer pooled with the runner — and growing it there, so warm Solves
+// stop allocating stats. The caller must finish with the returned value's
+// PerComponent before the same runner serves another Solve.
+func newDecompStatsInto(st decomp.Stats, buf *[]ComponentStat) DecompStats {
 	d := DecompStats{
 		Components:       st.Components,
 		Workers:          st.Workers,
@@ -94,20 +94,18 @@ func newDecompStatsInto(st decomp.Stats, slot *any) DecompStats {
 		MergeTime:        st.Merge,
 	}
 	if len(st.Sizes) > 0 {
-		buf, _ := (*slot).([]ComponentStat)
-		if cap(buf) < len(st.Sizes) {
-			buf = make([]ComponentStat, len(st.Sizes))
-			*slot = buf
+		if cap(*buf) < len(st.Sizes) {
+			*buf = make([]ComponentStat, len(st.Sizes))
 		}
-		buf = buf[:len(st.Sizes)]
+		pc := (*buf)[:len(st.Sizes)]
 		for i, sz := range st.Sizes {
-			buf[i].Jobs = int(sz)
-			buf[i].Solve = 0
+			pc[i].Jobs = int(sz)
+			pc[i].Solve = 0
 			if i < len(st.Times) {
-				buf[i].Solve = st.Times[i]
+				pc[i].Solve = st.Times[i]
 			}
 		}
-		d.PerComponent = buf
+		d.PerComponent = pc
 	}
 	return d
 }

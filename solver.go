@@ -55,9 +55,16 @@ type Solver struct {
 	pool   chan *core.Scratch
 	// decomp is the session's resolved decomposition contract (nil unless
 	// WithIntraWorkers enabled the layer and the algorithm declares one) and
-	// runners the recycled decomposition state, one Runner per worker.
+	// runners the recycled decomposition state, one per worker.
 	decomp  *algo.Decomposer
-	runners chan *decomp.Runner
+	runners chan *runnerSlot
+}
+
+// runnerSlot is one pooled decomposition Runner with the buffer its Solves
+// convert the per-unit telemetry into, so warm Solves allocate no stats.
+type runnerSlot struct {
+	r     *decomp.Runner
+	stats []ComponentStat
 }
 
 // New builds a Solver from functional options, validating the configuration
@@ -102,7 +109,10 @@ func New(opts ...Option) (*Solver, error) {
 	if cfg.intraWorkers() > 1 || cfg.timeShards() > 1 {
 		if d := s.decomposer(); d != nil {
 			s.decomp = d
-			s.runners = decomp.NewRunnerPool(cfg.maxWorkers())
+			s.runners = make(chan *runnerSlot, cfg.maxWorkers())
+			for range cap(s.runners) {
+				s.runners <- &runnerSlot{r: decomp.NewRunner()}
+			}
 		}
 	}
 	return s, nil
@@ -185,14 +195,13 @@ func (s *Solver) solveOn(ctx context.Context, in *Instance, sc *core.Scratch) (*
 		sched, err := s.run(ctx, in, sc)
 		return sched, DecompStats{}, err
 	}
-	r := <-s.runners
+	slot := <-s.runners
 	// Deferred, so a panicking run cannot leak the runner: SolveBatch
 	// recovers panics and keeps using this Solver.
-	defer func() { s.runners <- r }()
-	sched, st, err := r.Solve(ctx, in, s.decomp, sc, s.pool, s.cfg.intraWorkers(), s.cfg.timeShards())
-	// Converted under the lease: the stats buffer rides the runner (r.Pub)
-	// and the per-unit slices are runner-owned.
-	dstats := newDecompStatsInto(st, &r.Pub)
+	defer func() { s.runners <- slot }()
+	sched, st, err := slot.r.Solve(ctx, in, s.decomp, sc, s.pool, s.cfg.intraWorkers(), s.cfg.timeShards())
+	// Converted under the lease: the per-unit slices are runner-owned.
+	dstats := newDecompStatsInto(st, &slot.stats)
 	if err != nil {
 		return nil, dstats, fmt.Errorf("busytime: %s: %w", s.cfg.algorithm, err)
 	}
