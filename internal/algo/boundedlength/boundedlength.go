@@ -32,14 +32,19 @@ import (
 	"busytime/internal/interval"
 )
 
-func init() {
-	algo.Register(algo.Algorithm{
+func init() { algo.Register(New(0)) }
+
+// New returns Bounded_Length as a registry entry with segment length d:
+// Run is Schedule with Options{D: d}, so 0 uses the maximum job length.
+// The registered "boundedlength" row is New(0).
+func New(d float64) algo.Algorithm {
+	return algo.Algorithm{
 		Name:        "boundedlength",
 		Description: "segment by d then solve per segment (§3.2, 2+ε approximation)",
 		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
-			return Schedule(in, Options{}, sc)
+			return Schedule(in, Options{D: d}, sc)
 		},
-	})
+	}
 }
 
 // Options configures the Bounded_Length run.

@@ -24,34 +24,34 @@ import (
 	"busytime/internal/interval"
 )
 
-func init() {
-	algo.Register(algo.Algorithm{
+func init() { algo.Register(New(DefaultMaxJobs)) }
+
+// New returns the branch and bound as a registry entry with the given
+// per-component job limit: Run is SolveWith at that limit, and Decompose
+// declares the search safe for the decomposition layer. A chunk is solved
+// by solveOrder, the function SolveWith runs on the whole instance, so the
+// layer merely runs the same per-component searches concurrently;
+// solveOrder finds the components by re-sorting its order by start, so the
+// component-major order a chunk receives yields the same components,
+// checked in the same start order. Stacked merging offsets each chunk's
+// machines by the counts of the chunks before it, in start order — exactly
+// solveOrder's own stacking — and the position-order replay (Order nil)
+// reproduces SolveWith's placement order bit for bit. The registered
+// "exact" row is New(DefaultMaxJobs).
+func New(maxJobs int) algo.Algorithm {
+	return algo.Algorithm{
 		Name:        "exact",
 		Description: "optimal schedule by branch and bound (small instances only)",
 		Run: func(ctx context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
-			return SolveWith(ctx, in, DefaultMaxJobs, sc)
+			return SolveWith(ctx, in, maxJobs, sc)
 		},
 		Cancellation: algo.CancelMidRun,
-		Decompose:    Decomposer(DefaultMaxJobs),
-	})
-}
-
-// Decomposer declares the branch and bound safe for the decomposition layer
-// with the given per-component job limit. A chunk is solved by solveOrder,
-// the function SolveWith runs on the whole instance, so the layer merely runs
-// the same per-component searches concurrently; solveOrder finds the
-// components by re-sorting its order by start, so the component-major order
-// a chunk receives yields the same components, checked in the same start
-// order. Stacked merging offsets each chunk's machines by the counts of the
-// chunks before it, in start order — exactly solveOrder's own stacking — and
-// the position-order replay (Order nil) reproduces SolveWith's placement
-// order bit for bit.
-func Decomposer(maxJobs int) *algo.Decomposer {
-	return &algo.Decomposer{
-		Stacked: true,
-		RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
-			_, err := solveOrder(ctx, in, order, maxJobs, sc)
-			return err
+		Decompose: &algo.Decomposer{
+			Stacked: true,
+			RunComponent: func(ctx context.Context, in *core.Instance, order []int32, sc *core.Scratch) error {
+				_, err := solveOrder(ctx, in, order, maxJobs, sc)
+				return err
+			},
 		},
 	}
 }

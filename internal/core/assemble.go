@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"busytime/internal/interval"
 )
@@ -15,7 +16,7 @@ import (
 // established by the runs being merged. The result is sealed —
 // mutating kernel entry points panic on it, since its machines carry no
 // oracle to answer them — while every read path (Cost, Verify, Summary,
-// Assignment, Detach-style re-derivation) stays valid.
+// Assignment, CopySchedule) stays valid.
 //
 // Replay order matters for bitwise equality: Σ busy time is accumulated one
 // placement at a time, so replaying the recorded deltas in the order the
@@ -78,3 +79,23 @@ func (a Assembly) PutDelta(j, m int, delta float64) {
 
 // Finish returns the assembled schedule, sealed since BeginAssembly.
 func (a Assembly) Finish() *Schedule { return a.s }
+
+// CopySchedule returns a copy of s in fresh memory: the same assignment,
+// machine job lists, busy spans, busy totals, Cost and work counts, bit for
+// bit, so it stays valid however the arena s was drawn from is reused. The
+// copy is sealed like an assembly: it carries no capacity structures.
+func CopySchedule(s *Schedule) *Schedule {
+	a := BeginAssembly(s.inst, nil, len(s.machines))
+	c := a.s
+	var pieces interval.Set
+	for m := range s.machines {
+		src, dst := &s.machines[m], &c.machines[m]
+		pieces = src.spans.AppendTo(pieces[:0])
+		a.Graft(m, pieces)
+		dst.spans.AddMeasure(src.spans.Total())
+		dst.jobs = slices.Clone(src.jobs)
+	}
+	copy(c.assign, s.assign)
+	c.totalBusy, c.work = s.totalBusy, s.Work()
+	return c
+}

@@ -82,36 +82,59 @@ const minShardJobs = 32
 // input one chunk per worker peaked at 9.13 MB against 7.06 MB at 16.
 const chunksPerWorker = 16
 
-// Stats describes one decomposition attempt. The per-unit slices are owned
-// by the Runner and only valid until its next Solve; callers that retain
-// them must copy.
+// ComponentStat describes one unit a decomposed solve ran: a chunk of
+// consecutive whole components, or a time shard when the solve was sharded.
+type ComponentStat struct {
+	// Jobs is the unit's job count.
+	Jobs int
+	// Solve is the unit's solve wall time; zero when the unit was never
+	// solved (the layer stopped before solving it).
+	Solve time.Duration
+}
+
+// Stats reports what the layer did during one Solve. The zero value means
+// the layer was never consulted. Components alone set (Workers == 0) means
+// the layer swept the instance but declined — a single component, or no
+// arena was idle — and the caller's sequential path produced the schedule;
+// by the merge-identity guarantee the schedule is the same either way.
 type Stats struct {
-	// Components is the number of connected components the sweep found
-	// (reported even when Solve declines).
+	// Components is the number of connected components of the instance's
+	// interval graph (strictly time-disjoint job groups), reported even
+	// when Solve declines.
 	Components int
-	// Workers is the number of goroutines that solved chunks or shards:
+	// Workers is how many workers solved chunks or shards concurrently:
 	// the calling goroutine plus the arenas leased from the pool.
 	Workers int
-	// Largest is the job count of the largest component.
-	Largest int
-	// Shards is the number of time shards solved when the run took the
-	// time-sharding path, 0 otherwise.
-	Shards int
-	// Crossing is the number of jobs whose window crosses a shard cut;
-	// each is solved in the shard that holds its start (0 when
-	// Shards == 0).
-	Crossing int
-	// Sweep, Solve and Merge are the wall times of the three phases:
-	// labeling (components, then chunks or shard cuts) and the scatter of
-	// the processing order, the concurrent chunk or shard runs (as a
-	// whole), and the ordered reassembly.
-	Sweep, Solve, Merge time.Duration
-	// Sizes[u] and Times[u] are the job count and solve wall time of the
-	// u-th unit the layer solved — a chunk of whole components, or a time
-	// shard when Shards > 0 — in start order.
-	Sizes []int32
-	Times []time.Duration
+	// LargestComponent is the job count of the largest component — the
+	// lower bound on the critical path of the parallel solve.
+	LargestComponent int
+	// Shards is the time-shard count when the solve took the time-sharding
+	// path, 0 otherwise; CrossingJobs is the number of jobs whose window
+	// crosses a shard cut (each is solved in the shard that holds its
+	// start).
+	Shards, CrossingJobs int
+	// SweepTime, SolveTime and MergeTime are the wall times of the three
+	// phases: labeling (components, then chunks or shard cuts) and the
+	// scatter of the processing order, the concurrent per-chunk or
+	// per-shard solves as a whole, and the ordered reassembly.
+	SweepTime, SolveTime, MergeTime time.Duration
+	// PerComponent lists the units the layer actually solved, in start
+	// order: chunks of consecutive whole components (one component per
+	// chunk unless the instance has more than 16 components per worker),
+	// or the shards when Shards > 0. The slice is the Runner's own buffer:
+	// it is valid until the Runner's next Solve. Callers that retain it
+	// must copy.
+	PerComponent []ComponentStat
 }
+
+// Decomposed reports whether the schedule was actually produced by the
+// decompose–solve–merge path (component-parallel or time-sharded).
+func (d Stats) Decomposed() bool { return d.Workers > 0 }
+
+// Sharded reports whether the schedule was produced by the opt-in
+// time-sharding path; such a schedule is feasible but not bitwise-identical
+// to the sequential run.
+func (d Stats) Sharded() bool { return d.Shards > 0 }
 
 // capture holds the span pieces copied out of arenas after unit solves,
 // before an arena's next schedule recycles them: pieces is the flat piece
@@ -157,21 +180,20 @@ func worker(ch chan workItem) {
 // goroutines (the resident workers it dispatches to coordinate through it,
 // but at most one Solve is live at a time).
 type Runner struct {
-	labels   []int32   // job position → component id (start order)
-	slabels  []int32   // job position → shard id
-	offsets  []int32   // bucket id → start of its segment in suborder
-	cursor   []int32   // per-bucket scatter cursors
-	bounds   []int32   // unit id → start of its range in suborder
-	sizes    []int32   // unit id → job count
-	suborder []int32   // global order scattered bucket-major
-	pos      []int32   // global order position → its suborder position
-	localm   []int32   // machine per suborder position: unit-local, then global
-	deltas   []float64 // span delta per suborder position (the span logs)
-	posOrder []int32   // identity order 0..n-1, for algorithms with nil Order
-	used     []int32   // unit id → machine count
-	base     []int32   // unit id → global machine offset
-	keys     []int64   // (size<<32|id) keys for largest-first scheduling
-	times    []time.Duration
+	labels   []int32         // job position → component id (start order)
+	slabels  []int32         // job position → shard id
+	offsets  []int32         // bucket id → start of its segment in suborder
+	cursor   []int32         // per-bucket scatter cursors
+	bounds   []int32         // unit id → start of its range in suborder
+	units    []ComponentStat // unit id → job count and solve time
+	suborder []int32         // global order scattered bucket-major
+	pos      []int32         // global order position → its suborder position
+	localm   []int32         // machine per suborder position: unit-local, then global
+	deltas   []float64       // span delta per suborder position (the span logs)
+	posOrder []int32         // identity order 0..n-1, for algorithms with nil Order
+	used     []int32         // unit id → machine count
+	base     []int32         // unit id → global machine offset
+	keys     []int64         // (size<<32|id) keys for largest-first scheduling
 	errs     []error
 
 	// Capture state: one buffer per worker, and per unit the buffer holding
@@ -257,15 +279,15 @@ func (r *Runner) Solve(ctx context.Context, in *core.Instance, d *algo.Decompose
 
 	t0 := time.Now()
 	ncomp, largest := r.sweep(in)
-	st.Components, st.Largest = ncomp, largest
-	st.Sweep = time.Since(t0)
+	st.Components, st.LargestComponent = ncomp, largest
+	st.SweepTime = time.Since(t0)
 
 	if shards > 1 && d.Shards && (ncomp == 1 || 2*largest >= n) {
 		t0 = time.Now()
 		k, crossing := r.shard(in, shards)
-		st.Sweep += time.Since(t0)
+		st.SweepTime += time.Since(t0)
 		if k >= 2 {
-			st.Shards, st.Crossing = k, crossing
+			st.Shards, st.CrossingJobs = k, crossing
 			r.lease(pool, k-1)
 			defer r.release(pool)
 			s, err := r.run(ctx, in, d, sc, r.slabels, k, 0, "shard", true, &st)
@@ -298,16 +320,16 @@ func (r *Runner) run(ctx context.Context, in *core.Instance, d *algo.Decomposer,
 	ord := r.scatter(in, d, labels, buckets)
 	units := r.group(buckets, target)
 	r.resetUnits(units, workers)
-	st.Sizes, st.Times = r.sizes[:units], r.times[:units]
+	st.PerComponent = r.units[:units]
 	// Largest units first, so the tail of the run is small work: pack
 	// (size, id) into one int64 key and sort ascending (no comparator
 	// closure), then workers claim keys from the back.
 	r.keys = grow(r.keys, units)
 	for u := range units {
-		r.keys[u] = int64(r.sizes[u])<<32 | int64(u)
+		r.keys[u] = int64(r.units[u].Jobs)<<32 | int64(u)
 	}
 	slices.Sort(r.keys)
-	st.Sweep += time.Since(t0)
+	st.SweepTime += time.Since(t0)
 
 	t0 = time.Now()
 	r.ctx, r.in, r.d, r.kind = ctx, in, d, kind
@@ -317,7 +339,7 @@ func (r *Runner) run(ctx context.Context, in *core.Instance, d *algo.Decomposer,
 	r.drain(0, sc)
 	r.wg.Wait()
 	r.ctx, r.in, r.d = nil, nil, nil
-	st.Solve = time.Since(t0)
+	st.SolveTime = time.Since(t0)
 	if err := r.firstErr(units); err != nil {
 		return nil, err
 	}
@@ -325,7 +347,7 @@ func (r *Runner) run(ctx context.Context, in *core.Instance, d *algo.Decomposer,
 	t0 = time.Now()
 	machines := r.stack(units, stacked)
 	s := r.assemble(in, sc, ord, units, machines)
-	st.Merge = time.Since(t0)
+	st.MergeTime = time.Since(t0)
 	return s, nil
 }
 
@@ -346,21 +368,21 @@ func chunkTarget(n, ncomp, workers int) int {
 // group partitions the scattered buckets, in id order, into units of
 // consecutive buckets in one O(buckets) pass: a unit closes after the first
 // bucket that brings it to at least target jobs (target 0 makes every
-// bucket its own unit, empty ones included). It fills bounds and sizes, and
-// returns the unit count.
+// bucket its own unit, empty ones included). It fills bounds and the units'
+// job counts, and returns the unit count. units grows by append, so its
+// retained capacity follows the unit count, not the bucket count.
 func (r *Runner) group(buckets, target int) int {
 	r.bounds = grow(r.bounds, buckets+1)
-	r.sizes = grow(r.sizes, buckets)
 	r.bounds[0] = 0
-	units := 0
+	r.units = r.units[:0]
 	for b := range buckets {
-		if end := r.offsets[b+1]; int(end-r.bounds[units]) >= target || b == buckets-1 {
-			r.sizes[units] = end - r.bounds[units]
-			units++
-			r.bounds[units] = end
+		u := len(r.units)
+		if end := r.offsets[b+1]; int(end-r.bounds[u]) >= target || b == buckets-1 {
+			r.units = append(r.units, ComponentStat{Jobs: int(end - r.bounds[u])})
+			r.bounds[u+1] = end
 		}
 	}
-	return units
+	return len(r.units)
 }
 
 // scatter resolves the algorithm's global processing order and copies it
@@ -411,8 +433,6 @@ func (r *Runner) order(in *core.Instance, d *algo.Decomposer) []int32 {
 // resetUnits sizes the per-unit bookkeeping for units units solved by
 // workers workers.
 func (r *Runner) resetUnits(units, workers int) {
-	r.times = grow(r.times, units)
-	clear(r.times)
 	r.errs = grow(r.errs, units)
 	clear(r.errs)
 	r.used = grow(r.used, units)
@@ -582,7 +602,7 @@ func (r *Runner) solve(u int, sc *core.Scratch) (ok bool) {
 		}
 	}
 	r.errs[u] = err
-	r.times[u] = time.Since(t0)
+	r.units[u].Solve = time.Since(t0)
 	return err == nil
 }
 

@@ -185,8 +185,8 @@ func TestRunMatchesSequential(t *testing.T) {
 					if st.Components < 2 || st.Workers < 2 {
 						t.Fatalf("%s seed=%d: components=%d workers=%d, want ≥ 2 each", name, seed, st.Components, st.Workers)
 					}
-					if clusters > 64 && len(st.Sizes) >= st.Components {
-						t.Fatalf("%s seed=%d: %d chunks for %d components, want chunks of several components", name, seed, len(st.Sizes), st.Components)
+					if clusters > 64 && len(st.PerComponent) >= st.Components {
+						t.Fatalf("%s seed=%d: %d chunks for %d components, want chunks of several components", name, seed, len(st.PerComponent), st.Components)
 					}
 					assertSame(t, fmt.Sprintf("%s seed=%d", name, seed), seq, got)
 					if err := got.Verify(); err != nil {
@@ -215,15 +215,15 @@ func TestStackedMergeMatchesExact(t *testing.T) {
 					t.Fatalf("seed=%d: sequential exact: %v", seed, err)
 				}
 				sc := new(core.Scratch)
-				got, st, runErr := r.Solve(context.Background(), in, exact.Decomposer(exact.DefaultMaxJobs), sc, pool, 3, 0)
+				got, st, runErr := r.Solve(context.Background(), in, exact.New(exact.DefaultMaxJobs).Decompose, sc, pool, 3, 0)
 				if runErr != nil {
 					t.Fatalf("seed=%d: decomposed exact: %v", seed, runErr)
 				}
 				if got == nil {
 					t.Fatalf("seed=%d: layer declined (components=%d)", seed, st.Components)
 				}
-				if clusters > 48 && len(st.Sizes) >= st.Components {
-					t.Fatalf("seed=%d: %d chunks for %d components, want chunks of several components", seed, len(st.Sizes), st.Components)
+				if clusters > 48 && len(st.PerComponent) >= st.Components {
+					t.Fatalf("seed=%d: %d chunks for %d components, want chunks of several components", seed, len(st.PerComponent), st.Components)
 				}
 				assertSame(t, fmt.Sprintf("exact seed=%d", seed), seq, got)
 			}
@@ -274,12 +274,12 @@ func TestChunksBoundSchedules(t *testing.T) {
 		if drawn, limit := schedules()-before, chunksPerWorker*w+1; drawn > limit {
 			t.Fatalf("w=%d: decomposed solve drew %d schedules, want ≤ %d", w, drawn, limit)
 		}
-		if len(st.Sizes) > chunksPerWorker*w {
-			t.Fatalf("w=%d: %d chunks, want ≤ %d", w, len(st.Sizes), chunksPerWorker*w)
+		if len(st.PerComponent) > chunksPerWorker*w {
+			t.Fatalf("w=%d: %d chunks, want ≤ %d", w, len(st.PerComponent), chunksPerWorker*w)
 		}
 		jobs := 0
-		for _, sz := range st.Sizes {
-			jobs += int(sz)
+		for _, c := range st.PerComponent {
+			jobs += c.Jobs
 		}
 		if jobs != in.N() {
 			t.Fatalf("w=%d: chunk sizes sum to %d, want %d", w, jobs, in.N())
@@ -317,7 +317,7 @@ func TestChunkOrderIsComponentMajor(t *testing.T) {
 		d    *algo.Decomposer
 	}{
 		{"firstfit", ff.Decompose},
-		{"exact", exact.Decomposer(exact.DefaultMaxJobs)},
+		{"exact", exact.New(exact.DefaultMaxJobs).Decompose},
 	} {
 		rank := make([]int, in.N()) // job → position in the global order
 		for j := range rank {
@@ -333,13 +333,13 @@ func TestChunkOrderIsComponentMajor(t *testing.T) {
 		if err != nil || got == nil {
 			t.Fatalf("%s: schedule=%v err=%v", tc.name, got, err)
 		}
-		if len(st.Sizes) >= ncomp {
-			t.Fatalf("%s: %d chunks for %d components, want chunks of several components", tc.name, len(st.Sizes), ncomp)
+		if len(st.PerComponent) >= ncomp {
+			t.Fatalf("%s: %d chunks for %d components, want chunks of several components", tc.name, len(st.PerComponent), ncomp)
 		}
 		lo, next := 0, 0 // next: the component the next segment must start with
-		for u, size := range st.Sizes {
-			seg := r.suborder[lo : lo+int(size)]
-			lo += int(size)
+		for u, c := range st.PerComponent {
+			seg := r.suborder[lo : lo+c.Jobs]
+			lo += c.Jobs
 			for i := 0; i < len(seg); next++ {
 				if c := int(labels[seg[i]]); c != next {
 					t.Fatalf("%s chunk %d: position %d holds component %d, want component %d to start there", tc.name, u, i, c, next)
@@ -452,7 +452,7 @@ func TestFailedRunLeavesNoArmedLog(t *testing.T) {
 	pool := newPool(2)
 	sc := new(core.Scratch)
 	r := NewRunner()
-	if s, _, err := r.Solve(context.Background(), in, exact.Decomposer(2), sc, pool, 3, 0); s != nil || err == nil {
+	if s, _, err := r.Solve(context.Background(), in, exact.New(2).Decompose, sc, pool, 3, 0); s != nil || err == nil {
 		t.Fatalf("got schedule=%v err=%v, want the component limit error", s, err)
 	}
 	arenas := []*core.Scratch{sc, <-pool, <-pool}
@@ -487,8 +487,8 @@ func TestWarmRunnerArenaSteadyState(t *testing.T) {
 				if err != nil || s == nil {
 					t.Fatalf("decomposed run failed: schedule=%v err=%v components=%d", s, err, st.Components)
 				}
-				if clusters > 64 && len(st.Sizes) >= st.Components {
-					t.Fatalf("%d chunks for %d components, want chunks of several components", len(st.Sizes), st.Components)
+				if clusters > 64 && len(st.PerComponent) >= st.Components {
+					t.Fatalf("%d chunks for %d components, want chunks of several components", len(st.PerComponent), st.Components)
 				}
 			}
 			run() // cold: runner buffers grow

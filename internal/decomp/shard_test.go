@@ -67,7 +67,7 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 					}
 					if got == nil || st.Shards < 2 {
 						t.Fatalf("%s: sharding did not engage (schedule=%v shards=%d components=%d largest=%d)",
-							label, got, st.Shards, st.Components, st.Largest)
+							label, got, st.Shards, st.Components, st.LargestComponent)
 					}
 					if err := got.Verify(); err != nil {
 						t.Fatalf("%s: sharded schedule infeasible: %v", label, err)
@@ -80,14 +80,14 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 						t.Fatalf("%s: workers=%d, want one per shard (%d)", label, st.Workers, st.Shards)
 					}
 					total := 0
-					for _, sz := range st.Sizes {
-						total += int(sz)
+					for _, c := range st.PerComponent {
+						total += c.Jobs
 					}
 					if total != in.N() {
-						t.Fatalf("%s: shard sizes %v cover %d jobs, want %d", label, st.Sizes, total, in.N())
+						t.Fatalf("%s: shard sizes %v cover %d jobs, want %d", label, st.PerComponent, total, in.N())
 					}
-					if st.Crossing*4 > in.N() {
-						t.Fatalf("%s: crossing=%d exceeds the n/4 gate (n=%d)", label, st.Crossing, in.N())
+					if st.CrossingJobs*4 > in.N() {
+						t.Fatalf("%s: crossing=%d exceeds the n/4 gate (n=%d)", label, st.CrossingJobs, in.N())
 					}
 				}
 			}
@@ -97,13 +97,16 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 
 // TestShardLabelsFollowStarts pins the shard partition on a dense instance:
 // every job is labeled with the shard whose time range holds its start,
-// Stats.Crossing counts the jobs whose end passes the next cut, and no
+// Stats.CrossingJobs counts the jobs whose end passes the next cut, and no
 // machine of the merged schedule holds jobs of two shards — a crossing job
 // stays on its own shard's machines. The cuts are endpoint ranks; the test
 // maps them to the times they stand for through its own sorted endpoints
-// and checks the float starts and ends against those.
+// and checks the float starts and ends against those. The instance gets one
+// added job starting on each cut the plain dense instance is given, so
+// jobs that start exactly on a cut, which join the shard right of it, are
+// checked too.
 func TestShardLabelsFollowStarts(t *testing.T) {
-	in := denseInstance(6)
+	in := withJobsOnCuts(t, denseInstance(6))
 	var times []float64
 	for _, job := range in.Jobs {
 		times = append(times, job.Iv.Start, job.Iv.End)
@@ -128,11 +131,14 @@ func TestShardLabelsFollowStarts(t *testing.T) {
 			cuts = append(cuts, times[c])
 		}
 		shardOf := make([]int, in.N())
-		crossing := 0
+		crossing, onCut := 0, 0
 		for j, job := range in.Jobs {
 			k := 0
 			for k < len(cuts) && cuts[k] <= job.Iv.Start {
 				k++
+			}
+			if k > 0 && cuts[k-1] == job.Iv.Start {
+				onCut++
 			}
 			shardOf[j] = k
 			if got := int(r.slabels[j]); got != k {
@@ -145,8 +151,11 @@ func TestShardLabelsFollowStarts(t *testing.T) {
 		if crossing == 0 {
 			t.Fatalf("%s: no job crosses a cut; the instance does not exercise crossing jobs", name)
 		}
-		if st.Crossing != crossing {
-			t.Fatalf("%s: Stats.Crossing = %d, %d jobs end past their next cut", name, st.Crossing, crossing)
+		if onCut == 0 {
+			t.Fatalf("%s: no job starts on a cut (cuts %v); the instance does not exercise them", name, cuts)
+		}
+		if st.CrossingJobs != crossing {
+			t.Fatalf("%s: Stats.CrossingJobs = %d, %d jobs end past their next cut", name, st.CrossingJobs, crossing)
 		}
 		for m := range s.NumMachines() {
 			jobs := s.MachineJobs(m)
@@ -157,6 +166,34 @@ func TestShardLabelsFollowStarts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withJobsOnCuts returns in plus one unit-length job starting at each cut
+// time of a 4-way sharded firstfit solve of in.
+func withJobsOnCuts(t *testing.T, in *core.Instance) *core.Instance {
+	t.Helper()
+	a, ok := algo.Lookup("firstfit")
+	if !ok {
+		t.Fatal("firstfit not registered")
+	}
+	r := NewRunner()
+	if s, st, err := r.Solve(context.Background(), in, a.Decompose, new(core.Scratch), newPool(3), 1, 4); err != nil || s == nil || st.Shards < 2 {
+		t.Fatalf("%s: schedule=%v err=%v shards=%d, want a sharded run", in.Name, s, err, st.Shards)
+	}
+	var times []float64
+	for _, job := range in.Jobs {
+		times = append(times, job.Iv.Start, job.Iv.End)
+	}
+	slices.Sort(times)
+	times = slices.Compact(times)
+	out := &core.Instance{Name: in.Name + "+oncut", G: in.G, Jobs: slices.Clone(in.Jobs)}
+	for _, c := range r.cuts {
+		out.Jobs = append(out.Jobs, core.Job{ID: len(out.Jobs), Iv: interval.New(times[c], times[c]+1), Demand: 1})
+	}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestShardedOffIsUnsharded pins shards ≤ 1 to the exact unsharded behavior:
@@ -200,7 +237,7 @@ func TestShardedDeclines(t *testing.T) {
 
 	// Stacked decomposers (the exact solver) never shard: they do not
 	// declare Shards.
-	if s, st, err := r.Solve(ctx, tiny, exact.Decomposer(exact.DefaultMaxJobs), new(core.Scratch), newPool(3), 1, 4); s != nil || err != nil || st.Shards != 0 {
+	if s, st, err := r.Solve(ctx, tiny, exact.New(exact.DefaultMaxJobs).Decompose, new(core.Scratch), newPool(3), 1, 4); s != nil || err != nil || st.Shards != 0 {
 		t.Fatalf("stacked: got schedule=%v err=%v shards=%d, want decline", s, err, st.Shards)
 	}
 
@@ -259,8 +296,8 @@ func TestShardedSolveIgnoresIdleArenas(t *testing.T) {
 			if err != nil || got == nil {
 				t.Fatalf("%s: schedule=%v err=%v, want a sharded run", label, got, err)
 			}
-			if st.Shards != fst.Shards || st.Crossing != fst.Crossing {
-				t.Fatalf("%s: %d shards, %d crossing; the full pool cut %d, %d", label, st.Shards, st.Crossing, fst.Shards, fst.Crossing)
+			if st.Shards != fst.Shards || st.CrossingJobs != fst.CrossingJobs {
+				t.Fatalf("%s: %d shards, %d crossing; the full pool cut %d, %d", label, st.Shards, st.CrossingJobs, fst.Shards, fst.CrossingJobs)
 			}
 			if st.Workers != 1+spares {
 				t.Fatalf("%s: %d workers, want %d", label, st.Workers, 1+spares)
@@ -488,7 +525,11 @@ func TestShardPartitionPinned(t *testing.T) {
 				if err != nil || s == nil {
 					t.Fatalf("%s %s k=%d: schedule=%v err=%v", label, name, k, s, err)
 				}
-				got = append(got, fmt.Sprintf("{%q, %q, %d, %#v, %d, %#x},", label, name, k, st.Sizes, st.Crossing, math.Float64bits(s.Cost())))
+				var sizes []int32
+				for _, c := range st.PerComponent {
+					sizes = append(sizes, int32(c.Jobs))
+				}
+				got = append(got, fmt.Sprintf("{%q, %q, %d, %#v, %d, %#x},", label, name, k, sizes, st.CrossingJobs, math.Float64bits(s.Cost())))
 			}
 		}
 	}

@@ -11,7 +11,7 @@
 //     "online-nextfit" are greedy rows of the algorithm registry: a rule
 //     driven in arrival order by the shared driver algo.RunGreedy, so the
 //     Solver's batch fan-out, the decomposition layer and the CLI run
-//     online replays exactly like offline algorithms. RunLookahead is the
+//     online replays exactly like offline algorithms. Lookahead is the
 //     semi-online variant over the same driver.
 //   - Sessions. Session and Pool are the genuinely incremental handles: fed
 //     one arrival at a time with no instance up front, they place by the
@@ -21,6 +21,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 
 	"busytime/internal/algo"
@@ -75,14 +76,32 @@ func ruleName(rule core.Rule) string {
 	return ""
 }
 
-// RunLookahead is the semi-online variant: the scheduler sees a buffer of
-// the next k future arrivals and repeatedly extracts the longest buffered
-// job (ties by start, end, ID — FirstFit's offline order) before placing it
-// by rule. k = 1 degenerates to arrival order; k ≥ n recovers the offline
-// processing order exactly, so with core.LowestFit it equals the paper's
-// offline FirstFit. The returned schedule is verified feasible.
+// Lookahead returns the semi-online replay of rule as a registry entry,
+// named after the online row placing by rule: the scheduler sees a buffer
+// of the next k future arrivals and repeatedly extracts the longest
+// buffered job (ties by start, end, ID — FirstFit's offline order) before
+// placing it by rule. k = 1 degenerates to arrival order; k ≥ n recovers
+// the offline processing order exactly, so with core.LowestFit it equals
+// the paper's offline FirstFit. The shared buffer spans components, so the
+// entry declares no Decompose; Run rejects k < 1.
+func Lookahead(rule core.Rule, k int) algo.Algorithm {
+	name := ruleName(rule)
+	return algo.Algorithm{
+		Name:        name,
+		Description: fmt.Sprintf("%s with a %d-arrival lookahead buffer", name, k),
+		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
+			if k < 1 {
+				return nil, fmt.Errorf("online: lookahead %d, want ≥ 1", k)
+			}
+			return algo.RunGreedy(in, sc, lookaheadOrder(in, k), rule), nil
+		},
+	}
+}
+
+// RunLookahead runs Lookahead(rule, k) on fresh memory and verifies the
+// schedule feasible.
 func RunLookahead(in *core.Instance, k int, rule core.Rule) (*core.Schedule, error) {
-	s, err := RunLookaheadScratch(in, nil, k, rule)
+	s, err := Lookahead(rule, k).Run(context.Background(), in, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -90,18 +109,6 @@ func RunLookahead(in *core.Instance, k int, rule core.Rule) (*core.Schedule, err
 		return nil, fmt.Errorf("online: lookahead %s infeasible: %w", ruleName(rule), err)
 	}
 	return s, nil
-}
-
-// RunLookaheadScratch is RunLookahead with schedule state drawn from sc
-// (fresh memory when sc is nil), the warm path of Solver-driven semi-online
-// replays. It skips the final re-verification (the kernel only makes
-// feasible placements); the returned schedule is only valid until sc's next
-// use.
-func RunLookaheadScratch(in *core.Instance, sc *core.Scratch, k int, rule core.Rule) (*core.Schedule, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("online: lookahead %d, want ≥ 1", k)
-	}
-	return algo.RunGreedy(in, sc, lookaheadOrder(in, k), rule), nil
 }
 
 // lookaheadOrder returns the order in which a k-arrival buffer releases the

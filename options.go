@@ -2,6 +2,7 @@ package busytime
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 
@@ -174,8 +175,10 @@ func (c *config) timeShards() int {
 // algorithms: the scheduler sees the next k arrivals and always places the
 // longest buffered job first. k = 1 (the default) is pure arrival order;
 // k ≥ n recovers the offline processing order, so online-firstfit with full
-// lookahead equals the paper's FirstFit. New rejects a lookahead on offline
-// algorithms.
+// lookahead equals the paper's FirstFit. For k ≥ 2, New builds the session's
+// algorithm as the lookahead replay of the named row's rule; its buffer
+// spans components, so WithIntraWorkers and WithTimeSharding leave it
+// untouched. New rejects a lookahead on offline algorithms.
 func WithLookahead(k int) Option {
 	return func(c *config) {
 		if k < 1 {
@@ -227,8 +230,10 @@ func WithAdmission(a Admission) Option {
 }
 
 // WithExactLimit sets the largest connected component (in jobs) the "exact"
-// branch-and-bound accepts, replacing its default of 18. The search is
-// exponential: raising the limit is useful together with a cancelling
+// branch-and-bound accepts, replacing its default of 18. New builds the
+// session's exact solver with that limit, and the decomposed path
+// (WithIntraWorkers) solves its components under the same limit. The search
+// is exponential: raising the limit is useful together with a cancelling
 // context. New rejects the option on other algorithms.
 func WithExactLimit(maxJobs int) Option {
 	return func(c *config) {
@@ -241,12 +246,14 @@ func WithExactLimit(maxJobs int) Option {
 }
 
 // WithLengthBound sets the segment granularity d of the "boundedlength"
-// algorithm (§3.2); 0, the default, uses the maximum job length. New
-// rejects the option on other algorithms.
+// algorithm (§3.2); 0, the default, uses the maximum job length. d must be
+// finite and ≥ 0: a NaN or infinite d would put every job in one segment.
+// New builds the session's boundedlength with that d and rejects the option
+// on other algorithms.
 func WithLengthBound(d float64) Option {
 	return func(c *config) {
-		if d < 0 {
-			c.fail("WithLengthBound: d = %v, want ≥ 0", d)
+		if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
+			c.fail("WithLengthBound: d = %v, want finite and ≥ 0", d)
 			return
 		}
 		c.lengthD = d

@@ -3,7 +3,6 @@ package busytime
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"busytime/internal/core"
 	"busytime/internal/decomp"
@@ -23,92 +22,19 @@ type ArenaStats struct {
 
 // ComponentStat describes one unit a decomposed solve ran: a chunk of
 // consecutive whole components, or a time shard when the solve was sharded.
-type ComponentStat struct {
-	// Jobs is the unit's job count.
-	Jobs int
-	// Solve is the unit's solve wall time; zero when the unit was never
-	// solved (the layer stopped before solving it).
-	Solve time.Duration
-}
+type ComponentStat = decomp.ComponentStat
 
 // DecompStats reports what the component-decomposition layer did during one
-// Solve (see WithIntraWorkers). The zero value means the layer was never
+// Solve (see WithIntraWorkers and WithTimeSharding): component count,
+// largest component, worker and shard counts, per-phase wall times and the
+// units actually solved. The zero value means the layer was never
 // consulted — it is off, or the algorithm does not decompose. Components
-// alone set (Workers == 0) means the layer swept the instance but declined —
-// a single component, or no arena was idle — and the ordinary sequential path
-// produced the schedule; by the layer's merge-identity guarantee the schedule
-// is the same either way.
-type DecompStats struct {
-	// Components is the number of connected components of the instance's
-	// interval graph (strictly time-disjoint job groups).
-	Components int
-	// Workers is how many workers solved chunks or shards concurrently:
-	// this Solve's own arena plus the spare ones borrowed from the pool.
-	Workers int
-	// LargestComponent is the job count of the largest component — the lower
-	// bound on the critical path of the parallel solve.
-	LargestComponent int
-	// Shards is the time-shard count when this Solve took the opt-in
-	// time-sharding path (WithTimeSharding), 0 otherwise; CrossingJobs is
-	// the number of jobs whose window crosses a shard cut (each is solved
-	// in the shard that holds its start).
-	Shards, CrossingJobs int
-	// SweepTime, SolveTime and MergeTime are the wall times of the three
-	// phases: labeling (components, then chunks or shard cuts), the
-	// concurrent per-chunk or per-shard solves as a whole, and the ordered
-	// reassembly.
-	SweepTime, SolveTime, MergeTime time.Duration
-	// PerComponent lists the units the layer actually solved, in start
-	// order: chunks of consecutive whole components (one component per
-	// chunk unless the instance has more than 16 components per worker),
-	// or the shards when Shards > 0. The slice rides the session's recycled
-	// solver state: it is valid until a later Solve on this Solver reuses
-	// the same internal runner — the same window as an arena-mode
-	// Schedule. Callers that retain it must copy.
-	PerComponent []ComponentStat
-}
-
-// Decomposed reports whether the schedule was actually produced by the
-// decompose–solve–merge path (component-parallel or time-sharded).
-func (d DecompStats) Decomposed() bool { return d.Workers > 0 }
-
-// Sharded reports whether the schedule was produced by the opt-in
-// time-sharding path; such a schedule is feasible but not bitwise-identical
-// to the sequential run (see WithTimeSharding).
-func (d DecompStats) Sharded() bool { return d.Shards > 0 }
-
-// newDecompStatsInto converts the layer's runner-owned telemetry into the
-// public form, drawing the PerComponent backing array from buf — the
-// buffer pooled with the runner — and growing it there, so warm Solves
-// stop allocating stats. The caller must finish with the returned value's
-// PerComponent before the same runner serves another Solve.
-func newDecompStatsInto(st decomp.Stats, buf *[]ComponentStat) DecompStats {
-	d := DecompStats{
-		Components:       st.Components,
-		Workers:          st.Workers,
-		LargestComponent: st.Largest,
-		Shards:           st.Shards,
-		CrossingJobs:     st.Crossing,
-		SweepTime:        st.Sweep,
-		SolveTime:        st.Solve,
-		MergeTime:        st.Merge,
-	}
-	if len(st.Sizes) > 0 {
-		if cap(*buf) < len(st.Sizes) {
-			*buf = make([]ComponentStat, len(st.Sizes))
-		}
-		pc := (*buf)[:len(st.Sizes)]
-		for i, sz := range st.Sizes {
-			pc[i].Jobs = int(sz)
-			pc[i].Solve = 0
-			if i < len(st.Times) {
-				pc[i].Solve = st.Times[i]
-			}
-		}
-		d.PerComponent = pc
-	}
-	return d
-}
+// alone set (Workers == 0) means the layer swept the instance but declined,
+// and the ordinary sequential path produced the same schedule.
+// PerComponent rides the session's recycled solver state: it is valid
+// until a later Solve on this Solver reuses the same internal runner — the
+// same window as an arena-mode Schedule. Callers that retain it must copy.
+type DecompStats = decomp.Stats
 
 // Result is the outcome of one Solve: the schedule plus the metrics every
 // caller of a scheduling library ends up recomputing — cost, every lower
@@ -173,7 +99,12 @@ func (r Result) CrossCheck(tol float64) error {
 
 // Detach moves the Result's schedule out of the Solver's recycled arena
 // into caller-owned memory, after which it stays valid indefinitely. It is
-// a no-op on fresh-mode results beyond one copy.
+// a no-op on fresh-mode results beyond one copy. The copy carries the
+// arena schedule's assignment, machine job lists, busy spans, busy totals
+// and Cost bit for bit. Like a decomposed solve's schedule it is sealed:
+// every read (Cost, MachineBusy, Verify, Summary, CrossCheck, …) works,
+// while capacity probes and placements panic, since it carries no capacity
+// oracle.
 //
 // Detach reads the arena-backed schedule, so it is subject to the same
 // lifetime window as any other Schedule access: call it before the arena
@@ -181,13 +112,8 @@ func (r Result) CrossCheck(tol float64) error {
 // goroutine. Pipelines that retain schedules while solving concurrently
 // should build the Solver with WithFreshSchedules instead.
 func (r *Result) Detach() error {
-	if r.Schedule == nil {
-		return nil
+	if r.Schedule != nil {
+		r.Schedule = core.CopySchedule(r.Schedule)
 	}
-	sched, err := core.FromAssignment(r.Schedule.Instance(), r.Schedule.Assignment())
-	if err != nil {
-		return err
-	}
-	r.Schedule = sched
 	return nil
 }

@@ -47,24 +47,15 @@ import (
 // context's error even from an exponential search.
 type Solver struct {
 	cfg config
-	alg algo.Algorithm
-	// rule is the placement rule of the online-* algorithms (online set),
-	// which a WithLookahead replay drives in its buffered order.
-	rule   core.Rule
-	online bool
-	pool   chan *core.Scratch
-	// decomp is the session's resolved decomposition contract (nil unless
-	// WithIntraWorkers enabled the layer and the algorithm declares one) and
-	// runners the recycled decomposition state, one per worker.
-	decomp  *algo.Decomposer
-	runners chan *runnerSlot
-}
-
-// runnerSlot is one pooled decomposition Runner with the buffer its Solves
-// convert the per-unit telemetry into, so warm Solves allocate no stats.
-type runnerSlot struct {
-	r     *decomp.Runner
-	stats []ComponentStat
+	// alg is the session's algorithm: the registered row WithAlgorithm
+	// names, or the row its package's constructor builds for a
+	// per-algorithm option (WithExactLimit, WithLengthBound, WithLookahead).
+	alg  algo.Algorithm
+	pool chan *core.Scratch
+	// runners is the recycled decomposition state, one Runner per worker;
+	// nil unless WithIntraWorkers or WithTimeSharding enabled the layer and
+	// alg declares a Decompose.
+	runners chan *decomp.Runner
 }
 
 // New builds a Solver from functional options, validating the configuration
@@ -80,21 +71,11 @@ func New(opts ...Option) (*Solver, error) {
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	a, ok := algo.Lookup(cfg.algorithm)
-	if !ok {
-		return nil, fmt.Errorf("busytime: unknown algorithm %q (registered: %s)", cfg.algorithm, algorithmNames())
+	a, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
 	s := &Solver{cfg: cfg, alg: a}
-	s.rule, s.online = online.RuleByName(cfg.algorithm)
-	if cfg.lookahead > 1 && !s.online {
-		return nil, fmt.Errorf("busytime: WithLookahead applies to the online-* algorithms, not %q", cfg.algorithm)
-	}
-	if cfg.exactLimit != 0 && cfg.algorithm != "exact" {
-		return nil, fmt.Errorf("busytime: WithExactLimit applies to \"exact\", not %q", cfg.algorithm)
-	}
-	if cfg.lengthD != 0 && cfg.algorithm != "boundedlength" {
-		return nil, fmt.Errorf("busytime: WithLengthBound applies to \"boundedlength\", not %q", cfg.algorithm)
-	}
 	// Machine-independent check: auto (-1) or an explicit cap ≥ 2 asked for
 	// the layer, whatever the worker budget resolves to on this host.
 	if (cfg.intra < 0 || cfg.intra > 1) && cfg.fresh {
@@ -106,31 +87,41 @@ func New(opts ...Option) (*Solver, error) {
 	if !cfg.fresh {
 		s.pool = core.NewScratchPool(cfg.maxWorkers())
 	}
-	if cfg.intraWorkers() > 1 || cfg.timeShards() > 1 {
-		if d := s.decomposer(); d != nil {
-			s.decomp = d
-			s.runners = make(chan *runnerSlot, cfg.maxWorkers())
-			for range cap(s.runners) {
-				s.runners <- &runnerSlot{r: decomp.NewRunner()}
-			}
+	if a.Decompose != nil && (cfg.intraWorkers() > 1 || cfg.timeShards() > 1) {
+		s.runners = make(chan *decomp.Runner, cfg.maxWorkers())
+		for range cap(s.runners) {
+			s.runners <- decomp.NewRunner()
 		}
 	}
 	return s, nil
 }
 
-// decomposer resolves the session's decomposition contract: the registered
-// Decomposer for most algorithms, the exact solver's rebuilt with the
-// session's WithExactLimit, and nil for lookahead replays (the shared buffer
-// spans components).
-func (s *Solver) decomposer() *algo.Decomposer {
-	switch {
-	case s.cfg.algorithm == "exact":
-		return exact.Decomposer(s.exactLimit())
-	case s.cfg.lookahead > 1:
-		return nil
-	default:
-		return s.alg.Decompose
+// resolve looks the configured algorithm up in the registry and checks the
+// per-algorithm options against it. An option that parameterizes the
+// algorithm replaces the registered row with the one the algorithm's
+// package builds for that value, so Solve runs and decomposes it like any
+// other row.
+func (c *config) resolve() (algo.Algorithm, error) {
+	a, ok := algo.Lookup(c.algorithm)
+	if !ok {
+		return a, fmt.Errorf("busytime: unknown algorithm %q (registered: %s)", c.algorithm, algorithmNames())
 	}
+	rule, isOnline := online.RuleByName(c.algorithm)
+	switch {
+	case c.lookahead > 1 && !isOnline:
+		return a, fmt.Errorf("busytime: WithLookahead applies to the online-* algorithms, not %q", c.algorithm)
+	case c.exactLimit != 0 && c.algorithm != "exact":
+		return a, fmt.Errorf("busytime: WithExactLimit applies to \"exact\", not %q", c.algorithm)
+	case c.lengthD != 0 && c.algorithm != "boundedlength":
+		return a, fmt.Errorf("busytime: WithLengthBound applies to \"boundedlength\", not %q", c.algorithm)
+	case c.lookahead > 1:
+		return online.Lookahead(rule, c.lookahead), nil
+	case c.exactLimit != 0:
+		return exact.New(c.exactLimit), nil
+	case c.lengthD != 0:
+		return boundedlength.New(c.lengthD), nil
+	}
+	return a, nil
 }
 
 // Algorithm returns the session's registered algorithm name.
@@ -155,7 +146,7 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (Result, error) {
 		return Result{}, err
 	}
 	if s.cfg.fresh {
-		sched, err := s.run(ctx, in, nil)
+		sched, err := safeRun(ctx, s.alg, in, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -189,27 +180,24 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (Result, error) {
 // solveOn schedules one instance on the leased arena, offering it to the
 // decomposition layer first when the session enables one. A declined offer
 // (single component, no spare arena idle) falls through to the ordinary
-// sequential dispatch; the schedule is identical either way.
+// sequential run; the schedule is identical either way.
 func (s *Solver) solveOn(ctx context.Context, in *Instance, sc *core.Scratch) (*core.Schedule, DecompStats, error) {
-	if s.decomp == nil {
-		sched, err := s.run(ctx, in, sc)
+	if s.runners == nil {
+		sched, err := safeRun(ctx, s.alg, in, sc)
 		return sched, DecompStats{}, err
 	}
-	slot := <-s.runners
+	r := <-s.runners
 	// Deferred, so a panicking run cannot leak the runner: SolveBatch
 	// recovers panics and keeps using this Solver.
-	defer func() { s.runners <- slot }()
-	sched, st, err := slot.r.Solve(ctx, in, s.decomp, sc, s.pool, s.cfg.intraWorkers(), s.cfg.timeShards())
-	// Converted under the lease: the per-unit slices are runner-owned.
-	dstats := newDecompStatsInto(st, &slot.stats)
+	defer func() { s.runners <- r }()
+	sched, st, err := r.Solve(ctx, in, s.alg.Decompose, sc, s.pool, s.cfg.intraWorkers(), s.cfg.timeShards())
 	if err != nil {
-		return nil, dstats, fmt.Errorf("busytime: %s: %w", s.cfg.algorithm, err)
+		return nil, st, fmt.Errorf("busytime: %s: %w", s.alg.Name, err)
 	}
-	if sched != nil {
-		return sched, dstats, nil
+	if sched == nil {
+		sched, err = safeRun(ctx, s.alg, in, sc)
 	}
-	sched, err = s.run(ctx, in, sc)
-	return sched, dstats, err
+	return sched, st, err
 }
 
 // summarize verifies (when configured) and folds one schedule into a Result.
@@ -229,37 +217,7 @@ func (s *Solver) summarize(in *Instance, sched *core.Schedule, arena ArenaStats)
 	}, nil
 }
 
-// run dispatches one instance to the session's algorithm, drawing the
-// schedule from sc (fresh memory when sc is nil). The exact solver, the
-// lookahead replays and a boundedlength run with WithLengthBound route
-// around the registry to carry their extra configuration (component limit,
-// buffer size, segment bound); everything else goes through its registered
-// Run.
-func (s *Solver) run(ctx context.Context, in *Instance, sc *core.Scratch) (*core.Schedule, error) {
-	switch {
-	case s.cfg.algorithm == "exact":
-		return exact.SolveWith(ctx, in, s.exactLimit(), sc)
-	case s.cfg.lookahead > 1:
-		if sc != nil {
-			return online.RunLookaheadScratch(in, sc, s.cfg.lookahead, s.rule)
-		}
-		return online.RunLookahead(in, s.cfg.lookahead, s.rule)
-	case s.cfg.algorithm == "boundedlength" && s.cfg.lengthD != 0:
-		return boundedlength.Schedule(in, boundedlength.Options{D: s.cfg.lengthD}, sc)
-	default:
-		return safeRun(ctx, s.alg, in, sc)
-	}
-}
-
-// exactLimit resolves the configured component limit of the exact search.
-func (s *Solver) exactLimit() int {
-	if s.cfg.exactLimit > 0 {
-		return s.cfg.exactLimit
-	}
-	return exact.DefaultMaxJobs
-}
-
-// safeRun invokes the registered Run and wraps its error (a class
+// safeRun invokes the algorithm's Run and wraps its error (a class
 // rejection such as "not a clique") as "busytime: <name>: …", keeping
 // errors.Is/As working across the facade. The recover is only a guard: a
 // panic inside Run is a bug, and it surfaces as the same wrapped error

@@ -432,6 +432,8 @@ func TestSolverOptionErrors(t *testing.T) {
 		{"lookahead zero", []busytime.Option{busytime.WithAlgorithm("online-firstfit"), busytime.WithLookahead(0)}, "want ≥ 1"},
 		{"exact limit elsewhere", []busytime.Option{busytime.WithExactLimit(20)}, "exact"},
 		{"length bound elsewhere", []busytime.Option{busytime.WithLengthBound(2)}, "boundedlength"},
+		{"length bound NaN", []busytime.Option{busytime.WithAlgorithm("boundedlength"), busytime.WithLengthBound(math.NaN())}, "want finite"},
+		{"length bound +Inf", []busytime.Option{busytime.WithAlgorithm("boundedlength"), busytime.WithLengthBound(math.Inf(1))}, "want finite"},
 		{"negative workers", []busytime.Option{busytime.WithWorkers(-1)}, "want ≥ 0"},
 		{"workers above cap", []busytime.Option{busytime.WithWorkers(1 << 50)}, "want ≤ 4096"},
 		{"workers just above cap", []busytime.Option{busytime.WithWorkers(1<<12 + 1)}, "want ≤ 4096"},
@@ -466,6 +468,9 @@ func TestSolveRejectionErrors(t *testing.T) {
 	crossing := build(2, busytime.Interval{Start: 0, End: 5}, busytime.Interval{Start: 3, End: 8})
 	long := build(1, busytime.Interval{Start: 0, End: 5})
 	big := build(2, dense...)
+	// The same component plus a one-job component after a gap: two
+	// components, so a session with a spare arena takes the decomposed path.
+	bigAndSmall := build(2, append(dense, busytime.Interval{Start: 100, End: 101})...)
 	cases := []struct {
 		name string
 		opts []busytime.Option
@@ -477,13 +482,15 @@ func TestSolveRejectionErrors(t *testing.T) {
 		{"laminar", []busytime.Option{busytime.WithAlgorithm("laminar")}, crossing,
 			`busytime: laminar: laminar: instance "" is not laminar`},
 		{"boundedlength", []busytime.Option{busytime.WithAlgorithm("boundedlength"), busytime.WithLengthBound(1)}, long,
-			"boundedlength: job 0 length 5 exceeds d = 1"},
+			"busytime: boundedlength: boundedlength: job 0 length 5 exceeds d = 1"},
 		{"exact", []busytime.Option{busytime.WithAlgorithm("exact")}, big,
-			"exact: component with 20 jobs exceeds limit 18"},
+			"busytime: exact: exact: component with 20 jobs exceeds limit 18"},
 		{"exact limit", []busytime.Option{busytime.WithAlgorithm("exact"), busytime.WithExactLimit(5)}, big,
-			"exact: component with 20 jobs exceeds limit 5"},
+			"busytime: exact: exact: component with 20 jobs exceeds limit 5"},
 		{"exact intra", []busytime.Option{busytime.WithAlgorithm("exact"), busytime.WithIntraWorkers(2)}, big,
-			"exact: component with 20 jobs exceeds limit 18"},
+			"busytime: exact: exact: component with 20 jobs exceeds limit 18"},
+		{"exact decomposed", []busytime.Option{busytime.WithAlgorithm("exact"), busytime.WithWorkers(2), busytime.WithIntraWorkers(2)}, bigAndSmall,
+			"busytime: exact: exact: component with 20 jobs exceeds limit 18"},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
@@ -568,6 +575,10 @@ func TestResultDetachSurvivesReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost, machines := res.Cost, res.Machines
+	busy := make([]float64, machines)
+	for m := range busy {
+		busy[m] = res.Schedule.MachineBusy(m)
+	}
 	if err := res.Detach(); err != nil {
 		t.Fatal(err)
 	}
@@ -579,9 +590,14 @@ func TestResultDetachSurvivesReuse(t *testing.T) {
 	if err := res.Schedule.Verify(); err != nil {
 		t.Errorf("detached schedule no longer verifies: %v", err)
 	}
-	if !almostEq(res.Schedule.Cost(), cost) || res.Schedule.NumMachines() != machines {
-		t.Errorf("detached schedule changed: %v/%d, want %v/%d",
-			res.Schedule.Cost(), res.Schedule.NumMachines(), cost, machines)
+	if got := res.Schedule.Cost(); math.Float64bits(got) != math.Float64bits(cost) || res.Schedule.NumMachines() != machines {
+		t.Fatalf("detached schedule changed: %v/%d, want %v/%d",
+			got, res.Schedule.NumMachines(), cost, machines)
+	}
+	for m, want := range busy {
+		if got := res.Schedule.MachineBusy(m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("detached machine %d busy %v, want %v", m, got, want)
+		}
 	}
 }
 
