@@ -190,6 +190,16 @@ func BenchmarkSolverWarmLightpath17kBestFit(b *testing.B) {
 	benchSolverWarm(b, lightpath17k(b), "bestfit")
 }
 
+// The benchmark ledger's offline-dense input, solved warm by FirstFit, as the
+// ledger does, and by BestFit: one component whose placements the
+// saturation bitmap's skips and marks dominate.
+func BenchmarkSolverWarmDense100k(b *testing.B) {
+	benchSolverWarm(b, offlineDense100k(b), "firstfit")
+}
+func BenchmarkSolverWarmDense100kBestFit(b *testing.B) {
+	benchSolverWarm(b, offlineDense100k(b), "bestfit")
+}
+
 // The batch fan-out of one warm session: its arenas persist across
 // iterations, against BenchmarkBatchFirstFit, which builds a fresh Solver
 // (cold arenas) per iteration.

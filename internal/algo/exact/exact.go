@@ -185,6 +185,13 @@ type searcher struct {
 	bestFit []int
 	cur     []int
 	mach    []*machine
+	// opened[m] is the record the search last opened as machine m: machines
+	// open and close in stack order, so it is free whenever m opens again.
+	opened []*machine
+	// covered and evs are remainingBound's buffers: the union of the open
+	// machines' busy pieces and the events of the pieces it leaves uncovered.
+	covered interval.Set
+	evs     []event
 	cost    float64
 	// ctx cancellation: the search polls ctx.Done() every cancelStride nodes
 	// (a select per node would dominate the O(1) capacity updates) and sets
@@ -298,7 +305,11 @@ func (se *searcher) search(i int) {
 		mc.undo(undo)
 	}
 	// Open the next new machine (restricted growth: only one new branch).
-	nm := &machine{}
+	if len(se.mach) == len(se.opened) {
+		se.opened = append(se.opened, new(machine))
+	}
+	nm := se.opened[len(se.mach)]
+	nm.pieces, nm.load = nm.pieces[:0], nm.load[:0]
 	undo := nm.add(job)
 	se.mach = append(se.mach, nm)
 	se.cost += undo.delta
@@ -361,32 +372,25 @@ func (mc *machine) undo(u undoRec) {
 // machine's busy pieces, every instant with demand-weighted remaining depth
 // d costs at least ⌈d/g⌉ additional machine-time (an open machine extending
 // into that region pays for it beyond the accrued cost, as does a new one).
+// It builds the covered union and the events in the searcher's buffers.
 func (se *searcher) remainingBound(i int) float64 {
 	if i >= len(se.jobs) {
 		return 0
 	}
-	var covered interval.Set
+	covered := se.covered[:0]
 	for _, mc := range se.mach {
 		covered = append(covered, mc.pieces...)
 	}
-	covered = covered.Union()
-	type ev struct {
-		t     float64
-		delta int
-	}
-	var evs []ev
+	covered = covered.UnionInPlace()
+	evs := se.evs[:0]
 	for _, job := range se.jobs[i:] {
-		for _, piece := range subtract(job.Iv, covered) {
-			if piece.IsPoint() {
-				continue
-			}
-			evs = append(evs, ev{piece.Start, job.Demand}, ev{piece.End, -job.Demand})
-		}
+		evs = subtract(evs, job.Iv, job.Demand, covered)
 	}
+	se.covered, se.evs = covered, evs
 	if len(evs) == 0 {
 		return 0
 	}
-	slices.SortFunc(evs, func(a, b ev) int {
+	slices.SortFunc(evs, func(a, b event) int {
 		if a.t != b.t {
 			if a.t < b.t {
 				return -1
@@ -411,9 +415,16 @@ func (se *searcher) remainingBound(i int) float64 {
 	return total
 }
 
-// subtract returns iv minus the sorted disjoint set covered.
-func subtract(iv interval.Interval, covered interval.Set) interval.Set {
-	var out interval.Set
+// event is a remaining job's demand entering (delta > 0) or leaving an
+// uncovered piece at time t.
+type event struct {
+	t     float64
+	delta int
+}
+
+// subtract appends to evs the start and end events, of the given demand, of
+// the pieces of iv that the sorted disjoint set covered leaves uncovered.
+func subtract(evs []event, iv interval.Interval, demand int, covered interval.Set) []event {
 	cur := iv
 	for _, c := range covered {
 		if c.End <= cur.Start {
@@ -423,15 +434,15 @@ func subtract(iv interval.Interval, covered interval.Set) interval.Set {
 			break
 		}
 		if c.Start > cur.Start {
-			out = append(out, interval.Interval{Start: cur.Start, End: c.Start})
+			evs = append(evs, event{cur.Start, demand}, event{c.Start, -demand})
 		}
 		if c.End >= cur.End {
-			return out
+			return evs
 		}
 		cur.Start = c.End
 	}
 	if cur.End > cur.Start {
-		out = append(out, cur)
+		evs = append(evs, event{cur.Start, demand}, event{cur.End, -demand})
 	}
-	return out
+	return evs
 }

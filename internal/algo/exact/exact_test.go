@@ -2,6 +2,7 @@ package exact
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,21 +208,16 @@ func TestDemandsExact(t *testing.T) {
 
 func TestSubtract(t *testing.T) {
 	covered := interval.Set{iv(1, 2), iv(4, 6)}
-	got := subtract(iv(0, 7), covered)
-	want := interval.Set{iv(0, 1), iv(2, 4), iv(6, 7)}
-	if len(got) != len(want) {
-		t.Fatalf("subtract = %v, want %v", got, want)
+	got := subtract(nil, iv(0, 7), 3, covered)
+	want := []event{{0, 3}, {1, -3}, {2, 3}, {4, -3}, {6, 3}, {7, -3}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("subtract = %v, want the events of [0,1], [2,4] and [6,7]: %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("piece %d = %v, want %v", i, got[i], want[i])
-		}
+	if evs := subtract(got[:0], iv(1, 2), 1, interval.Set{iv(0, 5)}); len(evs) != 0 {
+		t.Errorf("fully covered interval left %v", evs)
 	}
-	if pieces := subtract(iv(1, 2), interval.Set{iv(0, 5)}); len(pieces) != 0 {
-		t.Errorf("fully covered interval left %v", pieces)
-	}
-	if pieces := subtract(iv(1, 2), nil); len(pieces) != 1 || pieces[0] != iv(1, 2) {
-		t.Errorf("uncovered interval = %v", pieces)
+	if evs := subtract(got[:2], iv(1, 2), 1, nil); !slices.Equal(evs, []event{{0, 3}, {1, -3}, {1, 1}, {2, -1}}) {
+		t.Errorf("uncovered interval appended %v", evs[2:])
 	}
 }
 

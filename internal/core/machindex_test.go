@@ -92,7 +92,9 @@ type bitmapMark struct{ m, lo, hi int }
 
 // markedIndex resets an index on a synthetic nb-bucket axis (reset reads
 // only nb), opens cols columns of machines and marks n random runs, a third
-// of them single buckets, returning the index and the marks.
+// of them single buckets, a sixth up to 400 buckets long (several whole
+// 32-bucket groups) and the rest up to 80, returning the index and the
+// marks.
 func markedIndex(nb, cols, n int, seed int64) (*machindex, []bitmapMark) {
 	ix := new(machindex)
 	ix.reset(&Axis{nb: nb})
@@ -104,7 +106,10 @@ func markedIndex(nb, cols, n int, seed int64) (*machindex, []bitmapMark) {
 	for i := range marks {
 		mk := bitmapMark{m: r.Intn(64 * cols), lo: r.Intn(nb)}
 		mk.hi = mk.lo
-		if i%3 != 0 {
+		switch {
+		case i%6 == 5:
+			mk.hi = min(nb-1, mk.lo+r.Intn(400))
+		case i%3 != 0:
 			mk.hi = min(nb-1, mk.lo+r.Intn(80))
 		}
 		ix.markRun(mk.m, mk.lo, mk.hi)
@@ -152,19 +157,49 @@ func TestBlockedWordMatchesBrute(t *testing.T) {
 	}
 }
 
+// blockedWordSeed is one FuzzBlockedWord input: the axis width nb16+1
+// (below 4096), the mark seed and the first window's start and length.
+type blockedWordSeed struct {
+	nb16      uint16
+	seed      int64
+	lo16, n16 uint16
+}
+
+// window returns the axis width and the first window of a FuzzBlockedWord
+// input.
+func (c blockedWordSeed) window() (nb, lo, hi int) {
+	nb = 1 + int(c.nb16)%4096
+	lo = int(c.lo16) % nb
+	return nb, lo, lo + int(c.n16)%(nb-lo+1) - 1
+}
+
+// blockedWordSeeds is FuzzBlockedWord's seed corpus. The last three
+// windows end inside a group some run marked whole, so a machine's bit
+// reaches them only through that group's group-full word
+// (TestBlockedWordSeedsReachTheirCases): the end of a window spanning whole
+// groups on 2,048 buckets, the start of one on 1,000 buckets, which ends in
+// the axis's last, partial group, and both ends of a 32-bucket window that
+// spans no whole group.
+var blockedWordSeeds = []blockedWordSeed{
+	{2500, 7, 33, 1100},
+	{32, 1, 0, 32},
+	{95, 3, 31, 64},
+	{2047, 1, 7, 194},
+	{999, 1, 695, 301},
+	{1499, 108, 481, 32},
+}
+
 // FuzzBlockedWord is the fuzzed form of TestBlockedWordMatchesBrute: a
 // fuzzed axis width, mark pattern and window, plus 64 windows drawn from the
 // seed.
 func FuzzBlockedWord(f *testing.F) {
-	f.Add(uint16(2500), int64(7), uint16(33), uint16(1100))
-	f.Add(uint16(32), int64(1), uint16(0), uint16(32))
-	f.Add(uint16(95), int64(3), uint16(31), uint16(64))
+	for _, c := range blockedWordSeeds {
+		f.Add(c.nb16, c.seed, c.lo16, c.n16)
+	}
 	f.Fuzz(func(t *testing.T, nb16 uint16, seed int64, lo16, n16 uint16) {
-		nb := 1 + int(nb16)%4096
+		nb, lo, hi := blockedWordSeed{nb16, seed, lo16, n16}.window()
 		ix, marks := markedIndex(nb, 2, 1+int(nb16)%50, seed)
 		r := xrand.New(seed)
-		lo := int(lo16) % nb
-		hi := lo + int(n16)%(nb-lo+1) - 1
 		for i := 0; i <= 64; i++ {
 			for w := 0; w <= 2; w++ {
 				if got, want := ix.blockedWord(w, lo, hi), bruteBlocked(marks, w, lo, hi); got != want {
@@ -177,10 +212,52 @@ func FuzzBlockedWord(f *testing.F) {
 	})
 }
 
+// TestBlockedWordSeedsReachTheirCases pins what the last three seeds of
+// FuzzBlockedWord are there for. A group the first window covers only
+// partly is reached when, in some column, a bit of its group-full word is
+// set in no raw word of the window and in no other group-full word the
+// window reads, so a read that skips that group-full word misses it. The
+// first two windows span whole groups and reach a group at one end, the
+// second ending in its axis's last, partial group; the third spans no whole
+// group and reaches both of its groups.
+func TestBlockedWordSeedsReachTheirCases(t *testing.T) {
+	for i, c := range blockedWordSeeds[3:] {
+		nb, lo, hi := c.window()
+		ix, _ := markedIndex(nb, 2, 1+int(c.nb16)%50, c.seed)
+		reached := 0
+		for _, k := range slices.Compact([]int{lo >> 5, hi >> 5}) {
+			if lo <= k<<5 && k<<5+31 <= hi {
+				continue
+			}
+			for w := range 2 {
+				only := ix.full[w*ix.ng+k]
+				for _, x := range ix.mask[w*ix.nb+lo : w*ix.nb+hi+1] {
+					only &^= x
+				}
+				for j := lo >> 5; j <= hi>>5; j++ {
+					if j != k {
+						only &^= ix.full[w*ix.ng+j]
+					}
+				}
+				if only != 0 {
+					reached++
+					break
+				}
+			}
+		}
+		whole, lastPartial := (lo+31)>>5 < (hi+1)>>5, nb%32 != 0 && hi>>5 == (nb-1)>>5
+		if i < 2 && (!whole || reached == 0) || i == 1 && !lastPartial || i == 2 && (whole || reached != 2) {
+			t.Errorf("seed %d: window [%d, %d] on %d buckets reaches %d partly covered groups through their group-full words alone; whole groups %v, ends in a partial last group %v",
+				i+3, lo, hi, nb, reached, whole, lastPartial)
+		}
+	}
+}
+
 // TestBitmapBudget pins the byte budget on the widest axis: 600 machines on
-// 2¹⁶ buckets get 512 machines of raw columns within maxBitmapBytes, a mark
-// past the budget is dropped and its column reads 0, and a warm re-run
-// allocates nothing.
+// 2¹⁶ buckets get 512 machines of raw columns within maxBitmapBytes, the
+// group-full and summary levels take 2/32 of it on top, a mark past the
+// budget is dropped and its column reads 0, and a warm re-run allocates
+// nothing.
 func TestBitmapBudget(t *testing.T) {
 	ia := &Axis{nb: 1 << 16}
 	ix := new(machindex)
@@ -192,6 +269,9 @@ func TestBitmapBudget(t *testing.T) {
 		}
 		if bytes := 8 * cap(ix.mask); bytes > maxBitmapBytes {
 			t.Fatalf("raw columns take %d bytes; budget %d", bytes, maxBitmapBytes)
+		}
+		if bytes := 8 * (cap(ix.full) + cap(ix.sum)); bytes > 2*maxBitmapBytes/32 {
+			t.Fatalf("group-full and summary words take %d bytes; want at most 2/32 of the budget, %d", bytes, 2*maxBitmapBytes/32)
 		}
 		if covered := 64 * ix.words; covered != 512 {
 			t.Fatalf("bitmap covers %d machines at 2¹⁶ buckets; want 512", covered)

@@ -113,7 +113,7 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 				for _, order := range orders {
 					s, ref := NewSchedule(in), NewSchedule(in)
 					cursor := Unassigned
-					var marked []uint64
+					var marked bitmapSnapshot
 					for _, j := range order.jobs {
 						want := tc.brute(ref, int(j), &cursor)
 						if got := s.Apply(tc.rule, int(j)); got != want {
@@ -141,7 +141,7 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 // chunks behind it, and every bitmap mark is sound (checkBitmapSound, on
 // the bits set since the bitmap *marked holds); times[r] is the endpoint
 // of rank r (rankTimes).
-func checkHintsSound(t *testing.T, s *Schedule, times []float64, marked *[]uint64) {
+func checkHintsSound(t *testing.T, s *Schedule, times []float64, marked *bitmapSnapshot) {
 	t.Helper()
 	checkBitmapSound(t, s, times, marked)
 	for m := range s.machines {
@@ -183,47 +183,75 @@ func checkHintsSound(t *testing.T, s *Schedule, times []float64, marked *[]uint6
 }
 
 // checkBitmapSound fails unless every set bit of every in-budget bitmap
-// column holds by brute force: for bit m of bucket b, machine m carries
+// column holds by brute force: for raw bit m of bucket b, machine m carries
 // load ≥ g at every endpoint inside the bucket's closed range and between
-// every two consecutive ones (machineLoads); times[r] is the endpoint of
-// rank r. It checks only the bits missing from the bitmap *marked holds,
-// then copies the bitmap there: machines only gain jobs, so a bit found
-// sound stays sound, and checking after every placement checks every bit.
-func checkBitmapSound(t *testing.T, s *Schedule, times []float64, marked *[]uint64) {
+// every two consecutive ones (machineLoads), and for group-full bit m of
+// group k the same holds over all of the group's buckets; times[r] is the
+// endpoint of rank r. Every summary word must equal the OR of its group's
+// raw words and its group-full word. It checks only the bits missing from
+// the snapshot *seen holds, then copies the bitmap there: machines only
+// gain jobs, so a bit found sound stays sound, and checking after every
+// placement checks every bit.
+func checkBitmapSound(t *testing.T, s *Schedule, times []float64, seen *bitmapSnapshot) {
 	t.Helper()
 	ix, g := s.index, s.inst.G
 	var point, gap []int
+	// saturated fails unless machine m's load is ≥ g on buckets [b, e),
+	// the bucket or group i that a bit of the level named what stands for.
+	saturated := func(m, b, e int, what string, i int) {
+		lo, hi := s.ia.BoundaryRank(b), s.ia.BoundaryRank(e)
+		for r := lo; r <= hi; r++ {
+			if point[r] < g || r < hi && gap[r] < g {
+				t.Fatalf("machine %d: %s %d [%v, %v] is marked saturated, but its load is %d at %v and %d just after, g = %d",
+					m, what, i, times[lo], times[hi], point[r], times[r], gap[r], g)
+			}
+		}
+	}
 	for w := range ix.words {
-		col, seen := ix.mask[w*ix.nb:(w+1)*ix.nb], make([]uint64, ix.nb)
-		if len(*marked) >= (w+1)*ix.nb {
-			seen = (*marked)[w*ix.nb : (w+1)*ix.nb]
+		col, full := ix.mask[w*ix.nb:(w+1)*ix.nb], ix.full[w*ix.ng:(w+1)*ix.ng]
+		oldCol, oldFull := make([]uint64, ix.nb), make([]uint64, ix.ng)
+		if len(seen.mask) >= (w+1)*ix.nb {
+			oldCol, oldFull = seen.mask[w*ix.nb:(w+1)*ix.nb], seen.full[w*ix.ng:(w+1)*ix.ng]
 		}
 		var fresh uint64
+		for k, word := range full {
+			want := word
+			for _, x := range col[k<<5 : min(k<<5+32, ix.nb)] {
+				want |= x
+			}
+			if sum := ix.sum[w*ix.ng+k]; sum != want {
+				t.Fatalf("column %d group %d: summary %#x, want the OR of its raw and group-full words %#x", w, k, sum, want)
+			}
+			fresh |= word &^ oldFull[k]
+		}
 		for b, word := range col {
-			fresh |= word &^ seen[b]
+			fresh |= word &^ oldCol[b]
 		}
 		for ; fresh != 0; fresh &= fresh - 1 {
-			m := 64*w + bits.TrailingZeros64(fresh)
+			m, bit := 64*w+bits.TrailingZeros64(fresh), fresh&-fresh
 			if m >= len(s.machines) {
 				t.Fatalf("machine %d, which is not open, has buckets marked saturated", m)
 			}
 			point, gap = machineLoads(s, m, times, point, gap)
 			for b, word := range col {
-				if (word&^seen[b])&(1<<(m&63)) == 0 {
-					continue
+				if (word&^oldCol[b])&bit != 0 {
+					saturated(m, b, b+1, "bucket", b)
 				}
-				lo, hi := s.ia.BoundaryRank(b), s.ia.BoundaryRank(b+1)
-				for r := lo; r <= hi; r++ {
-					if point[r] < g || r < hi && gap[r] < g {
-						t.Fatalf("machine %d: bucket %d [%v, %v] is marked saturated, but its load is %d at %v and %d just after, g = %d",
-							m, b, times[lo], times[hi], point[r], times[r], gap[r], g)
-					}
+			}
+			for k, word := range full {
+				if (word&^oldFull[k])&bit != 0 {
+					saturated(m, k<<5, min(k<<5+32, ix.nb), "group", k)
 				}
 			}
 		}
 	}
-	*marked = append((*marked)[:0], ix.mask...)
+	seen.mask = append(seen.mask[:0], ix.mask...)
+	seen.full = append(seen.full[:0], ix.full...)
 }
+
+// bitmapSnapshot is a copy of a schedule's raw and group-full bitmap words
+// (machindex mask and full).
+type bitmapSnapshot struct{ mask, full []uint64 }
 
 // machineLoads returns machine m's load at every endpoint, point[r] at
 // times[r], and between every two consecutive ones, gap[r] strictly

@@ -94,6 +94,10 @@ type WorkCounts struct {
 	// columns, by rejecting queries and by placements that fill a machine
 	// to g, and MarkedBuckets the buckets those writes covered.
 	Marks, MarkedBuckets int
+	// BitmapLoads counts the bitmap words the FirstFit and BestFit scans
+	// read (summary, group-full and raw), and BitmapStores the words the
+	// marks wrote (raw, group-full and summary).
+	BitmapLoads, BitmapStores int
 }
 
 // Work returns the kernel work counts accumulated since the schedule was
@@ -102,6 +106,7 @@ func (s *Schedule) Work() WorkCounts {
 	w := s.work
 	if s.pool != nil {
 		w.Sweeps, w.ItemsWalked = s.pool.sweeps, s.pool.walked
+		w.BitmapLoads, w.BitmapStores = s.index.loads, s.index.stores
 	}
 	return w
 }

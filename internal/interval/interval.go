@@ -196,10 +196,18 @@ func (s Set) Union() Set {
 	if len(s) == 0 {
 		return nil
 	}
-	sorted := s.Clone()
-	sorted.SortByStart()
-	out := Set{sorted[0]}
-	for _, iv := range sorted[1:] {
+	return s.Clone().UnionInPlace()
+}
+
+// UnionInPlace is Union in the set's own memory: it sorts s by start, merges
+// it in place and returns the merged prefix of s.
+func (s Set) UnionInPlace() Set {
+	if len(s) == 0 {
+		return s
+	}
+	s.SortByStart()
+	out := s[:1]
+	for _, iv := range s[1:] {
 		last := &out[len(out)-1]
 		if iv.Start <= last.End {
 			if iv.End > last.End {

@@ -248,6 +248,31 @@ func TestSolverWarmMatchesPooled(t *testing.T) {
 	}
 }
 
+// TestWarmExactSolveAllocs bounds the Go-heap allocations of a warm
+// single-worker exact Solve on 40 small components: the branch and bound
+// builds its bound's covered union and events in the search's own buffers
+// and reuses the machine records it opened, so the allocations left are
+// per component, not per search node (about 200,000 when every node
+// allocated).
+func TestWarmExactSolveAllocs(t *testing.T) {
+	const ceiling = 10000
+	in := generator.Clustered(3, 40, 12, 3, 10, 4)
+	s, err := busytime.New(busytime.WithAlgorithm("exact"), busytime.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	solve := func() {
+		if _, err := s.Solve(ctx, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	if got := testing.AllocsPerRun(3, solve); got > ceiling {
+		t.Errorf("warm exact Solve allocates %v objects/op; want ≤ %d", got, ceiling)
+	}
+}
+
 // TestSolveCancelExact proves ctx cancellation reaches inside the
 // exponential search: a dense 28-job g=2 instance takes far longer than the
 // test budget to solve exactly (>3s measured), yet a cancel after 50ms

@@ -47,14 +47,16 @@ func offlineClustered50k(tb testing.TB) *core.Instance {
 	return scenarioInput(tb, "clustered", scenario.Params{Seed: 1, N: 50000, G: 3})
 }
 
-// reportWork reports the capacity-oracle queries, the shard items walked
-// and the saturated runs marked per job of a finished schedule as the
-// benchmark metrics queries/job, items/job and marks/job.
+// reportWork reports the capacity-oracle queries, the shard items walked,
+// the saturated runs marked and the bitmap words loaded per job of a
+// finished schedule as the benchmark metrics queries/job, items/job,
+// marks/job and loads/job.
 func reportWork(b *testing.B, s *core.Schedule) {
 	w, n := s.Work(), float64(s.Instance().N())
 	b.ReportMetric(float64(w.Queries)/n, "queries/job")
 	b.ReportMetric(float64(w.ItemsWalked)/n, "items/job")
 	b.ReportMetric(float64(w.Marks)/n, "marks/job")
+	b.ReportMetric(float64(w.BitmapLoads)/n, "loads/job")
 }
 
 // scheduleHash returns the FNV-1a hash of s's job→machine map: the machine
@@ -113,13 +115,14 @@ func TestKernelWorkCeilings(t *testing.T) {
 		{"clustered", offlineClustered50k(t), true},
 	}
 	// Ceilings per job: oracle queries, the queries that rejected, the
-	// shard items the queries walked and the saturated runs marked in the
-	// bitmap, the measured counts rounded up at the third decimal.
-	ceilings := map[string]map[string][4]float64{
-		"lightpath":     {"firstfit": {0.374, 0.076, 8.555, 0.099}, "bestfit": {0.818, 0.073, 16.624, 0.103}},
-		"offline-dense": {"firstfit": {0.974, 0.018, 7.931, 1.026}, "bestfit": {1.463, 0.019, 10.958, 1.033}},
-		"general-1e4":   {"firstfit": {0.992, 0.001, 25.007, 0.602}, "bestfit": {1.046, 0.001, 26.396, 0.600}},
-		"clustered":     {"firstfit": {0.439, 0.255, 4.509, 0.263}, "bestfit": {0.487, 0.259, 4.945, 0.272}},
+	// shard items the queries walked, the saturated runs marked in the
+	// bitmap, and the bitmap words the scans loaded and the marks stored,
+	// the measured counts rounded up at the third decimal.
+	ceilings := map[string]map[string][6]float64{
+		"lightpath":     {"firstfit": {0.374, 0.076, 8.555, 0.099, 175.838, 1.824}, "bestfit": {0.818, 0.073, 16.624, 0.103, 191.504, 1.831}},
+		"offline-dense": {"firstfit": {0.974, 0.018, 7.931, 1.026, 76.592, 33.056}, "bestfit": {1.463, 0.019, 10.958, 1.033, 98.102, 33.461}},
+		"general-1e4":   {"firstfit": {0.992, 0.001, 25.007, 0.602, 21.728, 5.038}, "bestfit": {1.046, 0.001, 26.396, 0.600, 21.775, 5.034}},
+		"clustered":     {"firstfit": {0.439, 0.255, 4.509, 0.263, 8.586, 0.840}, "bestfit": {0.487, 0.259, 4.945, 0.272, 8.586, 0.862}},
 	}
 	pins := map[string]map[string]schedulePin{
 		"lightpath": {
@@ -153,11 +156,12 @@ func TestKernelWorkCeilings(t *testing.T) {
 			}
 			s := sc.LiveSchedule()
 			w, n := s.Work(), float64(tc.in.N())
-			per := [4]float64{float64(w.Queries) / n, float64(w.QueryRejects) / n, float64(w.ItemsWalked) / n, float64(w.Marks) / n}
-			t.Logf("%s %s (%d jobs): %+v; %.3f queries, %.3f rejections, %.3f items walked and %.3f marks per job",
-				tc.name, row, tc.in.N(), w, per[0], per[1], per[2], per[3])
+			per := [6]float64{float64(w.Queries) / n, float64(w.QueryRejects) / n, float64(w.ItemsWalked) / n, float64(w.Marks) / n,
+				float64(w.BitmapLoads) / n, float64(w.BitmapStores) / n}
+			t.Logf("%s %s (%d jobs): %+v; %.3f queries, %.3f rejections, %.3f items walked, %.3f marks, %.3f bitmap loads and %.3f bitmap stores per job",
+				tc.name, row, tc.in.N(), w, per[0], per[1], per[2], per[3], per[4], per[5])
 			limit := ceilings[tc.name][row]
-			for i, name := range []string{"queries", "rejections", "items walked", "marks"} {
+			for i, name := range []string{"queries", "rejections", "items walked", "marks", "bitmap loads", "bitmap stores"} {
 				if per[i] > limit[i] {
 					t.Errorf("%s %s: %.4f %s per job, ceiling %.3f", tc.name, row, per[i], name, limit[i])
 				}
