@@ -98,8 +98,9 @@ func assertIdentical(t *testing.T, label string, a, b *core.Schedule) {
 }
 
 // bestFitScan is the reference BestFit: the same longest-first argmin, but
-// every machine is checked in index order and feasibility is decided by
-// bruteFits, independently of the kernel's capacity structures.
+// every machine is checked in index order, feasibility is decided by
+// bruteFits and busy-time growth by spanGrowth, independently of the
+// kernel's capacity structures and span unions.
 func bestFitScan(in *core.Instance) *core.Schedule {
 	s := core.NewSchedule(in)
 	for _, jj := range in.LengthOrder() {
@@ -109,17 +110,31 @@ func bestFitScan(in *core.Instance) *core.Schedule {
 			if !bruteFits(s, j, m) {
 				continue
 			}
-			if delta := s.SpanDelta(m, in.Jobs[j].Iv); bestM < 0 || delta < bestDelta {
+			if delta := spanGrowth(s, m, in.Jobs[j].Iv); bestM < 0 || delta < bestDelta {
 				bestM, bestDelta = m, delta
 			}
 		}
 		if bestM < 0 {
-			s.AssignNew(j)
-			continue
+			bestM = s.OpenMachine()
 		}
 		s.Assign(j, bestM)
 	}
 	return s
+}
+
+// spanGrowth returns how much machine m's busy time grows when iv joins it,
+// from the union of the machine's job intervals: the hull of iv and the
+// union pieces it overlaps or touches, less the measure of those pieces.
+// It adds the same floats in the same order as a span union would, so equal
+// growths stay equal bit for bit.
+func spanGrowth(s *core.Schedule, m int, iv interval.Interval) float64 {
+	lo, hi, covered := iv.Start, iv.End, 0.0
+	for _, p := range s.MachineSet(m).Union() {
+		if p.End >= iv.Start && p.Start <= iv.End {
+			lo, hi, covered = min(lo, p.Start), max(hi, p.End), covered+p.Len()
+		}
+	}
+	return (hi - lo) - covered
 }
 
 // bruteFits reports whether job j fits machine m of s: the machine's jobs

@@ -19,7 +19,6 @@ import (
 	"slices"
 
 	"busytime/internal/algo"
-	"busytime/internal/algo/firstfit"
 	"busytime/internal/core"
 	"busytime/internal/interval"
 )
@@ -104,7 +103,9 @@ func SolveWith(ctx context.Context, in *core.Instance, maxJobs int, sc *core.Scr
 // earlier-starting one — and places the jobs, in order, on a schedule of in
 // drawn from sc (fresh memory when sc is nil). Components are checked
 // against maxJobs and ctx in start order, each before its search, so the
-// earliest failing component decides the error.
+// earliest failing component decides the error. One searcher serves every
+// component, so its buffers and machine records, and the arena its FirstFit
+// warm starts run on, grow once per call rather than once per component.
 func solveOrder(ctx context.Context, in *core.Instance, order []int32, maxJobs int, sc *core.Scratch) (*core.Schedule, error) {
 	job := func(p int) core.Job { return in.Jobs[order[p]] }
 	byStart := make([]int, len(order))
@@ -113,6 +114,7 @@ func solveOrder(ctx context.Context, in *core.Instance, order []int32, maxJobs i
 	}
 	slices.SortFunc(byStart, func(a, b int) int { return cmp.Compare(job(a).Iv.Start, job(b).Iv.Start) })
 	machine := make([]int, len(order))
+	se := &searcher{g: in.G, ctx: ctx, warm: new(core.Scratch)}
 	base := 0
 	for lo := 0; lo < len(byStart); {
 		hi, reach := lo+1, job(byStart[lo]).Iv.End
@@ -131,12 +133,12 @@ func solveOrder(ctx context.Context, in *core.Instance, order []int32, maxJobs i
 		for i, p := range comp {
 			jobs[i] = job(p)
 		}
-		sub, err := solveComponent(ctx, &core.Instance{Name: in.Name + "/comp", G: in.G, Jobs: jobs})
+		assign, err := se.solveComponent(&core.Instance{Name: in.Name + "/comp", G: in.G, Jobs: jobs})
 		if err != nil {
 			return nil, err
 		}
 		used := 0
-		for i, m := range sub.assign {
+		for i, m := range assign {
 			machine[comp[i]] = base + m
 			used = max(used, m+1)
 		}
@@ -161,13 +163,6 @@ func Cost(in *core.Instance) (float64, error) {
 	return s.Cost(), nil
 }
 
-// solution is the per-component result: assign[i] is the machine of the
-// component's i-th job (component job order).
-type solution struct {
-	assign []int
-	cost   float64
-}
-
 type machine struct {
 	pieces []interval.Interval // sorted, disjoint busy pieces
 	load   []jobRef            // assigned jobs (for capacity checks)
@@ -178,13 +173,24 @@ type jobRef struct {
 	demand int
 }
 
+// searcher is the branch and bound's state, reused by every component of
+// one solveOrder call.
 type searcher struct {
-	jobs    []core.Job // sorted by start
-	g       int
-	best    float64
-	bestFit []int
-	cur     []int
-	mach    []*machine
+	// jobs holds the component's jobs in start order.
+	jobs []core.Job
+	g    int
+	// best is the lowest cost found, FirstFit's to begin with, and bestFit
+	// the assignment that reached it once improved is set; cur is the
+	// assignment being explored, in start order.
+	best     float64
+	bestFit  []int
+	improved bool
+	cur      []int
+	// assign is solveComponent's result buffer, in component job order.
+	assign []int
+	// warm is the arena of the FirstFit warm starts.
+	warm *core.Scratch
+	mach []*machine
 	// opened[m] is the record the search last opened as machine m: machines
 	// open and close in stack order, so it is free whenever m opens again.
 	opened []*machine
@@ -206,65 +212,38 @@ type searcher struct {
 // to stay invisible next to the per-node bound computation.
 const cancelStride = 1024
 
-// solveComponent finds an optimal assignment of one connected component; it
-// returns ctx's error when the search was cancelled mid-run.
-func solveComponent(ctx context.Context, comp *core.Instance) (solution, error) {
+// solveComponent finds an optimal assignment of one connected component and
+// returns each job's machine in component job order, in a buffer the next
+// call reuses; it returns ctx's error when the search was cancelled mid-run.
+func (se *searcher) solveComponent(comp *core.Instance) ([]int, error) {
 	n := comp.N()
-	if n == 0 {
-		return solution{}, nil
+	// Search the jobs by (start, end, ID); perm maps back to job order.
+	perm := comp.StartOrder()
+	se.jobs = se.jobs[:0]
+	for _, p := range perm {
+		se.jobs = append(se.jobs, comp.Jobs[p])
 	}
-	// Sort jobs by start; remember the permutation to report in job order.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	slices.SortFunc(perm, func(a, b int) int {
-		ja, jb := comp.Jobs[a], comp.Jobs[b]
-		if ja.Iv.Start != jb.Iv.Start {
-			if ja.Iv.Start < jb.Iv.Start {
-				return -1
-			}
-			return 1
-		}
-		if ja.Iv.End != jb.Iv.End {
-			if ja.Iv.End < jb.Iv.End {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(ja.ID, jb.ID)
-	})
-	sorted := make([]core.Job, n)
-	for i, p := range perm {
-		sorted[i] = comp.Jobs[p]
-	}
-	// Warm start from FirstFit.
-	ff := firstfit.Schedule(comp)
-	se := &searcher{
-		jobs: sorted,
-		g:    comp.G,
-		best: ff.Cost() + 1e-9,
-		cur:  make([]int, n),
-		ctx:  ctx,
-	}
-	se.bestFit = nil
+	// Warm start from FirstFit, on the searcher's own arena: the caller's
+	// may hold a span log armed for the schedule solveOrder draws next.
+	ff := algo.RunGreedy(comp, se.warm, comp.LengthOrder(), core.LowestFit)
+	// The search's cost += d … cost -= d leaves rounding behind, so each
+	// component starts again from exactly 0.
+	se.best, se.improved, se.cost = ff.Cost()+1e-9, false, 0
+	se.cur = slices.Grow(se.cur[:0], n)[:n]
 	se.search(0)
 	if se.stopped {
-		return solution{}, context.Cause(ctx)
+		return nil, context.Cause(se.ctx)
 	}
-	assign := make([]int, n)
-	if se.bestFit == nil {
-		// FirstFit was already optimal; translate its assignment.
-		for i, p := range perm {
-			assign[p] = ff.MachineOf(p)
-			_ = i
-		}
-		return solution{assign: assign, cost: ff.Cost()}, nil
-	}
+	se.assign = slices.Grow(se.assign[:0], n)[:n]
 	for i, p := range perm {
-		assign[p] = se.bestFit[i]
+		if se.improved {
+			se.assign[p] = se.bestFit[i]
+		} else {
+			// FirstFit was already optimal.
+			se.assign[p] = ff.MachineOf(int(p))
+		}
 	}
-	return solution{assign: assign, cost: se.best}, nil
+	return se.assign, nil
 }
 
 func (se *searcher) search(i int) {
@@ -280,7 +259,7 @@ func (se *searcher) search(i int) {
 	}
 	if i == len(se.jobs) {
 		if se.cost < se.best {
-			se.best = se.cost
+			se.best, se.improved = se.cost, true
 			se.bestFit = append(se.bestFit[:0], se.cur...)
 		}
 		return

@@ -38,7 +38,7 @@ func TestImprovesBadSchedule(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(10, 12), iv(11, 13))
 	bad := core.NewSchedule(in)
 	for j := range in.Jobs {
-		bad.AssignNew(j) // one machine per job: cost 8
+		bad.Assign(j, bad.OpenMachine()) // one machine per job: cost 8
 	}
 	improved, err := Improve(bad, Options{})
 	if err != nil {

@@ -13,10 +13,10 @@ import (
 // span pieces wholesale, and PutDelta replays the busy-time accounting, so
 // the merge never re-runs a span union. Assembly skips every capacity
 // structure: no time axis, shards or index, because feasibility was
-// established by the runs being merged. The result is sealed —
-// mutating kernel entry points panic on it, since its machines carry no
-// oracle to answer them — while every read path (Cost, Verify, Summary,
-// Assignment, CopySchedule) stays valid.
+// established by the runs being merged. The result is sealed — ApplyOrder
+// and Assign panic on it, since its machines carry no oracle to answer
+// them — while every read path (Cost, Verify, Summary, Assignment,
+// CopySchedule) stays valid.
 //
 // Replay order matters for bitwise equality: Σ busy time is accumulated one
 // placement at a time, so replaying the recorded deltas in the order the
@@ -83,7 +83,8 @@ func (a Assembly) Finish() *Schedule { return a.s }
 // CopySchedule returns a copy of s in fresh memory: the same assignment,
 // machine job lists, busy spans, busy totals, Cost and work counts, bit for
 // bit, so it stays valid however the arena s was drawn from is reused. The
-// copy is sealed like an assembly: it carries no capacity structures.
+// copy is sealed like an assembly: it carries no capacity structures, so
+// ApplyOrder and Assign panic on it.
 func CopySchedule(s *Schedule) *Schedule {
 	a := BeginAssembly(s.inst, nil, len(s.machines))
 	c := a.s

@@ -20,25 +20,6 @@ func asmInstance(seed int64, n, g int, window, maxLen float64) *Instance {
 	return in
 }
 
-// buildByFirstFit places every job (position order) on the lowest feasible
-// machine via the public probe API, as a reference construction.
-func buildByFirstFit(in *Instance, s *Schedule) *Schedule {
-	for j := range in.Jobs {
-		placed := false
-		for m := 0; m < s.NumMachines(); m++ {
-			if s.CanAssign(j, m) {
-				s.Assign(j, m)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			s.AssignNew(j)
-		}
-	}
-	return s
-}
-
 // TestAssemblyMatchesInsertion pins the sealed stitch path against the
 // ordinary insertion path: grafting a live run's span pieces and replaying
 // its logged span deltas through Assembly in the same placement order must
@@ -48,7 +29,8 @@ func TestAssemblyMatchesInsertion(t *testing.T) {
 		in := asmInstance(seed, 60, 3, 40, 10)
 		sc := new(Scratch)
 		sc.ArmSpanLog(make([]float64, 0, in.N()))
-		ref := buildByFirstFit(in, sc.NewSchedule(in))
+		ref := sc.NewSchedule(in)
+		ref.ApplyOrder(LowestFit, indexOrder(in.N()))
 		deltas := ref.EndSpanLog()
 		if len(deltas) != in.N() {
 			t.Fatalf("seed=%d: span log holds %d deltas, want %d", seed, len(deltas), in.N())
@@ -120,8 +102,9 @@ func toString(r any) string {
 }
 
 // TestSealedScheduleRejectsMutation pins the sealed contract: a finished
-// assembly has no capacity oracles, so probing or placing on it must panic
-// loudly instead of silently accepting an infeasible placement.
+// assembly has no capacity oracles, so placing on it, by a rule or on a
+// chosen machine, must panic loudly instead of silently accepting an
+// infeasible placement.
 func TestSealedScheduleRejectsMutation(t *testing.T) {
 	in := asmInstance(9, 20, 2, 15, 5)
 	asm := BeginAssembly(in, nil, 1)
@@ -130,8 +113,8 @@ func TestSealedScheduleRejectsMutation(t *testing.T) {
 	}
 	s := asm.Finish()
 	last := in.N() - 1
-	if msg := mustPanic(t, "CanAssign", func() { s.CanAssign(last, 0) }); !strings.Contains(msg, "sealed") {
-		t.Errorf("CanAssign panic %q does not mention sealing", msg)
+	if msg := mustPanic(t, "ApplyOrder", func() { s.ApplyOrder(LowestFit, []int32{int32(last)}) }); !strings.Contains(msg, "sealed") {
+		t.Errorf("ApplyOrder panic %q does not mention sealing", msg)
 	}
 	if msg := mustPanic(t, "Assign", func() { s.Assign(last, 0) }); !strings.Contains(msg, "sealed") {
 		t.Errorf("Assign panic %q does not mention sealing", msg)
@@ -159,7 +142,7 @@ func TestSealedClearsOnRecycle(t *testing.T) {
 	}
 	asm.Finish()
 	s := sc.NewSchedule(in)
-	buildByFirstFit(in, s)
+	s.ApplyOrder(LowestFit, indexOrder(in.N()))
 	if err := s.Verify(); err != nil {
 		t.Fatalf("recycled schedule does not verify: %v", err)
 	}

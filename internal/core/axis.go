@@ -67,8 +67,7 @@ type Axis struct {
 	// nshards is the per-machine shard directory size, >= 1.
 	nshards int
 	// ranks holds every job's span by job position, start and end adjacent
-	// (see jobSpan). Job reordering invalidates it; the sort methods drop
-	// the cache.
+	// (see jobSpan).
 	ranks []int32
 }
 
@@ -144,13 +143,10 @@ func (ia *Axis) CrossedBy(j int) (lo, hi int) {
 // TimeAxis returns the instance's cached time axis, building it on first
 // use. The axis is shared with every schedule of the instance and
 // read-only; a degenerate workload (no or point-only hull) yields NB() == 0.
-// Time sharding picks its cuts among the boundaries.
-// The boundaries depend only on the multiset of job endpoints, but the job
-// spans are keyed by job position, so the reordering methods
-// (SortJobsByLenDesc, SortJobsByStart) drop the cache for a rebuild;
-// mutating job intervals after scheduling has begun is not supported.
-// Concurrent first use is safe: racing builders compute identical axes and
-// either may win.
+// Time sharding picks its cuts among the boundaries. Like every derived
+// cache of the instance it is never dropped, so the jobs must not change
+// after it is built. Concurrent first use is safe: racing builders compute
+// identical axes and either may win.
 func (in *Instance) TimeAxis() *Axis {
 	if p := (*Axis)(atomic.LoadPointer(&in.axis)); p != nil {
 		return p

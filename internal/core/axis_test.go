@@ -164,7 +164,7 @@ func TestAxisDecimationRespectsCapAndEndpoints(t *testing.T) {
 	}
 }
 
-// TestIndexedPlacementOnDecimatedAxis drives FirstFitAssign and BestFit on
+// TestIndexedPlacementOnDecimatedAxis drives the FirstFit and BestFit rules on
 // 35k-job instances whose axis is past 2¹⁶ distinct endpoints, so it is
 // decimated and most job endpoints are not bucket boundaries. Only the jobs
 // starting in a narrow window are placed, which keeps the brute-force
@@ -194,10 +194,12 @@ func TestIndexedPlacementOnDecimatedAxis(t *testing.T) {
 				continue
 			}
 			placed++
-			if got, want := ff.FirstFitAssign(j), bruteFirstFit(brute, j); got != want {
-				t.Fatalf("seed %d job %d: FirstFitAssign chose machine %d, brute force %d", seed, j, got, want)
+			rec := ff.record(j)
+			if got, want := ff.apply(LowestFit, &rec), bruteFirstFit(brute, j); got != want {
+				t.Fatalf("seed %d job %d: FirstFit chose machine %d, brute force %d", seed, j, got, want)
 			}
-			if got, want := bf.BestFit(j), naiveBestFit(naive, j); got != want {
+			rec = bf.record(j)
+			if got, want := bf.apply(BestFit, &rec), naiveBestFit(naive, j); got != want {
 				t.Fatalf("seed %d job %d: BestFit chose machine %d, naive %d", seed, j, got, want)
 			}
 		}

@@ -99,8 +99,7 @@ func AllBounds(in *Instance) Bounds {
 // CachedBounds returns AllBounds computed once per instance and cached like
 // the time axis and the job orders, so steady-state drivers (a warm
 // Solver's repeat solves of one instance, a batch's per-item lower bound) read
-// the bounds without re-running the sweep or allocating. Reordering methods
-// drop the cache.
+// the bounds without re-running the sweep or allocating.
 func (in *Instance) CachedBounds() Bounds {
 	if p := (*Bounds)(atomic.LoadPointer(&in.bounds)); p != nil {
 		return *p

@@ -48,12 +48,11 @@ type Instance struct {
 	G    int
 	Jobs []Job
 
-	// axis lazily caches the compressed time axis (*Axis) shared by
-	// every schedule of this instance; accessed atomically via
-	// TimeAxis. lenOrder lazily caches LengthOrder, startOrder caches
-	// StartOrder (both *[]int32), and bounds caches CachedBounds (*Bounds).
-	// All are derived data: the job-reordering methods drop them, and
-	// mutating jobs directly after scheduling has begun is not supported.
+	// Derived data, each built once on first use and read atomically: axis
+	// caches TimeAxis (*Axis), lenOrder LengthOrder and startOrder
+	// StartOrder (both *[]int32), bounds CachedBounds (*Bounds) and valid
+	// a successful CachedValidate (*error). None is ever dropped, so an
+	// instance's jobs must not change after the first of them is built.
 	axis       unsafe.Pointer
 	lenOrder   unsafe.Pointer
 	startOrder unsafe.Pointer
@@ -98,9 +97,8 @@ func (in *Instance) Validate() error {
 // time axis (Validate's duplicate-ID check allocates, which would put a map
 // allocation on every warm Solve). Failures are re-validated every call, so
 // a caller that fixes a rejected instance (sets G, repairs a job) and
-// retries is not served a stale error. The job-reordering methods drop the
-// cache; mutating jobs directly after scheduling has begun is not
-// supported.
+// retries is not served a stale error. Like every derived cache of the
+// instance, a success is kept for good: the jobs must not change after it.
 func (in *Instance) CachedValidate() error {
 	if p := (*error)(atomic.LoadPointer(&in.valid)); p != nil {
 		return *p
@@ -151,41 +149,6 @@ func (in *Instance) IsProper() bool { return in.Set().IsProper() }
 
 // IsClique reports whether all job intervals pairwise intersect.
 func (in *Instance) IsClique() bool { return in.Set().IsClique() }
-
-// SortJobsByLenDesc sorts jobs in place by non-increasing length, breaking
-// ties by (start, end, ID) for determinism. This is FirstFit's order.
-// Reordering invalidates the job spans the axis keeps by job position, so
-// the axis cache is dropped.
-func (in *Instance) SortJobsByLenDesc() {
-	slices.SortFunc(in.Jobs, func(ja, jb Job) int {
-		if la, lb := ja.Len(), jb.Len(); la != lb {
-			if la > lb {
-				return -1
-			}
-			return 1
-		}
-		return compareJobPosition(ja, jb)
-	})
-	in.dropDerived()
-}
-
-// SortJobsByStart sorts jobs in place by (start, end, ID). This is the
-// proper-instance greedy order. Like SortJobsByLenDesc it drops the cached
-// time axis.
-func (in *Instance) SortJobsByStart() {
-	slices.SortFunc(in.Jobs, compareJobPosition)
-	in.dropDerived()
-}
-
-// dropDerived invalidates the cached per-job-position derivations (time
-// axis, length order, start order, bounds) after a reordering.
-func (in *Instance) dropDerived() {
-	atomic.StorePointer(&in.axis, nil)
-	atomic.StorePointer(&in.lenOrder, nil)
-	atomic.StorePointer(&in.startOrder, nil)
-	atomic.StorePointer(&in.bounds, nil)
-	atomic.StorePointer(&in.valid, nil)
-}
 
 // LengthOrder returns the job indices in the paper's FirstFit order — by
 // non-increasing length, ties broken by (start, end, ID) for determinism —

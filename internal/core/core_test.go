@@ -12,6 +12,23 @@ import (
 
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
+// openFor opens a fresh machine on s, assigns job index j to it and returns
+// the machine.
+func openFor(s *Schedule, j int) int {
+	m := s.OpenMachine()
+	s.Assign(j, m)
+	return m
+}
+
+// indexOrder returns the job order 0, 1, …, n−1.
+func indexOrder(n int) []int32 {
+	order := make([]int32, n)
+	for j := range order {
+		order[j] = int32(j)
+	}
+	return order
+}
+
 func TestNewInstance(t *testing.T) {
 	in := NewInstance(2, iv(0, 1), iv(1, 3))
 	if in.N() != 2 || in.G != 2 {
@@ -68,18 +85,6 @@ func TestMeasures(t *testing.T) {
 	}
 }
 
-func TestSortOrders(t *testing.T) {
-	in := NewInstance(2, iv(5, 6), iv(0, 4), iv(2, 3))
-	in.SortJobsByLenDesc()
-	if in.Jobs[0].Iv != iv(0, 4) {
-		t.Errorf("longest first: got %v", in.Jobs[0].Iv)
-	}
-	in.SortJobsByStart()
-	if in.Jobs[0].Iv != iv(0, 4) || in.Jobs[1].Iv != iv(2, 3) {
-		t.Errorf("start order broken: %v", in.Jobs)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	in := NewInstance(3, iv(0, 1), iv(1, 2), iv(4, 5), iv(4.5, 6), iv(10, 11))
 	comps := in.Components()
@@ -112,15 +117,19 @@ func TestScheduleAssignAndCost(t *testing.T) {
 	if s.Complete() {
 		t.Error("empty schedule reported complete")
 	}
-	m0 := s.AssignNew(0)
-	if !s.CanAssign(1, m0) {
+	m0 := openFor(s, 0)
+	r := s.record(1)
+	lo, hi := s.ia.buckets(r.w)
+	if _, v := s.canAssign(&r, m0, lo, hi); v == rejects {
 		t.Error("second job should fit (g=2)")
 	}
 	s.Assign(1, m0)
-	if s.CanAssign(2, m0) {
+	r = s.record(2)
+	lo, hi = s.ia.buckets(r.w)
+	if _, v := s.canAssign(&r, m0, lo, hi); v != rejects {
 		t.Error("third overlapping job must not fit with g=2")
 	}
-	m1 := s.AssignNew(2)
+	m1 := openFor(s, 2)
 	s.Assign(3, m1)
 	if !s.Complete() {
 		t.Error("schedule should be complete")
@@ -143,17 +152,17 @@ func TestScheduleAssignAndCost(t *testing.T) {
 func TestCanAssignTouchingConsumesCapacity(t *testing.T) {
 	// Closed semantics: [0,1] and [1,2] overlap at point 1, so with g=1 they
 	// cannot share a machine even though the overlap has measure zero.
-	in := NewInstance(1, iv(0, 1), iv(1, 2))
-	s := NewSchedule(in)
-	m := s.AssignNew(0)
-	if s.CanAssign(1, m) {
-		t.Error("touching job admitted with g=1")
-	}
-	in2 := NewInstance(2, iv(0, 1), iv(1, 2))
-	s2 := NewSchedule(in2)
-	m2 := s2.AssignNew(0)
-	if !s2.CanAssign(1, m2) {
-		t.Error("touching job rejected with g=2")
+	for _, tc := range []struct {
+		g    int
+		want bool
+	}{{1, false}, {2, true}} {
+		s := NewSchedule(NewInstance(tc.g, iv(0, 1), iv(1, 2)))
+		m := openFor(s, 0)
+		r := s.record(1)
+		lo, hi := s.ia.buckets(r.w)
+		if _, v := s.canAssign(&r, m, lo, hi); (v != rejects) != tc.want {
+			t.Errorf("g=%d: touching job admitted %v, want %v", tc.g, v != rejects, tc.want)
+		}
 	}
 }
 
@@ -161,26 +170,29 @@ func TestDemandWeightedCapacity(t *testing.T) {
 	in := NewInstance(3, iv(0, 4), iv(1, 3), iv(2, 5))
 	in.Jobs[0].Demand = 2
 	s := NewSchedule(in)
-	m := s.AssignNew(0) // uses 2 of 3 slots on [0,4]
-	if !s.CanAssign(1, m) {
+	m := openFor(s, 0) // uses 2 of 3 slots on [0,4]
+	r := s.record(1)
+	lo, hi := s.ia.buckets(r.w)
+	if _, v := s.canAssign(&r, m, lo, hi); v == rejects {
 		t.Error("unit job should fit in remaining slot")
 	}
 	s.Assign(1, m)
-	if s.CanAssign(2, m) {
+	r = s.record(2)
+	lo, hi = s.ia.buckets(r.w)
+	if _, v := s.canAssign(&r, m, lo, hi); v != rejects {
 		t.Error("no capacity left on [2,3]; job must be rejected")
 	}
-	m2 := s.AssignNew(2)
+	openFor(s, 2)
 	if err := s.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	_ = m2
 }
 
 func TestVerifyCatchesOverload(t *testing.T) {
 	in := NewInstance(1, iv(0, 2), iv(1, 3))
 	s := NewSchedule(in)
-	m := s.AssignNew(0)
-	s.Assign(1, m) // bypasses CanAssign on purpose
+	m := openFor(s, 0)
+	s.Assign(1, m) // checks no capacity, on purpose
 	if err := s.Verify(); err == nil {
 		t.Error("Verify accepted overloaded machine")
 	}
@@ -189,7 +201,7 @@ func TestVerifyCatchesOverload(t *testing.T) {
 func TestVerifyCatchesUnassigned(t *testing.T) {
 	in := NewInstance(2, iv(0, 1), iv(2, 3))
 	s := NewSchedule(in)
-	s.AssignNew(0)
+	openFor(s, 0)
 	if err := s.Verify(); err == nil {
 		t.Error("Verify accepted incomplete schedule")
 	}
@@ -198,7 +210,7 @@ func TestVerifyCatchesUnassigned(t *testing.T) {
 func TestAssignPanicsOnDouble(t *testing.T) {
 	in := NewInstance(2, iv(0, 1))
 	s := NewSchedule(in)
-	m := s.AssignNew(0)
+	m := openFor(s, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("double assign did not panic")
@@ -213,9 +225,9 @@ func TestSummaryAndAssignmentRoundTrip(t *testing.T) {
 	in.Jobs[1].ID = 20
 	in.Jobs[2].ID = 30
 	s := NewSchedule(in)
-	m0 := s.AssignNew(0)
+	m0 := openFor(s, 0)
 	s.Assign(1, m0)
-	s.AssignNew(2)
+	openFor(s, 2)
 	sum := s.Summary()
 	if len(sum) != 2 {
 		t.Fatalf("summary has %d machines, want 2", len(sum))
@@ -352,19 +364,7 @@ func TestQuickScheduleCostAtLeastBestBound(t *testing.T) {
 		in := randomInstance(r, int(sz%16)+1, int(gg%3)+1)
 		s := NewSchedule(in)
 		// Arbitrary feasible assignment: first machine that fits, else new.
-		for j := range in.Jobs {
-			placed := false
-			for m := 0; m < s.NumMachines(); m++ {
-				if s.CanAssign(j, m) {
-					s.Assign(j, m)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				s.AssignNew(j)
-			}
-		}
+		s.ApplyOrder(LowestFit, indexOrder(in.N()))
 		if err := s.Verify(); err != nil {
 			return false
 		}

@@ -28,9 +28,7 @@ func denseTestInstance(n, g int, horizon, maxLen float64) *Instance {
 
 func firstFitAll(in *Instance) *Schedule {
 	s := NewSchedule(in)
-	for j := range in.Jobs {
-		s.FirstFitAssign(j)
-	}
+	s.ApplyOrder(LowestFit, indexOrder(in.N()))
 	return s
 }
 
@@ -74,8 +72,9 @@ func TestSummaryUsesIncrementalSpans(t *testing.T) {
 }
 
 // TestCostIsAllocationFree asserts the acceptance criterion of the
-// incremental accounting: after assignment, Cost, MachineBusy and SpanDelta
-// are reads that never rebuild interval sets (zero allocations).
+// incremental accounting: after assignment, Cost, MachineBusy and the span
+// delta BestFit ranks machines by are reads that never rebuild interval
+// sets (zero allocations).
 func TestCostIsAllocationFree(t *testing.T) {
 	in := denseTestInstance(2000, 4, 1000, 25)
 	s := firstFitAll(in)
@@ -83,9 +82,9 @@ func TestCostIsAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink += s.Cost()
 		sink += s.MachineBusy(0)
-		sink += s.SpanDelta(0, in.Jobs[0].Iv)
+		sink += s.machines[0].spans.Delta(in.Jobs[0].Iv)
 	}); allocs != 0 {
-		t.Fatalf("Cost/MachineBusy/SpanDelta allocated %v times per read", allocs)
+		t.Fatalf("Cost/MachineBusy/span delta allocated %v times per read", allocs)
 	}
 	_ = sink
 }

@@ -60,7 +60,7 @@ func TestInstanceJSONRejectsInvalid(t *testing.T) {
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	in := NewInstance(2, iv(0, 2), iv(1, 3), iv(4, 5))
 	s := NewSchedule(in)
-	m := s.AssignNew(0)
+	m := openFor(s, 0)
 	s.Assign(1, m)
 	s.Assign(2, m)
 	var buf bytes.Buffer
@@ -80,7 +80,7 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 func TestWriteScheduleRejectsInfeasible(t *testing.T) {
 	in := NewInstance(1, iv(0, 2), iv(1, 3))
 	s := NewSchedule(in)
-	m := s.AssignNew(0)
+	m := openFor(s, 0)
 	s.Assign(1, m) // overload
 	var buf bytes.Buffer
 	if err := WriteSchedule(&buf, s); err == nil {

@@ -1,8 +1,8 @@
 package core
 
-// machindex is the machine-selection index behind Schedule.FirstFitAssign
-// and Schedule.BestFit: a per-bucket saturation bitmap over the instance's
-// compressed time axis. Bit m of bucket b (its raw bit, or the group-full
+// machindex is the machine-selection index behind the FirstFit and BestFit
+// rules (firstFit, bestFit): a per-bucket saturation bitmap over the
+// instance's compressed time axis. Bit m of bucket b (its raw bit, or the group-full
 // bit of its group, below) means "machine m is loaded to ≥ g at every point
 // of bucket b". Bits come from the runs the capacity oracle
 // reports at a window's maximum load: a query that rejects at load g marks

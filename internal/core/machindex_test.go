@@ -662,11 +662,11 @@ func maxRuns(subs []span, pointDepth, gapDepth []int, depth int) []span {
 	return runs
 }
 
-// TestBitmapCoversNarrowAxis drives FirstFitAssign and BestFit on a clique
-// instance that opens 750 machines, more than the bitmap budget covers on
-// the widest axis (512 at 2¹⁶ buckets). Its ~3,000-bucket axis fits every
-// machine in the budget, and both indexed scans must match their
-// brute-force references machine for machine. Each FirstFitAssign is
+// TestBitmapCoversNarrowAxis drives the FirstFit and BestFit rules on a
+// clique instance that opens 750 machines, more than the bitmap budget
+// covers on the widest axis (512 at 2¹⁶ buckets). Its ~3,000-bucket axis
+// fits every machine in the budget, and both indexed scans must match their
+// brute-force references machine for machine. Each FirstFit placement is
 // checked against lowestCanAssign the same way as in
 // TestPlacerProbesDoNotPlace.
 func TestBitmapCoversNarrowAxis(t *testing.T) {
@@ -688,9 +688,10 @@ func TestBitmapCoversNarrowAxis(t *testing.T) {
 	indexed, plain := NewSchedule(in), NewSchedule(in)
 	best, naive := NewSchedule(in), NewSchedule(in)
 	for j := range in.Jobs {
-		checkProbe(t, indexed, j, lowestCanAssign, (*Schedule).FirstFitAssign)
+		checkProbe(t, indexed, j, lowestCanAssign, LowestFit)
 		bruteFirstFit(plain, j)
-		if got, want := best.BestFit(j), naiveBestFit(naive, j); got != want {
+		rec := best.record(j)
+		if got, want := best.apply(BestFit, &rec), naiveBestFit(naive, j); got != want {
 			t.Fatalf("job %d: BestFit chose machine %d, naive %d", j, got, want)
 		}
 	}

@@ -13,7 +13,7 @@ func TestUtilizationPerfectPacking(t *testing.T) {
 	// Two jobs exactly stacked, g = 2: utilization 1.
 	in := NewInstance(2, iv(0, 4), iv(0, 4))
 	s := NewSchedule(in)
-	m := s.AssignNew(0)
+	m := openFor(s, 0)
 	s.Assign(1, m)
 	if got := s.Utilization(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Utilization = %v, want 1", got)
@@ -30,7 +30,7 @@ func TestUtilizationHalf(t *testing.T) {
 	// One unit job alone on a g=2 machine: half the capacity is idle.
 	in := NewInstance(2, iv(0, 4))
 	s := NewSchedule(in)
-	s.AssignNew(0)
+	openFor(s, 0)
 	if got := s.Utilization(); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Utilization = %v, want 0.5", got)
 	}
@@ -43,7 +43,7 @@ func TestUtilizationDemandWeighted(t *testing.T) {
 	in := NewInstance(3, iv(0, 2))
 	in.Jobs[0].Demand = 3
 	s := NewSchedule(in)
-	s.AssignNew(0)
+	openFor(s, 0)
 	if got := s.Utilization(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("demand-3 job on g=3 machine: utilization %v, want 1", got)
 	}
@@ -67,19 +67,7 @@ func TestQuickUtilizationIdentities(t *testing.T) {
 		}
 		in := NewInstance(3, ivs...)
 		s := NewSchedule(in)
-		for j := range in.Jobs {
-			placed := false
-			for m := 0; m < s.NumMachines(); m++ {
-				if s.CanAssign(j, m) {
-					s.Assign(j, m)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				s.AssignNew(j)
-			}
-		}
+		s.ApplyOrder(LowestFit, indexOrder(n))
 		u := s.Utilization()
 		if u < 0 || u > 1+1e-9 {
 			return false

@@ -61,11 +61,14 @@ func (a placementRun) diff(b placementRun, withLog bool) string {
 	return ""
 }
 
-// TestApplyOrderMatchesApply pins the ordered entry point to the per-job
-// one: for every rule, in fresh memory, on a cold arena and on a warm one,
-// and for orders shorter than one block, exactly one block, and longer than
-// one block but not a multiple of it, ApplyOrder must reproduce the Apply
-// loop's assignment, machines (slot order included), cost bits and span log.
+// TestApplyOrderMatchesApply pins ApplyOrder's blocking to placing one job
+// at a time. Every record gather builds must equal record(j), the record a
+// placement reads when it builds one itself. And for every rule, in fresh
+// memory, on a cold arena and on a warm one, and for orders shorter than one
+// block, exactly one block, and longer than one block but not a multiple of
+// it, ApplyOrder over the whole order must reproduce ApplyOrder called one
+// job at a time: assignment, machines (slot order included), cost bits and
+// span log.
 func TestApplyOrderMatchesApply(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	instances := []*Instance{
@@ -82,12 +85,21 @@ func TestApplyOrderMatchesApply(t *testing.T) {
 	}{{"fresh", nil}, {"cold", nil}, {"warm", warm}}
 	for ii, in := range instances {
 		full := in.LengthOrder()
+		s := new(Scratch).NewSchedule(in)
+		for k := 0; k < len(full); k += orderBlock {
+			blk := full[k:min(k+orderBlock, len(full))]
+			for i, rec := range s.gather(blk) {
+				if want := s.record(int(blk[i])); rec != want {
+					t.Fatalf("instance %d, job %d: gathered record %+v, record %+v", ii, blk[i], rec, want)
+				}
+			}
+		}
 		for _, n := range []int{orderBlock / 3, orderBlock, len(full)} {
 			order := full[:n]
 			for _, rule := range []Rule{LowestFit, BestFit, NextFit} {
 				want := runPlacements(in, new(Scratch), func(s *Schedule) {
-					for _, j := range order {
-						s.Apply(rule, int(j))
+					for i := range order {
+						s.ApplyOrder(rule, order[i:i+1])
 					}
 				})
 				for _, a := range arenas {
@@ -97,7 +109,7 @@ func TestApplyOrderMatchesApply(t *testing.T) {
 					}
 					got := runPlacements(in, sc, func(s *Schedule) { s.ApplyOrder(rule, order) })
 					if d := got.diff(want, sc != nil); d != "" {
-						t.Errorf("instance %d, %d jobs, rule %d, %s arena: ApplyOrder differs from Apply in %s", ii, n, rule, a.name, d)
+						t.Errorf("instance %d, %d jobs, rule %d, %s arena: ApplyOrder differs from one job at a time in %s", ii, n, rule, a.name, d)
 					}
 				}
 			}
@@ -125,7 +137,7 @@ func TestApplyOrderPanics(t *testing.T) {
 			s.ApplyOrder(BestFit, append(slices.Clone(order[:orderBlock+3]), order[1]))
 		}, orderBlock},
 		{"already assigned", func(s *Schedule) {
-			s.Apply(NextFit, int(order[5]))
+			s.ApplyOrder(NextFit, order[5:6])
 			s.ApplyOrder(NextFit, order)
 		}, 1},
 	}

@@ -25,7 +25,7 @@ func bruteFirstFit(s *Schedule, j int) int {
 			return m
 		}
 	}
-	return s.AssignNew(j)
+	return openFor(s, j)
 }
 
 // naiveBestFit replicates the un-pruned BestFit argmin on a parallel
@@ -38,12 +38,12 @@ func naiveBestFit(s *Schedule, j int) int {
 		if !bruteFits(s, j, m) {
 			continue
 		}
-		if delta := s.SpanDelta(m, iv); bestM < 0 || delta < bestDelta {
+		if delta := s.machines[m].spans.Delta(iv); bestM < 0 || delta < bestDelta {
 			bestM, bestDelta = m, delta
 		}
 	}
 	if bestM < 0 {
-		return s.AssignNew(j)
+		return openFor(s, j)
 	}
 	s.Assign(j, bestM)
 	return bestM
@@ -57,7 +57,7 @@ func bruteNextFit(s *Schedule, j int, cursor *int) int {
 		s.Assign(j, *cursor)
 		return *cursor
 	}
-	*cursor = s.AssignNew(j)
+	*cursor = openFor(s, j)
 	return *cursor
 }
 
@@ -101,14 +101,10 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 		}{{"plain", plain}, {"snapped", snapped}} {
 			in := inst.in
 			times := rankTimes(in)
-			indexOrder := make([]int32, in.N())
-			for j := range indexOrder {
-				indexOrder[j] = int32(j)
-			}
 			orders := []struct {
 				name string
 				jobs []int32
-			}{{"index order", indexOrder}, {"start order", in.StartOrder()}}
+			}{{"index order", indexOrder(in.N())}, {"start order", in.StartOrder()}}
 			for _, tc := range rules {
 				for _, order := range orders {
 					s, ref := NewSchedule(in), NewSchedule(in)
@@ -116,7 +112,8 @@ func FuzzPlacerMatchesBrute(f *testing.F) {
 					var marked bitmapSnapshot
 					for _, j := range order.jobs {
 						want := tc.brute(ref, int(j), &cursor)
-						if got := s.Apply(tc.rule, int(j)); got != want {
+						rec := s.record(int(j))
+						if got := s.apply(tc.rule, &rec); got != want {
 							t.Fatalf("seed %d %s %s in %s: job %d on machine %d, brute force %d", seed, inst.name, tc.name, order.name, j, got, want)
 						}
 						checkHintsSound(t, s, times, &marked)
@@ -300,7 +297,8 @@ func TestTailPeakSkipsQueryAfterGap(t *testing.T) {
 	in.Jobs[0].Demand = 2
 	s := NewSchedule(in)
 	for j, want := range []int{0, 0, 1, 0} {
-		if m := s.FirstFitAssign(j); m != want {
+		rec := s.record(j)
+		if m := s.apply(LowestFit, &rec); m != want {
 			t.Fatalf("job %d on machine %d, want %d", j, m, want)
 		}
 	}
@@ -323,7 +321,8 @@ func TestFillMarkSkipsQuery(t *testing.T) {
 	in := NewInstance(2, iv(0, 4), iv(1, 3), iv(6, 10), iv(3.5, 9), iv(7, 8))
 	s := NewSchedule(in)
 	for j := range 4 {
-		if m := s.FirstFitAssign(j); m != 0 {
+		rec := s.record(j)
+		if m := s.apply(LowestFit, &rec); m != 0 {
 			t.Fatalf("job %d on machine %d, want 0", j, m)
 		}
 	}
@@ -334,7 +333,8 @@ func TestFillMarkSkipsQuery(t *testing.T) {
 	if before.Queries != 1 || before.QueryRejects != 0 || before.Marks != 2 || before.MarkedBuckets != 4 {
 		t.Fatalf("work %+v; want one accepting query and two marked runs of four buckets", before)
 	}
-	if m := s.FirstFitAssign(4); m != 1 {
+	rec := s.record(4)
+	if m := s.apply(LowestFit, &rec); m != 1 {
 		t.Fatalf("job 4 on machine %d, want 1", m)
 	}
 	if w := s.Work(); w.Probes != before.Probes || w.Queries != before.Queries {
@@ -352,7 +352,8 @@ func TestPlacerBestFitMatchesNaive(t *testing.T) {
 		a := NewSchedule(in)
 		b := NewSchedule(in)
 		for j := range in.Jobs {
-			got := a.BestFit(j)
+			rec := a.record(j)
+			got := a.apply(BestFit, &rec)
 			want := naiveBestFit(b, j)
 			if got != want {
 				t.Fatalf("seed %d: job %d kernel chose machine %d, naive %d", seed, j, got, want)
@@ -376,38 +377,36 @@ func TestPlacerNextFitCursor(t *testing.T) {
 		iv(5, 6), // fits M1 (current), M0 never revisited
 	)
 	s := NewSchedule(in)
-	if m := s.NextFit(0); m != 0 {
-		t.Fatalf("first placement on machine %d, want 0", m)
-	}
-	if m := s.NextFit(1); m != 1 {
-		t.Fatalf("overflow placement on machine %d, want 1", m)
-	}
-	if m := s.NextFit(2); m != 1 {
-		t.Fatalf("cursor placement on machine %d, want 1 (no revisiting)", m)
+	for j, want := range []int{0, 1, 1} {
+		rec := s.record(j)
+		if m := s.apply(NextFit, &rec); m != want {
+			t.Fatalf("job %d on machine %d, want %d (fill, overflow, no revisiting)", j, m, want)
+		}
 	}
 
 	// A recycled schedule must reset the cursor.
 	sc := new(Scratch)
-	s2 := sc.NewSchedule(in)
-	_ = s2.NextFit(0)
+	sc.NewSchedule(in).ApplyOrder(NextFit, []int32{0, 1})
 	s3 := sc.NewSchedule(in)
-	if m := s3.NextFit(0); m != 0 {
+	rec := s3.record(2)
+	if m := s3.apply(NextFit, &rec); m != 0 {
 		t.Fatalf("recycled schedule's cursor placed on machine %d, want fresh machine 0", m)
 	}
 }
 
-// TestPlacerProbesDoNotPlace checks each probe against its placing call: the
-// probe leaves the assignment, machine count and cost untouched and names
-// the machine the placing call then uses, Unassigned meaning the call opens
-// a fresh one. BestFit's probe is the kernel's own argmin; FirstFit's is the
-// lowest machine CanAssign accepts, where the bitmap-pruned scan must land.
+// TestPlacerProbesDoNotPlace checks each probe against its rule's placement:
+// the probe leaves the assignment, machine count and cost untouched and
+// names the machine the rule then uses, Unassigned meaning the rule opens a
+// fresh one. BestFit's probe is the kernel's own argmin; FirstFit's is the
+// lowest machine canAssign accepts, where the bitmap-pruned scan must land.
 func TestPlacerProbesDoNotPlace(t *testing.T) {
 	cases := []struct {
-		name         string
-		probe, place func(s *Schedule, j int) int
+		name  string
+		probe func(s *Schedule, j int) int
+		rule  Rule
 	}{
-		{"BestFit", probeBestFit, (*Schedule).BestFit},
-		{"FirstFit", lowestCanAssign, (*Schedule).FirstFitAssign},
+		{"BestFit", probeBestFit, BestFit},
+		{"FirstFit", lowestCanAssign, LowestFit},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -415,7 +414,7 @@ func TestPlacerProbesDoNotPlace(t *testing.T) {
 			in := randInstance(r, 60, 3)
 			s := NewSchedule(in)
 			for j := range in.Jobs {
-				checkProbe(t, s, j, tc.probe, tc.place)
+				checkProbe(t, s, j, tc.probe, tc.rule)
 			}
 			if err := s.Verify(); err != nil {
 				t.Fatal(err)
@@ -432,21 +431,23 @@ func probeBestFit(s *Schedule, j int) int {
 	return m
 }
 
-// lowestCanAssign returns the lowest open machine CanAssign accepts for job
+// lowestCanAssign returns the lowest open machine canAssign accepts for job
 // index j, Unassigned when none does.
 func lowestCanAssign(s *Schedule, j int) int {
+	rec := s.record(j)
+	lo, hi := s.ia.buckets(rec.w)
 	for m := range s.NumMachines() {
-		if s.CanAssign(j, m) {
+		if _, v := s.canAssign(&rec, m, lo, hi); v != rejects {
 			return m
 		}
 	}
 	return Unassigned
 }
 
-// checkProbe runs probe then place for job j on s: the probe must not change
-// the schedule, and place must use the probed machine, or a fresh one when
-// the probe reported Unassigned.
-func checkProbe(t *testing.T, s *Schedule, j int, probe, place func(*Schedule, int) int) {
+// checkProbe runs probe for job j on s, then places the job by rule: the
+// probe must not change the schedule, and the rule must use the probed
+// machine, or a fresh one when the probe reported Unassigned.
+func checkProbe(t *testing.T, s *Schedule, j int, probe func(*Schedule, int) int, rule Rule) {
 	t.Helper()
 	nm, cost := s.NumMachines(), s.Cost()
 	m := probe(s, j)
@@ -458,7 +459,8 @@ func checkProbe(t *testing.T, s *Schedule, j int, probe, place func(*Schedule, i
 	if m == Unassigned {
 		want = nm
 	}
-	if got := place(s, j); got != want {
-		t.Fatalf("job %d: probe said %d with %d machines open, placing call used %d", j, m, nm, got)
+	rec := s.record(j)
+	if got := s.apply(rule, &rec); got != want {
+		t.Fatalf("job %d: probe said %d with %d machines open, rule %d used %d", j, m, nm, rule, got)
 	}
 }

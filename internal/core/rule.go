@@ -14,11 +14,13 @@ import "math/bits"
 type Rule int
 
 const (
-	// LowestFit is the FirstFit rule (Schedule.FirstFitAssign).
+	// LowestFit is the FirstFit rule: the lowest-indexed machine that fits
+	// the job, a fresh one when none does.
 	LowestFit Rule = iota
-	// BestFit is the least-busy-time-growth argmin (Schedule.BestFit).
+	// BestFit is the least-busy-time-growth argmin over the machines that
+	// fit the job, a fresh machine when none does.
 	BestFit
-	// NextFit is the single-open-machine cursor (Schedule.NextFit).
+	// NextFit is the single-open-machine cursor.
 	NextFit
 )
 
@@ -27,13 +29,7 @@ const (
 // gathered reads overlapping without a retained per-job table.
 const orderBlock = 256
 
-// Apply places job index j by rule r and returns the machine.
-func (s *Schedule) Apply(r Rule, j int) int {
-	rec := s.record(j)
-	return s.apply(r, &rec)
-}
-
-// apply is Apply on a job record.
+// apply places the job of rec by rule r and returns the machine.
 func (s *Schedule) apply(r Rule, rec *jobRec) int {
 	switch r {
 	case BestFit:
@@ -46,12 +42,13 @@ func (s *Schedule) apply(r Rule, rec *jobRec) int {
 }
 
 // ApplyOrder places the jobs of order, in sequence, by rule r: the same
-// placements, machines and span deltas as calling Apply(r, j) for each j.
-// It gathers the records of orderBlock jobs at a time before placing them,
-// so the random reads of each job's fields overlap in one tight loop and
-// the placements read one sequential record per job. It panics like Apply
-// on a sealed schedule or a job placed twice; a job already placed before
-// its block is refused while the block is gathered.
+// placements, machines and span deltas however the order is split between
+// calls. It is the one rule-driven placement on a live schedule. It gathers
+// the records of orderBlock jobs at a time before placing them, so the
+// random reads of each job's fields overlap in one tight loop and the
+// placements read one sequential record per job. It panics on a sealed
+// schedule or a job placed twice; a job already placed before its block is
+// refused while the block is gathered.
 func (s *Schedule) ApplyOrder(r Rule, order []int32) {
 	s.refuseSealed()
 	if s.block == nil {
@@ -82,17 +79,11 @@ func (s *Schedule) gather(order []int32) []jobRec {
 	return blk
 }
 
-// NextFit places job index j on the kernel's single open machine, opening a
-// fresh one (and abandoning the old one permanently) when the job does not
+// nextFit places the job of r on the kernel's single open machine, opening
+// a fresh one (and abandoning the old one permanently) when the job does not
 // fit, and returns the machine. The cursor lives on the schedule and starts
-// closed, so the first call always opens machine 0 and a recycled schedule
-// resets it for free.
-func (s *Schedule) NextFit(j int) int {
-	r := s.record(j)
-	return s.nextFit(&r)
-}
-
-// nextFit is NextFit on a job record.
+// closed, so the first placement always opens machine 0 and a recycled
+// schedule resets it for free.
 func (s *Schedule) nextFit(r *jobRec) int {
 	if s.cursor != Unassigned {
 		lo, hi := s.ia.buckets(r.w)
@@ -104,7 +95,7 @@ func (s *Schedule) nextFit(r *jobRec) int {
 	return s.cursor
 }
 
-// BestFit places job index j on the feasible machine whose busy time grows
+// bestFit places the job of r on the feasible machine whose busy time grows
 // the least — ties to the lowest index, a fresh machine when none fits — and
 // returns the machine. The scan ranks each candidate by its span delta
 // before asking whether the job fits, and is pruned by three sound
@@ -123,14 +114,8 @@ func (s *Schedule) nextFit(r *jobRec) int {
 //
 // All three only skip machines that cannot change the argmin, so the
 // produced schedule is byte-identical to probing every machine in order.
-func (s *Schedule) BestFit(j int) int {
-	r := s.record(j)
-	return s.bestFit(&r)
-}
-
-// bestFit is BestFit on a job record. It inserts the job with the load its
-// winning probe read and, when that probe found the job fills the machine,
-// marks the runs the probe kept.
+// It inserts the job with the load its winning probe read and, when that
+// probe found the job fills the machine, marks the runs the probe kept.
 func (s *Schedule) bestFit(r *jobRec) int {
 	m, used, v := s.bestFitProbe(r)
 	if m == Unassigned {

@@ -25,7 +25,11 @@ const Unassigned = -1
 // Each machine answers feasibility checks through cheap residual-capacity
 // hints — its busy hull, its peak load, and a few saturation witness points
 // — backed by one exact capacity oracle, the machine's time-sharded job
-// lists (see CanAssign and loadShards).
+// lists (see canAssign and loadShards).
+//
+// A schedule is filled through one of two doors: ApplyOrder runs a greedy
+// Rule over a job order, and OpenMachine with Assign places jobs on
+// machines the caller has already chosen.
 type Schedule struct {
 	inst     *Instance
 	assign   []int
@@ -48,10 +52,9 @@ type Schedule struct {
 	cursor int
 	// sealed marks a schedule assembled from precomputed placements (see
 	// Assembly): it carries no index and its machines no capacity oracle, so
-	// the mutating kernel entry points refuse to run rather than answer
-	// unsoundly. All read paths (Cost, Verify, Summary, Assignment, …)
-	// remain valid — Verify in particular re-derives loads independently of
-	// the oracles.
+	// ApplyOrder and Assign refuse to run rather than answer unsoundly. All
+	// read paths (Cost, Verify, Summary, Assignment, …) remain valid —
+	// Verify in particular re-derives loads independently of the oracles.
 	sealed bool
 	// block is the record buffer ApplyOrder gathers into: the arena's for
 	// schedules drawn from a Scratch, allocated on first use otherwise.
@@ -73,9 +76,8 @@ type Schedule struct {
 // job order and rule, so two versions of the kernel compare on them exactly
 // where timings on a shared host cannot.
 type WorkCounts struct {
-	// Probes counts capacity checks of one job against one open machine:
-	// TryAssign and CanAssign calls, and the FirstFit, BestFit and NextFit
-	// scans built on them.
+	// Probes counts capacity checks of one job against one open machine,
+	// one per machine the FirstFit, BestFit and NextFit rules check.
 	Probes int
 	// DisjointAccepts counts probes accepted because the machine was empty
 	// or its busy hull missed the job; PeakAccepts those accepted on a peak
@@ -263,10 +265,10 @@ func (s *Schedule) OpenMachine() int {
 
 // jobRec is one job as the placement kernel reads it — the float interval
 // (hull and span-union bookkeeping), the rank span (capacity oracle), the
-// demand and the job's index — packed into 32 bytes. The per-index entry
-// points build it once per call; ApplyOrder gathers blocks of them in
-// processing order, so a placement reads one sequential record instead of
-// the instance's job slice and the axis's rank array at random.
+// demand and the job's index — packed into 32 bytes. Assign builds it once
+// per call; ApplyOrder gathers blocks of them in processing order, so a
+// placement reads one sequential record instead of the instance's job slice
+// and the axis's rank array at random.
 type jobRec struct {
 	iv     interval.Interval
 	w      span
@@ -274,9 +276,8 @@ type jobRec struct {
 	j      int32
 }
 
-// record builds job index j's kernel record. Every per-index probe and
-// placement starts here, so this is also where sealed schedules, which have
-// no axis attached, refuse them.
+// record builds job index j's kernel record. Assign starts here, so this is
+// also where sealed schedules, which have no axis attached, refuse it.
 func (s *Schedule) record(j int) jobRec {
 	s.refuseSealed()
 	job := &s.inst.Jobs[j]
@@ -286,25 +287,8 @@ func (s *Schedule) record(j int) jobRec {
 // refuseSealed panics on a sealed schedule (see Schedule.sealed).
 func (s *Schedule) refuseSealed() {
 	if s.sealed {
-		panic("core: capacity probe or placement on a sealed schedule")
+		panic("core: placement on a sealed schedule")
 	}
-}
-
-// CanAssign reports whether job index j fits on machine m without violating
-// the capacity g at any instant (closed semantics, demand-weighted).
-//
-// The check consults the machine's residual-capacity hints before paying for
-// an exact oracle query: a job outside the busy hull always fits, a job
-// whose demand is within g − peak always fits (g − tail peak for a job
-// starting after the machine's last gap), and a job covering a known
-// saturation point that it cannot share never fits. Probes that fall through
-// to the oracle and get rejected record the rejection's witness point, so
-// repeated probing of a saturated machine converges to O(1).
-func (s *Schedule) CanAssign(j, m int) bool {
-	r := s.record(j)
-	lo, hi := s.ia.buckets(r.w)
-	_, v := s.canAssign(&r, m, lo, hi)
-	return v != rejects
 }
 
 // verdict is a capacity probe's answer.
@@ -321,12 +305,23 @@ const (
 	fills
 )
 
-// canAssign is CanAssign on a job record with its axis bucket range
-// precomputed. When the job fits, used is an upper bound on the machine's
-// load within the job's window, as insert wants: 0 for a disjoint machine,
-// the peak bound for a peak accept, and the exact load after a query. The
-// load is exact on a disjoint machine and after a query, so there a job
-// that brings it to g fills: on a disjoint machine its own span is the run.
+// canAssign decides whether the job of r, whose axis bucket range is lo..hi,
+// fits on machine m without violating the capacity g at any instant (closed
+// semantics, demand-weighted).
+//
+// The check consults the machine's residual-capacity hints before paying for
+// an exact oracle query: a job outside the busy hull always fits, a job
+// whose demand is within g − peak always fits (g − tail peak for a job
+// starting after the machine's last gap), and a job covering a known
+// saturation point that it cannot share never fits. Probes that fall through
+// to the oracle and get rejected record the rejection's witness point, so
+// repeated probing of a saturated machine converges to O(1).
+//
+// When the job fits, used is an upper bound on the machine's load within
+// the job's window, as insert wants: 0 for a disjoint machine, the peak
+// bound for a peak accept, and the exact load after a query. The load is
+// exact on a disjoint machine and after a query, so there a job that brings
+// it to g fills: on a disjoint machine its own span is the run.
 func (s *Schedule) canAssign(r *jobRec, m, lo, hi int) (used int, v verdict) {
 	st := &s.machines[m]
 	g, d := s.inst.G, int(r.demand)
@@ -443,9 +438,9 @@ func (st *machineState) noteHot(at int32, depth int) {
 	}
 }
 
-// Assign places job index j on machine m. It panics if the job is already
-// assigned or the machine does not exist; it does not re-check capacity
-// (algorithms call CanAssign, and Verify re-checks everything).
+// Assign places job index j on machine m, which the caller has chosen. It
+// panics if the job is already assigned or the machine does not exist; it
+// does not check capacity (Verify re-checks everything).
 //
 // Assign keeps the peak bounds sound without querying the oracle: a job
 // overlapping the busy hull can raise the true load by at most its demand
@@ -466,20 +461,13 @@ func (s *Schedule) put(r *jobRec, m int) {
 	s.insert(st, r, m, used, lo, hi)
 }
 
-// TryAssign atomically checks capacity and, when job index j fits machine m,
-// assigns it there, reporting success. It is the hot path of greedy
-// schedulers: a probe makes at most one oracle query, shared between the
-// check and the hint update, and none when the hull or peak hint proves the
-// fit; most probes resolve on the hints alone.
-func (s *Schedule) TryAssign(j, m int) bool {
-	r := s.record(j)
-	lo, hi := s.ia.buckets(r.w)
-	return s.tryAssign(&r, m, lo, hi)
-}
-
-// tryAssign is TryAssign on a job record with its axis bucket range
-// precomputed, so a scan resolves the range once per job instead of once
-// per probe. A placement that fills the machine to g marks the runs it
+// tryAssign checks capacity and, when the job of r fits machine m, assigns
+// it there, reporting success. It is the hot path of the greedy rules: a
+// probe makes at most one oracle query, shared between the check and the
+// hint update, and none when the hull or peak hint proves the fit; most
+// probes resolve on the hints alone. The job's axis bucket range lo..hi is
+// precomputed, so a scan resolves it once per job instead of once per
+// probe. A placement that fills the machine to g marks the runs it
 // saturates, so later probes skip the machine there without a query.
 func (s *Schedule) tryAssign(r *jobRec, m, lo, hi int) bool {
 	used, v := s.canAssign(r, m, lo, hi)
@@ -493,18 +481,12 @@ func (s *Schedule) tryAssign(r *jobRec, m, lo, hi int) bool {
 	return true
 }
 
-// FirstFitAssign places job index j by the FirstFit rule — the lowest-indexed
+// firstFit places the job of r by the FirstFit rule — the lowest-indexed
 // machine that can process it, a fresh machine when none can — and returns
 // the machine. The saturation bitmap skips whole runs of machines provably
 // unable to take the job's window, and the scan stops at the first machine
 // that accepts. The pruning is sound, so the produced schedule is
 // byte-identical to probing every machine in order.
-func (s *Schedule) FirstFitAssign(j int) int {
-	r := s.record(j)
-	return s.firstFit(&r)
-}
-
-// firstFit is FirstFitAssign on a job record.
 func (s *Schedule) firstFit(r *jobRec) int {
 	if m := s.lowestFit(r); m != Unassigned {
 		return m
@@ -598,13 +580,7 @@ func panicAssigned(j, m int) {
 	panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, m))
 }
 
-// AssignNew opens a fresh machine for job index j and returns the machine.
-func (s *Schedule) AssignNew(j int) int {
-	r := s.record(j)
-	return s.assignNew(&r)
-}
-
-// assignNew is AssignNew on a job record.
+// assignNew opens a fresh machine for the job of r and returns the machine.
 func (s *Schedule) assignNew(r *jobRec) int {
 	m := s.OpenMachine()
 	s.put(r, m)
@@ -635,13 +611,6 @@ func (s *Schedule) MachineSet(m int) interval.Set {
 // one active job. This is the machine's contribution to the objective, read
 // in O(1) from the machine's incrementally maintained span union.
 func (s *Schedule) MachineBusy(m int) float64 { return s.machines[m].spans.Total() }
-
-// SpanDelta returns the busy-time increase machine m would incur if an
-// interval iv were added to it, without modifying the schedule. Best-fit
-// style schedulers use it to rank machines without rebuilding interval sets.
-func (s *Schedule) SpanDelta(m int, iv interval.Interval) float64 {
-	return s.machines[m].spans.Delta(iv)
-}
 
 // Cost returns the total busy time Σ_m span(J_m), an O(1) read of the total
 // maintained by insert. Unassigned jobs contribute nothing; call Complete or

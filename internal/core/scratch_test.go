@@ -21,10 +21,10 @@ func randInstance(r *rand.Rand, n, g int) *Instance {
 	return in
 }
 
-// naiveCanAssign recomputes the capacity check from scratch, ignoring every
-// hint: the demand-weighted closed max depth of the machine's jobs within
-// the candidate's window.
-func naiveCanAssign(s *Schedule, j, m int) bool {
+// naiveLoad recomputes from scratch, ignoring every hint, the load job j
+// would land on at machine m: the demand-weighted closed max depth of the
+// machine's jobs within the job's window.
+func naiveLoad(s *Schedule, j, m int) int {
 	job := s.inst.Jobs[j]
 	set := make(interval.Set, 0, 8)
 	for _, jj := range s.machines[m].jobs {
@@ -35,12 +35,13 @@ func naiveCanAssign(s *Schedule, j, m int) bool {
 			}
 		}
 	}
-	return set.MaxDepth()+job.Demand <= s.inst.G
+	return set.MaxDepth()
 }
 
 // TestCanAssignHintsMatchNaive drives first-fit placement on random
 // instances and checks every probe — hint-resolved or tree-resolved —
-// against the naive recomputation.
+// against the naive recomputation: the verdict, the load bound an accept
+// hands to insert, and that a fill is exact.
 func TestCanAssignHintsMatchNaive(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -48,18 +49,26 @@ func TestCanAssignHintsMatchNaive(t *testing.T) {
 		s := NewSchedule(in)
 		for j := range in.Jobs {
 			placed := false
+			rec := s.record(j)
+			lo, hi := s.ia.buckets(rec.w)
 			for m := 0; m < s.NumMachines(); m++ {
-				got := s.CanAssign(j, m)
-				if want := naiveCanAssign(s, j, m); got != want {
-					t.Fatalf("seed %d: CanAssign(%d, %d) = %v, naive says %v", seed, j, m, got, want)
+				used, v := s.canAssign(&rec, m, lo, hi)
+				load, d := naiveLoad(s, j, m), in.Jobs[j].Demand
+				switch {
+				case (v != rejects) != (load+d <= in.G):
+					t.Fatalf("seed %d: job %d on machine %d: verdict %d, naive load %d + demand %d, g = %d", seed, j, m, v, load, d, in.G)
+				case v != rejects && used < load:
+					t.Fatalf("seed %d: job %d on machine %d: load bound %d below the naive load %d", seed, j, m, used, load)
+				case v == fills && load+d != in.G:
+					t.Fatalf("seed %d: job %d on machine %d: fills, but naive load %d + demand %d < g = %d", seed, j, m, load, d, in.G)
 				}
-				if got && !placed {
+				if v != rejects && !placed {
 					s.Assign(j, m)
 					placed = true
 				}
 			}
 			if !placed {
-				s.AssignNew(j)
+				openFor(s, j)
 			}
 		}
 		if err := s.Verify(); err != nil {
@@ -69,8 +78,9 @@ func TestCanAssignHintsMatchNaive(t *testing.T) {
 }
 
 // TestTryAssignMatchesCanAssignPlusAssign runs the same first-fit placement
-// through TryAssign and through CanAssign+Assign and requires identical
-// machine assignments and costs.
+// through tryAssign and through canAssign then put, and requires identical
+// machine assignments and costs: tryAssign's shared probe and insert decide
+// exactly what a separate probe and placement decide.
 func TestTryAssignMatchesCanAssignPlusAssign(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -78,32 +88,36 @@ func TestTryAssignMatchesCanAssignPlusAssign(t *testing.T) {
 
 		a := NewSchedule(in)
 		for j := range in.Jobs {
+			rec := a.record(j)
+			lo, hi := a.ia.buckets(rec.w)
 			placed := false
 			for m := 0; m < a.NumMachines() && !placed; m++ {
-				placed = a.TryAssign(j, m)
+				placed = a.tryAssign(&rec, m, lo, hi)
 			}
 			if !placed {
-				a.AssignNew(j)
+				openFor(a, j)
 			}
 		}
 
 		b := NewSchedule(in)
 		for j := range in.Jobs {
+			rec := b.record(j)
+			lo, hi := b.ia.buckets(rec.w)
 			placed := false
 			for m := 0; m < b.NumMachines() && !placed; m++ {
-				if b.CanAssign(j, m) {
-					b.Assign(j, m)
+				if _, v := b.canAssign(&rec, m, lo, hi); v != rejects {
+					b.put(&rec, m)
 					placed = true
 				}
 			}
 			if !placed {
-				b.AssignNew(j)
+				openFor(b, j)
 			}
 		}
 
 		for j := range in.Jobs {
 			if a.MachineOf(j) != b.MachineOf(j) {
-				t.Fatalf("seed %d: job %d on machine %d via TryAssign, %d via CanAssign+Assign",
+				t.Fatalf("seed %d: job %d on machine %d via tryAssign, %d via canAssign+put",
 					seed, j, a.MachineOf(j), b.MachineOf(j))
 			}
 		}
@@ -126,22 +140,9 @@ func TestScratchReuse(t *testing.T) {
 		in := randInstance(r, 40+r.Intn(120), 1+r.Intn(4))
 		s := sc.NewSchedule(in)
 		fresh := NewSchedule(in)
-		for j := range in.Jobs {
-			placed := false
-			for m := 0; m < s.NumMachines() && !placed; m++ {
-				placed = s.TryAssign(j, m)
-			}
-			if !placed {
-				s.AssignNew(j)
-			}
-			placedF := false
-			for m := 0; m < fresh.NumMachines() && !placedF; m++ {
-				placedF = fresh.TryAssign(j, m)
-			}
-			if !placedF {
-				fresh.AssignNew(j)
-			}
-		}
+		order := indexOrder(in.N())
+		s.ApplyOrder(LowestFit, order)
+		fresh.ApplyOrder(LowestFit, order)
 		if err := s.Verify(); err != nil {
 			t.Fatalf("round %d: scratch schedule infeasible: %v", round, err)
 		}
@@ -152,38 +153,28 @@ func TestScratchReuse(t *testing.T) {
 	}
 }
 
-// TestFirstFitAssignZeroAllocSteadyState is the arena acceptance gate: after
+// TestApplyOrderZeroAllocSteadyState is the arena acceptance gate: after
 // one warm-up pass, re-scheduling an instance through a recycled Scratch —
-// NewSchedule and every FirstFitAssign — performs zero allocations. This
-// covers the whole indexed pipeline: assignment slice, machine records,
-// saturation bitmap, shard directories, shard-pool chunks, sweep scratch
-// and span unions.
-func TestFirstFitAssignZeroAllocSteadyState(t *testing.T) {
+// NewSchedule and ApplyOrder, by each rule — performs zero allocations and
+// no arena setup allocation. This covers the whole indexed pipeline:
+// assignment slice, machine records, the record block ApplyOrder gathers
+// into, saturation bitmap, shard directories, shard-pool chunks, sweep
+// scratch and span unions.
+func TestApplyOrderZeroAllocSteadyState(t *testing.T) {
 	in := denseTestInstance(3000, 4, 1500, 25)
-	sc := new(Scratch)
-	run := func() {
-		s := sc.NewSchedule(in)
-		for j := range in.Jobs {
-			s.FirstFitAssign(j)
-		}
-	}
-	run() // warm-up sizes the arena for the instance
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("warm indexed FirstFit allocated %v times per run; want 0", allocs)
-	}
-	stats := sc.Stats()
-	before := stats.SetupAllocs
-	run()
-	if after := sc.Stats().SetupAllocs; after != before {
-		t.Fatalf("warm run performed %d arena setup allocations; want 0", after-before)
-	}
-	// The ordered entry point gathers into the arena's record block, so a
-	// warm ordered run allocates nothing either.
 	order := in.LengthOrder()
-	ordered := func() { sc.NewSchedule(in).ApplyOrder(LowestFit, order) }
-	ordered()
-	if allocs := testing.AllocsPerRun(5, ordered); allocs != 0 {
-		t.Fatalf("warm ordered FirstFit allocated %v times per run; want 0", allocs)
+	for _, rule := range []Rule{LowestFit, BestFit, NextFit} {
+		sc := new(Scratch)
+		run := func() { sc.NewSchedule(in).ApplyOrder(rule, order) }
+		run() // warm-up sizes the arena for the instance
+		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+			t.Fatalf("rule %d: warm run allocated %v times per run; want 0", rule, allocs)
+		}
+		before := sc.Stats().SetupAllocs
+		run()
+		if after := sc.Stats().SetupAllocs; after != before {
+			t.Fatalf("rule %d: warm run performed %d arena setup allocations; want 0", rule, after-before)
+		}
 	}
 }
 
@@ -196,14 +187,9 @@ func TestScratchZeroAllocAcrossShrinkingInstances(t *testing.T) {
 	small := denseTestInstance(500, 5, 120, 8)
 	tiny := denseTestInstance(40, 2, 30, 6)
 	sc := new(Scratch)
-	run := func(in *Instance) {
-		s := sc.NewSchedule(in)
-		for j := range in.Jobs {
-			s.FirstFitAssign(j)
-		}
-	}
+	run := func(in *Instance) { sc.NewSchedule(in).ApplyOrder(LowestFit, in.LengthOrder()) }
 	for _, in := range []*Instance{big, small, tiny} {
-		run(in) // warm-up (also builds each instance's cached axis)
+		run(in) // warm-up (also builds each instance's cached axis and order)
 	}
 	run(big)
 	for _, in := range []*Instance{small, tiny, big} {
@@ -222,12 +208,7 @@ func TestScratchStatsCounts(t *testing.T) {
 	if got := sc.Stats(); got.Schedules != 0 || got.SetupAllocs != 0 {
 		t.Fatalf("fresh scratch reports %+v", got)
 	}
-	run := func() {
-		s := sc.NewSchedule(in)
-		for j := range in.Jobs {
-			s.FirstFitAssign(j)
-		}
-	}
+	run := func() { sc.NewSchedule(in).ApplyOrder(LowestFit, in.LengthOrder()) }
 	run()
 	first := sc.Stats()
 	if first.Schedules != 1 || first.SetupAllocs == 0 {
@@ -249,7 +230,7 @@ func TestScratchInvalidatesPreviousSchedule(t *testing.T) {
 	sc := new(Scratch)
 	in := NewInstance(2, interval.New(0, 1))
 	old := sc.NewSchedule(in)
-	old.AssignNew(0)
+	openFor(old, 0)
 	if got := old.NumMachines(); got != 1 {
 		t.Fatalf("NumMachines = %d, want 1", got)
 	}

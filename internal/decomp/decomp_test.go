@@ -458,7 +458,7 @@ func TestFailedRunLeavesNoArmedLog(t *testing.T) {
 	arenas := []*core.Scratch{sc, <-pool, <-pool}
 	for i, a := range arenas {
 		s := a.NewSchedule(in)
-		s.FirstFitAssign(0)
+		s.ApplyOrder(core.LowestFit, []int32{0})
 		if log := s.EndSpanLog(); log != nil {
 			t.Fatalf("arena %d: a fresh schedule logged %d span deltas into a stale buffer", i, len(log))
 		}

@@ -194,7 +194,8 @@ func TestFromScheduleRejectsInfeasible(t *testing.T) {
 	net := &Network{Nodes: 4, G: 1, Paths: []Lightpath{{ID: 0, A: 0, B: 2}, {ID: 1, A: 1, B: 3}}}
 	in := net.ToInstance()
 	s := core.NewSchedule(in)
-	m := s.AssignNew(0)
+	m := s.OpenMachine()
+	s.Assign(0, m)
 	s.Assign(1, m) // violates g=1
 	if _, err := FromSchedule(net, s); err == nil {
 		t.Error("infeasible schedule converted to coloring")

@@ -16,7 +16,8 @@ func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 func TestMeasuredBusyMatchesAnalytic(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(5, 6))
 	s := core.NewSchedule(in)
-	m := s.AssignNew(0)
+	m := s.OpenMachine()
+	s.Assign(0, m)
 	s.Assign(1, m)
 	s.Assign(2, m)
 	rep, err := Replay(s)
@@ -41,7 +42,8 @@ func TestMeasuredBusyMatchesAnalytic(t *testing.T) {
 func TestTouchingJobsKeepMachineOn(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 1), iv(1, 2))
 	s := core.NewSchedule(in)
-	m := s.AssignNew(0)
+	m := s.OpenMachine()
+	s.Assign(0, m)
 	s.Assign(1, m)
 	rep, err := Replay(s)
 	if err != nil {
@@ -62,7 +64,8 @@ func TestTouchingJobsKeepMachineOn(t *testing.T) {
 func TestViolationDetected(t *testing.T) {
 	in := core.NewInstance(1, iv(0, 2), iv(1, 3))
 	s := core.NewSchedule(in)
-	m := s.AssignNew(0)
+	m := s.OpenMachine()
+	s.Assign(0, m)
 	s.Assign(1, m)
 	rep, err := Replay(s)
 	if err != nil {
@@ -84,7 +87,8 @@ func TestDemandWeightedLoad(t *testing.T) {
 	in := core.NewInstance(3, iv(0, 2), iv(1, 3))
 	in.Jobs[0].Demand = 2
 	s := core.NewSchedule(in)
-	m := s.AssignNew(0)
+	m := s.OpenMachine()
+	s.Assign(0, m)
 	s.Assign(1, m)
 	rep, err := Replay(s)
 	if err != nil {
@@ -101,7 +105,7 @@ func TestDemandWeightedLoad(t *testing.T) {
 func TestUnassignedJobRejected(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 1), iv(2, 3))
 	s := core.NewSchedule(in)
-	s.AssignNew(0)
+	s.Assign(0, s.OpenMachine())
 	if _, err := Replay(s); err == nil {
 		t.Error("incomplete schedule accepted")
 	}

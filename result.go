@@ -103,8 +103,8 @@ func (r Result) CrossCheck(tol float64) error {
 // arena schedule's assignment, machine job lists, busy spans, busy totals
 // and Cost bit for bit. Like a decomposed solve's schedule it is sealed:
 // every read (Cost, MachineBusy, Verify, Summary, CrossCheck, …) works,
-// while capacity probes and placements panic, since it carries no capacity
-// oracle.
+// while placements (ApplyOrder, Assign) panic, since it carries no
+// capacity oracle.
 //
 // Detach reads the arena-backed schedule, so it is subject to the same
 // lifetime window as any other Schedule access: call it before the arena
