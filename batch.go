@@ -59,9 +59,8 @@ type BatchResult struct {
 }
 
 // SolveBatch schedules every instance through Solve, fanned out across
-// WithWorkers workers that lease the session's arenas (or schedule in fresh
-// memory under WithFreshSchedules), and returns one summary per instance in
-// input order — a parallel run is byte-identical to
+// WithWorkers workers that lease the session's arenas, and returns one
+// summary per instance in input order — a parallel run is byte-identical to
 // a sequential one. Per-instance failures, panics included, land in
 // BatchResult.Err and do not abort the batch. Cancelling ctx stops workers
 // at their next instance (and while they wait for an arena, and mid-run for

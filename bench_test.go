@@ -19,8 +19,8 @@ import (
 )
 
 // registered returns the named registry row — the entry point the Solver
-// runs — as a schedule function on sc (fresh memory when sc is nil). The
-// rows used here accept every valid instance, so an error panics.
+// runs — as a schedule function on sc. The rows used here accept every
+// valid instance, so an error panics.
 func registered(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 	a, _ := algo.Lookup(name)
 	return func(in *core.Instance, sc *core.Scratch) *core.Schedule {
@@ -32,10 +32,10 @@ func registered(name string) func(*core.Instance, *core.Scratch) *core.Schedule 
 	}
 }
 
-// freshRow is registered(name) on fresh memory.
+// freshRow is registered(name) on a cold Scratch per call.
 func freshRow(name string) func(*core.Instance) *core.Schedule {
 	run := registered(name)
-	return func(in *core.Instance) *core.Schedule { return run(in, nil) }
+	return func(in *core.Instance) *core.Schedule { return run(in, new(core.Scratch)) }
 }
 
 // benchCfg keeps per-iteration work bounded; the experiment structure

@@ -51,10 +51,10 @@ type Algorithm struct {
 	// passes (*core.Schedule).Verify, or an error when the instance is
 	// outside the algorithm's class (not a clique, a component above the
 	// size limit) or ctx was cancelled mid-run. Schedule state is drawn
-	// from sc, recycling its allocations across runs, and the returned
-	// schedule is only valid until sc's next use; a nil sc selects fresh
-	// memory, as core.NewScheduleFrom does. The registry-wide differential
-	// suite pins the fresh and the recycled schedule byte-identical.
+	// from sc, which is never nil, recycling its allocations across runs,
+	// and the returned schedule is only valid until sc's next use. The
+	// registry-wide differential suite pins the schedules a cold and a warm
+	// Scratch give byte-identical.
 	Run func(ctx context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error)
 	// Cancellation records where the algorithm observes ctx; see CancelPoint.
 	Cancellation CancelPoint
@@ -143,12 +143,11 @@ func RegisterGreedy(rows ...GreedyRow) {
 }
 
 // RunGreedy places the jobs of order, in sequence, by rule on an empty
-// schedule drawn from sc (a fresh one when sc is nil) and returns it. It is
-// the one greedy placement loop of the library: the registered rows, their
-// chunk runs, the online lookahead replay and the pool's offline replay all
-// drive it.
+// schedule drawn from sc and returns it. It is the one greedy placement loop
+// of the library: the registered rows, their chunk runs, the online
+// lookahead replay and the pool's offline replay all drive it.
 func RunGreedy(in *core.Instance, sc *core.Scratch, order []int32, rule core.Rule) *core.Schedule {
-	s := core.NewScheduleFrom(in, sc)
+	s := sc.NewSchedule(in)
 	s.ApplyOrder(rule, order)
 	return s
 }

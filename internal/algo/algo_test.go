@@ -12,7 +12,7 @@ func stub(name string) Algorithm {
 		Name:        name,
 		Description: "stub",
 		Run: func(_ context.Context, in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
-			return core.NewScheduleFrom(in, sc), nil
+			return sc.NewSchedule(in), nil
 		},
 	}
 }

@@ -76,15 +76,14 @@ func init() {
 //
 // MachineMin requires unit demands (the coloring argument does not apply to
 // weighted jobs); it falls back to FirstFit by start time otherwise.
-func MachineMin(in *core.Instance) *core.Schedule { return machineMin(in, nil) }
+func MachineMin(in *core.Instance) *core.Schedule { return machineMin(in, new(core.Scratch)) }
 
-// machineMin is MachineMin drawing schedule state from sc (fresh memory when
-// sc is nil).
+// machineMin is MachineMin drawing schedule state from sc.
 func machineMin(in *core.Instance, sc *core.Scratch) *core.Schedule {
 	if !unitDemands(in) {
 		return algo.RunGreedy(in, sc, in.StartOrder(), core.LowestFit)
 	}
-	return machineMinInto(in, core.NewScheduleFrom(in, sc))
+	return machineMinInto(in, sc.NewSchedule(in))
 }
 
 func unitDemands(in *core.Instance) bool {
@@ -112,7 +111,7 @@ func machineMinInto(in *core.Instance, s *core.Schedule) *core.Schedule {
 // RandomFit runs FirstFit on a deterministic pseudo-random permutation of
 // the jobs derived from seed.
 func RandomFit(in *core.Instance, seed int64) *core.Schedule {
-	return algo.RunGreedy(in, nil, randomOrder(in, seed), core.LowestFit)
+	return algo.RunGreedy(in, new(core.Scratch), randomOrder(in, seed), core.LowestFit)
 }
 
 // randomOrder permutes the job indices with the library's splitmix64

@@ -17,9 +17,9 @@ import (
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
 // row returns the registered algorithm of the given name as a schedule
-// function on sc (fresh memory when sc is nil): the tests drive the greedy
-// baselines through their registry rows, exactly as the Solver does. The
-// greedy rows accept every valid instance, so an error panics.
+// function on sc: the tests drive the greedy baselines through their
+// registry rows, exactly as the Solver does. The greedy rows accept every
+// valid instance, so an error panics.
 func row(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 	a, ok := algo.Lookup(name)
 	if !ok {
@@ -37,7 +37,7 @@ func row(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 // freshRow is row(name) on fresh memory.
 func freshRow(name string) func(*core.Instance) *core.Schedule {
 	run := row(name)
-	return func(in *core.Instance) *core.Schedule { return run(in, nil) }
+	return func(in *core.Instance) *core.Schedule { return run(in, new(core.Scratch)) }
 }
 
 func TestAllRegistered(t *testing.T) {
@@ -157,7 +157,7 @@ func bruteFits(s *core.Schedule, j, m int) bool {
 func TestBestFitKernelMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		for fi, in := range diffFamilies(seed) {
-			kernel := row("bestfit")(in, nil)
+			kernel := row("bestfit")(in, new(core.Scratch))
 			if err := kernel.Verify(); err != nil {
 				t.Fatalf("seed %d family %d: kernel BestFit infeasible: %v", seed, fi, err)
 			}
@@ -175,7 +175,7 @@ func TestBestFitScratchMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for fi, in := range diffFamilies(seed) {
 			recycled := row("bestfit")(in, sc)
-			fresh := row("bestfit")(in, nil)
+			fresh := row("bestfit")(in, new(core.Scratch))
 			if fi == 0 && recycled.NumMachines() == 0 && in.N() > 0 {
 				t.Fatal("empty schedule")
 			}
@@ -213,7 +213,7 @@ func FuzzBestFitWarmScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
 		scan := bestFitScan(in)
-		assertIdentical(t, "fuzz-kernel", row("bestfit")(in, nil), scan)
+		assertIdentical(t, "fuzz-kernel", row("bestfit")(in, new(core.Scratch)), scan)
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
 		_ = row("bestfit")(warm, sc)
@@ -291,7 +291,7 @@ func TestBestFitPrefersNoGrowth(t *testing.T) {
 	// With g=2: long [0,10] first; short [2,3] can go on M0 at zero growth
 	// and BestFit must take it.
 	in := core.NewInstance(2, iv(0, 10), iv(2, 3))
-	s := row("bestfit")(in, nil)
+	s := row("bestfit")(in, new(core.Scratch))
 	if s.NumMachines() != 1 {
 		t.Errorf("machines = %d, want 1", s.NumMachines())
 	}
@@ -305,7 +305,7 @@ func TestNextFitNeverRevisits(t *testing.T) {
 	// A,C on M0; B conflicts (depth 2 at [1,1.5]) → M1. A later D[4,5]
 	// fits M1 (current) even though M0 also fits.
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(0.5, 1.5), iv(4, 5))
-	s := row("nextfit")(in, nil)
+	s := row("nextfit")(in, new(core.Scratch))
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -98,9 +98,8 @@ func Segments(in *core.Instance, d float64) (buckets [][]int, segnum []int) {
 
 // Schedule runs the Bounded_Length algorithm and returns a complete
 // feasible schedule that never mixes segments on one machine. The returned
-// schedule is drawn from sc (fresh memory when sc is nil) and is only valid
-// until sc's next use; per-segment sub-solves build their own transient
-// state.
+// schedule is drawn from sc and is only valid until sc's next use;
+// per-segment sub-solves build their own transient state.
 func Schedule(in *core.Instance, opts Options, sc *core.Scratch) (*core.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -108,7 +107,7 @@ func Schedule(in *core.Instance, opts Options, sc *core.Scratch) (*core.Schedule
 	if err := opts.fill(in); err != nil {
 		return nil, err
 	}
-	s := core.NewScheduleFrom(in, sc)
+	s := sc.NewSchedule(in)
 	buckets, _ := Segments(in, opts.D)
 	for _, bucket := range buckets {
 		sub := subInstance(in, bucket)
@@ -278,7 +277,7 @@ func ScheduleFromWitness(witness *core.Schedule) (*core.Schedule, error) {
 // produces and the unrestricted optimum (when exactly solvable). Used by
 // the harness to verify the ≤ 2 segmentation loss empirically.
 func SegmentationOverhead(in *core.Instance, opts Options) (segmented, unrestricted float64, err error) {
-	s, err := Schedule(in, opts, nil)
+	s, err := Schedule(in, opts, new(core.Scratch))
 	if err != nil {
 		return 0, 0, err
 	}

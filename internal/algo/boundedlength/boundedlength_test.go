@@ -45,14 +45,14 @@ func TestSegments(t *testing.T) {
 
 func TestRejectsOverlongJobs(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 10))
-	if _, err := Schedule(in, Options{D: 3}, nil); err == nil {
+	if _, err := Schedule(in, Options{D: 3}, new(core.Scratch)); err == nil {
 		t.Error("job longer than d accepted")
 	}
 }
 
 func TestNoSegmentMixing(t *testing.T) {
 	in := generator.BoundedLength(5, 40, 3, 6, 4)
-	s, err := Schedule(in, Options{D: 4}, nil)
+	s, err := Schedule(in, Options{D: 4}, new(core.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLemma33SegmentedWithinTwiceOPT(t *testing.T) {
 
 func TestDefaultDFromMaxLength(t *testing.T) {
 	in := core.NewInstance(2, iv(0, 2), iv(1, 4), iv(5, 6))
-	s, err := Schedule(in, Options{}, nil) // d = 3
+	s, err := Schedule(in, Options{}, new(core.Scratch)) // d = 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestScheduleFromWitnessReproducesCost(t *testing.T) {
 func TestQuickScheduleFeasibleAndBounded(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		in := generator.BoundedLength(seed, int(nn%30)+1, 3, 5, 4)
-		s, err := Schedule(in, Options{D: 4, ExactLimit: 8}, nil)
+		s, err := Schedule(in, Options{D: 4, ExactLimit: 8}, new(core.Scratch))
 		if err != nil {
 			return false
 		}
@@ -189,7 +189,7 @@ func TestQuickScheduleFeasibleAndBounded(t *testing.T) {
 }
 
 func TestEmptyInstance(t *testing.T) {
-	s, err := Schedule(core.NewInstance(2), Options{D: 1}, nil)
+	s, err := Schedule(core.NewInstance(2), Options{D: 1}, new(core.Scratch))
 	if err != nil || s.Cost() != 0 {
 		t.Errorf("empty: %v cost=%v", err, s.Cost())
 	}
@@ -215,7 +215,7 @@ func BenchmarkBoundedLength200(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Schedule(in, Options{D: 4, ExactLimit: 10}, nil); err != nil {
+		if _, err := Schedule(in, Options{D: 4, ExactLimit: 10}, new(core.Scratch)); err != nil {
 			b.Fatal(err)
 		}
 	}

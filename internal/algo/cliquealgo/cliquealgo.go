@@ -33,18 +33,18 @@ func init() {
 // Schedule runs the clique algorithm. It fails if the instance is not a
 // clique (no common point exists).
 func Schedule(in *core.Instance) (*core.Schedule, error) {
-	return schedule(in, nil)
+	return schedule(in, new(core.Scratch))
 }
 
 func schedule(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
 	if in.N() == 0 {
-		return core.NewScheduleFrom(in, sc), nil
+		return sc.NewSchedule(in), nil
 	}
 	t, ok := in.Set().CommonPoint()
 	if !ok {
 		return nil, fmt.Errorf("cliquealgo: instance %q is not a clique", in.Name)
 	}
-	return scheduleAroundInto(in, t, core.NewScheduleFrom(in, sc)), nil
+	return scheduleAroundInto(in, t, sc.NewSchedule(in)), nil
 }
 
 // ScheduleAround runs the clique algorithm using the given common point t.

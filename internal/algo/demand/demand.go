@@ -111,7 +111,7 @@ func (r *Result) Verify(in *FlexInstance) error {
 
 // Schedule chooses start times and machines greedily, longest job first.
 func Schedule(in *FlexInstance) (*Result, error) {
-	return schedule(in, nil)
+	return ScheduleScratch(in, new(core.Scratch))
 }
 
 // ScheduleScratch is Schedule with the induced fixed-interval schedule drawn
@@ -119,10 +119,6 @@ func Schedule(in *FlexInstance) (*Result, error) {
 // its own transient state). The result's Schedule field is only valid until
 // sc's next use.
 func ScheduleScratch(in *FlexInstance, sc *core.Scratch) (*Result, error) {
-	return schedule(in, sc)
-}
-
-func schedule(in *FlexInstance, sc *core.Scratch) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -200,7 +196,7 @@ func schedule(in *FlexInstance, sc *core.Scratch) (*Result, error) {
 		starts[j.ID] = st
 		fixed.Jobs[i] = core.Job{ID: j.ID, Iv: interval.New(st, st+j.Proc), Demand: j.Demand}
 	}
-	s := core.NewScheduleFrom(fixed, sc)
+	s := sc.NewSchedule(fixed)
 	maxM := -1
 	for _, p := range decided {
 		if p.machine > maxM {

@@ -62,20 +62,20 @@ const DefaultMaxJobs = 18
 // connected components (optimal per component is optimal overall) and errors
 // if any component exceeds DefaultMaxJobs jobs.
 func Solve(in *core.Instance) (*core.Schedule, error) {
-	return SolveWith(context.Background(), in, DefaultMaxJobs, nil)
+	return SolveWith(context.Background(), in, DefaultMaxJobs, new(core.Scratch))
 }
 
 // SolveMax is Solve with an explicit per-component job limit.
 func SolveMax(in *core.Instance, maxJobs int) (*core.Schedule, error) {
-	return SolveWith(context.Background(), in, maxJobs, nil)
+	return SolveWith(context.Background(), in, maxJobs, new(core.Scratch))
 }
 
 // SolveWith is the general entry point: branch and bound with an explicit
 // per-component job limit, cooperative ctx checkpoints inside the search
 // (every few thousand nodes and between components — the search is the
 // library's only per-run unbounded-time path), and the final schedule drawn
-// from sc when non-nil. Cancelling ctx makes the search unwind promptly and
-// SolveWith return ctx's error.
+// from sc. Cancelling ctx makes the search unwind promptly and SolveWith
+// return ctx's error.
 func SolveWith(ctx context.Context, in *core.Instance, maxJobs int, sc *core.Scratch) (*core.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func SolveWith(ctx context.Context, in *core.Instance, maxJobs int, sc *core.Scr
 // optimally (optimal per component is optimal overall), stacks their
 // machines in start order — each component's machines follow those of every
 // earlier-starting one — and places the jobs, in order, on a schedule of in
-// drawn from sc (fresh memory when sc is nil). Components are checked
+// drawn from sc. Components are checked
 // against maxJobs and ctx in start order, each before its search, so the
 // earliest failing component decides the error. One searcher serves every
 // component, so its buffers and machine records, and the arena its FirstFit
@@ -144,7 +144,7 @@ func solveOrder(ctx context.Context, in *core.Instance, order []int32, maxJobs i
 		}
 		base += used
 	}
-	s := core.NewScheduleFrom(in, sc)
+	s := sc.NewSchedule(in)
 	for range base {
 		s.OpenMachine()
 	}

@@ -33,11 +33,11 @@ func init() {
 // order, read from the instance's cached ordering — and returns a complete
 // feasible schedule of the instance (job order preserved).
 func Schedule(in *core.Instance) *core.Schedule {
-	return algo.RunGreedy(in, nil, in.LengthOrder(), core.LowestFit)
+	return algo.RunGreedy(in, new(core.Scratch), in.LengthOrder(), core.LowestFit)
 }
 
 // ScheduleOrder runs the FirstFit rule scanning jobs in the given index
 // order (the adversarial Fig. 4 family fixes its own order).
 func ScheduleOrder(in *core.Instance, order []int32) *core.Schedule {
-	return algo.RunGreedy(in, nil, order, core.LowestFit)
+	return algo.RunGreedy(in, new(core.Scratch), order, core.LowestFit)
 }

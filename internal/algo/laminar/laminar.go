@@ -110,7 +110,7 @@ func Levels(set interval.Set) []int {
 // nesting level ℓ to machine ⌈ℓ/g⌉. It errors when the instance is not
 // laminar. The result's cost equals core.FractionalBound(in).
 func Schedule(in *core.Instance) (*core.Schedule, error) {
-	return schedule(in, nil)
+	return schedule(in, new(core.Scratch))
 }
 
 func schedule(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
@@ -134,7 +134,7 @@ func schedule(in *core.Instance, sc *core.Scratch) (*core.Schedule, error) {
 			maxLevel = l
 		}
 	}
-	s := core.NewScheduleFrom(in, sc)
+	s := sc.NewSchedule(in)
 	numMachines := (maxLevel + in.G - 1) / in.G
 	for m := 0; m < numMachines; m++ {
 		s.OpenMachine()

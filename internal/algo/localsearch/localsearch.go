@@ -81,21 +81,17 @@ func (a *assignment) set(m int) interval.Set {
 	return set
 }
 
-// weightedDepthOK reports whether the jobs of machine m plus extra (may be
-// -1) stay within capacity g.
-func (a *assignment) capacityOK(m int, extra int) bool {
+// fits reports whether the jobs of the given lists, together on one
+// machine, stay within capacity g: one closed-interval demand sweep over
+// their start and end events.
+func (a *assignment) fits(lists ...[]int) bool {
 	var evs []evt
-	add := func(j int) {
-		job := a.in.Jobs[j]
-		evs = append(evs, evt{job.Iv.Start, job.Demand}, evt{job.Iv.End, -job.Demand})
+	for _, list := range lists {
+		for _, j := range list {
+			job := a.in.Jobs[j]
+			evs = append(evs, evt{job.Iv.Start, job.Demand}, evt{job.Iv.End, -job.Demand})
+		}
 	}
-	for _, j := range a.member[m] {
-		add(j)
-	}
-	if extra >= 0 {
-		add(extra)
-	}
-	// Insertion-sort-free: small slices; use simple sort.
 	sortEvents(evs)
 	depth := 0
 	for _, e := range evs {
@@ -145,13 +141,13 @@ func (a *assignment) move(j, to int) {
 // It returns a new schedule; the input is not modified. The result's cost is
 // never worse than the input's and feasibility is preserved.
 func Improve(s *core.Schedule, opts Options) (*core.Schedule, error) {
-	return improve(s, opts, nil)
+	return improve(s, opts, new(core.Scratch))
 }
 
-// improve is Improve with the final schedule drawn from sc (fresh memory
-// when sc is nil). The input schedule may itself live on sc: the working
-// state is copied out of it up front, so rebuilding over the same arena is
-// safe (the input is invalidated, like any schedule on a recycled scratch).
+// improve is Improve with the final schedule drawn from sc. The input
+// schedule may itself live on sc: the working state is copied out of it up
+// front, so rebuilding over the same arena is safe (the input is
+// invalidated, like any schedule on a recycled scratch).
 func improve(s *core.Schedule, opts Options, sc *core.Scratch) (*core.Schedule, error) {
 	opts.fill()
 	a := fromSchedule(s)
@@ -164,7 +160,7 @@ func improve(s *core.Schedule, opts Options, sc *core.Scratch) (*core.Schedule, 
 			break
 		}
 	}
-	return a.build(core.NewScheduleFrom(a.in, sc))
+	return a.build(sc.NewSchedule(a.in))
 }
 
 // movePass relocates each job to its cheapest feasible machine.
@@ -184,7 +180,7 @@ func (a *assignment) movePass(tol float64) bool {
 				if to == from {
 					continue
 				}
-				if !a.capacityOK(to, j) {
+				if !a.fits(a.member[to], []int{j}) {
 					continue
 				}
 				before := a.cost(to)
@@ -230,7 +226,7 @@ func (a *assignment) mergePass(tol float64) bool {
 			if len(a.member[m2]) == 0 {
 				continue
 			}
-			if !a.mergeFeasible(m1, m2) {
+			if !a.fits(a.member[m1], a.member[m2]) {
 				continue
 			}
 			merged := append(a.set(m1), a.set(m2)...).Span()
@@ -244,25 +240,6 @@ func (a *assignment) mergePass(tol float64) bool {
 		}
 	}
 	return improved
-}
-
-func (a *assignment) mergeFeasible(m1, m2 int) bool {
-	var evs []evt
-	for _, m := range []int{m1, m2} {
-		for _, j := range a.member[m] {
-			job := a.in.Jobs[j]
-			evs = append(evs, evt{job.Iv.Start, job.Demand}, evt{job.Iv.End, -job.Demand})
-		}
-	}
-	sortEvents(evs)
-	depth := 0
-	for _, e := range evs {
-		depth += e.delta
-		if depth > a.in.G {
-			return false
-		}
-	}
-	return true
 }
 
 // build materializes the assignment, compacted, into the empty schedule out.

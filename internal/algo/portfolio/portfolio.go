@@ -32,9 +32,8 @@ func init() {
 		Name:        "portfolio",
 		Description: "best of all applicable algorithms plus local search",
 		// The portfolio keeps several candidate schedules alive at once, so
-		// none of them can draw from the single-live-schedule scratch; every
-		// candidate is itself kernel-routed, and the scratch is simply
-		// unused.
+		// none of them can draw from the single-live-schedule scratch: each
+		// candidate is drawn from a Scratch of its own, and sc is unused.
 		Run: func(_ context.Context, in *core.Instance, _ *core.Scratch) (*core.Schedule, error) {
 			s, _, err := Schedule(in)
 			return s, err
@@ -59,7 +58,7 @@ func Schedule(in *core.Instance) (*core.Schedule, string, error) {
 	}
 	cands := []candidate{
 		{"firstfit", firstfit.Schedule(in)},
-		{"bestfit", algo.RunGreedy(in, nil, in.LengthOrder(), core.BestFit)},
+		{"bestfit", algo.RunGreedy(in, new(core.Scratch), in.LengthOrder(), core.BestFit)},
 	}
 	unitDemands := true
 	for _, j := range in.Jobs {
@@ -84,7 +83,7 @@ func Schedule(in *core.Instance) (*core.Schedule, string, error) {
 			cands = append(cands, candidate{"laminar", s})
 		}
 	}
-	if s, err := boundedlength.Schedule(in, boundedlength.Options{}, nil); err == nil {
+	if s, err := boundedlength.Schedule(in, boundedlength.Options{}, new(core.Scratch)); err == nil {
 		cands = append(cands, candidate{"boundedlength", s})
 	}
 	if in.N() <= ExactLimit {

@@ -29,5 +29,5 @@ func init() {
 // Theorem 3.1 requires a proper instance (use core.Instance.IsProper to
 // check); the returned schedule is feasible for any instance.
 func Schedule(in *core.Instance) *core.Schedule {
-	return algo.RunGreedy(in, nil, in.StartOrder(), core.NextFit)
+	return algo.RunGreedy(in, new(core.Scratch), in.StartOrder(), core.NextFit)
 }

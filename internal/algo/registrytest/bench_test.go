@@ -32,7 +32,7 @@ func BenchmarkRegistry(b *testing.B) {
 			in := c.in
 			b.Run(a.Name+"/"+c.name, func(b *testing.B) {
 				for b.Loop() {
-					if _, err := a.Run(context.Background(), in, nil); err != nil {
+					if _, err := a.Run(context.Background(), in, new(core.Scratch)); err != nil {
 						b.Skip(err)
 					}
 				}

@@ -137,7 +137,7 @@ func TestRegistryRunScratchParity(t *testing.T) {
 		mustRun := ii >= len(inputs)-len(degenerate)
 		for _, a := range all(t) {
 			label := a.Name + " " + c.label
-			fresh, errFresh := a.Run(ctx, c.in, nil)
+			fresh, errFresh := a.Run(ctx, c.in, new(core.Scratch))
 			recycled, errScratch := a.Run(ctx, c.in, sc)
 			if mustRun && (errFresh != nil || errScratch != nil) {
 				t.Fatalf("%s: fresh err=%v, scratch err=%v", label, errFresh, errScratch)
@@ -196,7 +196,7 @@ func FuzzRegistryRunParity(f *testing.F) {
 				t.Fatal(err)
 			}
 			label := a.Name + " " + in.Name
-			fresh, errFresh := a.Run(ctx, in, nil)
+			fresh, errFresh := a.Run(ctx, in, new(core.Scratch))
 			recycled, errScratch := a.Run(ctx, in, sc)
 			if (errFresh == nil) != (errScratch == nil) {
 				t.Fatalf("%s: fresh err=%v but scratch err=%v", label, errFresh, errScratch)
@@ -336,7 +336,7 @@ func FuzzDecomposedParity(f *testing.F) {
 		in := clusteredFromBytes(data, int(clusters)%128+1, int(g)%3+1)
 		sc := new(core.Scratch)
 		for _, a := range rows {
-			seq, seqErr := a.Run(ctx, in, nil)
+			seq, seqErr := a.Run(ctx, in, new(core.Scratch))
 			for w := 2; w <= 4; w++ {
 				label := fmt.Sprintf("%s budget=%d", a.Name, w)
 				dec, st, decErr := runner.Solve(ctx, in, a.Decompose, sc, pool, w, 0)
@@ -373,7 +373,7 @@ func TestRegistryScratchSizeLadder(t *testing.T) {
 				t.Fatalf("%s not registered", name)
 			}
 			label := fmt.Sprintf("%s round=%d n=%d", name, round, n)
-			fresh, err := a.Run(context.Background(), in, nil)
+			fresh, err := a.Run(context.Background(), in, new(core.Scratch))
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -397,7 +397,7 @@ func TestRegistrySimCrossCheck(t *testing.T) {
 		for fi, in := range families(seed) {
 			for _, a := range all(t) {
 				label := fmt.Sprintf("%s seed=%d family=%d", a.Name, seed, fi)
-				s, err := a.Run(context.Background(), in, nil)
+				s, err := a.Run(context.Background(), in, new(core.Scratch))
 				if err != nil {
 					continue // class precondition rejected the family
 				}

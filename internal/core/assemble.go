@@ -27,7 +27,7 @@ type Assembly struct {
 }
 
 // BeginAssembly starts assembling a schedule for inst with the given number
-// of pre-opened machines, drawn from sc (or fresh memory when sc is nil).
+// of pre-opened machines, drawn from sc.
 func BeginAssembly(inst *Instance, sc *Scratch, machines int) Assembly {
 	s := blankSchedule(inst, sc)
 	s.sealed = true
@@ -80,13 +80,13 @@ func (a Assembly) PutDelta(j, m int, delta float64) {
 // Finish returns the assembled schedule, sealed since BeginAssembly.
 func (a Assembly) Finish() *Schedule { return a.s }
 
-// CopySchedule returns a copy of s in fresh memory: the same assignment,
-// machine job lists, busy spans, busy totals, Cost and work counts, bit for
-// bit, so it stays valid however the arena s was drawn from is reused. The
-// copy is sealed like an assembly: it carries no capacity structures, so
-// ApplyOrder and Assign panic on it.
+// CopySchedule returns a copy of s assembled on a Scratch of its own: the
+// same assignment, machine job lists, busy spans, busy totals, Cost and work
+// counts, bit for bit, so it stays valid however the arena s was drawn from
+// is reused. The copy is sealed like an assembly: it carries no capacity
+// structures, so ApplyOrder and Assign panic on it.
 func CopySchedule(s *Schedule) *Schedule {
-	a := BeginAssembly(s.inst, nil, len(s.machines))
+	a := BeginAssembly(s.inst, new(Scratch), len(s.machines))
 	c := a.s
 	var pieces interval.Set
 	for m := range s.machines {

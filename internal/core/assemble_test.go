@@ -35,7 +35,7 @@ func TestAssemblyMatchesInsertion(t *testing.T) {
 		if len(deltas) != in.N() {
 			t.Fatalf("seed=%d: span log holds %d deltas, want %d", seed, len(deltas), in.N())
 		}
-		asm := BeginAssembly(in, nil, ref.NumMachines())
+		asm := BeginAssembly(in, new(Scratch), ref.NumMachines())
 		for m := 0; m < ref.NumMachines(); m++ {
 			asm.Graft(m, ref.AppendMachineSpans(m, nil))
 		}
@@ -107,7 +107,7 @@ func toString(r any) string {
 // infeasible placement.
 func TestSealedScheduleRejectsMutation(t *testing.T) {
 	in := asmInstance(9, 20, 2, 15, 5)
-	asm := BeginAssembly(in, nil, 1)
+	asm := BeginAssembly(in, new(Scratch), 1)
 	for j := 0; j < in.N()-1; j++ {
 		asm.PutDelta(j, 0, 0)
 	}
@@ -124,7 +124,7 @@ func TestSealedScheduleRejectsMutation(t *testing.T) {
 // TestAssemblyDoublePlacementPanics pins PutDelta's replay invariant.
 func TestAssemblyDoublePlacementPanics(t *testing.T) {
 	in := asmInstance(10, 10, 2, 8, 3)
-	asm := BeginAssembly(in, nil, 1)
+	asm := BeginAssembly(in, new(Scratch), 1)
 	asm.PutDelta(0, 0, 0)
 	if msg := mustPanic(t, "double PutDelta", func() { asm.PutDelta(0, 0, 0) }); !strings.Contains(msg, "twice") {
 		t.Errorf("double placement panic %q does not mention the duplicate", msg)

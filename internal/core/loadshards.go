@@ -56,9 +56,9 @@ type shardChunk struct {
 }
 
 // shardPool is the schedule-wide arena behind every machine's loadShards,
-// plus the sweep scratch shared by their probes. It lives in the Scratch (or
-// in the schedule, for fresh schedules) and is recycled across instances:
-// reset is O(1) and a warm pool serves chunks without allocating.
+// plus the sweep scratch shared by their probes. It lives in the Scratch and
+// is recycled across instances: reset is O(1) and a warm pool serves chunks
+// without allocating.
 type shardPool struct {
 	// chunks[0] is a sentinel that is permanently full, so the append path
 	// needs no empty-chain branch; heads of value 0 mean "empty shard".

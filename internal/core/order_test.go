@@ -142,24 +142,22 @@ func TestApplyOrderPanics(t *testing.T) {
 		}, 1},
 	}
 	for _, tc := range cases {
-		for _, sc := range []*Scratch{nil, new(Scratch)} {
-			s := NewScheduleFrom(in, sc)
-			msg := mustPanic(t, tc.name, func() { tc.run(s) })
-			if !strings.Contains(msg, "already assigned") {
-				t.Errorf("%s: panic %q does not name the double placement", tc.name, msg)
-			}
-			placed := 0
-			for j := range in.Jobs {
-				if s.MachineOf(j) != Unassigned {
-					placed++
-				}
-			}
-			if placed != tc.placed {
-				t.Errorf("%s: %d jobs placed when the panic fired, want %d", tc.name, placed, tc.placed)
+		s := new(Scratch).NewSchedule(in)
+		msg := mustPanic(t, tc.name, func() { tc.run(s) })
+		if !strings.Contains(msg, "already assigned") {
+			t.Errorf("%s: panic %q does not name the double placement", tc.name, msg)
+		}
+		placed := 0
+		for j := range in.Jobs {
+			if s.MachineOf(j) != Unassigned {
+				placed++
 			}
 		}
+		if placed != tc.placed {
+			t.Errorf("%s: %d jobs placed when the panic fired, want %d", tc.name, placed, tc.placed)
+		}
 	}
-	asm := BeginAssembly(in, nil, 1)
+	asm := BeginAssembly(in, new(Scratch), 1)
 	for j := range in.Jobs {
 		asm.PutDelta(j, 0, 0)
 	}

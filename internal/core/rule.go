@@ -51,9 +51,6 @@ func (s *Schedule) apply(r Rule, rec *jobRec) int {
 // refused while the block is gathered.
 func (s *Schedule) ApplyOrder(r Rule, order []int32) {
 	s.refuseSealed()
-	if s.block == nil {
-		s.block = new([orderBlock]jobRec)
-	}
 	for len(order) > 0 {
 		blk := s.gather(order[:min(len(order), orderBlock)])
 		for i := range blk {
@@ -67,7 +64,7 @@ func (s *Schedule) ApplyOrder(r Rule, order []int32) {
 // jobs (at most orderBlock of them), refusing a job that is already placed,
 // and returns the filled part.
 func (s *Schedule) gather(order []int32) []jobRec {
-	blk := s.block[:len(order)]
+	blk := s.scratch.block[:len(order)]
 	jobs, ranks, assign := s.inst.Jobs, s.ia.ranks, s.assign
 	for i, j := range order {
 		if m := assign[j]; m != Unassigned {

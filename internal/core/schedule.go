@@ -17,10 +17,10 @@ const Unassigned = -1
 // instance's job slice (not by Job.ID, which is preserved metadata).
 //
 // Machine state is stored as a flat value slice — one contiguous record per
-// machine instead of a pointer per machine — and every capacity structure a
-// machine needs (shard directory, span union) is drawn from recyclable
-// backing arrays, so schedules built from a Scratch reach a zero-allocation
-// steady state (see Scratch).
+// machine instead of a pointer per machine — and every schedule is drawn
+// from a Scratch, whose recyclable backing arrays hold its records and every
+// capacity structure a machine needs (shard directory, span union), so the
+// schedules one Scratch serves reach a zero-allocation steady state.
 //
 // Each machine answers feasibility checks through cheap residual-capacity
 // hints — its busy hull, its peak load, and a few saturation witness points
@@ -34,7 +34,9 @@ type Schedule struct {
 	inst     *Instance
 	assign   []int
 	machines []machineState
-	scratch  *Scratch
+	// scratch is the arena the schedule is drawn from: it counts the
+	// schedule's setup allocations and holds ApplyOrder's record block.
+	scratch *Scratch
 	// totalBusy is Σ_m span(J_m), maintained incrementally by insert so
 	// Cost is an O(1) read.
 	totalBusy float64
@@ -56,9 +58,6 @@ type Schedule struct {
 	// read paths (Cost, Verify, Summary, Assignment, …) remain valid —
 	// Verify in particular re-derives loads independently of the oracles.
 	sealed bool
-	// block is the record buffer ApplyOrder gathers into: the arena's for
-	// schedules drawn from a Scratch, allocated on first use otherwise.
-	block *[orderBlock]jobRec
 	// spanLog, when armed via Scratch.ArmSpanLog, records every placement's
 	// span-union delta in placement order until EndSpanLog. The
 	// decomposition layer's stitch merge replays these deltas in the global
@@ -170,27 +169,19 @@ func (st *machineState) recycle() {
 	st.spans.Reset()
 }
 
-// NewSchedule returns an empty schedule (all jobs unassigned) for inst, with
-// the machine-selection index and the shard arena attached. The instance's
-// compressed time axis is computed on first use and cached on the instance.
+// NewSchedule returns an empty schedule (all jobs unassigned) for inst on a
+// Scratch of its own, so it stays valid as long as the caller keeps it. The
+// instance's compressed time axis is computed on first use and cached on the
+// instance.
 func NewSchedule(inst *Instance) *Schedule {
-	s := blankSchedule(inst, nil)
-	s.attachIndex(new(machindex), new(shardPool))
-	return s
+	return new(Scratch).NewSchedule(inst)
 }
 
-// blankSchedule returns an empty schedule record for inst without any
-// capacity structure attached, recycled from sc when sc is non-nil (see
-// Scratch.NewSchedule for the reuse contract).
+// blankSchedule returns an empty schedule record for inst recycled from sc,
+// without any capacity structure attached (see Scratch.NewSchedule for the
+// reuse contract).
 func blankSchedule(inst *Instance, sc *Scratch) *Schedule {
 	n := inst.N()
-	if sc == nil {
-		assign := make([]int, n)
-		for i := range assign {
-			assign[i] = Unassigned
-		}
-		return &Schedule{inst: inst, assign: assign, cursor: Unassigned}
-	}
 	s := &sc.sched
 	machines := s.machines[:0]
 	if cap(sc.assign) < n {
@@ -201,7 +192,7 @@ func blankSchedule(inst *Instance, sc *Scratch) *Schedule {
 	for i := range assign {
 		assign[i] = Unassigned
 	}
-	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned, block: &sc.block}
+	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned}
 	if sc.armed {
 		s.spanLog, s.logSpans = sc.pendingLog, true
 		sc.pendingLog, sc.armed = nil, false
@@ -233,14 +224,6 @@ func (s *Schedule) MachineOf(j int) int { return s.assign[j] }
 // order. The returned slice is owned by the schedule.
 func (s *Schedule) MachineJobs(m int) []int { return s.machines[m].jobs }
 
-// noteAlloc feeds the arena-allocation counter of the backing Scratch (a
-// no-op for fresh schedules); see ScratchStats.
-func (s *Schedule) noteAlloc() {
-	if s.scratch != nil {
-		s.scratch.allocs++
-	}
-}
-
 // OpenMachine creates a new empty machine and returns its index. Machine
 // records beyond the backing array's retained capacity are appended; within
 // it, the previous instance's record is recycled in place.
@@ -249,7 +232,7 @@ func (s *Schedule) OpenMachine() int {
 	if m < cap(s.machines) {
 		s.machines = s.machines[:m+1]
 	} else {
-		s.noteAlloc()
+		s.scratch.allocs++
 		s.machines = append(s.machines, machineState{})
 	}
 	st := &s.machines[m]
@@ -257,7 +240,7 @@ func (s *Schedule) OpenMachine() int {
 	if !s.sealed {
 		s.index.addMachine()
 		if st.shards.init(s.ia) {
-			s.noteAlloc()
+			s.scratch.allocs++
 		}
 	}
 	return m

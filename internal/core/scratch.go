@@ -72,16 +72,6 @@ func NewScratchPool(workers int) chan *Scratch {
 	return pool
 }
 
-// NewScheduleFrom returns an empty schedule for inst drawn from sc, or a
-// fresh one when sc is nil. It is the single construction point through
-// which one algorithm body serves both fresh memory and a recycled arena.
-func NewScheduleFrom(inst *Instance, sc *Scratch) *Schedule {
-	if sc != nil {
-		return sc.NewSchedule(inst)
-	}
-	return NewSchedule(inst)
-}
-
 // NewSchedule returns an empty schedule for inst backed by this scratch,
 // invalidating (and recycling in place) the schedule returned by the
 // previous call.

@@ -170,7 +170,7 @@ func TestRunMatchesSequential(t *testing.T) {
 					if a.Decompose == nil {
 						t.Fatalf("%s has no Decomposer", name)
 					}
-					seq, err := a.Run(context.Background(), in, nil)
+					seq, err := a.Run(context.Background(), in, new(core.Scratch))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -242,7 +242,7 @@ func TestChunksBoundSchedules(t *testing.T) {
 	if !ok {
 		t.Fatal("firstfit not registered")
 	}
-	seq, err := a.Run(context.Background(), in, nil)
+	seq, err := a.Run(context.Background(), in, new(core.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

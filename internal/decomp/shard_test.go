@@ -55,7 +55,7 @@ func TestShardedSolveValidAndBounded(t *testing.T) {
 				if d == nil || !d.Shards {
 					t.Fatalf("%s does not declare Shards", name)
 				}
-				seq, err := a.Run(context.Background(), in, nil)
+				seq, err := a.Run(context.Background(), in, new(core.Scratch))
 				if err != nil {
 					t.Fatal(err)
 				}

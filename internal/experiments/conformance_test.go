@@ -60,7 +60,7 @@ func runSafely(t *testing.T, a algo.Algorithm, in *core.Instance) (s *core.Sched
 		}
 	}()
 	var err error
-	if s, err = a.Run(context.Background(), in, nil); err != nil {
+	if s, err = a.Run(context.Background(), in, new(core.Scratch)); err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
 	return s

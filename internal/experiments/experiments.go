@@ -33,16 +33,17 @@ import (
 	"busytime/internal/xrand"
 )
 
-// registered returns a registered algorithm as a fresh-memory schedule
-// function; the experiments name only greedy rows their imports register,
-// which accept every valid instance, so an error is a bug and panics.
+// registered returns a registered algorithm as a schedule function that
+// runs each instance on a Scratch of its own; the experiments name only
+// greedy rows their imports register, which accept every valid instance, so
+// an error is a bug and panics.
 func registered(name string) func(*core.Instance) *core.Schedule {
 	a, ok := algo.Lookup(name)
 	if !ok {
 		panic("experiments: " + name + " not registered")
 	}
 	return func(in *core.Instance) *core.Schedule {
-		s, err := a.Run(context.Background(), in, nil)
+		s, err := a.Run(context.Background(), in, new(core.Scratch))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", name, err))
 		}
@@ -290,7 +291,7 @@ func E4BoundedLength(cfg Config) (*Result, error) {
 	}
 	large, err := ratioStats(5, func(t int) (float64, float64, error) {
 		in := generator.BoundedLength(cfg.Seed+int64(901+t), cfg.LargeN/2, 3, 40, 4)
-		s, err := boundedlength.Schedule(in, boundedlength.Options{D: 4}, nil)
+		s, err := boundedlength.Schedule(in, boundedlength.Options{D: 4}, new(core.Scratch))
 		if err != nil {
 			return 0, 0, err
 		}

@@ -11,13 +11,9 @@ import (
 	"busytime/internal/interval"
 )
 
-func newTestPool(t *testing.T, shards int, scratch bool) *Pool {
+func newTestPool(t *testing.T, shards int) *Pool {
 	t.Helper()
-	arenas := (chan *core.Scratch)(nil)
-	if scratch {
-		arenas = core.NewScratchPool(2)
-	}
-	pool, err := NewPool(4, core.LowestFit, shards, 0, arenas)
+	pool, err := NewPool(4, core.LowestFit, shards, 0, core.NewScratchPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +23,7 @@ func newTestPool(t *testing.T, shards int, scratch bool) *Pool {
 // TestPoolLiveLimit pins ErrLiveLimit at the cap and re-admission after
 // capacity frees via Release.
 func TestPoolLiveLimit(t *testing.T) {
-	p := newTestPool(t, 1, false)
+	p := newTestPool(t, 1)
 	if err := p.SetAdmission(Admission{MaxLive: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +63,7 @@ func TestPoolRejectedPlaceKeepsClock(t *testing.T) {
 			name = "PlaceBatch"
 		}
 		t.Run(name, func(t *testing.T) {
-			p := newTestPool(t, 1, false)
+			p := newTestPool(t, 1)
 			if err := p.SetAdmission(Admission{MaxLive: 100}); err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +97,7 @@ func TestPoolRejectedPlaceKeepsClock(t *testing.T) {
 // TestPoolRateLimit drives the token bucket on a hand-cranked clock:
 // burst admits, exhaustion rejects with ErrRateLimit, refill re-admits.
 func TestPoolRateLimit(t *testing.T) {
-	p := newTestPool(t, 1, false)
+	p := newTestPool(t, 1)
 	if err := p.SetAdmission(Admission{Rate: 10, Burst: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +143,7 @@ func TestPoolRateLimit(t *testing.T) {
 // reject with the typed ErrPoolClosed, while Release, Stats and Drop keep
 // working on the in-flight state.
 func TestPoolPlaceAfterClose(t *testing.T) {
-	p := newTestPool(t, 2, false)
+	p := newTestPool(t, 2)
 	_, job, err := p.Place("a", iv(0, 10), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +181,7 @@ func TestPoolPlaceAfterClose(t *testing.T) {
 // Place starts a fresh session — no error, no panic — and stale Release
 // handles into the dropped session report (false, nil), not a crash.
 func TestPoolPlaceAfterDrop(t *testing.T) {
-	p := newTestPool(t, 1, false)
+	p := newTestPool(t, 1)
 	for i := 0; i < 5; i++ {
 		if _, _, err := p.Place("a", iv(float64(i), 20), 1); err != nil {
 			t.Fatal(err)
@@ -214,7 +210,7 @@ func TestPoolPlaceAfterDrop(t *testing.T) {
 // (run under -race in CI): the replay owns a snapshot, so it must return a
 // coherent comparison or a clean unknown-tenant error, never corrupt state.
 func TestPoolDropDuringOffline(t *testing.T) {
-	p := newTestPool(t, 2, true)
+	p := newTestPool(t, 2)
 	for i := 0; i < 2000; i++ {
 		if _, _, err := p.Place("a", iv(float64(i)*0.01, float64(i)*0.01+5), 1); err != nil {
 			t.Fatal(err)
@@ -245,7 +241,7 @@ func TestPoolDropDuringOffline(t *testing.T) {
 // Release, Stats, Drop, Tenants and Offline across colliding tenants — the
 // concurrent-churn coverage the daemon relies on (run under -race in CI).
 func TestPoolChurnRaced(t *testing.T) {
-	p := newTestPool(t, 4, true)
+	p := newTestPool(t, 4)
 	if err := p.SetAdmission(Admission{MaxLive: 64, Rate: 1e9}); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +284,7 @@ func TestPoolChurnRaced(t *testing.T) {
 // the per-call path on a fresh pool, including interleaved rejects.
 func TestPoolPlaceBatchMatchesPlace(t *testing.T) {
 	mk := func() *Pool {
-		p := newTestPool(t, 1, false)
+		p := newTestPool(t, 1)
 		if err := p.SetAdmission(Admission{MaxLive: 3}); err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +319,7 @@ func TestPoolPlaceBatchMatchesPlace(t *testing.T) {
 // path: a warm tenant's batched placements (with admission checks on) and
 // releases allocate nothing.
 func TestPoolPlaceBatchZeroAllocSteadyState(t *testing.T) {
-	p := newTestPool(t, 4, false)
+	p := newTestPool(t, 4)
 	if err := p.SetAdmission(Admission{MaxLive: 1 << 20, Rate: 1e9}); err != nil {
 		t.Fatal(err)
 	}

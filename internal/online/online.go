@@ -98,10 +98,10 @@ func Lookahead(rule core.Rule, k int) algo.Algorithm {
 	}
 }
 
-// RunLookahead runs Lookahead(rule, k) on fresh memory and verifies the
-// schedule feasible.
+// RunLookahead runs Lookahead(rule, k) on a Scratch of its own and verifies
+// the schedule feasible.
 func RunLookahead(in *core.Instance, k int, rule core.Rule) (*core.Schedule, error) {
-	s, err := Lookahead(rule, k).Run(context.Background(), in, nil)
+	s, err := Lookahead(rule, k).Run(context.Background(), in, new(core.Scratch))
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,8 @@ import (
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
 
 // replay returns the registered online replay row of the given name as a
-// schedule function on sc (fresh memory when sc is nil). The online rows
-// accept every valid instance, so an error panics.
+// schedule function on sc. The online rows accept every valid instance, so
+// an error panics.
 func replay(name string) func(*core.Instance, *core.Scratch) *core.Schedule {
 	a, ok := algo.Lookup(name)
 	if !ok {
@@ -41,7 +41,7 @@ func TestPoliciesFeasibleOnRandom(t *testing.T) {
 		t.Run(r.Name, func(t *testing.T) {
 			f := func(seed int64, nn, gg uint8) bool {
 				in := generator.General(seed, int(nn%30)+1, int(gg%4)+1, 40, 12)
-				s := run(in, nil)
+				s := run(in, new(core.Scratch))
 				return s.Verify() == nil && s.Complete() && s.Cost() >= core.BestBound(in)-1e-9
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -54,7 +54,7 @@ func TestPoliciesFeasibleOnRandom(t *testing.T) {
 func TestOnlineFirstFitKnownPlacement(t *testing.T) {
 	// Arrivals: [0,2], [1,3], [1.5,4] with g=2. Third job overflows M0.
 	in := core.NewInstance(2, iv(0, 2), iv(1, 3), iv(1.5, 4))
-	s := replay("online-firstfit")(in, nil)
+	s := replay("online-firstfit")(in, new(core.Scratch))
 	if s.MachineOf(0) != 0 || s.MachineOf(1) != 0 || s.MachineOf(2) != 1 {
 		t.Errorf("placements: %d %d %d", s.MachineOf(0), s.MachineOf(1), s.MachineOf(2))
 	}
@@ -66,12 +66,12 @@ func TestOnlineBestFitPrefersCheapMachine(t *testing.T) {
 	// growth 3 (disjoint), M1 is feasible at growth 1 ([3,7]∪[5,8]=[3,8]).
 	// BestFit must choose M1; FirstFit would have chosen M0.
 	in := core.NewInstance(2, iv(0, 4), iv(0, 4), iv(3, 7), iv(5, 8))
-	s := replay("online-bestfit")(in, nil)
+	s := replay("online-bestfit")(in, new(core.Scratch))
 	if s.MachineOf(3) != s.MachineOf(2) {
 		t.Errorf("BestFit placed [5,8] on machine %d, want machine of [3,7] (%d)",
 			s.MachineOf(3), s.MachineOf(2))
 	}
-	ff := replay("online-firstfit")(in, nil)
+	ff := replay("online-firstfit")(in, new(core.Scratch))
 	if ff.MachineOf(3) != ff.MachineOf(0) {
 		t.Errorf("FirstFit placed [5,8] on machine %d, want machine of [0,4] (%d)",
 			ff.MachineOf(3), ff.MachineOf(0))
@@ -85,7 +85,7 @@ func TestOnlineNextFitAbandons(t *testing.T) {
 	// g=1: [0,4] opens M0; [1,2] conflicts → M1; [5,6] fits M1 (current),
 	// never returns to M0 even though it also fits.
 	in := core.NewInstance(1, iv(0, 4), iv(1, 2), iv(5, 6))
-	s := replay("online-nextfit")(in, nil)
+	s := replay("online-nextfit")(in, new(core.Scratch))
 	if s.MachineOf(2) != s.MachineOf(1) {
 		t.Errorf("NextFit revisited an abandoned machine")
 	}
@@ -101,7 +101,7 @@ func TestOnlineVsOfflineGap(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rows {
-			s := replay(r.Name)(in, nil)
+			s := replay(r.Name)(in, new(core.Scratch))
 			if s.Cost() < opt-1e-9 {
 				t.Fatalf("%s beat OPT", r.Name)
 			}
@@ -121,7 +121,7 @@ func TestRunScratchMatchesRun(t *testing.T) {
 		in := generator.General(seed, 60+int(seed)*13, 2+int(seed)%4, 50, 14)
 		for _, r := range rows {
 			a := replay(r.Name)
-			fresh := a(in, nil)
+			fresh := a(in, new(core.Scratch))
 			recycled := a(in, sc)
 			if fresh.NumMachines() != recycled.NumMachines() || fresh.Cost() != recycled.Cost() {
 				t.Fatalf("seed %d %s: fresh (%d machines, cost %v) != scratch (%d machines, cost %v)",
@@ -164,7 +164,7 @@ func FuzzOnlineFirstFitWarmScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, g, maxLen uint8) {
 		in := generator.General(seed, int(n)+1, int(g)%8+1, float64(n)/2+1, float64(maxLen)+1)
 		firstFit := replay("online-firstfit")
-		fresh := firstFit(in, nil)
+		fresh := firstFit(in, new(core.Scratch))
 		sc := new(core.Scratch)
 		warm := generator.General(seed+1, int(maxLen)+2, int(g)%5+1, float64(g)+2, float64(n)/4+1)
 		_ = firstFit(warm, sc)
@@ -187,7 +187,7 @@ func BenchmarkOnlineFirstFit1k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = firstFit(in, nil)
+		_ = firstFit(in, new(core.Scratch))
 	}
 }
 
@@ -220,7 +220,7 @@ func TestLookaheadOneEqualsArrivalOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := replay("online-firstfit")(in, nil)
+		want := replay("online-firstfit")(in, new(core.Scratch))
 		if got.Cost() != want.Cost() {
 			t.Fatalf("seed %d: k=1 cost %v != pure online %v", seed, got.Cost(), want.Cost())
 		}

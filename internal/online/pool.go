@@ -71,12 +71,11 @@ var (
 // per-tenant operations run under the owning shard's lock, so a Pool is safe
 // for concurrent use while each underlying Session stays single-threaded.
 //
-// The optional scratch channel — the same recycled-arena pool the Solver's
-// Solve and batch fan-out lease from — powers Offline: an on-demand replay
-// of a tenant's retained window through the offline kernel on a leased
-// arena, yielding the exact competitive comparison (online cost vs. offline
-// cost vs. the window's CachedBounds) without allocating schedule state per
-// call.
+// The scratch channel — the same recycled-arena pool the Solver's Solve and
+// batch fan-out lease from — powers Offline: an on-demand replay of a
+// tenant's retained window through the offline kernel on a leased arena,
+// yielding the exact competitive comparison (online cost vs. offline cost
+// vs. the window's CachedBounds) without allocating schedule state per call.
 //
 // A pool optionally enforces an Admission policy per tenant (SetAdmission)
 // and supports a one-way drain switch (Close) that rejects new placements
@@ -88,7 +87,7 @@ type Pool struct {
 	window  int
 	mask    uint32
 	shards  []poolShard
-	scratch chan *core.Scratch // nil: Offline unavailable
+	scratch chan *core.Scratch
 
 	adm    Admission
 	burst  float64
@@ -113,10 +112,13 @@ type tenantState struct {
 // NewPool returns an empty pool of rolling-horizon sessions with parallelism
 // g placing by rule. shards is rounded up to a power of two (≤ 1 means a
 // single shard); window is the per-session live-window presize hint (see
-// NewSessionSized). scratch may be nil, disabling Offline.
+// NewSessionSized). scratch is the arena pool Offline leases from.
 func NewPool(g int, rule core.Rule, shards, window int, scratch chan *core.Scratch) (*Pool, error) {
 	if _, err := NewSessionSized(g, rule, 0); err != nil {
 		return nil, err // validates g and the rule once up front
+	}
+	if scratch == nil {
+		return nil, fmt.Errorf("online: NewPool needs an arena pool")
 	}
 	n := 1
 	for n < shards {
@@ -236,18 +238,24 @@ func (p *Pool) Place(tenant string, iv interval.Interval, demand int) (machine, 
 	sh := p.shard(tenant)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ts := p.state(sh, tenant)
+	r := p.place(p.state(sh, tenant), iv, demand)
+	return r.Machine, r.Job, r.Err
+}
+
+// place admits and places one arrival of the tenant ts: the one per-item
+// body of Place and PlaceBatch. Callers hold the shard lock.
+func (p *Pool) place(ts *tenantState, iv interval.Interval, demand int) PlaceResult {
 	if p.adm.limited() {
 		if err := p.admitAt(ts, iv, demand); err != nil {
-			return -1, -1, err
+			return PlaceResult{Machine: -1, Job: -1, Err: err}
 		}
 	}
-	job = ts.s.Jobs()
-	machine, err = ts.s.Place(iv, demand)
+	job := ts.s.Jobs()
+	m, err := ts.s.Place(iv, demand)
 	if err != nil {
-		return -1, -1, err
+		return PlaceResult{Machine: -1, Job: -1, Err: err}
 	}
-	return machine, job, nil
+	return PlaceResult{Machine: m, Job: job}
 }
 
 // PlaceRequest is one arrival of a batched placement.
@@ -287,21 +295,8 @@ func (p *Pool) PlaceBatch(tenant string, reqs []PlaceRequest, out []PlaceResult)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ts := p.state(sh, tenant)
-	limited := p.adm.limited()
 	for i := range reqs {
-		if limited {
-			if err := p.admitAt(ts, reqs[i].Iv, reqs[i].Demand); err != nil {
-				out[i] = PlaceResult{Machine: -1, Job: -1, Err: err}
-				continue
-			}
-		}
-		job := ts.s.Jobs()
-		m, err := ts.s.Place(reqs[i].Iv, reqs[i].Demand)
-		if err != nil {
-			out[i] = PlaceResult{Machine: -1, Job: -1, Err: err}
-			continue
-		}
-		out[i] = PlaceResult{Machine: m, Job: job}
+		out[i] = p.place(ts, reqs[i].Iv, reqs[i].Demand)
 	}
 	return nil
 }
@@ -375,11 +370,8 @@ type Comparison struct {
 // instance is snapshotted under the shard lock; the replay itself runs
 // unlocked, so a slow comparison never stalls the tenant's placement path —
 // and a concurrent Drop of the tenant cannot disturb it, the replay owns its
-// snapshot. Errors: no scratch pool configured, or an unknown tenant.
+// snapshot. It errors on an unknown tenant.
 func (p *Pool) Offline(tenant string) (Comparison, error) {
-	if p.scratch == nil {
-		return Comparison{}, fmt.Errorf("online: pool has no scratch arenas; Offline unavailable")
-	}
 	sh := p.shard(tenant)
 	sh.mu.Lock()
 	ts := sh.tenants[tenant]

@@ -200,15 +200,18 @@ func TestPoolConcurrentMisuse(t *testing.T) {
 }
 
 func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(0, core.LowestFit, 4, 0, nil); err == nil {
+	if _, err := NewPool(0, core.LowestFit, 4, 0, core.NewScratchPool(1)); err == nil {
 		t.Error("g=0 accepted")
 	}
-	pool, err := NewPool(2, core.NextFit, 0, 0, nil)
+	if _, err := NewPool(2, core.NextFit, 0, 0, nil); err == nil {
+		t.Error("pool without an arena channel accepted")
+	}
+	pool, err := NewPool(2, core.NextFit, 0, 0, core.NewScratchPool(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pool.Offline("nobody"); err == nil {
-		t.Error("Offline without scratch arenas accepted")
+		t.Error("Offline of an unknown tenant accepted")
 	}
 	if ok, err := pool.Release("nobody", 3); ok || err != nil {
 		t.Errorf("Release on unknown tenant = %v, %v", ok, err)

@@ -79,9 +79,11 @@ const (
 type Server struct {
 	cfg Config
 	// solver is the warm arena session behind /v1/batch and the tenant
-	// pool; oneShot serves /v1/solve in fresh memory, because that handler
-	// reads the schedule's assignment after Solve has returned its arena,
-	// where a concurrent solve could already be reusing it.
+	// pool; oneShot serves /v1/solve with fresh schedules, copies taken
+	// before Solve returns its arena, because that handler reads the
+	// schedule's assignment afterwards, when a concurrent solve could
+	// already be reusing the arena. Each solver leases from its own
+	// cfg.Workers arenas, so at most that many of its solves run at once.
 	solver  *busytime.Solver
 	oneShot *busytime.Solver
 	pool    *busytime.OnlinePool
@@ -130,7 +132,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	oneShot, err := busytime.New(busytime.WithAlgorithm(cfg.Algorithm), busytime.WithFreshSchedules())
+	oneShot, err := busytime.New(
+		busytime.WithAlgorithm(cfg.Algorithm),
+		busytime.WithWorkers(cfg.Workers),
+		busytime.WithFreshSchedules(),
+	)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package busytime_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"busytime"
@@ -19,14 +20,82 @@ func TestWithIntraWorkersValidation(t *testing.T) {
 	if _, err := busytime.New(busytime.WithIntraWorkers(-1)); err == nil {
 		t.Error("negative intra workers accepted")
 	}
-	if _, err := busytime.New(busytime.WithIntraWorkers(0), busytime.WithFreshSchedules()); err == nil {
-		t.Error("WithIntraWorkers + WithFreshSchedules accepted; borrowed arenas need the pool")
+	if _, err := busytime.New(busytime.WithIntraWorkers(0), busytime.WithFreshSchedules()); err != nil {
+		t.Errorf("WithIntraWorkers + WithFreshSchedules rejected; fresh solves lease the pool too: %v", err)
 	}
 	if _, err := busytime.New(busytime.WithIntraWorkers(1), busytime.WithFreshSchedules()); err != nil {
 		t.Errorf("WithIntraWorkers(1) is off and should coexist with fresh mode: %v", err)
 	}
 	if _, err := busytime.New(busytime.WithIntraWorkers(0), busytime.WithWorkers(4)); err != nil {
 		t.Errorf("auto intra workers rejected: %v", err)
+	}
+}
+
+// freshMatchesArena solves every input on an arena-mode and a fresh-mode
+// solver built from the same options, for the firstfit and bestfit rows,
+// and requires the same assignment, machine count, cost bits and
+// decomposition verdict. It returns the fresh results, whose schedules the
+// caller can check again after later solves.
+func freshMatchesArena(t *testing.T, inputs []*busytime.Instance, opts ...busytime.Option) []busytime.Result {
+	t.Helper()
+	var out []busytime.Result
+	for _, name := range []string{"firstfit", "bestfit"} {
+		base := []busytime.Option{busytime.WithAlgorithm(name), busytime.WithVerify(true)}
+		arena, err := busytime.New(append(base, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := busytime.New(append(append(base, opts...), busytime.WithFreshSchedules())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range inputs {
+			want, err := arena.Solve(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fresh.Solve(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Machines != want.Machines || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Fatalf("%s input %d: fresh m=%d cost=%v, arena m=%d cost=%v",
+					name, i, got.Machines, got.Cost, want.Machines, want.Cost)
+			}
+			for j := range in.Jobs {
+				if got.Schedule.MachineOf(j) != want.Schedule.MachineOf(j) {
+					t.Fatalf("%s input %d: job %d on machine %d fresh, %d arena",
+						name, i, j, got.Schedule.MachineOf(j), want.Schedule.MachineOf(j))
+				}
+			}
+			if got.Decomp.Decomposed() != want.Decomp.Decomposed() || got.Decomp.Shards != want.Decomp.Shards {
+				t.Fatalf("%s input %d: fresh decomposition %+v, arena %+v", name, i, got.Decomp, want.Decomp)
+			}
+			out = append(out, got)
+		}
+	}
+	return out
+}
+
+// TestFreshIntraWorkersMatchArena pins WithFreshSchedules under
+// WithIntraWorkers: a fresh solve runs the same decomposed path on the
+// leased arena and returns a copy of its schedule, so the clustered input
+// decomposes in both modes, the dense one declines in both, and every
+// schedule is the arena mode's. The fresh schedules survive the later
+// solves that recycle the arenas they were copied from.
+func TestFreshIntraWorkersMatchArena(t *testing.T) {
+	inputs := []*busytime.Instance{clustered(1), dense(1)}
+	results := freshMatchesArena(t, inputs, busytime.WithWorkers(4), busytime.WithIntraWorkers(2))
+	if !results[0].Decomp.Decomposed() {
+		t.Fatalf("fresh solve of the clustered input did not decompose: %+v", results[0].Decomp)
+	}
+	for i, res := range results {
+		if err := res.Schedule.Verify(); err != nil {
+			t.Fatalf("fresh result %d no longer verifies: %v", i, err)
+		}
+		if math.Float64bits(res.Schedule.Cost()) != math.Float64bits(res.Cost) {
+			t.Fatalf("fresh result %d changed: cost %v, want %v", i, res.Schedule.Cost(), res.Cost)
+		}
 	}
 }
 

@@ -158,10 +158,9 @@ type OnlinePool struct {
 // parallelism g placing through the named arrival policy (the same names
 // Online accepts). The shard count follows WithWorkers and each tenant's
 // session is pre-sized by WithWindow; WithAdmission installs per-tenant
-// placement limits. Unless the solver runs WithFreshSchedules, the pool
-// shares the solver's recycled arenas, and Offline can replay any tenant's
-// retained window through the offline kernel for an exact competitive
-// comparison.
+// placement limits. The pool shares the solver's recycled arenas, and
+// Offline replays any tenant's retained window on one of them through the
+// offline kernel for an exact competitive comparison.
 func (s *Solver) OnlinePool(g int, policy string) (*OnlinePool, error) {
 	rule, err := s.onlineRule(policy)
 	if err != nil {
@@ -269,8 +268,7 @@ type OnlineComparison = online.Comparison
 // an arena leased from the solver's scratch pool and reports the competitive
 // comparison. The window is snapshotted under the tenant's shard lock; the
 // replay runs unlocked, so a slow comparison never stalls placements. It
-// errors on a solver built WithFreshSchedules (no shared arenas) or an
-// unknown tenant.
+// errors on an unknown tenant.
 func (p *OnlinePool) Offline(tenant string) (OnlineComparison, error) {
 	return p.inner.Offline(tenant)
 }

@@ -98,8 +98,7 @@ const maxWorkerCount = 1 << 12
 // schedules are bitwise-identical at every setting — decomposition is a
 // latency knob, not an algorithm change — so the option is silently inert for
 // algorithms that do not decompose (their cursor, coloring or search state
-// spans components). New rejects the combination with WithFreshSchedules:
-// borrowed arenas only exist in arena mode.
+// spans components).
 func WithIntraWorkers(n int) Option {
 	return func(c *config) {
 		if n < 0 {
@@ -147,8 +146,7 @@ func (c *config) intraWorkers() int {
 // layer (the default); k ≥ 2 fixes the shard count. The layer declines
 // silently — falling back to the ordinary bitwise paths — whenever sharding
 // cannot pay: too few jobs, a degenerate time axis or too many crossing
-// jobs. New rejects the combination with WithFreshSchedules: shard arenas
-// only exist in arena mode.
+// jobs.
 func WithTimeSharding(k int) Option {
 	return func(c *config) {
 		if k < 0 {
@@ -261,10 +259,12 @@ func WithLengthBound(d float64) Option {
 }
 
 // WithFreshSchedules makes every Solve return its schedule in caller-owned
-// memory instead of the solver's recycled arena: results stay valid forever
-// without Detach, at the cost of allocating schedule state per call. This is
-// the right mode when schedules are retained; the default arena mode is the
-// right one for high-throughput metric extraction.
+// memory instead of the solver's recycled arena: the solve still runs on a
+// leased arena, and Solve returns the sealed copy Result.Detach makes, taken
+// before the lease ends. Results stay valid forever without Detach, at the
+// cost of one copy per call. This is the right mode when schedules are
+// retained; the default arena mode is the right one for high-throughput
+// metric extraction. Both modes bound concurrent solves by WithWorkers.
 func WithFreshSchedules() Option {
 	return func(c *config) { c.fresh = true }
 }

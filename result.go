@@ -55,7 +55,7 @@ type Result struct {
 	// Bounds carries every lower bound on OPT: span and parallelism
 	// (Observation 1.1) and the dominating fractional bound ∫⌈D_t/g⌉dt.
 	Bounds Bounds
-	// Arena reports scratch reuse for this call; zero in fresh mode.
+	// Arena reports the leased arena's reuse for this call, in both modes.
 	Arena ArenaStats
 	// Decomp reports the component-decomposition layer's work for this call;
 	// zero unless the session enables WithIntraWorkers.
@@ -98,13 +98,13 @@ func (r Result) CrossCheck(tol float64) error {
 }
 
 // Detach moves the Result's schedule out of the Solver's recycled arena
-// into caller-owned memory, after which it stays valid indefinitely. It is
-// a no-op on fresh-mode results beyond one copy. The copy carries the
-// arena schedule's assignment, machine job lists, busy spans, busy totals
-// and Cost bit for bit. Like a decomposed solve's schedule it is sealed:
-// every read (Cost, MachineBusy, Verify, Summary, CrossCheck, …) works,
-// while placements (ApplyOrder, Assign) panic, since it carries no
-// capacity oracle.
+// into caller-owned memory, after which it stays valid indefinitely. A
+// fresh-mode result already holds such a copy, so Detach only copies it
+// again. The copy carries the arena schedule's assignment, machine job
+// lists, busy spans, busy totals and Cost bit for bit. Like a decomposed
+// solve's schedule it is sealed: every read (Cost, MachineBusy, Verify,
+// Summary, CrossCheck, …) works, while placements (ApplyOrder, Assign)
+// panic, since it carries no capacity oracle.
 //
 // Detach reads the arena-backed schedule, so it is subject to the same
 // lifetime window as any other Schedule access: call it before the arena

@@ -19,14 +19,26 @@ func TestWithTimeShardingValidation(t *testing.T) {
 	if _, err := busytime.New(busytime.WithTimeSharding(-1)); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	if _, err := busytime.New(busytime.WithTimeSharding(0), busytime.WithFreshSchedules()); err == nil {
-		t.Error("WithTimeSharding + WithFreshSchedules accepted; shard arenas need the pool")
+	if _, err := busytime.New(busytime.WithTimeSharding(0), busytime.WithFreshSchedules()); err != nil {
+		t.Errorf("WithTimeSharding + WithFreshSchedules rejected; fresh solves lease the pool too: %v", err)
 	}
 	if _, err := busytime.New(busytime.WithTimeSharding(1), busytime.WithFreshSchedules()); err != nil {
 		t.Errorf("WithTimeSharding(1) is off and should coexist with fresh mode: %v", err)
 	}
 	if _, err := busytime.New(busytime.WithTimeSharding(0), busytime.WithWorkers(4)); err != nil {
 		t.Errorf("auto sharding rejected: %v", err)
+	}
+}
+
+// TestFreshTimeShardingMatchArena pins WithFreshSchedules under
+// WithTimeSharding: the dense input shards in both modes into the same
+// schedule, and the clustered one, whose components leave no dominant one
+// to cut, is solved alike in both.
+func TestFreshTimeShardingMatchArena(t *testing.T) {
+	inputs := []*busytime.Instance{dense(2), clustered(2)}
+	results := freshMatchesArena(t, inputs, busytime.WithWorkers(2), busytime.WithTimeSharding(2))
+	if !results[0].Decomp.Sharded() {
+		t.Fatalf("fresh solve of the dense input did not shard: %+v", results[0].Decomp)
 	}
 }
 

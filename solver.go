@@ -75,18 +75,7 @@ func New(opts ...Option) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{cfg: cfg, alg: a}
-	// Machine-independent check: auto (-1) or an explicit cap ≥ 2 asked for
-	// the layer, whatever the worker budget resolves to on this host.
-	if (cfg.intra < 0 || cfg.intra > 1) && cfg.fresh {
-		return nil, fmt.Errorf("busytime: WithIntraWorkers needs the recycled arena pool; drop WithFreshSchedules")
-	}
-	if (cfg.shards < 0 || cfg.shards > 1) && cfg.fresh {
-		return nil, fmt.Errorf("busytime: WithTimeSharding needs the recycled arena pool; drop WithFreshSchedules")
-	}
-	if !cfg.fresh {
-		s.pool = core.NewScratchPool(cfg.maxWorkers())
-	}
+	s := &Solver{cfg: cfg, alg: a, pool: core.NewScratchPool(cfg.maxWorkers())}
 	if a.Decompose != nil && (cfg.intraWorkers() > 1 || cfg.timeShards() > 1) {
 		s.runners = make(chan *decomp.Runner, cfg.maxWorkers())
 		for range cap(s.runners) {
@@ -130,8 +119,10 @@ func (s *Solver) Algorithm() string { return s.cfg.algorithm }
 // Solve schedules one instance and returns the summary Result. The instance
 // is validated first (no panics on bad input); ctx cancellation is honored
 // while waiting for an arena and, for mid-run-cancellable algorithms, inside
-// the run itself. In the default arena mode the Result's Schedule lives in
-// recycled memory — see Result.Detach and WithFreshSchedules.
+// the run itself. Every Solve runs on an arena leased from the session's
+// pool. In the default arena mode the Result's Schedule stays in that
+// recycled memory — see Result.Detach; under WithFreshSchedules it is the
+// sealed copy Detach makes, taken before the lease ends.
 func (s *Solver) Solve(ctx context.Context, in *Instance) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -145,21 +136,15 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (Result, error) {
 	if err := context.Cause(ctx); err != nil {
 		return Result{}, err
 	}
-	if s.cfg.fresh {
-		sched, err := safeRun(ctx, s.alg, in, nil)
-		if err != nil {
-			return Result{}, err
-		}
-		return s.summarize(in, sched, ArenaStats{})
-	}
 	sc, err := s.acquire(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	// The arena is held until the Result is fully extracted: a concurrent
 	// Solve must not recycle this schedule while its cost and machine count
-	// are still being read. After return, the Result's Schedule stays
-	// arena-backed — see Result.Detach for the retention contract.
+	// are still being read, or while fresh mode copies it. After return, an
+	// arena-mode Result's Schedule stays arena-backed — see Result.Detach for
+	// the retention contract.
 	defer s.release(sc)
 	before := sc.Stats()
 	sched, dstats, err := s.solveOn(ctx, in, sc)
@@ -174,6 +159,9 @@ func (s *Solver) Solve(ctx context.Context, in *Instance) (Result, error) {
 		return Result{}, err
 	}
 	res.Decomp = dstats
+	if s.cfg.fresh {
+		res.Schedule = core.CopySchedule(sched)
+	}
 	return res, nil
 }
 

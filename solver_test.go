@@ -303,6 +303,47 @@ func TestSolveCancelExact(t *testing.T) {
 	}
 }
 
+// TestFreshSolveWaitsForArena pins the bound on concurrent solves: a
+// fresh-mode Solve leases one of the WithWorkers arenas like an arena-mode
+// one. While an exact search of TestSolveCancelExact's 28-job component
+// holds the only arena, a Solve of a small instance waits, and its short
+// deadline ends the wait with context.DeadlineExceeded. The short Solve may
+// lease the arena before the long one does, so it is retried until it
+// waits; the long Solve is cancelled at the end.
+func TestFreshSolveWaitsForArena(t *testing.T) {
+	long := generator.General(3, 28, 2, float64(28)/3, 14)
+	small := generator.General(1, 6, 2, 10, 3)
+	s, err := busytime.New(busytime.WithAlgorithm("exact"), busytime.WithExactLimit(28),
+		busytime.WithWorkers(1), busytime.WithFreshSchedules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Solve(ctx, long)
+		done <- err
+	}()
+	waited := false
+	for until := time.Now().Add(2 * time.Second); !waited && time.Now().Before(until); {
+		short, stop := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, err := s.Solve(short, small)
+		stop()
+		if errors.Is(err, context.DeadlineExceeded) {
+			waited = true
+		} else if err != nil {
+			t.Fatalf("short Solve: %v", err)
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("long Solve returned %v, want context.Canceled", err)
+	}
+	if !waited {
+		t.Fatal("fresh-mode Solves ran for 2s while another held the only arena")
+	}
+}
+
 // TestSolveBatchCancel cancels a batch mid-flight: SolveBatch must return
 // context.Canceled promptly — workers skip unclaimed instances and stop
 // waiting for an arena — and drain its worker goroutines.
@@ -647,8 +688,46 @@ func TestFreshSchedulesSurviveWithoutDetach(t *testing.T) {
 	if res1.Schedule.Cost() != cost {
 		t.Errorf("fresh-mode schedule was recycled: cost %v, want %v", res1.Schedule.Cost(), cost)
 	}
-	if res1.Arena.Warm || res1.Arena.SetupAllocs != 0 {
-		t.Errorf("fresh mode reported arena stats: %+v", res1.Arena)
+	// A fresh Solve leases an arena like an arena-mode one, so Result.Arena
+	// reports it: the first solve on a new solver finds a cold arena.
+	if res1.Arena.Warm || res1.Arena.SetupAllocs == 0 {
+		t.Errorf("first fresh-mode solve reported arena stats %+v, want a cold arena", res1.Arena)
+	}
+	// On one worker, fresh and arena mode report the same arena traffic.
+	arena, err := busytime.New(busytime.WithAlgorithm("firstfit"), busytime.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := busytime.New(busytime.WithAlgorithm("firstfit"), busytime.WithWorkers(1), busytime.WithFreshSchedules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		want, err := arena.Solve(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.Solve(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Arena != want.Arena {
+			t.Errorf("solve %d: fresh arena stats %+v, arena mode %+v", i, got.Arena, want.Arena)
+		}
+	}
+	// The fresh schedule is the sealed copy Detach makes: placements panic.
+	for name, place := range map[string]func(){
+		"Assign":     func() { res1.Schedule.Assign(0, 0) },
+		"ApplyOrder": func() { res1.Schedule.ApplyOrder(core.LowestFit, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a fresh-mode schedule did not panic", name)
+				}
+			}()
+			place()
+		}()
 	}
 }
 
@@ -967,20 +1046,23 @@ func TestOnlinePoolPublic(t *testing.T) {
 		t.Fatal("Drop: want true then false")
 	}
 
-	// Fresh-schedule solvers have no shared arenas: Offline must refuse.
-	fresh, err := busytime.New(busytime.WithFreshSchedules())
+	// A fresh-schedule solver's pool leases the same arenas: Offline
+	// replays tenant b's window to the arena solver's comparison.
+	fresh, err := busytime.New(busytime.WithWindow(32), busytime.WithWorkers(2), busytime.WithFreshSchedules())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpool, err := fresh.OnlinePool(2, "firstfit")
+	fpool, err := fresh.OnlinePool(2, "bestfit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fpool.Place("x", ival(0, 1)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 8; i++ {
+		if _, _, err := fpool.PlaceDemand("b", ival(float64(i), float64(i)+4), 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := fpool.Offline("x"); err == nil {
-		t.Fatal("Offline on a fresh-schedule solver accepted")
+	if got, err := fpool.Offline("b"); err != nil || got != cmp {
+		t.Fatalf("Offline on a fresh-schedule solver = %+v, %v; arena solver %+v", got, err, cmp)
 	}
 
 	// The lookahead rejection applies to pools like it does to sessions.
