@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -145,5 +146,40 @@ func TestSealedClearsOnRecycle(t *testing.T) {
 	s.ApplyOrder(LowestFit, indexOrder(in.N()))
 	if err := s.Verify(); err != nil {
 		t.Fatalf("recycled schedule does not verify: %v", err)
+	}
+}
+
+// TestCopyScheduleBytes holds a sealed copy near the size of what it copies:
+// 100 copies of a 10-job, 3-machine schedule take at most 3,000 bytes each
+// (runtime.MemStats). A copy assembles on a Scratch of its own, which never
+// runs ApplyOrder, so it carries no 8 KiB record block.
+func TestCopyScheduleBytes(t *testing.T) {
+	// Ten jobs through the point 5 at g = 4: FirstFit fills 4, 4 and 2.
+	ivs := make([]interval.Interval, 10)
+	for i := range ivs {
+		ivs[i] = interval.New(float64(i)/10, 5+float64(i)/10)
+	}
+	in := NewInstance(4, ivs...)
+	s := NewSchedule(in)
+	s.ApplyOrder(LowestFit, in.LengthOrder())
+	if s.NumMachines() != 3 {
+		t.Fatalf("schedule has %d machines, want 3", s.NumMachines())
+	}
+	const copies, ceiling = 100, 3000
+	kept := make([]*Schedule, copies)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range kept {
+		kept[i] = CopySchedule(s)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / copies; per > ceiling {
+		t.Fatalf("a sealed copy takes %d bytes; ceiling %d", per, ceiling)
+	}
+	for _, c := range kept {
+		if c.Cost() != s.Cost() || c.NumMachines() != 3 {
+			t.Fatalf("copy: cost %v on %d machines, want %v on 3", c.Cost(), c.NumMachines(), s.Cost())
+		}
 	}
 }

@@ -14,8 +14,9 @@ package core
 // machines are skipped with word-wide bit operations.
 //
 // The bitmap is word-major: column w holds one word per bucket for machines
-// 64w…64w+63, so opening a machine word appends one cleared column and never
-// moves existing bits, and a scan reads a column only when it reaches it.
+// 64w…64w+63, so opening a machine word appends one column, which the last
+// reset left zero, and never moves existing bits, and a scan reads a column
+// only when it reaches it.
 // Above the raw column sit two levels with one word per column per group of
 // 32 buckets. A group-full word's bit says the machine is saturated on every
 // bucket of the group: markRun writes a run's whole groups there and raw
@@ -58,6 +59,9 @@ type machindex struct {
 	// loads and stores count the bitmap words blockedWord read and markRun
 	// wrote since reset, per call (WorkCounts.BitmapLoads, BitmapStores).
 	loads, stores int
+	// markLo and markHi bound the buckets markRun wrote since reset (markLo
+	// > markHi: none), the only words reset has to clear.
+	markLo, markHi int
 
 	// allocs counts backing-array growth, feeding ScratchStats; a warm index
 	// recycled at the same shape performs none.
@@ -70,11 +74,25 @@ type machindex struct {
 const maxBitmapBytes = 4 << 20
 
 // reset reconfigures the index for an instance axis, retaining allocations
-// where shapes allow, and drops all machines.
-func (ix *machindex) reset(ia *Axis) {
+// where shapes allow, and drops all machines. It first clears the buckets
+// the previous schedule marked, in every column it opened and in the
+// previous layout, so every word of the backing arrays reads zero again,
+// and returns the number of words it cleared.
+func (ix *machindex) reset(ia *Axis) (cleared int) {
+	if lo, hi := ix.markLo, ix.markHi; lo <= hi {
+		glo, ghi := lo>>5, hi>>5+1
+		for w := 0; w < ix.words; w++ {
+			clear(ix.mask[w*ix.nb+lo : w*ix.nb+hi+1])
+			clear(ix.full[w*ix.ng+glo : w*ix.ng+ghi])
+			clear(ix.sum[w*ix.ng+glo : w*ix.ng+ghi])
+		}
+		cleared = ix.words * (hi + 1 - lo + 2*(ghi-glo))
+	}
 	ix.nm, ix.words, ix.loads, ix.stores = 0, 0, 0, 0
 	ix.nb, ix.ng = ia.nb, (ia.nb+31)>>5
+	ix.markLo, ix.markHi = ix.nb, -1
 	ix.mask, ix.full, ix.sum = ix.mask[:0], ix.full[:0], ix.sum[:0]
+	return cleared
 }
 
 // addMachine registers the next machine slot. A new machine word gets a
@@ -83,19 +101,18 @@ func (ix *machindex) addMachine() {
 	ix.nm++
 	if ix.nm > 64*ix.words && ix.nb > 0 && 8*ix.nb*(ix.words+1) <= maxBitmapBytes {
 		ix.words++
-		ix.mask = ix.appendCleared(ix.mask, ix.nb)
-		ix.full = ix.appendCleared(ix.full, ix.ng)
-		ix.sum = ix.appendCleared(ix.sum, ix.ng)
+		ix.mask = ix.extend(ix.mask, ix.nb)
+		ix.full = ix.extend(ix.full, ix.ng)
+		ix.sum = ix.extend(ix.sum, ix.ng)
 	}
 }
 
-// appendCleared extends s by n zero words, reallocating to the exact length
-// when the retained capacity does not suffice.
-func (ix *machindex) appendCleared(s []uint64, n int) []uint64 {
+// extend extends s by n words, which read zero: reset leaves every word
+// past the open columns zero, so retained capacity is taken as it is, and a
+// reallocation to the exact length is zeroed by make.
+func (ix *machindex) extend(s []uint64, n int) []uint64 {
 	if len(s)+n <= cap(s) {
-		s = s[:len(s)+n]
-		clear(s[len(s)-n:])
-		return s
+		return s[:len(s)+n]
 	}
 	ix.allocs++
 	grown := make([]uint64, len(s)+n)
@@ -113,6 +130,7 @@ func (ix *machindex) markRun(m, lo, hi int) {
 		return
 	}
 	bit := uint64(1) << (m & 63)
+	ix.markLo, ix.markHi = min(ix.markLo, lo), max(ix.markHi, hi)
 	// The whole groups' buckets are [a, b); empty at hi+1 when there is none.
 	a, b := hi+1, hi+1
 	if glo, ghi := (lo+31)>>5, (hi+1)>>5; glo < ghi {

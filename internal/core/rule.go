@@ -25,8 +25,9 @@ const (
 )
 
 // orderBlock is the number of job records ApplyOrder gathers before placing
-// them: 256 records, 8 KiB, held in the arena. A fixed block keeps the
-// gathered reads overlapping without a retained per-job table.
+// them: 256 records, 8 KiB, held by the arena from its first ApplyOrder. A
+// fixed block keeps the gathered reads overlapping without a retained
+// per-job table.
 const orderBlock = 256
 
 // apply places the job of rec by rule r and returns the machine.
@@ -62,9 +63,15 @@ func (s *Schedule) ApplyOrder(r Rule, order []int32) {
 
 // gather fills the schedule's record block with the records of order's
 // jobs (at most orderBlock of them), refusing a job that is already placed,
-// and returns the filled part.
+// and returns the filled part. The scratch's first gather allocates the
+// block.
 func (s *Schedule) gather(order []int32) []jobRec {
-	blk := s.scratch.block[:len(order)]
+	sc := s.scratch
+	if sc.block == nil {
+		sc.allocs++
+		sc.block = new([orderBlock]jobRec)
+	}
+	blk := sc.block[:len(order)]
 	jobs, ranks, assign := s.inst.Jobs, s.ia.ranks, s.assign
 	for i, j := range order {
 		if m := assign[j]; m != Unassigned {

@@ -179,20 +179,28 @@ func NewSchedule(inst *Instance) *Schedule {
 
 // blankSchedule returns an empty schedule record for inst recycled from sc,
 // without any capacity structure attached (see Scratch.NewSchedule for the
-// reuse contract).
+// reuse contract). The assignment backing array reads Unassigned everywhere
+// outside the live schedule, so the reset un-assigns only the jobs on the
+// previous schedule's machines, and a grown array is filled whole.
 func blankSchedule(inst *Instance, sc *Scratch) *Schedule {
 	n := inst.N()
 	s := &sc.sched
-	machines := s.machines[:0]
 	if cap(sc.assign) < n {
 		sc.allocs++
 		sc.assign = make([]int, n)
+		for i := range sc.assign {
+			sc.assign[i] = Unassigned
+		}
+	} else {
+		for m := range s.machines {
+			jobs := s.machines[m].jobs
+			for _, j := range jobs {
+				sc.assign[j] = Unassigned
+			}
+			sc.clearedEntries += len(jobs)
+		}
 	}
-	assign := sc.assign[:n]
-	for i := range assign {
-		assign[i] = Unassigned
-	}
-	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned}
+	*s = Schedule{inst: inst, assign: sc.assign[:n], machines: s.machines[:0], scratch: sc, cursor: Unassigned}
 	if sc.armed {
 		s.spanLog, s.logSpans = sc.pendingLog, true
 		sc.pendingLog, sc.armed = nil, false
@@ -208,7 +216,7 @@ func (s *Schedule) attachIndex(ix *machindex, pool *shardPool) {
 	s.ia = s.inst.TimeAxis()
 	s.index, s.pool = ix, pool
 	pool.reset()
-	ix.reset(s.ia)
+	s.scratch.clearedWords += ix.reset(s.ia)
 }
 
 // Instance returns the instance this schedule belongs to.

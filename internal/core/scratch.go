@@ -6,9 +6,9 @@ package core
 // directory), the machine-selection index (the saturation bitmap), and the
 // chunked shard pool every machine's time-sharded job lists draw from. A
 // worker that schedules a stream of instances through one Scratch stops
-// allocating once warm: every reset is a truncation or a clear of retained
-// backing arrays, sized on first use from the instance's compressed time
-// axis.
+// allocating once warm: every reset is a truncation, or a clear of what the
+// previous schedule wrote into retained backing arrays, sized on first use
+// from the instance's compressed time axis.
 //
 // Contract: NewSchedule reclaims everything handed out by the previous
 // NewSchedule call on the same Scratch, so at most one schedule per Scratch
@@ -28,13 +28,17 @@ type Scratch struct {
 	// index and pool keep their own counters. See Stats.
 	allocs    int
 	schedules int
+	// clearedEntries and clearedWords count the assignment entries and the
+	// bitmap words the resets of this scratch's schedules cleared.
+	clearedEntries, clearedWords int
 	// pendingLog is a one-shot span-delta log armed by ArmSpanLog: the next
 	// NewSchedule attaches it and clears the arming, so exactly one run's
 	// placements land in the caller-provided buffer.
 	pendingLog []float64
 	armed      bool
-	// block is the live schedule's ApplyOrder record buffer.
-	block [orderBlock]jobRec
+	// block is ApplyOrder's record buffer, allocated on the first
+	// ApplyOrder, so a scratch that only assembles never holds it.
+	block *[orderBlock]jobRec
 }
 
 // ScratchStats summarizes the arena traffic of a Scratch.
@@ -43,8 +47,9 @@ type ScratchStats struct {
 	Schedules int
 	// SetupAllocs counts the backing-array allocations the arena performed
 	// while setting up schedule state: machine records, the assignment
-	// slice, bitmap columns, shard directories and shard-pool chunks. A
-	// warm scratch re-serving an instance shape it has seen performs none.
+	// slice, ApplyOrder's record block, bitmap columns, shard directories
+	// and shard-pool chunks. A warm scratch re-serving an instance shape it
+	// has seen performs none.
 	SetupAllocs int
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"busytime/internal/interval"
 )
@@ -237,5 +240,184 @@ func TestScratchInvalidatesPreviousSchedule(t *testing.T) {
 	_ = sc.NewSchedule(in)
 	if got := old.NumMachines(); got != 0 {
 		t.Errorf("reclaimed schedule still reports %d machines; want 0 (state stripped)", got)
+	}
+}
+
+// recycleCase is one FuzzScratchRecycle input: a sequence of instances one
+// Scratch serves in turn.
+type recycleCase struct {
+	seed int64
+	// base scales the sequence's sizes (recycleSizes).
+	base int
+	// buckets caps every instance's axis (buildInstanceAxis), so a few
+	// hundred jobs reach a decimated axis; 0 keeps the default cap.
+	buckets int
+	// prefix/256 of each instance's order is placed, at least one job.
+	prefix int
+	// rule is the first instance's rule; each later one takes the next.
+	rule int
+}
+
+// recycleSizes are the multiples of base the sequence's instances take:
+// they grow, shrink, then grow past the first peak.
+var recycleSizes = []int{1, 4, 8, 2, 1, 10}
+
+// recycleSeeds is FuzzScratchRecycle's seed corpus: whole orders on the
+// default axis, half orders on axes a 150-bucket cap decimates (to stride
+// 6 at most), and most of each order on 20-bucket axes (stride 12).
+var recycleSeeds = []recycleCase{
+	{seed: 1, base: 30, buckets: 0, prefix: 256, rule: 0},
+	{seed: 2, base: 40, buckets: 150, prefix: 128, rule: 1},
+	{seed: 3, base: 12, buckets: 20, prefix: 200, rule: 2},
+}
+
+// recycleReach is what a recycled sequence exercised: its most machines on
+// one schedule and its largest axis stride.
+type recycleReach struct{ machines, stride int }
+
+// FuzzScratchRecycle serves one Scratch a fuzzed sequence of instances (see
+// checkScratchRecycle and recycleSeeds).
+func FuzzScratchRecycle(f *testing.F) {
+	for _, tc := range recycleSeeds {
+		f.Add(tc.seed, uint8(tc.base-1), uint16(tc.buckets), uint8(tc.prefix-1), uint8(tc.rule))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, base uint8, buckets uint16, prefix, rule uint8) {
+		checkScratchRecycle(t, recycleCase{
+			seed:    seed,
+			base:    1 + int(base)%60,
+			buckets: int(buckets) % 1024,
+			prefix:  1 + int(prefix),
+			rule:    int(rule) % 3,
+		})
+	})
+}
+
+// TestScratchRecycleSeedsReachTheirCases pins what FuzzScratchRecycle's
+// seeds are there for: every seed reaches a schedule of more than 64
+// machines, so resets clear several bitmap columns, and every capped seed
+// an axis decimated past its bucket cap.
+func TestScratchRecycleSeedsReachTheirCases(t *testing.T) {
+	for _, tc := range recycleSeeds {
+		got := checkScratchRecycle(t, tc)
+		if got.machines <= 64 || tc.buckets > 0 && got.stride < 2 {
+			t.Errorf("seed %d: at most %d machines and axis stride %d under a %d-bucket cap; want more than 64 machines and, under a cap, a decimated axis",
+				tc.seed, got.machines, got.stride, tc.buckets)
+		}
+	}
+}
+
+// checkScratchRecycle runs tc's instances through one Scratch, each placed
+// by its rule over a prefix of its order, with a sealed assembly of the
+// placements after every other one. Every reset must leave the whole
+// assignment backing array Unassigned, and every indexed one the whole
+// bitmap backing arrays zero, having cleared exactly the entries of the
+// jobs its predecessor held (none when the array grows) and no more bitmap
+// words than the previous indexed schedule opened. Every schedule must equal a cold Scratch's: assignment, machine
+// count, cost bits and work counts.
+func checkScratchRecycle(t *testing.T, tc recycleCase) recycleReach {
+	t.Helper()
+	r := rand.New(rand.NewSource(tc.seed))
+	sc := new(Scratch)
+	var reach recycleReach
+	held := 0 // jobs on the live schedule's machines
+	for k, mult := range recycleSizes {
+		n := tc.base * mult
+		// Odd steps crowd every job into a short window at g = 1, so the
+		// schedule opens more than 64 machines, several bitmap columns.
+		g, window := 1+r.Intn(4), float64(n)/4
+		if k%2 == 1 {
+			g, window = 1, 4
+		}
+		ivs := make([]interval.Interval, n)
+		for i := range ivs {
+			s := r.Float64() * window
+			ivs[i] = interval.New(s, s+r.Float64()*15)
+		}
+		in := NewInstance(g, ivs...)
+		for i := range in.Jobs {
+			in.Jobs[i].Demand = 1 + r.Intn(g)
+		}
+		if tc.buckets > 0 {
+			in.axis = unsafe.Pointer(buildInstanceAxis(in, tc.buckets))
+		}
+		reach.stride = max(reach.stride, in.TimeAxis().stride)
+		rule := Rule((tc.rule + k) % 3)
+		order := in.LengthOrder()
+		if rule == NextFit {
+			order = in.StartOrder()
+		}
+		order = order[:max(1, n*tc.prefix/256)]
+		at := func(what string) string {
+			return fmt.Sprintf("seed %d step %d (n %d, rule %d, %d placed): %s", tc.seed, k, n, rule, len(order), what)
+		}
+
+		// A reset that grows the assignment array fills the new one instead.
+		if cap(sc.assign) < n {
+			held = 0
+		}
+		e0, w0 := sc.clearedEntries, sc.clearedWords
+		opened := sc.index.words * (sc.index.nb + 2*sc.index.ng)
+		s := sc.NewSchedule(in)
+		checkRecycled(t, sc, true, at("new schedule"))
+		if got := sc.clearedEntries - e0; got != held {
+			t.Fatalf("%s: reset cleared %d assignment entries; its predecessor held %d jobs", at("new schedule"), got, held)
+		}
+		if got := sc.clearedWords - w0; got > opened {
+			t.Fatalf("%s: reset cleared %d bitmap words; its predecessor opened %d", at("new schedule"), got, opened)
+		}
+		s.ApplyOrder(rule, order)
+		cold := new(Scratch).NewSchedule(in)
+		cold.ApplyOrder(rule, order)
+		for j := range in.Jobs {
+			if s.MachineOf(j) != cold.MachineOf(j) {
+				t.Fatalf("%s: job %d on machine %d, cold scratch %d", at("placed"), j, s.MachineOf(j), cold.MachineOf(j))
+			}
+		}
+		if s.NumMachines() != cold.NumMachines() || math.Float64bits(s.Cost()) != math.Float64bits(cold.Cost()) || s.Work() != cold.Work() {
+			t.Fatalf("%s: %d machines, cost %v, work %+v; cold scratch %d, %v, %+v", at("placed"),
+				s.NumMachines(), s.Cost(), s.Work(), cold.NumMachines(), cold.Cost(), cold.Work())
+		}
+		held = len(order)
+		reach.machines = max(reach.machines, s.NumMachines())
+		if k%2 == 1 {
+			continue
+		}
+		e0 = sc.clearedEntries
+		a := BeginAssembly(in, sc, cold.NumMachines())
+		checkRecycled(t, sc, false, at("assembly"))
+		if got := sc.clearedEntries - e0; got != held {
+			t.Fatalf("%s: reset cleared %d assignment entries; its predecessor held %d jobs", at("assembly"), got, held)
+		}
+		for _, j := range order {
+			a.PutDelta(int(j), cold.MachineOf(int(j)), 0)
+		}
+		a.Finish()
+	}
+	return reach
+}
+
+// checkRecycled fails unless every entry of sc's assignment backing array
+// reads Unassigned and, with bitmap, every word of its bitmap backing
+// arrays (raw, group-full and summary) reads zero: the state a reset must
+// leave past the schedule it starts.
+func checkRecycled(t *testing.T, sc *Scratch, bitmap bool, at string) {
+	t.Helper()
+	for j, m := range sc.assign[:cap(sc.assign)] {
+		if m != Unassigned {
+			t.Fatalf("%s: assignment entry %d reads %d after the reset", at, j, m)
+		}
+	}
+	if !bitmap {
+		return
+	}
+	for _, level := range []struct {
+		name  string
+		words []uint64
+	}{{"raw", sc.index.mask}, {"group-full", sc.index.full}, {"summary", sc.index.sum}} {
+		for i, x := range level.words[:cap(level.words)] {
+			if x != 0 {
+				t.Fatalf("%s: %s bitmap word %d reads %#x after the reset", at, level.name, i, x)
+			}
+		}
 	}
 }

@@ -76,10 +76,12 @@ import (
 const minShardJobs = 32
 
 // chunksPerWorker caps the chunk count at this many per worker. Each chunk
-// costs one schedule reset, O(n + axis buckets), so chunks must hold many
-// small components. Fewer, larger chunks unbalance the largest-first drain
-// and grow every arena's schedule: on the bench ledger's offline-clustered
-// input one chunk per worker peaked at 9.13 MB against 7.06 MB at 16.
+// costs fixed work — a schedule reset, which clears what the arena's
+// previous schedule touched, a shard directory per machine it opens, the
+// capture and a claim — so chunks must hold many small components. Fewer,
+// larger chunks unbalance the largest-first drain and grow every arena's
+// schedule: on the bench ledger's offline-clustered input one chunk per
+// worker peaked at 9.13 MB against 7.06 MB at 16.
 const chunksPerWorker = 16
 
 // ComponentStat describes one unit a decomposed solve ran: a chunk of

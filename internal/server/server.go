@@ -84,6 +84,7 @@ type Server struct {
 	// schedule's assignment afterwards, when a concurrent solve could
 	// already be reusing the arena. Each solver leases from its own
 	// cfg.Workers arenas, so at most that many of its solves run at once.
+	// oneShot is nil when the control plane is off.
 	solver  *busytime.Solver
 	oneShot *busytime.Solver
 	pool    *busytime.OnlinePool
@@ -132,13 +133,18 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	oneShot, err := busytime.New(
-		busytime.WithAlgorithm(cfg.Algorithm),
-		busytime.WithWorkers(cfg.Workers),
-		busytime.WithFreshSchedules(),
-	)
-	if err != nil {
-		return nil, err
+	// Only the control plane's /v1/solve uses the one-shot solver, so a
+	// data-plane-only daemon holds no idle arenas for it.
+	var oneShot *busytime.Solver
+	if cfg.ControlAddr != "" {
+		oneShot, err = busytime.New(
+			busytime.WithAlgorithm(cfg.Algorithm),
+			busytime.WithWorkers(cfg.Workers),
+			busytime.WithFreshSchedules(),
+		)
+		if err != nil {
+			return nil, err
+		}
 	}
 	pool, err := solver.OnlinePool(cfg.G, cfg.Policy)
 	if err != nil {

@@ -204,6 +204,50 @@ func TestControlPlane(t *testing.T) {
 	}
 }
 
+// TestOneShotSolverFollowsControlPlane pins that only a daemon with a
+// control plane builds the one-shot /v1/solve solver: a data-plane-only
+// daemon holds none (nor its idle arenas), and a control-plane-only daemon
+// answers /v1/solve with the schedule a plain Solver computes.
+func TestOneShotSolverFollowsControlPlane(t *testing.T) {
+	data, err := New(Config{DataAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data.oneShot != nil {
+		t.Fatal("a data-plane-only daemon built a one-shot solver")
+	}
+	srv := startServer(t, Config{ControlAddr: "127.0.0.1:0"})
+	if srv.oneShot == nil {
+		t.Fatal("a control-plane daemon has no one-shot solver")
+	}
+	in := generator.General(3, 200, 2, 100, 10)
+	body, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+srv.ControlAddr().String()+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var solved solveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&solved); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := busytime.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 || solved.Machines != want.Machines || solved.Cost != want.Cost || !maps.Equal(solved.Assignment, want.Schedule.Assignment()) {
+		t.Fatalf("solve: status %d, %d machines, cost %v; want 200, %d machines, cost %v, the same assignment",
+			resp.StatusCode, solved.Machines, solved.Cost, want.Machines, want.Cost)
+	}
+}
+
 // TestControlPlaneConcurrentSolve posts /v1/solve from four clients at once
 // to a one-worker daemon, alternating a 3-job and a 1000-job instance: every
 // reply must carry its own instance's assignment and cost. The handler reads
